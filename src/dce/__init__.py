@@ -11,17 +11,15 @@ lattice oracles for both, and Monte-Carlo verification including data-phase
 symbol error rates with a four-antenna orthogonal block code.
 """
 
-from .alloc_reciprocal import (AllocProblem, ReciprocalSolution, alpha_of_er,
-                               ef_of_er, grid_oracle_reciprocal,
-                               solve_reciprocal)
+from .alloc_reciprocal import (AllocProblem, ReciprocalSolution,
+                               grid_oracle_reciprocal, solve_reciprocal)
 from .config import ExperimentConfig, dump_config, load_config
 from .errors import (ConfigError, DceError, Infeasible, InfeasibleGamma,
                      NoFeasiblePoint, NotConverged, RankDeficient,
                      SingularRegressor, Stalled, UnsupportedGeometry)
-from .estimators import (jensen_factor, lr_estimate_nonreciprocal,
-                         lr_estimate_reciprocal, tx_estimate_downlink,
-                         tx_estimate_reciprocal, tx_estimate_uplink,
-                         ur_estimate)
+from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
+                         tx_estimate_downlink, tx_estimate_reciprocal,
+                         tx_estimate_uplink, ur_estimate)
 from .gp import (CondensationTrace, GpState, NonReciprocalSolution, condense,
                  from_gp_variables, grid_oracle_nonreciprocal,
                  initial_feasible_state, solve_inner_gp, theta_exponents,
@@ -29,8 +27,8 @@ from .gp import (CondensationTrace, GpState, NonReciprocalSolution, condense,
 from .montecarlo import (NmseReport, SerReport, jensen_oracle,
                          run_nmse_experiment, run_ser_experiment,
                          solve_allocation, sweep_power_allocation)
-from .nmse import (check_gamma, gamma_bounds, gamma_tilde, mu_threshold,
-                   nmse_l_nonreciprocal_approx, nmse_l_reciprocal,
+from .nmse import (check_gamma, gamma_bounds, gamma_tilde, jensen_factor,
+                   mu_threshold, nmse_l_nonreciprocal_approx, nmse_l_reciprocal,
                    nmse_lower_bound, nmse_u_nonreciprocal, nmse_u_reciprocal)
 from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams,
                      db_to_linear, default_params, linear_to_db,

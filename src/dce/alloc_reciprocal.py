@@ -28,8 +28,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import NoFeasiblePoint
-from .nmse import (check_gamma, gamma_tilde, mu_threshold, nmse_l_reciprocal,
-                   nmse_u_reciprocal)
+from .nmse import (check_gamma, forward_budget, gamma_tilde, mu_threshold,
+                   nmse_l_reciprocal, nmse_u_reciprocal)
 from .params import RECIPROCAL, PowerAllocation, SystemParams, reciprocal_allocation
 
 SCAN_POINTS = 512
@@ -65,23 +65,6 @@ class ReciprocalSolution:
     objective: float
     branch: str
     active_constraints: Tuple[str, ...]
-
-
-def alpha_of_er(problem: AllocProblem, e_r: float) -> float:
-    """Optimal AN energy per slot when the average budget is the binding one."""
-    p = problem.params
-    gt = gamma_tilde(p, problem.gamma)
-    s = p.budget_average_reciprocal()
-    if e_r > s - gt:
-        raise ValueError("e_r exceeds the average budget left for the forward phase")
-    return (s - gt - e_r) / (p.tau_f + p.var_g * gt / p.var_v)
-
-
-def ef_of_er(problem: AllocProblem, e_r: float) -> float:
-    """Forward pilot energy that keeps the UR floor exactly active."""
-    p = problem.params
-    gt = gamma_tilde(p, problem.gamma)
-    return gt * (p.var_g * alpha_of_er(problem, e_r) / p.var_v + 1.0)
 
 
 def _inner_solution(problem: AllocProblem, e_r: float) -> Tuple[float, float, float]:
@@ -159,7 +142,7 @@ def solve_reciprocal(problem: AllocProblem) -> ReciprocalSolution:
     # The closed form (0, gt, 0) only exists when spending gt on forward
     # pilots is affordable; below the enforceable-floor threshold the target
     # is vacuous and the reduced search handles it (no floor ever binds).
-    if gt <= min(b_t, s) and mu > min(b_l, s - gt):
+    if gt <= forward_budget(p, RECIPROCAL) and mu > min(b_l, s - gt):
         alloc = reciprocal_allocation(0.0, gt, 0.0)
         return ReciprocalSolution(
             alloc=alloc,

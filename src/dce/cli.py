@@ -10,8 +10,8 @@ Subcommands:
 * ``verify`` — self-check suite pitting the solvers against brute-force
   oracles and toy problems with known answers.
 
-Exit codes: 0 success, 2 configuration problem, 3 infeasible problem,
-4 unsupported geometry, 5 verification failure.
+Exit codes: 0 success, 1 solver breakdown, 2 configuration problem,
+3 infeasible problem, 4 unsupported geometry, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .errors import (ConfigError, Infeasible, InfeasibleGamma,
 from .gp import (Posynomial, condense, denominator_exponents,
                  grid_oracle_nonreciprocal, monomial, ratio_parts,
                  solve_inner_gp)
-from .montecarlo import (DESK_SER_TRIALS, FULL_SER_TRIALS, jensen_oracle,
-                         run_nmse_experiment, run_ser_experiment,
-                         solve_allocation)
+from .montecarlo import (DESK_SER_TRIALS, FULL_SER_TRIALS, MIN_NMSE_TRIALS,
+                         jensen_oracle, run_nmse_experiment,
+                         run_ser_experiment, solve_allocation)
 from .nmse import (check_gamma, gamma_bounds, nmse_l_nonreciprocal_approx,
                    nmse_lower_bound, nmse_u_reciprocal)
 from .ostbc import verify_code_orthogonality
@@ -165,6 +165,9 @@ def cmd_alloc(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
 
 def cmd_nmse(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
     trials = cfg.trials if cfg.trials is not None else 1000
+    if trials < MIN_NMSE_TRIALS:
+        raise ConfigError(f"nmse needs at least {MIN_NMSE_TRIALS} trials, "
+                          f"got {trials}")
     if taus is not None and cfg.scheme != RECIPROCAL:
         raise ConfigError("the forward-length sweep exists only for the "
                           "reciprocal scheme (the other geometry pins it)")
@@ -219,22 +222,28 @@ def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
 # verification suite
 # ---------------------------------------------------------------------------
 
+def _require(ok, message: str) -> None:
+    """Fail the running self-check; unlike ``assert`` it survives ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check_block_code(cfg):
     rng = make_rng(cfg.seed)
     worst_code, worst_map = verify_code_orthogonality(rng)
-    assert worst_code < 1e-10, f"code Gram deviates by {worst_code:.2e}"
-    assert worst_map < 1e-8, f"dispersion map deviates by {worst_map:.2e}"
+    _require(worst_code < 1e-10, f"code Gram deviates by {worst_code:.2e}")
+    _require(worst_map < 1e-8, f"dispersion map deviates by {worst_map:.2e}")
     return max(worst_code, worst_map), "worst Gram / dispersion-map residual"
 
 
 def _check_toy_gps(cfg):
     # min 1/x subject to 2x <= 1  ->  x = 1/2
     x1, _ = solve_inner_gp([monomial(2.0, [1.0])], [-1.0], [0.1])
-    assert abs(x1[0] - 0.5) < 1e-6, f"1-d toy optimum {x1[0]} != 0.5"
+    _require(abs(x1[0] - 0.5) < 1e-6, f"1-d toy optimum {x1[0]} != 0.5")
     # min 1/(xy) subject to x + y <= 1  ->  x = y = 1/2
     cons = [Posynomial(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))]
     x2, _ = solve_inner_gp(cons, [-1.0, -1.0], [0.2, 0.6])
-    assert np.allclose(x2, [0.5, 0.5], atol=1e-5), f"2-d toy optimum {x2}"
+    _require(np.allclose(x2, [0.5, 0.5], atol=1e-5), f"2-d toy optimum {x2}")
     dev = max(abs(x1[0] - 0.5), float(np.max(np.abs(x2 - 0.5))))
     return dev, "distance from known toy optima"
 
@@ -257,14 +266,15 @@ def _check_tangency(cfg):
             xm = x_bar.copy(); xm[k] *= np.exp(-h)
             fd = (np.log(denom.value(xp)) - np.log(denom.value(xm))) / (2 * h)
             worst_grad = max(worst_grad, abs(fd - a[k]))
-            assert abs(fd - a[k]) < 1e-4, f"log-gradient mismatch at {k}"
+            _require(abs(fd - a[k]) < 1e-4, f"log-gradient mismatch at {k}")
         # global under-estimation on random points
         pts = np.exp(rng.uniform(-2.0, 3.5, size=(400, 6)))
         hat = scale * np.prod(pts ** a[None, :], axis=1)
         true = (denom.coeffs[None, :]
                 * np.prod(pts[:, None, :] ** denom.expo[None, :, :], axis=2)).sum(axis=1)
         worst_over = max(worst_over, float(np.max(hat / true - 1.0)))
-        assert np.all(hat <= true * (1 + 1e-9)), "monomial exceeded the denominator"
+        _require(np.all(hat <= true * (1 + 1e-9)),
+                 "monomial exceeded the denominator")
     return worst_grad, f"worst log-gradient gap; over-estimation {worst_over:.2e}"
 
 
@@ -281,10 +291,10 @@ def _check_reciprocal_vs_oracle(cfg):
         sol = solve_reciprocal(problem)
         oracle = grid_oracle_reciprocal(problem, 60)
         worst = max(worst, sol.objective / oracle.objective - 1.0)
-        assert sol.objective <= oracle.objective * (1 + 1e-3), (
-            f"solver {sol.objective} lost to lattice {oracle.objective}")
+        _require(sol.objective <= oracle.objective * (1 + 1e-3),
+                 f"solver {sol.objective} lost to lattice {oracle.objective}")
         nmse_u = nmse_u_reciprocal(p, sol.alloc.e_f, sol.alloc.var_a)
-        assert nmse_u >= gamma * (1 - 1e-9), "UR floor violated"
+        _require(nmse_u >= gamma * (1 - 1e-9), "UR floor violated")
     return worst, "worst objective excess over the 60-point lattice"
 
 
@@ -293,14 +303,14 @@ def _check_condensation(cfg):
     gamma = 0.1
     sol = condense(params, gamma)
     objs = sol.trace.objectives()
-    assert all(b <= a * (1 + 1e-9) for a, b in zip(objs, objs[1:])), (
-        "objective not monotone")
-    assert sol.trace.ratio_activity <= 1 + 1e-6, "original ratio violated"
+    _require(all(b <= a * (1 + 1e-9) for a, b in zip(objs, objs[1:])),
+             "objective not monotone")
+    _require(sol.trace.ratio_activity <= 1 + 1e-6, "original ratio violated")
     oracle_alloc = grid_oracle_nonreciprocal(params, gamma, resolution=20)
     oracle_obj = nmse_l_nonreciprocal_approx(params, oracle_alloc)
     mine = nmse_l_nonreciprocal_approx(params, sol.alloc)
-    assert mine <= oracle_obj * 1.02, (
-        f"condensation {mine} worse than lattice {oracle_obj}")
+    _require(mine <= oracle_obj * 1.02,
+             f"condensation {mine} worse than lattice {oracle_obj}")
     return mine / oracle_obj - 1.0, "objective excess over the 20-point lattice"
 
 
@@ -319,10 +329,10 @@ def _check_jensen(cfg):
     params = default_params()
     alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0, 0.5)
     report = jensen_oracle(params, alloc, trials=10000, seed=cfg.seed)
-    assert 0.0 < report["empirical"] < 1.0, "spectral factor out of range"
+    _require(0.0 < report["empirical"] < 1.0, "spectral factor out of range")
     dead = nonreciprocal_allocation(10.0, 0.0, 10.0, 10.0, 0.5)
     dead_factor = jensen_oracle(params, dead, trials=10000)["empirical"]
-    assert dead_factor == 0.0, "factor must vanish without a round trip"
+    _require(dead_factor == 0.0, "factor must vanish without a round trip")
     return dead_factor, f"factor {report['empirical']:.4f} in (0,1); 0 without echo"
 
 
@@ -348,8 +358,8 @@ def _check_determinism(cfg):
     for fmt in FORMATS:
         first = table.render(fmt)
         second = table.render(fmt)
-        assert strip_footer(first) == strip_footer(second), (
-            f"{fmt} render is not deterministic")
+        _require(strip_footer(first) == strip_footer(second),
+                 f"{fmt} render is not deterministic")
     return 0.0, "renders byte-identical across repeated calls"
 
 
@@ -366,8 +376,9 @@ def _check_gamma_guard(cfg):
     # the floor is vacuous and the optimum drops reverse training and noise
     lo, _ = gamma_bounds(default_params(p_ave_db=10.0), RECIPROCAL)
     sol = solve_reciprocal(AllocProblem(default_params(p_ave_db=10.0), lo / 2.0))
-    assert sol.alloc.e_r == 0.0 and sol.alloc.var_a == 0.0, \
-        f"vacuous floor should zero reverse energy and noise, got {sol.alloc}"
+    _require(sol.alloc.e_r == 0.0 and sol.alloc.var_a == 0.0,
+             "vacuous floor should zero reverse energy and noise, "
+             f"got {sol.alloc}")
     return 0.0, "bad floors rejected; vacuous floor still solvable"
 
 

@@ -10,6 +10,7 @@ comma-separated sweep lists; a single value is the one-point sweep.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -59,6 +60,9 @@ class ExperimentConfig:
             raise ConfigError("gamma must be one or more positive values")
         if not self.pave_db:
             raise ConfigError("pave_db needs at least one value")
+        for name in ("gamma", "pave_db", "pbar_t_db", "pbar_l_db"):
+            if not all(map(math.isfinite, _as_sweep(getattr(self, name)))):
+                raise ConfigError(f"{name} must be finite")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
         if self.jensen_variant not in JENSEN_VARIANTS:

@@ -1,9 +1,9 @@
 r"""LMMSE estimators for every terminal and both training schemes.
 
-All estimators are linear in the received block, so each one is split into
-a *filter* factory (statistics only, reusable across trials) and a thin
-wrapper applying the filter to one received matrix.  Monte-Carlo code calls
-the factories once per allocation and the per-trial cost is a small matmul.
+All estimators are linear in the received block.  Each applies a cached
+pilot filter built from second-order statistics only (the scalar closed
+forms of ``dce.nmse``), so Monte-Carlo trials reuse the same matrix and the
+per-trial cost is a small matmul.
 
 Receivers know all second-order statistics (noise variances, AN variance,
 the transmitter-side estimation error variance) but no realizations.
@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from .errors import SingularRegressor
+from .nmse import (downlink_beta, lr_effective_noise_nonreciprocal,
+                   lr_effective_noise_reciprocal, rho0_downlink,
+                   t0_round_trip, ur_effective_noise)
 from .params import RECIPROCAL, PowerAllocation, SystemParams
 from .training import echo_gain, pilot_matrix
 
@@ -28,16 +31,10 @@ JITTER_REL = 1e-12
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """Estimate matrix plus its per-entry analytic error variance.
-
-    ``error_var`` is the scaled-identity error variance where one exists;
-    estimators whose error covariance depends on conditioning information
-    (the echo-based downlink estimate) publish that record in
-    ``conditioning`` instead.
-    """
+    """Estimate matrix plus, for the echo-based downlink estimate, the
+    conditioning record describing its conditional error covariance."""
 
     estimate: np.ndarray
-    error_var: Optional[float] = None
     conditioning: Optional[Dict[str, object]] = None
 
 
@@ -75,16 +72,6 @@ def _pilot_filter(prior_var: float, noise_var: float, energy: float,
 # transmitter-side estimators
 # ---------------------------------------------------------------------------
 
-def tx_error_var_reciprocal(params: SystemParams, e_r: float) -> float:
-    """Per-entry error variance of the transmitter's reverse-training estimate."""
-    return 1.0 / (1.0 / params.var_h + e_r / (params.n_l * params.var_wt))
-
-
-def tx_filter_reciprocal(params: SystemParams, e_r: float) -> Tuple[np.ndarray, float]:
-    w = _pilot_filter(params.var_h, params.var_wt, e_r, params.tau_r, params.n_l)
-    return w, tx_error_var_reciprocal(params, e_r)
-
-
 def tx_estimate_reciprocal(y_t: np.ndarray, params: SystemParams,
                            e_r: float) -> EstimateWithError:
     r"""Estimate the symmetric channel from Y_t = X_L H^T + noise.
@@ -94,12 +81,8 @@ def tx_estimate_reciprocal(y_t: np.ndarray, params: SystemParams,
     """
     if e_r < 0:
         raise ValueError("e_r must be non-negative")
-    w, errv = tx_filter_reciprocal(params, e_r)
-    return EstimateWithError(estimate=(w @ y_t).T, error_var=errv)
-
-
-def tx_error_var_uplink(params: SystemParams, e_2: float) -> float:
-    return 1.0 / (1.0 / params.var_hu + e_2 / (params.n_l * params.var_wt))
+    w = _pilot_filter(params.var_h, params.var_wt, e_r, params.tau_r, params.n_l)
+    return EstimateWithError(estimate=(w @ y_t).T)
 
 
 def tx_estimate_uplink(y_t2: np.ndarray, params: SystemParams,
@@ -108,23 +91,7 @@ def tx_estimate_uplink(y_t2: np.ndarray, params: SystemParams,
     if e_2 < 0:
         raise ValueError("e_2 must be non-negative")
     w = _pilot_filter(params.var_hu, params.var_wt, e_2, params.tau_2, params.n_l)
-    return EstimateWithError(estimate=w @ y_t2,
-                             error_var=tx_error_var_uplink(params, e_2))
-
-
-def downlink_beta(params: SystemParams, alloc: PowerAllocation) -> float:
-    r"""Regularizer of the echo-based downlink estimator.
-
-    beta = n_l * eps2 + var_wt / (alpha^2 * t0) with eps2 the uplink
-    estimate's per-entry error variance and t0 = var_hd*e_0/n_t + var_w.
-    Infinite when the echo gain is zero (no round-trip information).
-    """
-    alpha = echo_gain(params, alloc.e_0, alloc.e_1)
-    eps2 = tx_error_var_uplink(params, alloc.e_2)
-    t0 = params.var_hd * alloc.e_0 / params.n_t + params.var_w
-    if alpha == 0.0:
-        return float("inf")
-    return params.n_l * eps2 + params.var_wt / (alpha ** 2 * t0)
+    return EstimateWithError(estimate=w @ y_t2)
 
 
 def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
@@ -132,8 +99,8 @@ def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
                          alloc: PowerAllocation) -> EstimateWithError:
     r"""Downlink estimate from the echoed block, conditioned on the uplink estimate.
 
-    With M = Hu_hat^* Hu_hat^T and rho0 = var_hd*e_0/(var_hd*e_0 + n_t*var_w),
-    the conditional error covariance is
+    With M = Hu_hat^* Hu_hat^T and rho0 the probe share of the echoed
+    level (``dce.nmse.rho0_downlink``), the conditional error covariance is
     [var_hd I - var_hd*rho0*M(M+beta I)^{-1}] kron I_{n_t}; its n_l x n_l
     factor is published in the conditioning record together with beta.
     """
@@ -142,20 +109,19 @@ def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
         raise ValueError("echo-based estimation needs e_1 > 0 (alpha > 0)")
     hu = h_u_hat.estimate
     n_t, n_l = params.n_t, params.n_l
-    t0 = params.var_hd * alloc.e_0 / n_t + params.var_w
+    t0 = t0_round_trip(params, alloc.e_0)
     beta = downlink_beta(params, alloc)
     reg = hu.conj().T @ hu + beta * np.eye(n_t)
     if not np.all(np.isfinite(reg)) or np.linalg.cond(reg) > 1e14:
         raise SingularRegressor("regularized uplink Gram matrix is numerically singular")
     est = (params.var_hd / (alpha * t0)) * (
         x_t0.conj().T @ y_t1 @ spd_solve(reg, hu.conj().T))
-    rho0 = params.var_hd * alloc.e_0 / (params.var_hd * alloc.e_0 + n_t * params.var_w)
+    rho0 = rho0_downlink(params, alloc.e_0)
     m = hu.conj() @ hu.T
     shrink = m @ np.linalg.inv(m + beta * np.eye(n_l))
     cond_factor = params.var_hd * (np.eye(n_l) - rho0 * shrink)
     return EstimateWithError(
         estimate=est,
-        error_var=None,
         conditioning={
             "hu_hat": hu,
             "beta": beta,
@@ -170,94 +136,30 @@ def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
 # receiver-side estimators
 # ---------------------------------------------------------------------------
 
-def lr_effective_noise_reciprocal(params: SystemParams,
-                                  alloc: PowerAllocation) -> float:
-    """Per-entry disturbance variance seen by the LR in the forward phase.
-
-    AN leaks through the transmitter's estimation error only:
-    (n_t - n_l) * var_a * errv_tx + var_w.
-    """
-    errv = tx_error_var_reciprocal(params, alloc.e_r)
-    return (params.n_t - params.n_l) * alloc.var_a * errv + params.var_w
-
-
-def lr_filter_reciprocal(params: SystemParams,
-                         alloc: PowerAllocation) -> Tuple[np.ndarray, float]:
-    r_eff = lr_effective_noise_reciprocal(params, alloc)
-    w = _pilot_filter(params.var_h, r_eff, alloc.e_f, params.tau_f, params.n_t)
-    errv = 1.0 / (1.0 / params.var_h + (alloc.e_f / params.n_t) / r_eff)
-    return w, errv
-
-
 def lr_estimate_reciprocal(y_l: np.ndarray, params: SystemParams,
                            alloc: PowerAllocation) -> EstimateWithError:
     """LR's LMMSE estimate of the n_t x n_l downlink under AN disturbance."""
-    w, errv = lr_filter_reciprocal(params, alloc)
-    return EstimateWithError(estimate=w @ y_l, error_var=errv)
-
-
-def jensen_factor(params: SystemParams, alloc: PowerAllocation,
-                  variant: str = "printed") -> float:
-    r"""Surrogate for E{1/(beta/lambda + 1)} over the uplink-estimate spectrum.
-
-    ``printed`` uses n_t*sigma/(beta + n_t*sigma) with sigma the square
-    root of the uplink-estimate entry variance sigma^2; ``sigma-squared``
-    uses n_t*sigma^2/(beta + n_t*sigma^2).  Both collapse to 0 when there
-    is no usable round trip (alpha = 0 or e_2 = 0).
-    """
-    if variant not in ("printed", "sigma-squared"):
-        raise ValueError(f"unknown jensen variant {variant!r}")
-    sigma2 = (params.var_hu ** 2 * alloc.e_2
-              / (params.var_hu * alloc.e_2 + params.n_l * params.var_wt))
-    beta = downlink_beta(params, alloc)
-    if not np.isfinite(beta) or sigma2 == 0.0:
-        return 0.0
-    s = np.sqrt(sigma2) if variant == "printed" else sigma2
-    return float(params.n_t * s / (beta + params.n_t * s))
-
-
-def lr_effective_noise_nonreciprocal(params: SystemParams, alloc: PowerAllocation,
-                                     jensen_variant: str = "printed") -> float:
-    """AN leakage through the echo-based downlink estimate, plus LR noise."""
-    rho0 = (params.var_hd * alloc.e_0
-            / (params.var_hd * alloc.e_0 + params.n_t * params.var_w))
-    j = jensen_factor(params, alloc, jensen_variant)
-    residual = params.var_hd - params.var_hd * rho0 * j
-    return (params.n_t - params.n_l) * alloc.var_a * residual + params.var_w
-
-
-def lr_filter_nonreciprocal(params: SystemParams, alloc: PowerAllocation,
-                            jensen_variant: str = "printed") -> Tuple[np.ndarray, float]:
-    r_eff = lr_effective_noise_nonreciprocal(params, alloc, jensen_variant)
-    w = _pilot_filter(params.var_hd, r_eff, alloc.e_3, params.tau_3, params.n_t)
-    errv = 1.0 / (1.0 / params.var_hd + (alloc.e_3 / params.n_t) / r_eff)
-    return w, errv
+    r_eff = lr_effective_noise_reciprocal(params, alloc.e_r, alloc.var_a)
+    w = _pilot_filter(params.var_h, r_eff, alloc.e_f, params.tau_f, params.n_t)
+    return EstimateWithError(estimate=w @ y_l)
 
 
 def lr_estimate_nonreciprocal(y_l3: np.ndarray, params: SystemParams,
                               alloc: PowerAllocation,
                               jensen_variant: str = "printed") -> EstimateWithError:
     """LR's forward-phase estimate under the approximated disturbance covariance."""
-    w, errv = lr_filter_nonreciprocal(params, alloc, jensen_variant)
-    return EstimateWithError(estimate=w @ y_l3, error_var=errv)
-
-
-def ur_effective_noise(params: SystemParams, alloc: PowerAllocation) -> float:
-    """AN hits the UR at full strength: (n_t - n_l)*var_a*var_g + var_v."""
-    return (params.n_t - params.n_l) * alloc.var_a * params.var_g + params.var_v
-
-
-def ur_filter(params: SystemParams, alloc: PowerAllocation) -> Tuple[np.ndarray, float]:
-    energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
-    tau = params.tau_f if alloc.scheme == RECIPROCAL else params.tau_3
-    r_eff = ur_effective_noise(params, alloc)
-    w = _pilot_filter(params.var_g, r_eff, energy, tau, params.n_t)
-    errv = 1.0 / (1.0 / params.var_g + (energy / params.n_t) / r_eff)
-    return w, errv
+    r_eff = lr_effective_noise_nonreciprocal(params, alloc, jensen_variant)
+    w = _pilot_filter(params.var_hd, r_eff, alloc.e_3, params.tau_3, params.n_t)
+    return EstimateWithError(estimate=w @ y_l3)
 
 
 def ur_estimate(y_u: np.ndarray, params: SystemParams,
                 alloc: PowerAllocation) -> EstimateWithError:
     """UR's LMMSE estimate of its own n_t x n_u channel."""
-    w, errv = ur_filter(params, alloc)
-    return EstimateWithError(estimate=w @ y_u, error_var=errv)
+    if alloc.scheme == RECIPROCAL:
+        energy, tau = alloc.e_f, params.tau_f
+    else:
+        energy, tau = alloc.e_3, params.tau_3
+    w = _pilot_filter(params.var_g, ur_effective_noise(params, alloc.var_a),
+                      energy, tau, params.n_t)
+    return EstimateWithError(estimate=w @ y_u)

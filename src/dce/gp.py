@@ -30,7 +30,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import Infeasible, NoFeasiblePoint, NotConverged, Stalled
-from .nmse import NON_RECIPROCAL, check_gamma
+from .nmse import (NON_RECIPROCAL, check_gamma, lmmse_error_var, t0_round_trip,
+                   ur_effective_noise)
 from .params import PowerAllocation, SystemParams, nonreciprocal_allocation
 
 X_NAMES = ("t", "t0", "t1", "t2", "t3", "t4")
@@ -191,11 +192,11 @@ def to_gp_variables(params: SystemParams, alloc: PowerAllocation,
     optimum lives.  Constants are attached when the UR floor is supplied.
     """
     p = params
-    t0 = p.var_hd * alloc.e_0 / p.n_t + p.var_w
+    t0 = t0_round_trip(p, alloc.e_0)
     t1 = alloc.e_1 / (p.n_t * p.n_l * t0)
     t2 = alloc.e_2 / p.n_l
     t3 = alloc.e_3 / p.n_t
-    t4 = (p.n_t - p.n_l) * alloc.var_a * p.var_g + p.var_v
+    t4 = ur_effective_noise(p, alloc.var_a)
     t = quality_score(params, t0, t1, t2, t3, t4)
     cs = gp_constants(params, gamma) if gamma is not None else (None,) * 4
     return GpState(t, t0, t1, t2, t3, t4, *cs)
@@ -615,7 +616,7 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
              else denominator_exponents(params, x_bar))
         constraints = [condensed_ratio(params, x_bar, a)] + fixed
         x_opt, _ = solve_inner_gp(constraints, objective, x_bar)
-        nmse = 1.0 / (1.0 / params.var_hd + x_opt[0] / params.var_w)
+        nmse = lmmse_error_var(params.var_hd, x_opt[0], 1, params.var_w)
         trace.steps.append(CondensationStep(
             expansion=tuple(float(v) for v in x_bar),
             thetas=dict(zip(X_NAMES, (float(v) for v in a))),

@@ -18,13 +18,13 @@ import numpy as np
 
 from .alloc_reciprocal import AllocProblem, solve_reciprocal
 from .errors import RankDeficient, SingularRegressor, UnsupportedGeometry
-from .estimators import (downlink_beta, jensen_factor,
-                         lr_estimate_nonreciprocal, lr_estimate_reciprocal,
+from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          tx_estimate_downlink, tx_estimate_reciprocal,
                          tx_estimate_uplink, ur_estimate)
 from .gp import condense
-from .nmse import (nmse_l_nonreciprocal_approx, nmse_l_reciprocal,
-                   nmse_u_nonreciprocal, nmse_u_reciprocal, sigma_sq_uplink)
+from .nmse import (downlink_beta, jensen_factor, nmse_l_nonreciprocal_approx,
+                   nmse_l_reciprocal, nmse_u_nonreciprocal, nmse_u_reciprocal,
+                   sigma_sq_uplink)
 from .ostbc import (SUPPORTED_QAM, block_scale, decode_block, encode_block,
                     qam_constellation)
 from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams,
@@ -34,6 +34,7 @@ from .training import (forward_training, reverse_training, round_trip_training,
                        sample_channels)
 
 MAX_RESAMPLES = 8
+MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
 DESK_SER_TRIALS = 5000
 FULL_SER_TRIALS = 50000
 
@@ -112,8 +113,9 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
     channels, noise, and AN; squared errors are averaged per entry.  The
     95% half-widths use the per-trial sample standard deviation.
     """
-    if trials < 100:
-        raise ValueError("fewer than 100 trials gives meaningless confidence bounds")
+    if trials < MIN_NMSE_TRIALS:
+        raise ValueError(f"fewer than {MIN_NMSE_TRIALS} trials gives "
+                         "meaningless confidence bounds")
     if alloc.scheme == RECIPROCAL:
         analytic_lr = nmse_l_reciprocal(params, alloc.e_r, alloc.e_f, alloc.var_a)
         analytic_ur = nmse_u_reciprocal(params, alloc.e_f, alloc.var_a)

@@ -1,56 +1,169 @@
-r"""Closed-form NMSE evaluators, feasibility bounds and derived constants.
+r"""Scalar closed forms: error variances, effective noise levels, NMSEs and
+the feasibility interval of the UR floor.
 
-Everything here is a pure scalar function of the system parameters and an
-allocation; the Monte-Carlo module checks these formulas empirically and
-the allocators optimize them.
+Every estimation error in the model is the per-entry LMMSE error variance of
+a Gaussian prior observed through orthogonal pilots in white noise,
+``lmmse_error_var``; the functions here supply its prior and effective
+noise for the transmitter, the legitimate receiver (LR) and the
+unauthorized receiver (UR).  Everything is a pure scalar function of the
+system parameters and allocation entries; the estimators build their
+filters from these statistics, the Monte-Carlo module checks them
+empirically and the allocators optimize them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from .errors import InfeasibleGamma
-from .estimators import (downlink_beta, lr_effective_noise_nonreciprocal,
-                         lr_effective_noise_reciprocal, ur_effective_noise)
-from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams,
-                     nonreciprocal_allocation, reciprocal_allocation)
+from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
+from .training import echo_gain
 
+
+def lmmse_error_var(prior, energy, n, noise):
+    """Per-entry LMMSE error variance when pilot energy ``energy`` is spread
+    over ``n`` streams in noise ``noise``: 1/(1/prior + (energy/n)/noise).
+
+    Broadcasts over NumPy arrays.
+    """
+    return 1.0 / (1.0 / prior + (energy / n) / noise)
+
+
+# ---------------------------------------------------------------------------
+# transmitter-side statistics
+# ---------------------------------------------------------------------------
+
+def tx_error_var_reciprocal(params: SystemParams, e_r: float) -> float:
+    """Per-entry error variance of the transmitter's reverse-training estimate."""
+    return lmmse_error_var(params.var_h, e_r, params.n_l, params.var_wt)
+
+
+def tx_error_var_uplink(params: SystemParams, e_2: float) -> float:
+    """Per-entry error variance of the uplink estimate (non-reciprocal)."""
+    return lmmse_error_var(params.var_hu, e_2, params.n_l, params.var_wt)
+
+
+def sigma_sq_uplink(params: SystemParams, e_2: float) -> float:
+    """Per-entry variance of the uplink channel estimate."""
+    return (params.var_hu ** 2 * e_2
+            / (params.var_hu * e_2 + params.n_l * params.var_wt))
+
+
+def t0_round_trip(params: SystemParams, e_0: float) -> float:
+    """Round-trip downlink signal-plus-noise level t0 = var_hd*e_0/n_t + var_w."""
+    return params.var_hd * e_0 / params.n_t + params.var_w
+
+
+def rho0_downlink(params: SystemParams, e_0: float) -> float:
+    """Share of the echoed level carried by the probe:
+    var_hd*e_0 / (var_hd*e_0 + n_t*var_w)."""
+    return params.var_hd * e_0 / (params.var_hd * e_0 + params.n_t * params.var_w)
+
+
+def downlink_beta(params: SystemParams, alloc: PowerAllocation) -> float:
+    r"""Regularizer of the echo-based downlink estimator.
+
+    beta = n_l * eps2 + var_wt / (alpha^2 * t0) with eps2 the uplink
+    estimate's per-entry error variance and t0 the round-trip level.
+    Infinite when the echo gain is zero (no round-trip information).
+    """
+    alpha = echo_gain(params, alloc.e_0, alloc.e_1)
+    if alpha == 0.0:
+        return float("inf")
+    eps2 = tx_error_var_uplink(params, alloc.e_2)
+    return (params.n_l * eps2
+            + params.var_wt / (alpha ** 2 * t0_round_trip(params, alloc.e_0)))
+
+
+def jensen_factor(params: SystemParams, alloc: PowerAllocation,
+                  variant: str = "printed") -> float:
+    r"""Surrogate for E{1/(beta/lambda + 1)} over the uplink-estimate spectrum.
+
+    ``printed`` uses n_t*sigma/(beta + n_t*sigma) with sigma the square
+    root of the uplink-estimate entry variance sigma^2; ``sigma-squared``
+    uses n_t*sigma^2/(beta + n_t*sigma^2).  Both collapse to 0 when there
+    is no usable round trip (alpha = 0 or e_2 = 0).
+    """
+    if variant not in ("printed", "sigma-squared"):
+        raise ValueError(f"unknown jensen variant {variant!r}")
+    sigma2 = sigma_sq_uplink(params, alloc.e_2)
+    beta = downlink_beta(params, alloc)
+    if not np.isfinite(beta) or sigma2 == 0.0:
+        return 0.0
+    s = np.sqrt(sigma2) if variant == "printed" else sigma2
+    return float(params.n_t * s / (beta + params.n_t * s))
+
+
+# ---------------------------------------------------------------------------
+# effective noise seen by the receivers in the forward phase
+# ---------------------------------------------------------------------------
+
+def lr_effective_noise_reciprocal(params: SystemParams, e_r: float,
+                                  var_a: float) -> float:
+    """Per-entry disturbance variance seen by the LR in the forward phase.
+
+    AN leaks through the transmitter's estimation error only:
+    (n_t - n_l) * var_a * errv_tx + var_w.
+    """
+    errv = tx_error_var_reciprocal(params, e_r)
+    return (params.n_t - params.n_l) * var_a * errv + params.var_w
+
+
+def lr_effective_noise_nonreciprocal(params: SystemParams, alloc: PowerAllocation,
+                                     jensen_variant: str = "printed") -> float:
+    """AN leakage through the echo-based downlink estimate, plus LR noise."""
+    rho0 = rho0_downlink(params, alloc.e_0)
+    j = jensen_factor(params, alloc, jensen_variant)
+    residual = params.var_hd - params.var_hd * rho0 * j
+    return (params.n_t - params.n_l) * alloc.var_a * residual + params.var_w
+
+
+def ur_effective_noise(params: SystemParams, var_a: float) -> float:
+    """AN hits the UR at full strength: (n_t - n_l)*var_a*var_g + var_v."""
+    return (params.n_t - params.n_l) * var_a * params.var_g + params.var_v
+
+
+# ---------------------------------------------------------------------------
+# channel-estimation NMSE at the receivers
+# ---------------------------------------------------------------------------
 
 def nmse_l_reciprocal(params: SystemParams, e_r: float, e_f: float,
                       var_a: float) -> float:
     """LR channel-estimation NMSE in the reciprocal scheme; in (0, var_h]."""
     if min(e_r, e_f, var_a) < 0:
         raise ValueError("allocation entries must be non-negative")
-    alloc = reciprocal_allocation(e_r, e_f, var_a)
-    r_eff = lr_effective_noise_reciprocal(params, alloc)
-    return 1.0 / (1.0 / params.var_h + (e_f / params.n_t) / r_eff)
+    r_eff = lr_effective_noise_reciprocal(params, e_r, var_a)
+    return lmmse_error_var(params.var_h, e_f, params.n_t, r_eff)
 
 
 def nmse_u_reciprocal(params: SystemParams, e_f: float, var_a: float) -> float:
     """UR channel-estimation NMSE in the reciprocal scheme; in (0, var_g]."""
     if min(e_f, var_a) < 0:
         raise ValueError("allocation entries must be non-negative")
-    alloc = reciprocal_allocation(0.0, e_f, var_a)
-    return 1.0 / (1.0 / params.var_g
-                  + (e_f / params.n_t) / ur_effective_noise(params, alloc))
+    return lmmse_error_var(params.var_g, e_f, params.n_t,
+                           ur_effective_noise(params, var_a))
 
 
 def nmse_l_nonreciprocal_approx(params: SystemParams, alloc: PowerAllocation,
                                 jensen_variant: str = "printed") -> float:
     """Approximate LR NMSE for the echo-based scheme (Jensen surrogate)."""
     r_eff = lr_effective_noise_nonreciprocal(params, alloc, jensen_variant)
-    return 1.0 / (1.0 / params.var_hd + (alloc.e_3 / params.n_t) / r_eff)
+    return lmmse_error_var(params.var_hd, alloc.e_3, params.n_t, r_eff)
 
 
 def nmse_u_nonreciprocal(params: SystemParams, e_3: float, var_a: float) -> float:
     """UR NMSE in the non-reciprocal scheme (exact, not approximated)."""
     if min(e_3, var_a) < 0:
         raise ValueError("allocation entries must be non-negative")
-    alloc = nonreciprocal_allocation(0.0, 0.0, 0.0, e_3, var_a)
-    return 1.0 / (1.0 / params.var_g
-                  + (e_3 / params.n_t) / ur_effective_noise(params, alloc))
+    return lmmse_error_var(params.var_g, e_3, params.n_t,
+                           ur_effective_noise(params, var_a))
 
+
+# ---------------------------------------------------------------------------
+# UR floor and bounds
+# ---------------------------------------------------------------------------
 
 def gamma_tilde(params: SystemParams, gamma: float) -> float:
     r"""Forward-energy bound induced by the UR floor:
@@ -67,21 +180,26 @@ def mu_threshold(params: SystemParams) -> float:
                          - params.var_wt / params.var_h)
 
 
+def forward_budget(params: SystemParams, scheme: str) -> float:
+    """Largest forward pilot energy: the smaller of the transmitter and
+    average-energy budgets."""
+    if scheme == RECIPROCAL:
+        return min(params.budget_tx_reciprocal(),
+                   params.budget_average_reciprocal())
+    if scheme == NON_RECIPROCAL:
+        return min(params.budget_tx_nonreciprocal(),
+                   params.budget_average_nonreciprocal())
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def gamma_bounds(params: SystemParams, scheme: str) -> Tuple[float, float]:
     """Achievable interval (gamma_min, gamma_max) for the UR floor.
 
     gamma_max is the prior variance var_g; gamma_min is the UR NMSE when the
     entire admissible forward energy is spent on pilots with no AN.
     """
-    if scheme == RECIPROCAL:
-        budget = min(params.budget_tx_reciprocal(),
-                     params.budget_average_reciprocal())
-    elif scheme == NON_RECIPROCAL:
-        budget = min(params.budget_tx_nonreciprocal(),
-                     params.budget_average_nonreciprocal())
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    gamma_min = 1.0 / (1.0 / params.var_g + budget / (params.n_t * params.var_v))
+    budget = forward_budget(params, scheme)
+    gamma_min = lmmse_error_var(params.var_g, budget, params.n_t, params.var_v)
     return gamma_min, params.var_g
 
 
@@ -106,41 +224,6 @@ def check_gamma(params: SystemParams, gamma: float, scheme: str) -> None:
 
 def nmse_lower_bound(params: SystemParams, scheme: str) -> float:
     """Best LR NMSE attainable with every budget spent on forward pilots."""
-    if scheme == RECIPROCAL:
-        budget = min(params.budget_tx_reciprocal(),
-                     params.budget_average_reciprocal())
-        return 1.0 / (1.0 / params.var_h + budget / (params.n_t * params.var_w))
-    if scheme == NON_RECIPROCAL:
-        budget = min(params.budget_tx_nonreciprocal(),
-                     params.budget_average_nonreciprocal())
-        return 1.0 / (1.0 / params.var_hd + budget / (params.n_t * params.var_w))
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def sigma_sq_uplink(params: SystemParams, e_2: float) -> float:
-    """Per-entry variance of the uplink channel estimate."""
-    return (params.var_hu ** 2 * e_2
-            / (params.var_hu * e_2 + params.n_l * params.var_wt))
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Bundle of the derived scalars both allocators lean on."""
-
-    gamma_tilde: float
-    mu: float
-    sigma_sq: Optional[float] = None
-    beta: Optional[float] = None
-
-
-def derived_constants(params: SystemParams, gamma: float,
-                      alloc: Optional[PowerAllocation] = None) -> DerivedConstants:
-    gt = gamma_tilde(params, gamma)
-    if gt < 0:
-        raise InfeasibleGamma(f"gamma={gamma:g} exceeds the UR prior variance")
-    mu = mu_threshold(params)
-    if alloc is not None and alloc.scheme == NON_RECIPROCAL:
-        return DerivedConstants(gamma_tilde=gt, mu=mu,
-                                sigma_sq=sigma_sq_uplink(params, alloc.e_2),
-                                beta=downlink_beta(params, alloc))
-    return DerivedConstants(gamma_tilde=gt, mu=mu)
+    budget = forward_budget(params, scheme)
+    prior = params.var_h if scheme == RECIPROCAL else params.var_hd
+    return lmmse_error_var(prior, budget, params.n_t, params.var_w)

@@ -104,11 +104,6 @@ def block_scale(power_per_slot: float) -> float:
     return float(np.sqrt(power_per_slot / CODE_SYMBOLS))
 
 
-def random_symbol_indices(rng: np.random.Generator, order: int,
-                          count: int = CODE_SYMBOLS) -> np.ndarray:
-    return rng.integers(0, order, size=count)
-
-
 def verify_code_orthogonality(rng: np.random.Generator, rounds: int = 32,
                               ) -> Tuple[float, float]:
     """Max deviation of C^H C from ||s||^2 I over random symbol draws, and of

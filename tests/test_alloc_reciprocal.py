@@ -6,8 +6,7 @@ import pytest
 
 from dce.alloc_reciprocal import (
     AllocProblem,
-    alpha_of_er,
-    ef_of_er,
+    _inner_solution,
     grid_oracle_reciprocal,
     solve_reciprocal,
 )
@@ -21,6 +20,14 @@ def problem():
     return AllocProblem(default_params(), 0.1)
 
 
+def _split(problem, e_r):
+    """(alpha, e_f) of the inner split: alpha = (n_t - n_l)*var_a is the AN
+    energy per slot, e_f the forward pilot energy."""
+    p = problem.params
+    e_f, var_a, _ = _inner_solution(problem, e_r)
+    return (p.n_t - p.n_l) * var_a, e_f
+
+
 # ---------------------------------------------------------------------------
 # inner closed forms
 # ---------------------------------------------------------------------------
@@ -29,18 +36,16 @@ def test_alpha_of_er_points(problem):
     # e_r at the budget edge leaves nothing for AN
     s = problem.params.budget_average_reciprocal()
     gt = gamma_tilde(problem.params, problem.gamma)
-    assert alpha_of_er(problem, s - gt) == pytest.approx(0.0, abs=1e-12)
+    assert _split(problem, s - gt)[0] == pytest.approx(0.0, abs=1e-12)
     # (600 - 36 - 50) / (tau_f + var_g*gt/var_v) = 514/40
-    assert alpha_of_er(problem, 50.0) == pytest.approx(12.85)
-    with pytest.raises(ValueError):
-        alpha_of_er(problem, s - gt + 1.0)
+    assert _split(problem, 50.0)[0] == pytest.approx(12.85)
 
 
 def test_ef_of_er_points(problem):
     gt = gamma_tilde(problem.params, problem.gamma)
     s = problem.params.budget_average_reciprocal()
-    assert ef_of_er(problem, s - gt) == pytest.approx(gt)
-    assert ef_of_er(problem, 50.0) == pytest.approx(36.0 * 13.85)
+    assert _split(problem, s - gt)[1] == pytest.approx(gt)
+    assert _split(problem, 50.0)[1] == pytest.approx(36.0 * 13.85)
 
 
 def test_inner_split_exhausts_average_budget(problem):
@@ -50,8 +55,7 @@ def test_inner_split_exhausts_average_budget(problem):
     gt = gamma_tilde(p, problem.gamma)
     rng = np.random.default_rng(3)
     for e_r in rng.uniform(0.0, s - gt, size=50):
-        a = alpha_of_er(problem, e_r)
-        e_f = ef_of_er(problem, e_r)
+        a, e_f = _split(problem, e_r)
         np.testing.assert_allclose(e_r + e_f + a * p.tau_f, s, rtol=1e-12)
 
 
@@ -59,8 +63,7 @@ def test_inner_split_keeps_floor_exactly_active(problem):
     """The (e_f, var_a) pair pins the UR error to gamma to 1e-12."""
     p = problem.params
     for e_r in [0.0, 50.0, 213.7]:
-        a = alpha_of_er(problem, e_r)
-        e_f = ef_of_er(problem, e_r)
+        a, e_f = _split(problem, e_r)
         nu = nmse_u_reciprocal(p, e_f, a / (p.n_t - p.n_l))
         assert nu == pytest.approx(problem.gamma, rel=1e-12)
 

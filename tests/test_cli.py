@@ -2,11 +2,18 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dce
 import dce.cli as cli
 from dce.tables import strip_footer
+
+GOLDEN = Path(__file__).parent / "golden"
 
 EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_GEOMETRY, EXIT_VERIFY = 0, 2, 3, 4, 5
 
@@ -104,6 +111,24 @@ def test_forward_length_sweep_monotone(tmp_path):
     assert all(b >= a * (1 - 1e-12) for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("alloc_reciprocal.csv",
+     ["--scheme", "reciprocal", "--pave-db", "0,5,10,15,20,25,30,35,40,45",
+      "--gamma", "0.5,0.1,0.03,0.01"]),
+    ("alloc_non_reciprocal.csv",
+     ["--scheme", "non-reciprocal", "--pave-db", "10,15,20,25,30",
+      "--gamma", "0.5,0.2,0.1"]),
+])
+def test_alloc_matches_golden_bytes(tmp_path, golden, argv):
+    """``dce alloc`` draws no random numbers: its table, footer aside, is
+    byte-identical to the committed golden."""
+    code, out = _run(tmp_path, "alloc", *argv)
+    assert code == EXIT_OK
+    rows = out.read_bytes().splitlines(keepends=True)
+    table = b"".join(r for r in rows if not r.startswith(b"#"))
+    assert table == (GOLDEN / golden).read_bytes()
+
+
 def test_single_tau_flag_is_plain_override(tmp_path):
     code, out = _run(tmp_path, "alloc", "--gamma", "0.1", "--pave-db", "20",
                      "--tau-f", "8")
@@ -133,6 +158,19 @@ def test_exit_config_error(tmp_path, capsys):
     assert cli.main(["nmse", "--trials", "0"]) == EXIT_CONFIG
     assert cli.main(["alloc", "--gamma", ","]) == EXIT_CONFIG
     assert cli.main(["nmse", "--tau-f", "four"]) == EXIT_CONFIG
+
+
+def test_exit_config_non_finite_input(capsys):
+    assert cli.main(["alloc", "--pave-db", "nan"]) == EXIT_CONFIG
+    assert "pave_db must be finite" in capsys.readouterr().err
+    assert cli.main(["alloc", "--gamma", "0.1,nan"]) == EXIT_CONFIG
+    assert cli.main(["alloc", "--pbar-t-db", "inf"]) == EXIT_CONFIG
+    assert cli.main(["alloc", "--pbar-l-db=-inf"]) == EXIT_CONFIG
+
+
+def test_exit_config_too_few_nmse_trials(capsys):
+    assert cli.main(["nmse", "--trials", "50"]) == EXIT_CONFIG
+    assert "at least 100 trials" in capsys.readouterr().err
 
 
 def test_exit_config_tau_sweep_wrong_command():
@@ -168,6 +206,25 @@ def test_exit_verify_failure(tmp_path, monkeypatch):
     assert statuses["table-determinism"] == "fail"
     # one sabotaged check must not drag the others down
     assert sum(1 for r in rows if r[1] == "pass") == len(rows) - 1
+
+
+def test_verify_failure_survives_optimize_flag(tmp_path):
+    """Under ``python -O`` a broken self-check still fails the suite."""
+    script = (
+        "import sys\n"
+        "import dce.cli as cli\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "cli.verify_code_orthogonality = lambda rng: (1.0, 1.0)\n"
+        "sys.exit(cli.main(['verify', '--out', sys.argv[1]]))\n")
+    out = tmp_path / "verify.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(dce.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_VERIFY, proc.stderr
+    _, rows = _read_csv(out)
+    statuses = {r[0]: r[1] for r in rows}
+    assert statuses["block-code-orthogonality"] == "fail"
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,25 @@ optimality against alternative linear filters, orthogonality of errors."""
 import numpy as np
 import pytest
 
+from dce.errors import SingularRegressor
 from dce.estimators import (
-    downlink_beta,
-    jensen_factor,
-    lr_effective_noise_reciprocal,
-    lr_estimate_nonreciprocal,
     lr_estimate_reciprocal,
     spd_solve,
-    tx_error_var_reciprocal,
-    tx_error_var_uplink,
     tx_estimate_downlink,
     tx_estimate_reciprocal,
     tx_estimate_uplink,
     ur_estimate,
 )
-from dce.errors import SingularRegressor
+from dce.nmse import (
+    downlink_beta,
+    jensen_factor,
+    lmmse_error_var,
+    lr_effective_noise_reciprocal,
+    nmse_l_nonreciprocal_approx,
+    tx_error_var_reciprocal,
+    tx_error_var_uplink,
+    ur_effective_noise,
+)
 from dce.params import (
     NON_RECIPROCAL,
     RECIPROCAL,
@@ -55,7 +59,7 @@ def test_tx_reciprocal_zero_energy(defaults, rng):
     sig = reverse_training(defaults, reciprocal_allocation(0.0, 1.0), ch, rng)
     out = tx_estimate_reciprocal(sig.received["tx"], defaults, 0.0)
     np.testing.assert_array_equal(out.estimate, 0.0)  # prior mean
-    assert out.error_var == pytest.approx(defaults.var_h)
+    assert tx_error_var_reciprocal(defaults, 0.0) == pytest.approx(defaults.var_h)
 
 
 def test_tx_reciprocal_error_variance_formula(defaults):
@@ -86,14 +90,12 @@ def test_tx_reciprocal_negative_energy_rejected(defaults):
 
 def test_lr_effective_noise_example(defaults):
     # e_r=2 gives transmitter error 0.5; AN leaks (4-2)*1*0.5, plus var_w=1
-    alloc = reciprocal_allocation(2.0, 4.0, var_a=1.0)
-    assert lr_effective_noise_reciprocal(defaults, alloc) == pytest.approx(2.0)
+    assert lr_effective_noise_reciprocal(defaults, 2.0, 1.0) == pytest.approx(2.0)
 
 
 def test_lr_effective_noise_perfect_reverse_limit(defaults):
     """e_r -> inf nulls the AN leakage entirely, leaving just var_w."""
-    alloc = reciprocal_allocation(1e12, 4.0, var_a=5.0)
-    assert lr_effective_noise_reciprocal(defaults, alloc) == pytest.approx(
+    assert lr_effective_noise_reciprocal(defaults, 1e12, 5.0) == pytest.approx(
         defaults.var_w, rel=1e-9)
 
 
@@ -132,13 +134,15 @@ def test_lr_reciprocal_with_an_agreement(defaults):
 # ---------------------------------------------------------------------------
 
 def test_ur_error_variance_formulas(defaults):
-    no_an = reciprocal_allocation(0.0, 4.0, var_a=0.0)
-    with_an = reciprocal_allocation(0.0, 4.0, var_a=1.0)
-    rng = make_rng(0)
-    y = complex_gaussian(rng, (defaults.tau_f, defaults.n_u))
-    assert ur_estimate(y, defaults, no_an).error_var == pytest.approx(0.5)
+    """Error variance of the UR filter's statistics at e_f = 4."""
+    def errv(var_a):
+        return lmmse_error_var(defaults.var_g, 4.0, defaults.n_t,
+                               ur_effective_noise(defaults, var_a))
+
+    assert errv(0.0) == pytest.approx(0.5)
     # AN raises the UR's noise floor to (4-2)*1*1 + 1 = 3: (1 + (4/4)/3)^{-1}
-    assert ur_estimate(y, defaults, with_an).error_var == pytest.approx(0.75)
+    assert ur_effective_noise(defaults, 1.0) == pytest.approx(3.0)
+    assert errv(1.0) == pytest.approx(0.75)
 
 
 def test_ur_empirical_agreement(defaults):
@@ -248,22 +252,20 @@ def test_downlink_needs_echo(defaults, rng):
 # LR, non-reciprocal
 # ---------------------------------------------------------------------------
 
-def test_lr_nonreciprocal_no_an_reduction(defaults, rng):
+def test_lr_nonreciprocal_no_an_reduction(defaults):
     """var_a=0 collapses the approximation to the plain LMMSE variance."""
     alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 8.0, var_a=0.0)
-    y = complex_gaussian(rng, (defaults.tau_3, defaults.n_l))
-    out = lr_estimate_nonreciprocal(y, defaults, alloc)
     plain = 1.0 / (1.0 / defaults.var_hd + 8.0 / (defaults.n_t * defaults.var_w))
-    assert out.error_var == pytest.approx(plain, rel=1e-12)
+    assert nmse_l_nonreciprocal_approx(defaults, alloc) == pytest.approx(
+        plain, rel=1e-12)
 
 
-def test_lr_nonreciprocal_perfect_tx_csi_limit(defaults, rng):
+def test_lr_nonreciprocal_perfect_tx_csi_limit(defaults):
     """e_0, e_2 -> inf: AN fully nulled, same reduction as var_a=0."""
     alloc = nonreciprocal_allocation(1e12, 1e12, 1e12, 8.0, var_a=3.0)
-    y = complex_gaussian(rng, (defaults.tau_3, defaults.n_l))
-    out = lr_estimate_nonreciprocal(y, defaults, alloc)
     plain = 1.0 / (1.0 / defaults.var_hd + 8.0 / (defaults.n_t * defaults.var_w))
-    assert out.error_var == pytest.approx(plain, rel=1e-3)
+    assert nmse_l_nonreciprocal_approx(defaults, alloc) == pytest.approx(
+        plain, rel=1e-3)
 
 
 def test_jensen_factor_variants(defaults):

@@ -1,4 +1,5 @@
-"""Closed-form NMSE evaluators, feasibility interval, derived constants."""
+"""Scalar closed forms: the LMMSE kernel, NMSE evaluators, feasibility
+interval, derived constants."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from dce.errors import InfeasibleGamma
 from dce.nmse import (
     check_gamma,
-    derived_constants,
+    downlink_beta,
     gamma_bounds,
     gamma_tilde,
+    lmmse_error_var,
     mu_threshold,
     nmse_l_nonreciprocal_approx,
     nmse_l_reciprocal,
@@ -28,6 +30,19 @@ from dce.params import (
 # ---------------------------------------------------------------------------
 # closed forms at hand-checkable points
 # ---------------------------------------------------------------------------
+
+def test_lmmse_kernel_points_and_broadcasting():
+    assert lmmse_error_var(1.0, 0.0, 4, 1.0) == 1.0  # no pilots: the prior
+    assert lmmse_error_var(1.0, 4.0, 4, 1.0) == pytest.approx(0.5)
+    assert lmmse_error_var(2.0, 6.0, 2, 3.0) == pytest.approx(2.0 / 3.0)
+    energy = np.array([0.0, 4.0, 12.0])
+    noise = np.array([[1.0], [3.0]])
+    grid = lmmse_error_var(1.0, energy, 4, noise)
+    assert grid.shape == (2, 3)
+    for i, r in enumerate(noise[:, 0]):
+        for j, e in enumerate(energy):
+            assert grid[i, j] == lmmse_error_var(1.0, float(e), 4, float(r))
+
 
 def test_lr_reciprocal_formula_points(defaults):
     # no forward pilots: estimate is the prior mean, NMSE is the prior var
@@ -209,7 +224,7 @@ def test_values_stay_in_range(defaults):
 
 
 # ---------------------------------------------------------------------------
-# derived-constant bundle
+# derived constants
 # ---------------------------------------------------------------------------
 
 def test_sigma_sq_uplink_frozen_point(defaults):
@@ -219,12 +234,11 @@ def test_sigma_sq_uplink_frozen_point(defaults):
 
 
 def test_derived_constants_bundle(defaults):
-    plain = derived_constants(defaults, 0.1)
-    assert plain.gamma_tilde == pytest.approx(36.0)
-    assert plain.sigma_sq is None and plain.beta is None
+    """The scalars both allocators lean on, each from its one definition."""
+    assert gamma_tilde(defaults, 0.1) == pytest.approx(36.0)
     alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0)
-    full = derived_constants(defaults, 0.1, alloc)
-    assert full.sigma_sq == pytest.approx(5.0 / 6.0)
-    assert full.beta == pytest.approx(17.0 / 15.0)
-    with pytest.raises(InfeasibleGamma):
-        derived_constants(defaults, defaults.var_g * 2)
+    assert sigma_sq_uplink(defaults, alloc.e_2) == pytest.approx(5.0 / 6.0)
+    assert downlink_beta(defaults, alloc) == pytest.approx(17.0 / 15.0)
+    for scheme in (RECIPROCAL, NON_RECIPROCAL):
+        with pytest.raises(InfeasibleGamma):
+            check_gamma(defaults, defaults.var_g * 2, scheme)

@@ -15,7 +15,6 @@ from dce.ostbc import (
     dispersion_map,
     encode_block,
     qam_constellation,
-    random_symbol_indices,
     verify_code_orthogonality,
 )
 from dce.rng import complex_gaussian, make_rng
@@ -67,7 +66,7 @@ def test_block_scale_power_accounting(rng):
     row_power = np.zeros(CODE_SLOTS)
     rounds = 20000
     for _ in range(rounds):
-        s = pts[random_symbol_indices(rng, order)]
+        s = pts[rng.integers(0, order, size=CODE_SYMBOLS)]
         block = encode_block(s, scale)
         row_power += np.sum(np.abs(block) ** 2, axis=1)
     np.testing.assert_allclose(row_power / rounds, power, rtol=0.03)
@@ -95,7 +94,7 @@ def test_decode_inverts_encode_noiselessly(rng):
         scale = block_scale(5.0)
         for _ in range(50):
             h = complex_gaussian(rng, (4, 2))
-            idx = random_symbol_indices(rng, order)
+            idx = rng.integers(0, order, size=CODE_SYMBOLS)
             y = encode_block(pts[idx], scale) @ h
             np.testing.assert_array_equal(
                 decode_block(y, h, scale, pts), idx)
@@ -108,7 +107,7 @@ def test_decode_high_power_low_noise_ser(rng):
     errors = 0
     for _ in range(500):
         h = complex_gaussian(rng, (4, 2))
-        idx = random_symbol_indices(rng, 64)
+        idx = rng.integers(0, 64, size=CODE_SYMBOLS)
         y = encode_block(pts[idx], scale) @ h + complex_gaussian(rng, (4, 2))
         errors += int(np.sum(decode_block(y, h, scale, pts) != idx))
     assert errors == 0
@@ -131,7 +130,7 @@ def test_decode_degrades_gracefully_with_bad_csi(rng):
     for _ in range(rounds):
         h = complex_gaussian(rng, (4, 2))
         h_bad = 0.3 * h + complex_gaussian(rng, (4, 2), 0.91)
-        idx = random_symbol_indices(rng, 16)
+        idx = rng.integers(0, 16, size=CODE_SYMBOLS)
         y = encode_block(pts[idx], scale) @ h + complex_gaussian(rng, (4, 2))
         good += int(np.sum(decode_block(y, h, scale, pts) != idx))
         bad += int(np.sum(decode_block(y, h_bad, scale, pts) != idx))
