@@ -11,7 +11,9 @@ Subcommands:
   oracles and toy problems with known answers.
 
 Exit codes: 0 success, 1 solver breakdown, 2 configuration problem,
-3 infeasible problem, 4 unsupported geometry, 5 verification failure.
+3 infeasible problem, 4 unsupported geometry, 5 verification failure,
+6 degenerate Monte-Carlo draws (trials still rank-deficient after every
+redraw, or a non-finite regressor in the echo-based estimate).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .alloc_reciprocal import AllocProblem, grid_oracle_reciprocal, solve_recipr
 from .config import (FORMATS, JENSEN_VARIANTS, ExperimentConfig,
                      load_config_file, parse_float_list)
 from .errors import (ConfigError, Infeasible, InfeasibleGamma,
-                     NoFeasiblePoint, NotConverged, Stalled,
-                     UnsupportedGeometry)
+                     NoFeasiblePoint, NotConverged, RankDeficient,
+                     SingularRegressor, Stalled, UnsupportedGeometry)
 from .gp import (Posynomial, condense, denominator_exponents,
                  grid_oracle_nonreciprocal, monomial, ratio_parts,
                  solve_inner_gp)
@@ -49,6 +51,7 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_GEOMETRY = 4
 EXIT_VERIFY = 5
+EXIT_DEGENERATE = 6
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +208,8 @@ def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
         trials = cfg.trials
     else:
         trials = DESK_SER_TRIALS
-    table = ResultTable(["p_ave_db", "gamma", "ser_lr", "ser_ur", "trials"])
+    table = ResultTable(["p_ave_db", "gamma", "ser_lr", "ser_ur", "trials",
+                         "resampled_trials"])
     for gamma in cfg.gamma:
         for pave_db in cfg.pave_db:
             params = cfg.to_params(pave_db)
@@ -213,7 +217,8 @@ def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
                                      trials=trials, seed=cfg.seed,
                                      scheme=cfg.scheme,
                                      jensen_variant=cfg.jensen_variant)
-            table.add_row(pave_db, gamma, rep.ser_lr, rep.ser_ur, rep.trials)
+            table.add_row(pave_db, gamma, rep.ser_lr, rep.ser_ur, rep.trials,
+                          rep.resampled_trials)
     write_table(table, cfg.format, cfg.out)
     return EXIT_OK
 
@@ -435,6 +440,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (Stalled, NotConverged) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
+    except (RankDeficient, SingularRegressor) as exc:
+        print(f"degenerate draws: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ class DceError(Exception):
 
 
 class RankDeficient(DceError):
-    """A channel estimate lost full column rank, so no AN null space exists."""
+    """Monte-Carlo trials stayed degenerate through every redraw: a channel
+    estimate without full column rank (so no AN null space exists) or a
+    numerically singular regressor."""
 
 
 class SingularRegressor(DceError):

@@ -1,23 +1,25 @@
 r"""Monte-Carlo experiments: empirical NMSE/SER and the spectral-surrogate
 oracle.
 
-Every experiment derives one RNG substream per trial from (seed, trial), so
-results are bit-identical for a given seed regardless of batching.  Trials
-that draw a numerically degenerate channel estimate (rank-deficient null
-space, singular regressor) are redrawn from a fresh substream of the same
-trial and counted in ``resampled_trials``.
+Trials run in blocks of BLOCK_TRIALS stacked (trials, rows, cols) arrays,
+and every block draws from its own substream ``trial_rng(seed, block)``, so
+results are bit-identical for a given (seed, trials) however the blocks are
+spread over workers.  Trials whose draw is numerically degenerate
+(rank-deficient null space, singular regressor) are redrawn together from
+the block's next substream, up to MAX_RESAMPLES times, and counted in
+``resampled_trials``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .alloc_reciprocal import AllocProblem, solve_reciprocal
-from .errors import RankDeficient, SingularRegressor, UnsupportedGeometry
+from .errors import RankDeficient, UnsupportedGeometry
 from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          tx_estimate_downlink, tx_estimate_reciprocal,
                          tx_estimate_uplink, ur_estimate)
@@ -25,8 +27,8 @@ from .gp import condense
 from .nmse import (downlink_beta, jensen_factor, nmse_l_nonreciprocal_approx,
                    nmse_l_reciprocal, nmse_u_nonreciprocal, nmse_u_reciprocal,
                    sigma_sq_uplink)
-from .ostbc import (SUPPORTED_QAM, block_scale, decode_block, encode_block,
-                    qam_constellation)
+from .ostbc import (CODE_SLOTS, CODE_SYMBOLS, SUPPORTED_QAM, block_scale,
+                    decode_block, encode_block, qam_constellation)
 from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams,
                      db_to_linear)
 from .rng import complex_gaussian, trial_rng
@@ -37,6 +39,9 @@ MAX_RESAMPLES = 8
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
 DESK_SER_TRIALS = 5000
 FULL_SER_TRIALS = 50000
+# Trials per block: large enough that numpy's per-call overhead is spread
+# thin, small enough that a block's arrays stay within a few hundred kB.
+BLOCK_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -58,50 +63,71 @@ class SerReport:
     trials: int
     modulation: int
     code: str
+    resampled_trials: int
 
 
-def _per_entry_sq_err(estimate: np.ndarray, truth: np.ndarray) -> float:
-    return float(np.sum(np.abs(estimate - truth) ** 2)) / truth.size
+def _per_entry_sq_err(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Mean squared entry error of each trial of a stack."""
+    return np.mean(np.abs(estimate - truth) ** 2, axis=(-2, -1))
 
 
 def _transmitter_side_estimate(params: SystemParams, alloc: PowerAllocation,
-                               channels, rng) -> np.ndarray:
-    """The n_t x n_l downlink estimate the transmitter nulls AN against."""
-    rev = reverse_training(params, alloc, channels, rng)
+                               h_d, h_u, rng) -> Tuple[np.ndarray, np.ndarray]:
+    """The (T, n_t, n_l) downlink estimates the transmitter nulls AN
+    against, and the mask of trials whose estimate is regular."""
+    trials = h_d.shape[0]
+    _, y_t = reverse_training(params, alloc, h_u, rng)
     if alloc.scheme == RECIPROCAL:
-        return tx_estimate_reciprocal(rev.received["tx"], params, alloc.e_r).estimate
-    hu_hat = tx_estimate_uplink(rev.received["tx"], params, alloc.e_2)
+        return tx_estimate_reciprocal(y_t, params, alloc.e_r), np.ones(trials, dtype=bool)
+    hu_hat = tx_estimate_uplink(y_t, params, alloc.e_2)
     if alloc.e_1 <= 0:
         # no echo energy: the transmitter has no downlink information at all
-        return np.zeros((params.n_t, params.n_l), dtype=complex)
-    echo = round_trip_training(params, alloc, channels, rng)
-    return tx_estimate_downlink(echo.received["tx"], echo.transmit,
-                                hu_hat, params, alloc).estimate
+        return (np.zeros((trials, params.n_t, params.n_l), dtype=complex),
+                np.ones(trials, dtype=bool))
+    x_t0, _, y_t1 = round_trip_training(params, alloc, h_d, h_u, rng)
+    return tx_estimate_downlink(y_t1, x_t0, hu_hat, params, alloc)
 
 
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
-                      jensen_variant: str):
-    """One full training round; returns (channels, lr_estimate, ur_estimate)."""
-    channels = sample_channels(params, alloc.scheme, rng)
-    tx_est = _transmitter_side_estimate(params, alloc, channels, rng)
-    fwd = forward_training(params, alloc, tx_est, channels, rng)
+                      trials: int, jensen_variant: str):
+    """One full training round for a stack of trials; returns
+    (h_d, g, lr_estimate, ur_estimate, degenerate)."""
+    h_d, h_u, g = sample_channels(params, alloc.scheme, rng, trials)
+    tx_est, regular = _transmitter_side_estimate(params, alloc, h_d, h_u, rng)
+    _, y_l, y_u, full_rank = forward_training(params, alloc, tx_est, h_d, g, rng)
     if alloc.scheme == RECIPROCAL:
-        lr = lr_estimate_reciprocal(fwd.received["lr"], params, alloc)
+        lr = lr_estimate_reciprocal(y_l, params, alloc)
     else:
-        lr = lr_estimate_nonreciprocal(fwd.received["lr"], params, alloc,
-                                       jensen_variant)
-    ur = ur_estimate(fwd.received["ur"], params, alloc)
-    return channels, lr.estimate, ur.estimate
+        lr = lr_estimate_nonreciprocal(y_l, params, alloc, jensen_variant)
+    ur = ur_estimate(y_u, params, alloc)
+    return h_d, g, lr, ur, ~(regular & full_rank)
 
 
-def _with_resampling(fn, seed: int, trial: int) -> Tuple[object, int]:
-    for stream in range(MAX_RESAMPLES + 1):
-        try:
-            return fn(trial_rng(seed, trial, stream)), stream
-        except (RankDeficient, SingularRegressor):
-            continue
-    raise RankDeficient(
-        f"trial {trial} stayed degenerate after {MAX_RESAMPLES} redraws")
+def _run_blocks(block_fn: Callable, trials: int, seed: int) -> Tuple[np.ndarray, int]:
+    """Per-trial outcomes of ``block_fn`` over ``trials`` trials.
+
+    ``block_fn(rng, n)`` runs n trials and returns their (n, k) outcomes and
+    the mask of degenerate ones.  Each block's degenerate trials are run
+    again, all together, from the block's next substream until none is
+    left; RankDeficient is raised when some remain after MAX_RESAMPLES
+    redraws.  Returns the (trials, k) outcomes and the number of trials
+    that needed a redraw.
+    """
+    outcomes, resampled = [], 0
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        vals, bad = block_fn(trial_rng(seed, block), min(BLOCK_TRIALS, trials - start))
+        resampled += int(np.count_nonzero(bad))
+        for stream in range(1, MAX_RESAMPLES + 1):
+            if not bad.any():
+                break
+            rows = np.flatnonzero(bad)
+            vals[rows], bad[rows] = block_fn(trial_rng(seed, block, stream), rows.size)
+        if bad.any():
+            raise RankDeficient(
+                f"{int(np.count_nonzero(bad))} trials of block {block} stayed "
+                f"degenerate after {MAX_RESAMPLES} redraws")
+        outcomes.append(vals)
+    return np.concatenate(outcomes), resampled
 
 
 def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
@@ -123,19 +149,14 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
         analytic_lr = nmse_l_nonreciprocal_approx(params, alloc, jensen_variant)
         analytic_ur = nmse_u_nonreciprocal(params, alloc.e_3, alloc.var_a)
 
-    sq_l = np.empty(trials)
-    sq_u = np.empty(trials)
-    resampled = 0
+    def one_block(rng, n):
+        h_d, g, lr_est, ur_est, bad = _estimation_round(params, alloc, rng, n,
+                                                        jensen_variant)
+        return np.stack([_per_entry_sq_err(lr_est, h_d),
+                         _per_entry_sq_err(ur_est, g)], axis=1), bad
 
-    def one(rng):
-        channels, lr_est, ur_est = _estimation_round(params, alloc, rng,
-                                                     jensen_variant)
-        return (_per_entry_sq_err(lr_est, channels.h_d),
-                _per_entry_sq_err(ur_est, channels.g))
-
-    for k in range(trials):
-        (sq_l[k], sq_u[k]), stream = _with_resampling(one, seed, k)
-        resampled += int(stream > 0)
+    sq, resampled = _run_blocks(one_block, trials, seed)
+    sq_l, sq_u = sq[:, 0], sq[:, 1]
 
     z95 = 1.959963984540054
     return NmseReport(
@@ -212,6 +233,8 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
     estimates as if they were the truth."""
     if modulation not in SUPPORTED_QAM:
         raise ValueError(f"modulation must be one of {SUPPORTED_QAM}")
+    if trials < 1:
+        raise ValueError("an SER experiment needs at least one trial")
     if params.n_t != 4:
         raise UnsupportedGeometry(
             f"the block code needs exactly 4 transmit antennas, got {params.n_t}")
@@ -219,31 +242,30 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
     constellation = qam_constellation(modulation)
     scale = block_scale(params.p_ave)
 
-    def one(rng):
-        channels, lr_est, ur_est = _estimation_round(params, alloc, rng,
-                                                     jensen_variant)
-        sent = rng.integers(0, modulation, size=3)
-        block = encode_block(constellation[sent], scale)
-        y_lr = block @ channels.h_d + complex_gaussian(
-            rng, (block.shape[0], params.n_l), params.var_w)
-        y_ur = block @ channels.g + complex_gaussian(
-            rng, (block.shape[0], params.n_u), params.var_v)
-        err_lr = int(np.sum(decode_block(y_lr, lr_est, scale, constellation) != sent))
-        err_ur = int(np.sum(decode_block(y_ur, ur_est, scale, constellation) != sent))
-        return err_lr, err_ur
+    def one_block(rng, n):
+        h_d, g, lr_est, ur_est, bad = _estimation_round(params, alloc, rng, n,
+                                                        jensen_variant)
+        sent = rng.integers(0, modulation, size=(n, CODE_SYMBOLS))
+        blocks = encode_block(constellation[sent], scale)
+        y_lr = blocks @ h_d + complex_gaussian(
+            rng, (n, CODE_SLOTS, params.n_l), params.var_w)
+        y_ur = blocks @ g + complex_gaussian(
+            rng, (n, CODE_SLOTS, params.n_u), params.var_v)
+        errors = [np.count_nonzero(decode_block(y, est, scale, constellation) != sent,
+                                   axis=1)
+                  for y, est in ((y_lr, lr_est), (y_ur, ur_est))]
+        return np.stack(errors, axis=1), bad
 
-    total_lr = total_ur = 0
-    for k in range(trials):
-        (err_lr, err_ur), _ = _with_resampling(one, seed, k)
-        total_lr += err_lr
-        total_ur += err_ur
-    n_symbols = 3 * trials
+    errors, resampled = _run_blocks(one_block, trials, seed)
+    err_lr, err_ur = (int(x) for x in errors.sum(axis=0))
+    n_symbols = CODE_SYMBOLS * trials
     return SerReport(
-        ser_lr=total_lr / n_symbols,
-        ser_ur=total_ur / n_symbols,
+        ser_lr=err_lr / n_symbols,
+        ser_ur=err_ur / n_symbols,
         trials=trials,
         modulation=modulation,
         code="ostbc-4tx-rate-3/4",
+        resampled_trials=resampled,
     )
 
 

@@ -1,5 +1,5 @@
 r"""Rate-3/4 orthogonal space-time block code for four transmit antennas,
-with square-QAM mapping and a generic linear decoder.
+with square-QAM mapping and a closed-form matched-filter decoder.
 
 The codeword (rows are time slots, columns are antennas) for the symbol
 triple (s1, s2, s3) is::
@@ -11,10 +11,12 @@ triple (s1, s2, s3) is::
 
 Columns are mutually orthogonal with squared norm |s1|^2+|s2|^2+|s3|^2, so
 after stacking real and imaginary parts the map from the six real symbol
-coordinates to the received block is a scaled isometry.  The decoder builds
-that map for whatever channel matrix it is handed (the receiver's own
-estimate, used as if it were the truth) and reduces detection to independent
-nearest-neighbor decisions.
+coordinates to the received block is a scaled isometry (``dispersion_map``).
+Matched filtering through that map is therefore exact ML and reduces
+detection to independent nearest-neighbor decisions.  The decoder evaluates
+the matched filter in closed form for whole stacks of blocks, each with the
+channel matrix its receiver believes in (its own estimate, used as if it
+were the truth).
 """
 
 from __future__ import annotations
@@ -41,16 +43,23 @@ def qam_constellation(order: int) -> np.ndarray:
     return points / np.sqrt(2.0 * (order - 1) / 3.0)
 
 
+# The codeword as a gather from (s1, s2, s3, s1*, s2*, s3*, 0) with signs.
+_CODE_INDEX = np.array([[0, 1, 2, 6],
+                        [4, 3, 6, 2],
+                        [5, 6, 3, 1],
+                        [6, 5, 4, 0]])
+_CODE_SIGN = np.array([[1, 1, 1, 1],
+                       [-1, 1, 1, -1],
+                       [-1, 1, 1, 1],
+                       [1, 1, -1, 1]])
+
+
 def code_matrix(symbols: np.ndarray) -> np.ndarray:
-    """Codeword for one symbol triple; shape (CODE_SLOTS, CODE_ANTENNAS)."""
-    s1, s2, s3 = symbols
-    c = np.conj
-    return np.array([
-        [s1, s2, s3, 0.0],
-        [-c(s2), c(s1), 0.0, -s3],
-        [-c(s3), 0.0, c(s1), s2],
-        [0.0, c(s3), -c(s2), s1],
-    ])
+    """Codewords for symbol triples (..., 3); shape (..., CODE_SLOTS,
+    CODE_ANTENNAS)."""
+    s = np.asarray(symbols)
+    ext = np.concatenate([s, np.conj(s), np.zeros_like(s[..., :1])], axis=-1)
+    return ext[..., _CODE_INDEX] * _CODE_SIGN
 
 
 def _real_basis() -> np.ndarray:
@@ -62,16 +71,20 @@ def _real_basis() -> np.ndarray:
     return out
 
 
+def _require_code_antennas(h: np.ndarray) -> None:
+    if h.shape[-2] != CODE_ANTENNAS:
+        raise UnsupportedGeometry(
+            f"the block code drives {CODE_ANTENNAS} transmit antennas, "
+            f"got a channel with {h.shape[-2]} rows")
+
+
 def dispersion_map(h: np.ndarray, scale: float) -> np.ndarray:
     """Real linear map from symbol coordinates to the received block.
 
     Column j stacks Re/Im of scale * code_matrix(basis_j) @ h.  Orthogonality
     of the code makes m.T @ m == scale**2 * ||h||_F**2 * I exactly.
     """
-    if h.shape[0] != CODE_ANTENNAS:
-        raise UnsupportedGeometry(
-            f"the block code drives {CODE_ANTENNAS} transmit antennas, "
-            f"got a channel with {h.shape[0]} rows")
+    _require_code_antennas(h)
     cols = []
     for basis in _real_basis():
         block = scale * code_matrix(basis) @ h
@@ -80,22 +93,33 @@ def dispersion_map(h: np.ndarray, scale: float) -> np.ndarray:
 
 
 def encode_block(symbols: np.ndarray, scale: float) -> np.ndarray:
+    """Transmitted blocks for symbol triples (..., 3)."""
     return scale * code_matrix(symbols)
 
 
 def decode_block(y: np.ndarray, h_hat: np.ndarray, scale: float,
                  constellation: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor symbol indices given a received block and a channel
-    the receiver believes in.  Matched filtering is exact ML here because the
-    dispersion map is a scaled isometry."""
-    m = dispersion_map(h_hat, scale)
-    gain = scale ** 2 * float(np.sum(np.abs(h_hat) ** 2))
-    if gain <= 0:
+    """Nearest-neighbor symbol indices (..., 3) for received blocks
+    (..., 4, M), each decoded with the channel (..., 4, M) the receiver
+    believes in.
+
+    The matched filter m.T y / (scale^2 ||h||^2) of ``dispersion_map``,
+    written out per symbol: each symbol collects the four slots it occupies,
+    conjugated where the codeword carries its conjugate.
+    """
+    _require_code_antennas(h_hat)
+    gain = scale * np.sum(np.abs(h_hat) ** 2, axis=(-2, -1))
+    if np.any(gain <= 0):
         raise UnsupportedGeometry("channel estimate is identically zero")
-    y_real = np.concatenate([y.real.ravel(), y.imag.ravel()])
-    coords = (m.T @ y_real) / gain
-    symbols = coords[0::2] + 1j * coords[1::2]
-    return np.argmin(np.abs(symbols[:, None] - constellation[None, :]), axis=1)
+    h0, h1, h2, h3 = np.moveaxis(h_hat, -2, 0)
+    y0, y1, y2, y3 = np.moveaxis(y, -2, 0)
+    c = np.conj
+    symbols = np.stack([
+        c(h0) * y0 + h1 * c(y1) + h2 * c(y2) + c(h3) * y3,
+        c(h1) * y0 - h0 * c(y1) + c(h3) * y2 - h2 * c(y3),
+        c(h2) * y0 - c(h3) * y1 - h0 * c(y2) + h1 * c(y3),
+    ], axis=-2).sum(axis=-1) / gain[..., None]
+    return np.argmin(np.abs(symbols[..., None] - constellation), axis=-1)
 
 
 def block_scale(power_per_slot: float) -> float:

@@ -12,7 +12,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -186,33 +186,3 @@ def nonreciprocal_allocation(e_0: float, e_1: float, e_2: float, e_3: float,
                              var_a: float = 0.0) -> PowerAllocation:
     return PowerAllocation(scheme=NON_RECIPROCAL, e_0=e_0, e_1=e_1,
                            e_2=e_2, e_3=e_3, var_a=var_a)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Sampled channels for one trial.
-
-    h_d : (n_t, n_l) downlink to LR
-    h_u : (n_l, n_t) uplink; equals h_d.T (no conjugate) in reciprocal mode
-    g   : (n_t, n_u) downlink to UR
-    """
-
-    h_d: np.ndarray
-    h_u: np.ndarray
-    g: np.ndarray
-    mode: str = RECIPROCAL
-
-
-@dataclass(frozen=True)
-class TrainingPhaseSignals:
-    """Transmit block plus per-terminal received blocks for one phase.
-
-    ``received`` maps terminal names ("tx", "lr", "ur") to tau x M arrays.
-    ``an_matrix`` is the tau_f x (n_t - n_l) AN block for forward phases.
-    ``alpha`` records the echo amplifying gain for round-trip phases.
-    """
-
-    transmit: np.ndarray
-    received: Dict[str, np.ndarray] = field(default_factory=dict)
-    an_matrix: Optional[np.ndarray] = None
-    alpha: Optional[float] = None

@@ -1,7 +1,8 @@
-r"""Seeded random streams with per-trial substreams.
+r"""Seeded random streams with per-block substreams.
 
-The master seed and the trial index jointly determine every draw, so a
-campaign may be sharded across any number of workers and still produce
+Monte-Carlo trials run in fixed-size blocks, and the master seed and the
+block index jointly determine every draw of a block.  A campaign may be
+sharded across any number of workers, block by block, and still produce
 bit-identical results: worker layout never touches the stream derivation.
 """
 
@@ -15,15 +16,15 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
-    """Independent substream for one Monte-Carlo trial.
+def trial_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
+    """Independent substream for one block of Monte-Carlo trials.
 
-    Built from ``SeedSequence(seed, spawn_key=(trial,))`` so the stream
-    depends only on (seed, trial), not on which worker runs the trial.
-    A nonzero ``stream`` derives a fresh substream for the same trial,
-    used when a degenerate draw must be resampled.
+    Built from ``SeedSequence(seed, spawn_key=(block,))`` so the stream
+    depends only on (seed, block), not on which worker runs the block.
+    A nonzero ``stream`` derives a fresh substream for the same block,
+    used to redraw the trials whose draw was degenerate.
     """
-    key = (trial,) if stream == 0 else (trial, stream)
+    key = (block,) if stream == 0 else (block, stream)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.PCG64(ss))
 

@@ -1,21 +1,23 @@
 r"""Channel sampling, pilot construction and the training-phase signals.
 
-Pilot blocks are deterministic truncated-DFT matrices: the tau x n block
-made of the first n columns of the unitary tau-point DFT satisfies
-C^H C = I_n exactly, which is the only property the estimators rely on.
-The round-trip probe is the one random transmit block; it is drawn from the
-experiment stream and kept private to the transmitter object.
+Every function works on stacks of trials: channels and received blocks
+carry a leading trial axis, e.g. ``h_d`` is (T, n_t, n_l) and a received
+block is (T, tau, M).  Pilot blocks are deterministic truncated-DFT
+matrices shared by all trials: the tau x n block made of the first n
+columns of the unitary tau-point DFT satisfies C^H C = I_n exactly, which
+is the only property the estimators rely on.  The round-trip probe is the
+one random transmit block; it is drawn per trial from the experiment
+stream and kept private to the transmitter.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Tuple
 
 import numpy as np
 
-from .errors import RankDeficient
-from .params import (NON_RECIPROCAL, RECIPROCAL, ChannelRealization,
-                     PowerAllocation, SystemParams, TrainingPhaseSignals)
+from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .rng import complex_gaussian
 
 # Rank tolerance for null-space extraction, relative to the largest
@@ -27,8 +29,8 @@ RANK_RTOL = 1e-10
 def pilot_matrix(tau: int, n: int) -> np.ndarray:
     """First ``n`` columns of the unitary ``tau``-point DFT (tau x n).
 
-    Cached (and marked read-only) because Monte Carlo loops request the
-    same block once per trial.
+    Cached (and marked read-only) because Monte Carlo blocks request the
+    same pilot again and again.
     """
     if n > tau:
         raise ValueError("semi-unitary pilot needs tau >= n")
@@ -38,61 +40,60 @@ def pilot_matrix(tau: int, n: int) -> np.ndarray:
     return block
 
 
-def sample_channels(params: SystemParams, mode: str,
-                    rng: np.random.Generator) -> ChannelRealization:
-    """Draw one i.i.d. complex-Gaussian channel realization.
+def sample_channels(params: SystemParams, mode: str, rng: np.random.Generator,
+                    trials: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``trials`` i.i.d. complex-Gaussian channel realizations.
 
-    Reciprocal mode draws a single n_t x n_l matrix and sets the uplink to
-    its plain transpose; non-reciprocal mode draws independent downlink and
-    uplink matrices with their own variances.
+    Returns ``(h_d, h_u, g)``: the (T, n_t, n_l) downlink to the LR, the
+    (T, n_l, n_t) uplink and the (T, n_t, n_u) downlink to the UR.
+    Reciprocal mode sets the uplink to the plain transpose of the downlink;
+    non-reciprocal mode draws independent downlink and uplink matrices with
+    their own variances.
     """
     if mode == RECIPROCAL:
-        h_d = complex_gaussian(rng, (params.n_t, params.n_l), params.var_h)
-        h_u = h_d.T
+        h_d = complex_gaussian(rng, (trials, params.n_t, params.n_l), params.var_h)
+        h_u = np.swapaxes(h_d, -1, -2)
     elif mode == NON_RECIPROCAL:
-        h_d = complex_gaussian(rng, (params.n_t, params.n_l), params.var_hd)
-        h_u = complex_gaussian(rng, (params.n_l, params.n_t), params.var_hu)
+        h_d = complex_gaussian(rng, (trials, params.n_t, params.n_l), params.var_hd)
+        h_u = complex_gaussian(rng, (trials, params.n_l, params.n_t), params.var_hu)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    g = complex_gaussian(rng, (params.n_t, params.n_u), params.var_g)
-    return ChannelRealization(h_d=h_d, h_u=h_u, g=g, mode=mode)
+    g = complex_gaussian(rng, (trials, params.n_t, params.n_u), params.var_g)
+    return h_d, h_u, g
 
 
-def null_space_basis(h_hat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis N (n_t x (n_t-n_l)) of the left null space of h_hat.
+def null_space_basis(h_hat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases N (..., n_t, n_t-n_l) of the left null spaces of a
+    stack of estimates (..., n_t, n_l), and the mask of full-rank rows.
 
-    N^H h_hat = 0 and N^H N = I.  Raises RankDeficient when the numerical
-    rank of ``h_hat`` drops below its column count (tolerance
-    RANK_RTOL * largest singular value).
+    For every full-rank row N^H h_hat = 0 and N^H N = I.  A row is
+    rank-deficient when a singular value is at most RANK_RTOL times its
+    largest one; its basis is still orthonormal but does not null the
+    estimate, so the caller must redraw that row.
     """
-    n_t, n_l = h_hat.shape
+    n_l = h_hat.shape[-1]
     u, s, _ = np.linalg.svd(h_hat, full_matrices=True)
-    tol = RANK_RTOL * (s[0] if s.size else 0.0)
-    if s.size < n_l or np.any(s <= tol):
-        raise RankDeficient(
-            f"estimate rank {int(np.sum(s > tol))} < {n_l}; caller should resample")
-    return u[:, n_l:]
+    full_rank = np.all(s > RANK_RTOL * s[..., :1], axis=-1)
+    return u[..., n_l:], full_rank
 
 
 def reverse_training(params: SystemParams, alloc: PowerAllocation,
-                     channels: ChannelRealization,
-                     rng: np.random.Generator) -> TrainingPhaseSignals:
-    r"""LR-to-transmitter pilot phase.
+                     h_u: np.ndarray,
+                     rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    r"""LR-to-transmitter pilot phase; returns ``(x_l, y_t)``.
 
-    Reciprocal: X_L = sqrt(E_R/n_l) C_L (tau_r x n_l), received
-    Y_t = X_L H^T + noise.  Non-reciprocal: the same structure with energy
-    e_2 over tau_2 slots and the uplink channel.  Noise variance at the
-    transmitter is var_wt in both cases.
+    Reciprocal: X_L = sqrt(E_R/n_l) C_L (tau_r x n_l, shared by every
+    trial), received Y_t = X_L H^T + noise (T, tau_r, n_t).  Non-reciprocal:
+    the same structure with energy e_2 over tau_2 slots and the uplink
+    channel.  Noise variance at the transmitter is var_wt in both cases.
     """
     if alloc.scheme == RECIPROCAL:
         energy, tau = alloc.e_r, params.tau_r
     else:
         energy, tau = alloc.e_2, params.tau_2
-    c_l = pilot_matrix(tau, params.n_l)
-    x_l = np.sqrt(energy / params.n_l) * c_l
-    noise = complex_gaussian(rng, (tau, params.n_t), params.var_wt)
-    y_t = x_l @ channels.h_u + noise
-    return TrainingPhaseSignals(transmit=x_l, received={"tx": y_t})
+    x_l = np.sqrt(energy / params.n_l) * pilot_matrix(tau, params.n_l)
+    noise = complex_gaussian(rng, (h_u.shape[0], tau, params.n_t), params.var_wt)
+    return x_l, x_l @ h_u + noise
 
 
 def echo_gain(params: SystemParams, e_0: float, e_1: float) -> float:
@@ -102,59 +103,59 @@ def echo_gain(params: SystemParams, e_0: float, e_1: float) -> float:
 
 
 def round_trip_training(params: SystemParams, alloc: PowerAllocation,
-                        channels: ChannelRealization,
-                        rng: np.random.Generator) -> TrainingPhaseSignals:
-    r"""Transmitter probe + LR echo (non-reciprocal scheme only).
+                        h_d: np.ndarray, h_u: np.ndarray, rng: np.random.Generator,
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    r"""Transmitter probe + LR echo (non-reciprocal scheme only); returns
+    ``(x_t0, y_l0, y_t1)``, each stacked over the trials.
 
-    The probe X_t0 = sqrt(e_0/n_t) * Q with Q a Haar-random unitary drawn
-    from ``rng`` (trace of Q^H Q equals n_t as required); it is recorded in
-    ``transmit`` for the transmitter's own use and never enters any UR
-    signal path.  The LR applies gain alpha to its received block, and the
-    transmitter observes Y_t1 = alpha X_t0 H_d H_u + alpha W_0 H_u + W1.
-    The gain normalizes the mean echo energy to exactly e_1.
+    Each probe X_t0 = sqrt(e_0/n_t) * Q with Q a Haar-random unitary drawn
+    from ``rng`` (trace of Q^H Q equals n_t as required); it is for the
+    transmitter's own use and never enters any UR signal path.  The LR
+    receives Y_L0 = X_t0 H_d + W_0, applies the gain alpha
+    (``echo_gain``), and the transmitter observes
+    Y_t1 = alpha X_t0 H_d H_u + alpha W_0 H_u + W1.  The gain normalizes
+    the mean echo energy to exactly e_1.
     """
     if alloc.scheme != NON_RECIPROCAL:
         raise ValueError("round-trip training exists only in the non-reciprocal scheme")
-    n_t = params.n_t
-    # Haar unitary via QR with phase fix; tau_0 == n_t so the block is square.
-    z = complex_gaussian(rng, (n_t, n_t), 1.0)
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    x_t0 = np.sqrt(alloc.e_0 / n_t) * q
-    w_0 = complex_gaussian(rng, (params.tau_0, params.n_l), params.var_w)
-    y_l0 = x_t0 @ channels.h_d + w_0
+    n_t, trials = params.n_t, h_d.shape[0]
+    # Haar unitaries via batched QR with phase fix; tau_0 == n_t so the
+    # blocks are square.
+    q, r = np.linalg.qr(complex_gaussian(rng, (trials, n_t, n_t), 1.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    x_t0 = np.sqrt(alloc.e_0 / n_t) * (q * (d / np.abs(d))[:, None, :])
+    w_0 = complex_gaussian(rng, (trials, params.tau_0, params.n_l), params.var_w)
+    y_l0 = x_t0 @ h_d + w_0
     alpha = echo_gain(params, alloc.e_0, alloc.e_1)
-    w_1 = complex_gaussian(rng, (params.tau_0, n_t), params.var_wt)
-    y_t1 = alpha * (y_l0 @ channels.h_u) + w_1
-    return TrainingPhaseSignals(transmit=x_t0,
-                                received={"lr": y_l0, "tx": y_t1},
-                                alpha=alpha)
+    w_1 = complex_gaussian(rng, (trials, params.tau_0, n_t), params.var_wt)
+    return x_t0, y_l0, alpha * (y_l0 @ h_u) + w_1
 
 
 def forward_training(params: SystemParams, alloc: PowerAllocation,
-                     h_d_hat: np.ndarray, channels: ChannelRealization,
-                     rng: np.random.Generator) -> TrainingPhaseSignals:
+                     h_d_hat: np.ndarray, h_d: np.ndarray, g: np.ndarray,
+                     rng: np.random.Generator,
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     r"""Transmitter-to-receivers phase with AN in the estimated null space.
 
-    X_t = sqrt(E/n_t) C_t + A N^H where N = null_space_basis(h_d_hat) and A
-    is tau_f x (n_t - n_l) with per-entry variance var_a.  Both receivers
-    observe their channel through X_t plus their own noise.
+    X_t = sqrt(E/n_t) C_t + A N^H where N is the null-space basis of each
+    trial's estimate ``h_d_hat`` and A is tau_f x (n_t - n_l) with
+    per-entry variance var_a.  Both receivers observe their channel through
+    X_t plus their own noise.  Returns ``(x_t, y_l, y_u, full_rank)``:
+    the (T, tau_f, n_t) transmit blocks, the two received stacks, and the
+    mask of trials whose estimate had full rank (all True without AN).
     """
     energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
     tau_f = params.tau_f if alloc.scheme == RECIPROCAL else params.tau_3
-    c_t = pilot_matrix(tau_f, params.n_t)
+    trials = h_d.shape[0]
+    x_t = np.sqrt(energy / params.n_t) * pilot_matrix(tau_f, params.n_t)
     if alloc.var_a > 0:
-        basis = null_space_basis(h_d_hat)
-        a = complex_gaussian(rng, (tau_f, params.n_t - params.n_l), alloc.var_a)
-        an = a @ basis.conj().T
+        basis, full_rank = null_space_basis(h_d_hat)
+        a = complex_gaussian(rng, (trials, tau_f, params.n_t - params.n_l),
+                             alloc.var_a)
+        x_t = x_t + a @ np.conj(np.swapaxes(basis, -1, -2))
     else:
-        a = np.zeros((tau_f, params.n_t - params.n_l), dtype=complex)
-        an = np.zeros((tau_f, params.n_t), dtype=complex)
-    x_t = np.sqrt(energy / params.n_t) * c_t + an
-    w = complex_gaussian(rng, (tau_f, params.n_l), params.var_w)
-    v = complex_gaussian(rng, (tau_f, params.n_u), params.var_v)
-    y_l = x_t @ channels.h_d + w
-    y_u = x_t @ channels.g + v
-    return TrainingPhaseSignals(transmit=x_t,
-                                received={"lr": y_l, "ur": y_u},
-                                an_matrix=a)
+        x_t = np.broadcast_to(x_t, (trials, tau_f, params.n_t))
+        full_rank = np.ones(trials, dtype=bool)
+    w = complex_gaussian(rng, (trials, tau_f, params.n_l), params.var_w)
+    v = complex_gaussian(rng, (trials, tau_f, params.n_u), params.var_v)
+    return x_t, x_t @ h_d + w, x_t @ g + v, full_rank

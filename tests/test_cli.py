@@ -16,6 +16,7 @@ from dce.tables import strip_footer
 GOLDEN = Path(__file__).parent / "golden"
 
 EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_GEOMETRY, EXIT_VERIFY = 0, 2, 3, 4, 5
+EXIT_DEGENERATE = 6
 
 
 def _read_csv(path):
@@ -192,6 +193,39 @@ def test_exit_geometry(tmp_path, capsys):
     cfg.write_text("n_t=6\nn_l=2\ntrials=200\n")
     assert cli.main(["ser", "--config", str(cfg)]) == EXIT_GEOMETRY
     assert "unsupported geometry" in capsys.readouterr().err
+
+
+def test_exit_degenerate_redraws_exhausted(monkeypatch, capsys):
+    """No reverse pilots but AN: every draw leaves the transmitter without a
+    null space, so the redraws run out."""
+    starved = dce.reciprocal_allocation(0.0, 4.0, var_a=1.0)
+    monkeypatch.setattr(cli, "solve_allocation",
+                        lambda params, gamma, scheme, variant: (starved, 0.5, 0.5))
+    assert cli.main(["nmse", "--gamma", "0.1", "--pave-db", "20",
+                     "--trials", "100"]) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate draws:") and err.count("\n") == 1
+
+
+def test_exit_degenerate_singular_regressor(monkeypatch, capsys):
+    """A non-finite regularizer makes the echo-based estimate's regressor
+    non-finite."""
+    monkeypatch.setattr(dce.estimators, "downlink_beta",
+                        lambda params, alloc: float("nan"))
+    assert cli.main(["nmse", "--scheme", "non-reciprocal", "--gamma", "0.1",
+                     "--pave-db", "20", "--trials", "100"]) == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate draws:") and "not finite" in err
+
+
+def test_ser_table_reports_resampled_trials(tmp_path):
+    code, out = _run(tmp_path, "ser", "--gamma", "0.1", "--pave-db", "20",
+                     "--modulation", "16", "--trials", "200")
+    assert code == EXIT_OK
+    header, rows = _read_csv(out)
+    assert header == ["p_ave_db", "gamma", "ser_lr", "ser_ur", "trials",
+                      "resampled_trials"]
+    assert [r[header.index("resampled_trials")] for r in rows] == ["0"]
 
 
 def test_exit_verify_failure(tmp_path, monkeypatch):

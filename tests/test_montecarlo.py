@@ -4,8 +4,11 @@ oracle, end-to-end sweeps, symbol-error experiments."""
 import numpy as np
 import pytest
 
-from dce.errors import InfeasibleGamma, UnsupportedGeometry
+from dce import training
+from dce.errors import InfeasibleGamma, RankDeficient, UnsupportedGeometry
+from dce.estimators import tx_estimate_reciprocal
 from dce.montecarlo import (
+    BLOCK_TRIALS,
     jensen_oracle,
     run_nmse_experiment,
     run_ser_experiment,
@@ -19,6 +22,7 @@ from dce.params import (
     nonreciprocal_allocation,
     reciprocal_allocation,
 )
+from dce.rng import trial_rng
 
 JENSEN_VARIANTS = ("printed", "sigma-squared")
 
@@ -60,6 +64,52 @@ def test_resample_counter_present(defaults):
                                  trials=200)
     assert report.resampled_trials >= 0
     assert report.trials == 200
+
+
+def test_degenerate_trials_are_redrawn(defaults, monkeypatch):
+    """With the rank tolerance raised, the trials whose transmitter estimate
+    falls below it in each block's first draw are exactly the ones counted
+    as resampled; the redrawn run is finite and repeats bit for bit."""
+    monkeypatch.setattr(training, "RANK_RTOL", 0.3)
+    alloc = reciprocal_allocation(2.0, 4.0, var_a=1.0)
+    trials = 2 * BLOCK_TRIALS + 88   # the last block is partial
+    expected = 0
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        rng = trial_rng(5, block)
+        n = min(BLOCK_TRIALS, trials - start)
+        _, h_u, _ = training.sample_channels(defaults, RECIPROCAL, rng, n)
+        _, y_t = training.reverse_training(defaults, alloc, h_u, rng)
+        _, full_rank = training.null_space_basis(
+            tx_estimate_reciprocal(y_t, defaults, alloc.e_r))
+        expected += int(np.count_nonzero(~full_rank))
+    a = run_nmse_experiment(defaults, alloc, trials=trials, seed=5)
+    b = run_nmse_experiment(defaults, alloc, trials=trials, seed=5)
+    assert a == b
+    assert 0 < a.resampled_trials == expected < trials
+    assert all(np.isfinite(x) and x > 0 for x in (
+        a.empirical_lr, a.empirical_ur, a.half_width_95_lr, a.half_width_95_ur))
+
+
+def test_ser_degenerate_trials_are_redrawn(defaults, monkeypatch):
+    monkeypatch.setattr(training, "RANK_RTOL", 0.3)
+    a = run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=3,
+                           scheme=NON_RECIPROCAL)
+    b = run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=3,
+                           scheme=NON_RECIPROCAL)
+    assert a == b
+    assert a.resampled_trials > 0
+    assert 0.0 <= a.ser_lr <= 1.0 and 0.0 <= a.ser_ur <= 1.0
+
+
+@pytest.mark.parametrize("alloc", [
+    reciprocal_allocation(0.0, 4.0, var_a=1.0),              # no reverse pilots
+    nonreciprocal_allocation(4.0, 0.0, 2.0, 4.0, var_a=1.0),  # no echo
+], ids=["reciprocal-e_r-0", "echo-e_1-0"])
+def test_redraws_exhausted_raise(defaults, alloc):
+    """Without any downlink information the transmitter's estimate is zero in
+    every draw, so AN has no null space and the redraws run out."""
+    with pytest.raises(RankDeficient, match="redraws"):
+        run_nmse_experiment(defaults, alloc, trials=200, seed=1)
 
 
 def test_nonreciprocal_empirical_tracks_surrogate(defaults):
@@ -155,6 +205,8 @@ def test_sweep_an_grows_with_floor(defaults):
 def test_ser_input_validation(defaults):
     with pytest.raises(ValueError):
         run_ser_experiment(defaults, 0.1, modulation=8)
+    with pytest.raises(ValueError, match="at least one trial"):
+        run_ser_experiment(defaults, 0.1, modulation=16, trials=0)
     wide = default_params(n_t=6, n_l=2)
     with pytest.raises(UnsupportedGeometry):
         run_ser_experiment(wide, 0.1, modulation=16, trials=200)
@@ -167,6 +219,7 @@ def test_ser_report_fields_and_determinism(defaults):
     assert a.code == "ostbc-4tx-rate-3/4"
     assert a.modulation == 16
     assert a.trials == 300
+    assert a.resampled_trials == 0
     assert 0.0 <= a.ser_lr <= 1.0 and 0.0 <= a.ser_ur <= 1.0
 
 

@@ -26,6 +26,22 @@ def test_codeword_shape_and_rate():
     assert CODE_SYMBOLS == 3  # three symbols over four slots
 
 
+def test_codeword_layout_and_stacking():
+    """Entries follow the module's codeword table, conjugates included, and a
+    stack of triples gives the stack of codewords."""
+    s1, s2, s3 = 1 + 1j, 2 - 1j, 3j
+    c = np.conj
+    expected = np.array([[s1, s2, s3, 0],
+                         [-c(s2), c(s1), 0, -s3],
+                         [-c(s3), 0, c(s1), s2],
+                         [0, c(s3), -c(s2), s1]])
+    np.testing.assert_array_equal(code_matrix(np.array([s1, s2, s3])), expected)
+    stack = code_matrix(np.array([[s1, s2, s3], [s3, s1, s2]]))
+    assert stack.shape == (2, 4, 4)
+    np.testing.assert_array_equal(stack[0], expected)
+    np.testing.assert_array_equal(stack[1], code_matrix(np.array([s3, s1, s2])))
+
+
 def test_column_orthogonality(rng):
     for _ in range(50):
         s = complex_gaussian(rng, (3,))
@@ -135,3 +151,44 @@ def test_decode_degrades_gracefully_with_bad_csi(rng):
         good += int(np.sum(decode_block(y, h, scale, pts) != idx))
         bad += int(np.sum(decode_block(y, h_bad, scale, pts) != idx))
     assert bad > good
+
+
+def _reference_decode(y, h, scale, constellation):
+    """The real-isometry matched filter through ``dispersion_map``, one block
+    at a time."""
+    m = dispersion_map(h, scale)
+    gain = scale ** 2 * float(np.sum(np.abs(h) ** 2))
+    coords = (m.T @ np.concatenate([y.real.ravel(), y.imag.ravel()])) / gain
+    symbols = coords[0::2] + 1j * coords[1::2]
+    return np.argmin(np.abs(symbols[:, None] - constellation[None, :]), axis=1)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_QAM)
+def test_batched_decoder_matches_dispersion_map_reference(order):
+    """On a noisy stack decoded with imperfect channel estimates, the closed
+    form returns the same indices as the dispersion-map matched filter."""
+    rng = make_rng(order)
+    pts = qam_constellation(order)
+    scale = block_scale(4.0)
+    n = 2000
+    h = complex_gaussian(rng, (n, 4, 2))
+    h_hat = 0.8 * h + complex_gaussian(rng, (n, 4, 2), 0.36)
+    idx = rng.integers(0, order, size=(n, CODE_SYMBOLS))
+    blocks = encode_block(pts[idx], scale)
+    for k in range(0, n, 97):
+        np.testing.assert_array_equal(blocks[k], encode_block(pts[idx[k]], scale))
+    y = blocks @ h + complex_gaussian(rng, (n, 4, 2), 0.5)
+    decoded = decode_block(y, h_hat, scale, pts)
+    assert decoded.shape == (n, CODE_SYMBOLS)
+    reference = np.array([_reference_decode(y[k], h_hat[k], scale, pts)
+                          for k in range(n)])
+    np.testing.assert_array_equal(decoded, reference)
+    assert np.any(decoded != idx)   # the noise does cause errors
+
+
+def test_batched_decoder_rejects_a_zero_row(rng):
+    pts = qam_constellation(4)
+    h = complex_gaussian(rng, (3, 4, 2))
+    h[1] = 0.0
+    with pytest.raises(UnsupportedGeometry):
+        decode_block(complex_gaussian(rng, (3, 4, 2)), h, 1.0, pts)

@@ -1,9 +1,9 @@
-"""Channel sampling, null-space computation, and the three training phases."""
+"""Channel sampling, null-space computation, and the three training phases,
+all on stacks of trials."""
 
 import numpy as np
 import pytest
 
-from dce.errors import RankDeficient
 from dce.params import (
     NON_RECIPROCAL,
     RECIPROCAL,
@@ -23,38 +23,39 @@ from dce.training import (
 )
 
 
+def _hermitian(x):
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
 # ---------------------------------------------------------------------------
 # channel sampling
 # ---------------------------------------------------------------------------
 
 def test_reciprocal_shapes_and_transpose(defaults, rng):
-    ch = sample_channels(defaults, RECIPROCAL, rng)
-    assert ch.h_d.shape == (4, 2)
-    assert ch.h_u.shape == (2, 4)
-    np.testing.assert_array_equal(ch.h_u, ch.h_d.T)  # plain transpose, no conjugate
-    assert ch.g.shape == (4, 2)
+    h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, 3)
+    assert h_d.shape == (3, 4, 2)
+    assert h_u.shape == (3, 2, 4)
+    # plain transpose, no conjugate
+    np.testing.assert_array_equal(h_u, np.swapaxes(h_d, 1, 2))
+    assert g.shape == (3, 4, 2)
 
 
 def test_channel_entry_variance(defaults):
-    rng = make_rng(5)
-    sq = [np.mean(np.abs(sample_channels(defaults, RECIPROCAL, rng).h_d) ** 2)
-          for _ in range(10000)]
+    h_d, _, _ = sample_channels(defaults, RECIPROCAL, make_rng(5), 10000)
+    sq = np.mean(np.abs(h_d) ** 2, axis=(1, 2))
     assert 0.97 < np.mean(sq) < 1.03
 
 
 def test_nonreciprocal_links_independent(defaults):
     """Sample cross-correlation between h_d and h_u entries stays near zero."""
-    rng = make_rng(6)
-    prods = np.empty(10000, dtype=complex)
-    for k in range(prods.size):
-        ch = sample_channels(defaults, NON_RECIPROCAL, rng)
-        prods[k] = ch.h_d[0, 0] * np.conj(ch.h_u[0, 0])
+    h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, make_rng(6), 10000)
+    prods = h_d[:, 0, 0] * np.conj(h_u[:, 0, 0])
     assert abs(np.mean(prods)) < 0.03
 
 
 def test_unknown_mode_rejected(defaults, rng):
     with pytest.raises(ValueError):
-        sample_channels(defaults, "half-duplex", rng)
+        sample_channels(defaults, "half-duplex", rng, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +73,8 @@ def test_pilot_matrix_semi_unitary():
 def test_null_space_canonical():
     h = np.zeros((4, 2), dtype=complex)
     h[0, 0] = h[1, 1] = 1.0  # first two standard basis vectors
-    n = null_space_basis(h)
+    n, full_rank = null_space_basis(h)
+    assert full_rank
     assert n.shape == (4, 2)
     np.testing.assert_allclose(n.conj().T @ h, 0.0, atol=1e-14)
     # basis spans exactly {e3, e4}: the top 2x2 block must vanish
@@ -80,17 +82,22 @@ def test_null_space_canonical():
 
 
 def test_null_space_random_matrices(rng):
-    for _ in range(50):
-        h = complex_gaussian(rng, (4, 2))
-        n = null_space_basis(h)
-        assert np.linalg.norm(n.conj().T @ h) <= 1e-10 * np.linalg.norm(h)
-        assert np.linalg.norm(n.conj().T @ n - np.eye(2)) <= 1e-12
+    """Per row of a stack: N^H h = 0 and N^H N = I."""
+    h = complex_gaussian(rng, (50, 4, 2))
+    n, full_rank = null_space_basis(h)
+    assert n.shape == (50, 4, 2) and full_rank.all()
+    resid = np.linalg.norm(_hermitian(n) @ h, axis=(1, 2))
+    assert np.all(resid <= 1e-10 * np.linalg.norm(h, axis=(1, 2)))
+    ortho = np.linalg.norm(_hermitian(n) @ n - np.eye(2), axis=(1, 2))
+    assert np.all(ortho <= 1e-12)
 
 
 def test_null_space_rank_deficient():
+    """A rank-one row is flagged; its full-rank neighbour is not."""
     col = np.ones((4, 1), dtype=complex)
-    with pytest.raises(RankDeficient):
-        null_space_basis(np.hstack([col, col]))
+    h = np.stack([np.hstack([col, col]), np.eye(4, 2, dtype=complex)])
+    _, full_rank = null_space_basis(h)
+    np.testing.assert_array_equal(full_rank, [False, True])
 
 
 # ---------------------------------------------------------------------------
@@ -98,30 +105,34 @@ def test_null_space_rank_deficient():
 # ---------------------------------------------------------------------------
 
 def test_forward_no_an_is_pure_pilot(defaults, rng):
-    ch = sample_channels(defaults, RECIPROCAL, rng)
+    h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 5)
     alloc = reciprocal_allocation(0.0, 4.0, var_a=0.0)
-    sig = forward_training(defaults, alloc, ch.h_d, ch, rng)
+    x_t, _, _, full_rank = forward_training(defaults, alloc, h_d, h_d, g, rng)
     expected = np.sqrt(4.0 / 4) * pilot_matrix(defaults.tau_f, defaults.n_t)
-    np.testing.assert_array_equal(sig.transmit, expected)
+    np.testing.assert_array_equal(x_t, np.broadcast_to(expected, (5, 4, 4)))
+    assert full_rank.all()
 
 
 def test_forward_an_invisible_at_perfect_csi(defaults, rng):
     """With h_d_hat = h_d the AN lands exactly in the LR's blind spot."""
-    ch = sample_channels(defaults, RECIPROCAL, rng)
+    h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 20)
     alloc = reciprocal_allocation(0.0, 4.0, var_a=3.0)
-    sig = forward_training(defaults, alloc, ch.h_d, ch, rng)
+    x_t, _, _, full_rank = forward_training(defaults, alloc, h_d, h_d, g, rng)
+    assert full_rank.all()
     pilot_part = np.sqrt(alloc.e_f / defaults.n_t) * pilot_matrix(
         defaults.tau_f, defaults.n_t)
-    an_part = sig.transmit - pilot_part
-    assert np.linalg.norm(an_part @ ch.h_d) <= 1e-10 * np.linalg.norm(ch.h_d)
-    assert np.linalg.norm(an_part) > 0.1  # the AN itself is not degenerate
+    an_part = x_t - pilot_part
+    assert np.all(np.linalg.norm(an_part @ h_d, axis=(1, 2))
+                  <= 1e-10 * np.linalg.norm(h_d, axis=(1, 2)))
+    # the AN itself is not degenerate
+    assert np.all(np.linalg.norm(an_part, axis=(1, 2)) > 0.1)
 
 
 def test_forward_pilot_row_power(defaults, rng):
-    ch = sample_channels(defaults, RECIPROCAL, rng)
-    sig = forward_training(defaults, reciprocal_allocation(0.0, 4.0), ch.h_d,
-                           ch, rng)
-    row_power = np.sum(np.abs(sig.transmit) ** 2, axis=1)
+    h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 3)
+    x_t, _, _, _ = forward_training(defaults, reciprocal_allocation(0.0, 4.0),
+                                    h_d, h_d, g, rng)
+    row_power = np.sum(np.abs(x_t) ** 2, axis=-1)
     np.testing.assert_allclose(row_power, 1.0, atol=1e-12)
 
 
@@ -130,12 +141,10 @@ def test_forward_energy_accounting(defaults):
     alloc = reciprocal_allocation(0.0, 6.0, var_a=0.8)
     expected = 6.0 + 2 * 0.8 * defaults.tau_f
     rng = make_rng(11)
-    total = 0.0
     trials = 10000
-    for _ in range(trials):
-        ch = sample_channels(defaults, RECIPROCAL, rng)
-        sig = forward_training(defaults, alloc, ch.h_d, ch, rng)
-        total += np.sum(np.abs(sig.transmit) ** 2)
+    h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, trials)
+    x_t, _, _, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
+    total = np.sum(np.abs(x_t) ** 2)
     assert total / trials == pytest.approx(expected, rel=0.03)
 
 
@@ -146,28 +155,25 @@ def test_forward_energy_accounting(defaults):
 def test_reverse_zero_energy_is_noise(defaults):
     rng = make_rng(12)
     alloc = reciprocal_allocation(0.0, 4.0)
-    acc = 0.0
-    trials = 10000
-    for _ in range(trials):
-        ch = sample_channels(defaults, RECIPROCAL, rng)
-        y = reverse_training(defaults, alloc, ch, rng).received["tx"]
-        acc += np.mean(np.abs(y) ** 2)
-    assert acc / trials == pytest.approx(defaults.var_wt, rel=0.03)
+    _, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, 10000)
+    _, y = reverse_training(defaults, alloc, h_u, rng)
+    assert np.mean(np.abs(y) ** 2) == pytest.approx(defaults.var_wt, rel=0.03)
 
 
 def test_reverse_pilot_energy(defaults, rng):
-    ch = sample_channels(defaults, RECIPROCAL, rng)
-    sig = reverse_training(defaults, reciprocal_allocation(2.0, 4.0), ch, rng)
-    assert np.linalg.norm(sig.transmit) ** 2 == pytest.approx(2.0, abs=1e-12)
+    _, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, 2)
+    x_l, _ = reverse_training(defaults, reciprocal_allocation(2.0, 4.0), h_u, rng)
+    assert np.linalg.norm(x_l) ** 2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_reverse_noiseless_identifiability(rng):
     """With the noise turned off, least squares recovers H^T exactly."""
     quiet = default_params(var_wt=1e-30)
-    ch = sample_channels(quiet, RECIPROCAL, rng)
-    sig = reverse_training(quiet, reciprocal_allocation(5.0, 4.0), ch, rng)
-    h_t, *_ = np.linalg.lstsq(sig.transmit, sig.received["tx"], rcond=None)
-    np.testing.assert_allclose(h_t, ch.h_u, atol=1e-10)
+    _, h_u, _ = sample_channels(quiet, RECIPROCAL, rng, 3)
+    x_l, y_t = reverse_training(quiet, reciprocal_allocation(5.0, 4.0), h_u, rng)
+    for k in range(3):
+        h_t, *_ = np.linalg.lstsq(x_l, y_t[k], rcond=None)
+        np.testing.assert_allclose(h_t, h_u[k], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +181,9 @@ def test_reverse_noiseless_identifiability(rng):
 # ---------------------------------------------------------------------------
 
 def test_round_trip_rejected_for_reciprocal(defaults, rng):
-    ch = sample_channels(defaults, RECIPROCAL, rng)
+    h_d, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, 1)
     with pytest.raises(ValueError):
-        round_trip_training(defaults, reciprocal_allocation(1.0, 1.0), ch, rng)
+        round_trip_training(defaults, reciprocal_allocation(1.0, 1.0), h_d, h_u, rng)
 
 
 def test_echo_gain_values(defaults):
@@ -187,21 +193,21 @@ def test_echo_gain_values(defaults):
 
 
 def test_round_trip_zero_echo_power(defaults, rng):
-    ch = sample_channels(defaults, NON_RECIPROCAL, rng)
+    h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, 1)
     alloc = nonreciprocal_allocation(4.0, 0.0, 1.0, 1.0)
-    sig = round_trip_training(defaults, alloc, ch, rng)
-    assert sig.alpha == 0.0
+    _, _, y_t1 = round_trip_training(defaults, alloc, h_d, h_u, rng)
+    assert echo_gain(defaults, alloc.e_0, alloc.e_1) == 0.0
     # Y_t1 is then pure transmitter-side noise
-    assert np.mean(np.abs(sig.received["tx"]) ** 2) < 10 * defaults.var_wt
+    assert np.mean(np.abs(y_t1) ** 2) < 10 * defaults.var_wt
 
 
 def test_round_trip_probe_trace(defaults, rng):
-    ch = sample_channels(defaults, NON_RECIPROCAL, rng)
+    h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, 5)
     alloc = nonreciprocal_allocation(4.0, 4.0, 1.0, 1.0)
-    sig = round_trip_training(defaults, alloc, ch, rng)
-    # probe satisfies trace(X^H X) = e_0 (unitary scaled by sqrt(e_0/n_t))
-    assert np.trace(sig.transmit.conj().T @ sig.transmit).real == pytest.approx(
-        4.0, rel=1e-12)
+    x_t0, _, _ = round_trip_training(defaults, alloc, h_d, h_u, rng)
+    # each probe satisfies trace(X^H X) = e_0 (unitary scaled by sqrt(e_0/n_t))
+    traces = np.trace(_hermitian(x_t0) @ x_t0, axis1=1, axis2=2).real
+    np.testing.assert_allclose(traces, 4.0, rtol=1e-12)
 
 
 def test_round_trip_echo_energy_normalization(defaults):
@@ -213,12 +219,10 @@ def test_round_trip_echo_energy_normalization(defaults):
     alloc = nonreciprocal_allocation(4.0, 4.0, 1.0, 1.0)
     rng = make_rng(13)
     alpha = echo_gain(defaults, alloc.e_0, alloc.e_1)
-    acc = 0.0
     trials = 10000
-    for _ in range(trials):
-        ch = sample_channels(defaults, NON_RECIPROCAL, rng)
-        sig = round_trip_training(defaults, alloc, ch, rng)
-        acc += alpha ** 2 * np.sum(np.abs(sig.received["lr"]) ** 2)
+    h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, trials)
+    _, y_l0, _ = round_trip_training(defaults, alloc, h_d, h_u, rng)
+    acc = alpha ** 2 * np.sum(np.abs(y_l0) ** 2)
     assert acc / trials == pytest.approx(alloc.e_1, rel=0.03)
 
 
@@ -227,10 +231,10 @@ def test_whole_pipeline_deterministic(defaults):
 
     def run():
         rng = make_rng(99)
-        ch = sample_channels(defaults, RECIPROCAL, rng)
-        rev = reverse_training(defaults, alloc, ch, rng)
-        fwd = forward_training(defaults, alloc, ch.h_d, ch, rng)
-        return rev.received["tx"], fwd.received["lr"], fwd.received["ur"]
+        h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, 16)
+        _, y_t = reverse_training(defaults, alloc, h_u, rng)
+        _, y_l, y_u, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
+        return y_t, y_l, y_u
 
     for a, b in zip(run(), run()):
         np.testing.assert_array_equal(a, b)
