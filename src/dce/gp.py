@@ -231,7 +231,10 @@ def denominator_exponents(params: SystemParams, x_bar: np.ndarray) -> np.ndarray
     [0, 1] because each variable enters every denominator term with exponent
     0 or 1.
     """
-    _, denom = ratio_parts(params)
+    return _denominator_weights(ratio_parts(params)[1], x_bar)
+
+
+def _denominator_weights(denom: Posynomial, x_bar: np.ndarray) -> np.ndarray:
     terms = denom.coeffs * np.prod(x_bar[None, :] ** denom.expo, axis=1)
     total = terms.sum()
     if not (total > 0):
@@ -250,7 +253,12 @@ def condensed_ratio(params: SystemParams, x_bar: np.ndarray,
     """Posynomial form of numer(x)/denom_hat(x) <= 1 after condensation."""
     numer, denom = ratio_parts(params)
     if a is None:
-        a = denominator_exponents(params, x_bar)
+        a = _denominator_weights(denom, x_bar)
+    return _condensed(numer, denom, x_bar, a)
+
+
+def _condensed(numer: Posynomial, denom: Posynomial, x_bar: np.ndarray,
+               a: np.ndarray) -> Posynomial:
     d_bar = denom.value(x_bar)
     scale = d_bar * float(np.prod(x_bar ** (-a)))
     return Posynomial(numer.coeffs / scale, numer.expo - a[None, :])
@@ -283,47 +291,106 @@ def budget_posynomials(params: SystemParams, gamma: float) -> List[Posynomial]:
 # inner GP solver (log-space barrier method)
 # ---------------------------------------------------------------------------
 
-def _lse(b: np.ndarray, a_mat: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
-    z = b + a_mat @ y
-    zmax = z.max()
-    w = np.exp(z - zmax)
-    s = w.sum()
-    return float(zmax + math.log(s)), w / s
+class _Posy:
+    """Log-constraint f(y) = log sum_i exp(b_i + a_i.y) <= 0 of a posynomial,
+    in the general log-sum-exp form (``_log_row`` uses it for two or more
+    terms).  ``b``, ``a`` and the transpose every gradient uses are built
+    once per solve."""
+
+    __slots__ = ("b", "a", "a_t")
+
+    def __init__(self, b: np.ndarray, a: np.ndarray):
+        self.b, self.a, self.a_t = b, a, a.T
+
+    def value(self, y: np.ndarray) -> float:
+        z = self.b + self.a @ y
+        zmax = z.max()
+        return float(zmax + math.log(np.exp(z - zmax).sum()))
+
+    def parts(self, y: np.ndarray):
+        """(f, gradient g, g g^T, Hessian of f), the Hessian being
+        sum_i p_i a_i a_i^T - g g^T with p the softmax weights of the terms."""
+        z = self.b + self.a @ y
+        zmax = z.max()
+        w = np.exp(z - zmax)
+        s = w.sum()
+        p = w / s
+        g = self.a_t @ p
+        gg = g[:, None] * g
+        return float(zmax + math.log(s)), g, gg, (self.a_t * p) @ self.a - gg
 
 
-def _barrier_eval(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray):
-    """Barrier merit c.y - (1/t_bar) sum log(-f_j) with gradient and Hessian.
+class _Mono(_Posy):
+    """Single-term log-constraint: f(y) = b + a.y is affine, its gradient is
+    a and its Hessian zero (``parts`` returns None for it), so it needs no
+    exp, log-sum or matmul.  The value and gradient are bit for bit those of
+    the several-term formulas on one term, whose Hessian is exactly zero."""
+
+    __slots__ = ("b0", "a0", "aa")
+
+    def __init__(self, b: np.ndarray, a: np.ndarray):
+        super().__init__(b, a)
+        self.b0, self.a0 = float(b[0]), a[0]
+        self.aa = self.a0[:, None] * self.a0
+
+    def value(self, y: np.ndarray) -> float:
+        return self.b0 + float(self.a0 @ y)
+
+    def parts(self, y: np.ndarray):
+        return self.b0 + float(self.a0 @ y), self.a0, self.aa, None
+
+
+def _log_row(b: np.ndarray, a_mat: np.ndarray) -> _Posy:
+    return (_Mono if b.size == 1 else _Posy)(b, a_mat)
+
+
+def _barrier_value(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray) -> float:
+    """Barrier merit c.y - (1/t_bar) sum log(-f_j), or inf outside the
+    strictly feasible region.
 
     The merit is scaled by 1/t_bar so its magnitude stays O(1) as the barrier
     parameter grows; otherwise the Armijo test loses all resolution once
-    t_bar * c.y dwarfs the achievable decrease.  Returns (inf, None, None)
-    outside the strictly feasible region.
+    t_bar * c.y dwarfs the achievable decrease.
     """
+    inv_t = 1.0 / t_bar
+    val = float(c_lin @ y)
+    for row in cons:
+        f = row.value(y)
+        if f >= 0.0:
+            return np.inf
+        val -= inv_t * math.log(-f)
+    return val
+
+
+def _barrier_eval(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray):
+    """``_barrier_value`` (the same operations in the same order) with its
+    gradient and Hessian; (inf, None, None) outside the domain."""
     n = y.size
     inv_t = 1.0 / t_bar
     val = float(c_lin @ y)
     grad = c_lin.copy()
     hess = np.zeros((n, n))
-    for b, a_mat in cons:
-        f, p = _lse(b, a_mat, y)
+    for row in cons:
+        f, g, gg, hj = row.parts(y)
         if f >= 0.0:
             return np.inf, None, None
-        gj = a_mat.T @ p
-        hj = (a_mat.T * p) @ a_mat - np.outer(gj, gj)
         val -= inv_t * math.log(-f)
-        grad += inv_t * (-gj / f)
-        hess += inv_t * (-hj / f + np.outer(gj, gj) / f ** 2)
+        grad += inv_t * (-g / f)
+        # a single-term row has hj == 0, and -hj / f adds an exact zero
+        hess += inv_t * (gg / f ** 2 if hj is None else -hj / f + gg / f ** 2)
     return val, grad, hess
 
 
 def _newton_descend(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray,
-                    max_steps: int = 200) -> np.ndarray:
+                    reg: np.ndarray, max_steps: int = 200) -> np.ndarray:
+    """Center at ``t_bar``: damped Newton steps on the barrier, the Hessian
+    regularized by ``reg``; Armijo candidates are evaluated value-only."""
     for _ in range(max_steps):
         val, grad, hess = _barrier_eval(t_bar, c_lin, cons, y)
         if not np.isfinite(val):
             raise FloatingPointError("barrier evaluated outside its domain")
         try:
-            dy = np.linalg.solve(hess + 1e-12 * np.eye(y.size), -grad)
+            dy = np.linalg.solve(hess + reg, -grad)
         except np.linalg.LinAlgError:
             dy = np.linalg.lstsq(hess + 1e-9 * np.eye(y.size), -grad, rcond=None)[0]
         decrement = float(-grad @ dy)
@@ -331,7 +398,7 @@ def _newton_descend(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray,
             return y
         step = 1.0
         for _ in range(60):
-            cand, _, _ = _barrier_eval(t_bar, c_lin, cons, y + step * dy)
+            cand = _barrier_value(t_bar, c_lin, cons, y + step * dy)
             if cand <= val - 0.25 * step * decrement:
                 break
             step *= 0.5
@@ -341,21 +408,18 @@ def _newton_descend(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray,
     return y
 
 
-def _log_constraints(constraints: Sequence[Posynomial], n: int):
-    cons = []
-    for posy in constraints:
-        b, a_mat = posy.log_data()
-        cons.append((b, a_mat))
+def _log_constraints(constraints: Sequence[Posynomial], n: int) -> List[_Posy]:
+    cons = [_log_row(*posy.log_data()) for posy in constraints]
     # safety cage: |y_k| <= LOG_BOX, expressed as monomial constraints
     for k in range(n):
         ek = np.zeros((1, n))
         ek[0, k] = 1.0
-        cons.append((np.array([-LOG_BOX]), ek.copy()))
-        cons.append((np.array([-LOG_BOX]), -ek))
+        cons.append(_log_row(np.array([-LOG_BOX]), ek.copy()))
+        cons.append(_log_row(np.array([-LOG_BOX]), -ek))
     return cons
 
 
-def _phase1(cons, y0: np.ndarray) -> np.ndarray:
+def _phase1(cons: Sequence[_Posy], y0: np.ndarray) -> np.ndarray:
     """Find a strictly feasible y or raise Infeasible.
 
     Solves min s subject to f_j(y) <= s with the same barrier machinery in
@@ -364,21 +428,22 @@ def _phase1(cons, y0: np.ndarray) -> np.ndarray:
     n = y0.size
 
     def max_f(y):
-        return max(_lse(b, a_mat, y)[0] for b, a_mat in cons)
+        return max(row.value(y) for row in cons)
 
     s0 = max_f(y0) + 1.0
     z = np.concatenate([y0, [s0]])
     c_lin = np.zeros(n + 1)
     c_lin[-1] = 1.0
+    reg = 1e-12 * np.eye(n + 1)
 
     # lift to (y, s) and impose f_j(y) - s <= 0
-    barrier_cons = [(b, np.hstack([a_mat, -np.ones((a_mat.shape[0], 1))]))
-                    for b, a_mat in cons]
+    barrier_cons = [_log_row(row.b, np.hstack([row.a, -np.ones((row.a.shape[0], 1))]))
+                    for row in cons]
 
     t_bar, m = 1.0, len(barrier_cons)
     best_y, best_s = y0.copy(), max_f(y0)
     for _ in range(80):
-        z = _newton_descend(t_bar, c_lin, barrier_cons, z)
+        z = _newton_descend(t_bar, c_lin, barrier_cons, z, reg)
         s_now = max_f(z[:n])
         if s_now < best_s:
             best_y, best_s = z[:n].copy(), s_now
@@ -400,7 +465,8 @@ def _stationarity_system(c_lin: np.ndarray, cons, act, y: np.ndarray,
 
     F stacks stationarity (c + sum lam_j grad f_j) over the log-constraint
     values f_j of the active set; G holds the active gradients row-wise and
-    h_sum the multiplier-weighted Hessian of the Lagrangian.
+    h_sum the multiplier-weighted Hessian of the Lagrangian (single-term
+    rows add nothing to it).
     """
     n = y.size
     k = len(act)
@@ -408,12 +474,11 @@ def _stationarity_system(c_lin: np.ndarray, cons, act, y: np.ndarray,
     f_act = np.empty(k)
     h_sum = np.zeros((n, n))
     for i, j in enumerate(act):
-        b, a_mat = cons[j]
-        f, p = _lse(b, a_mat, y)
-        gj = a_mat.T @ p
-        grads[i] = gj
+        f, g, _, hj = cons[j].parts(y)
+        grads[i] = g
         f_act[i] = f
-        h_sum += lam_a[i] * ((a_mat.T * p) @ a_mat - np.outer(gj, gj))
+        if hj is not None:
+            h_sum += lam_a[i] * hj
     residual = np.concatenate([c_lin + grads.T @ lam_a, f_act])
     return residual, grads, h_sum
 
@@ -431,7 +496,7 @@ def _kkt_polish(c_lin: np.ndarray, cons, y0: np.ndarray, lam0: np.ndarray):
     """
     n = y0.size
     m = len(cons)
-    f0 = np.array([_lse(b, a_mat, y0)[0] for b, a_mat in cons])
+    f0 = np.array([row.value(y0) for row in cons])
     lam_scale = max(float(np.max(lam0)), 1.0)
     act = [j for j in range(m)
            if f0[j] >= -1e-5 or lam0[j] >= 1e-6 * lam_scale]
@@ -490,10 +555,10 @@ def _kkt_certificate(c_lin: np.ndarray, cons, y: np.ndarray, lam: np.ndarray):
     comp = 0.0
     primal = 0.0
     f_all = np.empty(len(cons))
-    for j, (b, a_mat) in enumerate(cons):
-        f, p = _lse(b, a_mat, y)
+    for j, row in enumerate(cons):
+        f, g, _, _ = row.parts(y)
         f_all[j] = f
-        residual += lam[j] * (a_mat.T @ p)
+        residual += lam[j] * g
         comp = max(comp, abs(lam[j] * f))
         primal = max(primal, f)
     dual = max(0.0, -float(lam.min())) if lam.size else 0.0
@@ -523,22 +588,22 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
     cons = _log_constraints(constraints, n)
     y = np.log(x0)
 
-    if max(_lse(b, a_mat, y)[0] for b, a_mat in cons) > -1e-9:
+    if max(row.value(y) for row in cons) > -1e-9:
         y = _phase1(cons, y)
 
     m = len(cons)
+    reg = 1e-12 * np.eye(n)
     t_bar = 1.0
     for _ in range(60):
-        y = _newton_descend(t_bar, c_lin, cons, y)
+        y = _newton_descend(t_bar, c_lin, cons, y, reg)
         if m / t_bar < 1e-9:
             break
         t_bar *= 20.0
 
     # multipliers estimated from the final centering (lambda_j = 1/(t_bar*slack))
     lam = np.empty(m)
-    for j, (b, a_mat) in enumerate(cons):
-        f, _ = _lse(b, a_mat, y)
-        lam[j] = 1.0 / (t_bar * max(-f, 1e-300))
+    for j, row in enumerate(cons):
+        lam[j] = 1.0 / (t_bar * max(-row.value(y), 1e-300))
     polished = _kkt_polish(c_lin, cons, y, lam)
     if polished is not None:
         y, lam = polished
@@ -613,8 +678,8 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
     nmse_prev = None
     for _ in range(max_iter):
         a = (_theta_fn(x_bar) if _theta_fn is not None
-             else denominator_exponents(params, x_bar))
-        constraints = [condensed_ratio(params, x_bar, a)] + fixed
+             else _denominator_weights(denom, x_bar))
+        constraints = [_condensed(numer, denom, x_bar, a)] + fixed
         x_opt, _ = solve_inner_gp(constraints, objective, x_bar)
         nmse = lmmse_error_var(params.var_hd, x_opt[0], 1, params.var_w)
         trace.steps.append(CondensationStep(

@@ -12,6 +12,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
@@ -67,6 +68,12 @@ class SystemParams:
     tau_3: int = 0  # 0 means "default to n_t"
 
     def __post_init__(self):
+        # getattr, not vars(self): reading __dict__ would make every later
+        # attribute load on this instance slower (CPython 3.11+)
+        for name in self.__dataclass_fields__:
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if self.n_t < 2 or self.n_l < 1 or self.n_u < 1:
             raise ValueError("need n_t >= 2, n_l >= 1, n_u >= 1")
         if self.n_t <= self.n_l:
@@ -168,8 +175,9 @@ class PowerAllocation:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         for name in ("var_a", "e_r", "e_f", "e_0", "e_1", "e_2", "e_3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
 
     def energies(self) -> Dict[str, float]:
         if self.scheme == RECIPROCAL:

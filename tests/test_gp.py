@@ -5,6 +5,10 @@ The scipy reference solves in this file are the independent second route for
 the inner solver; the library itself never imports scipy.
 """
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -13,6 +17,11 @@ from dce.errors import Infeasible, NotConverged, Stalled
 from dce.gp import (
     GpState,
     X_NAMES,
+    _barrier_eval,
+    _barrier_value,
+    _log_constraints,
+    _Mono,
+    _Posy,
     budget_posynomials,
     condense,
     condensed_ratio,
@@ -29,6 +38,9 @@ from dce.gp import (
 )
 from dce.nmse import nmse_l_nonreciprocal_approx
 from dce.params import default_params, nonreciprocal_allocation
+
+GOLDEN_PANEL = json.loads(
+    (Path(__file__).parent / "golden" / "condense_panel.json").read_text())
 
 
 def _random_alloc(rng):
@@ -199,6 +211,76 @@ def test_inner_solver_against_scipy_reference(defaults):
     np.testing.assert_allclose(np.log(info["objective"]), ref.fun, atol=1e-5)
 
 
+def _interior_barrier(params, gamma):
+    """Log constraints of the production condensed problem (ratio, floors,
+    budgets, cage) and a strictly interior point: the start with t halved
+    (the ratio row was active there) and the other variables cut by 10%
+    (the average budget was nearly active)."""
+    start = initial_feasible_state(params, gamma)
+    constraints = ([condensed_ratio(params, start.x())]
+                   + budget_posynomials(params, gamma))
+    cons = _log_constraints(constraints, 6)
+    y = np.log(start.x())
+    y[0] -= math.log(2.0)
+    y[1:] += math.log(0.9)
+    assert max(row.value(y) for row in cons) < -0.05
+    return cons, y
+
+
+@pytest.mark.parametrize("t_bar", [1.0, 20.0 ** 3])
+def test_barrier_derivatives_match_central_differences(defaults, t_bar):
+    """Gradient and Hessian of the barrier against central differences of
+    its value, on the production problem (multi- and single-term rows)."""
+    cons, y = _interior_barrier(defaults, 0.1)
+    c_lin = np.array([-1.0, 0, 0, 0, 0, 0])
+    val, grad, hess = _barrier_eval(t_bar, c_lin, cons, y)
+    assert val == _barrier_value(t_bar, c_lin, cons, y)
+
+    def merit(d):
+        return _barrier_value(t_bar, c_lin, cons, y + d)
+
+    h, e = 1e-4, np.eye(6)
+    fd_grad = np.array([(merit(h * e[k]) - merit(-h * e[k])) / (2 * h)
+                        for k in range(6)])
+    fd_hess = np.array([[(merit(h * (e[k] + e[l])) - merit(h * (e[k] - e[l]))
+                          - merit(h * (e[l] - e[k])) + merit(-h * (e[k] + e[l])))
+                         / (4 * h * h) for l in range(6)] for k in range(6)])
+    np.testing.assert_allclose(fd_grad, grad, rtol=1e-6,
+                               atol=1e-7 * np.abs(grad).max())
+    np.testing.assert_allclose(fd_hess, hess, rtol=1e-4,
+                               atol=1e-5 * np.abs(hess).max())
+
+
+def test_barrier_value_only_path_is_exact(defaults):
+    """The Armijo candidates' value-only path returns the full evaluation's
+    value bit for bit at 50 random interior points."""
+    cons, y0 = _interior_barrier(defaults, 0.1)
+    c_lin = np.array([-1.0, 0, 0, 0, 0, 0])
+    rng = np.random.default_rng(11)
+    for i in range(50):
+        y = y0 + rng.normal(scale=0.05, size=6)
+        t_bar = 20.0 ** (i % 5)
+        val, _, _ = _barrier_eval(t_bar, c_lin, cons, y)
+        assert np.isfinite(val)
+        assert _barrier_value(t_bar, c_lin, cons, y) == val
+
+
+def test_single_term_closed_form_matches_log_sum_exp(rng):
+    """For a one-term row the closed form gives exactly the numbers of the
+    log-sum-exp formulas: the same value and gradient, and a log-sum-exp
+    curvature of exactly zero, so the barrier curvature is a a^T / f^2."""
+    for n in range(1, 9):
+        for _ in range(50):
+            b = rng.normal(size=1)
+            a = rng.choice([-1.0, 0.0, 1.0, 0.5, -2.5], size=(1, n))
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 2)
+            f, g, gg, hj = _Posy(b, a).parts(y)
+            f1, g1, gg1, hj1 = _Mono(b, a).parts(y)
+            assert f1 == f and _Mono(b, a).value(y) == _Posy(b, a).value(y)
+            assert np.array_equal(g1, g) and np.array_equal(gg1, gg)
+            assert hj1 is None and not hj.any()
+
+
 def test_inner_solver_flags_unreachable_tolerance(defaults):
     """An absurd KKT tolerance cannot be met; the failure must carry the
     best iterate instead of silently returning it."""
@@ -265,6 +347,19 @@ def test_condense_detects_sabotaged_weights(defaults):
     sabotage = lambda x_bar: np.array([1.0, 0, 0, 0, 0, 0])
     with pytest.raises((Stalled, Infeasible, NotConverged)):
         condense(defaults, 0.1, _theta_fn=sabotage)
+
+
+@pytest.mark.parametrize("case", GOLDEN_PANEL,
+                         ids=[f"{c['p_ave_db']:.1f}dB" for c in GOLDEN_PANEL])
+def test_condense_matches_golden_panel(case):
+    """Bit pin of successive condensation over 0-45 dB: objective, final
+    state, round count and convergence flag equal the committed reprs.  The
+    21.9 dB instance stops unconverged at max_iter (ROADMAP item 3)."""
+    sol = condense(default_params(p_ave_db=case["p_ave_db"]), case["gamma"])
+    assert repr(float(sol.objective)) == case["objective"]
+    assert repr(sol.state) == case["state"]
+    assert len(sol.trace.steps) == case["rounds"]
+    assert sol.trace.converged == case["converged"]
 
 
 def test_initial_state_is_strictly_feasible(defaults):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dce.montecarlo import solve_allocation
 from dce.params import (
     NON_RECIPROCAL,
     RECIPROCAL,
@@ -52,6 +53,16 @@ def test_variances_must_be_positive():
         default_params(var_w=-1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_fields_rejected(defaults, bad):
+    """nan <= 0 is False, so the positivity checks alone let NaN through."""
+    for f in dataclasses.fields(SystemParams):
+        with pytest.raises(ValueError, match=f.name):
+            dataclasses.replace(defaults, **{f.name: bad})
+    with pytest.raises(ValueError, match="var_v"):
+        solve_allocation(default_params(var_v=bad), 0.5, RECIPROCAL)
+
+
 def test_short_pilots_rejected():
     with pytest.raises(ValueError, match="forward pilot"):
         default_params(tau_f=3)  # below n_t=4
@@ -94,6 +105,12 @@ class TestPowerAllocation:
             reciprocal_allocation(-1.0, 4.0)
         with pytest.raises(ValueError):
             nonreciprocal_allocation(1.0, 1.0, 1.0, 1.0, var_a=-0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        for name in ("var_a", "e_r", "e_f", "e_0", "e_1", "e_2", "e_3"):
+            with pytest.raises(ValueError, match=name):
+                PowerAllocation(scheme=NON_RECIPROCAL, **{name: bad})
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
