@@ -76,6 +76,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        if self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         return self
 
     def to_params(self, pave_db: Optional[float] = None) -> SystemParams:

@@ -324,14 +324,22 @@ class _Mono(_Posy):
     """Single-term log-constraint: f(y) = b + a.y is affine, its gradient is
     a and its Hessian zero (``parts`` returns None for it), so it needs no
     exp, log-sum or matmul.  The value and gradient are bit for bit those of
-    the several-term formulas on one term, whose Hessian is exactly zero."""
+    the several-term formulas on one term, whose Hessian is exactly zero.
 
-    __slots__ = ("b0", "a0", "aa")
+    In the barrier the row changes only the entries on the support of a;
+    off it, it would add exact zeros, which change nothing."""
+
+    __slots__ = ("b0", "a0", "aa", "grad_terms", "hess_terms")
 
     def __init__(self, b: np.ndarray, a: np.ndarray):
         super().__init__(b, a)
         self.b0, self.a0 = float(b[0]), a[0]
         self.aa = self.a0[:, None] * self.a0
+        n = self.a0.size
+        sup = np.flatnonzero(self.a0).tolist()
+        # (index, -a_i) and (flat index, a_i a_j) on the support
+        self.grad_terms = [(i, float(-self.a0[i])) for i in sup]
+        self.hess_terms = [(i * n + j, float(self.aa[i, j])) for i in sup for j in sup]
 
     def value(self, y: np.ndarray) -> float:
         return self.b0 + float(self.a0 @ y)
@@ -339,14 +347,109 @@ class _Mono(_Posy):
     def parts(self, y: np.ndarray):
         return self.b0 + float(self.a0 @ y), self.a0, self.aa, None
 
+    def add_derivatives(self, inv_t: float, f: float, grad: np.ndarray,
+                        hess_flat: np.ndarray) -> None:
+        """Add the barrier gradient inv_t * (-a/f) and curvature
+        inv_t * a a^T/f^2 at the row value f (negative) to the support."""
+        for i, neg_a in self.grad_terms:
+            grad[i] += inv_t * (neg_a / f)
+        f2 = f ** 2
+        for i, aa in self.hess_terms:
+            hess_flat[i] += inv_t * (aa / f2)
+
 
 def _log_row(b: np.ndarray, a_mat: np.ndarray) -> _Posy:
     return (_Mono if b.size == 1 else _Posy)(b, a_mat)
 
 
-def _barrier_value(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray) -> float:
-    """Barrier merit c.y - (1/t_bar) sum log(-f_j), or inf outside the
-    strictly feasible region.
+def _lifted(row: _Posy) -> _Posy:
+    """Phase 1's lift of a row to (y, s): f(y) - s <= 0."""
+    return _log_row(row.b, np.hstack([row.a, -np.ones((row.a.shape[0], 1))]))
+
+
+class _Cage:
+    """The safety cage |y_k| <= LOG_BOX as one block: the 2n single-term rows
+    -LOG_BOX + y_k <= 0 and -LOG_BOX - y_k <= 0, in the row order k0+, k0-,
+    k1+, ...; ``lifted`` (phase 1) subtracts the slack s = z[n] from each.
+
+    In the barrier a cage row touches only y_k's gradient and diagonal
+    entries (and, lifted, the slack's entry, row and column), so the block
+    computes all values in one vector operation and reads and writes only
+    those entries, where 2n dense row updates were.  Per entry the operands
+    and their order are those of the row loop: each value equals the row's
+    dot product, which has at most two nonzero terms and so is exact in any
+    order; the log terms and every entry's increments are summed one row at
+    a time; and f**2 stays Python's (libm pow), which numpy's square may
+    not match in the last bit."""
+
+    __slots__ = ("n", "lifted")
+
+    def __init__(self, n: int, lifted: bool = False):
+        self.n, self.lifted = n, lifted
+
+    def rows(self) -> List[_Mono]:
+        """The same (unlifted) rows one by one, for the multiplier estimate,
+        phase 1's ``max_f``, the KKT polish and the certificate, where a
+        cage row can be active."""
+        rows = []
+        for k in range(self.n):
+            ek = np.zeros((1, self.n))
+            ek[0, k] = 1.0
+            rows.append(_Mono(np.array([-LOG_BOX]), ek.copy()))
+            rows.append(_Mono(np.array([-LOG_BOX]), -ek))
+        return rows
+
+    def values(self, z: np.ndarray) -> List[float]:
+        """f of every row, in row order."""
+        n = self.n
+        y = z[:n]
+        f = np.empty((n, 2))
+        if self.lifted:
+            s = z[n]
+            f[:, 0] = y - s
+            f[:, 1] = -y - s
+        else:
+            f[:, 0] = y
+            f[:, 1] = -y
+        f += -LOG_BOX
+        return f.ravel().tolist()
+
+    def add_derivatives(self, inv_t: float, f: List[float], grad: np.ndarray,
+                        hess: np.ndarray) -> None:
+        """Add the rows' barrier gradient inv_t * (-a/f) and curvature
+        inv_t * a a^T/f^2 at their values ``f`` (all negative).  The entries
+        the rows touch are read and written as blocks; the arithmetic runs
+        row by row on Python floats, cheaper than numpy calls on arrays of
+        n entries."""
+        n, lifted = self.n, self.lifted
+        step = hess.shape[0] + 1
+        diag = hess.reshape(-1)[:n * step:step]
+        g, d = grad[:n].tolist(), diag.tolist()
+        if lifted:
+            g_s, h_ss = float(grad[n]), float(hess[n, n])
+            col, row = hess[:n, n].tolist(), hess[n, :n].tolist()
+        for j, v in enumerate(f):
+            # row j bounds y_k, whose coefficient a is +1 (k+) or -1 (k-)
+            k, a = j // 2, (-1.0 if j % 2 else 1.0)
+            f2 = v ** 2
+            g[k] += inv_t * (-a / v)
+            d[k] += inv_t * (1.0 / f2)
+            if lifted:
+                # the slack's coefficient is -1 in every row
+                g_s += inv_t * (1.0 / v)
+                h_ss += inv_t * (1.0 / f2)
+                col[k] += inv_t * (-a / f2)
+                row[k] += inv_t * (-a / f2)
+        grad[:n], diag[:] = g, d
+        if lifted:
+            grad[n], hess[n, n] = g_s, h_ss
+            hess[:n, n], hess[n, :n] = col, row
+
+
+def _barrier_value(t_bar: float, c_lin: np.ndarray, rows, cage: _Cage,
+                   y: np.ndarray) -> float:
+    """Barrier merit c.y - (1/t_bar) sum log(-f_j) over ``rows`` and then the
+    cage rows, or inf outside the strictly feasible region.
 
     The merit is scaled by 1/t_bar so its magnitude stays O(1) as the barrier
     parameter grows; otherwise the Armijo test loses all resolution once
@@ -354,39 +457,58 @@ def _barrier_value(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray) -> floa
     """
     inv_t = 1.0 / t_bar
     val = float(c_lin @ y)
-    for row in cons:
+    for row in rows:
         f = row.value(y)
+        if f >= 0.0:
+            return np.inf
+        val -= inv_t * math.log(-f)
+    for f in cage.values(y):
         if f >= 0.0:
             return np.inf
         val -= inv_t * math.log(-f)
     return val
 
 
-def _barrier_eval(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray):
+def _barrier_eval(t_bar: float, c_lin: np.ndarray, rows, cage: _Cage,
+                  y: np.ndarray):
     """``_barrier_value`` (the same operations in the same order) with its
-    gradient and Hessian; (inf, None, None) outside the domain."""
+    gradient and Hessian; (inf, None, None) outside the domain.  A
+    single-term row adds only to its support entries, the cage block only
+    to the entries its rows touch."""
     n = y.size
     inv_t = 1.0 / t_bar
     val = float(c_lin @ y)
     grad = c_lin.copy()
     hess = np.zeros((n, n))
-    for row in cons:
-        f, g, gg, hj = row.parts(y)
+    hess_flat = hess.reshape(-1)
+    for row in rows:
+        if isinstance(row, _Mono):
+            f = row.value(y)
+            if f >= 0.0:
+                return np.inf, None, None
+            row.add_derivatives(inv_t, f, grad, hess_flat)
+        else:
+            f, g, gg, hj = row.parts(y)
+            if f >= 0.0:
+                return np.inf, None, None
+            grad += inv_t * (-g / f)
+            hess += inv_t * (-hj / f + gg / f ** 2)
+        val -= inv_t * math.log(-f)
+    f_cage = cage.values(y)
+    for f in f_cage:
         if f >= 0.0:
             return np.inf, None, None
         val -= inv_t * math.log(-f)
-        grad += inv_t * (-g / f)
-        # a single-term row has hj == 0, and -hj / f adds an exact zero
-        hess += inv_t * (gg / f ** 2 if hj is None else -hj / f + gg / f ** 2)
+    cage.add_derivatives(inv_t, f_cage, grad, hess)
     return val, grad, hess
 
 
-def _newton_descend(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray,
-                    reg: np.ndarray, max_steps: int = 200) -> np.ndarray:
+def _newton_descend(t_bar: float, c_lin: np.ndarray, rows, cage: _Cage,
+                    y: np.ndarray, reg: np.ndarray, max_steps: int = 200) -> np.ndarray:
     """Center at ``t_bar``: damped Newton steps on the barrier, the Hessian
     regularized by ``reg``; Armijo candidates are evaluated value-only."""
     for _ in range(max_steps):
-        val, grad, hess = _barrier_eval(t_bar, c_lin, cons, y)
+        val, grad, hess = _barrier_eval(t_bar, c_lin, rows, cage, y)
         if not np.isfinite(val):
             raise FloatingPointError("barrier evaluated outside its domain")
         try:
@@ -398,7 +520,7 @@ def _newton_descend(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray,
             return y
         step = 1.0
         for _ in range(60):
-            cand = _barrier_value(t_bar, c_lin, cons, y + step * dy)
+            cand = _barrier_value(t_bar, c_lin, rows, cage, y + step * dy)
             if cand <= val - 0.25 * step * decrement:
                 break
             step *= 0.5
@@ -408,22 +530,19 @@ def _newton_descend(t_bar: float, c_lin: np.ndarray, cons, y: np.ndarray,
     return y
 
 
-def _log_constraints(constraints: Sequence[Posynomial], n: int) -> List[_Posy]:
-    cons = [_log_row(*posy.log_data()) for posy in constraints]
-    # safety cage: |y_k| <= LOG_BOX, expressed as monomial constraints
-    for k in range(n):
-        ek = np.zeros((1, n))
-        ek[0, k] = 1.0
-        cons.append(_log_row(np.array([-LOG_BOX]), ek.copy()))
-        cons.append(_log_row(np.array([-LOG_BOX]), -ek))
-    return cons
+def _log_constraints(constraints: Sequence[Posynomial], n: int
+                     ) -> Tuple[List[_Posy], _Cage]:
+    """The log-constraint rows, plus the safety cage |y_k| <= LOG_BOX that
+    follows them."""
+    return [_log_row(*posy.log_data()) for posy in constraints], _Cage(n)
 
 
-def _phase1(cons: Sequence[_Posy], y0: np.ndarray) -> np.ndarray:
+def _phase1(cons: Sequence[_Posy], rows: Sequence[_Posy], y0: np.ndarray) -> np.ndarray:
     """Find a strictly feasible y or raise Infeasible.
 
     Solves min s subject to f_j(y) <= s with the same barrier machinery in
-    the lifted space (y, s).
+    the lifted space (y, s): ``rows`` and the cage are lifted, ``cons``
+    (every row one by one, the cage's included) measures the slack.
     """
     n = y0.size
 
@@ -437,13 +556,13 @@ def _phase1(cons: Sequence[_Posy], y0: np.ndarray) -> np.ndarray:
     reg = 1e-12 * np.eye(n + 1)
 
     # lift to (y, s) and impose f_j(y) - s <= 0
-    barrier_cons = [_log_row(row.b, np.hstack([row.a, -np.ones((row.a.shape[0], 1))]))
-                    for row in cons]
+    lifted_rows = [_lifted(row) for row in rows]
+    lifted_cage = _Cage(n, lifted=True)
 
-    t_bar, m = 1.0, len(barrier_cons)
+    t_bar, m = 1.0, len(cons)
     best_y, best_s = y0.copy(), max_f(y0)
     for _ in range(80):
-        z = _newton_descend(t_bar, c_lin, barrier_cons, z, reg)
+        z = _newton_descend(t_bar, c_lin, lifted_rows, lifted_cage, z, reg)
         s_now = max_f(z[:n])
         if s_now < best_s:
             best_y, best_s = z[:n].copy(), s_now
@@ -585,17 +704,20 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
     c_lin = np.asarray(objective, dtype=float)
     if c_lin.size != n:
         raise ValueError("objective exponent vector length must match start")
-    cons = _log_constraints(constraints, n)
+    rows, cage = _log_constraints(constraints, n)
+    # every row one by one, the cage's included: the multipliers, the KKT
+    # polish and certificate, and the counts m work row by row
+    cons = rows + cage.rows()
     y = np.log(x0)
 
     if max(row.value(y) for row in cons) > -1e-9:
-        y = _phase1(cons, y)
+        y = _phase1(cons, rows, y)
 
     m = len(cons)
     reg = 1e-12 * np.eye(n)
     t_bar = 1.0
     for _ in range(60):
-        y = _newton_descend(t_bar, c_lin, cons, y, reg)
+        y = _newton_descend(t_bar, c_lin, rows, cage, y, reg)
         if m / t_bar < 1e-9:
             break
         t_bar *= 20.0

@@ -169,6 +169,17 @@ def test_exit_config_non_finite_input(capsys):
     assert cli.main(["alloc", "--pbar-l-db=-inf"]) == EXIT_CONFIG
 
 
+def test_exit_config_negative_seed(tmp_path, capsys):
+    """A negative seed is a configuration error before anything runs, not
+    a traceback from the RNG or a failed verify self-check."""
+    for command in ("nmse", "ser", "verify"):
+        assert cli.main([command, "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=-1\n")
+    assert cli.main(["nmse", "--config", str(cfg)]) == EXIT_CONFIG
+
+
 def test_exit_config_too_few_nmse_trials(capsys):
     assert cli.main(["nmse", "--trials", "50"]) == EXIT_CONFIG
     assert "at least 100 trials" in capsys.readouterr().err

@@ -99,6 +99,15 @@ def test_validate_rejections():
             ExperimentConfig(**overrides).validate()
 
 
+def test_validate_rejects_negative_seed():
+    """numpy's seed sequence takes only nonnegative entropy."""
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(seed=-1).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        load_config("seed=-1\n")
+    assert ExperimentConfig(seed=0).validate().seed == 0
+
+
 def test_to_params_needs_unambiguous_point():
     cfg = ExperimentConfig(pave_db=(10.0, 20.0))
     with pytest.raises(ValueError, match="several points"):

@@ -19,6 +19,8 @@ from dce.gp import (
     X_NAMES,
     _barrier_eval,
     _barrier_value,
+    _Cage,
+    _lifted,
     _log_constraints,
     _Mono,
     _Posy,
@@ -213,56 +215,131 @@ def test_inner_solver_against_scipy_reference(defaults):
 
 def _interior_barrier(params, gamma):
     """Log constraints of the production condensed problem (ratio, floors,
-    budgets, cage) and a strictly interior point: the start with t halved
-    (the ratio row was active there) and the other variables cut by 10%
-    (the average budget was nearly active)."""
+    budgets, then the cage) and a strictly interior point: the start with t
+    halved (the ratio row was active there) and the other variables cut by
+    10% (the average budget was nearly active)."""
     start = initial_feasible_state(params, gamma)
     constraints = ([condensed_ratio(params, start.x())]
                    + budget_posynomials(params, gamma))
-    cons = _log_constraints(constraints, 6)
+    rows, cage = _log_constraints(constraints, 6)
     y = np.log(start.x())
     y[0] -= math.log(2.0)
     y[1:] += math.log(0.9)
-    assert max(row.value(y) for row in cons) < -0.05
-    return cons, y
+    assert max(row.value(y) for row in rows + cage.rows()) < -0.05
+    return rows, cage, y
 
 
-@pytest.mark.parametrize("t_bar", [1.0, 20.0 ** 3])
-def test_barrier_derivatives_match_central_differences(defaults, t_bar):
-    """Gradient and Hessian of the barrier against central differences of
-    its value, on the production problem (multi- and single-term rows)."""
-    cons, y = _interior_barrier(defaults, 0.1)
-    c_lin = np.array([-1.0, 0, 0, 0, 0, 0])
-    val, grad, hess = _barrier_eval(t_bar, c_lin, cons, y)
-    assert val == _barrier_value(t_bar, c_lin, cons, y)
+def _phase1_barrier(rows, cage, y, slack):
+    """Phase 1's lifted barrier at (y, s): min s subject to f_j(y) - s <= 0,
+    with s the largest row value plus ``slack``."""
+    s = max(row.value(y) for row in rows + cage.rows()) + slack
+    c_lin = np.zeros(7)
+    c_lin[-1] = 1.0
+    return ([_lifted(row) for row in rows], _Cage(6, lifted=True), c_lin,
+            np.concatenate([y, [s]]))
+
+
+def _assert_derivatives_match_central_differences(t_bar, c_lin, rows, cage, y):
+    val, grad, hess = _barrier_eval(t_bar, c_lin, rows, cage, y)
+    assert val == _barrier_value(t_bar, c_lin, rows, cage, y)
 
     def merit(d):
-        return _barrier_value(t_bar, c_lin, cons, y + d)
+        return _barrier_value(t_bar, c_lin, rows, cage, y + d)
 
-    h, e = 1e-4, np.eye(6)
+    n = y.size
+    h, e = 1e-4, np.eye(n)
     fd_grad = np.array([(merit(h * e[k]) - merit(-h * e[k])) / (2 * h)
-                        for k in range(6)])
+                        for k in range(n)])
     fd_hess = np.array([[(merit(h * (e[k] + e[l])) - merit(h * (e[k] - e[l]))
                           - merit(h * (e[l] - e[k])) + merit(-h * (e[k] + e[l])))
-                         / (4 * h * h) for l in range(6)] for k in range(6)])
+                         / (4 * h * h) for l in range(n)] for k in range(n)])
     np.testing.assert_allclose(fd_grad, grad, rtol=1e-6,
                                atol=1e-7 * np.abs(grad).max())
     np.testing.assert_allclose(fd_hess, hess, rtol=1e-4,
                                atol=1e-5 * np.abs(hess).max())
 
 
+@pytest.mark.parametrize("t_bar", [1.0, 20.0 ** 3])
+def test_barrier_derivatives_match_central_differences(defaults, t_bar):
+    """Gradient and Hessian of the barrier against central differences of
+    its value, on the production problem (multi- and single-term rows)."""
+    rows, cage, y = _interior_barrier(defaults, 0.1)
+    c_lin = np.array([-1.0, 0, 0, 0, 0, 0])
+    _assert_derivatives_match_central_differences(t_bar, c_lin, rows, cage, y)
+
+
+@pytest.mark.parametrize("t_bar", [1.0, 20.0])
+def test_phase1_barrier_derivatives_match_central_differences(defaults, t_bar):
+    """The same check on phase 1's lifted barrier, whose slack entry, row
+    and column collect a term from every row, at its first two centerings
+    (further out the slack's linear term s ~ 1 dominates the merit, and the
+    differences' rounding, ~1e-16 / h**2, swamps the curvature)."""
+    rows, cage, y = _interior_barrier(defaults, 0.1)
+    lifted_rows, lifted_cage, c_lin, z = _phase1_barrier(rows, cage, y, 1.0)
+    _assert_derivatives_match_central_differences(t_bar, c_lin, lifted_rows,
+                                                  lifted_cage, z)
+
+
 def test_barrier_value_only_path_is_exact(defaults):
     """The Armijo candidates' value-only path returns the full evaluation's
     value bit for bit at 50 random interior points."""
-    cons, y0 = _interior_barrier(defaults, 0.1)
+    rows, cage, y0 = _interior_barrier(defaults, 0.1)
     c_lin = np.array([-1.0, 0, 0, 0, 0, 0])
     rng = np.random.default_rng(11)
     for i in range(50):
         y = y0 + rng.normal(scale=0.05, size=6)
         t_bar = 20.0 ** (i % 5)
-        val, _, _ = _barrier_eval(t_bar, c_lin, cons, y)
+        val, _, _ = _barrier_eval(t_bar, c_lin, rows, cage, y)
         assert np.isfinite(val)
-        assert _barrier_value(t_bar, c_lin, cons, y) == val
+        assert _barrier_value(t_bar, c_lin, rows, cage, y) == val
+
+
+def _dense_barrier_eval(t_bar, c_lin, cons, y):
+    """Reference: the barrier as a dense loop over single rows, every row
+    adding its full gradient and Hessian (a one-term row adds exact zeros
+    off its support)."""
+    n = y.size
+    inv_t = 1.0 / t_bar
+    val = float(c_lin @ y)
+    grad = c_lin.copy()
+    hess = np.zeros((n, n))
+    for row in cons:
+        f, g, gg, hj = row.parts(y)
+        if f >= 0.0:
+            return np.inf, None, None
+        val -= inv_t * math.log(-f)
+        grad += inv_t * (-g / f)
+        hess += inv_t * (gg / f ** 2 if hj is None else -hj / f + gg / f ** 2)
+    return val, grad, hess
+
+
+@pytest.mark.parametrize("phase1", [False, True], ids=["main", "phase1"])
+def test_barrier_equals_dense_row_loop_bit_for_bit(defaults, phase1):
+    """Support-only single-term updates and the cage block give exactly the
+    dense row loop's value, gradient and Hessian, at 200 random interior
+    points and barrier parameters from 1 to 20**8, for the main problem and
+    for phase 1's lift, where any y is interior for a large enough slack
+    (so y spreads wider there, and slacks take both signs)."""
+    rows, cage, y0 = _interior_barrier(defaults, 0.1)
+    dense = rows + cage.rows()
+    if phase1:
+        dense = [type(row)(row.b, np.hstack([row.a, -np.ones((row.a.shape[0], 1))]))
+                 for row in dense]
+    rng = np.random.default_rng(29)
+    for i in range(200):
+        y = y0 + rng.normal(scale=2.0 if phase1 else 0.05, size=6)
+        t_bar = 20.0 ** (i % 9)
+        if phase1:
+            b_rows, b_cage, c_lin, z = _phase1_barrier(
+                rows, cage, y, float(rng.uniform(0.01, 2.0)))
+        else:
+            b_rows, b_cage, c_lin, z = rows, cage, np.array([-1.0, 0, 0, 0, 0, 0]), y
+        ref_val, ref_grad, ref_hess = _dense_barrier_eval(t_bar, c_lin, dense, z)
+        assert np.isfinite(ref_val)
+        val, grad, hess = _barrier_eval(t_bar, c_lin, b_rows, b_cage, z)
+        assert val == ref_val
+        assert np.array_equal(grad, ref_grad) and np.array_equal(hess, ref_hess)
+        assert _barrier_value(t_bar, c_lin, b_rows, b_cage, z) == ref_val
 
 
 def test_single_term_closed_form_matches_log_sum_exp(rng):
