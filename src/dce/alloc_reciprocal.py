@@ -49,15 +49,6 @@ class AllocProblem:
         return (p.budget_average_reciprocal(), p.budget_tx_reciprocal(),
                 p.budget_lr_reciprocal())
 
-    def budget_condition_holds(self) -> bool:
-        """True when every constraint can be simultaneously effective.
-
-        Violations are legal; the solver then treats the slack individual
-        budget as unbounded (it can never bind).
-        """
-        s, b_t, b_l = self.budgets()
-        return max(b_l, b_t) <= s <= b_l + b_t
-
 
 @dataclass(frozen=True)
 class ReciprocalSolution:

@@ -131,6 +131,9 @@ def effective_config(args: argparse.Namespace):
         cfg.tau_f = taus[0]
         taus = None
     cfg.validate()
+    for tau_f in taus or ():
+        # each sweep value gets the checks a single --tau-f value gets
+        dataclasses.replace(cfg, tau_f=tau_f).validate().to_params(cfg.pave_db[0])
     return cfg, taus
 
 

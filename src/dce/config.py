@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .errors import ConfigError
-from .params import NON_RECIPROCAL, RECIPROCAL, SystemParams, default_params
+from .params import (NON_RECIPROCAL, RECIPROCAL, SystemParams, db_to_linear,
+                     default_params)
 
 FORMATS = ("csv", "json")
 JENSEN_VARIANTS = ("printed", "sigma-squared")
@@ -63,6 +64,12 @@ class ExperimentConfig:
         for name in ("gamma", "pave_db", "pbar_t_db", "pbar_l_db"):
             if not all(map(math.isfinite, _as_sweep(getattr(self, name)))):
                 raise ConfigError(f"{name} must be finite")
+        for name in ("pave_db", "pbar_t_db", "pbar_l_db"):
+            try:
+                for value in _as_sweep(getattr(self, name)):
+                    db_to_linear(value)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
         if self.jensen_variant not in JENSEN_VARIANTS:

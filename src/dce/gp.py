@@ -16,14 +16,14 @@ single non-posynomial piece is the ratio constraint numer(x)/denom(x) <= 1.
 Each outer iteration replaces denom by its best monomial under-estimator at
 the current point (weights = log-gradient exponents, an AM-GM bound, hence
 global under-estimation and tangency), leaving an ordinary GP that a
-log-barrier interior-point routine solves to high accuracy.  Because the
+log-barrier interior-point routine solves to high accuracy, holding every
+log-sum-exp constraint row as one stacked term matrix.  Because the
 monomial never exceeds the true denominator, every inner-feasible point is
 feasible for the original problem, and the objective improves monotonically.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -288,227 +288,111 @@ def budget_posynomials(params: SystemParams, gamma: float) -> List[Posynomial]:
 
 
 # ---------------------------------------------------------------------------
-# inner GP solver (log-space barrier method)
+# inner GP solver (log-space barrier method on one stacked term matrix)
 # ---------------------------------------------------------------------------
 
-class _Posy:
-    """Log-constraint f(y) = log sum_i exp(b_i + a_i.y) <= 0 of a posynomial,
-    in the general log-sum-exp form (``_log_row`` uses it for two or more
-    terms).  ``b``, ``a`` and the transpose every gradient uses are built
-    once per solve."""
+class _Terms:
+    """Every log-constraint row of an inner GP, stacked term by term.
 
-    __slots__ = ("b", "a", "a_t")
+    In log space each constraint is a log-sum-exp of affine terms, row j
+    being f_j(y) = log sum_{i in j} exp(b_i + a_i.y) <= 0 (Boyd, Kim,
+    Vandenberghe & Hassibi, "A tutorial on geometric programming", 2007).
+    ``a`` (T x n) and ``b`` (T) hold the terms row after row: the posynomial
+    constraints in order, then the safety cage |y_k| <= LOG_BOX as 2n
+    one-term rows -LOG_BOX +/- y_k (k0+, k0-, k1+, ...).  Row j starts at
+    term ``starts[j]``; ``row`` maps every term to its row.  A one-term row
+    needs no special case: its log-sum is log(1) = 0, its softmax weight 1,
+    its gradient its a and its centred term a - g exactly zero.
+    """
 
-    def __init__(self, b: np.ndarray, a: np.ndarray):
-        self.b, self.a, self.a_t = b, a, a.T
+    __slots__ = ("b", "a", "row", "starts", "m")
 
-    def value(self, y: np.ndarray) -> float:
+    def __init__(self, b: np.ndarray, a: np.ndarray, row: np.ndarray):
+        self.b, self.a, self.row = b, a, row
+        self.m = int(row[-1]) + 1
+        self.starts = np.searchsorted(row, np.arange(self.m))
+
+    @classmethod
+    def stack(cls, constraints: Sequence[Posynomial], n: int) -> "_Terms":
+        """The rows of ``constraints`` followed by the cage rows."""
+        logs = [posy.log_data() for posy in constraints]
+        cage = np.zeros((2 * n, n))
+        cage[0::2], cage[1::2] = np.eye(n), -np.eye(n)
+        sizes = [b.size for b, _ in logs] + [1] * (2 * n)
+        return cls(np.concatenate([b for b, _ in logs] + [np.full(2 * n, -LOG_BOX)]),
+                   np.vstack([a for _, a in logs] + [cage]),
+                   np.repeat(np.arange(len(sizes)), sizes))
+
+    def lifted(self) -> "_Terms":
+        """Phase 1's rows over (y, s): f_j(y) - s <= 0, one column of -1."""
+        return _Terms(self.b, np.hstack([self.a, -np.ones((self.b.size, 1))]),
+                      self.row)
+
+    def _log_sum(self, y: np.ndarray):
         z = self.b + self.a @ y
-        zmax = z.max()
-        return float(zmax + math.log(np.exp(z - zmax).sum()))
+        z_max = np.maximum.reduceat(z, self.starts)
+        w = np.exp(z - z_max[self.row])
+        s = np.add.reduceat(w, self.starts)
+        return z_max + np.log(s), w, s
+
+    def values(self, y: np.ndarray) -> np.ndarray:
+        """f of every row."""
+        return self._log_sum(y)[0]
 
     def parts(self, y: np.ndarray):
-        """(f, gradient g, g g^T, Hessian of f), the Hessian being
-        sum_i p_i a_i a_i^T - g g^T with p the softmax weights of the terms."""
-        z = self.b + self.a @ y
-        zmax = z.max()
-        w = np.exp(z - zmax)
-        s = w.sum()
-        p = w / s
-        g = self.a_t @ p
-        gg = g[:, None] * g
-        return float(zmax + math.log(s)), g, gg, (self.a_t * p) @ self.a - gg
+        """(f, the row gradients G (m x n), the terms' softmax weights p
+        within their row, the centred terms D = a - G[row])."""
+        f, w, s = self._log_sum(y)
+        p = w / s[self.row]
+        g = np.add.reduceat(p[:, None] * self.a, self.starts)
+        return f, g, p, self.a - g[self.row]
+
+    def curvature(self, p: np.ndarray, d: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+        """sum_j weights_j * (Hessian of f_j) from ``parts``' p and D, the
+        Hessian of row j being sum_{i in j} p_i d_i d_i^T."""
+        return (d.T * (p * weights[self.row])) @ d
 
 
-class _Mono(_Posy):
-    """Single-term log-constraint: f(y) = b + a.y is affine, its gradient is
-    a and its Hessian zero (``parts`` returns None for it), so it needs no
-    exp, log-sum or matmul.  The value and gradient are bit for bit those of
-    the several-term formulas on one term, whose Hessian is exactly zero.
-
-    In the barrier the row changes only the entries on the support of a;
-    off it, it would add exact zeros, which change nothing."""
-
-    __slots__ = ("b0", "a0", "aa", "grad_terms", "hess_terms")
-
-    def __init__(self, b: np.ndarray, a: np.ndarray):
-        super().__init__(b, a)
-        self.b0, self.a0 = float(b[0]), a[0]
-        self.aa = self.a0[:, None] * self.a0
-        n = self.a0.size
-        sup = np.flatnonzero(self.a0).tolist()
-        # (index, -a_i) and (flat index, a_i a_j) on the support
-        self.grad_terms = [(i, float(-self.a0[i])) for i in sup]
-        self.hess_terms = [(i * n + j, float(self.aa[i, j])) for i in sup for j in sup]
-
-    def value(self, y: np.ndarray) -> float:
-        return self.b0 + float(self.a0 @ y)
-
-    def parts(self, y: np.ndarray):
-        return self.b0 + float(self.a0 @ y), self.a0, self.aa, None
-
-    def add_derivatives(self, inv_t: float, f: float, grad: np.ndarray,
-                        hess_flat: np.ndarray) -> None:
-        """Add the barrier gradient inv_t * (-a/f) and curvature
-        inv_t * a a^T/f^2 at the row value f (negative) to the support."""
-        for i, neg_a in self.grad_terms:
-            grad[i] += inv_t * (neg_a / f)
-        f2 = f ** 2
-        for i, aa in self.hess_terms:
-            hess_flat[i] += inv_t * (aa / f2)
-
-
-def _log_row(b: np.ndarray, a_mat: np.ndarray) -> _Posy:
-    return (_Mono if b.size == 1 else _Posy)(b, a_mat)
-
-
-def _lifted(row: _Posy) -> _Posy:
-    """Phase 1's lift of a row to (y, s): f(y) - s <= 0."""
-    return _log_row(row.b, np.hstack([row.a, -np.ones((row.a.shape[0], 1))]))
-
-
-class _Cage:
-    """The safety cage |y_k| <= LOG_BOX as one block: the 2n single-term rows
-    -LOG_BOX + y_k <= 0 and -LOG_BOX - y_k <= 0, in the row order k0+, k0-,
-    k1+, ...; ``lifted`` (phase 1) subtracts the slack s = z[n] from each.
-
-    In the barrier a cage row touches only y_k's gradient and diagonal
-    entries (and, lifted, the slack's entry, row and column), so the block
-    computes all values in one vector operation and reads and writes only
-    those entries, where 2n dense row updates were.  Per entry the operands
-    and their order are those of the row loop: each value equals the row's
-    dot product, which has at most two nonzero terms and so is exact in any
-    order; the log terms and every entry's increments are summed one row at
-    a time; and f**2 stays Python's (libm pow), which numpy's square may
-    not match in the last bit."""
-
-    __slots__ = ("n", "lifted")
-
-    def __init__(self, n: int, lifted: bool = False):
-        self.n, self.lifted = n, lifted
-
-    def rows(self) -> List[_Mono]:
-        """The same (unlifted) rows one by one, for the multiplier estimate,
-        phase 1's ``max_f``, the KKT polish and the certificate, where a
-        cage row can be active."""
-        rows = []
-        for k in range(self.n):
-            ek = np.zeros((1, self.n))
-            ek[0, k] = 1.0
-            rows.append(_Mono(np.array([-LOG_BOX]), ek.copy()))
-            rows.append(_Mono(np.array([-LOG_BOX]), -ek))
-        return rows
-
-    def values(self, z: np.ndarray) -> List[float]:
-        """f of every row, in row order."""
-        n = self.n
-        y = z[:n]
-        f = np.empty((n, 2))
-        if self.lifted:
-            s = z[n]
-            f[:, 0] = y - s
-            f[:, 1] = -y - s
-        else:
-            f[:, 0] = y
-            f[:, 1] = -y
-        f += -LOG_BOX
-        return f.ravel().tolist()
-
-    def add_derivatives(self, inv_t: float, f: List[float], grad: np.ndarray,
-                        hess: np.ndarray) -> None:
-        """Add the rows' barrier gradient inv_t * (-a/f) and curvature
-        inv_t * a a^T/f^2 at their values ``f`` (all negative).  The entries
-        the rows touch are read and written as blocks; the arithmetic runs
-        row by row on Python floats, cheaper than numpy calls on arrays of
-        n entries."""
-        n, lifted = self.n, self.lifted
-        step = hess.shape[0] + 1
-        diag = hess.reshape(-1)[:n * step:step]
-        g, d = grad[:n].tolist(), diag.tolist()
-        if lifted:
-            g_s, h_ss = float(grad[n]), float(hess[n, n])
-            col, row = hess[:n, n].tolist(), hess[n, :n].tolist()
-        for j, v in enumerate(f):
-            # row j bounds y_k, whose coefficient a is +1 (k+) or -1 (k-)
-            k, a = j // 2, (-1.0 if j % 2 else 1.0)
-            f2 = v ** 2
-            g[k] += inv_t * (-a / v)
-            d[k] += inv_t * (1.0 / f2)
-            if lifted:
-                # the slack's coefficient is -1 in every row
-                g_s += inv_t * (1.0 / v)
-                h_ss += inv_t * (1.0 / f2)
-                col[k] += inv_t * (-a / f2)
-                row[k] += inv_t * (-a / f2)
-        grad[:n], diag[:] = g, d
-        if lifted:
-            grad[n], hess[n, n] = g_s, h_ss
-            hess[:n, n], hess[n, :n] = col, row
-
-
-def _barrier_value(t_bar: float, c_lin: np.ndarray, rows, cage: _Cage,
-                   y: np.ndarray) -> float:
-    """Barrier merit c.y - (1/t_bar) sum log(-f_j) over ``rows`` and then the
-    cage rows, or inf outside the strictly feasible region.
+def _merit(t_bar: float, c_lin: np.ndarray, y: np.ndarray, f: np.ndarray) -> float:
+    """Barrier merit c.y - (1/t_bar) sum log(-f_j) at row values ``f``, or
+    inf outside the strictly feasible region.
 
     The merit is scaled by 1/t_bar so its magnitude stays O(1) as the barrier
     parameter grows; otherwise the Armijo test loses all resolution once
     t_bar * c.y dwarfs the achievable decrease.
     """
-    inv_t = 1.0 / t_bar
-    val = float(c_lin @ y)
-    for row in rows:
-        f = row.value(y)
-        if f >= 0.0:
-            return np.inf
-        val -= inv_t * math.log(-f)
-    for f in cage.values(y):
-        if f >= 0.0:
-            return np.inf
-        val -= inv_t * math.log(-f)
-    return val
+    if f.max() >= 0.0:
+        return np.inf
+    return float(c_lin @ y) - float(np.log(-f).sum()) / t_bar
 
 
-def _barrier_eval(t_bar: float, c_lin: np.ndarray, rows, cage: _Cage,
-                  y: np.ndarray):
-    """``_barrier_value`` (the same operations in the same order) with its
-    gradient and Hessian; (inf, None, None) outside the domain.  A
-    single-term row adds only to its support entries, the cage block only
-    to the entries its rows touch."""
-    n = y.size
-    inv_t = 1.0 / t_bar
-    val = float(c_lin @ y)
-    grad = c_lin.copy()
-    hess = np.zeros((n, n))
-    hess_flat = hess.reshape(-1)
-    for row in rows:
-        if isinstance(row, _Mono):
-            f = row.value(y)
-            if f >= 0.0:
-                return np.inf, None, None
-            row.add_derivatives(inv_t, f, grad, hess_flat)
-        else:
-            f, g, gg, hj = row.parts(y)
-            if f >= 0.0:
-                return np.inf, None, None
-            grad += inv_t * (-g / f)
-            hess += inv_t * (-hj / f + gg / f ** 2)
-        val -= inv_t * math.log(-f)
-    f_cage = cage.values(y)
-    for f in f_cage:
-        if f >= 0.0:
-            return np.inf, None, None
-        val -= inv_t * math.log(-f)
-    cage.add_derivatives(inv_t, f_cage, grad, hess)
+def _barrier_value(t_bar: float, c_lin: np.ndarray, terms: _Terms,
+                   y: np.ndarray) -> float:
+    """The merit alone, for the Armijo candidates."""
+    return _merit(t_bar, c_lin, y, terms.values(y))
+
+
+def _barrier_eval(t_bar: float, c_lin: np.ndarray, terms: _Terms, y: np.ndarray):
+    """The merit with its gradient c - G^T (1/f) / t_bar and its Hessian
+    (G^T diag(1/f^2) G - sum_j (Hessian of f_j) / f_j) / t_bar, the second
+    term over the centred terms; (inf, None, None) outside the domain."""
+    f, g, p, d = terms.parts(y)
+    val = _merit(t_bar, c_lin, y, f)
+    if val == np.inf:
+        return val, None, None
+    inv_t, inv_f = 1.0 / t_bar, 1.0 / f
+    grad = c_lin - inv_t * (g.T @ inv_f)
+    hess = inv_t * ((g.T * inv_f ** 2) @ g + terms.curvature(p, d, -inv_f))
     return val, grad, hess
 
 
-def _newton_descend(t_bar: float, c_lin: np.ndarray, rows, cage: _Cage,
+def _newton_descend(t_bar: float, c_lin: np.ndarray, terms: _Terms,
                     y: np.ndarray, reg: np.ndarray, max_steps: int = 200) -> np.ndarray:
     """Center at ``t_bar``: damped Newton steps on the barrier, the Hessian
     regularized by ``reg``; Armijo candidates are evaluated value-only."""
     for _ in range(max_steps):
-        val, grad, hess = _barrier_eval(t_bar, c_lin, rows, cage, y)
+        val, grad, hess = _barrier_eval(t_bar, c_lin, terms, y)
         if not np.isfinite(val):
             raise FloatingPointError("barrier evaluated outside its domain")
         try:
@@ -520,7 +404,7 @@ def _newton_descend(t_bar: float, c_lin: np.ndarray, rows, cage: _Cage,
             return y
         step = 1.0
         for _ in range(60):
-            cand = _barrier_value(t_bar, c_lin, rows, cage, y + step * dy)
+            cand = _barrier_value(t_bar, c_lin, terms, y + step * dy)
             if cand <= val - 0.25 * step * decrement:
                 break
             step *= 0.5
@@ -530,40 +414,25 @@ def _newton_descend(t_bar: float, c_lin: np.ndarray, rows, cage: _Cage,
     return y
 
 
-def _log_constraints(constraints: Sequence[Posynomial], n: int
-                     ) -> Tuple[List[_Posy], _Cage]:
-    """The log-constraint rows, plus the safety cage |y_k| <= LOG_BOX that
-    follows them."""
-    return [_log_row(*posy.log_data()) for posy in constraints], _Cage(n)
-
-
-def _phase1(cons: Sequence[_Posy], rows: Sequence[_Posy], y0: np.ndarray) -> np.ndarray:
+def _phase1(terms: _Terms, y0: np.ndarray) -> np.ndarray:
     """Find a strictly feasible y or raise Infeasible.
 
-    Solves min s subject to f_j(y) <= s with the same barrier machinery in
-    the lifted space (y, s): ``rows`` and the cage are lifted, ``cons``
-    (every row one by one, the cage's included) measures the slack.
+    Solves min s subject to f_j(y) <= s with the same barrier machinery on
+    the lifted rows over (y, s); the unlifted rows measure the slack.
     """
     n = y0.size
-
-    def max_f(y):
-        return max(row.value(y) for row in cons)
-
-    s0 = max_f(y0) + 1.0
-    z = np.concatenate([y0, [s0]])
+    f_max = float(terms.values(y0).max())
+    z = np.concatenate([y0, [f_max + 1.0]])
     c_lin = np.zeros(n + 1)
     c_lin[-1] = 1.0
     reg = 1e-12 * np.eye(n + 1)
+    lifted = terms.lifted()
 
-    # lift to (y, s) and impose f_j(y) - s <= 0
-    lifted_rows = [_lifted(row) for row in rows]
-    lifted_cage = _Cage(n, lifted=True)
-
-    t_bar, m = 1.0, len(cons)
-    best_y, best_s = y0.copy(), max_f(y0)
+    t_bar, m = 1.0, terms.m
+    best_y, best_s = y0.copy(), f_max
     for _ in range(80):
-        z = _newton_descend(t_bar, c_lin, lifted_rows, lifted_cage, z, reg)
-        s_now = max_f(z[:n])
+        z = _newton_descend(t_bar, c_lin, lifted, z, reg)
+        s_now = float(terms.values(z[:n]).max())
         if s_now < best_s:
             best_y, best_s = z[:n].copy(), s_now
         if best_s < -1e-3:
@@ -578,31 +447,23 @@ def _phase1(cons: Sequence[_Posy], rows: Sequence[_Posy], y0: np.ndarray) -> np.
         f"(best constraint slack {best_s:.3e})")
 
 
-def _stationarity_system(c_lin: np.ndarray, cons, act, y: np.ndarray,
-                         lam_a: np.ndarray):
+def _stationarity_system(c_lin: np.ndarray, terms: _Terms, act: np.ndarray,
+                         y: np.ndarray, lam_a: np.ndarray):
     """Residual and derivatives of the active-set KKT equations.
 
     F stacks stationarity (c + sum lam_j grad f_j) over the log-constraint
-    values f_j of the active set; G holds the active gradients row-wise and
-    h_sum the multiplier-weighted Hessian of the Lagrangian (single-term
-    rows add nothing to it).
+    values f_j of the active rows ``act``; G holds the active gradients
+    row-wise and h_sum the multiplier-weighted Hessian of the Lagrangian.
     """
-    n = y.size
-    k = len(act)
-    grads = np.empty((k, n))
-    f_act = np.empty(k)
-    h_sum = np.zeros((n, n))
-    for i, j in enumerate(act):
-        f, g, _, hj = cons[j].parts(y)
-        grads[i] = g
-        f_act[i] = f
-        if hj is not None:
-            h_sum += lam_a[i] * hj
-    residual = np.concatenate([c_lin + grads.T @ lam_a, f_act])
-    return residual, grads, h_sum
+    f, g, p, d = terms.parts(y)
+    lam = np.zeros(terms.m)
+    lam[act] = lam_a
+    grads = g[act]
+    residual = np.concatenate([c_lin + grads.T @ lam_a, f[act]])
+    return residual, grads, terms.curvature(p, d, lam)
 
 
-def _kkt_polish(c_lin: np.ndarray, cons, y0: np.ndarray, lam0: np.ndarray):
+def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarray):
     """Refine a centered barrier iterate to a true KKT point.
 
     The barrier certificate reconstructs multipliers as 1/(t_bar * slack),
@@ -614,20 +475,19 @@ def _kkt_polish(c_lin: np.ndarray, cons, y0: np.ndarray, lam0: np.ndarray):
     then falls back to the barrier certificate.
     """
     n = y0.size
-    m = len(cons)
-    f0 = np.array([row.value(y0) for row in cons])
+    m = terms.m
+    f0 = terms.values(y0)
     lam_scale = max(float(np.max(lam0)), 1.0)
-    act = [j for j in range(m)
-           if f0[j] >= -1e-5 or lam0[j] >= 1e-6 * lam_scale]
+    act = np.flatnonzero((f0 >= -1e-5) | (lam0 >= 1e-6 * lam_scale))
     for _ in range(m + 1):
-        if not act:
+        if not act.size:
             return None
         y = y0.copy()
         lam_a = np.maximum(lam0[act], 1e-12)
         converged = False
         norm_prev = np.inf
         for it in range(60):
-            big_f, grads, h_sum = _stationarity_system(c_lin, cons, act, y, lam_a)
+            big_f, grads, h_sum = _stationarity_system(c_lin, terms, act, y, lam_a)
             norm_f = float(np.abs(big_f).max())
             if norm_f <= 1e-12:
                 converged = True
@@ -635,7 +495,7 @@ def _kkt_polish(c_lin: np.ndarray, cons, y0: np.ndarray, lam0: np.ndarray):
             if it > 0 and norm_f >= 0.9999 * norm_prev:
                 break
             norm_prev = norm_f
-            k = len(act)
+            k = act.size
             kkt_mat = np.block([[h_sum, grads.T],
                                 [grads, np.zeros((k, k))]])
             try:
@@ -648,7 +508,7 @@ def _kkt_polish(c_lin: np.ndarray, cons, y0: np.ndarray, lam0: np.ndarray):
             for _ in range(25):
                 y_try = y + step * d[:n]
                 lam_try = lam_a + step * d[n:]
-                trial, _, _ = _stationarity_system(c_lin, cons, act, y_try, lam_try)
+                trial, _, _ = _stationarity_system(c_lin, terms, act, y_try, lam_try)
                 if float(np.abs(trial).max()) < norm_f:
                     break
                 step *= 0.5
@@ -658,31 +518,23 @@ def _kkt_polish(c_lin: np.ndarray, cons, y0: np.ndarray, lam0: np.ndarray):
         if not converged:
             return None
         if float(lam_a.min()) < -1e-11:
-            worst = act[int(np.argmin(lam_a))]
-            act = [j for j in act if j != worst]
+            act = np.delete(act, np.argmin(lam_a))
             continue
         lam_full = np.zeros(m)
-        for i, j in enumerate(act):
-            lam_full[j] = max(float(lam_a[i]), 0.0)
+        lam_full[act] = np.maximum(lam_a, 0.0)
         return y, lam_full
     return None
 
 
-def _kkt_certificate(c_lin: np.ndarray, cons, y: np.ndarray, lam: np.ndarray):
+def _kkt_certificate(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, lam: np.ndarray):
     """Worst violation across all four KKT conditions, plus log-constraint values."""
-    residual = c_lin.copy()
-    comp = 0.0
-    primal = 0.0
-    f_all = np.empty(len(cons))
-    for j, row in enumerate(cons):
-        f, g, _, _ = row.parts(y)
-        f_all[j] = f
-        residual += lam[j] * g
-        comp = max(comp, abs(lam[j] * f))
-        primal = max(primal, f)
-    dual = max(0.0, -float(lam.min())) if lam.size else 0.0
+    f, g, _, _ = terms.parts(y)
+    residual = c_lin + g.T @ lam
+    comp = float(np.abs(lam * f).max())
+    primal = float(f.max())
+    dual = max(0.0, -float(lam.min()))
     kkt = max(float(np.abs(residual).max()), comp, max(primal, 0.0), dual)
-    return kkt, comp, f_all
+    return kkt, comp, f
 
 
 def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float],
@@ -704,32 +556,26 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
     c_lin = np.asarray(objective, dtype=float)
     if c_lin.size != n:
         raise ValueError("objective exponent vector length must match start")
-    rows, cage = _log_constraints(constraints, n)
-    # every row one by one, the cage's included: the multipliers, the KKT
-    # polish and certificate, and the counts m work row by row
-    cons = rows + cage.rows()
+    terms = _Terms.stack(constraints, n)
     y = np.log(x0)
 
-    if max(row.value(y) for row in cons) > -1e-9:
-        y = _phase1(cons, rows, y)
+    if terms.values(y).max() > -1e-9:
+        y = _phase1(terms, y)
 
-    m = len(cons)
     reg = 1e-12 * np.eye(n)
     t_bar = 1.0
     for _ in range(60):
-        y = _newton_descend(t_bar, c_lin, rows, cage, y, reg)
-        if m / t_bar < 1e-9:
+        y = _newton_descend(t_bar, c_lin, terms, y, reg)
+        if terms.m / t_bar < 1e-9:
             break
         t_bar *= 20.0
 
     # multipliers estimated from the final centering (lambda_j = 1/(t_bar*slack))
-    lam = np.empty(m)
-    for j, row in enumerate(cons):
-        lam[j] = 1.0 / (t_bar * max(-row.value(y), 1e-300))
-    polished = _kkt_polish(c_lin, cons, y, lam)
+    lam = 1.0 / (t_bar * np.maximum(-terms.values(y), 1e-300))
+    polished = _kkt_polish(c_lin, terms, y, lam)
     if polished is not None:
         y, lam = polished
-    kkt, comp, f_all = _kkt_certificate(c_lin, cons, y, lam)
+    kkt, comp, f_all = _kkt_certificate(c_lin, terms, y, lam)
     values = np.exp(f_all)
     x_opt = np.exp(y)
     info = {

@@ -24,8 +24,11 @@ SCHEMES = (RECIPROCAL, NON_RECIPROCAL)
 
 
 def db_to_linear(x_db: float) -> float:
-    """10^(x/10)."""
-    return float(10.0 ** (x_db / 10.0))
+    """10^(x/10); ValueError when that overflows a float."""
+    try:
+        return float(10.0 ** (x_db / 10.0))
+    except OverflowError:
+        raise ValueError(f"{x_db!r} dB is too large for a linear power") from None
 
 
 def linear_to_db(x: float) -> float:

@@ -192,6 +192,28 @@ def test_exit_config_tau_sweep_wrong_command():
                      "--tau-f", "4,8"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("sweep", ["4,2", "0,4"])
+def test_exit_config_tau_sweep_value_invalid(sweep, capsys):
+    """Every --tau-f sweep value gets a single value's checks: tau_f below
+    n_t (rank-deficient forward pilot) or zero is a configuration error,
+    not a traceback from the sweep."""
+    assert cli.main(["nmse", "--tau-f", sweep, "--trials", "100"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_exit_config_db_overflow(tmp_path, capsys):
+    """A dB value too large for a float is a configuration error before
+    anything runs, from a flag or from a config key."""
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text("pbar_l_db=4000\n")
+    for argv in (["alloc", "--pave-db", "4000"], ["alloc", "--pbar-t-db", "4000"],
+                 ["alloc", "--config", str(cfg)], ["verify", "--pave-db", "0,4000"]):
+        assert cli.main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
 def test_exit_infeasible(capsys):
     assert cli.main(["alloc", "--scheme", "non-reciprocal",
                      "--gamma", "1e-9"]) == EXIT_INFEASIBLE

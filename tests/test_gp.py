@@ -15,15 +15,13 @@ from scipy.optimize import minimize
 
 from dce.errors import Infeasible, NotConverged, Stalled
 from dce.gp import (
+    LOG_BOX,
     GpState,
+    Posynomial,
     X_NAMES,
     _barrier_eval,
     _barrier_value,
-    _Cage,
-    _lifted,
-    _log_constraints,
-    _Mono,
-    _Posy,
+    _Terms,
     budget_posynomials,
     condense,
     condensed_ratio,
@@ -214,37 +212,37 @@ def test_inner_solver_against_scipy_reference(defaults):
 
 
 def _interior_barrier(params, gamma):
-    """Log constraints of the production condensed problem (ratio, floors,
-    budgets, then the cage) and a strictly interior point: the start with t
-    halved (the ratio row was active there) and the other variables cut by
-    10% (the average budget was nearly active)."""
+    """Constraints of the production condensed problem (ratio, floors,
+    budgets), their stacked terms (the cage rows follow) and a strictly
+    interior point: the start with t halved (the ratio row was active there)
+    and the other variables cut by 10% (the average budget was nearly
+    active)."""
     start = initial_feasible_state(params, gamma)
     constraints = ([condensed_ratio(params, start.x())]
                    + budget_posynomials(params, gamma))
-    rows, cage = _log_constraints(constraints, 6)
+    terms = _Terms.stack(constraints, 6)
     y = np.log(start.x())
     y[0] -= math.log(2.0)
     y[1:] += math.log(0.9)
-    assert max(row.value(y) for row in rows + cage.rows()) < -0.05
-    return rows, cage, y
+    assert terms.values(y).max() < -0.05
+    return constraints, terms, y
 
 
-def _phase1_barrier(rows, cage, y, slack):
+def _phase1_barrier(terms, y, slack):
     """Phase 1's lifted barrier at (y, s): min s subject to f_j(y) - s <= 0,
     with s the largest row value plus ``slack``."""
-    s = max(row.value(y) for row in rows + cage.rows()) + slack
+    s = terms.values(y).max() + slack
     c_lin = np.zeros(7)
     c_lin[-1] = 1.0
-    return ([_lifted(row) for row in rows], _Cage(6, lifted=True), c_lin,
-            np.concatenate([y, [s]]))
+    return terms.lifted(), c_lin, np.concatenate([y, [s]])
 
 
-def _assert_derivatives_match_central_differences(t_bar, c_lin, rows, cage, y):
-    val, grad, hess = _barrier_eval(t_bar, c_lin, rows, cage, y)
-    assert val == _barrier_value(t_bar, c_lin, rows, cage, y)
+def _assert_derivatives_match_central_differences(t_bar, c_lin, terms, y):
+    val, grad, hess = _barrier_eval(t_bar, c_lin, terms, y)
+    assert val == _barrier_value(t_bar, c_lin, terms, y)
 
     def merit(d):
-        return _barrier_value(t_bar, c_lin, rows, cage, y + d)
+        return _barrier_value(t_bar, c_lin, terms, y + d)
 
     n = y.size
     h, e = 1e-4, np.eye(n)
@@ -263,9 +261,9 @@ def _assert_derivatives_match_central_differences(t_bar, c_lin, rows, cage, y):
 def test_barrier_derivatives_match_central_differences(defaults, t_bar):
     """Gradient and Hessian of the barrier against central differences of
     its value, on the production problem (multi- and single-term rows)."""
-    rows, cage, y = _interior_barrier(defaults, 0.1)
+    _, terms, y = _interior_barrier(defaults, 0.1)
     c_lin = np.array([-1.0, 0, 0, 0, 0, 0])
-    _assert_derivatives_match_central_differences(t_bar, c_lin, rows, cage, y)
+    _assert_derivatives_match_central_differences(t_bar, c_lin, terms, y)
 
 
 @pytest.mark.parametrize("t_bar", [1.0, 20.0])
@@ -274,88 +272,112 @@ def test_phase1_barrier_derivatives_match_central_differences(defaults, t_bar):
     and column collect a term from every row, at its first two centerings
     (further out the slack's linear term s ~ 1 dominates the merit, and the
     differences' rounding, ~1e-16 / h**2, swamps the curvature)."""
-    rows, cage, y = _interior_barrier(defaults, 0.1)
-    lifted_rows, lifted_cage, c_lin, z = _phase1_barrier(rows, cage, y, 1.0)
-    _assert_derivatives_match_central_differences(t_bar, c_lin, lifted_rows,
-                                                  lifted_cage, z)
+    _, terms, y = _interior_barrier(defaults, 0.1)
+    lifted, c_lin, z = _phase1_barrier(terms, y, 1.0)
+    _assert_derivatives_match_central_differences(t_bar, c_lin, lifted, z)
 
 
 def test_barrier_value_only_path_is_exact(defaults):
     """The Armijo candidates' value-only path returns the full evaluation's
     value bit for bit at 50 random interior points."""
-    rows, cage, y0 = _interior_barrier(defaults, 0.1)
+    _, terms, y0 = _interior_barrier(defaults, 0.1)
     c_lin = np.array([-1.0, 0, 0, 0, 0, 0])
     rng = np.random.default_rng(11)
     for i in range(50):
         y = y0 + rng.normal(scale=0.05, size=6)
         t_bar = 20.0 ** (i % 5)
-        val, _, _ = _barrier_eval(t_bar, c_lin, rows, cage, y)
+        val, _, _ = _barrier_eval(t_bar, c_lin, terms, y)
         assert np.isfinite(val)
-        assert _barrier_value(t_bar, c_lin, rows, cage, y) == val
+        assert _barrier_value(t_bar, c_lin, terms, y) == val
 
 
-def _dense_barrier_eval(t_bar, c_lin, cons, y):
-    """Reference: the barrier as a dense loop over single rows, every row
-    adding its full gradient and Hessian (a one-term row adds exact zeros
-    off its support)."""
+def _log_rows(constraints, n, lifted):
+    """Reference rows (b, a), one per constraint and then the cage rows
+    -LOG_BOX + y_k, -LOG_BOX - y_k for each k; ``lifted`` appends phase 1's
+    slack column of -1."""
+    rows = [c.log_data() for c in constraints]
+    for k in range(n):
+        for sign in (1.0, -1.0):
+            a = np.zeros((1, n))
+            a[0, k] = sign
+            rows.append((np.array([-LOG_BOX]), a))
+    if lifted:
+        rows = [(b, np.hstack([a, -np.ones((a.shape[0], 1))])) for b, a in rows]
+    return rows
+
+
+def _row_loop_barrier(t_bar, c_lin, rows, y):
+    """Reference: the barrier as a loop over single rows, each a log-sum-exp
+    with its own softmax gradient and Hessian."""
     n = y.size
     inv_t = 1.0 / t_bar
     val = float(c_lin @ y)
     grad = c_lin.copy()
     hess = np.zeros((n, n))
-    for row in cons:
-        f, g, gg, hj = row.parts(y)
+    for b, a in rows:
+        z = b + a @ y
+        w = np.exp(z - z.max())
+        p = w / w.sum()
+        f = float(z.max() + math.log(w.sum()))
         if f >= 0.0:
             return np.inf, None, None
+        g = a.T @ p
+        hj = (a.T * p) @ a - np.outer(g, g)
         val -= inv_t * math.log(-f)
         grad += inv_t * (-g / f)
-        hess += inv_t * (gg / f ** 2 if hj is None else -hj / f + gg / f ** 2)
+        hess += inv_t * (-hj / f + np.outer(g, g) / f ** 2)
     return val, grad, hess
 
 
 @pytest.mark.parametrize("phase1", [False, True], ids=["main", "phase1"])
-def test_barrier_equals_dense_row_loop_bit_for_bit(defaults, phase1):
-    """Support-only single-term updates and the cage block give exactly the
-    dense row loop's value, gradient and Hessian, at 200 random interior
+def test_barrier_matches_row_loop_reference(defaults, phase1):
+    """The stacked term matrix gives the value, gradient and Hessian of a
+    per-row log-sum-exp loop to 1e-12 relative, at 200 random interior
     points and barrier parameters from 1 to 20**8, for the main problem and
     for phase 1's lift, where any y is interior for a large enough slack
     (so y spreads wider there, and slacks take both signs)."""
-    rows, cage, y0 = _interior_barrier(defaults, 0.1)
-    dense = rows + cage.rows()
-    if phase1:
-        dense = [type(row)(row.b, np.hstack([row.a, -np.ones((row.a.shape[0], 1))]))
-                 for row in dense]
+    constraints, terms, y0 = _interior_barrier(defaults, 0.1)
+    rows = _log_rows(constraints, 6, phase1)
     rng = np.random.default_rng(29)
     for i in range(200):
         y = y0 + rng.normal(scale=2.0 if phase1 else 0.05, size=6)
         t_bar = 20.0 ** (i % 9)
         if phase1:
-            b_rows, b_cage, c_lin, z = _phase1_barrier(
-                rows, cage, y, float(rng.uniform(0.01, 2.0)))
+            b_terms, c_lin, z = _phase1_barrier(
+                terms, y, float(rng.uniform(0.01, 2.0)))
         else:
-            b_rows, b_cage, c_lin, z = rows, cage, np.array([-1.0, 0, 0, 0, 0, 0]), y
-        ref_val, ref_grad, ref_hess = _dense_barrier_eval(t_bar, c_lin, dense, z)
+            b_terms, c_lin, z = terms, np.array([-1.0, 0, 0, 0, 0, 0]), y
+        ref_val, ref_grad, ref_hess = _row_loop_barrier(t_bar, c_lin, rows, z)
         assert np.isfinite(ref_val)
-        val, grad, hess = _barrier_eval(t_bar, c_lin, b_rows, b_cage, z)
-        assert val == ref_val
-        assert np.array_equal(grad, ref_grad) and np.array_equal(hess, ref_hess)
-        assert _barrier_value(t_bar, c_lin, b_rows, b_cage, z) == ref_val
+        val, grad, hess = _barrier_eval(t_bar, c_lin, b_terms, z)
+        assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        assert np.abs(hess - ref_hess).max() <= 1e-12 * np.abs(ref_hess).max()
+        assert _barrier_value(t_bar, c_lin, b_terms, z) == val
 
 
-def test_single_term_closed_form_matches_log_sum_exp(rng):
-    """For a one-term row the closed form gives exactly the numbers of the
-    log-sum-exp formulas: the same value and gradient, and a log-sum-exp
-    curvature of exactly zero, so the barrier curvature is a a^T / f^2."""
+def test_one_term_rows_are_affine(rng):
+    """A one-term row needs no special case in the term matrix: its value is
+    exactly b + a.y, its gradient exactly a and its centred term row exactly
+    zero, so it adds no log-sum-exp curvature; on rows of one to three terms
+    over 1-8 variables, lifted and not."""
     for n in range(1, 9):
         for _ in range(50):
-            b = rng.normal(size=1)
-            a = rng.choice([-1.0, 0.0, 1.0, 0.5, -2.5], size=(1, n))
-            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 2)
-            f, g, gg, hj = _Posy(b, a).parts(y)
-            f1, g1, gg1, hj1 = _Mono(b, a).parts(y)
-            assert f1 == f and _Mono(b, a).value(y) == _Posy(b, a).value(y)
-            assert np.array_equal(g1, g) and np.array_equal(gg1, gg)
-            assert hj1 is None and not hj.any()
+            sizes = rng.integers(1, 4, size=4)
+            terms = _Terms.stack(
+                [Posynomial(np.exp(rng.normal(size=k)),
+                            rng.choice([-1.0, 0.0, 1.0, 0.5, -2.5], size=(k, n)))
+                 for k in sizes], n)
+            for t in (terms, terms.lifted()):
+                y = rng.normal(size=t.a.shape[1]) * 10.0 ** rng.uniform(-3, 2)
+                f, g, _, d = t.parts(y)
+                one = np.bincount(t.row) == 1
+                first = t.starts[one]
+                assert one.sum() == np.sum(sizes == 1) + 2 * n
+                assert np.array_equal(f[one], (t.b + t.a @ y)[first])
+                assert np.array_equal(g[one], t.a[first])
+                assert not d[one[t.row]].any()
+                assert np.array_equal(t.values(y), f)
 
 
 def test_inner_solver_flags_unreachable_tolerance(defaults):
