@@ -22,11 +22,10 @@ from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          tx_estimate_uplink, ur_estimate)
 from .gp import (CondensationTrace, GpState, NonReciprocalSolution, condense,
                  from_gp_variables, grid_oracle_nonreciprocal,
-                 initial_feasible_state, solve_inner_gp, theta_exponents,
-                 to_gp_variables)
+                 initial_feasible_state, solve_inner_gp, to_gp_variables)
 from .montecarlo import (NmseReport, SerReport, jensen_oracle,
                          run_nmse_experiment, run_ser_experiment,
-                         solve_allocation, sweep_power_allocation)
+                         solve_allocation)
 from .nmse import (check_gamma, gamma_bounds, gamma_tilde, jensen_factor,
                    mu_threshold, nmse_l_nonreciprocal_approx, nmse_l_reciprocal,
                    nmse_lower_bound, nmse_u_nonreciprocal, nmse_u_reciprocal)

@@ -5,7 +5,8 @@ Subcommands:
 * ``alloc``  — solve the configured power-allocation problem, print one row.
 * ``nmse``   — analytic + empirical NMSE for the solved allocation; with a
   comma-separated ``--tau-f`` list, sweep the forward training length at
-  fixed total energy budgets (reciprocal scheme only).
+  fixed total energy budgets (reciprocal scheme only; a list is rejected
+  by every other command).
 * ``ser``    — data-phase symbol error rates with estimated channels.
 * ``verify`` — self-check suite pitting the solvers against brute-force
   oracles and toy problems with known answers.
@@ -40,8 +41,8 @@ from .montecarlo import (DESK_SER_TRIALS, FULL_SER_TRIALS, MIN_NMSE_TRIALS,
 from .nmse import (check_gamma, gamma_bounds, nmse_l_nonreciprocal_approx,
                    nmse_lower_bound, nmse_u_reciprocal)
 from .ostbc import verify_code_orthogonality
-from .params import (NON_RECIPROCAL, RECIPROCAL, db_to_linear, default_params,
-                     linear_to_db, nonreciprocal_allocation,
+from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, db_to_linear,
+                     default_params, linear_to_db, nonreciprocal_allocation,
                      with_fixed_energy_budgets)
 from .rng import make_rng
 from .tables import ResultTable, strip_footer, write_table
@@ -99,18 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_tau_list(raw: Optional[str]) -> Optional[List[int]]:
-    if raw is None:
-        return None
-    try:
-        values = [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--tau-f expects integers, got {raw!r}") from exc
-    if not values:
-        raise ConfigError("--tau-f given but empty")
-    return values
-
-
 _OVERLAY_KEYS = ("scheme", "pbar_t_db", "pbar_l_db", "trials", "seed",
                  "jensen_variant", "modulation", "format", "out", "full_scale")
 _SWEEP_FLAGS = ("gamma", "pave_db")
@@ -126,11 +115,14 @@ def effective_config(args: argparse.Namespace):
         raw = getattr(args, key, None)
         if raw is not None:
             setattr(cfg, key, parse_float_list(key, raw))
-    taus = _parse_tau_list(getattr(args, "tau_f", None))
+    taus = None if args.tau_f is None else parse_float_list("tau_f", args.tau_f, int)
     if taus is not None and len(taus) == 1:
         cfg.tau_f = taus[0]
         taus = None
     cfg.validate()
+    if taus is not None and args.command != "nmse":
+        raise ConfigError("a --tau-f list sweeps the forward length and only "
+                          "applies to the nmse command")
     for tau_f in taus or ():
         # each sweep value gets the checks a single --tau-f value gets
         dataclasses.replace(cfg, tau_f=tau_f).validate().to_params(cfg.pave_db[0])
@@ -142,29 +134,17 @@ def effective_config(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 def cmd_alloc(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
-    if taus is not None:
-        raise ConfigError("a --tau-f sweep only applies to the nmse command")
-    if cfg.scheme == RECIPROCAL:
-        table = ResultTable(["p_ave_db", "gamma", "er_db", "ef_db", "an_db",
-                             "nmse_l", "nmse_u"])
-    else:
-        table = ResultTable(["p_ave_db", "gamma", "e0_db", "e1_db", "e2_db",
-                             "e3_db", "an_db", "nmse_l", "nmse_u"])
-    for gamma in cfg.gamma:
-        for pave_db in cfg.pave_db:
-            params = cfg.to_params(pave_db)
-            alloc, nmse_l, nmse_u = solve_allocation(params, gamma, cfg.scheme,
-                                                     cfg.jensen_variant)
-            an_power = (params.n_t - params.n_l) * alloc.var_a
-            if cfg.scheme == RECIPROCAL:
-                table.add_row(pave_db, gamma, linear_to_db(alloc.e_r),
-                              linear_to_db(alloc.e_f), linear_to_db(an_power),
-                              nmse_l, nmse_u)
-            else:
-                table.add_row(pave_db, gamma, linear_to_db(alloc.e_0),
-                              linear_to_db(alloc.e_1), linear_to_db(alloc.e_2),
-                              linear_to_db(alloc.e_3), linear_to_db(an_power),
-                              nmse_l, nmse_u)
+    names = [k for k in PowerAllocation(cfg.scheme).energies() if k != "var_a"]
+    table = ResultTable(["p_ave_db", "gamma",
+                         *(k.replace("_", "") + "_db" for k in names),
+                         "an_db", "nmse_l", "nmse_u"])
+    for gamma, pave_db, params in cfg.points():
+        alloc, nmse_l, nmse_u = solve_allocation(params, gamma, cfg.scheme,
+                                                 cfg.jensen_variant)
+        energies = alloc.energies()
+        an_power = (params.n_t - params.n_l) * alloc.var_a
+        table.add_row(pave_db, gamma, *(linear_to_db(energies[k]) for k in names),
+                      linear_to_db(an_power), nmse_l, nmse_u)
     write_table(table, cfg.format, cfg.out)
     return EXIT_OK
 
@@ -174,37 +154,28 @@ def cmd_nmse(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
     if trials < MIN_NMSE_TRIALS:
         raise ConfigError(f"nmse needs at least {MIN_NMSE_TRIALS} trials, "
                           f"got {trials}")
-    if taus is not None and cfg.scheme != RECIPROCAL:
-        raise ConfigError("the forward-length sweep exists only for the "
-                          "reciprocal scheme (the other geometry pins it)")
     table = ResultTable(["scheme", "gamma", "p_ave_db", "tau_f",
                          "nmse_l_analytic", "nmse_l_empirical", "hw95_lr",
                          "nmse_u_analytic", "nmse_u_empirical", "hw95_ur",
                          "nmse_lower_bound", "trials", "resampled_trials"])
-    for gamma in cfg.gamma:
-        for pave_db in cfg.pave_db:
-            params = cfg.to_params(pave_db)
-            sweep = taus if taus is not None else [params.tau_f]
-            for tau_f in sweep:
-                p = (with_fixed_energy_budgets(params, tau_f)
-                     if cfg.scheme == RECIPROCAL else params)
-                alloc, nmse_l, nmse_u = solve_allocation(
-                    p, gamma, cfg.scheme, cfg.jensen_variant)
-                rep = run_nmse_experiment(p, alloc, trials=trials,
-                                          seed=cfg.seed,
-                                          jensen_variant=cfg.jensen_variant)
-                table.add_row(cfg.scheme, gamma, pave_db, tau_f,
-                              nmse_l, rep.empirical_lr, rep.half_width_95_lr,
-                              nmse_u, rep.empirical_ur, rep.half_width_95_ur,
-                              nmse_lower_bound(p, cfg.scheme), rep.trials,
-                              rep.resampled_trials)
+    for gamma, pave_db, params in cfg.points():
+        for tau_f in taus or [params.tau_f]:
+            p = (with_fixed_energy_budgets(params, tau_f)
+                 if cfg.scheme == RECIPROCAL else params)
+            alloc, nmse_l, nmse_u = solve_allocation(
+                p, gamma, cfg.scheme, cfg.jensen_variant)
+            rep = run_nmse_experiment(p, alloc, trials=trials, seed=cfg.seed,
+                                      jensen_variant=cfg.jensen_variant)
+            table.add_row(cfg.scheme, gamma, pave_db, tau_f,
+                          nmse_l, rep.empirical_lr, rep.half_width_95_lr,
+                          nmse_u, rep.empirical_ur, rep.half_width_95_ur,
+                          nmse_lower_bound(p, cfg.scheme), rep.trials,
+                          rep.resampled_trials)
     write_table(table, cfg.format, cfg.out)
     return EXIT_OK
 
 
 def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
-    if taus is not None:
-        raise ConfigError("a --tau-f sweep only applies to the nmse command")
     if cfg.full_scale:
         trials = FULL_SER_TRIALS
     elif cfg.trials is not None:
@@ -213,15 +184,12 @@ def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
         trials = DESK_SER_TRIALS
     table = ResultTable(["p_ave_db", "gamma", "ser_lr", "ser_ur", "trials",
                          "resampled_trials"])
-    for gamma in cfg.gamma:
-        for pave_db in cfg.pave_db:
-            params = cfg.to_params(pave_db)
-            rep = run_ser_experiment(params, gamma, cfg.modulation,
-                                     trials=trials, seed=cfg.seed,
-                                     scheme=cfg.scheme,
-                                     jensen_variant=cfg.jensen_variant)
-            table.add_row(pave_db, gamma, rep.ser_lr, rep.ser_ur, rep.trials,
-                          rep.resampled_trials)
+    for gamma, pave_db, params in cfg.points():
+        rep = run_ser_experiment(params, gamma, cfg.modulation, trials=trials,
+                                 seed=cfg.seed, scheme=cfg.scheme,
+                                 jensen_variant=cfg.jensen_variant)
+        table.add_row(pave_db, gamma, rep.ser_lr, rep.ser_ur, rep.trials,
+                      rep.resampled_trials)
     write_table(table, cfg.format, cfg.out)
     return EXIT_OK
 

@@ -4,7 +4,10 @@ One assignment per line; ``#`` starts a comment; keys mirror the CLI flags
 (dashes become underscores).  Parsing is strict: unknown or duplicate keys
 and malformed values raise ConfigError, and ``dump_config(load_config(s))``
 reproduces every explicitly stored value.  ``gamma`` and ``pave_db`` accept
-comma-separated sweep lists; a single value is the one-point sweep.
+comma-separated sweep lists (a single value is the one-point sweep) and
+``points()`` walks that grid gamma-outer.  Training lengths are capped at
+MAX_TRAINING_SLOTS; ``tau_f`` is rejected under the echo scheme, whose
+forward phase is pinned to ``n_t`` slots.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 from .errors import ConfigError
 from .params import (NON_RECIPROCAL, RECIPROCAL, SystemParams, db_to_linear,
@@ -20,6 +23,10 @@ from .params import (NON_RECIPROCAL, RECIPROCAL, SystemParams, db_to_linear,
 
 FORMATS = ("csv", "json")
 JENSEN_VARIANTS = ("printed", "sigma-squared")
+# Longest training phase accepted, in slots: each pilot filter solves a tau x
+# tau system and each Monte-Carlo block holds (256, tau, n) arrays, so memory
+# grows with tau (``dce nmse --tau-f 4,2048 --trials 100`` peaks at 210 MB).
+MAX_TRAINING_SLOTS = 1024
 
 FloatSweep = Tuple[float, ...]
 
@@ -83,16 +90,20 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        for name in ("tau_r", "tau_f"):
+            v = getattr(self, name)
+            if v is not None and v > MAX_TRAINING_SLOTS:
+                raise ConfigError(
+                    f"{name} must be at most {MAX_TRAINING_SLOTS} slots, got {v}")
+        if self.tau_f is not None and self.scheme == NON_RECIPROCAL:
+            raise ConfigError("tau_f does not apply to the non-reciprocal scheme, "
+                              "whose forward phase is pinned to n_t slots")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         return self
 
-    def to_params(self, pave_db: Optional[float] = None) -> SystemParams:
-        """System parameters at one sweep point (the sole point by default)."""
-        if pave_db is None:
-            if len(self.pave_db) != 1:
-                raise ValueError("pave_db sweep has several points; pick one")
-            pave_db = self.pave_db[0]
+    def to_params(self, pave_db: float) -> SystemParams:
+        """System parameters at one average-power point."""
         try:
             return default_params(
                 p_ave_db=pave_db, p_bar_t_db=self.pbar_t_db,
@@ -100,6 +111,12 @@ class ExperimentConfig:
                 n_u=self.n_u, tau_r=self.tau_r, tau_f=self.tau_f)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def points(self) -> Iterator[Tuple[float, float, SystemParams]]:
+        """The sweep grid, gamma outer: (gamma, pave_db, params) per point."""
+        for gamma in self.gamma:
+            for pave_db in self.pave_db:
+                yield gamma, pave_db, self.to_params(pave_db)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -109,10 +126,11 @@ _SWEEP_KEYS = {"gamma", "pave_db"}
 _BOOL_KEYS = {"full_scale"}
 
 
-def parse_float_list(key: str, raw: str) -> FloatSweep:
-    """Comma-separated floats -> tuple; empty input is a ConfigError."""
+def parse_float_list(key: str, raw: str,
+                     kind: Callable[[str], Union[int, float]] = float) -> tuple:
+    """Comma-separated ``kind`` values -> tuple; empty input is a ConfigError."""
     try:
-        values = tuple(float(part) for part in raw.split(",") if part.strip())
+        values = tuple(kind(part) for part in raw.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     if not values:

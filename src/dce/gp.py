@@ -37,6 +37,8 @@ from .params import PowerAllocation, SystemParams, nonreciprocal_allocation
 X_NAMES = ("t", "t0", "t1", "t2", "t3", "t4")
 LOG_BOX = 60.0            # |log x_k| cage keeping the barrier method bounded
 RATIO_ACTIVITY_TOL = 1e-6
+CONDENSE_TOL = 1e-6       # relative objective change that ends condensation
+CONDENSE_MAX_ROUNDS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +242,6 @@ def _denominator_weights(denom: Posynomial, x_bar: np.ndarray) -> np.ndarray:
     if not (total > 0):
         raise ValueError("expansion point gives a vanishing denominator")
     return (terms / total) @ denom.expo
-
-
-def theta_exponents(params: SystemParams, expansion: GpState) -> Dict[str, float]:
-    """Condensation weights at an expansion point, keyed by variable name."""
-    a = denominator_exponents(params, expansion.x())
-    return dict(zip(X_NAMES, (float(v) for v in a)))
 
 
 def condensed_ratio(params: SystemParams, x_bar: np.ndarray,
@@ -622,7 +618,6 @@ def initial_feasible_state(params: SystemParams, gamma: float) -> GpState:
 
 
 def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None,
-             tol: float = 1e-6, max_iter: int = 50,
              _theta_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
              ) -> NonReciprocalSolution:
     """Successive condensation until the objective stops improving.
@@ -644,7 +639,7 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
 
     trace = CondensationTrace(steps=[])
     nmse_prev = None
-    for _ in range(max_iter):
+    for _ in range(CONDENSE_MAX_ROUNDS):
         a = (_theta_fn(x_bar) if _theta_fn is not None
              else _denominator_weights(denom, x_bar))
         constraints = [_condensed(numer, denom, x_bar, a)] + fixed
@@ -661,7 +656,7 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
                 raise Stalled(
                     f"objective worsened from {nmse_prev:.12g} to {nmse:.12g}; "
                     "the surrogate no longer under-estimates the denominator")
-            if abs(nmse - nmse_prev) <= tol * nmse_prev:
+            if abs(nmse - nmse_prev) <= CONDENSE_TOL * nmse_prev:
                 trace.converged = True
                 x_bar = x_opt
                 break

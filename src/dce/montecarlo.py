@@ -12,9 +12,8 @@ the block's next substream, up to MAX_RESAMPLES times, and counted in
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .nmse import (downlink_beta, jensen_factor, nmse_l_nonreciprocal_approx,
                    sigma_sq_uplink)
 from .ostbc import (CODE_SLOTS, CODE_SYMBOLS, SUPPORTED_QAM, block_scale,
                     decode_block, encode_block, qam_constellation)
-from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams,
-                     db_to_linear)
+from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .rng import complex_gaussian, trial_rng
 from .training import (forward_training, reverse_training, round_trip_training,
                        sample_channels)
@@ -185,43 +183,6 @@ def solve_allocation(params: SystemParams, gamma: float, scheme: str,
                 nmse_l_nonreciprocal_approx(params, sol.alloc, jensen_variant),
                 nmse_u_nonreciprocal(params, sol.alloc.e_3, sol.alloc.var_a))
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def sweep_power_allocation(params: SystemParams, scheme: str,
-                           gammas: Sequence[float], paves_db: Sequence[float],
-                           trials: int = 400, seed: int = 0,
-                           jensen_variant: str = "printed",
-                           ) -> List[Dict[str, object]]:
-    """Solve + verify one allocation per (gamma, average-power) pair.
-
-    Each row carries the solved energies, the analytic predictions, and the
-    empirical check with its confidence half-widths.
-    """
-    rows: List[Dict[str, object]] = []
-    for gamma in gammas:
-        for p_ave_db in paves_db:
-            p = dataclasses.replace(params, p_ave=db_to_linear(p_ave_db))
-            alloc, nmse_l, nmse_u = solve_allocation(p, gamma, scheme,
-                                                     jensen_variant)
-            report = run_nmse_experiment(p, alloc, trials=trials, seed=seed,
-                                         jensen_variant=jensen_variant)
-            rows.append({
-                "scheme": scheme,
-                "gamma": gamma,
-                "p_ave_db": p_ave_db,
-                "e_r": alloc.e_r, "e_f": alloc.e_f,
-                "e_0": alloc.e_0, "e_1": alloc.e_1,
-                "e_2": alloc.e_2, "e_3": alloc.e_3,
-                "var_a": alloc.var_a,
-                "nmse_l_analytic": nmse_l,
-                "nmse_u_analytic": nmse_u,
-                "nmse_l_empirical": report.empirical_lr,
-                "nmse_u_empirical": report.empirical_ur,
-                "half_width_95_lr": report.half_width_95_lr,
-                "half_width_95_ur": report.half_width_95_ur,
-                "trials": trials,
-            })
-    return rows
 
 
 def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,

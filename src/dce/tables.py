@@ -1,7 +1,7 @@
 r"""Deterministic result tables.
 
 Both renderers emit byte-identical output for identical inputs; the only
-run-dependent line is the optional footer, which always starts with ``#``
+run-dependent line is the footer, which always starts with ``#``
 and sits alone at the end so consumers (and the determinism check) can strip
 it.  CSV follows RFC 4180 (CRLF line ends, minimal quoting, quotes doubled);
 floats are written with 17 significant digits so values survive a
@@ -75,16 +75,14 @@ class ResultTable:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    def render(self, fmt: str, timestamp: bool = True) -> str:
+    def render(self, fmt: str) -> str:
         if fmt == "csv":
             body = self.render_csv()
         elif fmt == "json":
             body = self.render_json()
         else:
             raise ValueError(f"unknown format {fmt!r}")
-        if timestamp:
-            body += footer_line() + "\n"
-        return body
+        return body + footer_line() + "\n"
 
 
 def strip_footer(text: str) -> str:

@@ -5,6 +5,7 @@ test outcome, and explicitly on stdout).  Tolerances and runtime caps are
 stated inline; every random draw is seeded.
 """
 
+import csv
 import time
 
 import numpy as np
@@ -27,7 +28,6 @@ from dce.montecarlo import (
     run_nmse_experiment,
     run_ser_experiment,
     solve_allocation,
-    sweep_power_allocation,
 )
 from dce.nmse import (
     gamma_bounds,
@@ -246,18 +246,21 @@ def test_accept_07_echo_scheme_surrogate_tracks_reality():
             f"{adj['closer']}")
 
 
-def test_accept_08_floor_respected_empirically():
-    """Every solved allocation in a 2x3 sweep of each scheme keeps the
+def test_accept_08_floor_respected_empirically(tmp_path):
+    """Every row of a 2x3 ``dce nmse`` sweep under each scheme keeps the
     empirical UR NMSE above gamma minus the 95% half-width."""
     checked = 0
     for scheme in (RECIPROCAL, NON_RECIPROCAL):
-        rows = sweep_power_allocation(default_params(), scheme, [0.1, 0.03],
-                                      [15.0, 20.0, 25.0], trials=2000)
-        for r in rows:
-            slack = r["nmse_u_empirical"] - (r["gamma"] - r["half_width_95_ur"])
+        out = tmp_path / f"{scheme}.csv"
+        assert cli.main(["nmse", "--scheme", scheme, "--gamma", "0.1,0.03",
+                         "--pave-db", "15,20,25", "--trials", "2000",
+                         "--out", str(out)]) == 0
+        for r in csv.DictReader(strip_footer(out.read_text()).splitlines()):
+            gamma = float(r["gamma"])
+            slack = float(r["nmse_u_empirical"]) - (gamma - float(r["hw95_ur"]))
             assert slack >= 0.0, \
-                (f"{scheme} {r['gamma']}/{r['p_ave_db']}: empirical UR "
-                 f"{r['nmse_u_empirical']:.4f} below floor {r['gamma']}")
+                (f"{scheme} {gamma}/{r['p_ave_db']}: empirical UR "
+                 f"{r['nmse_u_empirical']} below floor {gamma}")
             checked += 1
     _report("accept-08", checked == 12,
             f"{checked}/12 sweep rows keep empirical UR NMSE >= gamma - hw95")

@@ -14,6 +14,15 @@ import dce.cli as cli
 from dce.tables import strip_footer
 
 GOLDEN = Path(__file__).parent / "golden"
+# each golden table and the `dce alloc` arguments that print it
+ALLOC_GOLDENS = [
+    ("alloc_reciprocal.csv",
+     ["--scheme", "reciprocal", "--pave-db", "0,5,10,15,20,25,30,35,40,45",
+      "--gamma", "0.5,0.1,0.03,0.01"]),
+    ("alloc_non_reciprocal.csv",
+     ["--scheme", "non-reciprocal", "--pave-db", "10,15,20,25,30",
+      "--gamma", "0.5,0.2,0.1"]),
+]
 
 EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_GEOMETRY, EXIT_VERIFY = 0, 2, 3, 4, 5
 EXIT_DEGENERATE = 6
@@ -112,14 +121,7 @@ def test_forward_length_sweep_monotone(tmp_path):
     assert all(b >= a * (1 - 1e-12) for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("golden, argv", [
-    ("alloc_reciprocal.csv",
-     ["--scheme", "reciprocal", "--pave-db", "0,5,10,15,20,25,30,35,40,45",
-      "--gamma", "0.5,0.1,0.03,0.01"]),
-    ("alloc_non_reciprocal.csv",
-     ["--scheme", "non-reciprocal", "--pave-db", "10,15,20,25,30",
-      "--gamma", "0.5,0.2,0.1"]),
-])
+@pytest.mark.parametrize("golden, argv", ALLOC_GOLDENS)
 def test_alloc_matches_golden_bytes(tmp_path, golden, argv):
     """``dce alloc`` draws no random numbers: its table, footer aside, is
     byte-identical to the committed golden."""
@@ -128,6 +130,40 @@ def test_alloc_matches_golden_bytes(tmp_path, golden, argv):
     rows = out.read_bytes().splitlines(keepends=True)
     table = b"".join(r for r in rows if not r.startswith(b"#"))
     assert table == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden, argv", ALLOC_GOLDENS)
+def test_alloc_golden_rows_match_single_point_runs(tmp_path, golden, argv):
+    """A sweep row does not depend on its sweep: each golden row is the row
+    printed when its (gamma, p_ave) point is solved alone."""
+    opts = dict(zip(argv[::2], argv[1::2]))
+    rows = (GOLDEN / golden).read_bytes().splitlines(keepends=True)
+    points = [(gamma, pave) for gamma in opts["--gamma"].split(",")
+              for pave in opts["--pave-db"].split(",")]
+    assert len(rows) == 1 + len(points)
+    for row, (gamma, pave) in zip(rows[1:], points):
+        code, out = _run(tmp_path, "alloc", "--scheme", opts["--scheme"],
+                         "--pave-db", pave, "--gamma", gamma)
+        assert code == EXIT_OK
+        assert out.read_bytes().splitlines(keepends=True)[1] == row
+
+
+def test_nmse_sweep_rows_match_single_point_runs(tmp_path):
+    """Every point draws from the same seed, so a sweep row is the row the
+    point prints alone."""
+    argv = ["nmse", "--trials", "200", "--seed", "7"]
+    code, out = _run(tmp_path, *argv, "--gamma", "0.1,0.03",
+                     "--pave-db", "15,20")
+    assert code == EXIT_OK
+    rows = [r for r in out.read_bytes().splitlines(keepends=True)[1:]
+            if not r.startswith(b"#")]
+    assert len(rows) == 4
+    points = [("0.1", "15"), ("0.1", "20"), ("0.03", "15"), ("0.03", "20")]
+    for row, (gamma, pave) in zip(rows, points):
+        code, single = _run(tmp_path, *argv, "--gamma", gamma,
+                            "--pave-db", pave)
+        assert code == EXIT_OK
+        assert single.read_bytes().splitlines(keepends=True)[1] == row
 
 
 def test_single_tau_flag_is_plain_override(tmp_path):
@@ -192,12 +228,27 @@ def test_exit_config_tau_sweep_wrong_command():
                      "--tau-f", "4,8"]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("sweep", ["4,2", "0,4"])
+@pytest.mark.parametrize("sweep", ["4,2", "0,4", "4,100000000000"])
 def test_exit_config_tau_sweep_value_invalid(sweep, capsys):
     """Every --tau-f sweep value gets a single value's checks: tau_f below
-    n_t (rank-deficient forward pilot) or zero is a configuration error,
-    not a traceback from the sweep."""
+    n_t (rank-deficient forward pilot), zero or past the length cap is a
+    configuration error, not a traceback (or numpy's memory error) from the
+    sweep."""
     assert cli.main(["nmse", "--tau-f", sweep, "--trials", "100"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["alloc", "--scheme", "non-reciprocal", "--tau-f", "8"],
+    ["nmse", "--scheme", "non-reciprocal", "--tau-f", "8", "--trials", "100"],
+    ["verify", "--tau-f", "4,8"],
+])
+def test_exit_config_tau_f_outside_its_scope(argv, capsys):
+    """The echo scheme pins its forward phase to n_t slots and only nmse
+    sweeps a --tau-f list: either is a configuration error, never a table
+    computed without the flag."""
+    assert cli.main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
 

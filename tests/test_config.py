@@ -3,6 +3,7 @@
 import pytest
 
 from dce.config import (
+    MAX_TRAINING_SLOTS,
     ExperimentConfig,
     dump_config,
     load_config,
@@ -108,14 +109,32 @@ def test_validate_rejects_negative_seed():
     assert ExperimentConfig(seed=0).validate().seed == 0
 
 
-def test_to_params_needs_unambiguous_point():
-    cfg = ExperimentConfig(pave_db=(10.0, 20.0))
-    with pytest.raises(ValueError, match="several points"):
-        cfg.to_params()
-    p = cfg.to_params(10.0)
-    assert p.p_ave == pytest.approx(10.0)
-    single = ExperimentConfig(pave_db=20.0)
-    assert single.to_params().p_ave == pytest.approx(100.0)
+def test_points_walk_gamma_outer():
+    cfg = ExperimentConfig(gamma=(0.1, 0.03), pave_db=(10.0, 20.0), tau_f=8)
+    points = list(cfg.points())
+    assert [(g, pave) for g, pave, _ in points] == [
+        (0.1, 10.0), (0.1, 20.0), (0.03, 10.0), (0.03, 20.0)]
+    for _, pave, params in points:
+        assert params == cfg.to_params(pave)
+        assert params.tau_f == 8
+    assert points[0][2].p_ave == pytest.approx(10.0)
+
+
+def test_validate_rejects_forward_length_under_echo_scheme():
+    """The echo scheme's forward phase is pinned to n_t slots, so a tau_f
+    would be ignored; from a config key it is an error like the flag."""
+    with pytest.raises(ConfigError, match="tau_f does not apply"):
+        ExperimentConfig(scheme=NON_RECIPROCAL, tau_f=4).validate()
+    with pytest.raises(ConfigError, match="tau_f does not apply"):
+        load_config("scheme=non-reciprocal\ntau_f=8\n")
+    assert ExperimentConfig(scheme=NON_RECIPROCAL, tau_r=4).validate().tau_r == 4
+
+
+def test_validate_caps_training_lengths():
+    for name in ("tau_r", "tau_f"):
+        ExperimentConfig(**{name: MAX_TRAINING_SLOTS}).validate()
+        with pytest.raises(ConfigError, match=f"{name} must be at most"):
+            ExperimentConfig(**{name: MAX_TRAINING_SLOTS + 1}).validate()
 
 
 def test_to_params_wraps_geometry_errors():
@@ -130,6 +149,9 @@ def test_parse_float_list():
         parse_float_list("gamma", "a,b")
     with pytest.raises(ConfigError):
         parse_float_list("gamma", "")
+    assert parse_float_list("tau_f", "4, 8", int) == (4, 8)
+    with pytest.raises(ConfigError, match="bad value for tau_f"):
+        parse_float_list("tau_f", "4,8.5", int)
 
 
 def test_load_config_file_missing(tmp_path):

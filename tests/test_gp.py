@@ -33,7 +33,6 @@ from dce.gp import (
     quality_score,
     ratio_parts,
     solve_inner_gp,
-    theta_exponents,
     to_gp_variables,
 )
 from dce.nmse import nmse_l_nonreciprocal_approx
@@ -110,8 +109,8 @@ def test_quality_score_activates_ratio(defaults, rng):
 # ---------------------------------------------------------------------------
 
 def test_theta_exponents_frozen_point(defaults):
-    ones = GpState(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    assert theta_exponents(defaults, ones) == pytest.approx(
+    a = denominator_exponents(defaults, np.ones(6))
+    assert dict(zip(X_NAMES, a)) == pytest.approx(
         {"t": 0.5, "t0": 0.5, "t1": 0.75, "t2": 0.625, "t3": 0.5, "t4": 0.0})
 
 
@@ -124,7 +123,7 @@ def test_theta_exponents_in_unit_interval(defaults, rng):
 
 def test_theta_concentrates_when_t3_vanishes(defaults):
     thin = GpState(1.0, 1.0, 1.0, 1.0, 1e-14, 1.0)
-    a = theta_exponents(defaults, thin)
+    a = dict(zip(X_NAMES, denominator_exponents(defaults, thin.x())))
     assert a["t3"] == pytest.approx(0.0, abs=1e-12)
     assert a["t"] == pytest.approx(1.0, abs=1e-12)
 
@@ -453,7 +452,7 @@ def test_condense_detects_sabotaged_weights(defaults):
 def test_condense_matches_golden_panel(case):
     """Bit pin of successive condensation over 0-45 dB: objective, final
     state, round count and convergence flag equal the committed reprs.  The
-    21.9 dB instance stops unconverged at max_iter (ROADMAP item 3)."""
+    21.9 dB instance stops unconverged at CONDENSE_MAX_ROUNDS (ROADMAP item 3)."""
     sol = condense(default_params(p_ave_db=case["p_ave_db"]), case["gamma"])
     assert repr(float(sol.objective)) == case["objective"]
     assert repr(sol.state) == case["state"]

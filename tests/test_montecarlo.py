@@ -1,5 +1,5 @@
 """Monte-Carlo layer: empirical NMSE vs closed forms, the spectral-factor
-oracle, end-to-end sweeps, symbol-error experiments."""
+oracle, the allocation dispatcher, symbol-error experiments."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from dce.montecarlo import (
     run_nmse_experiment,
     run_ser_experiment,
     solve_allocation,
-    sweep_power_allocation,
 )
 from dce.params import (
     NON_RECIPROCAL,
@@ -167,35 +166,6 @@ def test_solve_allocation_schemes(defaults):
         solve_allocation(defaults, 0.1, "fdd", "printed")
     with pytest.raises(InfeasibleGamma):
         solve_allocation(defaults, 2.0, RECIPROCAL, "printed")
-
-
-def test_sweep_rows_and_floor(defaults):
-    rows = sweep_power_allocation(defaults, RECIPROCAL, [0.1, 0.03],
-                                  [10.0, 20.0], trials=400)
-    assert len(rows) == 4
-    assert [(r["gamma"], r["p_ave_db"]) for r in rows] == [
-        (0.1, 10.0), (0.1, 20.0), (0.03, 10.0), (0.03, 20.0)]
-    for r in rows:
-        assert r["scheme"] == RECIPROCAL
-        assert r["nmse_u_analytic"] >= r["gamma"] - 1e-9
-        assert r["trials"] == 400
-        assert np.isfinite(r["nmse_l_empirical"])
-
-
-def test_sweep_low_power_tight_floor_drops_an(defaults):
-    """At 10 dB the forward budget cannot even reach the gamma=0.03 floor:
-    no AN, no reverse training, everything into pilots."""
-    rows = sweep_power_allocation(defaults, RECIPROCAL, [0.03], [10.0],
-                                  trials=400)
-    assert rows[0]["var_a"] == 0.0
-    assert rows[0]["e_r"] == 0.0
-
-
-def test_sweep_an_grows_with_floor(defaults):
-    """A higher demanded UR error needs more jamming at the same power."""
-    rows = sweep_power_allocation(defaults, RECIPROCAL, [0.1, 0.03], [20.0],
-                                  trials=400)
-    assert rows[0]["var_a"] > rows[1]["var_a"]
 
 
 # ---------------------------------------------------------------------------

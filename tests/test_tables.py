@@ -53,7 +53,7 @@ def test_csv_seventeen_digit_round_trip():
 def test_csv_rfc4180_quoting():
     t = ResultTable(columns=["detail"])
     t.add_row('says "hello", twice')
-    rendered = t.render("csv", timestamp=False)
+    rendered = t.render_csv()
     assert rendered == 'detail\r\n"says ""hello"", twice"\r\n'
     # a conforming reader recovers the original text
     rows = list(csv.reader(io.StringIO(rendered)))
@@ -63,7 +63,7 @@ def test_csv_rfc4180_quoting():
 def test_negative_infinity_prints_as_inf():
     t = ResultTable(columns=["db"])
     t.add_row(-math.inf)
-    assert "-inf" in t.render("csv", timestamp=False)
+    assert "-inf" in t.render_csv()
 
 
 def test_format_number_kinds():
@@ -74,7 +74,7 @@ def test_format_number_kinds():
 
 
 def test_json_sorted_and_strict():
-    rendered = _sample_table().render("json", timestamp=False)
+    rendered = _sample_table().render_json()
     payload = json.loads(rendered)  # strict: would choke on bare -Infinity
     assert payload["rows"][1][1] == "-inf"
     assert list(payload.keys()) == sorted(payload.keys())
