@@ -11,9 +11,9 @@ lattice oracles for both, and Monte-Carlo verification including data-phase
 symbol error rates with a four-antenna orthogonal block code.
 """
 
-from .alloc_reciprocal import (AllocProblem, ReciprocalSolution,
-                               grid_oracle_reciprocal, solve_reciprocal)
-from .config import ExperimentConfig, dump_config, load_config
+from .alloc_reciprocal import (ReciprocalSolution, grid_oracle_reciprocal,
+                               solve_reciprocal)
+from .config import ExperimentConfig, load_config
 from .errors import (ConfigError, DceError, Infeasible, InfeasibleGamma,
                      NoFeasiblePoint, NotConverged, RankDeficient,
                      SingularRegressor, Stalled, UnsupportedGeometry)

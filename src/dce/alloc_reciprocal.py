@@ -38,19 +38,6 @@ ACTIVE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class AllocProblem:
-    """A reciprocal allocation instance: parameters plus the UR floor."""
-
-    params: SystemParams
-    gamma: float
-
-    def budgets(self) -> Tuple[float, float, float]:
-        p = self.params
-        return (p.budget_average_reciprocal(), p.budget_tx_reciprocal(),
-                p.budget_lr_reciprocal())
-
-
-@dataclass(frozen=True)
 class ReciprocalSolution:
     alloc: PowerAllocation
     objective: float
@@ -58,12 +45,18 @@ class ReciprocalSolution:
     active_constraints: Tuple[str, ...]
 
 
-def _inner_solution(problem: AllocProblem, e_r: float) -> Tuple[float, float, float]:
+def _budgets(p: SystemParams) -> Tuple[float, float, float]:
+    """The average, transmitter and LR energy budgets."""
+    return (p.budget_average_reciprocal(), p.budget_tx_reciprocal(),
+            p.budget_lr_reciprocal())
+
+
+def _inner_solution(p: SystemParams, gamma: float,
+                    e_r: float) -> Tuple[float, float, float]:
     """Best (e_f, var_a, nmse_l) for a fixed reverse energy."""
-    p = problem.params
-    gt = gamma_tilde(p, problem.gamma)
+    gt = gamma_tilde(p, gamma)
     mu = mu_threshold(p)
-    s, b_t, b_l = problem.budgets()
+    s, b_t, b_l = _budgets(p)
     s_eff = min(s, b_l + b_t)
     remaining = max(min(s_eff - e_r, b_t), 0.0)
     if remaining < gt:
@@ -77,9 +70,9 @@ def _inner_solution(problem: AllocProblem, e_r: float) -> Tuple[float, float, fl
     return e_f, var_a, nmse_l_reciprocal(p, e_r, e_f, var_a)
 
 
-def _active_constraints(problem: AllocProblem, alloc: PowerAllocation) -> Tuple[str, ...]:
-    p = problem.params
-    s, b_t, b_l = problem.budgets()
+def _active_constraints(p: SystemParams, gamma: float,
+                        alloc: PowerAllocation) -> Tuple[str, ...]:
+    s, b_t, b_l = _budgets(p)
     an_energy = (p.n_t - p.n_l) * alloc.var_a * p.tau_f
     out = []
     if alloc.e_r + alloc.e_f + an_energy >= s * (1 - ACTIVE_RTOL):
@@ -89,20 +82,20 @@ def _active_constraints(problem: AllocProblem, alloc: PowerAllocation) -> Tuple[
     if alloc.e_r >= b_l * (1 - ACTIVE_RTOL):
         out.append("lr-power")
     nu = nmse_u_reciprocal(p, alloc.e_f, alloc.var_a)
-    if abs(nu - problem.gamma) <= ACTIVE_RTOL * problem.gamma:
+    if abs(nu - gamma) <= ACTIVE_RTOL * gamma:
         out.append("ur-nmse")
     return tuple(out)
 
 
-def _golden_section(fun, lo: float, hi: float, rel_width: float) -> Tuple[float, float]:
-    """Minimize fun on [lo, hi] down to width rel_width*(hi-lo)."""
+def _golden_section(fun, lo: float, hi: float) -> Tuple[float, float]:
+    """Minimize fun on [lo, hi] down to width GOLDEN_REL_WIDTH*(hi-lo)."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     width = hi - lo
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    while (b - a) > rel_width * width:
+    while (b - a) > GOLDEN_REL_WIDTH * width:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -115,7 +108,7 @@ def _golden_section(fun, lo: float, hi: float, rel_width: float) -> Tuple[float,
     return x, min(fc, fd)
 
 
-def solve_reciprocal(problem: AllocProblem) -> ReciprocalSolution:
+def solve_reciprocal(params: SystemParams, gamma: float) -> ReciprocalSolution:
     """Minimize the LR NMSE subject to the UR floor and the power budgets.
 
     Closed-form branch: when mu exceeds min(B_l, S - gt), AN never pays off
@@ -123,11 +116,11 @@ def solve_reciprocal(problem: AllocProblem) -> ReciprocalSolution:
     dense scan plus golden-section refinement solves the one-dimensional
     reduced problem; ties go to the smallest reverse energy.
     """
-    p = problem.params
-    check_gamma(p, problem.gamma, RECIPROCAL)
-    gt = gamma_tilde(p, problem.gamma)
+    p = params
+    check_gamma(p, gamma, RECIPROCAL)
+    gt = gamma_tilde(p, gamma)
     mu = mu_threshold(p)
-    s, b_t, b_l = problem.budgets()
+    s, b_t, b_l = _budgets(p)
     s_eff = min(s, b_l + b_t)
 
     # The closed form (0, gt, 0) only exists when spending gt on forward
@@ -139,12 +132,12 @@ def solve_reciprocal(problem: AllocProblem) -> ReciprocalSolution:
             alloc=alloc,
             objective=nmse_l_reciprocal(p, 0.0, gt, 0.0),
             branch="closed-form",
-            active_constraints=_active_constraints(problem, alloc),
+            active_constraints=_active_constraints(p, gamma, alloc),
         )
 
     lo = max(0.0, s_eff - b_t)
     hi = min(b_l, s_eff)
-    objective = lambda e_r: _inner_solution(problem, e_r)[2]
+    objective = lambda e_r: _inner_solution(p, gamma, e_r)[2]
 
     if hi - lo <= 0:
         best_er, best_val = lo, objective(lo)
@@ -156,21 +149,22 @@ def solve_reciprocal(problem: AllocProblem) -> ReciprocalSolution:
         step = (hi - lo) / (SCAN_POINTS - 1)
         g_lo = max(lo, best_er - step)
         g_hi = min(hi, best_er + step)
-        x, fx = _golden_section(objective, g_lo, g_hi, GOLDEN_REL_WIDTH)
+        x, fx = _golden_section(objective, g_lo, g_hi)
         if fx < best_val:
             best_er, best_val = x, fx
 
-    e_f, var_a, _ = _inner_solution(problem, best_er)
+    e_f, var_a, _ = _inner_solution(p, gamma, best_er)
     alloc = reciprocal_allocation(best_er, e_f, var_a)
     return ReciprocalSolution(
         alloc=alloc,
         objective=best_val,
         branch="line-search",
-        active_constraints=_active_constraints(problem, alloc),
+        active_constraints=_active_constraints(p, gamma, alloc),
     )
 
 
-def grid_oracle_reciprocal(problem: AllocProblem, resolution: int) -> ReciprocalSolution:
+def grid_oracle_reciprocal(params: SystemParams, gamma: float,
+                           resolution: int) -> ReciprocalSolution:
     """Exhaustive lattice search over (e_r, e_f, var_a); independent oracle.
 
     ``resolution`` points per axis over the constraint box.  Slower but
@@ -178,9 +172,8 @@ def grid_oracle_reciprocal(problem: AllocProblem, resolution: int) -> Reciprocal
     """
     if resolution < 50:
         raise ValueError("resolution < 50 is too coarse to be a useful oracle")
-    p = problem.params
-    gamma = problem.gamma
-    s, b_t, b_l = problem.budgets()
+    p = params
+    s, b_t, b_l = _budgets(p)
     s_eff = min(s, b_l + b_t)
     n_an = p.n_t - p.n_l
 
@@ -220,5 +213,5 @@ def grid_oracle_reciprocal(problem: AllocProblem, resolution: int) -> Reciprocal
     alloc = reciprocal_allocation(*best)
     return ReciprocalSolution(
         alloc=alloc, objective=best_val, branch="grid",
-        active_constraints=_active_constraints(problem, alloc),
+        active_constraints=_active_constraints(p, gamma, alloc),
     )

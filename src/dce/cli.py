@@ -5,11 +5,13 @@ Subcommands:
 * ``alloc``  — solve the configured power-allocation problem, print one row.
 * ``nmse``   — analytic + empirical NMSE for the solved allocation; with a
   comma-separated ``--tau-f`` list, sweep the forward training length at
-  fixed total energy budgets (reciprocal scheme only; a list is rejected
-  by every other command).
+  fixed total energy budgets (reciprocal scheme only; ``alloc`` and
+  ``ser`` reject a list).
 * ``ser``    — data-phase symbol error rates with estimated channels.
 * ``verify`` — self-check suite pitting the solvers against brute-force
-  oracles and toy problems with known answers.
+  oracles and toy problems with known answers, at one (gamma, p_ave) point.
+
+Each subcommand declares only the flags it reads.
 
 Exit codes: 0 success, 1 solver breakdown, 2 configuration problem,
 3 infeasible problem, 4 unsupported geometry, 5 verification failure,
@@ -26,7 +28,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .alloc_reciprocal import AllocProblem, grid_oracle_reciprocal, solve_reciprocal
+from .alloc_reciprocal import grid_oracle_reciprocal, solve_reciprocal
 from .config import (FORMATS, JENSEN_VARIANTS, ExperimentConfig,
                      load_config_file, parse_float_list)
 from .errors import (ConfigError, Infeasible, InfeasibleGamma,
@@ -35,9 +37,9 @@ from .errors import (ConfigError, Infeasible, InfeasibleGamma,
 from .gp import (Posynomial, condense, denominator_exponents,
                  grid_oracle_nonreciprocal, monomial, ratio_parts,
                  solve_inner_gp)
-from .montecarlo import (DESK_SER_TRIALS, FULL_SER_TRIALS, MIN_NMSE_TRIALS,
-                         jensen_oracle, run_nmse_experiment,
-                         run_ser_experiment, solve_allocation)
+from .montecarlo import (DESK_SER_TRIALS, MIN_NMSE_TRIALS, jensen_oracle,
+                         run_nmse_experiment, run_ser_experiment,
+                         solve_allocation)
 from .nmse import (check_gamma, gamma_bounds, nmse_l_nonreciprocal_approx,
                    nmse_lower_bound, nmse_u_reciprocal)
 from .ostbc import verify_code_orthogonality
@@ -60,8 +62,8 @@ EXIT_DEGENERATE = 6
 # ---------------------------------------------------------------------------
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
+    """The flags every subcommand reads."""
     sp.add_argument("--config", help="key=value config file; flags override it")
-    sp.add_argument("--scheme", choices=(RECIPROCAL, NON_RECIPROCAL))
     sp.add_argument("--gamma", help="UR NMSE floor (linear); comma list sweeps")
     sp.add_argument("--pave-db", dest="pave_db",
                     help="average training power in dB; comma list sweeps")
@@ -69,16 +71,23 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="transmitter power cap in dB")
     sp.add_argument("--pbar-l-db", dest="pbar_l_db", type=float,
                     help="legitimate-receiver power cap in dB")
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--out", help="output path (default: stdout)")
+    sp.add_argument("--format", choices=FORMATS)
+
+
+def _add_protocol(sp: argparse.ArgumentParser) -> None:
+    """The training-protocol flags: alloc, nmse and ser."""
+    sp.add_argument("--scheme", choices=(RECIPROCAL, NON_RECIPROCAL))
     sp.add_argument("--tau-f", dest="tau_f",
                     help="forward training length; a comma list sweeps it (nmse)")
     sp.add_argument("--jensen-variant", dest="jensen_variant",
                     choices=JENSEN_VARIANTS)
-    sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--format", choices=FORMATS)
-    sp.add_argument("--full-scale", dest="full_scale", action="store_true",
-                    default=None, help="use publication-size trial counts")
+
+
+def _add_sampling(sp: argparse.ArgumentParser) -> None:
+    """The Monte-Carlo flags: nmse, ser and verify."""
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,13 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discriminatory channel estimation: training simulation, "
                     "power allocation, and verification tools.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, extra in (
-            ("alloc", cmd_alloc, "solve the power allocation"),
-            ("nmse", cmd_nmse, "analytic vs empirical estimation error"),
-            ("ser", cmd_ser, "data-phase symbol error rates"),
-            ("verify", cmd_verify, "run the self-check oracle suite")):
+    for name, fn, extra, groups in (
+            ("alloc", cmd_alloc, "solve the power allocation", (_add_protocol,)),
+            ("nmse", cmd_nmse, "analytic vs empirical estimation error",
+             (_add_protocol, _add_sampling)),
+            ("ser", cmd_ser, "data-phase symbol error rates",
+             (_add_protocol, _add_sampling)),
+            ("verify", cmd_verify, "run the self-check oracle suite",
+             (_add_sampling,))):
         sp = sub.add_parser(name, help=extra)
-        _add_common(sp)
+        for add in (_add_common, *groups):
+            add(sp)
         if name == "ser":
             sp.add_argument("--modulation", type=int, choices=(4, 16, 64))
         sp.set_defaults(fn=fn)
@@ -101,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _OVERLAY_KEYS = ("scheme", "pbar_t_db", "pbar_l_db", "trials", "seed",
-                 "jensen_variant", "modulation", "format", "out", "full_scale")
+                 "jensen_variant", "modulation", "format", "out")
 _SWEEP_FLAGS = ("gamma", "pave_db")
 
 
@@ -115,7 +128,8 @@ def effective_config(args: argparse.Namespace):
         raw = getattr(args, key, None)
         if raw is not None:
             setattr(cfg, key, parse_float_list(key, raw))
-    taus = None if args.tau_f is None else parse_float_list("tau_f", args.tau_f, int)
+    raw_taus = getattr(args, "tau_f", None)
+    taus = None if raw_taus is None else parse_float_list("tau_f", raw_taus, int)
     if taus is not None and len(taus) == 1:
         cfg.tau_f = taus[0]
         taus = None
@@ -123,6 +137,8 @@ def effective_config(args: argparse.Namespace):
     if taus is not None and args.command != "nmse":
         raise ConfigError("a --tau-f list sweeps the forward length and only "
                           "applies to the nmse command")
+    if args.command == "verify" and (len(cfg.gamma) > 1 or len(cfg.pave_db) > 1):
+        raise ConfigError("verify checks one point: give one gamma and one pave_db")
     for tau_f in taus or ():
         # each sweep value gets the checks a single --tau-f value gets
         dataclasses.replace(cfg, tau_f=tau_f).validate().to_params(cfg.pave_db[0])
@@ -176,12 +192,7 @@ def cmd_nmse(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
 
 
 def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
-    if cfg.full_scale:
-        trials = FULL_SER_TRIALS
-    elif cfg.trials is not None:
-        trials = cfg.trials
-    else:
-        trials = DESK_SER_TRIALS
+    trials = cfg.trials if cfg.trials is not None else DESK_SER_TRIALS
     table = ResultTable(["p_ave_db", "gamma", "ser_lr", "ser_ur", "trials",
                          "resampled_trials"])
     for gamma, pave_db, params in cfg.points():
@@ -232,7 +243,7 @@ def _check_tangency(cfg):
     worst_over = 0.0
     for _ in range(25):
         x_bar = np.exp(rng.uniform(-1.5, 3.0, size=6))
-        a = denominator_exponents(params, x_bar)
+        a = denominator_exponents(denom, x_bar)
         d_bar = denom.value(x_bar)
         scale = d_bar * float(np.prod(x_bar ** (-a)))
         # tangency of log denom: finite-difference gradient match
@@ -263,9 +274,8 @@ def _check_reciprocal_vs_oracle(cfg):
         p = dataclasses.replace(params, p_ave=db_to_linear(p_ave_db))
         lo, hi = gamma_bounds(p, RECIPROCAL)
         gamma = float(np.exp(rng.uniform(np.log(lo * 1.3), np.log(hi * 0.5))))
-        problem = AllocProblem(p, gamma)
-        sol = solve_reciprocal(problem)
-        oracle = grid_oracle_reciprocal(problem, 60)
+        sol = solve_reciprocal(p, gamma)
+        oracle = grid_oracle_reciprocal(p, gamma, 60)
         worst = max(worst, sol.objective / oracle.objective - 1.0)
         _require(sol.objective <= oracle.objective * (1 + 1e-3),
                  f"solver {sol.objective} lost to lattice {oracle.objective}")
@@ -315,8 +325,7 @@ def _check_jensen(cfg):
 def _check_jensen_adjudication(cfg):
     params = cfg.to_params(cfg.pave_db[0])
     gamma = cfg.gamma[0]
-    alloc, _, _ = solve_allocation(params, gamma, NON_RECIPROCAL,
-                                   cfg.jensen_variant)
+    alloc, _, _ = solve_allocation(params, gamma, NON_RECIPROCAL)
     trials = max(cfg.trials or 0, 10000)
     report = jensen_oracle(params, alloc, trials=trials, seed=cfg.seed)
     gaps = {v: abs(report["empirical"] - report[v]) for v in JENSEN_VARIANTS}
@@ -328,7 +337,7 @@ def _check_jensen_adjudication(cfg):
 
 def _check_determinism(cfg):
     params = default_params()
-    sol = solve_reciprocal(AllocProblem(params, 0.1))
+    sol = solve_reciprocal(params, 0.1)
     table = ResultTable(["er", "ef", "var_a", "objective"])
     table.add_row(sol.alloc.e_r, sol.alloc.e_f, sol.alloc.var_a, sol.objective)
     for fmt in FORMATS:
@@ -351,7 +360,7 @@ def _check_gamma_guard(cfg):
     # below the enforceable floor the reciprocal problem is still solvable:
     # the floor is vacuous and the optimum drops reverse training and noise
     lo, _ = gamma_bounds(default_params(p_ave_db=10.0), RECIPROCAL)
-    sol = solve_reciprocal(AllocProblem(default_params(p_ave_db=10.0), lo / 2.0))
+    sol = solve_reciprocal(default_params(p_ave_db=10.0), lo / 2.0)
     _require(sol.alloc.e_r == 0.0 and sol.alloc.var_a == 0.0,
              "vacuous floor should zero reverse energy and noise, "
              f"got {sol.alloc}")

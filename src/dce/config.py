@@ -2,12 +2,12 @@ r"""Flat key=value experiment configuration.
 
 One assignment per line; ``#`` starts a comment; keys mirror the CLI flags
 (dashes become underscores).  Parsing is strict: unknown or duplicate keys
-and malformed values raise ConfigError, and ``dump_config(load_config(s))``
-reproduces every explicitly stored value.  ``gamma`` and ``pave_db`` accept
+and malformed values raise ConfigError.  ``gamma`` and ``pave_db`` accept
 comma-separated sweep lists (a single value is the one-point sweep) and
 ``points()`` walks that grid gamma-outer.  Training lengths are capped at
-MAX_TRAINING_SLOTS; ``tau_f`` is rejected under the echo scheme, whose
-forward phase is pinned to ``n_t`` slots.
+MAX_TRAINING_SLOTS; ``tau_f`` and ``tau_r`` are rejected under the echo
+scheme, whose forward phase is pinned to ``n_t`` slots and its uplink
+phase to ``n_l``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class ExperimentConfig:
     modulation: int = 64
     format: str = "csv"
     out: Optional[str] = None
-    full_scale: bool = False
 
     def __post_init__(self):
         self.gamma = _as_sweep(self.gamma)
@@ -98,6 +97,9 @@ class ExperimentConfig:
         if self.tau_f is not None and self.scheme == NON_RECIPROCAL:
             raise ConfigError("tau_f does not apply to the non-reciprocal scheme, "
                               "whose forward phase is pinned to n_t slots")
+        if self.tau_r is not None and self.scheme == NON_RECIPROCAL:
+            raise ConfigError("tau_r does not apply to the non-reciprocal scheme, "
+                              "whose uplink phase is pinned to n_l slots")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         return self
@@ -123,7 +125,6 @@ _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _INT_KEYS = {"n_t", "n_l", "n_u", "tau_r", "tau_f", "trials", "seed", "modulation"}
 _FLOAT_KEYS = {"pbar_t_db", "pbar_l_db"}
 _SWEEP_KEYS = {"gamma", "pave_db"}
-_BOOL_KEYS = {"full_scale"}
 
 
 def parse_float_list(key: str, raw: str,
@@ -147,12 +148,6 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if key in _FLOAT_KEYS:
             return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
@@ -183,16 +178,3 @@ def load_config_file(path: str) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
-
-def dump_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for field in dataclasses.fields(ExperimentConfig):
-        value = getattr(cfg, field.name)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, tuple):
-            value = ",".join(repr(v) for v in value)
-        lines.append(f"{field.name}={value}")
-    return "\n".join(lines) + "\n"

@@ -95,7 +95,7 @@ def tx_estimate_uplink(y_t2: np.ndarray, params: SystemParams,
     (..., n_l, n_t)."""
     if e_2 < 0:
         raise ValueError("e_2 must be non-negative")
-    w = _pilot_filter(params.var_hu, params.var_wt, e_2, params.tau_2, params.n_l)
+    w = _pilot_filter(params.var_hu, params.var_wt, e_2, params.n_l, params.n_l)
     return w @ y_t2
 
 
@@ -147,7 +147,7 @@ def lr_estimate_nonreciprocal(y_l3: np.ndarray, params: SystemParams,
                               jensen_variant: str = "printed") -> np.ndarray:
     """LR's forward-phase estimates under the approximated disturbance covariance."""
     r_eff = lr_effective_noise_nonreciprocal(params, alloc, jensen_variant)
-    w = _pilot_filter(params.var_hd, r_eff, alloc.e_3, params.tau_3, params.n_t)
+    w = _pilot_filter(params.var_hd, r_eff, alloc.e_3, params.n_t, params.n_t)
     return w @ y_l3
 
 
@@ -157,7 +157,7 @@ def ur_estimate(y_u: np.ndarray, params: SystemParams,
     if alloc.scheme == RECIPROCAL:
         energy, tau = alloc.e_f, params.tau_f
     else:
-        energy, tau = alloc.e_3, params.tau_3
+        energy, tau = alloc.e_3, params.n_t
     w = _pilot_filter(params.var_g, ur_effective_noise(params, alloc.var_a),
                       energy, tau, params.n_t)
     return w @ y_u

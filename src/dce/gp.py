@@ -39,6 +39,8 @@ LOG_BOX = 60.0            # |log x_k| cage keeping the barrier method bounded
 RATIO_ACTIVITY_TOL = 1e-6
 CONDENSE_TOL = 1e-6       # relative objective change that ends condensation
 CONDENSE_MAX_ROUNDS = 50
+KKT_TOL = 1e-8            # worst KKT violation an inner solve may return
+NEWTON_MAX_STEPS = 200    # Newton steps per barrier centering
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +49,7 @@ CONDENSE_MAX_ROUNDS = 50
 
 @dataclass(frozen=True)
 class GpState:
-    """A point in the transformed variable space, plus problem constants."""
+    """A point in the transformed variable space."""
 
     t: float
     t0: float
@@ -55,10 +57,6 @@ class GpState:
     t2: float
     t3: float
     t4: float
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    c3: Optional[float] = None
-    c4: Optional[float] = None
 
     def __post_init__(self):
         for name in X_NAMES:
@@ -113,17 +111,6 @@ class Posynomial:
 def monomial(coeff: float, expo: Sequence[float]) -> Posynomial:
     return Posynomial(np.array([coeff], dtype=float),
                       np.asarray([expo], dtype=float))
-
-
-def gp_constants(params: SystemParams, gamma: float) -> Tuple[float, float, float, float]:
-    """Constraint normalizers (UR floor, average, transmitter, LR budgets)."""
-    p = params
-    offset = p.n_t * p.var_w / p.var_hd + p.n_t * p.var_v / p.var_g
-    c1 = 1.0 / (1.0 / gamma - 1.0 / p.var_g)
-    c2 = 1.0 / (p.budget_average_nonreciprocal() + offset)
-    c3 = 1.0 / (p.budget_tx_nonreciprocal() + offset)
-    c4 = 1.0 / p.budget_lr_nonreciprocal()
-    return c1, c2, c3, c4
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +173,11 @@ def quality_score(params: SystemParams, t0: float, t1: float, t2: float,
     return t3 * f_num / (lever * (t4 - p.var_v) * f_den + f_num)
 
 
-def to_gp_variables(params: SystemParams, alloc: PowerAllocation,
-                    gamma: Optional[float] = None) -> GpState:
+def to_gp_variables(params: SystemParams, alloc: PowerAllocation) -> GpState:
     """Map a physical allocation to the transformed variables.
 
     The score t is set so the quality ratio is active, which is where any
-    optimum lives.  Constants are attached when the UR floor is supplied.
+    optimum lives.
     """
     p = params
     t0 = t0_round_trip(p, alloc.e_0)
@@ -200,8 +186,7 @@ def to_gp_variables(params: SystemParams, alloc: PowerAllocation,
     t3 = alloc.e_3 / p.n_t
     t4 = ur_effective_noise(p, alloc.var_a)
     t = quality_score(params, t0, t1, t2, t3, t4)
-    cs = gp_constants(params, gamma) if gamma is not None else (None,) * 4
-    return GpState(t, t0, t1, t2, t3, t4, *cs)
+    return GpState(t, t0, t1, t2, t3, t4)
 
 
 def from_gp_variables(params: SystemParams, state: GpState) -> PowerAllocation:
@@ -225,18 +210,14 @@ def from_gp_variables(params: SystemParams, state: GpState) -> PowerAllocation:
 # condensation pieces
 # ---------------------------------------------------------------------------
 
-def denominator_exponents(params: SystemParams, x_bar: np.ndarray) -> np.ndarray:
+def denominator_exponents(denom: Posynomial, x_bar: np.ndarray) -> np.ndarray:
     """Log-gradient weights a_k = x_k * d(log denom)/d(x_k) at x_bar.
 
     These are the AM-GM weights: denom(x) >= denom(x_bar) * prod (x_k/x_bar_k)**a_k
-    with equality (value and gradient) at x_bar.  Every component lies in
-    [0, 1] because each variable enters every denominator term with exponent
-    0 or 1.
+    with equality (value and gradient) at x_bar.  For ``ratio_parts``'
+    denominator every component lies in [0, 1], because each variable
+    enters every term with exponent 0 or 1.
     """
-    return _denominator_weights(ratio_parts(params)[1], x_bar)
-
-
-def _denominator_weights(denom: Posynomial, x_bar: np.ndarray) -> np.ndarray:
     terms = denom.coeffs * np.prod(x_bar[None, :] ** denom.expo, axis=1)
     total = terms.sum()
     if not (total > 0):
@@ -244,17 +225,10 @@ def _denominator_weights(denom: Posynomial, x_bar: np.ndarray) -> np.ndarray:
     return (terms / total) @ denom.expo
 
 
-def condensed_ratio(params: SystemParams, x_bar: np.ndarray,
-                    a: Optional[np.ndarray] = None) -> Posynomial:
-    """Posynomial form of numer(x)/denom_hat(x) <= 1 after condensation."""
-    numer, denom = ratio_parts(params)
-    if a is None:
-        a = _denominator_weights(denom, x_bar)
-    return _condensed(numer, denom, x_bar, a)
-
-
-def _condensed(numer: Posynomial, denom: Posynomial, x_bar: np.ndarray,
-               a: np.ndarray) -> Posynomial:
+def condensed_ratio(numer: Posynomial, denom: Posynomial, x_bar: np.ndarray,
+                    a: np.ndarray) -> Posynomial:
+    """Posynomial form of numer(x)/denom_hat(x) <= 1, denom_hat being the
+    monomial with exponents ``a`` that touches denom at x_bar."""
     d_bar = denom.value(x_bar)
     scale = d_bar * float(np.prod(x_bar ** (-a)))
     return Posynomial(numer.coeffs / scale, numer.expo - a[None, :])
@@ -264,7 +238,11 @@ def budget_posynomials(params: SystemParams, gamma: float) -> List[Posynomial]:
     """The fixed (already posynomial) constraints: variable floors, the UR
     floor, and the three power budgets, each normalized to <= 1."""
     p = params
-    c1, c2, c3, c4 = gp_constants(params, gamma)
+    offset = p.n_t * p.var_w / p.var_hd + p.n_t * p.var_v / p.var_g
+    c1 = 1.0 / (1.0 / gamma - 1.0 / p.var_g)
+    c2 = 1.0 / (p.budget_average_nonreciprocal() + offset)
+    c3 = 1.0 / (p.budget_tx_nonreciprocal() + offset)
+    c4 = 1.0 / p.budget_lr_nonreciprocal()
     e = np.eye(6)
     avg_c = np.array([p.n_t / p.var_hd, p.n_t * p.n_l, p.n_l, p.n_t,
                       p.n_t / p.var_g])
@@ -384,10 +362,10 @@ def _barrier_eval(t_bar: float, c_lin: np.ndarray, terms: _Terms, y: np.ndarray)
 
 
 def _newton_descend(t_bar: float, c_lin: np.ndarray, terms: _Terms,
-                    y: np.ndarray, reg: np.ndarray, max_steps: int = 200) -> np.ndarray:
+                    y: np.ndarray, reg: np.ndarray) -> np.ndarray:
     """Center at ``t_bar``: damped Newton steps on the barrier, the Hessian
     regularized by ``reg``; Armijo candidates are evaluated value-only."""
-    for _ in range(max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         val, grad, hess = _barrier_eval(t_bar, c_lin, terms, y)
         if not np.isfinite(val):
             raise FloatingPointError("barrier evaluated outside its domain")
@@ -534,15 +512,14 @@ def _kkt_certificate(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, lam: np.nd
 
 
 def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float],
-                   start: Sequence[float], kkt_tol: float = 1e-8,
-                   ) -> Tuple[np.ndarray, Dict[str, object]]:
+                   start: Sequence[float]) -> Tuple[np.ndarray, Dict[str, object]]:
     """Solve min prod x**objective s.t. each posynomial <= 1, x > 0.
 
     Log-space barrier method: with y = log x every constraint becomes a
     log-sum-exp function and the monomial objective becomes linear, so the
     problem is smooth and convex.  Newton centering with backtracking tracks
     the central path; stationarity of the final centered point is checked
-    against ``kkt_tol`` and NotConverged carries the best iterate if the
+    against KKT_TOL and NotConverged carries the best iterate if the
     check fails.
     """
     x0 = np.asarray(start, dtype=float)
@@ -580,10 +557,10 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
         "objective": float(np.prod(x_opt ** c_lin)),
         "constraint_values": values[: len(constraints)],
     }
-    if kkt > kkt_tol or np.any(info["constraint_values"] > 1 + 1e-8):
+    if kkt > KKT_TOL or np.any(info["constraint_values"] > 1 + 1e-8):
         err = NotConverged(
             f"inner solve stopped with KKT residual {kkt:.3e} "
-            f"(tolerance {kkt_tol:.1e})")
+            f"(tolerance {KKT_TOL:.1e})")
         err.best = (x_opt, info)
         raise err
     return x_opt, info
@@ -614,7 +591,7 @@ def initial_feasible_state(params: SystemParams, gamma: float) -> GpState:
         e *= 0.95
         var_a *= 0.95
     alloc = nonreciprocal_allocation(e, e, e, e, var_a)
-    return to_gp_variables(params, alloc, gamma)
+    return to_gp_variables(params, alloc)
 
 
 def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None,
@@ -641,8 +618,8 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
     nmse_prev = None
     for _ in range(CONDENSE_MAX_ROUNDS):
         a = (_theta_fn(x_bar) if _theta_fn is not None
-             else _denominator_weights(denom, x_bar))
-        constraints = [_condensed(numer, denom, x_bar, a)] + fixed
+             else denominator_exponents(denom, x_bar))
+        constraints = [condensed_ratio(numer, denom, x_bar, a)] + fixed
         x_opt, _ = solve_inner_gp(constraints, objective, x_bar)
         nmse = lmmse_error_var(params.var_hd, x_opt[0], 1, params.var_w)
         trace.steps.append(CondensationStep(
@@ -670,8 +647,7 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
             f"final point violates the original quality ratio ({ratio:.8f} > 1); "
             "condensation was not conservative")
 
-    cs = gp_constants(params, gamma)
-    state = GpState(*(float(v) for v in x_bar), *cs)
+    state = GpState(*(float(v) for v in x_bar))
     alloc = from_gp_variables(params, state)
     return NonReciprocalSolution(
         alloc=alloc,
@@ -686,8 +662,7 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
 # ---------------------------------------------------------------------------
 
 def grid_oracle_nonreciprocal(params: SystemParams, gamma: float,
-                              resolution: int = 20,
-                              jensen_variant: str = "printed") -> PowerAllocation:
+                              resolution: int = 20) -> PowerAllocation:
     """Exhaustive lattice minimizer of the analytic LR NMSE surrogate.
 
     Axes are linspace(0, cap, resolution+1), so doubling the resolution
@@ -717,10 +692,7 @@ def grid_oracle_nonreciprocal(params: SystemParams, gamma: float,
 
     # uplink estimation quality depends only on e_2
     eps2 = 1.0 / (1.0 / p.var_hu + e2_axis / (p.n_l * p.var_wt))
-    sig_sq = p.var_hu - eps2
-    spectral = np.sqrt(sig_sq) if jensen_variant == "printed" else sig_sq
-    if jensen_variant not in ("printed", "sigma-squared"):
-        raise ValueError(f"unknown jensen_variant: {jensen_variant!r}")
+    spectral = np.sqrt(p.var_hu - eps2)       # the printed Jensen surrogate
 
     best_val = np.inf
     best = None

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .alloc_reciprocal import AllocProblem, solve_reciprocal
+from .alloc_reciprocal import solve_reciprocal
 from .errors import RankDeficient, UnsupportedGeometry
 from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          tx_estimate_downlink, tx_estimate_reciprocal,
@@ -36,10 +36,12 @@ from .training import (forward_training, reverse_training, round_trip_training,
 MAX_RESAMPLES = 8
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
 DESK_SER_TRIALS = 5000
-FULL_SER_TRIALS = 50000
 # Trials per block: large enough that numpy's per-call overhead is spread
 # thin, small enough that a block's arrays stay within a few hundred kB.
 BLOCK_TRIALS = 256
+# Uplink samples the spectral-factor oracle draws and reduces at a time, so
+# its memory stays flat in the sample count.
+ORACLE_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,6 @@ class SerReport:
     ser_lr: float
     ser_ur: float
     trials: int
-    modulation: int
-    code: str
     resampled_trials: int
 
 
@@ -174,7 +174,7 @@ def solve_allocation(params: SystemParams, gamma: float, scheme: str,
                      ) -> Tuple[PowerAllocation, float, float]:
     """Solve the scheme's allocation problem; returns (alloc, nmse_l, nmse_u)."""
     if scheme == RECIPROCAL:
-        sol = solve_reciprocal(AllocProblem(params, gamma))
+        sol = solve_reciprocal(params, gamma)
         return (sol.alloc, sol.objective,
                 nmse_u_reciprocal(params, sol.alloc.e_f, sol.alloc.var_a))
     if scheme == NON_RECIPROCAL:
@@ -224,8 +224,6 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
         ser_lr=err_lr / n_symbols,
         ser_ur=err_ur / n_symbols,
         trials=trials,
-        modulation=modulation,
-        code="ostbc-4tx-rate-3/4",
         resampled_trials=resampled,
     )
 
@@ -238,7 +236,8 @@ def jensen_oracle(params: SystemParams, alloc: PowerAllocation,
     complex Gaussian with the uplink-estimate variance) and averages
     lambda/(lambda+beta), then reports which closed form lands closer.
     The eigenvalue average converges slowly, so fewer than 10^4 samples
-    would adjudicate on noise; such calls are rejected outright.
+    would adjudicate on noise; such calls are rejected outright.  Samples
+    are drawn and reduced ORACLE_CHUNK at a time from one stream.
     """
     if trials < 10000:
         raise ValueError("adjudication needs at least 10000 samples")
@@ -250,10 +249,13 @@ def jensen_oracle(params: SystemParams, alloc: PowerAllocation,
         empirical = 1.0
     else:
         rng = trial_rng(seed, 0)
-        hu = complex_gaussian(rng, (trials, params.n_l, params.n_t), sigma2)
-        gram = hu @ np.conj(np.swapaxes(hu, 1, 2))
-        lam = np.linalg.eigvalsh(gram)
-        empirical = float(np.mean(lam / (lam + beta)))
+        total = 0.0
+        for start in range(0, trials, ORACLE_CHUNK):
+            n = min(ORACLE_CHUNK, trials - start)
+            hu = complex_gaussian(rng, (n, params.n_l, params.n_t), sigma2)
+            lam = np.linalg.eigvalsh(hu @ np.conj(np.swapaxes(hu, 1, 2)))
+            total += float(np.sum(lam / (lam + beta)))
+        empirical = total / (trials * params.n_l)
     printed = jensen_factor(params, alloc, "printed")
     sigma_squared = jensen_factor(params, alloc, "sigma-squared")
     closer = ("printed" if abs(empirical - printed) <= abs(empirical - sigma_squared)

@@ -31,6 +31,8 @@ CODE_ANTENNAS = 4
 CODE_SLOTS = 4
 CODE_SYMBOLS = 3
 SUPPORTED_QAM = (4, 16, 64)
+# Random symbol and channel draws ``verify_code_orthogonality`` checks.
+ORTHOGONALITY_ROUNDS = 32
 
 
 def qam_constellation(order: int) -> np.ndarray:
@@ -128,12 +130,11 @@ def block_scale(power_per_slot: float) -> float:
     return float(np.sqrt(power_per_slot / CODE_SYMBOLS))
 
 
-def verify_code_orthogonality(rng: np.random.Generator, rounds: int = 32,
-                              ) -> Tuple[float, float]:
+def verify_code_orthogonality(rng: np.random.Generator) -> Tuple[float, float]:
     """Max deviation of C^H C from ||s||^2 I over random symbol draws, and of
     m.T m from its scaled identity; used by the self-check command."""
     worst_code, worst_map = 0.0, 0.0
-    for _ in range(rounds):
+    for _ in range(ORTHOGONALITY_ROUNDS):
         s = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2)
         cmat = code_matrix(s)
         gram = cmat.conj().T @ cmat

@@ -48,7 +48,10 @@ class SystemParams:
     reciprocal scheme; ``var_hd``/``var_hu`` are the separate downlink and
     uplink variances for the non-reciprocal scheme.  ``p_ave`` constrains the
     average transmit power over a whole training round, ``p_bar_t`` and
-    ``p_bar_l`` are the per-terminal peak (individual) limits.
+    ``p_bar_l`` are the per-terminal peak (individual) limits.  ``tau_r``
+    and ``tau_f`` are the reciprocal scheme's reverse and forward lengths;
+    the echo scheme's round-trip and forward phases take n_t slots each
+    and its uplink phase n_l slots.
     """
 
     n_t: int
@@ -66,9 +69,6 @@ class SystemParams:
     var_w: float = 1.0
     var_wt: float = 1.0
     var_v: float = 1.0
-    tau_0: int = 0  # 0 means "default to n_t"
-    tau_2: int = 0  # 0 means "default to n_l"
-    tau_3: int = 0  # 0 means "default to n_t"
 
     def __post_init__(self):
         # getattr, not vars(self): reading __dict__ would make every later
@@ -85,16 +85,10 @@ class SystemParams:
                      "var_wt", "var_v", "p_ave", "p_bar_t", "p_bar_l"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        # Resolve training-length defaults tied to the antenna counts.
-        object.__setattr__(self, "tau_0", self.tau_0 or self.n_t)
-        object.__setattr__(self, "tau_2", self.tau_2 or self.n_l)
-        object.__setattr__(self, "tau_3", self.tau_3 or self.n_t)
         if self.tau_f < self.n_t:
             raise ValueError("tau_f < n_t leaves the forward pilot rank deficient")
         if self.tau_r < self.n_l:
             raise ValueError("tau_r < n_l leaves the reverse pilot rank deficient")
-        if self.tau_0 != self.n_t or self.tau_3 != self.n_t or self.tau_2 != self.n_l:
-            raise ValueError("round-trip/forward lengths must equal n_t and tau_2 must equal n_l")
 
     # Energy budgets (whole-phase caps derived from power limits).
     def budget_average_reciprocal(self) -> float:
@@ -107,7 +101,7 @@ class SystemParams:
         return self.p_bar_l * self.tau_r
 
     def budget_average_nonreciprocal(self) -> float:
-        # Phases occupy tau_0 + tau_0 (echo) + tau_2 + tau_3 slots.
+        # Round trip, echo and forward take n_t slots each, the uplink n_l.
         return self.p_ave * (3 * self.n_t + self.n_l)
 
     def budget_tx_nonreciprocal(self) -> float:

@@ -84,13 +84,13 @@ def reverse_training(params: SystemParams, alloc: PowerAllocation,
 
     Reciprocal: X_L = sqrt(E_R/n_l) C_L (tau_r x n_l, shared by every
     trial), received Y_t = X_L H^T + noise (T, tau_r, n_t).  Non-reciprocal:
-    the same structure with energy e_2 over tau_2 slots and the uplink
+    the same structure with energy e_2 over n_l slots and the uplink
     channel.  Noise variance at the transmitter is var_wt in both cases.
     """
     if alloc.scheme == RECIPROCAL:
         energy, tau = alloc.e_r, params.tau_r
     else:
-        energy, tau = alloc.e_2, params.tau_2
+        energy, tau = alloc.e_2, params.n_l
     x_l = np.sqrt(energy / params.n_l) * pilot_matrix(tau, params.n_l)
     noise = complex_gaussian(rng, (h_u.shape[0], tau, params.n_t), params.var_wt)
     return x_l, x_l @ h_u + noise
@@ -98,7 +98,7 @@ def reverse_training(params: SystemParams, alloc: PowerAllocation,
 
 def echo_gain(params: SystemParams, e_0: float, e_1: float) -> float:
     """Amplifying gain applied by the LR to its received round-trip block."""
-    denom = e_0 * params.n_l * params.var_hd + params.tau_0 * params.n_l * params.var_w
+    denom = e_0 * params.n_l * params.var_hd + params.n_t * params.n_l * params.var_w
     return float(np.sqrt(e_1 / denom))
 
 
@@ -119,15 +119,15 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
     if alloc.scheme != NON_RECIPROCAL:
         raise ValueError("round-trip training exists only in the non-reciprocal scheme")
     n_t, trials = params.n_t, h_d.shape[0]
-    # Haar unitaries via batched QR with phase fix; tau_0 == n_t so the
-    # blocks are square.
+    # Haar unitaries via batched QR with phase fix; the round trip takes
+    # n_t slots, so the blocks are square.
     q, r = np.linalg.qr(complex_gaussian(rng, (trials, n_t, n_t), 1.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     x_t0 = np.sqrt(alloc.e_0 / n_t) * (q * (d / np.abs(d))[:, None, :])
-    w_0 = complex_gaussian(rng, (trials, params.tau_0, params.n_l), params.var_w)
+    w_0 = complex_gaussian(rng, (trials, n_t, params.n_l), params.var_w)
     y_l0 = x_t0 @ h_d + w_0
     alpha = echo_gain(params, alloc.e_0, alloc.e_1)
-    w_1 = complex_gaussian(rng, (trials, params.tau_0, n_t), params.var_wt)
+    w_1 = complex_gaussian(rng, (trials, n_t, n_t), params.var_wt)
     return x_t0, y_l0, alpha * (y_l0 @ h_u) + w_1
 
 
@@ -145,7 +145,7 @@ def forward_training(params: SystemParams, alloc: PowerAllocation,
     mask of trials whose estimate had full rank (all True without AN).
     """
     energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
-    tau_f = params.tau_f if alloc.scheme == RECIPROCAL else params.tau_3
+    tau_f = params.tau_f if alloc.scheme == RECIPROCAL else params.n_t
     trials = h_d.shape[0]
     x_t = np.sqrt(energy / params.n_t) * pilot_matrix(tau_f, params.n_t)
     if alloc.var_a > 0:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dce.alloc_reciprocal import (
-    AllocProblem,
     _inner_solution,
     grid_oracle_reciprocal,
     solve_reciprocal,
@@ -15,16 +14,18 @@ from dce.nmse import gamma_bounds, gamma_tilde, nmse_u_reciprocal
 from dce.params import RECIPROCAL, default_params
 
 
+GAMMA = 0.1
+
+
 @pytest.fixture(scope="module")
-def problem():
-    return AllocProblem(default_params(), 0.1)
+def params():
+    return default_params()
 
 
-def _split(problem, e_r):
-    """(alpha, e_f) of the inner split: alpha = (n_t - n_l)*var_a is the AN
-    energy per slot, e_f the forward pilot energy."""
-    p = problem.params
-    e_f, var_a, _ = _inner_solution(problem, e_r)
+def _split(p, e_r):
+    """(alpha, e_f) of the inner split at GAMMA: alpha = (n_t - n_l)*var_a
+    is the AN energy per slot, e_f the forward pilot energy."""
+    e_f, var_a, _ = _inner_solution(p, GAMMA, e_r)
     return (p.n_t - p.n_l) * var_a, e_f
 
 
@@ -32,64 +33,64 @@ def _split(problem, e_r):
 # inner closed forms
 # ---------------------------------------------------------------------------
 
-def test_alpha_of_er_points(problem):
+def test_alpha_of_er_points(params):
     # e_r at the budget edge leaves nothing for AN
-    s = problem.params.budget_average_reciprocal()
-    gt = gamma_tilde(problem.params, problem.gamma)
-    assert _split(problem, s - gt)[0] == pytest.approx(0.0, abs=1e-12)
+    s = params.budget_average_reciprocal()
+    gt = gamma_tilde(params, GAMMA)
+    assert _split(params, s - gt)[0] == pytest.approx(0.0, abs=1e-12)
     # (600 - 36 - 50) / (tau_f + var_g*gt/var_v) = 514/40
-    assert _split(problem, 50.0)[0] == pytest.approx(12.85)
+    assert _split(params, 50.0)[0] == pytest.approx(12.85)
 
 
-def test_ef_of_er_points(problem):
-    gt = gamma_tilde(problem.params, problem.gamma)
-    s = problem.params.budget_average_reciprocal()
-    assert _split(problem, s - gt)[1] == pytest.approx(gt)
-    assert _split(problem, 50.0)[1] == pytest.approx(36.0 * 13.85)
+def test_ef_of_er_points(params):
+    gt = gamma_tilde(params, GAMMA)
+    s = params.budget_average_reciprocal()
+    assert _split(params, s - gt)[1] == pytest.approx(gt)
+    assert _split(params, 50.0)[1] == pytest.approx(36.0 * 13.85)
 
 
-def test_inner_split_exhausts_average_budget(problem):
+def test_inner_split_exhausts_average_budget(params):
     """e_r + e_f + AN energy over the forward phase == S, exactly."""
-    p = problem.params
+    p = params
     s = p.budget_average_reciprocal()
-    gt = gamma_tilde(p, problem.gamma)
+    gt = gamma_tilde(p, GAMMA)
     rng = np.random.default_rng(3)
     for e_r in rng.uniform(0.0, s - gt, size=50):
-        a, e_f = _split(problem, e_r)
+        a, e_f = _split(p, e_r)
         np.testing.assert_allclose(e_r + e_f + a * p.tau_f, s, rtol=1e-12)
 
 
-def test_inner_split_keeps_floor_exactly_active(problem):
+def test_inner_split_keeps_floor_exactly_active(params):
     """The (e_f, var_a) pair pins the UR error to gamma to 1e-12."""
-    p = problem.params
+    p = params
     for e_r in [0.0, 50.0, 213.7]:
-        a, e_f = _split(problem, e_r)
+        a, e_f = _split(p, e_r)
         nu = nmse_u_reciprocal(p, e_f, a / (p.n_t - p.n_l))
-        assert nu == pytest.approx(problem.gamma, rel=1e-12)
+        assert nu == pytest.approx(GAMMA, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
 
-def test_line_search_branch_on_defaults(problem):
-    sol = solve_reciprocal(problem)
+def test_line_search_branch_on_defaults(params):
+    sol = solve_reciprocal(params, GAMMA)
     assert sol.branch == "line-search"
     assert sol.alloc.scheme == RECIPROCAL
     assert "ur-nmse" in sol.active_constraints
     assert "average-power" in sol.active_constraints
     # with the floor active, budget exhaustion is exact
-    p = problem.params
+    p = params
     total = (sol.alloc.e_r + sol.alloc.e_f
              + (p.n_t - p.n_l) * sol.alloc.var_a * p.tau_f)
     np.testing.assert_allclose(total, p.budget_average_reciprocal(), rtol=1e-9)
     nu = nmse_u_reciprocal(p, sol.alloc.e_f, sol.alloc.var_a)
-    np.testing.assert_allclose(nu, problem.gamma, rtol=1e-9)
+    np.testing.assert_allclose(nu, GAMMA, rtol=1e-9)
 
 
-def test_solver_matches_dense_oracle(problem):
-    sol = solve_reciprocal(problem)
-    oracle = grid_oracle_reciprocal(problem, 200)
+def test_solver_matches_dense_oracle(params):
+    sol = solve_reciprocal(params, GAMMA)
+    oracle = grid_oracle_reciprocal(params, GAMMA, 200)
     assert sol.objective <= oracle.objective + 1e-3
     np.testing.assert_allclose(sol.objective, oracle.objective, atol=1e-3)
 
@@ -98,15 +99,14 @@ def test_closed_form_branch():
     """High effective-noise asymmetry makes AN counter-productive for any
     affordable reverse energy: the solver returns (0, gamma_tilde, 0)."""
     p = default_params(p_bar_l_db=10.0, var_h=50.0, var_v=40.0)
-    prob = AllocProblem(p, 0.9)
-    sol = solve_reciprocal(prob)
+    sol = solve_reciprocal(p, 0.9)
     assert sol.branch == "closed-form"
     assert sol.alloc.e_r == 0.0
     assert sol.alloc.var_a == 0.0
     assert sol.alloc.e_f == pytest.approx(gamma_tilde(p, 0.9))
     assert "ur-nmse" in sol.active_constraints
     # the lattice cannot beat it (it can only miss e_f = gamma_tilde)
-    oracle = grid_oracle_reciprocal(prob, 120)
+    oracle = grid_oracle_reciprocal(p, 0.9, 120)
     assert sol.objective <= oracle.objective + 1e-12
 
 
@@ -115,7 +115,7 @@ def test_vacuous_floor_spends_everything_on_pilots():
     is all forward pilots with exact zeros elsewhere."""
     p = default_params()
     lo, _ = gamma_bounds(p, RECIPROCAL)
-    sol = solve_reciprocal(AllocProblem(p, lo / 2))
+    sol = solve_reciprocal(p, lo / 2)
     assert sol.alloc.e_r == 0.0
     assert sol.alloc.var_a == 0.0
     assert sol.alloc.e_f == pytest.approx(
@@ -126,13 +126,13 @@ def test_vacuous_floor_spends_everything_on_pilots():
 def test_infeasible_gamma_rejected():
     p = default_params()
     with pytest.raises(InfeasibleGamma):
-        solve_reciprocal(AllocProblem(p, p.var_g * 1.5))
+        solve_reciprocal(p, p.var_g * 1.5)
     with pytest.raises(InfeasibleGamma):
-        solve_reciprocal(AllocProblem(p, 0.0))
+        solve_reciprocal(p, 0.0)
 
 
-def test_solver_deterministic(problem):
-    a, b = solve_reciprocal(problem), solve_reciprocal(problem)
+def test_solver_deterministic(params):
+    a, b = solve_reciprocal(params, GAMMA), solve_reciprocal(params, GAMMA)
     assert a == b
 
 
@@ -140,15 +140,15 @@ def test_solver_deterministic(problem):
 # oracle
 # ---------------------------------------------------------------------------
 
-def test_oracle_rejects_coarse_resolution(problem):
+def test_oracle_rejects_coarse_resolution(params):
     with pytest.raises(ValueError):
-        grid_oracle_reciprocal(problem, 49)
+        grid_oracle_reciprocal(params, GAMMA, 49)
 
 
 def test_oracle_agreement_low_power():
-    prob = AllocProblem(default_params(p_ave_db=15.0), 0.03)
-    sol = solve_reciprocal(prob)
-    oracle = grid_oracle_reciprocal(prob, 200)
+    p = default_params(p_ave_db=15.0)
+    sol = solve_reciprocal(p, 0.03)
+    oracle = grid_oracle_reciprocal(p, 0.03, 200)
     np.testing.assert_allclose(sol.objective, oracle.objective, atol=1e-3)
     assert sol.objective <= oracle.objective + 1e-9
 
@@ -167,8 +167,7 @@ def test_solver_never_loses_to_lattice_on_random_instances():
         )
         lo, hi = gamma_bounds(p, RECIPROCAL)
         gamma = float(rng.uniform(lo * 1.5, hi * 0.8))
-        prob = AllocProblem(p, gamma)
-        sol = solve_reciprocal(prob)
-        oracle = grid_oracle_reciprocal(prob, 60)
+        sol = solve_reciprocal(p, gamma)
+        oracle = grid_oracle_reciprocal(p, gamma, 60)
         assert sol.objective <= oracle.objective + 1e-6 * oracle.objective
         tried += 1

@@ -195,6 +195,12 @@ def test_exit_config_error(tmp_path, capsys):
     assert cli.main(["nmse", "--trials", "0"]) == EXIT_CONFIG
     assert cli.main(["alloc", "--gamma", ","]) == EXIT_CONFIG
     assert cli.main(["nmse", "--tau-f", "four"]) == EXIT_CONFIG
+    capsys.readouterr()
+    for text in ("full_scale=true\n", "scheme=non-reciprocal\ntau_r=8\n"):
+        bad.write_text(text)
+        assert cli.main(["alloc", "--config", str(bad)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("configuration error") == 2
 
 
 def test_exit_config_non_finite_input(capsys):
@@ -242,15 +248,36 @@ def test_exit_config_tau_sweep_value_invalid(sweep, capsys):
 @pytest.mark.parametrize("argv", [
     ["alloc", "--scheme", "non-reciprocal", "--tau-f", "8"],
     ["nmse", "--scheme", "non-reciprocal", "--tau-f", "8", "--trials", "100"],
-    ["verify", "--tau-f", "4,8"],
+    ["verify", "--gamma", "0.1,0.2"],
+    ["verify", "--pave-db", "10,20"],
 ])
 def test_exit_config_tau_f_outside_its_scope(argv, capsys):
-    """The echo scheme pins its forward phase to n_t slots and only nmse
-    sweeps a --tau-f list: either is a configuration error, never a table
-    computed without the flag."""
+    """The echo scheme pins its forward phase to n_t slots, and verify
+    checks a single (gamma, p_ave) point: a --tau-f there, or a sweep list
+    for verify, is a configuration error, never a table computed without
+    the value."""
     assert cli.main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["alloc", "--trials", "5"],
+    ["alloc", "--seed", "7"],
+    ["nmse", "--full-scale"],
+    ["ser", "--full-scale"],
+    ["verify", "--scheme", "non-reciprocal"],
+    ["verify", "--tau-f", "8"],
+    ["verify", "--tau-f", "4,8"],
+    ["verify", "--jensen-variant", "sigma-squared"],
+])
+def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
+    """Each subcommand declares only the flags it reads; any other is a
+    usage error (exit 2) before anything runs or prints."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
 
 
 def test_exit_config_db_overflow(tmp_path, capsys):

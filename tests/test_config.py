@@ -1,11 +1,10 @@
-"""Key=value experiment configs: parsing, validation, round trip."""
+"""Key=value experiment configs: parsing, validation, sweep grid."""
 
 import pytest
 
 from dce.config import (
     MAX_TRAINING_SLOTS,
     ExperimentConfig,
-    dump_config,
     load_config,
     load_config_file,
     parse_float_list,
@@ -29,14 +28,18 @@ def test_scalar_values_coerce_to_sweeps():
 
 
 def test_load_config_full_round_trip():
-    cfg = ExperimentConfig(scheme=NON_RECIPROCAL, gamma=(0.1, 0.03),
-                           pave_db=(10.0, 20.0, 30.0), trials=750,
-                           jensen_variant="sigma-squared", modulation=16,
-                           full_scale=True, out="results.csv")
-    again = load_config(dump_config(cfg))
-    assert again == cfg
-    # and dumping is a fixed point
-    assert dump_config(again) == dump_config(cfg)
+    """Every key type (sweep lists, floats, ints, strings) parses to the
+    config built directly from the same values."""
+    cfg = load_config("scheme=non-reciprocal\ngamma=0.1,0.03\npave_db=10,20.0,30\n"
+                      "pbar_t_db=27.5\npbar_l_db=18\nn_t=4\nn_l=2\nn_u=3\n"
+                      "trials=750\nseed=11\njensen_variant=sigma-squared\n"
+                      "modulation=16\nformat=json\nout=results.csv\n")
+    assert cfg == ExperimentConfig(
+        scheme=NON_RECIPROCAL, gamma=(0.1, 0.03), pave_db=(10.0, 20.0, 30.0),
+        pbar_t_db=27.5, pbar_l_db=18.0, n_t=4, n_l=2, n_u=3, trials=750,
+        seed=11, jensen_variant="sigma-squared", modulation=16,
+        format="json", out="results.csv")
+    assert load_config("tau_r=3\ntau_f=8\n") == ExperimentConfig(tau_r=3, tau_f=8)
 
 
 def test_load_config_comments_and_blanks():
@@ -56,6 +59,8 @@ trials=500
 def test_load_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
         load_config("gama=0.1\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config("full_scale=true\n")
 
 
 def test_load_config_rejects_duplicate_key():
@@ -74,14 +79,9 @@ def test_typed_value_errors():
     with pytest.raises(ConfigError, match="bad value"):
         load_config("pbar_t_db=loud\n")
     with pytest.raises(ConfigError, match="bad value"):
-        load_config("full_scale=maybe\n")
+        load_config("tau_f=8.5\n")
     with pytest.raises(ConfigError, match="bad value"):
         load_config("gamma=0.1,zero\n")
-
-
-def test_bool_spellings():
-    assert load_config("full_scale=YES\n").full_scale is True
-    assert load_config("full_scale=0\n").full_scale is False
 
 
 def test_validate_rejections():
@@ -121,13 +121,16 @@ def test_points_walk_gamma_outer():
 
 
 def test_validate_rejects_forward_length_under_echo_scheme():
-    """The echo scheme's forward phase is pinned to n_t slots, so a tau_f
-    would be ignored; from a config key it is an error like the flag."""
+    """The echo scheme's forward phase is pinned to n_t slots and its uplink
+    phase to n_l, so a tau_f or tau_r would be ignored; from a config key
+    it is an error like the flag."""
     with pytest.raises(ConfigError, match="tau_f does not apply"):
         ExperimentConfig(scheme=NON_RECIPROCAL, tau_f=4).validate()
-    with pytest.raises(ConfigError, match="tau_f does not apply"):
-        load_config("scheme=non-reciprocal\ntau_f=8\n")
-    assert ExperimentConfig(scheme=NON_RECIPROCAL, tau_r=4).validate().tau_r == 4
+    for text in ("scheme=non-reciprocal\ntau_f=8\n",
+                 "scheme=non-reciprocal\ntau_r=8\n"):
+        with pytest.raises(ConfigError, match="does not apply"):
+            load_config(text)
+    assert ExperimentConfig(scheme=RECIPROCAL, tau_r=4).validate().tau_r == 4
 
 
 def test_validate_caps_training_lengths():

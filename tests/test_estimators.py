@@ -161,7 +161,7 @@ def test_ur_empirical_agreement(defaults):
 def test_tx_uplink_formulas(defaults, rng):
     assert tx_error_var_uplink(defaults, 0.0) == pytest.approx(defaults.var_hu)
     assert tx_error_var_uplink(defaults, 2.0) == pytest.approx(0.5)
-    y = complex_gaussian(rng, (3, defaults.tau_2, defaults.n_t))
+    y = complex_gaussian(rng, (3, defaults.n_l, defaults.n_t))
     out = tx_estimate_uplink(np.zeros_like(y), defaults, 0.0)
     assert out.shape == (3, 2, 4)
     np.testing.assert_array_equal(out, 0.0)

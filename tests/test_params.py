@@ -32,8 +32,6 @@ def test_default_geometry_and_lengths(defaults):
     # minimal training lengths tied to the antenna counts
     assert defaults.tau_r == defaults.n_l
     assert defaults.tau_f == defaults.n_t
-    assert defaults.tau_0 == defaults.tau_3 == defaults.n_t
-    assert defaults.tau_2 == defaults.n_l
     assert defaults.p_ave == pytest.approx(100.0)
     assert defaults.p_bar_t == pytest.approx(1000.0)
     assert defaults.p_bar_l == pytest.approx(100.0)

@@ -187,7 +187,7 @@ def test_round_trip_rejected_for_reciprocal(defaults, rng):
 
 
 def test_echo_gain_values(defaults):
-    # E_0=E_1=4, tau_0=4, n_l=2, unit variances: sqrt(4 / (8 + 8)) = 0.5
+    # E_0=E_1=4, n_t=4, n_l=2, unit variances: sqrt(4 / (8 + 8)) = 0.5
     assert echo_gain(defaults, 4.0, 4.0) == pytest.approx(0.5, abs=1e-15)
     assert echo_gain(defaults, 4.0, 0.0) == 0.0
 
@@ -214,7 +214,7 @@ def test_round_trip_echo_energy_normalization(defaults):
     """The gain scales the mean echoed block energy to exactly e_1 (3% MC).
 
     The gain's denominator is the mean received-block energy
-    e_0*n_l*var_hd + tau_0*n_l*var_w, so alpha^2 * E||Y_L0||^2 = e_1.
+    e_0*n_l*var_hd + n_t*n_l*var_w, so alpha^2 * E||Y_L0||^2 = e_1.
     """
     alloc = nonreciprocal_allocation(4.0, 4.0, 1.0, 1.0)
     rng = make_rng(13)
