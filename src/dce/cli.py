@@ -30,7 +30,7 @@ import numpy as np
 
 from .alloc_reciprocal import grid_oracle_reciprocal, solve_reciprocal
 from .config import (FORMATS, JENSEN_VARIANTS, ExperimentConfig,
-                     load_config_file, parse_float_list)
+                     parse_float_list, read_config_file)
 from .errors import (ConfigError, Infeasible, InfeasibleGamma,
                      NoFeasiblePoint, NotConverged, RankDeficient,
                      SingularRegressor, Stalled, UnsupportedGeometry)
@@ -116,10 +116,32 @@ def build_parser() -> argparse.ArgumentParser:
 _OVERLAY_KEYS = ("scheme", "pbar_t_db", "pbar_l_db", "trials", "seed",
                  "jensen_variant", "modulation", "format", "out")
 _SWEEP_FLAGS = ("gamma", "pave_db")
+# The config keys without a flag, by the commands that read them: the
+# geometry reaches alloc and verify's echo solve through to_params, n_u only
+# the Monte-Carlo draws, and tau_r only the reciprocal protocol.
+_UNFLAGGED_KEYS = {
+    "alloc": ("n_t", "n_l", "tau_r"),
+    "nmse": ("n_t", "n_l", "n_u", "tau_r"),
+    "ser": ("n_t", "n_l", "n_u", "tau_r"),
+    "verify": ("n_t", "n_l"),
+}
+
+
+def _config_file(args: argparse.Namespace) -> ExperimentConfig:
+    """The --config file's settings, validated once the flags overlay them;
+    a key the command does not read (its own flags' keys and its
+    _UNFLAGGED_KEYS) is a configuration error."""
+    values = read_config_file(args.config)
+    reads = set(vars(args)) | set(_UNFLAGGED_KEYS[args.command])
+    unread = sorted(set(values) - reads)
+    if unread:
+        raise ConfigError(f"{args.command} does not read the config key(s) "
+                          f"{', '.join(unread)}")
+    return ExperimentConfig(**values)
 
 
 def effective_config(args: argparse.Namespace):
-    cfg = load_config_file(args.config) if args.config else ExperimentConfig()
+    cfg = _config_file(args) if args.config else ExperimentConfig()
     for key in _OVERLAY_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -156,7 +178,7 @@ def cmd_alloc(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
                          "an_db", "nmse_l", "nmse_u"])
     for gamma, pave_db, params in cfg.points():
         alloc, nmse_l, nmse_u = solve_allocation(params, gamma, cfg.scheme,
-                                                 cfg.jensen_variant)
+                                                 cfg.jensen())
         energies = alloc.energies()
         an_power = (params.n_t - params.n_l) * alloc.var_a
         table.add_row(pave_db, gamma, *(linear_to_db(energies[k]) for k in names),
@@ -179,9 +201,9 @@ def cmd_nmse(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
             p = (with_fixed_energy_budgets(params, tau_f)
                  if cfg.scheme == RECIPROCAL else params)
             alloc, nmse_l, nmse_u = solve_allocation(
-                p, gamma, cfg.scheme, cfg.jensen_variant)
+                p, gamma, cfg.scheme, cfg.jensen())
             rep = run_nmse_experiment(p, alloc, trials=trials, seed=cfg.seed,
-                                      jensen_variant=cfg.jensen_variant)
+                                      jensen_variant=cfg.jensen())
             table.add_row(cfg.scheme, gamma, pave_db, tau_f,
                           nmse_l, rep.empirical_lr, rep.half_width_95_lr,
                           nmse_u, rep.empirical_ur, rep.half_width_95_ur,
@@ -198,7 +220,7 @@ def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
     for gamma, pave_db, params in cfg.points():
         rep = run_ser_experiment(params, gamma, cfg.modulation, trials=trials,
                                  seed=cfg.seed, scheme=cfg.scheme,
-                                 jensen_variant=cfg.jensen_variant)
+                                 jensen_variant=cfg.jensen())
         table.add_row(pave_db, gamma, rep.ser_lr, rep.ser_ur, rep.trials,
                       rep.resampled_trials)
     write_table(table, cfg.format, cfg.out)

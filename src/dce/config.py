@@ -7,7 +7,8 @@ comma-separated sweep lists (a single value is the one-point sweep) and
 ``points()`` walks that grid gamma-outer.  Training lengths are capped at
 MAX_TRAINING_SLOTS; ``tau_f`` and ``tau_r`` are rejected under the echo
 scheme, whose forward phase is pinned to ``n_t`` slots and its uplink
-phase to ``n_l``.
+phase to ``n_l``, and ``jensen_variant`` under the reciprocal scheme, whose
+closed forms have no Jensen surrogate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 from .errors import ConfigError
 from .params import (NON_RECIPROCAL, RECIPROCAL, SystemParams, db_to_linear,
@@ -51,7 +52,7 @@ class ExperimentConfig:
     tau_f: Optional[int] = None
     trials: Optional[int] = None
     seed: int = 0
-    jensen_variant: str = "printed"
+    jensen_variant: Optional[str] = None   # None: the echo scheme's "printed"
     modulation: int = 64
     format: str = "csv"
     out: Optional[str] = None
@@ -78,8 +79,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: {exc}") from exc
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
-        if self.jensen_variant not in JENSEN_VARIANTS:
-            raise ConfigError(f"jensen_variant must be one of {JENSEN_VARIANTS}")
+        if self.jensen_variant is not None:
+            if self.jensen_variant not in JENSEN_VARIANTS:
+                raise ConfigError(f"jensen_variant must be one of {JENSEN_VARIANTS}")
+            if self.scheme == RECIPROCAL:
+                raise ConfigError("jensen_variant does not apply to the reciprocal "
+                                  "scheme, whose closed forms have no Jensen surrogate")
         if self.modulation not in (4, 16, 64):
             raise ConfigError("modulation must be 4, 16 or 64")
         for name in ("n_t", "n_l", "n_u"):
@@ -103,6 +108,10 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         return self
+
+    def jensen(self) -> str:
+        """The Jensen variant in force: the given one, else "printed"."""
+        return self.jensen_variant or JENSEN_VARIANTS[0]
 
     def to_params(self, pave_db: float) -> SystemParams:
         """System parameters at one average-power point."""
@@ -153,7 +162,8 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
-def load_config(text: str) -> ExperimentConfig:
+def read_config(text: str) -> Dict[str, object]:
+    """The key=value assignments of a config text, each value parsed."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -168,13 +178,18 @@ def load_config(text: str) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, raw)
-    return ExperimentConfig(**values).validate()
+    return values
 
 
-def load_config_file(path: str) -> ExperimentConfig:
+def load_config(text: str) -> ExperimentConfig:
+    return ExperimentConfig(**read_config(text)).validate()
+
+
+def read_config_file(path: str) -> Dict[str, object]:
+    """``read_config`` of the file at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return load_config(fh.read())
+            return read_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 

@@ -17,7 +17,9 @@ Each outer iteration replaces denom by its best monomial under-estimator at
 the current point (weights = log-gradient exponents, an AM-GM bound, hence
 global under-estimation and tangency), leaving an ordinary GP that a
 log-barrier interior-point routine solves to high accuracy, holding every
-log-sum-exp constraint row as one stacked term matrix.  Because the
+log-sum-exp constraint row as one stacked term matrix; from the second
+round on, the previous round's KKT point, polished on the new GP, usually
+passes the same certificate without the barrier.  Because the
 monomial never exceeds the true denominator, every inner-feasible point is
 feasible for the original problem, and the objective improves monotonically.
 """
@@ -444,9 +446,10 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
     which float64 cannot resolve once slacks shrink toward 1e-12.  Here the
     multipliers are unknowns instead: Newton's method is applied to the
     active-set KKT system (stationarity + active constraints at equality),
-    dropping any constraint whose multiplier converges negative.  Returns
-    (y, full multiplier vector) or None when refinement fails; the caller
-    then falls back to the barrier certificate.
+    dropping any constraint whose multiplier converges negative and adding
+    back the most violated row outside the set, one change per re-solve.
+    Returns (y, full multiplier vector) or None when refinement fails; the
+    caller then falls back to the barrier certificate.
     """
     n = y0.size
     m = terms.m
@@ -494,6 +497,12 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
         if float(lam_a.min()) < -1e-11:
             act = np.delete(act, np.argmin(lam_a))
             continue
+        f_out = terms.values(y)
+        f_out[act] = -np.inf
+        if f_out.max() > 0.0:
+            # a dropped (or never admitted) row is now violated: put the worst back
+            act = np.sort(np.append(act, np.argmax(f_out)))
+            continue
         lam_full = np.zeros(m)
         lam_full[act] = np.maximum(lam_a, 0.0)
         return y, lam_full
@@ -511,6 +520,34 @@ def _kkt_certificate(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, lam: np.nd
     return kkt, comp, f
 
 
+def _certified(c_lin: np.ndarray, terms: _Terms, n_posy: int, y: np.ndarray,
+               lam: np.ndarray) -> Tuple[np.ndarray, Dict[str, object]]:
+    """Polish (y, lam) to a KKT point and certify it: (x, info) when the
+    KKT residual is within KKT_TOL and every posynomial is <= 1 + 1e-8,
+    else NotConverged carrying the best iterate.  ``info`` keeps the
+    log-point ``y`` and the full multiplier vector ``lam``."""
+    polished = _kkt_polish(c_lin, terms, y, lam)
+    if polished is not None:
+        y, lam = polished
+    kkt, comp, f_all = _kkt_certificate(c_lin, terms, y, lam)
+    x_opt = np.exp(y)
+    info = {
+        "kkt_residual": kkt,
+        "duality_gap": comp,
+        "objective": float(np.prod(x_opt ** c_lin)),
+        "constraint_values": np.exp(f_all[:n_posy]),
+        "y": y,
+        "lam": lam,
+    }
+    if kkt > KKT_TOL or np.any(info["constraint_values"] > 1 + 1e-8):
+        err = NotConverged(
+            f"inner solve stopped with KKT residual {kkt:.3e} "
+            f"(tolerance {KKT_TOL:.1e})")
+        err.best = (x_opt, info)
+        raise err
+    return x_opt, info
+
+
 def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float],
                    start: Sequence[float]) -> Tuple[np.ndarray, Dict[str, object]]:
     """Solve min prod x**objective s.t. each posynomial <= 1, x > 0.
@@ -518,9 +555,8 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
     Log-space barrier method: with y = log x every constraint becomes a
     log-sum-exp function and the monomial objective becomes linear, so the
     problem is smooth and convex.  Newton centering with backtracking tracks
-    the central path; stationarity of the final centered point is checked
-    against KKT_TOL and NotConverged carries the best iterate if the
-    check fails.
+    the central path; the final centered point is polished and certified
+    by ``_certified``.
     """
     x0 = np.asarray(start, dtype=float)
     if np.any(x0 <= 0) or not np.all(np.isfinite(x0)):
@@ -545,25 +581,20 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
 
     # multipliers estimated from the final centering (lambda_j = 1/(t_bar*slack))
     lam = 1.0 / (t_bar * np.maximum(-terms.values(y), 1e-300))
-    polished = _kkt_polish(c_lin, terms, y, lam)
-    if polished is not None:
-        y, lam = polished
-    kkt, comp, f_all = _kkt_certificate(c_lin, terms, y, lam)
-    values = np.exp(f_all)
-    x_opt = np.exp(y)
-    info = {
-        "kkt_residual": kkt,
-        "duality_gap": comp,
-        "objective": float(np.prod(x_opt ** c_lin)),
-        "constraint_values": values[: len(constraints)],
-    }
-    if kkt > KKT_TOL or np.any(info["constraint_values"] > 1 + 1e-8):
-        err = NotConverged(
-            f"inner solve stopped with KKT residual {kkt:.3e} "
-            f"(tolerance {KKT_TOL:.1e})")
-        err.best = (x_opt, info)
-        raise err
-    return x_opt, info
+    return _certified(c_lin, terms, len(constraints), y, lam)
+
+
+def _warm_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float],
+                   prev: Dict[str, object]) -> Optional[Tuple[np.ndarray, Dict[str, object]]]:
+    """The inner GP solved from the previous round's certified KKT point
+    ``prev["y"], prev["lam"]`` by the active-set polish alone; None when
+    the result fails the certificate a cold solve must pass."""
+    c_lin = np.asarray(objective, dtype=float)
+    terms = _Terms.stack(constraints, c_lin.size)
+    try:
+        return _certified(c_lin, terms, len(constraints), prev["y"], prev["lam"])
+    except NotConverged:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +632,10 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
 
     Each round linearizes only the denominator of the quality-ratio
     constraint (in log space), solves the resulting GP, and re-expands at
-    the optimum.  The monomial under-estimates the true denominator
+    the optimum.  From round 2 on the GP is first solved warm, by the KKT
+    polish started at the previous round's certified (y, lambda); a warm
+    result that fails the certificate falls back to the cold barrier
+    solve from x_bar.  The monomial under-estimates the true denominator
     everywhere, so iterates stay feasible for the original problem and the
     score increases monotonically; a decrease raises Stalled, as does a
     final point that violates the original ratio.
@@ -616,11 +650,14 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
 
     trace = CondensationTrace(steps=[])
     nmse_prev = None
+    info = None
     for _ in range(CONDENSE_MAX_ROUNDS):
         a = (_theta_fn(x_bar) if _theta_fn is not None
              else denominator_exponents(denom, x_bar))
         constraints = [condensed_ratio(numer, denom, x_bar, a)] + fixed
-        x_opt, _ = solve_inner_gp(constraints, objective, x_bar)
+        warm = None if info is None else _warm_inner_gp(constraints, objective, info)
+        x_opt, info = (warm if warm is not None
+                       else solve_inner_gp(constraints, objective, x_bar))
         nmse = lmmse_error_var(params.var_hd, x_opt[0], 1, params.var_w)
         trace.steps.append(CondensationStep(
             expansion=tuple(float(v) for v in x_bar),

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .alloc_reciprocal import solve_reciprocal
-from .errors import RankDeficient, UnsupportedGeometry
+from .errors import NotConverged, RankDeficient, UnsupportedGeometry
 from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          tx_estimate_downlink, tx_estimate_reciprocal,
                          tx_estimate_uplink, ur_estimate)
@@ -172,13 +172,21 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
 def solve_allocation(params: SystemParams, gamma: float, scheme: str,
                      jensen_variant: str = "printed",
                      ) -> Tuple[PowerAllocation, float, float]:
-    """Solve the scheme's allocation problem; returns (alloc, nmse_l, nmse_u)."""
+    """Solve the scheme's allocation problem; returns (alloc, nmse_l, nmse_u).
+
+    An echo-scheme solve whose condensation stopped at CONDENSE_MAX_ROUNDS
+    without meeting its stopping rule raises NotConverged.
+    """
     if scheme == RECIPROCAL:
         sol = solve_reciprocal(params, gamma)
         return (sol.alloc, sol.objective,
                 nmse_u_reciprocal(params, sol.alloc.e_f, sol.alloc.var_a))
     if scheme == NON_RECIPROCAL:
         sol = condense(params, gamma)
+        if not sol.trace.converged:
+            raise NotConverged(
+                f"condensation stopped after {len(sol.trace.steps)} rounds "
+                "without converging")
         return (sol.alloc,
                 nmse_l_nonreciprocal_approx(params, sol.alloc, jensen_variant),
                 nmse_u_nonreciprocal(params, sol.alloc.e_3, sol.alloc.var_a))

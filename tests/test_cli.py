@@ -174,7 +174,7 @@ def test_single_tau_flag_is_plain_override(tmp_path):
 
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("gamma=0.2\npave_db=10\ntrials=100\n")
+    cfg.write_text("gamma=0.2\npave_db=10\npbar_t_db=30\n")
     code, out = _run(tmp_path, "alloc", "--config", str(cfg),
                      "--gamma", "0.1")
     assert code == EXIT_OK
@@ -290,6 +290,57 @@ def test_exit_config_db_overflow(tmp_path, capsys):
         assert cli.main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, text", [
+    ("alloc", "trials=5\n"),
+    ("alloc", "seed=9\n"),
+    ("alloc", "n_u=3\n"),
+    ("verify", "scheme=non-reciprocal\n"),
+    ("verify", "modulation=16\n"),
+    ("verify", "tau_r=8\n"),
+    ("nmse", "modulation=16\n"),
+])
+def test_exit_config_key_the_command_does_not_read(tmp_path, capsys, command, text):
+    """A config-file key the subcommand never reads is a configuration
+    error, the way its flag is a usage error, not a table computed
+    without it."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("gamma=0.1\n" + text)
+    assert cli.main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+    assert text.split("=")[0] in captured.err
+
+
+def test_exit_config_jensen_variant_under_reciprocal_scheme(tmp_path, capsys):
+    """Only the echo scheme's closed forms read the Jensen variant: naming
+    one, even the default, under the reciprocal scheme is a configuration
+    error; under the echo scheme it is accepted."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("jensen_variant=printed\n")
+    for argv in (["alloc", "--jensen-variant", "sigma-squared"],
+                 ["nmse", "--jensen-variant", "printed", "--trials", "100"],
+                 ["alloc", "--config", str(cfg)]):
+        assert cli.main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "jensen_variant" in err
+    code, _ = _run(tmp_path, "alloc", "--config", str(cfg),
+                   "--scheme", "non-reciprocal")
+    assert code == EXIT_OK
+
+
+def test_exit_solver_failure_unconverged_condensation(tmp_path, capsys):
+    """At 21.9 dB with a floor near gamma_min, condensation is still
+    improving when it reaches CONDENSE_MAX_ROUNDS: the point exits 1
+    (solver breakdown) with no table, never a clean-looking row."""
+    code, out = _run(tmp_path, "alloc", "--scheme", "non-reciprocal",
+                     "--pave-db", "21.85171805635131",
+                     "--gamma", "0.002135938778585504")
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("solver failure:")
 
 
 def test_exit_infeasible(capsys):

@@ -6,8 +6,8 @@ from dce.config import (
     MAX_TRAINING_SLOTS,
     ExperimentConfig,
     load_config,
-    load_config_file,
     parse_float_list,
+    read_config_file,
 )
 from dce.errors import ConfigError
 from dce.params import NON_RECIPROCAL, RECIPROCAL
@@ -133,6 +133,20 @@ def test_validate_rejects_forward_length_under_echo_scheme():
     assert ExperimentConfig(scheme=RECIPROCAL, tau_r=4).validate().tau_r == 4
 
 
+def test_jensen_variant_explicit_only_under_echo_scheme():
+    """validate() tells a given Jensen variant from the default: naming one
+    under the reciprocal scheme, whose closed forms never read it, is an
+    error; left unset, the echo scheme uses the printed surrogate."""
+    assert ExperimentConfig().validate().jensen() == "printed"
+    for variant in ("printed", "sigma-squared"):
+        with pytest.raises(ConfigError, match="jensen_variant does not apply"):
+            ExperimentConfig(jensen_variant=variant).validate()
+        cfg = ExperimentConfig(scheme=NON_RECIPROCAL, jensen_variant=variant)
+        assert cfg.validate().jensen() == variant
+    with pytest.raises(ConfigError, match="does not apply"):
+        load_config("jensen_variant=printed\n")
+
+
 def test_validate_caps_training_lengths():
     for name in ("tau_r", "tau_f"):
         ExperimentConfig(**{name: MAX_TRAINING_SLOTS}).validate()
@@ -159,7 +173,7 @@ def test_parse_float_list():
 
 def test_load_config_file_missing(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config_file(str(tmp_path / "nope.cfg"))
+        read_config_file(str(tmp_path / "nope.cfg"))
     path = tmp_path / "ok.cfg"
     path.write_text("gamma=0.2\n")
-    assert load_config_file(str(path)).gamma == (0.2,)
+    assert read_config_file(str(path)) == {"gamma": (0.2,)}

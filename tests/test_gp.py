@@ -467,6 +467,95 @@ def test_condense_matches_golden_panel(case):
     assert sol.trace.converged == case["converged"]
 
 
+# (p_ave_db, gamma) instances of the benchmark's alloc-echo pool: 3 to 40
+# rounds, the last one 1% above gamma_min with a degenerate active set
+POOL_CASES = [
+    (25.65315494534047, 0.45910198239257516),
+    (14.230986754138591, 0.4253078626332756),
+    (23.392965754143443, 0.009058809074696236),
+    (41.22640291068457, 0.0014836432242929713),
+    (10.940409690522175, 0.02900053463877861),
+    (2.559675406933809, 0.13815674316058327),
+]
+EQUIVALENCE_CASES = ([(c["p_ave_db"], c["gamma"]) for c in GOLDEN_PANEL]
+                     + [(p, 0.1) for p in (10.0, 15.0, 20.0, 25.0, 30.0)]
+                     + POOL_CASES)
+
+
+def _outcome(p_ave_db, gamma):
+    """(rounds, converged, objective) of one condense, or the raised type."""
+    try:
+        sol = condense(default_params(p_ave_db=p_ave_db), gamma)
+    except Exception as exc:  # noqa: BLE001 - the raise is the outcome
+        return type(exc)
+    return len(sol.trace.steps), sol.trace.converged, sol.objective
+
+
+@pytest.mark.parametrize("p_ave_db, gamma", EQUIVALENCE_CASES,
+                         ids=[f"{p:.1f}dB-{g:.3g}" for p, g in EQUIVALENCE_CASES])
+def test_warm_start_matches_cold_rounds(monkeypatch, p_ave_db, gamma):
+    """Warm-starting later rounds from the previous KKT point changes only
+    the last bits: round counts, convergence flags and raised errors equal
+    those of every round solved cold, objectives agree to 1e-9."""
+    warm = _outcome(p_ave_db, gamma)
+    monkeypatch.setattr(gp, "_warm_inner_gp", lambda *args: None)
+    cold = _outcome(p_ave_db, gamma)
+    if isinstance(cold, type):
+        assert warm is cold
+        return
+    assert warm[:2] == cold[:2]
+    assert warm[2] == pytest.approx(cold[2], rel=1e-9)
+
+
+def test_warm_result_failing_certificate_falls_back_to_cold(defaults, monkeypatch):
+    """A warm result is judged by the cold solve's certificate: when it
+    cannot pass, every later round is exactly the cold barrier solve."""
+    monkeypatch.setattr(gp, "_warm_inner_gp", lambda *args: None)
+    cold = condense(defaults, 0.1)
+    monkeypatch.undo()
+    warm_inner_gp, rejected = gp._warm_inner_gp, []
+
+    def unreachable_tolerance(*args):
+        with monkeypatch.context() as m:
+            m.setattr(gp, "KKT_TOL", 1e-300)
+            result = warm_inner_gp(*args)
+        rejected.append(result is None)
+        return result
+
+    monkeypatch.setattr(gp, "_warm_inner_gp", unreachable_tolerance)
+    fallback = condense(defaults, 0.1)
+    assert rejected == [True] * (len(cold.trace.steps) - 1)
+    assert fallback.trace.steps == cold.trace.steps
+    assert fallback.state == cold.state
+
+
+def test_degenerate_active_set_instance_converges(monkeypatch):
+    """1% above gamma_min at 2.56 dB the polish used to drop the average
+    budget (negative multiplier) and return a point violating it by 1.4e-8;
+    re-admitting the violated row lets every round pass the certificate,
+    and the result is no worse than the resolution-40 lattice."""
+    p_ave_db, gamma = POOL_CASES[-1]
+    params = default_params(p_ave_db=p_ave_db)
+    certified, certify = [], gp._certified
+
+    def record(*args):
+        x, info = certify(*args)
+        certified.append(info)
+        return x, info
+
+    monkeypatch.setattr(gp, "_certified", record)
+    sol = condense(params, gamma)
+    assert sol.trace.converged
+    assert len(certified) == len(sol.trace.steps)
+    for info in certified:
+        assert info["kkt_residual"] <= gp.KKT_TOL
+        assert np.all(info["constraint_values"] <= 1 + 1e-8)
+    assert sol.trace.ratio_activity <= 1 + 1e-6
+    oracle = grid_oracle_nonreciprocal(params, gamma, resolution=40)
+    assert (nmse_l_nonreciprocal_approx(params, sol.alloc)
+            <= nmse_l_nonreciprocal_approx(params, oracle))
+
+
 def test_initial_state_is_strictly_feasible(defaults):
     gamma = 0.1
     st = initial_feasible_state(defaults, gamma)
