@@ -31,12 +31,36 @@ JITTER_REL = 1e-12
 REGRESSOR_COND_LIMIT = 1e14
 
 
-def _cond_exceeds(m: np.ndarray, limit: float) -> np.ndarray:
-    """Whether each Hermitian matrix of a stack has condition number above
-    ``limit`` (its eigenvalues are its singular values when positive; a
-    matrix with a non-positive eigenvalue counts as infinitely ill)."""
-    w = np.linalg.eigvalsh(m)
-    return w[..., -1] > limit * w[..., 0]
+def _cond_exceeds(m: np.ndarray, ridge: float, *limits: float) -> Tuple[np.ndarray, ...]:
+    """For each of ``limits``, whether each Hermitian matrix of a stack has
+    condition number above it (its eigenvalues are its singular values when
+    positive; a matrix with a non-positive eigenvalue counts as infinitely
+    ill).
+
+    ``ridge`` > 0 is a lower bound on every eigenvalue, known to the caller
+    because m is a positive semi-definite matrix plus ridge * I (0 when no
+    such bound is known).  Then lambda_min >= ridge and lambda_max <= trace,
+    so a matrix with trace <= ridge * min(limits) / 2 is certainly below
+    every limit; only the others get one ``eigvalsh``.
+    """
+    trace = np.trace(m, axis1=-2, axis2=-1).real
+    unsure = ~((ridge > 0) & (trace <= ridge * min(limits) / 2))
+    masks = tuple(np.zeros(trace.shape, dtype=bool) for _ in limits)
+    if unsure.any():
+        w = np.linalg.eigvalsh(m[unsure])
+        for mask, limit in zip(masks, limits):
+            mask[unsure] = w[..., -1] > limit * w[..., 0]
+    return masks
+
+
+def _jittered_solve(m: np.ndarray, b: np.ndarray, ill: np.ndarray) -> np.ndarray:
+    """Solve m x = b after adding a diagonal jitter of
+    JITTER_REL * trace(m)/n to each matrix flagged ``ill``."""
+    n = m.shape[-1]
+    if np.any(ill):
+        jitter = np.where(ill, JITTER_REL * np.trace(m, axis1=-2, axis2=-1).real / n, 0.0)
+        m = m + jitter[..., None, None] * np.eye(n)
+    return np.linalg.solve(m, b)
 
 
 def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,14 +68,11 @@ def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     system or a stack of them (leading axes broadcast).
 
     Each matrix whose cond(m) exceeds COND_LIMIT gets a diagonal jitter of
-    JITTER_REL * trace(m)/n before solving.
+    JITTER_REL * trace(m)/n before solving.  Nothing bounds the eigenvalues
+    of an arbitrary m, so every matrix gets one ``eigvalsh``; the callers
+    inside this module know their matrix's ridge and screen with it.
     """
-    n = m.shape[-1]
-    ill = _cond_exceeds(m, COND_LIMIT)
-    if np.any(ill):
-        jitter = np.where(ill, JITTER_REL * np.trace(m, axis1=-2, axis2=-1).real / n, 0.0)
-        m = m + jitter[..., None, None] * np.eye(n)
-    return np.linalg.solve(m, b)
+    return _jittered_solve(m, b, *_cond_exceeds(m, 0.0, COND_LIMIT))
 
 
 @functools.lru_cache(maxsize=256)
@@ -67,7 +88,8 @@ def _pilot_filter(prior_var: float, noise_var: float, energy: float,
     """
     x = np.sqrt(energy / n_cols) * pilot_matrix(tau, n_cols)
     gram = prior_var * (x @ x.conj().T) + noise_var * np.eye(tau)
-    filt = prior_var * spd_solve(gram, x).conj().T
+    (ill,) = _cond_exceeds(gram, noise_var, COND_LIMIT)
+    filt = prior_var * _jittered_solve(gram, x, ill).conj().T
     filt.flags.writeable = False
     return filt
 
@@ -115,18 +137,26 @@ def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
     (cond <= REGRESSOR_COND_LIMIT); the estimate of any other trial is zero
     and the caller must redraw it.  A non-finite Gram matrix is corrupt
     input and raises SingularRegressor.
+
+    The Gram matrix's eigenvalues lie in [beta, trace], so a trial with
+    trace <= beta * COND_LIMIT / 2 is regular and needs no jitter without
+    an eigendecomposition.  Any other trial gets one ``eigvalsh``, which
+    decides both ``regular`` and the COND_LIMIT jitter of the solve.
     """
     alpha = echo_gain(params, alloc.e_0, alloc.e_1)
     if alpha <= 0:
         raise ValueError("echo-based estimation needs e_1 > 0 (alpha > 0)")
     hu_h = np.conj(np.swapaxes(h_u_hat, -1, -2))
-    reg = hu_h @ h_u_hat + downlink_beta(params, alloc) * np.eye(params.n_t)
+    beta = downlink_beta(params, alloc)
+    reg = hu_h @ h_u_hat + beta * np.eye(params.n_t)
     if not np.all(np.isfinite(reg)):
         raise SingularRegressor("regularized uplink Gram matrix is not finite")
-    regular = ~_cond_exceeds(reg, REGRESSOR_COND_LIMIT)
+    irregular, ill = _cond_exceeds(reg, beta, REGRESSOR_COND_LIMIT, COND_LIMIT)
+    regular = ~irregular
     reg = np.where(regular[..., None, None], reg, np.eye(params.n_t))
     gain = params.var_hd / (alpha * t0_round_trip(params, alloc.e_0))
-    est = gain * (np.conj(np.swapaxes(x_t0, -1, -2)) @ y_t1 @ spd_solve(reg, hu_h))
+    est = gain * (np.conj(np.swapaxes(x_t0, -1, -2)) @ y_t1
+                  @ _jittered_solve(reg, hu_h, ill))
     return np.where(regular[..., None, None], est, 0.0), regular
 
 

@@ -43,6 +43,8 @@ CONDENSE_TOL = 1e-6       # relative objective change that ends condensation
 CONDENSE_MAX_ROUNDS = 50
 KKT_TOL = 1e-8            # worst KKT violation an inner solve may return
 NEWTON_MAX_STEPS = 200    # Newton steps per barrier centering
+# Lattice points the echo oracle evaluates at a time (256 kB per array).
+LATTICE_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +707,10 @@ def grid_oracle_nonreciprocal(params: SystemParams, gamma: float,
     Axes are linspace(0, cap, resolution+1), so doubling the resolution
     nests the lattice and can only improve the result.  Slow but
     assumption-free; raises NoFeasiblePoint when the lattice misses the
-    feasible set entirely.
+    feasible set entirely.  For each e_0, runs of e_1 values are evaluated
+    together, at most LATTICE_CHUNK points at a time, over the box of
+    points that no budget's partial sum already excludes; a tie goes to the
+    first point in (e_0, e_1, e_3, e_2, var_a) order.
     """
     if resolution < 20:
         raise ValueError("resolution < 20 is too coarse to be a useful oracle")
@@ -731,40 +736,57 @@ def grid_oracle_nonreciprocal(params: SystemParams, gamma: float,
     eps2 = 1.0 / (1.0 / p.var_hu + e2_axis / (p.n_l * p.var_wt))
     spectral = np.sqrt(p.var_hu - eps2)       # the printed Jensen surrogate
 
+    tol_s, tol_t, tol_l = s * (1 + 1e-9), b_t * (1 + 1e-9), b_l * (1 + 1e-9)
+    e1_axis = e1_axis[e1_axis <= tol_l]
     best_val = np.inf
     best = None
     for e_0 in e0_axis:
         t0 = p.var_hd * e_0 / p.n_t + p.var_w
         rho0 = (t0 - p.var_w) / t0
-        for e_1 in e1_axis:
-            if e_1 > b_l * (1 + 1e-9):
+        sum01 = e_0 + e1_axis
+        # every array below is laid out on the (e3, va) or (e1, e3, e2, va) axes
+        tx_ok = (e_0 + e3_axis[:, None] + an_axis[None, :]) <= tol_t
+        j = 0
+        while j < e1_axis.size:
+            # Budget sums only grow with each non-negative term, so the
+            # points past these prefixes fail a budget for every e_1 from
+            # e1_axis[j] on: the chunk's box holds all its feasible points.
+            n3 = np.count_nonzero(((sum01[j] + e3_axis) <= tol_s)
+                                  & ((e_0 + e3_axis) <= tol_t))
+            n2 = np.count_nonzero(((e1_axis[j] + e2_axis) <= tol_l)
+                                  & ((sum01[j] + e2_axis) <= tol_s))
+            na = np.count_nonzero(((e_0 + an_axis) <= tol_t)
+                                  & ((sum01[j] + an_axis) <= tol_s))
+            if n3 * n2 * na == 0:
                 break
+            c = max(1, LATTICE_CHUNK // (n3 * n2 * na))
+            e_1 = e1_axis[j:j + c, None]
             with np.errstate(divide="ignore"):
-                beta = p.n_l * eps2 + np.where(
+                beta = p.n_l * eps2[:n2] + np.where(
                     e_1 > 0, p.var_wt / ((e_1 / (p.n_t * p.n_l * t0)) * t0), np.inf)
             jfac = np.where(np.isinf(beta), 0.0,
-                            p.n_t * spectral / (beta + p.n_t * spectral))
-            resid = p.var_hd * (1.0 - rho0 * jfac)          # over e_2
-            r_eff = n_an * va_axis[None, :] * resid[:, None] + p.var_w
+                            p.n_t * spectral[:n2] / (beta + p.n_t * spectral[:n2]))
+            resid = p.var_hd * (1.0 - rho0 * jfac)          # over (e1, e2)
+            r_eff = n_an * va_axis[:na] * resid[:, :, None] + p.var_w
             nmse_l = 1.0 / (1.0 / p.var_hd
-                            + (e3_axis[:, None, None] / p.n_t) / r_eff[None, :, :])
-            # every array below is laid out on the (e3, e2, va) axes
-            avg_ok = (e_0 + e_1 + e3_axis[:, None, None] + e2_axis[None, :, None]
-                      + an_axis[None, None, :]) <= s * (1 + 1e-9)
-            tx_ok = (e_0 + e3_axis[:, None] + an_axis[None, :]) <= b_t * (1 + 1e-9)
-            lr_ok = (e_1 + e2_axis) <= b_l * (1 + 1e-9)
-            mask = (floor_ok[:, None, :]
-                    & tx_ok[:, None, :]
-                    & lr_ok[None, :, None]
+                            + (e3_axis[:n3, None, None] / p.n_t) / r_eff[:, None])
+            avg_ok = (sum01[j:j + c, None, None, None] + e3_axis[:n3, None, None]
+                      + e2_axis[:n2, None] + an_axis[:na]) <= tol_s
+            lr_ok = (e_1 + e2_axis[:n2]) <= tol_l
+            mask = (floor_ok[:n3, None, :na]
+                    & tx_ok[:n3, None, :na]
+                    & lr_ok[:, None, :, None]
                     & avg_ok)
-            if not mask.any():
-                continue
-            cand = np.where(mask, nmse_l, np.inf)
-            i3, i2, ia = np.unravel_index(np.argmin(cand), cand.shape)
-            if cand[i3, i2, ia] < best_val:
-                best_val = float(cand[i3, i2, ia])
-                best = (float(e_0), float(e_1), float(e2_axis[i2]),
-                        float(e3_axis[i3]), float(va_axis[ia]))
+            cand = np.where(mask, nmse_l, np.inf).reshape(e_1.shape[0], -1)
+            first = np.argmin(cand, axis=1)
+            # the first minimum of each e_1 in turn, as a scalar scan would
+            for k, flat in enumerate(first):
+                if cand[k, flat] < best_val:
+                    i3, i2, ia = np.unravel_index(flat, (n3, n2, na))
+                    best_val = float(cand[k, flat])
+                    best = (float(e_0), float(e_1[k, 0]), float(e2_axis[i2]),
+                            float(e3_axis[i3]), float(va_axis[ia]))
+            j += e_1.shape[0]
     if best is None:
         raise NoFeasiblePoint(
             "no lattice point satisfies the budgets and the UR floor")

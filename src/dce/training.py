@@ -70,11 +70,25 @@ def null_space_basis(h_hat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     rank-deficient when a singular value is at most RANK_RTOL times its
     largest one; its basis is still orthonormal but does not null the
     estimate, so the caller must redraw that row.
+
+    N is the trailing n_t-n_l columns of one complete QR, h_hat = Q R.  The
+    n_l x n_l triangle R has the singular values of h_hat, and
+    s_max <= ||R||_F while s_min s_max^(n_l-1) >= |det R| = prod |r_kk|, so
+    a row with prod |r_kk| > 2 RANK_RTOL ||R||_F^n_l certainly passes the
+    rank test.  Only the rows this bound does not clear get their singular
+    values computed and the exact test.
     """
     n_l = h_hat.shape[-1]
-    u, s, _ = np.linalg.svd(h_hat, full_matrices=True)
-    full_rank = np.all(s > RANK_RTOL * s[..., :1], axis=-1)
-    return u[..., n_l:], full_rank
+    q, r = np.linalg.qr(h_hat, mode="complete")
+    r = r[..., :n_l, :]
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    frob = np.linalg.norm(r, axis=(-2, -1))
+    full_rank = np.asarray(np.prod(diag, axis=-1) > 2 * RANK_RTOL * frob ** n_l)
+    unsure = ~full_rank
+    if unsure.any():
+        s = np.linalg.svd(h_hat[unsure], compute_uv=False)
+        full_rank[unsure] = np.all(s > RANK_RTOL * s[..., :1], axis=-1)
+    return q[..., n_l:], full_rank
 
 
 def reverse_training(params: SystemParams, alloc: PowerAllocation,

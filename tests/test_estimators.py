@@ -7,6 +7,10 @@ import pytest
 
 from dce.errors import SingularRegressor
 from dce.estimators import (
+    COND_LIMIT,
+    JITTER_REL,
+    REGRESSOR_COND_LIMIT,
+    _pilot_filter,
     lr_estimate_reciprocal,
     spd_solve,
     tx_estimate_downlink,
@@ -18,9 +22,11 @@ from dce.nmse import (
     downlink_beta,
     jensen_factor,
     lmmse_error_var,
+    lr_effective_noise_nonreciprocal,
     lr_effective_noise_reciprocal,
     nmse_l_nonreciprocal_approx,
     rho0_downlink,
+    t0_round_trip,
     tx_error_var_reciprocal,
     tx_error_var_uplink,
     ur_effective_noise,
@@ -34,7 +40,9 @@ from dce.params import (
 )
 from dce.rng import complex_gaussian, make_rng
 from dce.training import (
+    echo_gain,
     forward_training,
+    pilot_matrix,
     reverse_training,
     round_trip_training,
     sample_channels,
@@ -345,6 +353,122 @@ def test_spd_solve_jitter_guard():
     b = np.array([[1.0], [1.0]], dtype=complex)
     x = spd_solve(m, b)
     assert np.all(np.isfinite(x))
+
+
+def test_spd_solve_jitters_exactly_the_ill_matrices():
+    """cond = 1e13 > COND_LIMIT gets JITTER_REL * trace/n on the diagonal;
+    its well-conditioned neighbour is solved as given."""
+    m = np.stack([np.diag([1.0, 1e-13]), np.diag([1.0, 0.5])]).astype(complex)
+    b = np.ones((2, 2, 1), dtype=complex)
+    jitter = JITTER_REL * (1.0 + 1e-13) / 2
+    x = spd_solve(m, b)
+    np.testing.assert_array_equal(x[0], np.linalg.solve(m[0] + jitter * np.eye(2), b[0]))
+    np.testing.assert_array_equal(x[1], np.linalg.solve(m[1], b[1]))
+    assert x[0, 1, 0] < 0.2 * np.linalg.solve(m[0], b[0])[1, 0].real
+    # a non-positive eigenvalue counts as infinitely ill, even at trace <= 0
+    m = np.diag([1.0, -5.0]).astype(complex)
+    np.testing.assert_array_equal(
+        spd_solve(m, b[0]), np.linalg.solve(m - 2e-12 * np.eye(2), b[0]))
+
+
+def _cond_exceeds_reference(m, limit):
+    w = np.linalg.eigvalsh(m)
+    return w[..., -1] > limit * w[..., 0]
+
+
+def _spd_solve_reference(m, b):
+    """The conditioning guard with an eigendecomposition of every matrix."""
+    n = m.shape[-1]
+    ill = _cond_exceeds_reference(m, COND_LIMIT)
+    if np.any(ill):
+        jitter = np.where(ill, JITTER_REL * np.trace(m, axis1=-2, axis2=-1).real / n, 0.0)
+        m = m + jitter[..., None, None] * np.eye(n)
+    return np.linalg.solve(m, b)
+
+
+def _downlink_reference(y_t1, x_t0, h_u_hat, params, alloc):
+    """tx_estimate_downlink with one eigvalsh for the regular mask and a
+    second one inside the solve, for every trial."""
+    alpha = echo_gain(params, alloc.e_0, alloc.e_1)
+    hu_h = np.conj(np.swapaxes(h_u_hat, -1, -2))
+    reg = hu_h @ h_u_hat + downlink_beta(params, alloc) * np.eye(params.n_t)
+    regular = ~_cond_exceeds_reference(reg, REGRESSOR_COND_LIMIT)
+    reg = np.where(regular[..., None, None], reg, np.eye(params.n_t))
+    gain = params.var_hd / (alpha * t0_round_trip(params, alloc.e_0))
+    est = gain * (np.conj(np.swapaxes(x_t0, -1, -2)) @ y_t1 @ _spd_solve_reference(reg, hu_h))
+    return np.where(regular[..., None, None], est, 0.0), regular
+
+
+@pytest.mark.parametrize("alloc", [
+    nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0),
+    nonreciprocal_allocation(0.5, 30.0, 0.2, 4.0, var_a=0.3),
+], ids=["balanced", "weak-uplink"])
+def test_downlink_matches_two_eigvalsh_reference(defaults, alloc):
+    """Bit-identical estimates and masks on stacks whose uplink rows are
+    scaled over ten decades, so that some rows are cleared by the trace
+    screen, some are decided by eigvalsh as regular, some get the solve's
+    jitter and some are masked."""
+    rng = make_rng(41)
+    trials = 400
+    hu = complex_gaussian(rng, (trials, 2, 4)) * 10.0 ** rng.uniform(0, 10, (trials, 1, 1))
+    y_t1 = complex_gaussian(rng, (trials, 4, 4))
+    x_t0 = complex_gaussian(rng, (trials, 4, 4))
+    est, regular = tx_estimate_downlink(y_t1, x_t0, hu, defaults, alloc)
+    ref_est, ref_regular = _downlink_reference(y_t1, x_t0, hu, defaults, alloc)
+    np.testing.assert_array_equal(regular, ref_regular)
+    np.testing.assert_array_equal(est, ref_est)
+    beta = downlink_beta(defaults, alloc)
+    reg = np.conj(np.swapaxes(hu, -1, -2)) @ hu + beta * np.eye(4)
+    cleared = np.trace(reg, axis1=-2, axis2=-1).real <= beta * COND_LIMIT / 2
+    ill = _cond_exceeds_reference(reg, COND_LIMIT)
+    assert cleared.sum() > 50 and (~cleared & ~ill).sum() > 0
+    assert (ill & regular).sum() > 0 and (~regular).sum() > 50
+
+
+def test_downlink_row_far_beyond_the_limit_is_masked(defaults, rng):
+    """A row scaled so that trace/beta is 1e15 (cond > 5e14) is masked and
+    zeroed, in a stack whose other rows the trace screen clears."""
+    alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0)
+    beta = downlink_beta(defaults, alloc)
+    hu = complex_gaussian(rng, (3, 2, 4))
+    hu[2] *= np.sqrt(1e15 * beta / np.sum(np.abs(hu[2]) ** 2))
+    trace = np.sum(np.abs(hu) ** 2, axis=(1, 2)) + 4 * beta
+    assert trace[2] / beta > 1e14 and np.all(trace[:2] <= beta * COND_LIMIT / 2)
+    est, regular = tx_estimate_downlink(complex_gaussian(rng, (3, 4, 4)),
+                                        complex_gaussian(rng, (3, 4, 4)), hu,
+                                        defaults, alloc)
+    np.testing.assert_array_equal(regular, [True, True, False])
+    np.testing.assert_array_equal(est[2], 0.0)
+    assert np.all(est[:2] != 0.0)
+
+
+def _pilot_filter_reference(prior_var, noise_var, energy, tau, n_cols):
+    x = np.sqrt(energy / n_cols) * pilot_matrix(tau, n_cols)
+    gram = prior_var * (x @ x.conj().T) + noise_var * np.eye(tau)
+    return prior_var * _spd_solve_reference(gram, x).conj().T
+
+
+def test_pilot_filters_match_eigvalsh_reference(defaults):
+    """Every filter the estimators build at the default parameters, for a
+    reciprocal and an echo allocation, plus grams past COND_LIMIT and with
+    no noise ridge: bit-identical to the filter built with an eigvalsh of
+    every gram."""
+    p = defaults
+    rec = reciprocal_allocation(2.0, 4.0, var_a=0.5)
+    echo = nonreciprocal_allocation(3.0, 5.0, 2.0, 6.0, var_a=0.4)
+    cases = [
+        (p.var_h, p.var_wt, rec.e_r, p.tau_r, p.n_l),
+        (p.var_h, lr_effective_noise_reciprocal(p, rec.e_r, rec.var_a), rec.e_f, p.tau_f, p.n_t),
+        (p.var_g, ur_effective_noise(p, rec.var_a), rec.e_f, p.tau_f, p.n_t),
+        (p.var_hu, p.var_wt, echo.e_2, p.n_l, p.n_l),
+        (p.var_hd, lr_effective_noise_nonreciprocal(p, echo, "printed"), echo.e_3, p.n_t, p.n_t),
+        (p.var_g, ur_effective_noise(p, echo.var_a), echo.e_3, p.n_t, p.n_t),
+        (1.0, 1e-13, 4.0, 8, 4),     # cond > COND_LIMIT: jittered
+        (1.0, 4e-12, 4.0, 8, 4),     # past the screen, below the limit
+        (1.0, 0.0, 4.0, 4, 4),       # no ridge to screen with
+    ]
+    for args in cases:
+        np.testing.assert_array_equal(_pilot_filter(*args), _pilot_filter_reference(*args))
 
 
 def test_downlink_singular_regressor(defaults, rng):

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import minimize
 
 from dce import gp
-from dce.errors import Infeasible, NotConverged, Stalled
+from dce.errors import Infeasible, NoFeasiblePoint, NotConverged, Stalled
 from dce.gp import (
     LOG_BOX,
     GpState,
@@ -570,6 +570,75 @@ def test_initial_state_is_strictly_feasible(defaults):
 def test_oracle_resolution_guard(defaults):
     with pytest.raises(ValueError):
         grid_oracle_nonreciprocal(defaults, 0.1, resolution=19)
+
+
+def _scalar_scan_oracle(p, gamma, resolution):
+    """The echo lattice oracle as one scalar (e_0, e_1) loop with a full
+    (e_3, e_2, var_a) lattice per pair, first minimum kept."""
+    s, b_t, b_l = (p.budget_average_nonreciprocal(), p.budget_tx_nonreciprocal(),
+                   p.budget_lr_nonreciprocal())
+    n_an = p.n_t - p.n_l
+    e0_axis = np.linspace(0.0, min(s, b_t), resolution + 1)
+    e1_axis = np.linspace(0.0, min(s, b_l), resolution + 1)
+    e2_axis = np.linspace(0.0, min(s, b_l), resolution + 1)
+    e3_axis = np.linspace(0.0, min(s, b_t), resolution + 1)
+    an_axis = np.linspace(0.0, min(s, b_t), resolution + 1)
+    va_axis = an_axis / (n_an * p.n_t)
+    ur_noise = n_an * va_axis * p.var_g + p.var_v
+    nmse_u = 1.0 / (1.0 / p.var_g + (e3_axis[:, None] / p.n_t) / ur_noise[None, :])
+    floor_ok = nmse_u >= gamma * (1 - 1e-9)
+    eps2 = 1.0 / (1.0 / p.var_hu + e2_axis / (p.n_l * p.var_wt))
+    spectral = np.sqrt(p.var_hu - eps2)
+    best_val, best = np.inf, None
+    for e_0 in e0_axis:
+        t0 = p.var_hd * e_0 / p.n_t + p.var_w
+        rho0 = (t0 - p.var_w) / t0
+        for e_1 in e1_axis:
+            if e_1 > b_l * (1 + 1e-9):
+                break
+            with np.errstate(divide="ignore"):
+                beta = p.n_l * eps2 + np.where(
+                    e_1 > 0, p.var_wt / ((e_1 / (p.n_t * p.n_l * t0)) * t0), np.inf)
+            jfac = np.where(np.isinf(beta), 0.0,
+                            p.n_t * spectral / (beta + p.n_t * spectral))
+            resid = p.var_hd * (1.0 - rho0 * jfac)
+            r_eff = n_an * va_axis[None, :] * resid[:, None] + p.var_w
+            nmse_l = 1.0 / (1.0 / p.var_hd
+                            + (e3_axis[:, None, None] / p.n_t) / r_eff[None, :, :])
+            avg_ok = (e_0 + e_1 + e3_axis[:, None, None] + e2_axis[None, :, None]
+                      + an_axis[None, None, :]) <= s * (1 + 1e-9)
+            tx_ok = (e_0 + e3_axis[:, None] + an_axis[None, :]) <= b_t * (1 + 1e-9)
+            lr_ok = (e_1 + e2_axis) <= b_l * (1 + 1e-9)
+            mask = floor_ok[:, None, :] & tx_ok[:, None, :] & lr_ok[None, :, None] & avg_ok
+            cand = np.where(mask, nmse_l, np.inf)
+            i3, i2, ia = np.unravel_index(np.argmin(cand), cand.shape)
+            if cand[i3, i2, ia] < best_val:
+                best_val = float(cand[i3, i2, ia])
+                best = (float(e_0), float(e_1), float(e2_axis[i2]),
+                        float(e3_axis[i3]), float(va_axis[ia]))
+    return None if best is None else nonreciprocal_allocation(*best)
+
+
+@pytest.mark.parametrize("kwargs,gamma,resolution", [
+    ({}, 0.1, 20),
+    ({"p_ave_db": 25.0}, 0.03, 21),
+    ({"p_ave_db": 3.0}, 0.5, 20),             # every budget binds
+    ({"p_bar_t_db": 12.0, "var_hu": 0.4}, 0.01, 23),
+    ({}, 1.5, 20),                            # the floor excludes every point
+], ids=["defaults", "25dB", "budgets-bind", "tx-limited", "floor-infeasible"])
+def test_oracle_matches_scalar_scan(kwargs, gamma, resolution, monkeypatch):
+    """The chunked oracle returns exactly the scalar scan's allocation, or
+    raises where the scan finds nothing, with several e_1 values per chunk
+    and with one."""
+    p = default_params(**kwargs)
+    expected = _scalar_scan_oracle(p, gamma, resolution)
+    for chunk in (gp.LATTICE_CHUNK, 1):
+        monkeypatch.setattr(gp, "LATTICE_CHUNK", chunk)
+        if expected is None:
+            with pytest.raises(NoFeasiblePoint):
+                grid_oracle_nonreciprocal(p, gamma, resolution=resolution)
+        else:
+            assert grid_oracle_nonreciprocal(p, gamma, resolution=resolution) == expected
 
 
 def test_oracle_nesting(defaults):

@@ -4,6 +4,7 @@ all on stacks of trials."""
 import numpy as np
 import pytest
 
+from dce import training
 from dce.params import (
     NON_RECIPROCAL,
     RECIPROCAL,
@@ -98,6 +99,84 @@ def test_null_space_rank_deficient():
     h = np.stack([np.hstack([col, col]), np.eye(4, 2, dtype=complex)])
     _, full_rank = null_space_basis(h)
     np.testing.assert_array_equal(full_rank, [False, True])
+
+
+def _svd_full_rank(h):
+    """The exact rank criterion, from the singular values."""
+    s = np.linalg.svd(h, compute_uv=False)
+    return np.all(s > training.RANK_RTOL * s[..., :1], axis=-1)
+
+
+def _with_singular_values(rng, n_t, sv):
+    """(len(sv), n_t, n_l) stack whose rows have the given singular values."""
+    sv = np.asarray(sv, dtype=float)
+    n_l = sv.shape[-1]
+    u, _ = np.linalg.qr(complex_gaussian(rng, (sv.shape[0], n_t, n_l)))
+    v, _ = np.linalg.qr(complex_gaussian(rng, (sv.shape[0], n_l, n_l)))
+    return (u * sv[:, None, :]) @ _hermitian(v)
+
+
+def test_null_space_rank_mask_matches_svd_criterion(rng):
+    """s_min/s_max of 0, 1e-11 (below RANK_RTOL), 1e-9 (above it) and 1, each
+    at three scales: the mask equals the exact singular-value test row by
+    row."""
+    ratios = [0.0, 1e-11, 1e-9, 1.0]
+    sv = [[scale, scale * r] for r in ratios for scale in (1e-8, 1.0, 1e8)]
+    h = _with_singular_values(rng, 4, sv)
+    _, full_rank = null_space_basis(h)
+    np.testing.assert_array_equal(full_rank, _svd_full_rank(h))
+    np.testing.assert_array_equal(full_rank, np.repeat([False, False, True, True], 3))
+
+
+def test_null_space_exact_test_only_for_uncleared_rows(rng, monkeypatch):
+    """Well-conditioned rows are decided by the QR bound alone; the singular
+    values are computed only for the rows it cannot clear."""
+    sizes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    h = complex_gaussian(rng, (64, 4, 2))
+    assert null_space_basis(h)[1].all() and sizes == []
+    h[5, :, 1] = 2.0 * h[5, :, 0]
+    np.testing.assert_array_equal(null_space_basis(h)[1], np.arange(64) != 5)
+    assert sizes == [1]
+
+
+def test_null_space_unbatched_rank_deficient():
+    """A single (n_t, n_l) estimate, with no trial axis, is flagged too."""
+    col = np.ones((4, 1), dtype=complex)
+    n, full_rank = null_space_basis(np.hstack([col, 2.0 * col]))
+    assert n.shape == (4, 2) and np.shape(full_rank) == ()
+    assert not full_rank
+    assert null_space_basis(np.eye(4, 2, dtype=complex))[1]
+
+
+@pytest.mark.parametrize("n_t,n_l", [(6, 1), (6, 3), (4, 2)])
+def test_null_space_projector(rng, n_t, n_l):
+    """Per row, N N^H is the projector I - h (h^H h)^{-1} h^H onto the left
+    null space, and N^H N = I."""
+    h = complex_gaussian(rng, (40, n_t, n_l))
+    n, full_rank = null_space_basis(h)
+    assert n.shape == (40, n_t, n_t - n_l) and full_rank.all()
+    proj = np.eye(n_t) - h @ np.linalg.solve(_hermitian(h) @ h, _hermitian(h))
+    assert np.max(np.abs(n @ _hermitian(n) - proj)) <= 1e-12
+    assert np.max(np.abs(_hermitian(n) @ n - np.eye(n_t - n_l))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_t,n_l", [(6, 1), (6, 3)])
+def test_null_space_rank_mask_other_geometries(rng, n_t, n_l):
+    """The mask equals the exact criterion for one and three columns."""
+    sv = [np.geomspace(1.0, r, n_l) if r else np.r_[np.ones(n_l - 1), 0.0]
+          for r in (1e-11, 1e-9, 0.5, 0.0)]
+    h = _with_singular_values(rng, n_t, sv)
+    _, full_rank = null_space_basis(h)
+    np.testing.assert_array_equal(full_rank, _svd_full_rank(h))
+    # one column has a single singular value, so only the zero row is flagged
+    np.testing.assert_array_equal(full_rank, [n_l == 1, True, True, False])
 
 
 # ---------------------------------------------------------------------------
