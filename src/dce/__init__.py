@@ -13,7 +13,7 @@ symbol error rates with a four-antenna orthogonal block code.
 
 from .alloc_reciprocal import (ReciprocalSolution, grid_oracle_reciprocal,
                                solve_reciprocal)
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig
 from .errors import (ConfigError, DceError, Infeasible, InfeasibleGamma,
                      NoFeasiblePoint, NotConverged, RankDeficient,
                      SingularRegressor, Stalled, UnsupportedGeometry)

@@ -88,14 +88,21 @@ def _active_constraints(p: SystemParams, gamma: float,
 
 
 def _golden_section(fun, lo: float, hi: float) -> Tuple[float, float]:
-    """Minimize fun on [lo, hi] down to width GOLDEN_REL_WIDTH*(hi-lo)."""
+    """Minimize fun on [lo, hi] down to width GOLDEN_REL_WIDTH*(hi-lo), or
+    until the float spacing at the bracket stops it shrinking."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     width = hi - lo
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
+    seen = set()
     while (b - a) > GOLDEN_REL_WIDTH * width:
+        # (a, b, c, d) fixes every later step, so a state seen before means
+        # the bracket cycles between floats without shrinking
+        if (a, b, c, d) in seen:
+            break
+        seen.add((a, b, c, d))
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -11,7 +11,8 @@ Subcommands:
 * ``verify`` — self-check suite pitting the solvers against brute-force
   oracles and toy problems with known answers, at one (gamma, p_ave) point.
 
-Each subcommand declares only the flags it reads.
+Each subcommand declares only the flags it reads: ``--config`` and the
+flag of each ``config.KEYS`` entry that names the command and has a help.
 
 Exit codes: 0 success, 1 solver breakdown, 2 configuration problem,
 3 infeasible problem, 4 unsupported geometry, 5 verification failure,
@@ -29,8 +30,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .alloc_reciprocal import grid_oracle_reciprocal, solve_reciprocal
-from .config import (FORMATS, JENSEN_VARIANTS, ExperimentConfig,
-                     parse_float_list, read_config_file)
+from .config import (FORMATS, JENSEN_VARIANTS, KEY_BY_NAME, KEYS,
+                     ExperimentConfig, read_config_file)
 from .errors import (ConfigError, Infeasible, InfeasibleGamma,
                      NoFeasiblePoint, NotConverged, RankDeficient,
                      SingularRegressor, Stalled, UnsupportedGeometry)
@@ -61,101 +62,44 @@ EXIT_DEGENERATE = 6
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    """The flags every subcommand reads."""
-    sp.add_argument("--config", help="key=value config file; flags override it")
-    sp.add_argument("--gamma", help="UR NMSE floor (linear); comma list sweeps")
-    sp.add_argument("--pave-db", dest="pave_db",
-                    help="average training power in dB; comma list sweeps")
-    sp.add_argument("--pbar-t-db", dest="pbar_t_db", type=float,
-                    help="transmitter power cap in dB")
-    sp.add_argument("--pbar-l-db", dest="pbar_l_db", type=float,
-                    help="legitimate-receiver power cap in dB")
-    sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--format", choices=FORMATS)
-
-
-def _add_protocol(sp: argparse.ArgumentParser) -> None:
-    """The training-protocol flags: alloc, nmse and ser."""
-    sp.add_argument("--scheme", choices=(RECIPROCAL, NON_RECIPROCAL))
-    sp.add_argument("--tau-f", dest="tau_f",
-                    help="forward training length; a comma list sweeps it (nmse)")
-    sp.add_argument("--jensen-variant", dest="jensen_variant",
-                    choices=JENSEN_VARIANTS)
-
-
-def _add_sampling(sp: argparse.ArgumentParser) -> None:
-    """The Monte-Carlo flags: nmse, ser and verify."""
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Flag values stay raw text: effective_config parses them by KEYS."""
     parser = argparse.ArgumentParser(
         prog="dce",
         description="Discriminatory channel estimation: training simulation, "
                     "power allocation, and verification tools.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, extra, groups in (
-            ("alloc", cmd_alloc, "solve the power allocation", (_add_protocol,)),
-            ("nmse", cmd_nmse, "analytic vs empirical estimation error",
-             (_add_protocol, _add_sampling)),
-            ("ser", cmd_ser, "data-phase symbol error rates",
-             (_add_protocol, _add_sampling)),
-            ("verify", cmd_verify, "run the self-check oracle suite",
-             (_add_sampling,))):
+    for name, fn, extra in (
+            ("alloc", cmd_alloc, "solve the power allocation"),
+            ("nmse", cmd_nmse, "analytic vs empirical estimation error"),
+            ("ser", cmd_ser, "data-phase symbol error rates"),
+            ("verify", cmd_verify, "run the self-check oracle suite")):
         sp = sub.add_parser(name, help=extra)
-        for add in (_add_common, *groups):
-            add(sp)
-        if name == "ser":
-            sp.add_argument("--modulation", type=int, choices=(4, 16, 64))
+        sp.add_argument("--config", help="key=value config file; flags override it")
+        for key in KEYS:
+            if key.help is not None and name in key.commands:
+                sp.add_argument("--" + key.name.replace("_", "-"), dest=key.name,
+                                default=argparse.SUPPRESS, help=key.help)
         sp.set_defaults(fn=fn)
     return parser
 
 
-_OVERLAY_KEYS = ("scheme", "pbar_t_db", "pbar_l_db", "trials", "seed",
-                 "jensen_variant", "modulation", "format", "out")
-_SWEEP_FLAGS = ("gamma", "pave_db")
-# The config keys without a flag, by the commands that read them: the
-# geometry reaches alloc and verify's echo solve through to_params, n_u only
-# the Monte-Carlo draws, and tau_r only the reciprocal protocol.
-_UNFLAGGED_KEYS = {
-    "alloc": ("n_t", "n_l", "tau_r"),
-    "nmse": ("n_t", "n_l", "n_u", "tau_r"),
-    "ser": ("n_t", "n_l", "n_u", "tau_r"),
-    "verify": ("n_t", "n_l"),
-}
-
-
-def _config_file(args: argparse.Namespace) -> ExperimentConfig:
-    """The --config file's settings, validated once the flags overlay them;
-    a key the command does not read (its own flags' keys and its
-    _UNFLAGGED_KEYS) is a configuration error."""
-    values = read_config_file(args.config)
-    reads = set(vars(args)) | set(_UNFLAGGED_KEYS[args.command])
-    unread = sorted(set(values) - reads)
+def effective_config(args: argparse.Namespace):
+    """The --config file's values overlaid by the flags', validated; a file
+    key the command does not read is a configuration error.  Returns the
+    config and the --tau-f sweep (None unless tau_f lists several values)."""
+    values = read_config_file(args.config) if args.config else {}
+    unread = sorted(k for k in values if args.command not in KEY_BY_NAME[k].commands)
     if unread:
         raise ConfigError(f"{args.command} does not read the config key(s) "
                           f"{', '.join(unread)}")
-    return ExperimentConfig(**values)
-
-
-def effective_config(args: argparse.Namespace):
-    cfg = _config_file(args) if args.config else ExperimentConfig()
-    for key in _OVERLAY_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    for key in _SWEEP_FLAGS:
-        raw = getattr(args, key, None)
-        if raw is not None:
-            setattr(cfg, key, parse_float_list(key, raw))
-    raw_taus = getattr(args, "tau_f", None)
-    taus = None if raw_taus is None else parse_float_list("tau_f", raw_taus, int)
+    for key, raw in vars(args).items():
+        if key in KEY_BY_NAME:
+            values[key] = KEY_BY_NAME[key].parse(key, raw)
+    taus = values.pop("tau_f", None)
     if taus is not None and len(taus) == 1:
-        cfg.tau_f = taus[0]
-        taus = None
-    cfg.validate()
+        values["tau_f"], taus = taus[0], None
+    cfg = ExperimentConfig(**values).validate()
     if taus is not None and args.command != "nmse":
         raise ConfigError("a --tau-f list sweeps the forward length and only "
                           "applies to the nmse command")

@@ -1,22 +1,29 @@
 r"""Flat key=value experiment configuration.
 
-One assignment per line; ``#`` starts a comment; keys mirror the CLI flags
-(dashes become underscores).  Parsing is strict: unknown or duplicate keys
-and malformed values raise ConfigError.  ``gamma`` and ``pave_db`` accept
-comma-separated sweep lists (a single value is the one-point sweep) and
-``points()`` walks that grid gamma-outer.  Training lengths are capped at
-MAX_TRAINING_SLOTS; ``tau_f`` and ``tau_r`` are rejected under the echo
-scheme, whose forward phase is pinned to ``n_t`` slots and its uplink
-phase to ``n_l``, and ``jensen_variant`` under the reciprocal scheme, whose
-closed forms have no Jensen surrogate.
+Each ExperimentConfig key is declared once, in KEYS: the parser of its
+text, the commands that read it and the help of its flag.  Config files
+and the CLI's flags parse through that table, so a value means the same
+from either, and validate() is the one value check.  One assignment per
+line; ``#`` starts a comment; keys are the flags' names with underscores.
+Parsing is strict: unknown or duplicate keys and malformed values raise
+ConfigError.  ``gamma`` and ``pave_db`` accept comma-separated sweep lists
+(a single value is the one-point sweep) and ``points()`` walks that grid
+gamma-outer; ``tau_f`` parses to a list too, which the CLI takes as a plain
+override when it holds one value and as the nmse forward-length sweep
+otherwise.  Training lengths are capped at MAX_TRAINING_SLOTS; ``tau_f``
+and ``tau_r`` are rejected under the echo scheme, whose forward phase is
+pinned to ``n_t`` slots and its uplink phase to ``n_l``, and
+``jensen_variant`` under the reciprocal scheme, whose closed forms have no
+Jensen surrogate.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterator, NamedTuple, Optional, Tuple,
+                    Union)
 
 from .errors import ConfigError
 from .params import (NON_RECIPROCAL, RECIPROCAL, SystemParams, db_to_linear,
@@ -130,12 +137,6 @@ class ExperimentConfig:
                 yield gamma, pave_db, self.to_params(pave_db)
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_INT_KEYS = {"n_t", "n_l", "n_u", "tau_r", "tau_f", "trials", "seed", "modulation"}
-_FLOAT_KEYS = {"pbar_t_db", "pbar_l_db"}
-_SWEEP_KEYS = {"gamma", "pave_db"}
-
-
 def parse_float_list(key: str, raw: str,
                      kind: Callable[[str], Union[int, float]] = float) -> tuple:
     """Comma-separated ``kind`` values -> tuple; empty input is a ConfigError."""
@@ -148,18 +149,55 @@ def parse_float_list(key: str, raw: str,
     return values
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in _SWEEP_KEYS:
-        return parse_float_list(key, raw)
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+def _scalar(kind: Callable[[str], object]) -> Callable[[str, str], object]:
+    def parse(key: str, raw: str):
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    return parse
+
+
+class Key(NamedTuple):
+    """One ExperimentConfig key: the parser of its text, the commands that
+    read it, and the help of its flag (None: a config-file key only)."""
+    name: str
+    parse: Callable[[str, str], object]
+    commands: Tuple[str, ...]
+    help: Optional[str]
+
+
+COMMANDS = ("alloc", "nmse", "ser", "verify")
+_PROTOCOL = ("alloc", "nmse", "ser")
+_SAMPLING = ("nmse", "ser", "verify")
+
+# The geometry reaches alloc and verify's echo solve through to_params, n_u
+# only the Monte-Carlo draws, and tau_r only the reciprocal protocol.
+KEYS = (
+    Key("scheme", _scalar(str), _PROTOCOL,
+        f"training protocol: {RECIPROCAL} or {NON_RECIPROCAL}"),
+    Key("gamma", parse_float_list, COMMANDS,
+        "UR NMSE floor (linear); comma list sweeps"),
+    Key("pave_db", parse_float_list, COMMANDS,
+        "average training power in dB; comma list sweeps"),
+    Key("pbar_t_db", _scalar(float), COMMANDS, "transmitter power cap in dB"),
+    Key("pbar_l_db", _scalar(float), COMMANDS,
+        "legitimate-receiver power cap in dB"),
+    Key("n_t", _scalar(int), COMMANDS, None),
+    Key("n_l", _scalar(int), COMMANDS, None),
+    Key("n_u", _scalar(int), ("nmse", "ser"), None),
+    Key("tau_r", _scalar(int), _PROTOCOL, None),
+    Key("tau_f", functools.partial(parse_float_list, kind=int), _PROTOCOL,
+        "forward training length; a comma list sweeps it (nmse)"),
+    Key("trials", _scalar(int), _SAMPLING, "Monte-Carlo trials"),
+    Key("seed", _scalar(int), _SAMPLING, "nonnegative RNG seed"),
+    Key("jensen_variant", _scalar(str), _PROTOCOL,
+        f"echo-scheme NMSE surrogate: {' or '.join(JENSEN_VARIANTS)}"),
+    Key("modulation", _scalar(int), ("ser",), "QAM order: 4, 16 or 64"),
+    Key("format", _scalar(str), COMMANDS, f"table format: {' or '.join(FORMATS)}"),
+    Key("out", _scalar(str), COMMANDS, "output path (default: stdout)"),
+)
+KEY_BY_NAME = {key.name: key for key in KEYS}
 
 
 def read_config(text: str) -> Dict[str, object]:
@@ -173,16 +211,12 @@ def read_config(text: str) -> Dict[str, object]:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in KEY_BY_NAME:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = KEY_BY_NAME[key].parse(key, raw.strip())
     return values
-
-
-def load_config(text: str) -> ExperimentConfig:
-    return ExperimentConfig(**read_config(text)).validate()
 
 
 def read_config_file(path: str) -> Dict[str, object]:

@@ -63,18 +63,6 @@ def _jittered_solve(m: np.ndarray, b: np.ndarray, ill: np.ndarray) -> np.ndarray
     return np.linalg.solve(m, b)
 
 
-def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hermitian positive-definite solve with a conditioning guard, for one
-    system or a stack of them (leading axes broadcast).
-
-    Each matrix whose cond(m) exceeds COND_LIMIT gets a diagonal jitter of
-    JITTER_REL * trace(m)/n before solving.  Nothing bounds the eigenvalues
-    of an arbitrary m, so every matrix gets one ``eigvalsh``; the callers
-    inside this module know their matrix's ridge and screen with it.
-    """
-    return _jittered_solve(m, b, *_cond_exceeds(m, 0.0, COND_LIMIT))
-
-
 @functools.lru_cache(maxsize=256)
 def _pilot_filter(prior_var: float, noise_var: float, energy: float,
                   tau: int, n_cols: int) -> np.ndarray:

@@ -640,7 +640,10 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
     solve from x_bar.  The monomial under-estimates the true denominator
     everywhere, so iterates stay feasible for the original problem and the
     score increases monotonically; a decrease raises Stalled, as does a
-    final point that violates the original ratio.
+    final point that violates the original ratio.  The objective is the
+    sigma-squared Jensen surrogate of the LR NMSE, i.e.
+    ``nmse_l_nonreciprocal_approx(params, alloc, "sigma-squared")`` of the
+    returned allocation up to the inner solver's tolerance.
     """
     check_gamma(params, gamma, NON_RECIPROCAL)
     if start is None:

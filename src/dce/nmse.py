@@ -210,12 +210,19 @@ def check_gamma(params: SystemParams, gamma: float, scheme: str) -> None:
     Below gamma_min the floor is vacuous (the UR error never gets that small):
     the reciprocal solver simply proceeds with the constraint inactive, while
     the non-reciprocal route rejects it because the condensation construction
-    presumes the floor binds at the optimum.
+    presumes the floor binds at the optimum.  The non-reciprocal route also
+    rejects gamma_max itself: its floor constraint divides by
+    1/gamma - 1/var_g.
     """
     lo, hi = gamma_bounds(params, scheme)
     if not 0.0 < gamma <= hi:
         raise InfeasibleGamma(
             f"gamma={gamma:g} outside achievable interval (0, {hi:g}]")
+    if scheme == NON_RECIPROCAL and not 1.0 / gamma > 1.0 / hi:
+        raise InfeasibleGamma(
+            f"gamma={gamma:g} must lie below var_g={hi:g} under the "
+            "non-reciprocal scheme, whose floor constraint divides by "
+            "1/gamma - 1/var_g")
     if scheme == NON_RECIPROCAL and gamma < lo:
         raise InfeasibleGamma(
             f"gamma={gamma:g} below the smallest enforceable floor {lo:g}; "

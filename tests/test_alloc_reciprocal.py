@@ -1,6 +1,9 @@
 """Reciprocal allocator: reduced line search, closed-form branch, lattice
 oracle agreement, constraint activity."""
 
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -171,3 +174,38 @@ def test_solver_never_loses_to_lattice_on_random_instances():
         oracle = grid_oracle_reciprocal(p, gamma, 60)
         assert sol.objective <= oracle.objective + 1e-6 * oracle.objective
         tried += 1
+
+
+@pytest.mark.parametrize("pave_db, gamma, pbar_t_db, pbar_l_db", [
+    (45.0, 0.5, 0.0, 120.0),
+    (5.0, 0.05, -80.0, 20.0),
+    (20.0, 0.99, -80.0, 120.0),
+    (-20.0, 0.001, -80.0, -10.0),
+])
+def test_golden_section_stops_at_float_spacing(pave_db, gamma, pbar_t_db, pbar_l_db):
+    """On these instances the golden-section bracket reaches adjacent floats
+    above its width target and can shrink no further; the solve still
+    returns promptly with a feasible allocation no worse than the lattice."""
+    p = default_params(p_ave_db=pave_db, p_bar_t_db=pbar_t_db, p_bar_l_db=pbar_l_db)
+
+    def hung(signum, frame):
+        raise TimeoutError("solve_reciprocal did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        start = time.perf_counter()
+        sol = solve_reciprocal(p, gamma)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
+    a = sol.alloc
+    an_energy = (p.n_t - p.n_l) * a.var_a * p.tau_f
+    tol = 1 + 1e-12
+    assert a.e_r + a.e_f + an_energy <= p.budget_average_reciprocal() * tol
+    assert a.e_f + an_energy <= p.budget_tx_reciprocal() * tol
+    assert a.e_r <= p.budget_lr_reciprocal() * tol
+    assert nmse_u_reciprocal(p, a.e_f, a.var_a) >= gamma * (1 - 1e-9)
+    assert sol.objective <= grid_oracle_reciprocal(p, gamma, 60).objective

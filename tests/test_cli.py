@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, sweep semantics, output determinism."""
 
+import argparse
 import csv
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import dce
 import dce.cli as cli
+from dce.config import KEYS
 from dce.tables import strip_footer
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -166,6 +168,30 @@ def test_nmse_sweep_rows_match_single_point_runs(tmp_path):
         assert single.read_bytes().splitlines(keepends=True)[1] == row
 
 
+def test_condensation_optimizes_the_sigma_squared_surrogate(tmp_path):
+    """At the golden grid's gamma = 0.5 points, condensation's objective is
+    the sigma-squared Jensen surrogate of its own allocation (to 1e-8), not
+    the printed one (1e-3 away), and --jensen-variant changes only the
+    reported nmse_l column, never the allocation."""
+    argv = ["alloc", "--scheme", "non-reciprocal", "--pave-db", "10,15,20,25,30",
+            "--gamma", "0.5"]
+    tables = {}
+    for variant in ("printed", "sigma-squared"):
+        code, out = _run(tmp_path, *argv, "--jensen-variant", variant)
+        assert code == EXIT_OK
+        tables[variant] = _read_csv(out)
+    header, printed = tables["printed"]
+    _, sigma = tables["sigma-squared"]
+    col = header.index("nmse_l")
+    assert len(printed) == 5
+    for row_p, row_s in zip(printed, sigma):
+        assert row_p[:col] + row_p[col + 1:] == row_s[:col] + row_s[col + 1:]
+        params = dce.default_params(p_ave_db=float(row_p[0]))
+        objective = dce.condense(params, 0.5).objective
+        assert abs(float(row_s[col]) / objective - 1.0) <= 1e-8
+        assert abs(float(row_p[col]) / objective - 1.0) >= 1e-3
+
+
 def test_single_tau_flag_is_plain_override(tmp_path):
     code, out = _run(tmp_path, "alloc", "--gamma", "0.1", "--pave-db", "20",
                      "--tau-f", "8")
@@ -280,6 +306,74 @@ def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+# the flags of each subcommand, as the README's flag table lists them
+README_FLAGS = {
+    "alloc": {"--scheme", "--tau-f", "--jensen-variant"},
+    "nmse": {"--scheme", "--tau-f", "--jensen-variant", "--trials", "--seed"},
+    "ser": {"--scheme", "--tau-f", "--jensen-variant", "--trials", "--seed",
+            "--modulation"},
+    "verify": {"--trials", "--seed"},
+}
+COMMON_FLAGS = {"--config", "--gamma", "--pave-db", "--pbar-t-db",
+                "--pbar-l-db", "--out", "--format"}
+
+
+@pytest.mark.parametrize("command", sorted(README_FLAGS))
+def test_parser_declares_exactly_the_table_flags(command):
+    """Each subcommand's parser exposes --config plus the flag of every key
+    KEYS says it reads (keys without a help have no flag), which is the
+    README's flag table."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {s for action in sub.choices[command]._actions
+             for s in action.option_strings} - {"-h", "--help"}
+    assert flags == {"--config"} | {
+        "--" + key.name.replace("_", "-") for key in KEYS
+        if key.help is not None and command in key.commands}
+    assert flags == COMMON_FLAGS | README_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nmse", "--trials", "abc"],
+    ["nmse", "--seed", "1.5"],
+    ["ser", "--modulation", "32"],
+    ["alloc", "--scheme", "foo"],
+    ["alloc", "--format", "xml"],
+    ["alloc", "--pbar-t-db", "loud"],
+    ["alloc", "--scheme", "non-reciprocal", "--jensen-variant", "exact"],
+])
+def test_bad_flag_value_is_one_configuration_error(argv, capsys):
+    """A flag's value goes through the parser and the checks of its config
+    key, so a bad one exits 2 with the one line a config file gets, not a
+    usage block."""
+    assert cli.main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+    assert captured.err.count("\n") == 1
+
+
+def test_config_tau_f_list_means_what_the_flag_means(tmp_path, capsys):
+    """One parser per key: a tau_f list in a config file sweeps the forward
+    length like the same --tau-f list, with the same scope rules."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("gamma=0.1\npave_db=20\ntau_f=4,8\ntrials=100\n")
+    from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    assert cli.main(["nmse", "--config", str(cfg), "--out", str(from_file)]) == EXIT_OK
+    assert cli.main(["nmse", "--gamma", "0.1", "--pave-db", "20", "--tau-f", "4,8",
+                     "--trials", "100", "--out", str(from_flag)]) == EXIT_OK
+    table = strip_footer(from_file.read_text())
+    assert len(table.splitlines()) == 3 and table == strip_footer(from_flag.read_text())
+    capsys.readouterr()
+    for text, message in (("tau_f=4,8\n", "tau-f list sweeps"),
+                          ("scheme=non-reciprocal\ntau_f=8\n", "tau_f does not apply")):
+        cfg.write_text(text)
+        assert cli.main(["alloc", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err
+
+
 def test_exit_config_db_overflow(tmp_path, capsys):
     """A dB value too large for a float is a configuration error before
     anything runs, from a flag or from a config key."""
@@ -348,6 +442,27 @@ def test_exit_infeasible(capsys):
                      "--gamma", "1e-9"]) == EXIT_INFEASIBLE
     assert "infeasible" in capsys.readouterr().err
     assert cli.main(["alloc", "--gamma", "1.5"]) == EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize("command", ["alloc", "nmse", "ser"])
+def test_exit_infeasible_echo_floor_at_prior(command, capsys):
+    """gamma = var_g leaves the echo scheme's floor constraint dividing by
+    zero: one infeasible line and exit 3, not a traceback."""
+    argv = [command, "--scheme", "non-reciprocal", "--gamma", "1"]
+    assert cli.main(argv + (["--trials", "100"] if command != "alloc" else [])) \
+        == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infeasible:") and captured.err.count("\n") == 1
+
+
+def test_reciprocal_floor_at_prior_row(tmp_path):
+    """The reciprocal scheme still solves gamma = var_g: no forward pilots,
+    all AN."""
+    code, out = _run(tmp_path, "alloc", "--gamma", "1")
+    assert code == EXIT_OK
+    assert out.read_bytes().splitlines()[1] == \
+        b"20,1,-inf,-inf,21.760912590556813,1,1"
 
 
 def test_exit_geometry(tmp_path, capsys):

@@ -1,16 +1,33 @@
 """Key=value experiment configs: parsing, validation, sweep grid."""
 
+import dataclasses
+
 import pytest
 
 from dce.config import (
+    COMMANDS,
+    KEYS,
     MAX_TRAINING_SLOTS,
     ExperimentConfig,
-    load_config,
     parse_float_list,
+    read_config,
     read_config_file,
 )
 from dce.errors import ConfigError
 from dce.params import NON_RECIPROCAL, RECIPROCAL
+
+
+def _validated(text):
+    return ExperimentConfig(**read_config(text)).validate()
+
+
+def test_every_field_has_exactly_one_key():
+    """KEYS declares each ExperimentConfig field once, read by at least one
+    known command."""
+    names = sorted(key.name for key in KEYS)
+    assert names == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    for key in KEYS:
+        assert key.commands and set(key.commands) <= set(COMMANDS), key.name
 
 
 def test_defaults_validate():
@@ -29,21 +46,23 @@ def test_scalar_values_coerce_to_sweeps():
 
 def test_load_config_full_round_trip():
     """Every key type (sweep lists, floats, ints, strings) parses to the
-    config built directly from the same values."""
-    cfg = load_config("scheme=non-reciprocal\ngamma=0.1,0.03\npave_db=10,20.0,30\n"
-                      "pbar_t_db=27.5\npbar_l_db=18\nn_t=4\nn_l=2\nn_u=3\n"
-                      "trials=750\nseed=11\njensen_variant=sigma-squared\n"
-                      "modulation=16\nformat=json\nout=results.csv\n")
+    config built directly from the same values; tau_f parses to a list, as
+    its flag does."""
+    cfg = _validated("scheme=non-reciprocal\ngamma=0.1,0.03\npave_db=10,20.0,30\n"
+                     "pbar_t_db=27.5\npbar_l_db=18\nn_t=4\nn_l=2\nn_u=3\n"
+                     "trials=750\nseed=11\njensen_variant=sigma-squared\n"
+                     "modulation=16\nformat=json\nout=results.csv\n")
     assert cfg == ExperimentConfig(
         scheme=NON_RECIPROCAL, gamma=(0.1, 0.03), pave_db=(10.0, 20.0, 30.0),
         pbar_t_db=27.5, pbar_l_db=18.0, n_t=4, n_l=2, n_u=3, trials=750,
         seed=11, jensen_variant="sigma-squared", modulation=16,
         format="json", out="results.csv")
-    assert load_config("tau_r=3\ntau_f=8\n") == ExperimentConfig(tau_r=3, tau_f=8)
+    assert read_config("tau_r=3\ntau_f=8\n") == {"tau_r": 3, "tau_f": (8,)}
+    assert read_config("tau_f = 4, 8\n") == {"tau_f": (4, 8)}
 
 
 def test_load_config_comments_and_blanks():
-    cfg = load_config("""
+    cfg = _validated("""
 # full experiment
 scheme=reciprocal   # the two-way variant
 gamma=0.1,0.03
@@ -58,30 +77,30 @@ trials=500
 
 def test_load_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
-        load_config("gama=0.1\n")
+        read_config("gama=0.1\n")
     with pytest.raises(ConfigError, match="unknown key"):
-        load_config("full_scale=true\n")
+        read_config("full_scale=true\n")
 
 
 def test_load_config_rejects_duplicate_key():
     with pytest.raises(ConfigError, match="duplicate"):
-        load_config("gamma=0.1\ngamma=0.2\n")
+        read_config("gamma=0.1\ngamma=0.2\n")
 
 
 def test_load_config_rejects_bare_line():
     with pytest.raises(ConfigError, match="key=value"):
-        load_config("just-some-words\n")
+        read_config("just-some-words\n")
 
 
 def test_typed_value_errors():
     with pytest.raises(ConfigError, match="bad value"):
-        load_config("trials=many\n")
+        read_config("trials=many\n")
     with pytest.raises(ConfigError, match="bad value"):
-        load_config("pbar_t_db=loud\n")
+        read_config("pbar_t_db=loud\n")
     with pytest.raises(ConfigError, match="bad value"):
-        load_config("tau_f=8.5\n")
+        read_config("tau_f=8.5\n")
     with pytest.raises(ConfigError, match="bad value"):
-        load_config("gamma=0.1,zero\n")
+        read_config("gamma=0.1,zero\n")
 
 
 def test_validate_rejections():
@@ -105,7 +124,7 @@ def test_validate_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig(seed=-1).validate()
     with pytest.raises(ConfigError, match="seed"):
-        load_config("seed=-1\n")
+        _validated("seed=-1\n")
     assert ExperimentConfig(seed=0).validate().seed == 0
 
 
@@ -126,10 +145,8 @@ def test_validate_rejects_forward_length_under_echo_scheme():
     it is an error like the flag."""
     with pytest.raises(ConfigError, match="tau_f does not apply"):
         ExperimentConfig(scheme=NON_RECIPROCAL, tau_f=4).validate()
-    for text in ("scheme=non-reciprocal\ntau_f=8\n",
-                 "scheme=non-reciprocal\ntau_r=8\n"):
-        with pytest.raises(ConfigError, match="does not apply"):
-            load_config(text)
+    with pytest.raises(ConfigError, match="tau_r does not apply"):
+        _validated("scheme=non-reciprocal\ntau_r=8\n")
     assert ExperimentConfig(scheme=RECIPROCAL, tau_r=4).validate().tau_r == 4
 
 
@@ -144,7 +161,7 @@ def test_jensen_variant_explicit_only_under_echo_scheme():
         cfg = ExperimentConfig(scheme=NON_RECIPROCAL, jensen_variant=variant)
         assert cfg.validate().jensen() == variant
     with pytest.raises(ConfigError, match="does not apply"):
-        load_config("jensen_variant=printed\n")
+        _validated("jensen_variant=printed\n")
 
 
 def test_validate_caps_training_lengths():

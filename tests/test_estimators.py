@@ -10,9 +10,10 @@ from dce.estimators import (
     COND_LIMIT,
     JITTER_REL,
     REGRESSOR_COND_LIMIT,
+    _cond_exceeds,
+    _jittered_solve,
     _pilot_filter,
     lr_estimate_reciprocal,
-    spd_solve,
     tx_estimate_downlink,
     tx_estimate_reciprocal,
     tx_estimate_uplink,
@@ -347,28 +348,34 @@ def test_analytic_error_monotone_in_energy(defaults):
             tx_error_var_uplink(defaults, e) + 1e-15
 
 
-def test_spd_solve_jitter_guard():
+def _solve_unscreened(m, b):
+    """The jittered solve of matrices with no known ridge: every one gets
+    the exact eigenvalue test."""
+    return _jittered_solve(m, b, *_cond_exceeds(m, 0.0, COND_LIMIT))
+
+
+def test_jittered_solve_jitter_guard():
     """Nearly singular system still solves (jitter engaged) and stays finite."""
     m = np.diag([1.0, 1e-15]).astype(complex)
     b = np.array([[1.0], [1.0]], dtype=complex)
-    x = spd_solve(m, b)
+    x = _solve_unscreened(m, b)
     assert np.all(np.isfinite(x))
 
 
-def test_spd_solve_jitters_exactly_the_ill_matrices():
+def test_jittered_solve_jitters_exactly_the_ill_matrices():
     """cond = 1e13 > COND_LIMIT gets JITTER_REL * trace/n on the diagonal;
     its well-conditioned neighbour is solved as given."""
     m = np.stack([np.diag([1.0, 1e-13]), np.diag([1.0, 0.5])]).astype(complex)
     b = np.ones((2, 2, 1), dtype=complex)
     jitter = JITTER_REL * (1.0 + 1e-13) / 2
-    x = spd_solve(m, b)
+    x = _solve_unscreened(m, b)
     np.testing.assert_array_equal(x[0], np.linalg.solve(m[0] + jitter * np.eye(2), b[0]))
     np.testing.assert_array_equal(x[1], np.linalg.solve(m[1], b[1]))
     assert x[0, 1, 0] < 0.2 * np.linalg.solve(m[0], b[0])[1, 0].real
     # a non-positive eigenvalue counts as infinitely ill, even at trace <= 0
     m = np.diag([1.0, -5.0]).astype(complex)
     np.testing.assert_array_equal(
-        spd_solve(m, b[0]), np.linalg.solve(m - 2e-12 * np.eye(2), b[0]))
+        _solve_unscreened(m, b[0]), np.linalg.solve(m - 2e-12 * np.eye(2), b[0]))
 
 
 def _cond_exceeds_reference(m, limit):

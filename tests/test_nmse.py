@@ -158,6 +158,18 @@ def test_check_gamma_scheme_split(defaults):
         check_gamma(defaults, 0.1, scheme)
 
 
+def test_check_gamma_echo_floor_below_prior(defaults):
+    """The echo scheme's floor constraint divides by 1/gamma - 1/var_g, so
+    gamma = var_g is rejected there; the reciprocal scheme accepts it, and
+    the echo scheme accepts the next float below."""
+    check_gamma(defaults, defaults.var_g, RECIPROCAL)
+    with pytest.raises(InfeasibleGamma, match="below var_g"):
+        check_gamma(defaults, defaults.var_g, NON_RECIPROCAL)
+    below = float(np.nextafter(defaults.var_g, 0.0))
+    check_gamma(defaults, below, NON_RECIPROCAL)
+    assert 1.0 / below - 1.0 / defaults.var_g > 0.0
+
+
 # ---------------------------------------------------------------------------
 # lower bound
 # ---------------------------------------------------------------------------
