@@ -224,6 +224,6 @@ def read_config_file(path: str) -> Dict[str, object]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return read_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 

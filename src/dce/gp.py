@@ -32,8 +32,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import Infeasible, NoFeasiblePoint, NotConverged, Stalled
-from .nmse import (NON_RECIPROCAL, check_gamma, lmmse_error_var, t0_round_trip,
-                   ur_effective_noise)
+from .nmse import (NON_RECIPROCAL, check_gamma, gamma_tilde, lmmse_error_var,
+                   rho0_downlink, sigma_sq_uplink, t0_round_trip,
+                   tx_error_var_uplink, ur_effective_noise)
 from .params import PowerAllocation, SystemParams, nonreciprocal_allocation
 
 X_NAMES = ("t", "t0", "t1", "t2", "t3", "t4")
@@ -43,8 +44,6 @@ CONDENSE_TOL = 1e-6       # relative objective change that ends condensation
 CONDENSE_MAX_ROUNDS = 50
 KKT_TOL = 1e-8            # worst KKT violation an inner solve may return
 NEWTON_MAX_STEPS = 200    # Newton steps per barrier centering
-# Lattice points the echo oracle evaluates at a time (256 kB per array).
-LATTICE_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -705,92 +704,53 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
 
 def grid_oracle_nonreciprocal(params: SystemParams, gamma: float,
                               resolution: int = 20) -> PowerAllocation:
-    """Exhaustive lattice minimizer of the analytic LR NMSE surrogate.
+    """Lattice minimizer of the sigma-squared surrogate of the LR NMSE, the
+    objective ``condense`` optimizes; NoFeasiblePoint when no point fits.
 
-    Axes are linspace(0, cap, resolution+1), so doubling the resolution
-    nests the lattice and can only improve the result.  Slow but
-    assumption-free; raises NoFeasiblePoint when the lattice misses the
-    feasible set entirely.  For each e_0, runs of e_1 values are evaluated
-    together, at most LATTICE_CHUNK points at a time, over the box of
-    points that no budget's partial sum already excludes; a tie goes to the
-    first point in (e_0, e_1, e_3, e_2, var_a) order.
+    The axes, linspace(0, cap, resolution+1) over (e_0, e_1, e_2), nest as
+    the resolution doubles; one (e_1, e_2) plane is scored per e_0 and the
+    first minimum kept.  Each point splits R = min(B_t - e_0, S - e_0 - e_1
+    - e_2) exactly into pilots e_3 and AN energy a*n_t, a = (n_t - n_l)*var_a:
+    the LR score (e_3/n_t)/(a*resid + var_w) grows with e_3, the UR floor
+    caps e_3 at gt*(var_g*a/var_v + 1), along that cap the score rises with
+    a iff the AN leakage resid < var_g*var_w/var_v, and once R binds more AN
+    only costs pilots.  So a = max(R - gt, 0)/(n_t + var_g*gt/var_v) under
+    that condition, else 0, and e_3 = min(R, gt)*(var_g*a/var_v + 1), as in
+    ``alloc_reciprocal`` with n_t forward slots.
     """
     if resolution < 20:
         raise ValueError("resolution < 20 is too coarse to be a useful oracle")
     p = params
-    s = p.budget_average_nonreciprocal()
-    b_t = p.budget_tx_nonreciprocal()
-    b_l = p.budget_lr_nonreciprocal()
-    n_an = p.n_t - p.n_l
-
-    e0_axis = np.linspace(0.0, min(s, b_t), resolution + 1)
-    e1_axis = np.linspace(0.0, min(s, b_l), resolution + 1)
-    e2_axis = np.linspace(0.0, min(s, b_l), resolution + 1)
-    e3_axis = np.linspace(0.0, min(s, b_t), resolution + 1)
-    an_axis = np.linspace(0.0, min(s, b_t), resolution + 1)  # AN energy
-    va_axis = an_axis / (n_an * p.n_t)
-
-    # UR floor depends only on (e_3, var_a): precompute the feasibility plane.
-    ur_noise = n_an * va_axis * p.var_g + p.var_v
-    nmse_u = 1.0 / (1.0 / p.var_g + (e3_axis[:, None] / p.n_t) / ur_noise[None, :])
-    floor_ok = nmse_u >= gamma * (1 - 1e-9)
-
-    # uplink estimation quality depends only on e_2
-    eps2 = 1.0 / (1.0 / p.var_hu + e2_axis / (p.n_l * p.var_wt))
-    spectral = np.sqrt(p.var_hu - eps2)       # the printed Jensen surrogate
-
-    tol_s, tol_t, tol_l = s * (1 + 1e-9), b_t * (1 + 1e-9), b_l * (1 + 1e-9)
-    e1_axis = e1_axis[e1_axis <= tol_l]
-    best_val = np.inf
-    best = None
-    for e_0 in e0_axis:
-        t0 = p.var_hd * e_0 / p.n_t + p.var_w
-        rho0 = (t0 - p.var_w) / t0
-        sum01 = e_0 + e1_axis
-        # every array below is laid out on the (e3, va) or (e1, e3, e2, va) axes
-        tx_ok = (e_0 + e3_axis[:, None] + an_axis[None, :]) <= tol_t
-        j = 0
-        while j < e1_axis.size:
-            # Budget sums only grow with each non-negative term, so the
-            # points past these prefixes fail a budget for every e_1 from
-            # e1_axis[j] on: the chunk's box holds all its feasible points.
-            n3 = np.count_nonzero(((sum01[j] + e3_axis) <= tol_s)
-                                  & ((e_0 + e3_axis) <= tol_t))
-            n2 = np.count_nonzero(((e1_axis[j] + e2_axis) <= tol_l)
-                                  & ((sum01[j] + e2_axis) <= tol_s))
-            na = np.count_nonzero(((e_0 + an_axis) <= tol_t)
-                                  & ((sum01[j] + an_axis) <= tol_s))
-            if n3 * n2 * na == 0:
-                break
-            c = max(1, LATTICE_CHUNK // (n3 * n2 * na))
-            e_1 = e1_axis[j:j + c, None]
-            with np.errstate(divide="ignore"):
-                beta = p.n_l * eps2[:n2] + np.where(
-                    e_1 > 0, p.var_wt / ((e_1 / (p.n_t * p.n_l * t0)) * t0), np.inf)
-            jfac = np.where(np.isinf(beta), 0.0,
-                            p.n_t * spectral[:n2] / (beta + p.n_t * spectral[:n2]))
-            resid = p.var_hd * (1.0 - rho0 * jfac)          # over (e1, e2)
-            r_eff = n_an * va_axis[:na] * resid[:, :, None] + p.var_w
-            nmse_l = 1.0 / (1.0 / p.var_hd
-                            + (e3_axis[:n3, None, None] / p.n_t) / r_eff[:, None])
-            avg_ok = (sum01[j:j + c, None, None, None] + e3_axis[:n3, None, None]
-                      + e2_axis[:n2, None] + an_axis[:na]) <= tol_s
-            lr_ok = (e_1 + e2_axis[:n2]) <= tol_l
-            mask = (floor_ok[:n3, None, :na]
-                    & tx_ok[:n3, None, :na]
-                    & lr_ok[:, None, :, None]
-                    & avg_ok)
-            cand = np.where(mask, nmse_l, np.inf).reshape(e_1.shape[0], -1)
-            first = np.argmin(cand, axis=1)
-            # the first minimum of each e_1 in turn, as a scalar scan would
-            for k, flat in enumerate(first):
-                if cand[k, flat] < best_val:
-                    i3, i2, ia = np.unravel_index(flat, (n3, n2, na))
-                    best_val = float(cand[k, flat])
-                    best = (float(e_0), float(e_1[k, 0]), float(e2_axis[i2]),
-                            float(e3_axis[i3]), float(va_axis[ia]))
-            j += e_1.shape[0]
+    s, b_t, b_l = (p.budget_average_nonreciprocal(), p.budget_tx_nonreciprocal(),
+                   p.budget_lr_nonreciprocal())
+    gt = gamma_tilde(p, gamma)
+    e_1 = np.linspace(0.0, min(s, b_l), resolution + 1)[:, None]
+    e_2 = e_1.T
+    lr_ok = (e_1 + e_2) <= b_l * (1 + 1e-9)
+    # alpha**2 * t0 = e_1/(n_t*n_l): the Jensen factor lives on the (e_1, e_2)
+    # plane, and beta is infinite (the factor 0) at e_1 = 0
+    sigma2 = sigma_sq_uplink(p, e_2)
+    with np.errstate(divide="ignore"):
+        beta = p.n_l * tx_error_var_uplink(p, e_2) + p.n_t * p.n_l * p.var_wt / e_1
+    jfac = p.n_t * sigma2 / (beta + p.n_t * sigma2)
+    best_val, best = np.inf, None
+    for e_0 in np.linspace(0.0, min(s, b_t), resolution + 1):
+        resid = p.var_hd * (1.0 - rho0_downlink(p, e_0) * jfac)
+        rest = np.minimum(b_t - e_0, s - e_0 - e_1 - e_2)
+        # gamma >= var_g makes gt <= 0 and e_3 negative, inf or nan: masked below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.maximum(rest - gt, 0.0) / (p.n_t + p.var_g * gt / p.var_v)
+            a = np.where(resid < p.var_g * p.var_w / p.var_v, a, 0.0)
+            e_3 = np.minimum(rest, gt) * (p.var_g * a / p.var_v + 1.0)
+            nmse_u = lmmse_error_var(p.var_g, e_3, p.n_t, a * p.var_g + p.var_v)
+            ok = lr_ok & (rest >= 0) & (e_3 >= 0) & (nmse_u >= gamma * (1 - 1e-9))
+            nmse_l = np.where(ok, lmmse_error_var(p.var_hd, e_3, p.n_t,
+                                                  a * resid + p.var_w), np.inf)
+        k = np.unravel_index(np.argmin(nmse_l), nmse_l.shape)
+        if nmse_l[k] < best_val:
+            best_val = float(nmse_l[k])
+            best = (float(e_0), float(e_1[k[0], 0]), float(e_2[0, k[1]]),
+                    float(e_3[k]), float(a[k]) / (p.n_t - p.n_l))
     if best is None:
-        raise NoFeasiblePoint(
-            "no lattice point satisfies the budgets and the UR floor")
+        raise NoFeasiblePoint("no lattice point satisfies the budgets and the UR floor")
     return nonreciprocal_allocation(*best)

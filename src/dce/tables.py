@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from .errors import ConfigError
+
 _QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 
 
@@ -92,10 +94,15 @@ def strip_footer(text: str) -> str:
 
 
 def write_table(table: ResultTable, fmt: str, out: Optional[str]) -> str:
+    """Print the rendered table, or write it to ``out``; a file that cannot
+    be written is a ConfigError."""
     text = table.render(fmt)
     if out is None:
         print(text, end="")
-    else:
+        return text
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
     return text

@@ -162,8 +162,9 @@ def test_accept_04_an_power_ordering_and_starved_zeros():
 
 def test_accept_05_condensation_solves_the_echo_problem():
     """Six operating points: at most 50 rounds, monotone objective, quality
-    ratio active to 1e-6, and never more than 2% above a resolution-40
-    lattice oracle.  Cap: 600 s."""
+    ratio active to 1e-6, and never above a resolution-40 lattice oracle,
+    both scored on the sigma-squared surrogate condensation optimizes.
+    Cap: 600 s."""
     t0 = time.time()
     worst_excess = -np.inf
     for gamma in (0.1, 0.03):
@@ -178,15 +179,17 @@ def test_accept_05_condensation_solves_the_echo_problem():
             assert abs(sol.trace.ratio_activity - 1.0) <= 1e-6, \
                 f"quality ratio inactive: {sol.trace.ratio_activity}"
             oracle_alloc = grid_oracle_nonreciprocal(p, gamma, resolution=40)
-            oracle_obj = nmse_l_nonreciprocal_approx(p, oracle_alloc)
-            excess = sol.objective / oracle_obj - 1.0
+            mine, oracle_obj = (
+                nmse_l_nonreciprocal_approx(p, alloc, "sigma-squared")
+                for alloc in (sol.alloc, oracle_alloc))
+            excess = mine / oracle_obj - 1.0
             worst_excess = max(worst_excess, excess)
-            assert excess <= 0.02, \
-                f"condensation {excess:.3%} above the lattice at {pave}/{gamma}"
+            assert mine <= oracle_obj, \
+                f"condensation {excess:.3e} above the lattice at {pave}/{gamma}"
     elapsed = time.time() - t0
     _report("accept-05", elapsed <= 600.0,
             f"6 points converged, worst excess over oracle(40) "
-            f"{worst_excess:+.3%} (tol +2%), {elapsed:.1f}s")
+            f"{worst_excess:+.3e} (tol 0), {elapsed:.1f}s")
 
 
 def test_accept_06_surrogate_tangent_and_conservative():

@@ -229,6 +229,30 @@ def test_exit_config_error(tmp_path, capsys):
     assert captured.out == "" and captured.err.count("configuration error") == 2
 
 
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_exit_config_unwritable_out(tmp_path, capsys, target):
+    """An --out that cannot be written is one configuration error line and
+    exit 2, not a traceback from the write."""
+    out = tmp_path if target == "directory" else tmp_path / "no" / "x.csv"
+    assert cli.main(["alloc", "--gamma", "0.1", "--pave-db", "20",
+                     "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: cannot write {out}:")
+    assert captured.err.count("\n") == 1
+
+
+def test_exit_config_file_not_utf8(tmp_path, capsys):
+    """A config file that does not decode as UTF-8 is a configuration error,
+    like one that cannot be opened."""
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"gamma=0.1\n\xff\xfe\x80\n")
+    assert cli.main(["alloc", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config {cfg}:")
+    assert err.count("\n") == 1
+
+
 def test_exit_config_non_finite_input(capsys):
     assert cli.main(["alloc", "--pave-db", "nan"]) == EXIT_CONFIG
     assert "pave_db must be finite" in capsys.readouterr().err
@@ -366,7 +390,7 @@ def test_config_tau_f_list_means_what_the_flag_means(tmp_path, capsys):
     table = strip_footer(from_file.read_text())
     assert len(table.splitlines()) == 3 and table == strip_footer(from_flag.read_text())
     capsys.readouterr()
-    for text, message in (("tau_f=4,8\n", "tau-f list sweeps"),
+    for text, message in (("tau_f=4,8\n", "a tau_f list sweeps"),
                           ("scheme=non-reciprocal\ntau_f=8\n", "tau_f does not apply")):
         cfg.write_text(text)
         assert cli.main(["alloc", "--config", str(cfg)]) == EXIT_CONFIG

@@ -36,7 +36,8 @@ from dce.gp import (
     solve_inner_gp,
     to_gp_variables,
 )
-from dce.nmse import nmse_l_nonreciprocal_approx
+from dce.nmse import (gamma_tilde, nmse_l_nonreciprocal_approx,
+                      nmse_u_nonreciprocal)
 from dce.params import default_params, nonreciprocal_allocation
 
 GOLDEN_PANEL = json.loads(
@@ -47,6 +48,11 @@ def _condensed_at(params, x_bar):
     """The production condensation of the quality ratio at ``x_bar``."""
     numer, denom = ratio_parts(params)
     return condensed_ratio(numer, denom, x_bar, denominator_exponents(denom, x_bar))
+
+
+def _sigma_squared(params, alloc):
+    """The LR NMSE surrogate condensation and the lattice oracle minimize."""
+    return nmse_l_nonreciprocal_approx(params, alloc, "sigma-squared")
 
 
 def _random_alloc(rng):
@@ -419,8 +425,8 @@ def test_condense_beats_lattice():
     params = default_params(p_ave_db=25.0)
     sol = condense(params, 0.1)
     oracle_alloc = grid_oracle_nonreciprocal(params, 0.1, resolution=20)
-    oracle_obj = nmse_l_nonreciprocal_approx(params, oracle_alloc)
-    assert sol.objective <= oracle_obj * 1.02
+    assert (_sigma_squared(params, sol.alloc)
+            <= _sigma_squared(params, oracle_alloc))
 
 
 def test_condense_fixed_point(defaults):
@@ -533,7 +539,8 @@ def test_degenerate_active_set_instance_converges(monkeypatch):
     """1% above gamma_min at 2.56 dB the polish used to drop the average
     budget (negative multiplier) and return a point violating it by 1.4e-8;
     re-admitting the violated row lets every round pass the certificate,
-    and the result is no worse than the resolution-40 lattice."""
+    and the result is no worse than the resolution-40 lattice on the
+    sigma-squared surrogate condensation optimizes."""
     p_ave_db, gamma = POOL_CASES[-1]
     params = default_params(p_ave_db=p_ave_db)
     certified, certify = [], gp._certified
@@ -552,8 +559,7 @@ def test_degenerate_active_set_instance_converges(monkeypatch):
         assert np.all(info["constraint_values"] <= 1 + 1e-8)
     assert sol.trace.ratio_activity <= 1 + 1e-6
     oracle = grid_oracle_nonreciprocal(params, gamma, resolution=40)
-    assert (nmse_l_nonreciprocal_approx(params, sol.alloc)
-            <= nmse_l_nonreciprocal_approx(params, oracle))
+    assert _sigma_squared(params, sol.alloc) <= _sigma_squared(params, oracle)
 
 
 def test_initial_state_is_strictly_feasible(defaults):
@@ -573,8 +579,9 @@ def test_oracle_resolution_guard(defaults):
 
 
 def _scalar_scan_oracle(p, gamma, resolution):
-    """The echo lattice oracle as one scalar (e_0, e_1) loop with a full
-    (e_3, e_2, var_a) lattice per pair, first minimum kept."""
+    """A 5-D lattice search of the sigma-squared surrogate as one scalar
+    (e_0, e_1) loop with a full (e_3, e_2, var_a) lattice per pair, first
+    minimum kept."""
     s, b_t, b_l = (p.budget_average_nonreciprocal(), p.budget_tx_nonreciprocal(),
                    p.budget_lr_nonreciprocal())
     n_an = p.n_t - p.n_l
@@ -588,7 +595,7 @@ def _scalar_scan_oracle(p, gamma, resolution):
     nmse_u = 1.0 / (1.0 / p.var_g + (e3_axis[:, None] / p.n_t) / ur_noise[None, :])
     floor_ok = nmse_u >= gamma * (1 - 1e-9)
     eps2 = 1.0 / (1.0 / p.var_hu + e2_axis / (p.n_l * p.var_wt))
-    spectral = np.sqrt(p.var_hu - eps2)
+    spectral = p.var_hu - eps2
     best_val, best = np.inf, None
     for e_0 in e0_axis:
         t0 = p.var_hd * e_0 / p.n_t + p.var_w
@@ -626,26 +633,54 @@ def _scalar_scan_oracle(p, gamma, resolution):
     ({"p_bar_t_db": 12.0, "var_hu": 0.4}, 0.01, 23),
     ({}, 1.5, 20),                            # the floor excludes every point
 ], ids=["defaults", "25dB", "budgets-bind", "tx-limited", "floor-infeasible"])
-def test_oracle_matches_scalar_scan(kwargs, gamma, resolution, monkeypatch):
-    """The chunked oracle returns exactly the scalar scan's allocation, or
-    raises where the scan finds nothing, with several e_1 values per chunk
-    and with one."""
+def test_oracle_matches_scalar_scan(kwargs, gamma, resolution):
+    """The 3-D oracle, with its exact forward split, never loses to the 5-D
+    scan over the same (e_0, e_1, e_2) axes, raises where the scan finds
+    nothing, and returns an allocation inside the budgets and the UR floor."""
     p = default_params(**kwargs)
-    expected = _scalar_scan_oracle(p, gamma, resolution)
-    for chunk in (gp.LATTICE_CHUNK, 1):
-        monkeypatch.setattr(gp, "LATTICE_CHUNK", chunk)
-        if expected is None:
-            with pytest.raises(NoFeasiblePoint):
-                grid_oracle_nonreciprocal(p, gamma, resolution=resolution)
-        else:
-            assert grid_oracle_nonreciprocal(p, gamma, resolution=resolution) == expected
+    scan = _scalar_scan_oracle(p, gamma, resolution)
+    if scan is None:
+        with pytest.raises(NoFeasiblePoint):
+            grid_oracle_nonreciprocal(p, gamma, resolution=resolution)
+        return
+    alloc = grid_oracle_nonreciprocal(p, gamma, resolution=resolution)
+    assert _sigma_squared(p, alloc) <= _sigma_squared(p, scan) * (1 + 1e-12)
+    an = (p.n_t - p.n_l) * alloc.var_a * p.n_t
+    tol = 1 + 1e-9
+    assert (alloc.e_0 + alloc.e_1 + alloc.e_2 + alloc.e_3 + an
+            <= p.budget_average_nonreciprocal() * tol)
+    assert alloc.e_0 + alloc.e_3 + an <= p.budget_tx_nonreciprocal() * tol
+    assert alloc.e_1 + alloc.e_2 <= p.budget_lr_nonreciprocal() * tol
+    assert nmse_u_nonreciprocal(p, alloc.e_3, alloc.var_a) >= gamma * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("kwargs,gamma", [
+    ({}, 0.1),
+    ({"var_v": 3.0, "p_ave_db": 5.0}, 0.3),   # the optimum has AN idle
+], ids=["an-pays", "an-idle"])
+def test_oracle_forward_split_is_exact(kwargs, gamma):
+    """At the oracle's (e_0, e_1, e_2) no split of the forward budget on a
+    dense AN grid, with the pilots as large as the budget and the UR floor
+    allow, beats the closed-form split."""
+    p = default_params(**kwargs)
+    alloc = grid_oracle_nonreciprocal(p, gamma, resolution=20)
+    rest = min(p.budget_tx_nonreciprocal() - alloc.e_0,
+               p.budget_average_nonreciprocal() - alloc.e_0 - alloc.e_1 - alloc.e_2)
+    cap = gamma_tilde(p, gamma)
+    scan = []
+    for an in np.linspace(0.0, rest, 2001):
+        a = an / p.n_t
+        e_3 = min(rest - an, cap * (p.var_g * a / p.var_v + 1.0))
+        scan.append(_sigma_squared(p, nonreciprocal_allocation(
+            alloc.e_0, alloc.e_1, alloc.e_2, e_3, a / (p.n_t - p.n_l))))
+    assert _sigma_squared(p, alloc) <= min(scan) * (1 + 1e-12)
 
 
 def test_oracle_nesting(defaults):
     """Doubling the resolution nests the lattice: the finer search can only
     match or improve the coarse one."""
-    coarse = nmse_l_nonreciprocal_approx(
+    coarse = _sigma_squared(
         defaults, grid_oracle_nonreciprocal(defaults, 0.1, resolution=20))
-    fine = nmse_l_nonreciprocal_approx(
+    fine = _sigma_squared(
         defaults, grid_oracle_nonreciprocal(defaults, 0.1, resolution=40))
     assert fine <= coarse + 1e-15
