@@ -48,7 +48,7 @@ from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, db_to_linear,
                      default_params, linear_to_db, nonreciprocal_allocation,
                      with_fixed_energy_budgets)
 from .rng import make_rng
-from .tables import ResultTable, strip_footer, write_table
+from .tables import ResultTable, check_writable, strip_footer, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,8 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def effective_config(args: argparse.Namespace):
     """The --config file's values overlaid by the flags', validated; a file
-    key the command does not read is a configuration error.  Returns the
-    config and the --tau-f sweep (None unless tau_f lists several values)."""
+    key the command does not read, or an --out that cannot be written, is a
+    configuration error.  Returns the config and the --tau-f sweep (None
+    unless tau_f lists several values)."""
     values = read_config_file(args.config) if args.config else {}
     unread = sorted(k for k in values if args.command not in KEY_BY_NAME[k].commands)
     if unread:
@@ -108,6 +109,8 @@ def effective_config(args: argparse.Namespace):
     for tau_f in taus or ():
         # each sweep value gets the checks a single --tau-f value gets
         dataclasses.replace(cfg, tau_f=tau_f).validate().to_params(cfg.pave_db[0])
+    if cfg.out is not None:
+        check_writable(cfg.out)
     return cfg, taus
 
 

@@ -16,10 +16,10 @@ single non-posynomial piece is the ratio constraint numer(x)/denom(x) <= 1.
 Each outer iteration replaces denom by its best monomial under-estimator at
 the current point (weights = log-gradient exponents, an AM-GM bound, hence
 global under-estimation and tangency), leaving an ordinary GP that a
-log-barrier interior-point routine solves to high accuracy, holding every
+primal-dual interior-point routine solves to high accuracy, holding every
 log-sum-exp constraint row as one stacked term matrix; from the second
 round on, the previous round's KKT point, polished on the new GP, usually
-passes the same certificate without the barrier.  Because the
+passes the same certificate without the interior-point solve.  Because the
 monomial never exceeds the true denominator, every inner-feasible point is
 feasible for the original problem, and the objective improves monotonically.
 """
@@ -38,12 +38,17 @@ from .nmse import (NON_RECIPROCAL, check_gamma, gamma_tilde, lmmse_error_var,
 from .params import PowerAllocation, SystemParams, nonreciprocal_allocation
 
 X_NAMES = ("t", "t0", "t1", "t2", "t3", "t4")
-LOG_BOX = 60.0            # |log x_k| cage keeping the barrier method bounded
+LOG_BOX = 60.0            # |log x_k| cage keeping the interior point bounded
 RATIO_ACTIVITY_TOL = 1e-6
 CONDENSE_TOL = 1e-6       # relative objective change that ends condensation
 CONDENSE_MAX_ROUNDS = 50
 KKT_TOL = 1e-8            # worst KKT violation an inner solve may return
-NEWTON_MAX_STEPS = 200    # Newton steps per barrier centering
+PD_MU = 10.0              # primal-dual: t = PD_MU * m / (surrogate gap)
+PD_ALPHA = 0.01           # primal-dual: residual decrease per unit step
+PD_GAP_TOL = 1e-10        # primal-dual stop: surrogate duality gap ...
+PD_FEAS_TOL = 1e-10       # ... and dual residual (max norm)
+PD_MAX_ITER = 100
+PHASE1_SLACK = -1e-3      # phase 1 stops once every row is this far inside
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +270,7 @@ def budget_posynomials(params: SystemParams, gamma: float) -> List[Posynomial]:
 
 
 # ---------------------------------------------------------------------------
-# inner GP solver (log-space barrier method on one stacked term matrix)
+# inner GP solver (primal-dual interior point on one stacked term matrix)
 # ---------------------------------------------------------------------------
 
 class _Terms:
@@ -331,97 +336,62 @@ class _Terms:
         return (d.T * (p * weights[self.row])) @ d
 
 
-def _merit(t_bar: float, c_lin: np.ndarray, y: np.ndarray, f: np.ndarray) -> float:
-    """Barrier merit c.y - (1/t_bar) sum log(-f_j) at row values ``f``, or
-    inf outside the strictly feasible region.
+def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray,
+                 stop: Optional[Callable[[np.ndarray], bool]] = None):
+    """Feasible-start primal-dual path following for min c.y s.t. f(y) <= 0
+    (Boyd & Vandenberghe, *Convex Optimization*, 2004, section 11.7).
 
-    The merit is scaled by 1/t_bar so its magnitude stays O(1) as the barrier
-    parameter grows; otherwise the Armijo test loses all resolution once
-    t_bar * c.y dwarfs the achievable decrease.
+    From a strictly feasible ``y`` with lambda = -1/f, each iteration sets
+    t = PD_MU * m / eta, eta = -f.lambda the surrogate duality gap, and
+    takes one Newton step on the modified KKT residuals r_dual = c + G^T
+    lambda and r_cent = -lambda*f - 1/t, the multipliers eliminated into one
+    n x n system.  The step is 0.99 of the largest keeping lambda > 0,
+    halved until every row is strictly feasible (value-only) and then until
+    the residual norm falls by the factor 1 - PD_ALPHA * step.  Stops once
+    eta <= PD_GAP_TOL and |r_dual| <= PD_FEAS_TOL, after PD_MAX_ITER
+    iterations, when the step vanishes, or when ``stop(y)`` holds; returns
+    (y, lambda).
     """
-    if f.max() >= 0.0:
-        return np.inf
-    return float(c_lin @ y) - float(np.log(-f).sum()) / t_bar
-
-
-def _barrier_value(t_bar: float, c_lin: np.ndarray, terms: _Terms,
-                   y: np.ndarray) -> float:
-    """The merit alone, for the Armijo candidates."""
-    return _merit(t_bar, c_lin, y, terms.values(y))
-
-
-def _barrier_eval(t_bar: float, c_lin: np.ndarray, terms: _Terms, y: np.ndarray):
-    """The merit with its gradient c - G^T (1/f) / t_bar and its Hessian
-    (G^T diag(1/f^2) G - sum_j (Hessian of f_j) / f_j) / t_bar, the second
-    term over the centred terms; (inf, None, None) outside the domain."""
     f, g, p, d = terms.parts(y)
-    val = _merit(t_bar, c_lin, y, f)
-    if val == np.inf:
-        return val, None, None
-    inv_t, inv_f = 1.0 / t_bar, 1.0 / f
-    grad = c_lin - inv_t * (g.T @ inv_f)
-    hess = inv_t * ((g.T * inv_f ** 2) @ g + terms.curvature(p, d, -inv_f))
-    return val, grad, hess
-
-
-def _newton_descend(t_bar: float, c_lin: np.ndarray, terms: _Terms,
-                    y: np.ndarray, reg: np.ndarray) -> np.ndarray:
-    """Center at ``t_bar``: damped Newton steps on the barrier, the Hessian
-    regularized by ``reg``; Armijo candidates are evaluated value-only."""
-    for _ in range(NEWTON_MAX_STEPS):
-        val, grad, hess = _barrier_eval(t_bar, c_lin, terms, y)
-        if not np.isfinite(val):
-            raise FloatingPointError("barrier evaluated outside its domain")
+    lam = -1.0 / f
+    for _ in range(PD_MAX_ITER):
+        if stop is not None and stop(y):
+            break
+        gap = -float(f @ lam)
+        r_dual = c_lin + g.T @ lam
+        if gap <= PD_GAP_TOL and np.abs(r_dual).max() <= PD_FEAS_TOL:
+            break
+        inv_t = gap / (PD_MU * terms.m)
+        r_cent = -lam * f - inv_t
+        norm = np.sqrt(r_dual @ r_dual + r_cent @ r_cent)
+        hess = terms.curvature(p, d, lam) + (g.T * (-lam / f)) @ g
+        rhs = -r_dual - g.T @ (r_cent / f)
         try:
-            dy = np.linalg.solve(hess + reg, -grad)
+            dy = np.linalg.solve(hess, rhs)
         except np.linalg.LinAlgError:
-            dy = np.linalg.lstsq(hess + 1e-9 * np.eye(y.size), -grad, rcond=None)[0]
-        decrement = float(-grad @ dy)
-        if decrement / 2.0 <= 1e-13:
-            return y
-        step = 1.0
+            dy = np.linalg.lstsq(hess + 1e-9 * np.eye(y.size), rhs, rcond=None)[0]
+        dlam = (r_cent - lam * (g @ dy)) / f
+        shrink = dlam < 0.0
+        step = 0.99 * float(np.min(-lam[shrink] / dlam[shrink], initial=1.0))
         for _ in range(60):
-            cand = _barrier_value(t_bar, c_lin, terms, y + step * dy)
-            if cand <= val - 0.25 * step * decrement:
+            if terms.values(y + step * dy).max() < 0.0:
                 break
             step *= 0.5
         else:
-            return y
-        y = y + step * dy
-    return y
-
-
-def _phase1(terms: _Terms, y0: np.ndarray) -> np.ndarray:
-    """Find a strictly feasible y or raise Infeasible.
-
-    Solves min s subject to f_j(y) <= s with the same barrier machinery on
-    the lifted rows over (y, s); the unlifted rows measure the slack.
-    """
-    n = y0.size
-    f_max = float(terms.values(y0).max())
-    z = np.concatenate([y0, [f_max + 1.0]])
-    c_lin = np.zeros(n + 1)
-    c_lin[-1] = 1.0
-    reg = 1e-12 * np.eye(n + 1)
-    lifted = terms.lifted()
-
-    t_bar, m = 1.0, terms.m
-    best_y, best_s = y0.copy(), f_max
-    for _ in range(80):
-        z = _newton_descend(t_bar, c_lin, lifted, z, reg)
-        s_now = float(terms.values(z[:n]).max())
-        if s_now < best_s:
-            best_y, best_s = z[:n].copy(), s_now
-        if best_s < -1e-3:
-            return best_y
-        if m / t_bar < 1e-12:
             break
-        t_bar *= 20.0
-    if best_s < -1e-9:
-        return best_y
-    raise Infeasible(
-        "no strictly feasible point exists for the inner geometric program "
-        f"(best constraint slack {best_s:.3e})")
+        for _ in range(60):
+            y_new, lam_new = y + step * dy, lam + step * dlam
+            f_new, g_new, p_new, d_new = terms.parts(y_new)
+            rd = c_lin + g_new.T @ lam_new
+            rc = -lam_new * f_new - inv_t
+            if np.sqrt(rd @ rd + rc @ rc) <= (1.0 - PD_ALPHA * step) * norm:
+                break
+            step *= 0.5
+        else:
+            break
+        y, lam = y_new, lam_new
+        f, g, p, d = f_new, g_new, p_new, d_new
+    return y, lam
 
 
 def _stationarity_system(c_lin: np.ndarray, terms: _Terms, act: np.ndarray,
@@ -441,16 +411,17 @@ def _stationarity_system(c_lin: np.ndarray, terms: _Terms, act: np.ndarray,
 
 
 def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarray):
-    """Refine a centered barrier iterate to a true KKT point.
+    """Refine an interior-point end point, or the previous round's KKT
+    point, to a true KKT point of this GP.
 
-    The barrier certificate reconstructs multipliers as 1/(t_bar * slack),
-    which float64 cannot resolve once slacks shrink toward 1e-12.  Here the
-    multipliers are unknowns instead: Newton's method is applied to the
-    active-set KKT system (stationarity + active constraints at equality),
-    dropping any constraint whose multiplier converges negative and adding
-    back the most violated row outside the set, one change per re-solve.
-    Returns (y, full multiplier vector) or None when refinement fails; the
-    caller then falls back to the barrier certificate.
+    An interior point keeps every active row a small slack away from zero
+    and every inactive multiplier a little above it.  Here Newton's method
+    is applied to the active-set KKT system (stationarity + active
+    constraints at equality), dropping any constraint whose multiplier
+    converges negative and adding back the most violated row outside the
+    set, one change per re-solve.  Returns (y, full multiplier vector) or
+    None when refinement fails; the caller then certifies (y0, lam0) as
+    given.
     """
     n = y0.size
     m = terms.m
@@ -464,6 +435,7 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
         lam_a = np.maximum(lam0[act], 1e-12)
         converged = False
         norm_prev = np.inf
+        kkt_mat = np.zeros((n + act.size, n + act.size))
         for it in range(60):
             big_f, grads, h_sum = _stationarity_system(c_lin, terms, act, y, lam_a)
             norm_f = float(np.abs(big_f).max())
@@ -473,9 +445,9 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
             if it > 0 and norm_f >= 0.9999 * norm_prev:
                 break
             norm_prev = norm_f
-            k = act.size
-            kkt_mat = np.block([[h_sum, grads.T],
-                                [grads, np.zeros((k, k))]])
+            kkt_mat[:n, :n] = h_sum
+            kkt_mat[:n, n:] = grads.T
+            kkt_mat[n:, :n] = grads
             try:
                 d = np.linalg.solve(kkt_mat, -big_f)
                 if not np.all(np.isfinite(d)):
@@ -553,11 +525,14 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
                    start: Sequence[float]) -> Tuple[np.ndarray, Dict[str, object]]:
     """Solve min prod x**objective s.t. each posynomial <= 1, x > 0.
 
-    Log-space barrier method: with y = log x every constraint becomes a
-    log-sum-exp function and the monomial objective becomes linear, so the
-    problem is smooth and convex.  Newton centering with backtracking tracks
-    the central path; the final centered point is polished and certified
-    by ``_certified``.
+    Primal-dual interior point in log space: with y = log x every
+    constraint becomes a log-sum-exp function and the monomial objective
+    becomes linear, so the problem is smooth and convex.  A start less than
+    1e-9 inside some row first runs phase 1, ``_primal_dual`` on the lifted
+    rows f_j(y) - s <= 0 minimizing s, until every row is PHASE1_SLACK
+    inside; Infeasible when the slack stays >= -1e-9.  ``_primal_dual``
+    then follows the central path from there, and its end point and
+    multipliers are polished and certified by ``_certified``.
     """
     x0 = np.asarray(start, dtype=float)
     if np.any(x0 <= 0) or not np.all(np.isfinite(x0)):
@@ -570,18 +545,21 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
     y = np.log(x0)
 
     if terms.values(y).max() > -1e-9:
-        y = _phase1(terms, y)
+        # phase 1: min s subject to f_j(y) <= s, over (y, s)
+        def slack(z: np.ndarray) -> float:
+            return float(terms.values(z[:n]).max())
 
-    reg = 1e-12 * np.eye(n)
-    t_bar = 1.0
-    for _ in range(60):
-        y = _newton_descend(t_bar, c_lin, terms, y, reg)
-        if terms.m / t_bar < 1e-9:
-            break
-        t_bar *= 20.0
+        c_s = np.zeros(n + 1)
+        c_s[-1] = 1.0
+        z, _ = _primal_dual(c_s, terms.lifted(), np.append(y, slack(y) + 1.0),
+                            stop=lambda z: slack(z) < PHASE1_SLACK)
+        if slack(z) >= -1e-9:
+            raise Infeasible(
+                "no strictly feasible point exists for the inner geometric "
+                f"program (best constraint slack {slack(z):.3e})")
+        y = z[:n]
 
-    # multipliers estimated from the final centering (lambda_j = 1/(t_bar*slack))
-    lam = 1.0 / (t_bar * np.maximum(-terms.values(y), 1e-300))
+    y, lam = _primal_dual(c_lin, terms, y)
     return _certified(c_lin, terms, len(constraints), y, lam)
 
 
@@ -635,7 +613,7 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
     constraint (in log space), solves the resulting GP, and re-expands at
     the optimum.  From round 2 on the GP is first solved warm, by the KKT
     polish started at the previous round's certified (y, lambda); a warm
-    result that fails the certificate falls back to the cold barrier
+    result that fails the certificate falls back to the cold interior-point
     solve from x_bar.  The monomial under-estimates the true denominator
     everywhere, so iterates stay feasible for the original problem and the
     score increases monotonically; a decrease raises Stalled, as does a

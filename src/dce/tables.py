@@ -13,8 +13,10 @@ the strings "inf"/"-inf"/"nan" to stay inside strict JSON.
 from __future__ import annotations
 
 import datetime
+import errno
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -91,6 +93,25 @@ def strip_footer(text: str) -> str:
     """Drop footer/comment lines; used when comparing renders for equality."""
     kept = [ln for ln in text.splitlines() if not ln.startswith("#")]
     return "\n".join(kept)
+
+
+def check_writable(out: str) -> None:
+    """Raise, before any work, the ConfigError ``write_table`` would raise
+    for ``out`` when the path is empty or a directory, lies in a missing
+    directory or is not writable; the file is neither created nor
+    truncated."""
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif os.path.exists(out):
+        code = None if os.access(out, os.W_OK) else errno.EACCES
+    elif not out or not os.path.isdir(parent):
+        code = errno.ENOENT
+    else:
+        code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code is not None:
+        exc = OSError(code, os.strerror(code), out)
+        raise ConfigError(f"cannot write {out}: {exc}")
 
 
 def write_table(table: ResultTable, fmt: str, out: Optional[str]) -> str:

@@ -229,17 +229,41 @@ def test_exit_config_error(tmp_path, capsys):
     assert captured.out == "" and captured.err.count("configuration error") == 2
 
 
-@pytest.mark.parametrize("target", ["directory", "missing-parent"])
-def test_exit_config_unwritable_out(tmp_path, capsys, target):
+@pytest.mark.parametrize("target", ["directory", "missing-parent", "empty"])
+def test_exit_config_unwritable_out(tmp_path, capsys, monkeypatch, target):
     """An --out that cannot be written is one configuration error line and
-    exit 2, not a traceback from the write."""
-    out = tmp_path if target == "directory" else tmp_path / "no" / "x.csv"
-    assert cli.main(["alloc", "--gamma", "0.1", "--pave-db", "20",
-                     "--out", str(out)]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"configuration error: cannot write {out}:")
-    assert captured.err.count("\n") == 1
+    exit 2, not a traceback from the write, and it is found before the
+    sweep: a ser sweep never calls the solver."""
+    def solver_called(*args, **kwargs):
+        raise AssertionError("a point was computed")
+
+    monkeypatch.setattr(cli, "run_ser_experiment", solver_called)
+    monkeypatch.setattr(cli, "solve_allocation", solver_called)
+    out = {"directory": tmp_path, "missing-parent": tmp_path / "no" / "x.csv",
+           "empty": ""}[target]
+    for command in (["alloc", "--gamma", "0.1", "--pave-db", "20"],
+                    ["ser", "--trials", "20000", "--scheme", "non-reciprocal",
+                     "--pave-db", "10,20,30"]):
+        assert cli.main([*command, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: cannot write {out}:")
+        assert captured.err.count("\n") == 1
+
+
+def test_out_check_neither_creates_nor_truncates(tmp_path, monkeypatch):
+    """Checking a writable --out leaves it alone: a sweep that fails after
+    the check creates no new file and keeps an existing one's bytes."""
+    def not_converged(*args, **kwargs):
+        raise dce.NotConverged("stopped")
+
+    monkeypatch.setattr(cli, "solve_allocation", not_converged)
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"old bytes\n")
+    for out in (fresh, kept):
+        assert cli.main(["alloc", "--out", str(out)]) == 1
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"old bytes\n"
 
 
 def test_exit_config_file_not_utf8(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Geometric-programming route for the echo-based scheme: variable maps,
-condensation weights, inner barrier solver, outer loop, lattice oracle.
+condensation weights, inner primal-dual solver, outer loop, lattice oracle.
 
 The scipy reference solves in this file are the independent second route for
 the inner solver; the library itself never imports scipy.
@@ -20,8 +20,6 @@ from dce.gp import (
     GpState,
     Posynomial,
     X_NAMES,
-    _barrier_eval,
-    _barrier_value,
     _Terms,
     budget_posynomials,
     condense,
@@ -223,7 +221,7 @@ def test_inner_solver_against_scipy_reference(defaults):
     np.testing.assert_allclose(np.log(info["objective"]), ref.fun, atol=1e-5)
 
 
-def _interior_barrier(params, gamma):
+def _interior_point(params, gamma):
     """Constraints of the production condensed problem (ratio, floors,
     budgets), their stacked terms (the cage rows follow) and a strictly
     interior point: the start with t halved (the ratio row was active there)
@@ -240,28 +238,47 @@ def _interior_barrier(params, gamma):
     return constraints, terms, y
 
 
-def _phase1_barrier(terms, y, slack):
-    """Phase 1's lifted barrier at (y, s): min s subject to f_j(y) - s <= 0,
-    with s the largest row value plus ``slack``."""
+def _lifted_point(terms, y, slack):
+    """Phase 1's lifted rows f_j(y) - s <= 0 and its objective (min s) at
+    (y, s), with s the largest row value plus ``slack``."""
     s = terms.values(y).max() + slack
     c_lin = np.zeros(7)
     c_lin[-1] = 1.0
     return terms.lifted(), c_lin, np.concatenate([y, [s]])
 
 
-def _assert_derivatives_match_central_differences(t_bar, c_lin, terms, y):
-    val, grad, hess = _barrier_eval(t_bar, c_lin, terms, y)
-    assert val == _barrier_value(t_bar, c_lin, terms, y)
+@pytest.mark.parametrize("lifted, t", [(False, 1.0), (False, 8000.0),
+                                       (True, 1.0), (True, 20.0)],
+                         ids=["main-1", "main-8000", "lifted-1", "lifted-20"])
+def test_lagrangian_derivatives_match_central_differences(defaults, lifted, t):
+    """Gradient c + G^T lambda and Hessian ``curvature(p, D, lambda)`` of the
+    Lagrangian c.y + lambda.f(y), which the primal-dual Newton system is
+    built from, against central differences of its value, at central-path
+    multipliers lambda = -1/(t f), on the production problem (multi- and
+    single-term rows) and on phase 1's lift, whose slack entry, row and
+    column collect a term from every row (further out on the lift the
+    slack's linear term s ~ 1 dominates the value, and the differences'
+    rounding, ~1e-16 / h**2, swamps the curvature)."""
+    _, terms, y = _interior_point(defaults, 0.1)
+    c_lin = np.array([-1.0, 0, 0, 0, 0, 0])
+    if lifted:
+        terms, c_lin, y = _lifted_point(terms, y, 1.0)
+    f, g, p, d = terms.parts(y)
+    lam = -1.0 / (t * f)
+    grad = c_lin + g.T @ lam
+    hess = terms.curvature(p, d, lam)
 
-    def merit(d):
-        return _barrier_value(t_bar, c_lin, terms, y + d)
+    def lagrangian(step):
+        return float(c_lin @ (y + step)) + float(lam @ terms.values(y + step))
 
     n = y.size
     h, e = 1e-4, np.eye(n)
-    fd_grad = np.array([(merit(h * e[k]) - merit(-h * e[k])) / (2 * h)
+    fd_grad = np.array([(lagrangian(h * e[k]) - lagrangian(-h * e[k])) / (2 * h)
                         for k in range(n)])
-    fd_hess = np.array([[(merit(h * (e[k] + e[l])) - merit(h * (e[k] - e[l]))
-                          - merit(h * (e[l] - e[k])) + merit(-h * (e[k] + e[l])))
+    fd_hess = np.array([[(lagrangian(h * (e[k] + e[l]))
+                          - lagrangian(h * (e[k] - e[l]))
+                          - lagrangian(h * (e[l] - e[k]))
+                          + lagrangian(-h * (e[k] + e[l])))
                          / (4 * h * h) for l in range(n)] for k in range(n)])
     np.testing.assert_allclose(fd_grad, grad, rtol=1e-6,
                                atol=1e-7 * np.abs(grad).max())
@@ -269,38 +286,19 @@ def _assert_derivatives_match_central_differences(t_bar, c_lin, terms, y):
                                atol=1e-5 * np.abs(hess).max())
 
 
-@pytest.mark.parametrize("t_bar", [1.0, 20.0 ** 3])
-def test_barrier_derivatives_match_central_differences(defaults, t_bar):
-    """Gradient and Hessian of the barrier against central differences of
-    its value, on the production problem (multi- and single-term rows)."""
-    _, terms, y = _interior_barrier(defaults, 0.1)
-    c_lin = np.array([-1.0, 0, 0, 0, 0, 0])
-    _assert_derivatives_match_central_differences(t_bar, c_lin, terms, y)
-
-
-@pytest.mark.parametrize("t_bar", [1.0, 20.0])
-def test_phase1_barrier_derivatives_match_central_differences(defaults, t_bar):
-    """The same check on phase 1's lifted barrier, whose slack entry, row
-    and column collect a term from every row, at its first two centerings
-    (further out the slack's linear term s ~ 1 dominates the merit, and the
-    differences' rounding, ~1e-16 / h**2, swamps the curvature)."""
-    _, terms, y = _interior_barrier(defaults, 0.1)
-    lifted, c_lin, z = _phase1_barrier(terms, y, 1.0)
-    _assert_derivatives_match_central_differences(t_bar, c_lin, lifted, z)
-
-
-def test_barrier_value_only_path_is_exact(defaults):
-    """The Armijo candidates' value-only path returns the full evaluation's
-    value bit for bit at 50 random interior points."""
-    _, terms, y0 = _interior_barrier(defaults, 0.1)
-    c_lin = np.array([-1.0, 0, 0, 0, 0, 0])
+@pytest.mark.parametrize("lifted", [False, True], ids=["main", "lifted"])
+def test_values_equal_parts_bit_for_bit(defaults, lifted):
+    """The line search's value-only path returns the full evaluation's row
+    values bit for bit at 50 random interior points."""
+    _, terms, y0 = _interior_point(defaults, 0.1)
+    if lifted:
+        terms, _, y0 = _lifted_point(terms, y0, 1.0)
     rng = np.random.default_rng(11)
-    for i in range(50):
-        y = y0 + rng.normal(scale=0.05, size=6)
-        t_bar = 20.0 ** (i % 5)
-        val, _, _ = _barrier_eval(t_bar, c_lin, terms, y)
-        assert np.isfinite(val)
-        assert _barrier_value(t_bar, c_lin, terms, y) == val
+    for _ in range(50):
+        y = y0 + rng.normal(scale=0.05, size=y0.size)
+        f = terms.parts(y)[0]
+        assert f.max() < 0.0
+        assert np.array_equal(terms.values(y), f)
 
 
 def _log_rows(constraints, n, lifted):
@@ -318,54 +316,49 @@ def _log_rows(constraints, n, lifted):
     return rows
 
 
-def _row_loop_barrier(t_bar, c_lin, rows, y):
-    """Reference: the barrier as a loop over single rows, each a log-sum-exp
-    with its own softmax gradient and Hessian."""
+def _row_loop_reference(rows, y, lam):
+    """Reference: row values, gradients and the multiplier-weighted Hessian
+    sum as a loop over single rows, each a log-sum-exp with its own softmax
+    gradient and Hessian."""
     n = y.size
-    inv_t = 1.0 / t_bar
-    val = float(c_lin @ y)
-    grad = c_lin.copy()
+    f, g = np.zeros(len(rows)), np.zeros((len(rows), n))
     hess = np.zeros((n, n))
-    for b, a in rows:
+    for j, (b, a) in enumerate(rows):
         z = b + a @ y
         w = np.exp(z - z.max())
         p = w / w.sum()
-        f = float(z.max() + math.log(w.sum()))
-        if f >= 0.0:
-            return np.inf, None, None
-        g = a.T @ p
-        hj = (a.T * p) @ a - np.outer(g, g)
-        val -= inv_t * math.log(-f)
-        grad += inv_t * (-g / f)
-        hess += inv_t * (-hj / f + np.outer(g, g) / f ** 2)
-    return val, grad, hess
+        f[j] = float(z.max() + math.log(w.sum()))
+        g[j] = a.T @ p
+        hess += lam[j] * ((a.T * p) @ a - np.outer(g[j], g[j]))
+    return f, g, hess
 
 
 @pytest.mark.parametrize("phase1", [False, True], ids=["main", "phase1"])
-def test_barrier_matches_row_loop_reference(defaults, phase1):
-    """The stacked term matrix gives the value, gradient and Hessian of a
-    per-row log-sum-exp loop to 1e-12 relative, at 200 random interior
-    points and barrier parameters from 1 to 20**8, for the main problem and
-    for phase 1's lift, where any y is interior for a large enough slack
-    (so y spreads wider there, and slacks take both signs)."""
-    constraints, terms, y0 = _interior_barrier(defaults, 0.1)
+def test_terms_match_row_loop_reference(defaults, phase1):
+    """The stacked term matrix gives the row values, row gradients and
+    multiplier-weighted curvature of a per-row log-sum-exp loop to 1e-12
+    relative, at 200 random interior points with central-path multipliers
+    -1/(t f) for t from 1 to 20**8, for the main problem and for phase 1's
+    lift, where any y is interior for a large enough slack (so y spreads
+    wider there, and slacks take both signs)."""
+    constraints, terms, y0 = _interior_point(defaults, 0.1)
     rows = _log_rows(constraints, 6, phase1)
     rng = np.random.default_rng(29)
     for i in range(200):
         y = y0 + rng.normal(scale=2.0 if phase1 else 0.05, size=6)
-        t_bar = 20.0 ** (i % 9)
         if phase1:
-            b_terms, c_lin, z = _phase1_barrier(
-                terms, y, float(rng.uniform(0.01, 2.0)))
+            b_terms, _, z = _lifted_point(terms, y, float(rng.uniform(0.01, 2.0)))
         else:
-            b_terms, c_lin, z = terms, np.array([-1.0, 0, 0, 0, 0, 0]), y
-        ref_val, ref_grad, ref_hess = _row_loop_barrier(t_bar, c_lin, rows, z)
-        assert np.isfinite(ref_val)
-        val, grad, hess = _barrier_eval(t_bar, c_lin, b_terms, z)
-        assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
-        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+            b_terms, z = terms, y
+        f, g, p, d = b_terms.parts(z)
+        assert f.max() < 0.0
+        lam = -1.0 / (20.0 ** (i % 9) * f)
+        ref_f, ref_g, ref_hess = _row_loop_reference(rows, z, lam)
+        hess = b_terms.curvature(p, d, lam)
+        assert np.abs(f - ref_f).max() <= 1e-12 * np.abs(ref_f).max()
+        assert np.abs(g - ref_g).max() <= 1e-12 * np.abs(ref_g).max()
         assert np.abs(hess - ref_hess).max() <= 1e-12 * np.abs(ref_hess).max()
-        assert _barrier_value(t_bar, c_lin, b_terms, z) == val
+        assert np.array_equal(b_terms.values(z), f)
 
 
 def test_one_term_rows_are_affine(rng):
@@ -404,6 +397,29 @@ def test_inner_solver_flags_unreachable_tolerance(defaults, monkeypatch):
         solve_inner_gp(constraints, [-1.0, 0, 0, 0, 0, 0], start.x())
     x_best, info = err.value.best
     assert np.all(x_best > 0) and np.isfinite(info["kkt_residual"])
+
+
+def test_inner_solver_raises_infeasible():
+    """2/x <= 1 and x <= 1 have no common point: phase 1 ends with its
+    slack above zero (min s is log(2)/2) and the solve raises Infeasible."""
+    with pytest.raises(Infeasible):
+        solve_inner_gp([monomial(2.0, [-1.0]), monomial(1.0, [1.0])], [1.0], [1.0])
+
+
+def test_boundary_and_interior_starts_agree(defaults):
+    """Round 1 starts on its ratio row, so phase 1 runs first; a strictly
+    interior start skips it.  Both reach the same certified point to 1e-12
+    relative."""
+    constraints, terms, y_inside = _interior_point(defaults, 0.1)
+    x_edge = initial_feasible_state(defaults, 0.1).x()
+    assert terms.values(np.log(x_edge)).max() > -1e-9
+    objective = [-1.0, 0, 0, 0, 0, 0]
+    from_edge, info_edge = solve_inner_gp(constraints, objective, x_edge)
+    from_inside, info_inside = solve_inner_gp(constraints, objective,
+                                              np.exp(y_inside))
+    np.testing.assert_allclose(from_edge, from_inside, rtol=1e-12, atol=0)
+    assert info_edge["objective"] == pytest.approx(info_inside["objective"],
+                                                   rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +531,7 @@ def test_warm_start_matches_cold_rounds(monkeypatch, p_ave_db, gamma):
 
 def test_warm_result_failing_certificate_falls_back_to_cold(defaults, monkeypatch):
     """A warm result is judged by the cold solve's certificate: when it
-    cannot pass, every later round is exactly the cold barrier solve."""
+    cannot pass, every later round is exactly the cold solve."""
     monkeypatch.setattr(gp, "_warm_inner_gp", lambda *args: None)
     cold = condense(defaults, 0.1)
     monkeypatch.undo()
