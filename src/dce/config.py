@@ -10,11 +10,11 @@ ConfigError.  ``gamma`` and ``pave_db`` accept comma-separated sweep lists
 (a single value is the one-point sweep) and ``points()`` walks that grid
 gamma-outer; ``tau_f`` parses to a list too, which the CLI takes as a plain
 override when it holds one value and as the nmse forward-length sweep
-otherwise.  Training lengths are capped at MAX_TRAINING_SLOTS; ``tau_f``
-and ``tau_r`` are rejected under the echo scheme, whose forward phase is
-pinned to ``n_t`` slots and its uplink phase to ``n_l``, and
-``jensen_variant`` under the reciprocal scheme, whose closed forms have no
-Jensen surrogate.
+otherwise.  Antenna counts are capped at MAX_ANTENNAS and training lengths
+at MAX_TRAINING_SLOTS; ``tau_f`` and ``tau_r`` are rejected under the echo
+scheme, whose forward phase is pinned to ``n_t`` slots and its uplink phase
+to ``n_l``, and ``jensen_variant`` under the reciprocal scheme, whose
+closed forms have no Jensen surrogate.
 """
 
 from __future__ import annotations
@@ -31,10 +31,15 @@ from .params import (NON_RECIPROCAL, RECIPROCAL, SystemParams, db_to_linear,
 
 FORMATS = ("csv", "json")
 JENSEN_VARIANTS = ("printed", "sigma-squared")
-# Longest training phase accepted, in slots: each pilot filter solves a tau x
-# tau system and each Monte-Carlo block holds (256, tau, n) arrays, so memory
-# grows with tau (``dce nmse --tau-f 4,2048 --trials 100`` peaks at 210 MB).
+# Longest training phase accepted, in slots, and most antennas at any
+# terminal: Monte-Carlo blocks hold (trials, tau, n) and (trials, n_t, n_t)
+# arrays.  Every training length is a given tau_f or tau_r, or a default
+# n_t or n_l (the echo scheme's phases too) that the antenna cap keeps below
+# the slot cap.  At the largest geometry admitted, n_t = n_u = 32 and
+# tau_f = tau_r = 1024, ``dce nmse --trials 100`` peaks at 298 MB RSS, at
+# n_l >= 16 (2-core Xeon VM).
 MAX_TRAINING_SLOTS = 1024
+MAX_ANTENNAS = 32
 
 FloatSweep = Tuple[float, ...]
 
@@ -95,8 +100,12 @@ class ExperimentConfig:
         if self.modulation not in (4, 16, 64):
             raise ConfigError("modulation must be 4, 16 or 64")
         for name in ("n_t", "n_l", "n_u"):
-            if getattr(self, name) < 1:
+            v = getattr(self, name)
+            if v < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+            if v > MAX_ANTENNAS:
+                raise ConfigError(
+                    f"{name} must be at most {MAX_ANTENNAS} antennas, got {v}")
         for name in ("tau_r", "tau_f", "trials"):
             v = getattr(self, name)
             if v is not None and v < 1:

@@ -2,9 +2,9 @@ r"""LMMSE estimators for every terminal and both training schemes.
 
 All estimators are linear in the received block and work on stacks of
 trials: a received stack (T, tau, M) gives an estimate stack (T, n, M).
-Each applies a cached pilot filter built from second-order statistics only
-(the scalar closed forms of ``dce.nmse``), so one matrix serves every
-trial of a Monte-Carlo run and a whole stack costs one matmul.
+Pilot-based estimators apply a closed-form filter built from second-order
+statistics only (``dce.nmse``), so a whole stack costs one matmul; the
+echo-based downlink estimate solves one regularized system per trial.
 
 Receivers know all second-order statistics (noise variances, AN variance,
 the transmitter-side estimation error variance) but no realizations.
@@ -12,7 +12,6 @@ the transmitter-side estimation error variance) but no realizations.
 
 from __future__ import annotations
 
-import functools
 from typing import Tuple
 
 import numpy as np
@@ -24,7 +23,7 @@ from .nmse import (downlink_beta, lr_effective_noise_nonreciprocal,
 from .params import RECIPROCAL, PowerAllocation, SystemParams
 from .training import echo_gain, pilot_matrix
 
-# Conditioning threshold and jitter scale for symmetric solves.
+# Conditioning threshold and jitter scale for the downlink regressor's solve.
 COND_LIMIT = 1e12
 JITTER_REL = 1e-12
 # Condition number beyond which the downlink regressor counts as singular.
@@ -37,14 +36,13 @@ def _cond_exceeds(m: np.ndarray, ridge: float, *limits: float) -> Tuple[np.ndarr
     positive; a matrix with a non-positive eigenvalue counts as infinitely
     ill).
 
-    ``ridge`` > 0 is a lower bound on every eigenvalue, known to the caller
-    because m is a positive semi-definite matrix plus ridge * I (0 when no
-    such bound is known).  Then lambda_min >= ridge and lambda_max <= trace,
-    so a matrix with trace <= ridge * min(limits) / 2 is certainly below
-    every limit; only the others get one ``eigvalsh``.
+    m is a positive semi-definite matrix plus ``ridge`` * I, ridge > 0, so
+    lambda_min >= ridge and lambda_max <= trace: a matrix with
+    trace <= ridge * min(limits) / 2 is certainly below every limit, and
+    only the others get one ``eigvalsh``.
     """
     trace = np.trace(m, axis1=-2, axis2=-1).real
-    unsure = ~((ridge > 0) & (trace <= ridge * min(limits) / 2))
+    unsure = trace > ridge * min(limits) / 2
     masks = tuple(np.zeros(trace.shape, dtype=bool) for _ in limits)
     if unsure.any():
         w = np.linalg.eigvalsh(m[unsure])
@@ -63,23 +61,20 @@ def _jittered_solve(m: np.ndarray, b: np.ndarray, ill: np.ndarray) -> np.ndarray
     return np.linalg.solve(m, b)
 
 
-@functools.lru_cache(maxsize=256)
 def _pilot_filter(prior_var: float, noise_var: float, energy: float,
                   tau: int, n_cols: int) -> np.ndarray:
-    r"""LMMSE filter for Y = X Z + W with X = sqrt(energy/n_cols) C.
+    r"""LMMSE filter for Y = s C Z + W with s = sqrt(energy/n_cols).
 
     C is the tau x n_cols semi-unitary pilot; Z has i.i.d. prior variance
     ``prior_var`` and W white noise ``noise_var``.  Returns the n_cols x tau
-    matrix mapping a received column to the estimate column.  Cached: the
-    filter depends only on second-order statistics, never on the
-    realization, so every Monte Carlo trial reuses the same matrix.
+    matrix mapping a received column to the estimate column.  As C^H C = I,
+    prior s C^H (prior s^2 C C^H + noise I)^{-1} = prior s / (prior s^2 +
+    noise) C^H (Biguesh & Gershman, IEEE TSP 2006), whose per-entry error
+    is ``dce.nmse.lmmse_error_var``.
     """
-    x = np.sqrt(energy / n_cols) * pilot_matrix(tau, n_cols)
-    gram = prior_var * (x @ x.conj().T) + noise_var * np.eye(tau)
-    (ill,) = _cond_exceeds(gram, noise_var, COND_LIMIT)
-    filt = prior_var * _jittered_solve(gram, x, ill).conj().T
-    filt.flags.writeable = False
-    return filt
+    s = np.sqrt(energy / n_cols)
+    gain = prior_var * s / (prior_var * s * s + noise_var)
+    return gain * pilot_matrix(tau, n_cols).conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,18 @@ def test_exit_config_db_overflow(tmp_path, capsys):
         assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["n_t=100000", "n_t=3000", "n_u=1000000000"])
+def test_exit_config_antenna_count_past_the_cap(tmp_path, capsys, text):
+    """An antenna count past MAX_ANTENNAS is one configuration error line,
+    not numpy's memory error from building the pilot or drawing the
+    channels."""
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text + "\n")
+    assert cli.main(["nmse", "--config", str(cfg), "--trials", "100"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, text", [
     ("alloc", "trials=5\n"),
     ("alloc", "seed=9\n"),

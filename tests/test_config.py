@@ -7,6 +7,7 @@ import pytest
 from dce.config import (
     COMMANDS,
     KEYS,
+    MAX_ANTENNAS,
     MAX_TRAINING_SLOTS,
     ExperimentConfig,
     parse_float_list,
@@ -165,10 +166,21 @@ def test_jensen_variant_explicit_only_under_echo_scheme():
 
 
 def test_validate_caps_training_lengths():
+    """Explicit lengths and antenna counts are capped; the largest geometry
+    admitted keeps its default training lengths, and the echo scheme's n_t-
+    and n_l-slot phases, within MAX_TRAINING_SLOTS."""
     for name in ("tau_r", "tau_f"):
         ExperimentConfig(**{name: MAX_TRAINING_SLOTS}).validate()
         with pytest.raises(ConfigError, match=f"{name} must be at most"):
             ExperimentConfig(**{name: MAX_TRAINING_SLOTS + 1}).validate()
+    for name in ("n_t", "n_l", "n_u"):
+        with pytest.raises(ConfigError, match=f"{name} must be at most"):
+            ExperimentConfig(**{name: MAX_ANTENNAS + 1}).validate()
+    for scheme in (RECIPROCAL, NON_RECIPROCAL):
+        cfg = ExperimentConfig(scheme=scheme, n_t=MAX_ANTENNAS,
+                               n_l=MAX_ANTENNAS - 1, n_u=MAX_ANTENNAS).validate()
+        p = cfg.to_params(20.0)
+        assert max(p.tau_f, p.tau_r, p.n_t, p.n_l) <= MAX_TRAINING_SLOTS
 
 
 def test_to_params_wraps_geometry_errors():

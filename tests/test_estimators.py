@@ -10,7 +10,6 @@ from dce.estimators import (
     COND_LIMIT,
     JITTER_REL,
     REGRESSOR_COND_LIMIT,
-    _cond_exceeds,
     _jittered_solve,
     _pilot_filter,
     lr_estimate_reciprocal,
@@ -348,10 +347,15 @@ def test_analytic_error_monotone_in_energy(defaults):
             tx_error_var_uplink(defaults, e) + 1e-15
 
 
+def _cond_exceeds_reference(m, limit):
+    w = np.linalg.eigvalsh(m)
+    return w[..., -1] > limit * w[..., 0]
+
+
 def _solve_unscreened(m, b):
     """The jittered solve of matrices with no known ridge: every one gets
     the exact eigenvalue test."""
-    return _jittered_solve(m, b, *_cond_exceeds(m, 0.0, COND_LIMIT))
+    return _jittered_solve(m, b, _cond_exceeds_reference(m, COND_LIMIT))
 
 
 def test_jittered_solve_jitter_guard():
@@ -376,11 +380,6 @@ def test_jittered_solve_jitters_exactly_the_ill_matrices():
     m = np.diag([1.0, -5.0]).astype(complex)
     np.testing.assert_array_equal(
         _solve_unscreened(m, b[0]), np.linalg.solve(m - 2e-12 * np.eye(2), b[0]))
-
-
-def _cond_exceeds_reference(m, limit):
-    w = np.linalg.eigvalsh(m)
-    return w[..., -1] > limit * w[..., 0]
 
 
 def _spd_solve_reference(m, b):
@@ -450,16 +449,19 @@ def test_downlink_row_far_beyond_the_limit_is_masked(defaults, rng):
 
 
 def _pilot_filter_reference(prior_var, noise_var, energy, tau, n_cols):
+    """prior (prior X^H X + noise I)^{-1} X^H with X = sqrt(energy/n_cols) C:
+    the LMMSE filter through its n_cols x n_cols system, whose matrix is a
+    multiple of the identity up to rounding."""
     x = np.sqrt(energy / n_cols) * pilot_matrix(tau, n_cols)
-    gram = prior_var * (x @ x.conj().T) + noise_var * np.eye(tau)
-    return prior_var * _spd_solve_reference(gram, x).conj().T
+    gram = prior_var * (x.conj().T @ x) + noise_var * np.eye(n_cols)
+    return prior_var * np.linalg.solve(gram, x.conj().T)
 
 
-def test_pilot_filters_match_eigvalsh_reference(defaults):
+def test_pilot_filters_match_lmmse_reference(defaults):
     """Every filter the estimators build at the default parameters, for a
-    reciprocal and an echo allocation, plus grams past COND_LIMIT and with
-    no noise ridge: bit-identical to the filter built with an eigvalsh of
-    every gram."""
+    reciprocal and an echo allocation, and filters with tau in {n, 2n, 4n}
+    whose tau x tau Gram matrix prior X X^H + noise I has condition number
+    1e2 to 1e13: within 1e-13 relative of the reference filter."""
     p = defaults
     rec = reciprocal_allocation(2.0, 4.0, var_a=0.5)
     echo = nonreciprocal_allocation(3.0, 5.0, 2.0, 6.0, var_a=0.4)
@@ -470,12 +472,15 @@ def test_pilot_filters_match_eigvalsh_reference(defaults):
         (p.var_hu, p.var_wt, echo.e_2, p.n_l, p.n_l),
         (p.var_hd, lr_effective_noise_nonreciprocal(p, echo, "printed"), echo.e_3, p.n_t, p.n_t),
         (p.var_g, ur_effective_noise(p, echo.var_a), echo.e_3, p.n_t, p.n_t),
-        (1.0, 1e-13, 4.0, 8, 4),     # cond > COND_LIMIT: jittered
-        (1.0, 4e-12, 4.0, 8, 4),     # past the screen, below the limit
-        (1.0, 0.0, 4.0, 4, 4),       # no ridge to screen with
     ]
+    n, energy = 4, 4.0
+    for tau in (n, 2 * n, 4 * n):
+        for cond in (1e2, 1e4, 1e7, 1e11, 1e13):
+            # prior energy/n + noise = cond * noise
+            cases.append((2.5, 2.5 * (energy / n) / (cond - 1), energy, tau, n))
     for args in cases:
-        np.testing.assert_array_equal(_pilot_filter(*args), _pilot_filter_reference(*args))
+        np.testing.assert_allclose(_pilot_filter(*args), _pilot_filter_reference(*args),
+                                   rtol=1e-13, atol=0, err_msg=str(args))
 
 
 def test_downlink_singular_regressor(defaults, rng):
