@@ -11,12 +11,12 @@ class DceError(Exception):
 
 class RankDeficient(DceError):
     """Monte-Carlo trials stayed degenerate through every redraw: a channel
-    estimate without full column rank (so no AN null space exists) or a
-    numerically singular regressor."""
+    estimate without full column rank, so no AN null space exists."""
 
 
 class SingularRegressor(DceError):
-    """The regularized regressor matrix is numerically singular (corrupt input)."""
+    """The echo-based downlink estimate's regularized Gram matrix is not
+    finite (corrupt input)."""
 
 
 class InfeasibleGamma(DceError):

@@ -4,15 +4,14 @@ All estimators are linear in the received block and work on stacks of
 trials: a received stack (T, tau, M) gives an estimate stack (T, n, M).
 Pilot-based estimators apply a closed-form filter built from second-order
 statistics only (``dce.nmse``), so a whole stack costs one matmul; the
-echo-based downlink estimate solves one regularized system per trial.
+echo-based downlink estimate solves one regularized n_l x n_l system per
+trial, never worse conditioned than the uplink estimate's Gram matrix.
 
 Receivers know all second-order statistics (noise variances, AN variance,
 the transmitter-side estimation error variance) but no realizations.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -22,44 +21,6 @@ from .nmse import (downlink_beta, lr_effective_noise_nonreciprocal,
                    ur_effective_noise)
 from .params import RECIPROCAL, PowerAllocation, SystemParams
 from .training import echo_gain, pilot_matrix
-
-# Conditioning threshold and jitter scale for the downlink regressor's solve.
-COND_LIMIT = 1e12
-JITTER_REL = 1e-12
-# Condition number beyond which the downlink regressor counts as singular.
-REGRESSOR_COND_LIMIT = 1e14
-
-
-def _cond_exceeds(m: np.ndarray, ridge: float, *limits: float) -> Tuple[np.ndarray, ...]:
-    """For each of ``limits``, whether each Hermitian matrix of a stack has
-    condition number above it (its eigenvalues are its singular values when
-    positive; a matrix with a non-positive eigenvalue counts as infinitely
-    ill).
-
-    m is a positive semi-definite matrix plus ``ridge`` * I, ridge > 0, so
-    lambda_min >= ridge and lambda_max <= trace: a matrix with
-    trace <= ridge * min(limits) / 2 is certainly below every limit, and
-    only the others get one ``eigvalsh``.
-    """
-    trace = np.trace(m, axis1=-2, axis2=-1).real
-    unsure = trace > ridge * min(limits) / 2
-    masks = tuple(np.zeros(trace.shape, dtype=bool) for _ in limits)
-    if unsure.any():
-        w = np.linalg.eigvalsh(m[unsure])
-        for mask, limit in zip(masks, limits):
-            mask[unsure] = w[..., -1] > limit * w[..., 0]
-    return masks
-
-
-def _jittered_solve(m: np.ndarray, b: np.ndarray, ill: np.ndarray) -> np.ndarray:
-    """Solve m x = b after adding a diagonal jitter of
-    JITTER_REL * trace(m)/n to each matrix flagged ``ill``."""
-    n = m.shape[-1]
-    if np.any(ill):
-        jitter = np.where(ill, JITTER_REL * np.trace(m, axis1=-2, axis2=-1).real / n, 0.0)
-        m = m + jitter[..., None, None] * np.eye(n)
-    return np.linalg.solve(m, b)
-
 
 def _pilot_filter(prior_var: float, noise_var: float, energy: float,
                   tau: int, n_cols: int) -> np.ndarray:
@@ -106,41 +67,35 @@ def tx_estimate_uplink(y_t2: np.ndarray, params: SystemParams,
 
 def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
                          h_u_hat: np.ndarray, params: SystemParams,
-                         alloc: PowerAllocation) -> Tuple[np.ndarray, np.ndarray]:
+                         alloc: PowerAllocation) -> np.ndarray:
     r"""Downlink estimates from the echoed blocks, conditioned on the uplink
-    estimates; returns ``(estimate, regular)``.
+    estimates.
 
     Each trial's estimate is
     var_hd/(alpha t0) X_t0^H Y_t1 (Hu_hat^H Hu_hat + beta I)^{-1} Hu_hat^H.
     Given Hu_hat, its error covariance is
     [var_hd I - var_hd*rho0*M(M+beta I)^{-1}] kron I_{n_t} with
     M = Hu_hat^* Hu_hat^T and rho0 the probe share of the echoed level
-    (``dce.nmse.rho0_downlink``).  ``regular`` masks the trials whose
-    regularized Gram matrix Hu_hat^H Hu_hat + beta I is numerically regular
-    (cond <= REGRESSOR_COND_LIMIT); the estimate of any other trial is zero
-    and the caller must redraw it.  A non-finite Gram matrix is corrupt
-    input and raises SingularRegressor.
+    (``dce.nmse.rho0_downlink``).
 
-    The Gram matrix's eigenvalues lie in [beta, trace], so a trial with
-    trace <= beta * COND_LIMIT / 2 is regular and needs no jitter without
-    an eigendecomposition.  Any other trial gets one ``eigvalsh``, which
-    decides both ``regular`` and the COND_LIMIT jitter of the solve.
+    The push-through identity (Hu_hat^H Hu_hat + beta I)^{-1} Hu_hat^H =
+    Hu_hat^H G^{-1}, G = Hu_hat Hu_hat^H + beta I, moves the solve to the
+    n_l x n_l side.  There every eigenvalue is beta plus one of Hu_hat's
+    squared singular values, so G is never worse conditioned than
+    Hu_hat Hu_hat^H however small beta is, while the n_t x n_t matrix
+    keeps n_t - n_l eigenvalues at exactly beta.  A non-finite G
+    is corrupt input and raises SingularRegressor.
     """
     alpha = echo_gain(params, alloc.e_0, alloc.e_1)
     if alpha <= 0:
         raise ValueError("echo-based estimation needs e_1 > 0 (alpha > 0)")
-    hu_h = np.conj(np.swapaxes(h_u_hat, -1, -2))
-    beta = downlink_beta(params, alloc)
-    reg = hu_h @ h_u_hat + beta * np.eye(params.n_t)
-    if not np.all(np.isfinite(reg)):
+    gram = (h_u_hat @ np.conj(np.swapaxes(h_u_hat, -1, -2))
+            + downlink_beta(params, alloc) * np.eye(params.n_l))
+    if not np.all(np.isfinite(gram)):
         raise SingularRegressor("regularized uplink Gram matrix is not finite")
-    irregular, ill = _cond_exceeds(reg, beta, REGRESSOR_COND_LIMIT, COND_LIMIT)
-    regular = ~irregular
-    reg = np.where(regular[..., None, None], reg, np.eye(params.n_t))
     gain = params.var_hd / (alpha * t0_round_trip(params, alloc.e_0))
-    est = gain * (np.conj(np.swapaxes(x_t0, -1, -2)) @ y_t1
-                  @ _jittered_solve(reg, hu_h, ill))
-    return np.where(regular[..., None, None], est, 0.0), regular
+    return gain * (np.conj(np.swapaxes(x_t0, -1, -2)) @ y_t1
+                   @ np.conj(np.swapaxes(np.linalg.solve(gram, h_u_hat), -1, -2)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import Infeasible, NoFeasiblePoint, NotConverged, Stalled
-from .nmse import (NON_RECIPROCAL, check_gamma, gamma_tilde, lmmse_error_var,
-                   rho0_downlink, sigma_sq_uplink, t0_round_trip,
+from .nmse import (NON_RECIPROCAL, check_gamma, gamma_tilde, leakage_residual,
+                   lmmse_error_var, sigma_sq_uplink, t0_round_trip,
                    tx_error_var_uplink, ur_effective_noise)
 from .params import PowerAllocation, SystemParams, nonreciprocal_allocation
 
@@ -713,10 +713,9 @@ def grid_oracle_nonreciprocal(params: SystemParams, gamma: float,
     sigma2 = sigma_sq_uplink(p, e_2)
     with np.errstate(divide="ignore"):
         beta = p.n_l * tx_error_var_uplink(p, e_2) + p.n_t * p.n_l * p.var_wt / e_1
-    jfac = p.n_t * sigma2 / (beta + p.n_t * sigma2)
     best_val, best = np.inf, None
     for e_0 in np.linspace(0.0, min(s, b_t), resolution + 1):
-        resid = p.var_hd * (1.0 - rho0_downlink(p, e_0) * jfac)
+        resid = leakage_residual(p, e_0, beta, sigma2)
         rest = np.minimum(b_t - e_0, s - e_0 - e_1 - e_2)
         # gamma >= var_g makes gt <= 0 and e_3 negative, inf or nan: masked below
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,10 +4,10 @@ oracle.
 Trials run in blocks of BLOCK_TRIALS stacked (trials, rows, cols) arrays,
 and every block draws from its own substream ``trial_rng(seed, block)``, so
 results are bit-identical for a given (seed, trials) however the blocks are
-spread over workers.  Trials whose draw is numerically degenerate
-(rank-deficient null space, singular regressor) are redrawn together from
-the block's next substream, up to MAX_RESAMPLES times, and counted in
-``resampled_trials``.
+spread over workers.  Trials whose draw is numerically degenerate (the
+transmitter's downlink estimate loses rank, so AN has no null space) are
+redrawn together from the block's next substream, up to MAX_RESAMPLES
+times, and counted in ``resampled_trials``.
 """
 
 from __future__ import annotations
@@ -70,18 +70,15 @@ def _per_entry_sq_err(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def _transmitter_side_estimate(params: SystemParams, alloc: PowerAllocation,
-                               h_d, h_u, rng) -> Tuple[np.ndarray, np.ndarray]:
-    """The (T, n_t, n_l) downlink estimates the transmitter nulls AN
-    against, and the mask of trials whose estimate is regular."""
-    trials = h_d.shape[0]
+                               h_d, h_u, rng) -> np.ndarray:
+    """The (T, n_t, n_l) downlink estimates the transmitter nulls AN against."""
     _, y_t = reverse_training(params, alloc, h_u, rng)
     if alloc.scheme == RECIPROCAL:
-        return tx_estimate_reciprocal(y_t, params, alloc.e_r), np.ones(trials, dtype=bool)
+        return tx_estimate_reciprocal(y_t, params, alloc.e_r)
     hu_hat = tx_estimate_uplink(y_t, params, alloc.e_2)
     if alloc.e_1 <= 0:
         # no echo energy: the transmitter has no downlink information at all
-        return (np.zeros((trials, params.n_t, params.n_l), dtype=complex),
-                np.ones(trials, dtype=bool))
+        return np.zeros((h_d.shape[0], params.n_t, params.n_l), dtype=complex)
     x_t0, _, y_t1 = round_trip_training(params, alloc, h_d, h_u, rng)
     return tx_estimate_downlink(y_t1, x_t0, hu_hat, params, alloc)
 
@@ -89,16 +86,17 @@ def _transmitter_side_estimate(params: SystemParams, alloc: PowerAllocation,
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
                       trials: int, jensen_variant: str):
     """One full training round for a stack of trials; returns
-    (h_d, g, lr_estimate, ur_estimate, degenerate)."""
+    (h_d, g, lr_estimate, ur_estimate, degenerate), where the degenerate
+    trials are those whose downlink estimate has no full-rank null space."""
     h_d, h_u, g = sample_channels(params, alloc.scheme, rng, trials)
-    tx_est, regular = _transmitter_side_estimate(params, alloc, h_d, h_u, rng)
+    tx_est = _transmitter_side_estimate(params, alloc, h_d, h_u, rng)
     _, y_l, y_u, full_rank = forward_training(params, alloc, tx_est, h_d, g, rng)
     if alloc.scheme == RECIPROCAL:
         lr = lr_estimate_reciprocal(y_l, params, alloc)
     else:
         lr = lr_estimate_nonreciprocal(y_l, params, alloc, jensen_variant)
     ur = ur_estimate(y_u, params, alloc)
-    return h_d, g, lr, ur, ~(regular & full_rank)
+    return h_d, g, lr, ur, ~full_rank
 
 
 def _run_blocks(block_fn: Callable, trials: int, seed: int) -> Tuple[np.ndarray, int]:

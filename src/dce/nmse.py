@@ -77,6 +77,15 @@ def downlink_beta(params: SystemParams, alloc: PowerAllocation) -> float:
             + params.var_wt / (alpha ** 2 * t0_round_trip(params, alloc.e_0)))
 
 
+def _jensen_terms(params: SystemParams, alloc: PowerAllocation,
+                  variant: str) -> Tuple[float, float]:
+    """(beta, s) of the spectral surrogate n_t*s/(beta + n_t*s)."""
+    if variant not in ("printed", "sigma-squared"):
+        raise ValueError(f"unknown jensen variant {variant!r}")
+    sigma2 = sigma_sq_uplink(params, alloc.e_2)
+    return downlink_beta(params, alloc), (np.sqrt(sigma2) if variant == "printed" else sigma2)
+
+
 def jensen_factor(params: SystemParams, alloc: PowerAllocation,
                   variant: str = "printed") -> float:
     r"""Surrogate for E{1/(beta/lambda + 1)} over the uplink-estimate spectrum.
@@ -86,14 +95,27 @@ def jensen_factor(params: SystemParams, alloc: PowerAllocation,
     uses n_t*sigma^2/(beta + n_t*sigma^2).  Both collapse to 0 when there
     is no usable round trip (alpha = 0 or e_2 = 0).
     """
-    if variant not in ("printed", "sigma-squared"):
-        raise ValueError(f"unknown jensen variant {variant!r}")
-    sigma2 = sigma_sq_uplink(params, alloc.e_2)
-    beta = downlink_beta(params, alloc)
-    if not np.isfinite(beta) or sigma2 == 0.0:
+    beta, s = _jensen_terms(params, alloc, variant)
+    if not np.isfinite(beta) or s == 0.0:
         return 0.0
-    s = np.sqrt(sigma2) if variant == "printed" else sigma2
     return float(params.n_t * s / (beta + params.n_t * s))
+
+
+def leakage_residual(params: SystemParams, e_0, beta, s):
+    r"""Per-entry error variance of the echo-based downlink estimate that AN
+    leaks through, var_hd*(1 - rho0*j) with j = n_t*s/(beta + n_t*s).
+
+    Written as var_hd*((1 - rho0) + rho0*(1 - j)), with
+    1 - rho0 = n_t*var_w/(var_hd*e_0 + n_t*var_w) and
+    1 - j = beta/(beta + n_t*s) (1 at beta = inf, no round trip), so that
+    nothing cancels as rho0*j -> 1 at high power.  Broadcasts over NumPy
+    arrays.
+    """
+    noise = params.n_t * params.var_w
+    miss_0 = noise / (params.var_hd * e_0 + noise)
+    with np.errstate(invalid="ignore"):
+        miss_j = np.where(np.isinf(beta), 1.0, beta / (beta + params.n_t * s))
+    return params.var_hd * (miss_0 + rho0_downlink(params, e_0) * miss_j)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +136,8 @@ def lr_effective_noise_reciprocal(params: SystemParams, e_r: float,
 def lr_effective_noise_nonreciprocal(params: SystemParams, alloc: PowerAllocation,
                                      jensen_variant: str = "printed") -> float:
     """AN leakage through the echo-based downlink estimate, plus LR noise."""
-    rho0 = rho0_downlink(params, alloc.e_0)
-    j = jensen_factor(params, alloc, jensen_variant)
-    residual = params.var_hd - params.var_hd * rho0 * j
+    residual = float(leakage_residual(
+        params, alloc.e_0, *_jensen_terms(params, alloc, jensen_variant)))
     return (params.n_t - params.n_l) * alloc.var_a * residual + params.var_w
 
 

@@ -565,6 +565,26 @@ def test_ser_table_reports_resampled_trials(tmp_path):
     assert [r[header.index("resampled_trials")] for r in rows] == ["0"]
 
 
+@pytest.mark.parametrize("command,trials", [("nmse", "2000"), ("ser", "1000")])
+def test_echo_scheme_at_extreme_power(tmp_path, command, trials):
+    """At 140 and 200 dB the echo regressor's beta is tiny next to the
+    uplink estimate, yet no draw is degenerate, and the analytic LR NMSE
+    stays within accept-07's 15% of Monte Carlo."""
+    code, out = _run(tmp_path, command, "--trials", trials,
+                     "--scheme", "non-reciprocal", "--gamma", "0.5",
+                     "--pave-db", "140,200", "--pbar-l-db", "200",
+                     "--pbar-t-db", "210")
+    assert code == EXIT_OK
+    header, rows = _read_csv(out)
+    assert len(rows) == 2
+    assert [r[header.index("resampled_trials")] for r in rows] == ["0", "0"]
+    if command == "nmse":
+        for r in rows:
+            analytic = float(r[header.index("nmse_l_analytic")])
+            empirical = float(r[header.index("nmse_l_empirical")])
+            assert abs(empirical / analytic - 1.0) <= 0.15
+
+
 def test_exit_verify_failure(tmp_path, monkeypatch):
     def boom(cfg):
         raise AssertionError("deliberately broken for the exit-code test")

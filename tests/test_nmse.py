@@ -1,6 +1,8 @@
 """Scalar closed forms: the LMMSE kernel, NMSE evaluators, feasibility
 interval, derived constants."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from dce.nmse import (
     downlink_beta,
     gamma_bounds,
     gamma_tilde,
+    leakage_residual,
     lmmse_error_var,
+    lr_effective_noise_nonreciprocal,
     mu_threshold,
     nmse_l_nonreciprocal_approx,
     nmse_l_reciprocal,
@@ -254,3 +258,27 @@ def test_derived_constants_bundle(defaults):
     for scheme in (RECIPROCAL, NON_RECIPROCAL):
         with pytest.raises(InfeasibleGamma):
             check_gamma(defaults, defaults.var_g * 2, scheme)
+
+
+@pytest.mark.parametrize("variant", ["printed", "sigma-squared"])
+def test_lr_effective_noise_nonreciprocal_exact_at_high_power(variant):
+    """60-300 dB, every energy 4 P and AN variance P: the echo scheme's AN
+    residual var_hd (1 - rho0 j) and the LR's effective noise stay within
+    1e-13 relative of an exact rational evaluation of the same float
+    inputs, although 1 - rho0 j falls to about 1/P."""
+    for db in (60, 100, 140, 200, 250, 300):
+        p = default_params(p_ave_db=db, p_bar_t_db=db, p_bar_l_db=db)
+        alloc = nonreciprocal_allocation(*[4 * p.p_ave] * 4, var_a=p.p_ave)
+        beta = downlink_beta(p, alloc)
+        sigma2 = sigma_sq_uplink(p, alloc.e_2)
+        s = float(np.sqrt(sigma2)) if variant == "printed" else sigma2
+        var_hd, e_0, var_w, n_t = (Fraction(x) for x in (p.var_hd, alloc.e_0,
+                                                         p.var_w, p.n_t))
+        rho0 = var_hd * e_0 / (var_hd * e_0 + n_t * var_w)
+        j = n_t * Fraction(s) / (Fraction(beta) + n_t * Fraction(s))
+        resid = var_hd * (1 - rho0 * j)
+        r_eff = (p.n_t - p.n_l) * Fraction(alloc.var_a) * resid + var_w
+        got = leakage_residual(p, alloc.e_0, beta, s)
+        assert abs(Fraction(float(got)) / resid - 1) <= 1e-13, db
+        got = lr_effective_noise_nonreciprocal(p, alloc, variant)
+        assert abs(Fraction(got) / r_eff - 1) <= 1e-13, db
