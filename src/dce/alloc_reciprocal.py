@@ -10,8 +10,9 @@ a = (n_t - n_l) * var_a for the AN energy per slot:
 * remaining forward-phase budget: R = min(S_eff - e_r, B_t) with
   S_eff = min(S, B_l + B_t);
 * if R < gt, the UR floor cannot be reached: spend it all on pilots (a=0);
-* if e_r < mu, AN leaks too strongly through the transmitter's estimation
-  error: cap pilots at gt, no AN;
+* if the transmitter's estimation error variance is at least
+  var_g*var_w/var_v (e_r <= mu), AN leaks too strongly through it, or at
+  e_r == mu buys nothing for its energy: cap pilots at gt, no AN;
 * otherwise the UR floor is active: a = (R - gt)/(tau_f + var_g*gt/var_v)
   and e_f = gt*(var_g*a/var_v + 1), which spends exactly R.
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import NoFeasiblePoint
 from .nmse import (check_gamma, forward_budget, gamma_tilde, mu_threshold,
-                   nmse_l_reciprocal, nmse_u_reciprocal)
+                   nmse_l_reciprocal, nmse_u_reciprocal, tx_error_var_reciprocal)
 from .params import RECIPROCAL, PowerAllocation, SystemParams, reciprocal_allocation
 
 SCAN_POINTS = 512
@@ -55,13 +56,12 @@ def _inner_solution(p: SystemParams, gamma: float,
                     e_r: float) -> Tuple[float, float, float]:
     """Best (e_f, var_a, nmse_l) for a fixed reverse energy."""
     gt = gamma_tilde(p, gamma)
-    mu = mu_threshold(p)
     s, b_t, b_l = _budgets(p)
     s_eff = min(s, b_l + b_t)
     remaining = max(min(s_eff - e_r, b_t), 0.0)
     if remaining < gt:
         e_f, a = remaining, 0.0
-    elif e_r < mu:
+    elif tx_error_var_reciprocal(p, e_r) >= p.var_g * p.var_w / p.var_v:
         e_f, a = gt, 0.0
     else:
         a = (remaining - gt) / (p.tau_f + p.var_g * gt / p.var_v)

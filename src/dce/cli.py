@@ -8,14 +8,19 @@ Subcommands:
   fixed total energy budgets (reciprocal scheme only; ``alloc`` and
   ``ser`` reject a list).
 * ``ser``    — data-phase symbol error rates with estimated channels.
-* ``verify`` — self-check suite pitting the solvers against brute-force
-  oracles and toy problems with known answers, at one (gamma, p_ave) point.
+* ``verify`` — user-facing cross-checks of the echo scheme: condensation
+  against a brute-force lattice, the sampled spectral factor's range, and
+  which closed-form surrogate the sampled factor favours at one (gamma,
+  p_ave) point.  The other self-checks live in the test suite.
 
 Each subcommand declares only the flags it reads: ``--config`` and the
 flag of each ``config.KEYS`` entry that names the command and has a help.
 
 Exit codes: 0 success, 1 solver breakdown, 2 configuration problem,
-3 infeasible problem, 4 unsupported geometry, 5 verification failure,
+3 infeasible problem (also a verify point outside the echo scheme's floor
+interval, or a ser point whose floor is met with no forward pilots),
+4 unsupported geometry (a transmit antenna count the block code cannot
+drive), 5 verification failure,
 6 degenerate Monte-Carlo draws (trials still rank-deficient after every
 redraw, or a non-finite regressor in the echo-based estimate).
 """
@@ -27,28 +32,20 @@ import dataclasses
 import sys
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from .alloc_reciprocal import grid_oracle_reciprocal, solve_reciprocal
-from .config import (FORMATS, JENSEN_VARIANTS, KEY_BY_NAME, KEYS,
-                     ExperimentConfig, read_config_file)
+from .config import (JENSEN_VARIANTS, KEY_BY_NAME, KEYS, ExperimentConfig,
+                     read_config_file)
 from .errors import (ConfigError, Infeasible, InfeasibleGamma,
                      NoFeasiblePoint, NotConverged, RankDeficient,
                      SingularRegressor, Stalled, UnsupportedGeometry)
-from .gp import (Posynomial, condense, denominator_exponents,
-                 grid_oracle_nonreciprocal, monomial, ratio_parts,
-                 solve_inner_gp)
+from .gp import condense, grid_oracle_nonreciprocal
 from .montecarlo import (DESK_SER_TRIALS, MIN_NMSE_TRIALS, jensen_oracle,
                          run_nmse_experiment, run_ser_experiment,
                          solve_allocation)
-from .nmse import (check_gamma, gamma_bounds, nmse_l_nonreciprocal_approx,
-                   nmse_lower_bound, nmse_u_reciprocal)
-from .ostbc import verify_code_orthogonality
-from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, db_to_linear,
+from .nmse import check_gamma, nmse_l_nonreciprocal_approx, nmse_lower_bound
+from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation,
                      default_params, linear_to_db, nonreciprocal_allocation,
                      with_fixed_energy_budgets)
-from .rng import make_rng
-from .tables import ResultTable, check_writable, strip_footer, write_table
+from .tables import ResultTable, check_writable, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -184,75 +181,6 @@ def _require(ok, message: str) -> None:
         raise AssertionError(message)
 
 
-def _check_block_code(cfg):
-    rng = make_rng(cfg.seed)
-    worst_code, worst_map = verify_code_orthogonality(rng)
-    _require(worst_code < 1e-10, f"code Gram deviates by {worst_code:.2e}")
-    _require(worst_map < 1e-8, f"dispersion map deviates by {worst_map:.2e}")
-    return max(worst_code, worst_map), "worst Gram / dispersion-map residual"
-
-
-def _check_toy_gps(cfg):
-    # min 1/x subject to 2x <= 1  ->  x = 1/2
-    x1, _ = solve_inner_gp([monomial(2.0, [1.0])], [-1.0], [0.1])
-    _require(abs(x1[0] - 0.5) < 1e-6, f"1-d toy optimum {x1[0]} != 0.5")
-    # min 1/(xy) subject to x + y <= 1  ->  x = y = 1/2
-    cons = [Posynomial(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))]
-    x2, _ = solve_inner_gp(cons, [-1.0, -1.0], [0.2, 0.6])
-    _require(np.allclose(x2, [0.5, 0.5], atol=1e-5), f"2-d toy optimum {x2}")
-    dev = max(abs(x1[0] - 0.5), float(np.max(np.abs(x2 - 0.5))))
-    return dev, "distance from known toy optima"
-
-
-def _check_tangency(cfg):
-    params = default_params()
-    rng = make_rng(cfg.seed + 1)
-    _, denom = ratio_parts(params)
-    worst_grad = 0.0
-    worst_over = 0.0
-    for _ in range(25):
-        x_bar = np.exp(rng.uniform(-1.5, 3.0, size=6))
-        a = denominator_exponents(denom, x_bar)
-        d_bar = denom.value(x_bar)
-        scale = d_bar * float(np.prod(x_bar ** (-a)))
-        # tangency of log denom: finite-difference gradient match
-        for k in range(6):
-            h = 1e-6
-            xp = x_bar.copy(); xp[k] *= np.exp(h)
-            xm = x_bar.copy(); xm[k] *= np.exp(-h)
-            fd = (np.log(denom.value(xp)) - np.log(denom.value(xm))) / (2 * h)
-            worst_grad = max(worst_grad, abs(fd - a[k]))
-            _require(abs(fd - a[k]) < 1e-4, f"log-gradient mismatch at {k}")
-        # global under-estimation on random points
-        pts = np.exp(rng.uniform(-2.0, 3.5, size=(400, 6)))
-        hat = scale * np.prod(pts ** a[None, :], axis=1)
-        true = (denom.coeffs[None, :]
-                * np.prod(pts[:, None, :] ** denom.expo[None, :, :], axis=2)).sum(axis=1)
-        worst_over = max(worst_over, float(np.max(hat / true - 1.0)))
-        _require(np.all(hat <= true * (1 + 1e-9)),
-                 "monomial exceeded the denominator")
-    return worst_grad, f"worst log-gradient gap; over-estimation {worst_over:.2e}"
-
-
-def _check_reciprocal_vs_oracle(cfg):
-    rng = make_rng(cfg.seed + 2)
-    params = default_params()
-    worst = -np.inf
-    for _ in range(4):
-        p_ave_db = float(rng.uniform(12.0, 24.0))
-        p = dataclasses.replace(params, p_ave=db_to_linear(p_ave_db))
-        lo, hi = gamma_bounds(p, RECIPROCAL)
-        gamma = float(np.exp(rng.uniform(np.log(lo * 1.3), np.log(hi * 0.5))))
-        sol = solve_reciprocal(p, gamma)
-        oracle = grid_oracle_reciprocal(p, gamma, 60)
-        worst = max(worst, sol.objective / oracle.objective - 1.0)
-        _require(sol.objective <= oracle.objective * (1 + 1e-3),
-                 f"solver {sol.objective} lost to lattice {oracle.objective}")
-        nmse_u = nmse_u_reciprocal(p, sol.alloc.e_f, sol.alloc.var_a)
-        _require(nmse_u >= gamma * (1 - 1e-9), "UR floor violated")
-    return worst, "worst objective excess over the 60-point lattice"
-
-
 def _check_condensation(cfg):
     params = default_params()
     gamma = 0.1
@@ -267,17 +195,6 @@ def _check_condensation(cfg):
     _require(mine <= oracle_obj, f"condensation {mine} worse than lattice {oracle_obj}")
     return (mine / oracle_obj - 1.0,
             "sigma-squared objective excess over the 20-point lattice")
-
-
-def _check_negative_control(cfg):
-    params = default_params()
-    sabotage = lambda x_bar: np.array([1.0, 0, 0, 0, 0, 0])
-    try:
-        condense(params, 0.1, _theta_fn=sabotage)
-    except (Stalled, Infeasible, NotConverged) as exc:
-        return 0.0, f"sabotaged weights raised {type(exc).__name__}"
-    raise AssertionError(
-        "deliberately wrong condensation weights were not detected")
 
 
 def _check_jensen(cfg):
@@ -304,50 +221,13 @@ def _check_jensen_adjudication(cfg):
     return gaps[report["closer"]], detail
 
 
-def _check_determinism(cfg):
-    params = default_params()
-    sol = solve_reciprocal(params, 0.1)
-    table = ResultTable(["er", "ef", "var_a", "objective"])
-    table.add_row(sol.alloc.e_r, sol.alloc.e_f, sol.alloc.var_a, sol.objective)
-    for fmt in FORMATS:
-        first = table.render(fmt)
-        second = table.render(fmt)
-        _require(strip_footer(first) == strip_footer(second),
-                 f"{fmt} render is not deterministic")
-    return 0.0, "renders byte-identical across repeated calls"
-
-
-def _check_gamma_guard(cfg):
-    params = default_params()
-    for scheme, bad in ((RECIPROCAL, params.var_g * 1.5), (RECIPROCAL, 0.0),
-                        (NON_RECIPROCAL, 1e-9)):
-        try:
-            check_gamma(params, bad, scheme)
-        except InfeasibleGamma:
-            continue
-        raise AssertionError(f"gamma={bad} ({scheme}) should have been rejected")
-    # below the enforceable floor the reciprocal problem is still solvable:
-    # the floor is vacuous and the optimum drops reverse training and noise
-    lo, _ = gamma_bounds(default_params(p_ave_db=10.0), RECIPROCAL)
-    sol = solve_reciprocal(default_params(p_ave_db=10.0), lo / 2.0)
-    _require(sol.alloc.e_r == 0.0 and sol.alloc.var_a == 0.0,
-             "vacuous floor should zero reverse energy and noise, "
-             f"got {sol.alloc}")
-    return 0.0, "bad floors rejected; vacuous floor still solvable"
-
-
 def cmd_verify(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
+    # an infeasible point is the input's fault, not a failed check
+    check_gamma(cfg.to_params(cfg.pave_db[0]), cfg.gamma[0], NON_RECIPROCAL)
     checks = [
-        ("block-code-orthogonality", _check_block_code),
-        ("inner-gp-toy-problems", _check_toy_gps),
-        ("condensation-tangency", _check_tangency),
-        ("reciprocal-vs-lattice", _check_reciprocal_vs_oracle),
         ("condensation-vs-lattice", _check_condensation),
-        ("wrong-weights-detected", _check_negative_control),
         ("spectral-surrogate-range", _check_jensen),
         ("jensen-adjudication", _check_jensen_adjudication),
-        ("table-determinism", _check_determinism),
-        ("floor-bounds-guard", _check_gamma_guard),
     ]
     table = ResultTable(["check", "status", "deviation", "detail"])
     failures = 0

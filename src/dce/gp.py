@@ -608,7 +608,6 @@ def initial_feasible_state(params: SystemParams, gamma: float) -> GpState:
 
 
 def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None,
-             _theta_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
              ) -> NonReciprocalSolution:
     """Successive condensation until the objective stops improving.
 
@@ -637,8 +636,7 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
     nmse_prev = None
     info = None
     for _ in range(CONDENSE_MAX_ROUNDS):
-        a = (_theta_fn(x_bar) if _theta_fn is not None
-             else denominator_exponents(denom, x_bar))
+        a = denominator_exponents(denom, x_bar)
         constraints = [condensed_ratio(numer, denom, x_bar, a)] + fixed
         warm = None if info is None else _warm_inner_gp(constraints, objective, info)
         x_opt, info = (warm if warm is not None

@@ -18,7 +18,8 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .alloc_reciprocal import solve_reciprocal
-from .errors import NotConverged, RankDeficient, UnsupportedGeometry
+from .errors import (InfeasibleGamma, NotConverged, RankDeficient,
+                     UnsupportedGeometry)
 from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          tx_estimate_downlink, tx_estimate_reciprocal,
                          tx_estimate_uplink, ur_estimate)
@@ -197,7 +198,9 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
                        jensen_variant: str = "printed") -> SerReport:
     """Data-phase symbol error rates when both receivers decode one block of
     the four-antenna rate-3/4 orthogonal code using their own channel
-    estimates as if they were the truth."""
+    estimates as if they were the truth.  An allocation that meets the
+    floor with no forward pilot energy leaves nothing to decode with and
+    raises InfeasibleGamma before any trial."""
     if modulation not in SUPPORTED_QAM:
         raise ValueError(f"modulation must be one of {SUPPORTED_QAM}")
     if trials < 1:
@@ -206,6 +209,10 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
         raise UnsupportedGeometry(
             f"the block code needs exactly 4 transmit antennas, got {params.n_t}")
     alloc, _, _ = solve_allocation(params, gamma, scheme, jensen_variant)
+    if (alloc.e_f if scheme == RECIPROCAL else alloc.e_3) == 0.0:
+        raise InfeasibleGamma(
+            f"gamma={gamma} is met with no forward pilots, so neither receiver "
+            "has a channel estimate to decode with")
     constellation = qam_constellation(modulation)
     scale = block_scale(params.p_ave)
 

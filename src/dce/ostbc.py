@@ -21,8 +21,6 @@ were the truth).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from .errors import UnsupportedGeometry
@@ -31,8 +29,6 @@ CODE_ANTENNAS = 4
 CODE_SLOTS = 4
 CODE_SYMBOLS = 3
 SUPPORTED_QAM = (4, 16, 64)
-# Random symbol and channel draws ``verify_code_orthogonality`` checks.
-ORTHOGONALITY_ROUNDS = 32
 
 
 def qam_constellation(order: int) -> np.ndarray:
@@ -129,19 +125,3 @@ def block_scale(power_per_slot: float) -> float:
     (each row of the codeword carries all three unit-energy symbols)."""
     return float(np.sqrt(power_per_slot / CODE_SYMBOLS))
 
-
-def verify_code_orthogonality(rng: np.random.Generator) -> Tuple[float, float]:
-    """Max deviation of C^H C from ||s||^2 I over random symbol draws, and of
-    m.T m from its scaled identity; used by the self-check command."""
-    worst_code, worst_map = 0.0, 0.0
-    for _ in range(ORTHOGONALITY_ROUNDS):
-        s = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2)
-        cmat = code_matrix(s)
-        gram = cmat.conj().T @ cmat
-        target = float(np.sum(np.abs(s) ** 2)) * np.eye(CODE_ANTENNAS)
-        worst_code = max(worst_code, float(np.abs(gram - target).max()))
-        h = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        m = dispersion_map(h, 0.7)
-        target_m = 0.49 * float(np.sum(np.abs(h) ** 2)) * np.eye(6)
-        worst_map = max(worst_map, float(np.abs(m.T @ m - target_m).max()))
-    return worst_code, worst_map

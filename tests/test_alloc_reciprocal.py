@@ -116,14 +116,14 @@ def test_closed_form_branch():
 def test_vacuous_floor_spends_everything_on_pilots():
     """gamma below the enforceable minimum: constraint never binds, solution
     is all forward pilots with exact zeros elsewhere."""
-    p = default_params()
-    lo, _ = gamma_bounds(p, RECIPROCAL)
-    sol = solve_reciprocal(p, lo / 2)
-    assert sol.alloc.e_r == 0.0
-    assert sol.alloc.var_a == 0.0
-    assert sol.alloc.e_f == pytest.approx(
-        min(p.budget_average_reciprocal(), p.budget_tx_reciprocal()))
-    assert "ur-nmse" not in sol.active_constraints
+    for p in (default_params(), default_params(p_ave_db=10.0)):
+        lo, _ = gamma_bounds(p, RECIPROCAL)
+        sol = solve_reciprocal(p, lo / 2)
+        assert sol.alloc.e_r == 0.0
+        assert sol.alloc.var_a == 0.0
+        assert sol.alloc.e_f == pytest.approx(
+            min(p.budget_average_reciprocal(), p.budget_tx_reciprocal()))
+        assert "ur-nmse" not in sol.active_constraints
 
 
 def test_infeasible_gamma_rejected():

@@ -518,11 +518,47 @@ def test_exit_infeasible_echo_floor_at_prior(command, capsys):
 
 def test_reciprocal_floor_at_prior_row(tmp_path):
     """The reciprocal scheme still solves gamma = var_g: no forward pilots,
-    all AN."""
+    no AN."""
     code, out = _run(tmp_path, "alloc", "--gamma", "1")
     assert code == EXIT_OK
-    assert out.read_bytes().splitlines()[1] == \
-        b"20,1,-inf,-inf,21.760912590556813,1,1"
+    assert out.read_bytes().splitlines()[1] == b"20,1,-inf,-inf,-inf,1,1"
+
+
+@pytest.mark.parametrize("argv", [["--gamma", "1"],
+                                  ["--pbar-l-db=-200", "--gamma", "0.5"]])
+def test_no_an_where_it_buys_nothing(argv, tmp_path):
+    """At e_r == mu (e_r = 0 at unit variances) AN leaves the objective
+    unchanged but costs energy: the solver spends none, and the Monte-Carlo
+    run at that allocation draws no degenerate trial."""
+    code, out = _run(tmp_path, "alloc", *argv)
+    assert code == EXIT_OK
+    header, rows = _read_csv(out)
+    assert rows[0][header.index("an_db")] == "-inf"
+    code, out = _run(tmp_path, "nmse", *argv, "--trials", "100")
+    assert code == EXIT_OK
+    header, rows = _read_csv(out)
+    assert rows[0][header.index("resampled_trials")] == "0"
+
+
+@pytest.mark.parametrize("argv", [["--gamma", "1"],
+                                  ["--pbar-t-db=-200", "--gamma", "0.5"]])
+def test_exit_infeasible_ser_without_forward_pilots(argv, capsys):
+    """A floor met with no forward pilots leaves neither receiver a channel
+    estimate: one infeasible line and exit 3, not a geometry error."""
+    assert cli.main(["ser", *argv, "--trials", "10"]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infeasible:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gamma", ["1", "1e-6"])
+def test_exit_infeasible_verify_point(gamma, capsys):
+    """A verify point outside the echo scheme's floor interval is the
+    input's fault: exit 3 before any check runs, no table."""
+    assert cli.main(["verify", "--gamma", gamma]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infeasible:") and captured.err.count("\n") == 1
 
 
 def test_exit_geometry(tmp_path, capsys):
@@ -589,12 +625,12 @@ def test_exit_verify_failure(tmp_path, monkeypatch):
     def boom(cfg):
         raise AssertionError("deliberately broken for the exit-code test")
 
-    monkeypatch.setattr(cli, "_check_determinism", boom)
+    monkeypatch.setattr(cli, "_check_jensen", boom)
     out = tmp_path / "verify.csv"
     assert cli.main(["verify", "--out", str(out)]) == EXIT_VERIFY
     header, rows = _read_csv(out)
     statuses = {r[0]: r[1] for r in rows}
-    assert statuses["table-determinism"] == "fail"
+    assert statuses["spectral-surrogate-range"] == "fail"
     # one sabotaged check must not drag the others down
     assert sum(1 for r in rows if r[1] == "pass") == len(rows) - 1
 
@@ -606,7 +642,8 @@ def test_verify_failure_survives_optimize_flag(tmp_path):
         "import dce.cli as cli\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(99)\n"
-        "cli.verify_code_orthogonality = lambda rng: (1.0, 1.0)\n"
+        "oracle = cli.jensen_oracle\n"
+        "cli.jensen_oracle = lambda *a, **k: dict(oracle(*a, **k), empirical=2.0)\n"
         "sys.exit(cli.main(['verify', '--out', sys.argv[1]]))\n")
     out = tmp_path / "verify.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(dce.__file__).parents[1]))
@@ -614,8 +651,8 @@ def test_verify_failure_survives_optimize_flag(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == EXIT_VERIFY, proc.stderr
     _, rows = _read_csv(out)
-    statuses = {r[0]: r[1] for r in rows}
-    assert statuses["block-code-orthogonality"] == "fail"
+    failed = {r[0]: r[3] for r in rows if r[1] == "fail"}
+    assert failed == {"spectral-surrogate-range": "spectral factor out of range"}
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +664,7 @@ def test_verify_all_pass(tmp_path):
     assert code == EXIT_OK
     header, rows = _read_csv(out)
     assert header == ["check", "status", "deviation", "detail"]
-    assert len(rows) == 10
+    assert [r[0] for r in rows] == ["condensation-vs-lattice",
+                                    "spectral-surrogate-range",
+                                    "jensen-adjudication"]
     assert all(r[1] == "pass" for r in rows)
-    names = [r[0] for r in rows]
-    assert "jensen-adjudication" in names
-    assert "wrong-weights-detected" in names

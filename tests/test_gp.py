@@ -178,11 +178,19 @@ def test_inner_solver_scalar_toy():
     x, info = solve_inner_gp([monomial(0.5, [-1.0])], [1.0], [3.0])
     assert x[0] == pytest.approx(0.5, abs=1e-6)
     assert info["kkt_residual"] <= 1e-8
+    # min 1/x subject to 2x <= 1, from the other side of the optimum
+    x, info = solve_inner_gp([monomial(2.0, [1.0])], [-1.0], [0.1])
+    assert x[0] == pytest.approx(0.5, abs=1e-6)
+    assert info["kkt_residual"] <= 1e-8
 
 
 def test_inner_solver_two_variable_toy():
     cons = [monomial(0.5, [-1.0, 0.0]), monomial(0.5, [0.0, -1.0])]
     x, _ = solve_inner_gp(cons, [1.0, 1.0], [2.0, 7.0])
+    np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-5)
+    # min 1/(xy) subject to x + y <= 1: one row with two terms
+    cons = [Posynomial(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))]
+    x, _ = solve_inner_gp(cons, [-1.0, -1.0], [0.2, 0.6])
     np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-5)
 
 
@@ -469,11 +477,12 @@ def test_condense_monotone_on_random_instances():
         done += 1
 
 
-def test_condense_detects_sabotaged_weights(defaults):
+def test_condense_detects_sabotaged_weights(defaults, monkeypatch):
     """Deliberately wrong condensation weights must not produce a 'solution'."""
-    sabotage = lambda x_bar: np.array([1.0, 0, 0, 0, 0, 0])
+    monkeypatch.setattr(gp, "denominator_exponents",
+                        lambda denom, x_bar: np.array([1.0, 0, 0, 0, 0, 0]))
     with pytest.raises((Stalled, Infeasible, NotConverged)):
-        condense(defaults, 0.1, _theta_fn=sabotage)
+        condense(defaults, 0.1)
 
 
 @pytest.mark.parametrize("case", GOLDEN_PANEL,

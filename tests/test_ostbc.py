@@ -15,7 +15,6 @@ from dce.ostbc import (
     dispersion_map,
     encode_block,
     qam_constellation,
-    verify_code_orthogonality,
 )
 from dce.rng import complex_gaussian, make_rng
 
@@ -51,12 +50,6 @@ def test_column_orthogonality(rng):
         np.testing.assert_allclose(gram, expected, atol=1e-12)
 
 
-def test_verify_helper_bounds(rng):
-    worst_code, worst_map = verify_code_orthogonality(rng)
-    assert worst_code <= 1e-10
-    assert worst_map <= 1e-10
-
-
 @pytest.mark.parametrize("order", SUPPORTED_QAM)
 def test_constellation_unit_average_power(order):
     pts = qam_constellation(order)
@@ -89,11 +82,12 @@ def test_block_scale_power_accounting(rng):
 
 
 def test_dispersion_map_is_scaled_isometry(rng):
-    h = complex_gaussian(rng, (4, 2))
     scale = 1.3
-    m = dispersion_map(h, scale)
-    expected = scale ** 2 * float(np.sum(np.abs(h) ** 2)) * np.eye(6)
-    np.testing.assert_allclose(m.T @ m, expected, atol=1e-10)
+    for _ in range(32):
+        h = complex_gaussian(rng, (4, 2))
+        m = dispersion_map(h, scale)
+        expected = scale ** 2 * float(np.sum(np.abs(h) ** 2)) * np.eye(6)
+        np.testing.assert_allclose(m.T @ m, expected, atol=1e-10)
 
 
 def test_dispersion_map_antenna_guard(rng):

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from dce.config import FORMATS
 from dce.tables import (
     ResultTable,
     footer_line,
@@ -31,9 +32,10 @@ def test_row_width_checked():
         t.add_row(1)
 
 
-def test_render_deterministic_excluding_footer():
-    a = _sample_table().render("csv")
-    b = _sample_table().render("csv")
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_render_deterministic_excluding_footer(fmt):
+    a = _sample_table().render(fmt)
+    b = _sample_table().render(fmt)
     assert strip_footer(a) == strip_footer(b)
     # the footer is the only commented line and sits at the end
     assert a.rstrip("\n").splitlines()[-1].startswith("# generated ")
