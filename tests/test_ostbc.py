@@ -50,6 +50,24 @@ def test_column_orthogonality(rng):
         np.testing.assert_allclose(gram, expected, atol=1e-12)
 
 
+def test_verify_helper_bounds(rng):
+    """Over 32 random draws, the worst deviation of C^H C from ||s||^2 I and
+    of m.T m from its scaled identity both stay within 1e-10."""
+    worst_code, worst_map = 0.0, 0.0
+    for _ in range(32):
+        s = complex_gaussian(rng, (3,))
+        cmat = code_matrix(s)
+        target = float(np.sum(np.abs(s) ** 2)) * np.eye(CODE_ANTENNAS)
+        worst_code = max(worst_code,
+                         float(np.abs(cmat.conj().T @ cmat - target).max()))
+        h = complex_gaussian(rng, (4, 2))
+        m = dispersion_map(h, 0.7)
+        target_m = 0.49 * float(np.sum(np.abs(h) ** 2)) * np.eye(6)
+        worst_map = max(worst_map, float(np.abs(m.T @ m - target_m).max()))
+    assert worst_code <= 1e-10
+    assert worst_map <= 1e-10
+
+
 @pytest.mark.parametrize("order", SUPPORTED_QAM)
 def test_constellation_unit_average_power(order):
     pts = qam_constellation(order)
@@ -82,12 +100,11 @@ def test_block_scale_power_accounting(rng):
 
 
 def test_dispersion_map_is_scaled_isometry(rng):
+    h = complex_gaussian(rng, (4, 2))
     scale = 1.3
-    for _ in range(32):
-        h = complex_gaussian(rng, (4, 2))
-        m = dispersion_map(h, scale)
-        expected = scale ** 2 * float(np.sum(np.abs(h) ** 2)) * np.eye(6)
-        np.testing.assert_allclose(m.T @ m, expected, atol=1e-10)
+    m = dispersion_map(h, scale)
+    expected = scale ** 2 * float(np.sum(np.abs(h) ** 2)) * np.eye(6)
+    np.testing.assert_allclose(m.T @ m, expected, atol=1e-10)
 
 
 def test_dispersion_map_antenna_guard(rng):
