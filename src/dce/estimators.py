@@ -3,9 +3,10 @@ r"""LMMSE estimators for every terminal and both training schemes.
 All estimators are linear in the received block and work on stacks of
 trials: a received stack (T, tau, M) gives an estimate stack (T, n, M).
 Pilot-based estimators apply a closed-form filter built from second-order
-statistics only (``dce.nmse``), so a whole stack costs one matmul; the
-echo-based downlink estimate solves one regularized n_l x n_l system per
-trial, never worse conditioned than the uplink estimate's Gram matrix.
+statistics only (``dce.nmse``).  Every trial shares it, so a whole stack
+costs one GEMM (``training.shared_matmul``); the echo-based downlink
+estimate solves one regularized n_l x n_l system per trial, never worse
+conditioned than the uplink estimate's Gram matrix.
 
 Receivers know all second-order statistics (noise variances, AN variance,
 the transmitter-side estimation error variance) but no realizations.
@@ -20,7 +21,7 @@ from .nmse import (downlink_beta, lr_effective_noise_nonreciprocal,
                    lr_effective_noise_reciprocal, t0_round_trip,
                    ur_effective_noise)
 from .params import RECIPROCAL, PowerAllocation, SystemParams
-from .training import echo_gain, pilot_matrix
+from .training import echo_gain, pilot_matrix, shared_matmul
 
 def _pilot_filter(prior_var: float, noise_var: float, energy: float,
                   tau: int, n_cols: int) -> np.ndarray:
@@ -52,7 +53,7 @@ def tx_estimate_reciprocal(y_t: np.ndarray, params: SystemParams,
     if e_r < 0:
         raise ValueError("e_r must be non-negative")
     w = _pilot_filter(params.var_h, params.var_wt, e_r, params.tau_r, params.n_l)
-    return np.swapaxes(w @ y_t, -1, -2)
+    return np.swapaxes(shared_matmul(w, y_t), -1, -2)
 
 
 def tx_estimate_uplink(y_t2: np.ndarray, params: SystemParams,
@@ -62,7 +63,7 @@ def tx_estimate_uplink(y_t2: np.ndarray, params: SystemParams,
     if e_2 < 0:
         raise ValueError("e_2 must be non-negative")
     w = _pilot_filter(params.var_hu, params.var_wt, e_2, params.n_l, params.n_l)
-    return w @ y_t2
+    return shared_matmul(w, y_t2)
 
 
 def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
@@ -107,7 +108,7 @@ def lr_estimate_reciprocal(y_l: np.ndarray, params: SystemParams,
     """LR's LMMSE estimates of the n_t x n_l downlink under AN disturbance."""
     r_eff = lr_effective_noise_reciprocal(params, alloc.e_r, alloc.var_a)
     w = _pilot_filter(params.var_h, r_eff, alloc.e_f, params.tau_f, params.n_t)
-    return w @ y_l
+    return shared_matmul(w, y_l)
 
 
 def lr_estimate_nonreciprocal(y_l3: np.ndarray, params: SystemParams,
@@ -116,7 +117,7 @@ def lr_estimate_nonreciprocal(y_l3: np.ndarray, params: SystemParams,
     """LR's forward-phase estimates under the approximated disturbance covariance."""
     r_eff = lr_effective_noise_nonreciprocal(params, alloc, jensen_variant)
     w = _pilot_filter(params.var_hd, r_eff, alloc.e_3, params.n_t, params.n_t)
-    return w @ y_l3
+    return shared_matmul(w, y_l3)
 
 
 def ur_estimate(y_u: np.ndarray, params: SystemParams,
@@ -128,4 +129,4 @@ def ur_estimate(y_u: np.ndarray, params: SystemParams,
         energy, tau = alloc.e_3, params.n_t
     w = _pilot_filter(params.var_g, ur_effective_noise(params, alloc.var_a),
                       energy, tau, params.n_t)
-    return w @ y_u
+    return shared_matmul(w, y_u)

@@ -39,6 +39,10 @@ MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
 DESK_SER_TRIALS = 5000
 # Trials per block: large enough that numpy's per-call overhead is spread
 # thin, small enough that a block's arrays stay within a few hundred kB.
+# With one GEMM per shared pilot/filter product, larger blocks buy no clear
+# speed (default reciprocal point, 2-core x86_64 VM: 6.0 us/trial at 256,
+# 5.7-6.2 at 512-2048, inside the quartile spread).  Each block draws from
+# its own substream, so changing this changes every stochastic result.
 BLOCK_TRIALS = 256
 # Uplink samples the spectral-factor oracle draws and reduces at a time, so
 # its memory stays flat in the sample count.
@@ -221,9 +225,10 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
                                                         jensen_variant)
         sent = rng.integers(0, modulation, size=(n, CODE_SYMBOLS))
         blocks = encode_block(constellation[sent], scale)
-        y_lr = blocks @ h_d + complex_gaussian(
+        received = blocks @ np.concatenate([h_d, g], axis=-1)
+        y_lr = received[..., :params.n_l] + complex_gaussian(
             rng, (n, CODE_SLOTS, params.n_l), params.var_w)
-        y_ur = blocks @ g + complex_gaussian(
+        y_ur = received[..., params.n_l:] + complex_gaussian(
             rng, (n, CODE_SLOTS, params.n_u), params.var_v)
         errors = [np.count_nonzero(decode_block(y, est, scale, constellation) != sent,
                                    axis=1)

@@ -17,6 +17,14 @@ detection to independent nearest-neighbor decisions.  The decoder evaluates
 the matched filter in closed form for whole stacks of blocks, each with the
 channel matrix its receiver believes in (its own estimate, used as if it
 were the truth).
+
+On the square QAM grid the nearest point is the nearest level on each real
+axis separately, so the decoder slices instead of searching all M points:
+each coordinate is scaled onto the level indices, rounded with ``rint`` and
+clipped to the grid.  Within 1e-9 level spacings of a midpoint, where the
+rounded coordinate may land one level off, the two neighboring levels are
+compared directly, so the index is always a nearest point of the
+constellation as stored.
 """
 
 from __future__ import annotations
@@ -95,6 +103,24 @@ def encode_block(symbols: np.ndarray, scale: float) -> np.ndarray:
     return scale * code_matrix(symbols)
 
 
+def _slice_square_qam(symbols: np.ndarray, constellation: np.ndarray) -> np.ndarray:
+    """Index of the constellation point nearest each symbol, axis by axis."""
+    side = int(round(np.sqrt(constellation.size)))
+    levels = constellation[::side].real   # row i of the grid has real part levels[i]
+    top = side - 1
+    xy = np.stack([symbols.real, symbols.imag])
+    u = (xy - levels[0]) * (top / (levels[-1] - levels[0]))
+    k = np.rint(u)
+    near = np.abs(u - k) > 0.5 - 1e-9
+    np.clip(k, 0, top, out=k)
+    if near.any():
+        x = xy[near]
+        lo = np.clip(np.floor(u[near]), 0, top - 1).astype(np.intp)
+        k[near] = lo + (np.abs(x - levels[lo + 1]) < np.abs(x - levels[lo]))
+    k = k.astype(np.intp)
+    return k[0] * side + k[1]
+
+
 def decode_block(y: np.ndarray, h_hat: np.ndarray, scale: float,
                  constellation: np.ndarray) -> np.ndarray:
     """Nearest-neighbor symbol indices (..., 3) for received blocks
@@ -103,9 +129,20 @@ def decode_block(y: np.ndarray, h_hat: np.ndarray, scale: float,
 
     The matched filter m.T y / (scale^2 ||h||^2) of ``dispersion_map``,
     written out per symbol: each symbol collects the four slots it occupies,
-    conjugated where the codeword carries its conjugate.
+    conjugated where the codeword carries its conjugate.  ``constellation``
+    must be ``qam_constellation(constellation.size)``, the only grid the
+    slicer is exact for; anything else, and a non-finite block or estimate,
+    raises ValueError.
     """
     _require_code_antennas(h_hat)
+    constellation = np.asarray(constellation)
+    if (constellation.size not in SUPPORTED_QAM or not np.array_equal(
+            constellation, qam_constellation(constellation.size))):
+        raise ValueError("decode_block slices only the square grids of "
+                         "qam_constellation")
+    if not (np.isfinite(y).all() and np.isfinite(h_hat).all()):
+        # the slicer would turn a NaN into an index outside the constellation
+        raise ValueError("received block or channel estimate is not finite")
     gain = scale * np.sum(np.abs(h_hat) ** 2, axis=(-2, -1))
     if np.any(gain <= 0):
         raise UnsupportedGeometry("channel estimate is identically zero")
@@ -117,7 +154,7 @@ def decode_block(y: np.ndarray, h_hat: np.ndarray, scale: float,
         c(h1) * y0 - h0 * c(y1) + c(h3) * y2 - h2 * c(y3),
         c(h2) * y0 - c(h3) * y1 - h0 * c(y2) + h1 * c(y3),
     ], axis=-2).sum(axis=-1) / gain[..., None]
-    return np.argmin(np.abs(symbols[..., None] - constellation), axis=-1)
+    return _slice_square_qam(symbols, constellation)
 
 
 def block_scale(power_per_slot: float) -> float:

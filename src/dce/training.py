@@ -8,6 +8,10 @@ columns of the unitary tau-point DFT satisfies C^H C = I_n exactly, which
 is the only property the estimators rely on.  The round-trip probe is the
 one random transmit block; it is drawn per trial from the experiment
 stream and kept private to the transmitter.
+
+A matrix shared by a whole stack (a pilot block, an estimator's filter)
+multiplies it through ``shared_matmul``: one GEMM over all trials rather
+than the one tiny GEMM per trial a stacked ``@`` makes.
 """
 
 from __future__ import annotations
@@ -23,6 +27,19 @@ from .rng import complex_gaussian
 # Rank tolerance for null-space extraction, relative to the largest
 # singular value of the estimate.
 RANK_RTOL = 1e-10
+
+
+def shared_matmul(m: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``m @ stack`` for a 2-D ``m`` shared by every matrix of a (..., k, M)
+    stack, computed as one (r x k) @ (k x ...M) GEMM.
+
+    Swapping the k axis to the front and back again folds the leading axes
+    into the column axis and restores them, so any leading shape (none
+    included) and any strides are accepted.
+    """
+    front = stack.swapaxes(0, -2)
+    product = m @ front.reshape(front.shape[0], -1)
+    return product.reshape((m.shape[0],) + front.shape[1:]).swapaxes(0, -2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -107,7 +124,7 @@ def reverse_training(params: SystemParams, alloc: PowerAllocation,
         energy, tau = alloc.e_2, params.n_l
     x_l = np.sqrt(energy / params.n_l) * pilot_matrix(tau, params.n_l)
     noise = complex_gaussian(rng, (h_u.shape[0], tau, params.n_t), params.var_wt)
-    return x_l, x_l @ h_u + noise
+    return x_l, shared_matmul(x_l, h_u) + noise
 
 
 def echo_gain(params: SystemParams, e_0: float, e_1: float) -> float:
@@ -162,14 +179,19 @@ def forward_training(params: SystemParams, alloc: PowerAllocation,
     tau_f = params.tau_f if alloc.scheme == RECIPROCAL else params.n_t
     trials = h_d.shape[0]
     x_t = np.sqrt(energy / params.n_t) * pilot_matrix(tau_f, params.n_t)
+    # Both receivers' channels side by side, so one product serves both.
+    channels = np.concatenate([h_d, g], axis=-1)
     if alloc.var_a > 0:
         basis, full_rank = null_space_basis(h_d_hat)
         a = complex_gaussian(rng, (trials, tau_f, params.n_t - params.n_l),
                              alloc.var_a)
         x_t = x_t + a @ np.conj(np.swapaxes(basis, -1, -2))
+        received = x_t @ channels
     else:
+        received = shared_matmul(x_t, channels)
         x_t = np.broadcast_to(x_t, (trials, tau_f, params.n_t))
         full_rank = np.ones(trials, dtype=bool)
     w = complex_gaussian(rng, (trials, tau_f, params.n_l), params.var_w)
     v = complex_gaussian(rng, (trials, tau_f, params.n_u), params.var_v)
-    return x_t, x_t @ h_d + w, x_t @ g + v, full_rank
+    return (x_t, received[..., :params.n_l] + w, received[..., params.n_l:] + v,
+            full_rank)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dce import training
+from dce import montecarlo, training
 from dce.errors import InfeasibleGamma, RankDeficient, UnsupportedGeometry
 from dce.estimators import tx_estimate_reciprocal
 from dce.montecarlo import (
@@ -17,6 +17,8 @@ from dce.montecarlo import (
     run_ser_experiment,
     solve_allocation,
 )
+from dce.ostbc import (CODE_SLOTS, CODE_SYMBOLS, block_scale, decode_block,
+                       encode_block, qam_constellation)
 from dce.params import (
     NON_RECIPROCAL,
     RECIPROCAL,
@@ -24,7 +26,7 @@ from dce.params import (
     nonreciprocal_allocation,
     reciprocal_allocation,
 )
-from dce.rng import trial_rng
+from dce.rng import complex_gaussian, trial_rng
 
 JENSEN_VARIANTS = ("printed", "sigma-squared")
 
@@ -198,6 +200,41 @@ def test_ser_input_validation(defaults):
     wide = default_params(n_t=6, n_l=2)
     with pytest.raises(UnsupportedGeometry):
         run_ser_experiment(wide, 0.1, modulation=16, trials=200)
+
+
+@pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
+def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
+    """A block's data phase, one product against [h_d, g], decodes exactly
+    what two separate products decode and leaves the block's stream where
+    the separate products left it."""
+    captured = {}
+
+    def capture(block_fn, trials, seed):
+        captured["block_fn"] = block_fn
+        return np.zeros((trials, 2), dtype=int), 0
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", capture)
+    run_ser_experiment(defaults, 0.1, modulation=64, trials=40, scheme=scheme)
+    rng, replay = trial_rng(8, 0), trial_rng(8, 0)
+    errors, bad = captured["block_fn"](rng, 40)
+
+    alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
+    h_d, g, lr_est, ur_est, replay_bad = montecarlo._estimation_round(
+        defaults, alloc, replay, 40, "printed")
+    pts = qam_constellation(64)
+    scale = block_scale(defaults.p_ave)
+    sent = replay.integers(0, 64, size=(40, CODE_SYMBOLS))
+    blocks = encode_block(pts[sent], scale)
+    y_lr = blocks @ h_d + complex_gaussian(
+        replay, (40, CODE_SLOTS, defaults.n_l), defaults.var_w)
+    y_ur = blocks @ g + complex_gaussian(
+        replay, (40, CODE_SLOTS, defaults.n_u), defaults.var_v)
+    want = [np.count_nonzero(decode_block(y, est, scale, pts) != sent, axis=1)
+            for y, est in ((y_lr, lr_est), (y_ur, ur_est))]
+    np.testing.assert_array_equal(errors, np.stack(want, axis=1))
+    np.testing.assert_array_equal(bad, replay_bad)
+    assert errors[:, 1].sum() > 0   # the comparison sees decoding errors
+    assert rng.random() == replay.random()
 
 
 def test_ser_report_fields_and_determinism(defaults):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dce import ostbc
 from dce.errors import UnsupportedGeometry
 from dce.ostbc import (
     CODE_ANTENNAS,
@@ -203,3 +204,67 @@ def test_batched_decoder_rejects_a_zero_row(rng):
     h[1] = 0.0
     with pytest.raises(UnsupportedGeometry):
         decode_block(complex_gaussian(rng, (3, 4, 2)), h, 1.0, pts)
+
+
+# ---------------------------------------------------------------------------
+# square-QAM slicer
+# ---------------------------------------------------------------------------
+
+def _argmin_indices(symbols, constellation):
+    """The exhaustive nearest-point search the slicer replaces, and the
+    distances it compared."""
+    dist = np.abs(symbols[:, None] - constellation[None, :])
+    return np.argmin(dist, axis=1), dist
+
+
+@pytest.mark.parametrize("order", SUPPORTED_QAM)
+def test_slicer_matches_argmin_on_random_points(order):
+    rng = make_rng(100 + order)
+    pts = qam_constellation(order)
+    # spread wider than the grid so the clip at the outer levels is exercised
+    symbols = complex_gaussian(rng, 100_000, 1.5)
+    expected, _ = _argmin_indices(symbols, pts)
+    np.testing.assert_array_equal(ostbc._slice_square_qam(symbols, pts), expected)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_QAM)
+def test_slicer_at_decision_boundaries(order):
+    """On every midpoint between adjacent levels, one ulp either side of it,
+    on the levels and beyond the outer ones, the slicer and the exhaustive
+    search pick the same point or two points at exactly equal distance."""
+    pts = qam_constellation(order)
+    levels = np.unique(pts.real)
+    mids = (levels[:-1] + levels[1:]) / 2
+    coords = np.concatenate([
+        mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf), levels,
+        levels[[0, -1]] + [-1e-9, 1e-9], levels[[0, -1]] * 3, [-1e6, 1e6, 0.0]])
+    re, im = np.meshgrid(coords, coords)
+    symbols = (re + 1j * im).ravel()
+    sliced = ostbc._slice_square_qam(symbols, pts)
+    expected, dist = _argmin_indices(symbols, pts)
+    rows = np.arange(symbols.size)
+    differ = sliced != expected
+    np.testing.assert_array_equal(dist[rows, sliced][differ],
+                                  dist[rows, expected][differ])
+    assert np.all((sliced >= 0) & (sliced < order))
+
+
+@pytest.mark.parametrize("constellation", [
+    qam_constellation(16) * np.exp(0.1j),               # rotated grid
+    np.exp(2j * np.pi * np.arange(8) / 8),               # 8-PSK
+    qam_constellation(16)[::-1],                         # reindexed grid
+], ids=["rotated-16qam", "8-point", "reversed-16qam"])
+def test_decoder_rejects_other_constellations(constellation, rng):
+    h = complex_gaussian(rng, (2, 4, 2))
+    with pytest.raises(ValueError):
+        decode_block(complex_gaussian(rng, (2, 4, 2)), h, 1.0, constellation)
+
+
+@pytest.mark.parametrize("where", ["block", "estimate"])
+def test_decoder_rejects_non_finite_input(where, rng):
+    pts = qam_constellation(16)
+    h = complex_gaussian(rng, (2, 4, 2))
+    y = complex_gaussian(rng, (2, 4, 2))
+    (y if where == "block" else h)[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        decode_block(y, h, 1.0, pts)

@@ -21,6 +21,7 @@ from dce.training import (
     reverse_training,
     round_trip_training,
     sample_channels,
+    shared_matmul,
 )
 
 
@@ -225,6 +226,70 @@ def test_forward_energy_accounting(defaults):
     x_t, _, _, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
     total = np.sum(np.abs(x_t) ** 2)
     assert total / trials == pytest.approx(expected, rel=0.03)
+
+
+@pytest.mark.parametrize("scheme,var_a", [
+    (RECIPROCAL, 0.0), (RECIPROCAL, 0.8), (NON_RECIPROCAL, 0.0),
+    (NON_RECIPROCAL, 0.8)], ids=["recip-pilots", "recip-an", "echo-pilots", "echo-an"])
+def test_forward_fused_product_matches_separate_products(defaults, scheme, var_a):
+    """One product against [h_d, g] gives both receivers what two separate
+    products give, and draws exactly what the phase always drew."""
+    if scheme == RECIPROCAL:
+        alloc = reciprocal_allocation(2.0, 4.0, var_a=var_a)
+        tau_f = defaults.tau_f
+    else:
+        alloc = nonreciprocal_allocation(2.0, 1.0, 2.0, 4.0, var_a=var_a)
+        tau_f = defaults.n_t
+    trials = 9
+    h_d, _, g = sample_channels(defaults, scheme, make_rng(20), trials)
+    h_d_hat = h_d + complex_gaussian(make_rng(21), h_d.shape, 0.1)
+    rng, replay = make_rng(22), make_rng(22)
+    x_t, y_l, y_u, _ = forward_training(defaults, alloc, h_d_hat, h_d, g, rng)
+    if var_a > 0:
+        complex_gaussian(replay, (trials, tau_f, defaults.n_t - defaults.n_l), var_a)
+    w = complex_gaussian(replay, (trials, tau_f, defaults.n_l), defaults.var_w)
+    v = complex_gaussian(replay, (trials, tau_f, defaults.n_u), defaults.var_v)
+    for got, want in ((y_l, x_t @ h_d + w), (y_u, x_t @ g + v)):
+        np.testing.assert_allclose(got, want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+    assert x_t.shape == (trials, tau_f, defaults.n_t)
+    assert rng.random() == replay.random()
+
+
+# ---------------------------------------------------------------------------
+# shared-matrix products
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lead", [(), (1,), (256,)], ids=["none", "one", "block"])
+@pytest.mark.parametrize("m_shape", [(1, 6), (4, 6), (32, 1024)],
+                         ids=["row", "small", "wide"])
+@pytest.mark.parametrize("layout", ["contiguous", "swapaxes"])
+def test_shared_matmul_equals_stacked_matmul(lead, m_shape, layout):
+    rng = make_rng(30)
+    r, k = m_shape
+    cols = 3
+    m = complex_gaussian(rng, m_shape)
+    if layout == "contiguous":
+        stack = complex_gaussian(rng, lead + (k, cols))
+    else:
+        stack = np.swapaxes(complex_gaussian(rng, lead + (cols, k)), -1, -2)
+    got = shared_matmul(m, stack)
+    want = m @ stack
+    assert got.shape == want.shape == lead + (r, cols)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+def test_reverse_training_pilot_product(defaults):
+    """The reciprocal uplink is a swapaxes view of the downlink; the shared
+    product through it equals the stacked one."""
+    rng, replay = make_rng(31), make_rng(31)
+    h_d, h_u, _ = sample_channels(defaults, RECIPROCAL, make_rng(32), 7)
+    alloc = reciprocal_allocation(3.0, 4.0)
+    x_l, y_t = reverse_training(defaults, alloc, h_u, rng)
+    noise = complex_gaussian(replay, (7, defaults.tau_r, defaults.n_t), defaults.var_wt)
+    want = x_l @ h_u + noise
+    np.testing.assert_allclose(y_t, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+    assert rng.random() == replay.random()
 
 
 # ---------------------------------------------------------------------------
