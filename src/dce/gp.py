@@ -516,11 +516,8 @@ def _certified(c_lin: np.ndarray, terms: _Terms, n_posy: int, y: np.ndarray,
         "lam": lam,
     }
     if kkt > KKT_TOL or np.any(info["constraint_values"] > 1 + 1e-8):
-        err = NotConverged(
-            f"inner solve stopped with KKT residual {kkt:.3e} "
-            f"(tolerance {KKT_TOL:.1e})")
-        err.best = (x_opt, info)
-        raise err
+        raise NotConverged(f"inner solve stopped with KKT residual {kkt:.3e} "
+                           f"(tolerance {KKT_TOL:.1e})", best=(x_opt, info))
     return x_opt, info
 
 

@@ -36,6 +36,7 @@ from .training import (forward_training, reverse_training, round_trip_training,
 
 MAX_RESAMPLES = 8
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
+MIN_ORACLE_SAMPLES = 10000  # fewer adjudicates the spectral factor on noise
 DESK_SER_TRIALS = 5000
 # Trials per block: large enough that numpy's per-call overhead is spread
 # thin, small enough that a block's arrays stay within a few hundred kB.
@@ -247,18 +248,20 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
 
 
 def jensen_oracle(params: SystemParams, alloc: PowerAllocation,
-                  trials: int = 10000, seed: int = 0) -> Dict[str, object]:
+                  trials: int = MIN_ORACLE_SAMPLES,
+                  seed: int = 0) -> Dict[str, object]:
     """Adjudicate the two closed-form spectral surrogates empirically.
 
     Samples the eigenvalues lambda of Hu_hat Hu_hat^H (entries i.i.d.
     complex Gaussian with the uplink-estimate variance) and averages
     lambda/(lambda+beta), then reports which closed form lands closer.
-    The eigenvalue average converges slowly, so fewer than 10^4 samples
-    would adjudicate on noise; such calls are rejected outright.  Samples
-    are drawn and reduced ORACLE_CHUNK at a time from one stream.
+    The eigenvalue average converges slowly, so fewer than
+    MIN_ORACLE_SAMPLES samples would adjudicate on noise; such calls are
+    rejected outright.  Samples are drawn and reduced ORACLE_CHUNK at a
+    time from one stream.
     """
-    if trials < 10000:
-        raise ValueError("adjudication needs at least 10000 samples")
+    if trials < MIN_ORACLE_SAMPLES:
+        raise ValueError(f"adjudication needs at least {MIN_ORACLE_SAMPLES} samples")
     sigma2 = sigma_sq_uplink(params, alloc.e_2)
     beta = downlink_beta(params, alloc)
     if not np.isfinite(beta) or sigma2 == 0.0:

@@ -301,6 +301,17 @@ def test_exit_config_too_few_nmse_trials(capsys):
     assert "at least 100 trials" in capsys.readouterr().err
 
 
+def test_exit_config_too_few_verify_samples(capsys):
+    """Fewer samples than the oracle's floor is the input's fault: verify
+    rejects them, as nmse rejects too few trials, instead of drawing more."""
+    assert cli.main(["verify", "--trials", "500"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+    assert captured.err.count("\n") == 1
+    assert "at least 10000 trials, got 500" in captured.err
+
+
 def test_exit_config_tau_sweep_wrong_command():
     assert cli.main(["alloc", "--gamma", "0.1", "--tau-f", "4,8"]) == EXIT_CONFIG
     assert cli.main(["ser", "--gamma", "0.1", "--tau-f", "4,8"]) == EXIT_CONFIG
@@ -622,17 +633,29 @@ def test_echo_scheme_at_extreme_power(tmp_path, command, trials):
 
 
 def test_exit_verify_failure(tmp_path, monkeypatch):
-    def boom(cfg):
+    def boom(*args, **kwargs):
         raise AssertionError("deliberately broken for the exit-code test")
 
-    monkeypatch.setattr(cli, "_check_jensen", boom)
+    monkeypatch.setattr(cli, "jensen_oracle", boom)
     out = tmp_path / "verify.csv"
     assert cli.main(["verify", "--out", str(out)]) == EXIT_VERIFY
     header, rows = _read_csv(out)
-    statuses = {r[0]: r[1] for r in rows}
-    assert statuses["spectral-surrogate-range"] == "fail"
-    # one sabotaged check must not drag the others down
-    assert sum(1 for r in rows if r[1] == "pass") == len(rows) - 1
+    assert header == ["check", "status", "deviation", "detail"]
+    assert rows == [["jensen-adjudication", "fail", "nan",
+                     "deliberately broken for the exit-code test"]]
+
+
+def test_exit_solver_failure_verify(monkeypatch, capsys):
+    """A solver failure at the verify point is not a failed check: exit 1
+    with one line, as every other command, and no table."""
+    def stuck(*args, **kwargs):
+        raise dce.NotConverged("deliberately unconverged")
+
+    monkeypatch.setattr(cli, "solve_allocation", stuck)
+    assert cli.main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solver failure: deliberately unconverged\n"
 
 
 def test_verify_failure_survives_optimize_flag(tmp_path):
@@ -652,7 +675,7 @@ def test_verify_failure_survives_optimize_flag(tmp_path):
     assert proc.returncode == EXIT_VERIFY, proc.stderr
     _, rows = _read_csv(out)
     failed = {r[0]: r[3] for r in rows if r[1] == "fail"}
-    assert failed == {"spectral-surrogate-range": "spectral factor out of range"}
+    assert failed == {"jensen-adjudication": "spectral factor out of range"}
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +687,38 @@ def test_verify_all_pass(tmp_path):
     assert code == EXIT_OK
     header, rows = _read_csv(out)
     assert header == ["check", "status", "deviation", "detail"]
-    assert [r[0] for r in rows] == ["condensation-vs-lattice",
-                                    "spectral-surrogate-range",
-                                    "jensen-adjudication"]
+    assert [r[0] for r in rows] == ["jensen-adjudication"]
     assert all(r[1] == "pass" for r in rows)
+
+
+DEAD_ECHO = dce.nonreciprocal_allocation(10.0, 0.0, 10.0, 10.0, 0.5)
+
+
+@pytest.mark.parametrize("alloc,factor,message", [
+    (None, 2.0, "spectral factor out of range"),
+    (None, 0.0, "spectral factor out of range"),
+    (DEAD_ECHO, 0.5, "factor must vanish without a round trip"),
+], ids=["above-one", "zero-with-round-trip", "nonzero-without-round-trip"])
+def test_verify_factor_range(tmp_path, monkeypatch, alloc, factor, message):
+    """The adjudication row checks its own sampled factor: in (0, 1) when
+    the closed forms see a round trip, exactly 0 when they are 0."""
+    if alloc is not None:
+        monkeypatch.setattr(cli, "solve_allocation",
+                            lambda *a, **k: (alloc, 0.0, 0.0))
+    oracle = cli.jensen_oracle
+    monkeypatch.setattr(cli, "jensen_oracle",
+                        lambda *a, **k: dict(oracle(*a, **k), empirical=factor))
+    code, out = _run(tmp_path, "verify")
+    assert code == EXIT_VERIFY
+    _, rows = _read_csv(out)
+    assert rows == [["jensen-adjudication", "fail", "nan", message]]
+
+
+def test_verify_passes_without_round_trip(tmp_path, monkeypatch):
+    """With no echo the sampled factor and both closed forms are 0."""
+    monkeypatch.setattr(cli, "solve_allocation",
+                        lambda *a, **k: (DEAD_ECHO, 0.0, 0.0))
+    code, out = _run(tmp_path, "verify")
+    assert code == EXIT_OK
+    _, rows = _read_csv(out)
+    assert [r[:3] for r in rows] == [["jensen-adjudication", "pass", "0"]]
