@@ -323,8 +323,13 @@ class _Terms:
 
     def parts(self, y: np.ndarray):
         """(f, the row gradients G (m x n), the terms' softmax weights p
-        within their row, the centred terms D = a - G[row])."""
-        f, w, s = self._log_sum(y)
+        within their row, the centred terms D = a - G[row]); the solver hands
+        it on to every later use at y, so copy f before writing into it."""
+        return self.parts_from(self._log_sum(y))
+
+    def parts_from(self, log_sum):
+        """``parts`` of the point whose ``_log_sum`` is ``log_sum``."""
+        f, w, s = log_sum
         p = w / s[self.row]
         g = np.add.reduceat(p[:, None] * self.a, self.starts)
         return f, g, p, self.a - g[self.row]
@@ -350,7 +355,7 @@ def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray,
     the residual norm falls by the factor 1 - PD_ALPHA * step.  Stops once
     eta <= PD_GAP_TOL and |r_dual| <= PD_FEAS_TOL, after PD_MAX_ITER
     iterations, when the step vanishes, or when ``stop(y)`` holds; returns
-    (y, lambda).
+    (y, lambda).  The residual test reuses the feasibility test's log-sum.
     """
     f, g, p, d = terms.parts(y)
     lam = -1.0 / f
@@ -374,14 +379,19 @@ def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray,
         shrink = dlam < 0.0
         step = 0.99 * float(np.min(-lam[shrink] / dlam[shrink], initial=1.0))
         for _ in range(60):
-            if terms.values(y + step * dy).max() < 0.0:
+            y_new = y + step * dy
+            log_sum = terms._log_sum(y_new)
+            if log_sum[0].max() < 0.0:
                 break
             step *= 0.5
         else:
             break
-        for _ in range(60):
-            y_new, lam_new = y + step * dy, lam + step * dlam
-            f_new, g_new, p_new, d_new = terms.parts(y_new)
+        for k in range(60):
+            if k:
+                y_new = y + step * dy
+                log_sum = terms._log_sum(y_new)
+            lam_new = lam + step * dlam
+            f_new, g_new, p_new, d_new = terms.parts_from(log_sum)
             rd = c_lin + g_new.T @ lam_new
             rc = -lam_new * f_new - inv_t
             if np.sqrt(rd @ rd + rc @ rc) <= (1.0 - PD_ALPHA * step) * norm:
@@ -395,14 +405,15 @@ def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray,
 
 
 def _stationarity_system(c_lin: np.ndarray, terms: _Terms, act: np.ndarray,
-                         y: np.ndarray, lam_a: np.ndarray):
-    """Residual and derivatives of the active-set KKT equations.
+                         parts, lam_a: np.ndarray):
+    """Residual and derivatives of the active-set KKT equations at the point
+    whose ``terms.parts`` are ``parts``.
 
     F stacks stationarity (c + sum lam_j grad f_j) over the log-constraint
     values f_j of the active rows ``act``; G holds the active gradients
     row-wise and h_sum the multiplier-weighted Hessian of the Lagrangian.
     """
-    f, g, p, d = terms.parts(y)
+    f, g, p, d = parts
     lam = np.zeros(terms.m)
     lam[act] = lam_a
     grads = g[act]
@@ -419,25 +430,27 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
     is applied to the active-set KKT system (stationarity + active
     constraints at equality), dropping any constraint whose multiplier
     converges negative and adding back the most violated row outside the
-    set, one change per re-solve.  Returns (y, full multiplier vector) or
-    None when refinement fails; the caller then certifies (y0, lam0) as
-    given.
+    set, one change per re-solve.  Each point's ``terms.parts`` is computed
+    once and handed on (an accepted trial's system is the next iteration's).
+    Returns (y, full multiplier vector, ``terms.parts(y)``), or (y0, lam0,
+    ``terms.parts(y0)``) as given when refinement fails.
     """
     n = y0.size
     m = terms.m
-    f0 = terms.values(y0)
+    parts0 = terms.parts(y0)
     lam_scale = max(float(np.max(lam0)), 1.0)
-    act = np.flatnonzero((f0 >= -1e-5) | (lam0 >= 1e-6 * lam_scale))
+    act = np.flatnonzero((parts0[0] >= -1e-5) | (lam0 >= 1e-6 * lam_scale))
     for _ in range(m + 1):
         if not act.size:
-            return None
-        y = y0.copy()
+            break
+        y, parts = y0.copy(), parts0
         lam_a = np.maximum(lam0[act], 1e-12)
         converged = False
         norm_prev = np.inf
         kkt_mat = np.zeros((n + act.size, n + act.size))
+        system = _stationarity_system(c_lin, terms, act, parts, lam_a)
         for it in range(60):
-            big_f, grads, h_sum = _stationarity_system(c_lin, terms, act, y, lam_a)
+            big_f, grads, h_sum = system
             norm_f = float(np.abs(big_f).max())
             if norm_f <= 1e-12:
                 converged = True
@@ -458,19 +471,20 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
             for _ in range(25):
                 y_try = y + step * d[:n]
                 lam_try = lam_a + step * d[n:]
-                trial, _, _ = _stationarity_system(c_lin, terms, act, y_try, lam_try)
-                if float(np.abs(trial).max()) < norm_f:
+                parts_try = terms.parts(y_try)
+                trial = _stationarity_system(c_lin, terms, act, parts_try, lam_try)
+                if float(np.abs(trial[0]).max()) < norm_f:
                     break
                 step *= 0.5
             else:
                 break
-            y, lam_a = y_try, lam_try
+            y, lam_a, parts, system = y_try, lam_try, parts_try, trial
         if not converged:
-            return None
+            break
         if float(lam_a.min()) < -1e-11:
             act = np.delete(act, np.argmin(lam_a))
             continue
-        f_out = terms.values(y)
+        f_out = parts[0].copy()
         f_out[act] = -np.inf
         if f_out.max() > 0.0:
             # a dropped (or never admitted) row is now violated: put the worst back
@@ -478,13 +492,14 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
             continue
         lam_full = np.zeros(m)
         lam_full[act] = np.maximum(lam_a, 0.0)
-        return y, lam_full
-    return None
+        return y, lam_full, parts
+    return y0, lam0, parts0
 
 
-def _kkt_certificate(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, lam: np.ndarray):
-    """Worst violation across all four KKT conditions, plus log-constraint values."""
-    f, g, _, _ = terms.parts(y)
+def _kkt_certificate(c_lin: np.ndarray, parts, lam: np.ndarray):
+    """Worst violation across all four KKT conditions at the point whose
+    ``terms.parts`` are ``parts``, plus its log-constraint values."""
+    f, g, _, _ = parts
     residual = c_lin + g.T @ lam
     comp = float(np.abs(lam * f).max())
     primal = float(f.max())
@@ -498,14 +513,13 @@ def _certified(c_lin: np.ndarray, terms: _Terms, n_posy: int, y: np.ndarray,
     """Polish (y, lam) to a KKT point and certify it: (x, info) when the
     KKT residual is within KKT_TOL and every posynomial is <= 1 + 1e-8,
     else NotConverged carrying the best iterate.  ``info`` keeps the
-    log-point ``y`` and the full multiplier vector ``lam``."""
+    log-point ``y`` and the full multiplier vector ``lam``.  The certificate
+    reads the row values and gradients the polish last computed at ``y``."""
     # Cold end points certify unpolished too, with the same pool outcomes,
     # but the polish stays: without it the edge and interior starts differ
     # by 3.6e-12 and the pinned condense panel moves (1.6 dB t1 by 2.0e-13).
-    polished = _kkt_polish(c_lin, terms, y, lam)
-    if polished is not None:
-        y, lam = polished
-    kkt, comp, f_all = _kkt_certificate(c_lin, terms, y, lam)
+    y, lam, parts = _kkt_polish(c_lin, terms, y, lam)
+    kkt, comp, f_all = _kkt_certificate(c_lin, parts, lam)
     x_opt = np.exp(y)
     info = {
         "kkt_residual": kkt,
@@ -543,15 +557,16 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
         raise ValueError("objective exponent vector length must match start")
     terms = _Terms.stack(constraints, n)
     y = np.log(x0)
+    start_slack = float(terms.values(y).max())
 
-    if terms.values(y).max() > -1e-9:
+    if start_slack > -1e-9:
         # phase 1: min s subject to f_j(y) <= s, over (y, s)
         def slack(z: np.ndarray) -> float:
             return float(terms.values(z[:n]).max())
 
         c_s = np.zeros(n + 1)
         c_s[-1] = 1.0
-        z, _ = _primal_dual(c_s, terms.lifted(), np.append(y, slack(y) + 1.0),
+        z, _ = _primal_dual(c_s, terms.lifted(), np.append(y, start_slack + 1.0),
                             stop=lambda z: slack(z) < PHASE1_SLACK)
         if slack(z) >= -1e-9:
             raise Infeasible(

@@ -405,6 +405,8 @@ def test_inner_solver_flags_unreachable_tolerance(defaults, monkeypatch):
         solve_inner_gp(constraints, [-1.0, 0, 0, 0, 0, 0], start.x())
     x_best, info = err.value.best
     assert np.all(x_best > 0) and np.isfinite(info["kkt_residual"])
+    _assert_fresh_certificate([-1.0, 0, 0, 0, 0, 0], _Terms.stack(constraints, 6),
+                              len(constraints), info)
 
 
 def test_inner_solver_raises_infeasible():
@@ -585,6 +587,76 @@ def test_degenerate_active_set_instance_converges(monkeypatch):
     assert sol.trace.ratio_activity <= 1 + 1e-6
     oracle = grid_oracle_nonreciprocal(params, gamma, resolution=40)
     assert _sigma_squared(params, sol.alloc) <= _sigma_squared(params, oracle)
+
+
+def _condense_golden_panel():
+    for case in GOLDEN_PANEL:
+        condense(default_params(p_ave_db=case["p_ave_db"]), case["gamma"])
+
+
+def test_hot_loops_evaluate_each_point_once(monkeypatch):
+    """No ``_certified`` call (polish plus certificate) and no
+    ``_primal_dual`` call evaluates the rows of one ``_Terms`` twice at the
+    same y over the golden panel: each evaluation is handed on to whatever
+    needs it next.  Every ``_Terms`` seen is kept alive, so no id is reused."""
+    log_sum, seen, scopes, repeats = gp._Terms._log_sum, [], [], []
+    evaluated = {"_certified": 0, "_primal_dual": 0}
+
+    def recorded(terms, y):
+        seen.append(terms)
+        if scopes:
+            name, keys = scopes[-1]
+            key = (id(terms), y.tobytes())
+            if key in keys:
+                repeats.append((name, y.tolist()))
+            keys.add(key)
+            evaluated[name] += 1
+        return log_sum(terms, y)
+
+    def scoped(name):
+        inner = getattr(gp, name)
+
+        def call(*args, **kwargs):
+            scopes.append((name, set()))
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                scopes.pop()
+        return call
+
+    monkeypatch.setattr(gp._Terms, "_log_sum", recorded)
+    for name in evaluated:
+        monkeypatch.setattr(gp, name, scoped(name))
+    _condense_golden_panel()
+    assert repeats == []
+    assert min(evaluated.values()) > 100
+
+
+def _assert_fresh_certificate(c_lin, terms, n_posy, info):
+    """``info``'s KKT residual, duality gap and constraint values equal, bit
+    for bit, ``_kkt_certificate`` recomputed from scratch at its (y, lam)."""
+    kkt, comp, f = gp._kkt_certificate(np.asarray(c_lin, dtype=float),
+                                       terms.parts(info["y"]), info["lam"])
+    assert info["kkt_residual"] == kkt
+    assert info["duality_gap"] == comp
+    assert np.array_equal(info["constraint_values"], np.exp(f[:n_posy]))
+
+
+def test_handed_over_certificate_equals_fresh_one(monkeypatch):
+    """Every certified inner solve of the golden panel reports the
+    certificate of the point it returns (the panel's pins, the state and the
+    objective, do not cover these values)."""
+    certify, certified = gp._certified, []
+
+    def check(c_lin, terms, n_posy, y, lam):
+        x, info = certify(c_lin, terms, n_posy, y, lam)
+        _assert_fresh_certificate(c_lin, terms, n_posy, info)
+        certified.append(info)
+        return x, info
+
+    monkeypatch.setattr(gp, "_certified", check)
+    _condense_golden_panel()
+    assert len(certified) == sum(case["rounds"] for case in GOLDEN_PANEL)
 
 
 def test_initial_state_is_strictly_feasible(defaults):
