@@ -73,7 +73,12 @@ def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
     estimates.
 
     Each trial's estimate is
-    var_hd/(alpha t0) X_t0^H Y_t1 (Hu_hat^H Hu_hat + beta I)^{-1} Hu_hat^H.
+    var_hd/(alpha t0) X_t0^H Y_t1 (Hu_hat^H Hu_hat + beta I)^{-1} Hu_hat^H,
+    with ``x_t0`` the (n_t, n_t) probe every trial shares, so X_t0^H Y_t1
+    is one GEMM over the stack.  The formula holds for any probe with
+    X_t0^H X_t0 = (e_0/n_t) I; ``training.round_trip_training`` fixes it,
+    because the probe is the transmitter's own and the UR never observes
+    the round trip.
     Given Hu_hat, its error covariance is
     [var_hd I - var_hd*rho0*M(M+beta I)^{-1}] kron I_{n_t} with
     M = Hu_hat^* Hu_hat^T and rho0 the probe share of the echoed level
@@ -95,7 +100,7 @@ def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
     if not np.all(np.isfinite(gram)):
         raise SingularRegressor("regularized uplink Gram matrix is not finite")
     gain = params.var_hd / (alpha * t0_round_trip(params, alloc.e_0))
-    return gain * (np.conj(np.swapaxes(x_t0, -1, -2)) @ y_t1
+    return gain * (shared_matmul(x_t0.conj().T, y_t1)
                    @ np.conj(np.swapaxes(np.linalg.solve(gram, h_u_hat), -1, -2)))
 
 

@@ -27,7 +27,7 @@ feasible for the original problem, and the objective improves monotonically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -341,12 +341,13 @@ class _Terms:
         return (d.T * (p * weights[self.row])) @ d
 
 
-def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray,
-                 stop: Optional[Callable[[np.ndarray], bool]] = None):
+def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, parts,
+                 watch: Optional[Tuple[_Terms, tuple]] = None):
     """Feasible-start primal-dual path following for min c.y s.t. f(y) <= 0
     (Boyd & Vandenberghe, *Convex Optimization*, 2004, section 11.7).
 
-    From a strictly feasible ``y`` with lambda = -1/f, each iteration sets
+    From a strictly feasible ``y``, whose ``terms.parts`` are ``parts``,
+    with lambda = -1/f, each iteration sets
     t = PD_MU * m / eta, eta = -f.lambda the surrogate duality gap, and
     takes one Newton step on the modified KKT residuals r_dual = c + G^T
     lambda and r_cent = -lambda*f - 1/t, the multipliers eliminated into one
@@ -354,13 +355,20 @@ def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray,
     halved until every row is strictly feasible (value-only) and then until
     the residual norm falls by the factor 1 - PD_ALPHA * step.  Stops once
     eta <= PD_GAP_TOL and |r_dual| <= PD_FEAS_TOL, after PD_MAX_ITER
-    iterations, when the step vanishes, or when ``stop(y)`` holds; returns
-    (y, lambda).  The residual test reuses the feasibility test's log-sum.
+    iterations, or when the step vanishes.  The residual test reuses the
+    feasibility test's log-sum.
+
+    Phase 1 passes ``watch`` = (the original rows, their ``_log_sum`` at
+    y without its slack coordinate).  Those rows are then evaluated once at
+    every accepted iterate, and the loop also stops once each is below
+    PHASE1_SLACK.  Returns (y, lambda, ``terms.parts(y)``, the watched
+    rows' log-sum at y or None), so that no caller evaluates y again.
     """
-    f, g, p, d = terms.parts(y)
+    f, g, p, d = parts
     lam = -1.0 / f
+    rows, watched = watch if watch is not None else (None, None)
     for _ in range(PD_MAX_ITER):
-        if stop is not None and stop(y):
+        if rows is not None and watched[0].max() < PHASE1_SLACK:
             break
         gap = -float(f @ lam)
         r_dual = c_lin + g.T @ lam
@@ -401,7 +409,9 @@ def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray,
             break
         y, lam = y_new, lam_new
         f, g, p, d = f_new, g_new, p_new, d_new
-    return y, lam
+        if rows is not None:
+            watched = rows._log_sum(y[:-1])
+    return y, lam, (f, g, p, d), watched
 
 
 def _stationarity_system(c_lin: np.ndarray, terms: _Terms, act: np.ndarray,
@@ -421,7 +431,8 @@ def _stationarity_system(c_lin: np.ndarray, terms: _Terms, act: np.ndarray,
     return residual, grads, terms.curvature(p, d, lam)
 
 
-def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarray):
+def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarray,
+                parts0):
     """Refine an interior-point end point, or the previous round's KKT
     point, to a true KKT point of this GP.
 
@@ -431,13 +442,13 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
     constraints at equality), dropping any constraint whose multiplier
     converges negative and adding back the most violated row outside the
     set, one change per re-solve.  Each point's ``terms.parts`` is computed
-    once and handed on (an accepted trial's system is the next iteration's).
-    Returns (y, full multiplier vector, ``terms.parts(y)``), or (y0, lam0,
-    ``terms.parts(y0)``) as given when refinement fails.
+    once and handed on: ``parts0`` are y0's, and an accepted trial's system
+    is the next iteration's.  Returns (y, full multiplier vector,
+    ``terms.parts(y)``), or (y0, lam0, parts0) as given when refinement
+    fails.
     """
     n = y0.size
     m = terms.m
-    parts0 = terms.parts(y0)
     lam_scale = max(float(np.max(lam0)), 1.0)
     act = np.flatnonzero((parts0[0] >= -1e-5) | (lam0 >= 1e-6 * lam_scale))
     for _ in range(m + 1):
@@ -509,16 +520,17 @@ def _kkt_certificate(c_lin: np.ndarray, parts, lam: np.ndarray):
 
 
 def _certified(c_lin: np.ndarray, terms: _Terms, n_posy: int, y: np.ndarray,
-               lam: np.ndarray) -> Tuple[np.ndarray, Dict[str, object]]:
+               lam: np.ndarray, parts) -> Tuple[np.ndarray, Dict[str, object]]:
     """Polish (y, lam) to a KKT point and certify it: (x, info) when the
     KKT residual is within KKT_TOL and every posynomial is <= 1 + 1e-8,
-    else NotConverged carrying the best iterate.  ``info`` keeps the
-    log-point ``y`` and the full multiplier vector ``lam``.  The certificate
-    reads the row values and gradients the polish last computed at ``y``."""
+    else NotConverged carrying the best iterate.  ``parts`` are
+    ``terms.parts(y)``.  ``info`` keeps the log-point ``y`` and the full
+    multiplier vector ``lam``.  The certificate reads the row values and
+    gradients the polish last computed at ``y``."""
     # Cold end points certify unpolished too, with the same pool outcomes,
     # but the polish stays: without it the edge and interior starts differ
     # by 3.6e-12 and the pinned condense panel moves (1.6 dB t1 by 2.0e-13).
-    y, lam, parts = _kkt_polish(c_lin, terms, y, lam)
+    y, lam, parts = _kkt_polish(c_lin, terms, y, lam, parts)
     kkt, comp, f_all = _kkt_certificate(c_lin, parts, lam)
     x_opt = np.exp(y)
     info = {
@@ -546,7 +558,10 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
     rows f_j(y) - s <= 0 minimizing s, until every row is PHASE1_SLACK
     inside; Infeasible when the slack stays >= -1e-9.  ``_primal_dual``
     then follows the central path from there, and its end point and
-    multipliers are polished and certified by ``_certified``.
+    multipliers are polished and certified by ``_certified``.  Each point's
+    rows are evaluated once and handed on: the start's to phase 1's first
+    stop test (or to phase 2), phase 1's last stop test's to the slack
+    test and phase 2, and phase 2's last step score's to the polish.
     """
     x0 = np.asarray(start, dtype=float)
     if np.any(x0 <= 0) or not np.all(np.isfinite(x0)):
@@ -557,25 +572,26 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
         raise ValueError("objective exponent vector length must match start")
     terms = _Terms.stack(constraints, n)
     y = np.log(x0)
-    start_slack = float(terms.values(y).max())
+    log_sum = terms._log_sum(y)
+    start_slack = float(log_sum[0].max())
 
     if start_slack > -1e-9:
         # phase 1: min s subject to f_j(y) <= s, over (y, s)
-        def slack(z: np.ndarray) -> float:
-            return float(terms.values(z[:n]).max())
-
+        lifted = terms.lifted()
+        z = np.append(y, start_slack + 1.0)
         c_s = np.zeros(n + 1)
         c_s[-1] = 1.0
-        z, _ = _primal_dual(c_s, terms.lifted(), np.append(y, start_slack + 1.0),
-                            stop=lambda z: slack(z) < PHASE1_SLACK)
-        if slack(z) >= -1e-9:
+        z, _, _, log_sum = _primal_dual(c_s, lifted, z, lifted.parts(z),
+                                        watch=(terms, log_sum))
+        slack = float(log_sum[0].max())
+        if slack >= -1e-9:
             raise Infeasible(
                 "no strictly feasible point exists for the inner geometric "
-                f"program (best constraint slack {slack(z):.3e})")
+                f"program (best constraint slack {slack:.3e})")
         y = z[:n]
 
-    y, lam = _primal_dual(c_lin, terms, y)
-    return _certified(c_lin, terms, len(constraints), y, lam)
+    y, lam, parts, _ = _primal_dual(c_lin, terms, y, terms.parts_from(log_sum))
+    return _certified(c_lin, terms, len(constraints), y, lam, parts)
 
 
 def _warm_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float],
@@ -586,7 +602,8 @@ def _warm_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
     c_lin = np.asarray(objective, dtype=float)
     terms = _Terms.stack(constraints, c_lin.size)
     try:
-        return _certified(c_lin, terms, len(constraints), prev["y"], prev["lam"])
+        return _certified(c_lin, terms, len(constraints), prev["y"], prev["lam"],
+                          terms.parts(prev["y"]))
     except NotConverged:
         return None
 

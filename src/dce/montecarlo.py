@@ -77,8 +77,21 @@ def _per_entry_sq_err(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def _transmitter_side_estimate(params: SystemParams, alloc: PowerAllocation,
                                h_d, h_u, rng) -> np.ndarray:
-    """The (T, n_t, n_l) downlink estimates the transmitter nulls AN against."""
+    """The (T, n_t, n_l) matrices whose left null spaces carry the AN.
+
+    These are the transmitter's downlink estimates, except when it holds no
+    downlink information (reciprocal e_r = 0; echo e_1 = 0 or e_2 = 0).
+    Its estimate is then identically zero and has no null space, so AN goes
+    into the null space of an independent CN(0, 1) draw instead: a
+    Haar-random subspace, which is the model the closed forms assume.  The
+    branch is decided from the allocation alone, and without AN the draws
+    are those of the plain path.
+    """
     _, y_t = reverse_training(params, alloc, h_u, rng)
+    informed = (alloc.e_r > 0 if alloc.scheme == RECIPROCAL
+                else alloc.e_1 > 0 and alloc.e_2 > 0)
+    if alloc.var_a > 0 and not informed:
+        return complex_gaussian(rng, (h_d.shape[0], params.n_t, params.n_l), 1.0)
     if alloc.scheme == RECIPROCAL:
         return tx_estimate_reciprocal(y_t, params, alloc.e_r)
     hu_hat = tx_estimate_uplink(y_t, params, alloc.e_2)

@@ -29,6 +29,8 @@ constellation as stored.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import UnsupportedGeometry
@@ -39,14 +41,21 @@ CODE_SYMBOLS = 3
 SUPPORTED_QAM = (4, 16, 64)
 
 
+@functools.lru_cache(maxsize=None)
 def qam_constellation(order: int) -> np.ndarray:
-    """Square QAM points with unit average energy, index = (row-major grid)."""
+    """Square QAM points with unit average energy, index = (row-major grid).
+
+    Cached (and marked read-only) because ``decode_block`` checks every
+    constellation it is given against this grid.
+    """
     if order not in SUPPORTED_QAM:
         raise ValueError(f"modulation order must be one of {SUPPORTED_QAM}")
     side = int(round(np.sqrt(order)))
     levels = 2 * np.arange(side) - side + 1
     points = (levels[:, None] + 1j * levels[None, :]).ravel()
-    return points / np.sqrt(2.0 * (order - 1) / 3.0)
+    points = points / np.sqrt(2.0 * (order - 1) / 3.0)
+    points.flags.writeable = False
+    return points
 
 
 # The codeword as a gather from (s1, s2, s3, s1*, s2*, s3*, 0) with signs.

@@ -5,9 +5,11 @@ carry a leading trial axis, e.g. ``h_d`` is (T, n_t, n_l) and a received
 block is (T, tau, M).  Pilot blocks are deterministic truncated-DFT
 matrices shared by all trials: the tau x n block made of the first n
 columns of the unitary tau-point DFT satisfies C^H C = I_n exactly, which
-is the only property the estimators rely on.  The round-trip probe is the
-one random transmit block; it is drawn per trial from the experiment
-stream and kept private to the transmitter.
+is the only property the estimators rely on.  The round-trip probe is a
+deterministic scaled identity shared by all trials too: it is private to
+the transmitter and the UR never observes the round trip, so any scaled
+unitary probe gives the same joint law of channels and estimates
+(``round_trip_training``).
 
 A matrix shared by a whole stack (a pilot block, an estimator's filter)
 multiplies it through ``shared_matmul``: one GEMM over all trials rather
@@ -137,26 +139,30 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
                         h_d: np.ndarray, h_u: np.ndarray, rng: np.random.Generator,
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     r"""Transmitter probe + LR echo (non-reciprocal scheme only); returns
-    ``(x_t0, y_l0, y_t1)``, each stacked over the trials.
+    ``(x_t0, y_l0, y_t1)``: the (n_t, n_t) probe every trial shares and the
+    two received stacks.
 
-    Each probe X_t0 = sqrt(e_0/n_t) * Q with Q a Haar-random unitary drawn
-    from ``rng`` (trace of Q^H Q equals n_t as required); it is for the
-    transmitter's own use and never enters any UR signal path.  The LR
-    receives Y_L0 = X_t0 H_d + W_0, applies the gain alpha
-    (``echo_gain``), and the transmitter observes
-    Y_t1 = alpha X_t0 H_d H_u + alpha W_0 H_u + W1.  The gain normalizes
+    The probe is X_t0 = sqrt(e_0/n_t) I, so trace(X_t0^H X_t0) = e_0 as
+    required.  The LR receives Y_L0 = X_t0 H_d + W_0, applies the gain
+    alpha (``echo_gain``), and the transmitter observes
+    Y_t1 = alpha X_t0 H_d H_u + alpha W_0 H_u + W_1.  The gain normalizes
     the mean echo energy to exactly e_1.
+
+    The simulator may fix the probe because it is private to the
+    transmitter and the UR never observes the round trip: only
+    X_t0^H Y_t1 reaches any estimate.  For a probe c Q with Q unitary,
+    Q^H Y_t1 = alpha c H_d H_u + alpha (Q^H W_0) H_u + Q^H W_1, and Q^H W
+    has the law of W for white Gaussian W.  So every scaled unitary probe,
+    a Haar-random one included, gives the same joint law of the channels
+    and the estimates as Q = I, which needs no draw and no QR.
     """
     if alloc.scheme != NON_RECIPROCAL:
         raise ValueError("round-trip training exists only in the non-reciprocal scheme")
     n_t, trials = params.n_t, h_d.shape[0]
-    # Haar unitaries via batched QR with phase fix; the round trip takes
-    # n_t slots, so the blocks are square.
-    q, r = np.linalg.qr(complex_gaussian(rng, (trials, n_t, n_t), 1.0))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    x_t0 = np.sqrt(alloc.e_0 / n_t) * (q * (d / np.abs(d))[:, None, :])
+    # the round trip takes n_t slots, so the probe is square
+    x_t0 = np.sqrt(alloc.e_0 / n_t) * np.eye(n_t)
     w_0 = complex_gaussian(rng, (trials, n_t, params.n_l), params.var_w)
-    y_l0 = x_t0 @ h_d + w_0
+    y_l0 = shared_matmul(x_t0, h_d) + w_0
     alpha = echo_gain(params, alloc.e_0, alloc.e_1)
     w_1 = complex_gaussian(rng, (trials, n_t, n_t), params.var_wt)
     return x_t0, y_l0, alpha * (y_l0 @ h_u) + w_1

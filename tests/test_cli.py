@@ -580,8 +580,9 @@ def test_exit_geometry(tmp_path, capsys):
 
 
 def test_exit_degenerate_redraws_exhausted(monkeypatch, capsys):
-    """No reverse pilots but AN: every draw leaves the transmitter without a
-    null space, so the redraws run out."""
+    """AN under a rank tolerance no matrix meets (s_min > s_max): every draw
+    leaves the transmitter without a null space, so the redraws run out."""
+    monkeypatch.setattr(dce.training, "RANK_RTOL", 1.0)
     starved = dce.reciprocal_allocation(0.0, 4.0, var_a=1.0)
     monkeypatch.setattr(cli, "solve_allocation",
                         lambda params, gamma, scheme, variant: (starved, 0.5, 0.5))

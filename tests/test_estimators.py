@@ -236,12 +236,51 @@ def test_downlink_conditional_mse_matches_trace(defaults):
     assert acc / trials == pytest.approx(conditional_nmse, rel=0.03)
 
 
+def _haar_unitaries(rng, trials, n):
+    """Haar-random n x n unitaries: the QR of a complex-Gaussian stack with
+    R's diagonal phases moved into Q (Mezzadri, Notices AMS 2007)."""
+    q, r = np.linalg.qr(complex_gaussian(rng, (trials, n, n)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def test_fixed_probe_reproduces_haar_probe(defaults):
+    """The identity behind the fixed probe, trial by trial.  A Haar probe
+    c Q with noises W_0' = Q W_0 and W_1' = Q W_1 gives the same estimate,
+    within 1e-13 relative, as ``round_trip_training``'s probe c I with the
+    noises Q^H W_0' = W_0 and Q^H W_1' = W_1 it drew.  As Q^H W has the law
+    of W, both probes give the same joint law of channels and estimates."""
+    alloc = nonreciprocal_allocation(3.0, 5.0, 2.0, 6.0, var_a=0.4)
+    p, trials = defaults, 64
+    rng = make_rng(51)
+    h_d, h_u, _ = sample_channels(p, NON_RECIPROCAL, rng, trials)
+    _, y_t = reverse_training(p, alloc, h_u, rng)
+    hu_hat = tx_estimate_uplink(y_t, p, alloc.e_2)
+    q = _haar_unitaries(rng, trials, p.n_t)
+    state = rng.bit_generator.state
+    x_t0, _, y_t1 = round_trip_training(p, alloc, h_d, h_u, rng)
+    fixed = tx_estimate_downlink(y_t1, x_t0, hu_hat, p, alloc)
+
+    rng.bit_generator.state = state
+    w_0 = complex_gaussian(rng, (trials, p.n_t, p.n_l), p.var_w)
+    w_1 = complex_gaussian(rng, (trials, p.n_t, p.n_t), p.var_wt)
+    x_haar = np.sqrt(alloc.e_0 / p.n_t) * q
+    alpha = echo_gain(p, alloc.e_0, alloc.e_1)
+    y_haar = alpha * (x_haar @ h_d + q @ w_0) @ h_u + q @ w_1
+    haar = np.concatenate([
+        tx_estimate_downlink(y_haar[k:k + 1], x_haar[k], hu_hat[k:k + 1], p, alloc)
+        for k in range(trials)])
+    rel = (np.linalg.norm(fixed - haar, axis=(1, 2))
+           / np.linalg.norm(haar, axis=(1, 2)))
+    assert rel.max() <= 1e-13
+
+
 def test_downlink_needs_echo(defaults, rng):
     alloc = nonreciprocal_allocation(10.0, 0.0, 10.0, 10.0)
     hu = tx_estimate_uplink(complex_gaussian(rng, (1, 2, 4)), defaults, alloc.e_2)
     with pytest.raises(ValueError):
         tx_estimate_downlink(complex_gaussian(rng, (1, 4, 4)),
-                             complex_gaussian(rng, (1, 4, 4)), hu, defaults, alloc)
+                             complex_gaussian(rng, (4, 4)), hu, defaults, alloc)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +384,7 @@ def test_downlink_matches_svd_reference(defaults, alloc):
     """On a stack whose uplink rows are scaled over ten decades, plus one row
     with trace/beta >= 1e15, every estimate is within 1e-13 relative of
     gain X_t0^H Y_t1 V diag(s/(s^2 + beta)) U^H, Hu_hat = U diag(s) V^H,
-    and none is zeroed."""
+    and none is zeroed; X_t0 is one random probe the whole stack shares."""
     rng = make_rng(41)
     beta = downlink_beta(defaults, alloc)
     hu = complex_gaussian(rng, (400, 2, 4)) * 10.0 ** rng.uniform(0, 10, (400, 1, 1))
@@ -353,15 +392,14 @@ def test_downlink_matches_svd_reference(defaults, alloc):
     far *= np.sqrt(1e15 * beta / np.sum(np.abs(far) ** 2))
     hu = np.concatenate([hu, far])
     y_t1 = complex_gaussian(rng, (401, 4, 4))
-    x_t0 = complex_gaussian(rng, (401, 4, 4))
+    x_t0 = complex_gaussian(rng, (4, 4))   # shared by the stack, not unitary
     est = tx_estimate_downlink(y_t1, x_t0, hu, defaults, alloc)
 
     u, s, vh = np.linalg.svd(hu, full_matrices=False)
     gain = defaults.var_hd / (echo_gain(defaults, alloc.e_0, alloc.e_1)
                               * t0_round_trip(defaults, alloc.e_0))
     shrunk = np.conj(np.swapaxes(vh, 1, 2)) * (s / (s * s + beta))[:, None, :]
-    ref = gain * (np.conj(np.swapaxes(x_t0, 1, 2)) @ y_t1
-                  @ shrunk @ np.conj(np.swapaxes(u, 1, 2)))
+    ref = gain * (x_t0.conj().T @ y_t1 @ shrunk @ np.conj(np.swapaxes(u, 1, 2)))
     assert np.trace(np.conj(np.swapaxes(hu[-1], 0, 1)) @ hu[-1]).real / beta >= 1e15
     rel = np.linalg.norm(est - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
     assert rel.max() <= 1e-13
@@ -409,5 +447,5 @@ def test_downlink_singular_regressor(defaults, rng):
     bad = np.full((1, 2, 4), np.nan, dtype=complex)
     with pytest.raises(SingularRegressor):
         tx_estimate_downlink(complex_gaussian(rng, (1, 4, 4)),
-                             complex_gaussian(rng, (1, 4, 4)), bad, defaults,
+                             complex_gaussian(rng, (4, 4)), bad, defaults,
                              alloc)

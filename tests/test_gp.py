@@ -595,23 +595,28 @@ def _condense_golden_panel():
 
 
 def test_hot_loops_evaluate_each_point_once(monkeypatch):
-    """No ``_certified`` call (polish plus certificate) and no
+    """No cold ``solve_inner_gp`` call (phase 1, phase 2, polish and
+    certificate), no ``_certified`` call (polish plus certificate) and no
     ``_primal_dual`` call evaluates the rows of one ``_Terms`` twice at the
     same y over the golden panel: each evaluation is handed on to whatever
     needs it next.  Every ``_Terms`` seen is kept alive, so no id is reused."""
     log_sum, seen, scopes, repeats = gp._Terms._log_sum, [], [], []
-    evaluated = {"_certified": 0, "_primal_dual": 0}
+    evaluated = {"solve_inner_gp": 0, "_certified": 0, "_primal_dual": 0}
+    lift, lifted = gp._Terms.lifted, []
 
     def recorded(terms, y):
         seen.append(terms)
-        if scopes:
-            name, keys = scopes[-1]
-            key = (id(terms), y.tobytes())
+        key = (id(terms), y.tobytes())
+        for name, keys in scopes:
             if key in keys:
                 repeats.append((name, y.tolist()))
             keys.add(key)
             evaluated[name] += 1
         return log_sum(terms, y)
+
+    def lifted_rows(terms):
+        lifted.append(lift(terms))
+        return lifted[-1]
 
     def scoped(name):
         inner = getattr(gp, name)
@@ -625,11 +630,15 @@ def test_hot_loops_evaluate_each_point_once(monkeypatch):
         return call
 
     monkeypatch.setattr(gp._Terms, "_log_sum", recorded)
+    monkeypatch.setattr(gp._Terms, "lifted", lifted_rows)
     for name in evaluated:
         monkeypatch.setattr(gp, name, scoped(name))
     _condense_golden_panel()
     assert repeats == []
     assert min(evaluated.values()) > 100
+    # every cold solve of the panel ran phase 1, and its rows were evaluated
+    assert len(lifted) >= len(GOLDEN_PANEL)
+    assert {id(t) for t in lifted} <= {id(t) for t in seen}
 
 
 def _assert_fresh_certificate(c_lin, terms, n_posy, info):
@@ -648,8 +657,8 @@ def test_handed_over_certificate_equals_fresh_one(monkeypatch):
     objective, do not cover these values)."""
     certify, certified = gp._certified, []
 
-    def check(c_lin, terms, n_posy, y, lam):
-        x, info = certify(c_lin, terms, n_posy, y, lam)
+    def check(c_lin, terms, n_posy, y, lam, parts):
+        x, info = certify(c_lin, terms, n_posy, y, lam, parts)
         _assert_fresh_certificate(c_lin, terms, n_posy, info)
         certified.append(info)
         return x, info

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dce import montecarlo, training
+from dce.alloc_reciprocal import solve_reciprocal
 from dce.errors import InfeasibleGamma, RankDeficient, UnsupportedGeometry
 from dce.estimators import tx_estimate_reciprocal
 from dce.montecarlo import (
@@ -109,11 +110,37 @@ def test_ser_degenerate_trials_are_redrawn(defaults, monkeypatch):
     reciprocal_allocation(0.0, 4.0, var_a=1.0),              # no reverse pilots
     nonreciprocal_allocation(4.0, 0.0, 2.0, 4.0, var_a=1.0),  # no echo
 ], ids=["reciprocal-e_r-0", "echo-e_1-0"])
-def test_redraws_exhausted_raise(defaults, alloc):
-    """Without any downlink information the transmitter's estimate is zero in
-    every draw, so AN has no null space and the redraws run out."""
+def test_redraws_exhausted_raise(defaults, alloc, monkeypatch):
+    """With a rank tolerance no matrix meets (s_min > s_max), every draw is
+    degenerate, so AN has no null space and the redraws run out."""
+    monkeypatch.setattr(training, "RANK_RTOL", 1.0)
     with pytest.raises(RankDeficient, match="redraws"):
         run_nmse_experiment(defaults, alloc, trials=200, seed=1)
+
+
+def _solved_blind_reciprocal():
+    params = default_params(p_ave_db=0, var_h=0.5)
+    return params, solve_reciprocal(params, 0.5).alloc
+
+
+@pytest.mark.parametrize("instance", [
+    _solved_blind_reciprocal,
+    lambda: (default_params(), nonreciprocal_allocation(4.0, 0.0, 2.0, 4.0, var_a=1.0)),
+    lambda: (default_params(), nonreciprocal_allocation(4.0, 2.0, 0.0, 4.0, var_a=1.0)),
+], ids=["reciprocal-e_r-0", "echo-e_1-0", "echo-e_2-0"])
+def test_an_without_transmitter_estimate(instance):
+    """A transmitter with no downlink information that sends AN puts it in
+    a Haar-random subspace: no trial is redrawn, and both NMSEs land within
+    6 standard errors of the closed forms, which assume that subspace.  The
+    reciprocal instance is what ``solve_reciprocal`` returns at 0 dB, an
+    allocation with e_r = 0 and AN."""
+    params, alloc = instance()
+    assert alloc.var_a > 0 and (alloc.e_r == 0 or alloc.e_1 * alloc.e_2 == 0)
+    report = run_nmse_experiment(params, alloc, trials=20000, seed=4)
+    assert report.resampled_trials == 0
+    se = 1.0 / 1.959963984540054
+    assert abs(report.empirical_lr - report.analytic_lr) <= 6 * se * report.half_width_95_lr
+    assert abs(report.empirical_ur - report.analytic_ur) <= 6 * se * report.half_width_95_ur
 
 
 def test_nonreciprocal_empirical_tracks_surrogate(defaults):

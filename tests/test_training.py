@@ -349,9 +349,33 @@ def test_round_trip_probe_trace(defaults, rng):
     h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, 5)
     alloc = nonreciprocal_allocation(4.0, 4.0, 1.0, 1.0)
     x_t0, _, _ = round_trip_training(defaults, alloc, h_d, h_u, rng)
-    # each probe satisfies trace(X^H X) = e_0 (unitary scaled by sqrt(e_0/n_t))
-    traces = np.trace(_hermitian(x_t0) @ x_t0, axis1=1, axis2=2).real
-    np.testing.assert_allclose(traces, 4.0, rtol=1e-12)
+    # one probe shared by every trial, a unitary scaled by sqrt(e_0/n_t),
+    # so trace(X^H X) = e_0
+    assert x_t0.shape == (defaults.n_t, defaults.n_t)
+    gram = _hermitian(x_t0) @ x_t0
+    np.testing.assert_allclose(np.trace(gram).real, 4.0, rtol=1e-12)
+    np.testing.assert_allclose(gram, 4.0 / defaults.n_t * np.eye(defaults.n_t),
+                               rtol=0, atol=1e-15)
+
+
+def test_round_trip_replays_its_draws(defaults):
+    """Y_t1 = alpha (c H_d + W_0) H_u + W_1 with c = sqrt(e_0/n_t), W_0 and
+    W_1 replayed from the same stream: the round trip draws nothing else."""
+    alloc = nonreciprocal_allocation(3.0, 5.0, 1.0, 1.0)
+    rng = make_rng(17)
+    h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, 9)
+    state = rng.bit_generator.state
+    _, y_l0, y_t1 = round_trip_training(defaults, alloc, h_d, h_u, rng)
+    after = rng.bit_generator.state
+    rng.bit_generator.state = state
+    w_0 = complex_gaussian(rng, (9, defaults.n_t, defaults.n_l), defaults.var_w)
+    w_1 = complex_gaussian(rng, (9, defaults.n_t, defaults.n_t), defaults.var_wt)
+    assert rng.bit_generator.state == after
+    c = np.sqrt(alloc.e_0 / defaults.n_t)
+    alpha = echo_gain(defaults, alloc.e_0, alloc.e_1)
+    np.testing.assert_allclose(y_l0, c * h_d + w_0, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(y_t1, alpha * (c * h_d + w_0) @ h_u + w_1,
+                               rtol=1e-13, atol=1e-13)
 
 
 def test_round_trip_echo_energy_normalization(defaults):
