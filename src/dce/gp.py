@@ -317,10 +317,6 @@ class _Terms:
         s = np.add.reduceat(w, self.starts)
         return z_max + np.log(s), w, s
 
-    def values(self, y: np.ndarray) -> np.ndarray:
-        """f of every row."""
-        return self._log_sum(y)[0]
-
     def parts(self, y: np.ndarray):
         """(f, the row gradients G (m x n), the terms' softmax weights p
         within their row, the centred terms D = a - G[row]); the solver hands

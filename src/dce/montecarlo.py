@@ -71,8 +71,11 @@ class SerReport:
 
 
 def _per_entry_sq_err(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Mean squared entry error of each trial of a stack."""
-    return np.mean(np.abs(estimate - truth) ** 2, axis=(-2, -1))
+    """Mean squared entry error of each trial of a stack: each trial's
+    error, read as one row of real and imaginary parts, dotted with itself."""
+    d = np.subtract(estimate, truth, order="C").reshape(estimate.shape[0], -1)
+    parts = d.view(np.float64)
+    return np.einsum("ij,ij->i", parts, parts) / d.shape[1]
 
 
 def _transmitter_side_estimate(params: SystemParams, alloc: PowerAllocation,
@@ -109,7 +112,7 @@ def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
     trials are those whose downlink estimate has no full-rank null space."""
     h_d, h_u, g = sample_channels(params, alloc.scheme, rng, trials)
     tx_est = _transmitter_side_estimate(params, alloc, h_d, h_u, rng)
-    _, y_l, y_u, full_rank = forward_training(params, alloc, tx_est, h_d, g, rng)
+    y_l, y_u, full_rank = forward_training(params, alloc, tx_est, h_d, g, rng)
     if alloc.scheme == RECIPROCAL:
         lr = lr_estimate_reciprocal(y_l, params, alloc)
     else:

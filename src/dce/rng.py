@@ -11,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator for a 64-bit master seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def trial_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     """Independent substream for one block of Monte-Carlo trials.
 
@@ -33,8 +28,12 @@ def complex_gaussian(rng: np.random.Generator, shape, var: float = 1.0) -> np.nd
     r"""Circularly-symmetric complex Gaussian, per-entry variance ``var``.
 
     Entries are (x + 1j*y) * sqrt(var/2) with x, y standard normal, so
-    E|entry|^2 = var.
+    E|entry|^2 = var.  All real parts are drawn before all imaginary parts,
+    and each is scaled straight into its view of the one complex result,
+    which is bit for bit the complex expression above.
     """
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * np.sqrt(var / 2.0)
+    out = np.empty(shape, dtype=complex)
+    scale = np.sqrt(var / 2.0)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out

@@ -14,6 +14,12 @@ unitary probe gives the same joint law of channels and estimates
 A matrix shared by a whole stack (a pilot block, an estimator's filter)
 multiplies it through ``shared_matmul``: one GEMM over all trials rather
 than the one tiny GEMM per trial a stacked ``@`` makes.
+
+The forward phase builds neither the AN basis nor the transmit block.
+``null_space_basis`` applies the Householder reflectors of each estimate's
+QR factorization straight to the receivers' channels, and
+``forward_training`` adds the AN seen through them to the shared pilot
+product.
 """
 
 from __future__ import annotations
@@ -81,33 +87,64 @@ def sample_channels(params: SystemParams, mode: str, rng: np.random.Generator,
     return h_d, h_u, g
 
 
-def null_space_basis(h_hat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases N (..., n_t, n_t-n_l) of the left null spaces of a
+def null_space_basis(h_hat: np.ndarray,
+                     m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(N^H m, full_rank)``: the stack ``m`` (..., n_t, M) seen through the
+    orthonormal bases N (..., n_t, n_t-n_l) of the left null spaces of a
     stack of estimates (..., n_t, n_l), and the mask of full-rank rows.
+    ``m`` may also be one (n_t, M) matrix for the whole stack; with the
+    identity it gives N^H itself.
 
     For every full-rank row N^H h_hat = 0 and N^H N = I.  A row is
     rank-deficient when a singular value is at most RANK_RTOL times its
     largest one; its basis is still orthonormal but does not null the
     estimate, so the caller must redraw that row.
 
-    N is the trailing n_t-n_l columns of one complete QR, h_hat = Q R.  The
-    n_l x n_l triangle R has the singular values of h_hat, and
+    N is the trailing n_t-n_l columns of Q in the complete QR h_hat = Q R,
+    with Q = H_1 ... H_{n_l} the product of the n_l Householder reflectors
+    H_k = I - tau_k v_k v_k^H that LAPACK's geqrf leaves behind.  Q is never
+    formed: Q^H m is m with H_1^H, ..., H_{n_l}^H applied in turn, and N^H m
+    is its trailing n_t-n_l rows.  Forming Q (ungqr) builds it from the same
+    reflectors, so this is the same basis N, up to rounding.
+
+    The n_l x n_l triangle R has the singular values of h_hat, and
     s_max <= ||R||_F while s_min s_max^(n_l-1) >= |det R| = prod |r_kk|, so
     a row with prod |r_kk| > 2 RANK_RTOL ||R||_F^n_l certainly passes the
     rank test.  Only the rows this bound does not clear get their singular
     values computed and the exact test.
     """
-    n_l = h_hat.shape[-1]
-    q, r = np.linalg.qr(h_hat, mode="complete")
-    r = r[..., :n_l, :]
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    frob = np.linalg.norm(r, axis=(-2, -1))
-    full_rank = np.asarray(np.prod(diag, axis=-1) > 2 * RANK_RTOL * frob ** n_l)
+    n_t, n_l = h_hat.shape[-2:]
+    lead = h_hat.shape[:-2]
+    stack = h_hat.reshape((-1, n_t, n_l))
+    h, tau = np.linalg.qr(stack, mode="raw")
+    # geqrf's (n_t, n_l) array per trial, with the trial axis last so that
+    # every elementwise loop below runs over the whole stack: its upper
+    # triangle is R, and column k below the diagonal is the tail of v_k
+    # (whose leading entry is 1).  raw mode hands it over transposed.
+    a = np.transpose(h, (2, 1, 0)).copy()
+    det, frob_sq = 1.0, 0.0
+    for k in range(n_l):
+        col = a[:k + 1, k]  # R's column k
+        det = det * np.abs(col[k])
+        frob_sq = frob_sq + np.sum(col.real ** 2 + col.imag ** 2, axis=0)
+    full_rank = det > 2 * RANK_RTOL * np.sqrt(frob_sq) ** n_l
     unsure = ~full_rank
     if unsure.any():
-        s = np.linalg.svd(h_hat[unsure], compute_uv=False)
+        s = np.linalg.svd(stack[unsure], compute_uv=False)
         full_rank[unsure] = np.all(s > RANK_RTOL * s[..., :1], axis=-1)
-    return q[..., n_l:], full_rank
+    m_stack = np.broadcast_to(m, lead + m.shape[-2:]).reshape((-1,) + m.shape[-2:])
+    out = np.transpose(m_stack, (1, 2, 0)).astype(complex, order="C")
+    conj_tau = np.conj(tau.T)
+    for k in range(n_l):
+        v = a[k + 1:, k, None]
+        tail = out[k + 1:]
+        # H_k^H out = out - conj(tau_k) v_k (v_k^H out), row k taking v_k's 1
+        w = out[k] + np.sum(np.conj(v) * tail, axis=0)
+        w *= conj_tau[k]
+        out[k] -= w
+        tail -= v * w
+    seen = np.moveaxis(out[n_l:], -1, 0).reshape(lead + (n_t - n_l, m.shape[-1]))
+    return seen, full_rank.reshape(lead)
 
 
 def reverse_training(params: SystemParams, alloc: PowerAllocation,
@@ -171,33 +208,36 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
 def forward_training(params: SystemParams, alloc: PowerAllocation,
                      h_d_hat: np.ndarray, h_d: np.ndarray, g: np.ndarray,
                      rng: np.random.Generator,
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     r"""Transmitter-to-receivers phase with AN in the estimated null space.
 
-    X_t = sqrt(E/n_t) C_t + A N^H where N is the null-space basis of each
-    trial's estimate ``h_d_hat`` and A is tau_f x (n_t - n_l) with
-    per-entry variance var_a.  Both receivers observe their channel through
-    X_t plus their own noise.  Returns ``(x_t, y_l, y_u, full_rank)``:
-    the (T, tau_f, n_t) transmit blocks, the two received stacks, and the
-    mask of trials whose estimate had full rank (all True without AN).
+    The transmitter sends X_t = sqrt(E/n_t) C_t + A N^H, where N is the
+    null-space basis of each trial's estimate ``h_d_hat`` and A is
+    tau_f x (n_t - n_l) with per-entry variance var_a.  Both receivers
+    observe their channel through X_t plus their own noise.  Returns
+    ``(y_l, y_u, full_rank)``: the two received stacks and the mask of
+    trials whose estimate had full rank (all True without AN).
+
+    X_t itself is never formed.  With both receivers' channels side by side
+    as H = [H_d, G], X_t H = sqrt(E/n_t) C_t H + A (N^H H): the pilot part
+    is one GEMM shared by the whole stack, and ``null_space_basis`` hands
+    back N^H H directly.
     """
     energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
     tau_f = params.tau_f if alloc.scheme == RECIPROCAL else params.n_t
     trials = h_d.shape[0]
-    x_t = np.sqrt(energy / params.n_t) * pilot_matrix(tau_f, params.n_t)
-    # Both receivers' channels side by side, so one product serves both.
+    pilot = np.sqrt(energy / params.n_t) * pilot_matrix(tau_f, params.n_t)
     channels = np.concatenate([h_d, g], axis=-1)
+    received = shared_matmul(pilot, channels)
     if alloc.var_a > 0:
-        basis, full_rank = null_space_basis(h_d_hat)
+        seen, full_rank = null_space_basis(h_d_hat, channels)
         a = complex_gaussian(rng, (trials, tau_f, params.n_t - params.n_l),
                              alloc.var_a)
-        x_t = x_t + a @ np.conj(np.swapaxes(basis, -1, -2))
-        received = x_t @ channels
+        received += a @ seen
     else:
-        received = shared_matmul(x_t, channels)
-        x_t = np.broadcast_to(x_t, (trials, tau_f, params.n_t))
         full_rank = np.ones(trials, dtype=bool)
     w = complex_gaussian(rng, (trials, tau_f, params.n_l), params.var_w)
+    w += received[..., :params.n_l]
     v = complex_gaussian(rng, (trials, tau_f, params.n_u), params.var_v)
-    return (x_t, received[..., :params.n_l] + w, received[..., params.n_l:] + v,
-            full_rank)
+    v += received[..., params.n_l:]
+    return w, v, full_rank

@@ -34,7 +34,7 @@ from dce.params import (
     nonreciprocal_allocation,
     reciprocal_allocation,
 )
-from dce.rng import complex_gaussian, make_rng
+from dce.rng import complex_gaussian
 from dce.training import (
     echo_gain,
     forward_training,
@@ -49,7 +49,7 @@ TRIALS = 10000
 
 def _empirical_mse(run_stack, trials=TRIALS, seed=0):
     """Mean over the trials of each trial's mean squared entry error."""
-    est, truth = run_stack(make_rng(seed), trials)
+    est, truth = run_stack(np.random.default_rng(seed), trials)
     return float(np.mean(np.abs(est - truth) ** 2))
 
 
@@ -107,7 +107,7 @@ def test_lr_reciprocal_no_an_agreement(defaults):
 
     def stack(rng, n):
         h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, n)
-        _, y_l, _, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
+        y_l, _, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
         return lr_estimate_reciprocal(y_l, defaults, alloc), h_d
 
     mse = _empirical_mse(stack)
@@ -123,7 +123,7 @@ def test_lr_reciprocal_with_an_agreement(defaults):
         h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, n)
         _, y_t = reverse_training(defaults, alloc, h_u, rng)
         h_hat = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
-        _, y_l, _, _ = forward_training(defaults, alloc, h_hat, h_d, g, rng)
+        y_l, _, _ = forward_training(defaults, alloc, h_hat, h_d, g, rng)
         return lr_estimate_reciprocal(y_l, defaults, alloc), h_d
 
     assert _empirical_mse(stack) == pytest.approx(analytic, rel=0.02)
@@ -152,7 +152,7 @@ def test_ur_empirical_agreement(defaults):
         h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, n)
         _, y_t = reverse_training(defaults, alloc, h_u, rng)
         h_hat = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
-        _, _, y_u, _ = forward_training(defaults, alloc, h_hat, h_d, g, rng)
+        _, y_u, _ = forward_training(defaults, alloc, h_hat, h_d, g, rng)
         return ur_estimate(y_u, defaults, alloc), g
 
     assert _empirical_mse(stack) == pytest.approx(0.75, rel=0.02)
@@ -195,7 +195,7 @@ def test_downlink_noiseless_consistency():
     although the regularizer beta shrinks with the noise."""
     quiet = default_params(var_w=1e-12, var_wt=1e-12)
     alloc = nonreciprocal_allocation(1e6, 1e6, 1e6, 1.0)
-    rng = make_rng(21)
+    rng = np.random.default_rng(21)
     h_d, h_u, _ = sample_channels(quiet, NON_RECIPROCAL, rng, 4)
     _, y_t = reverse_training(quiet, alloc, h_u, rng)
     hu_hat = tx_estimate_uplink(y_t, quiet, alloc.e_2)
@@ -210,7 +210,7 @@ def test_downlink_conditional_mse_matches_trace(defaults):
     var_hd (I - rho0 M (M + beta I)^{-1}), M = Hu_hat^* Hu_hat^T, within 3%
     at 1e4 trials."""
     alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0)
-    setup_rng = make_rng(31)
+    setup_rng = np.random.default_rng(31)
     _, h_u0, _ = sample_channels(defaults, NON_RECIPROCAL, setup_rng, 1)
     _, y_t = reverse_training(defaults, alloc, h_u0, setup_rng)
     hu_hat = tx_estimate_uplink(y_t, defaults, alloc.e_2)[0]
@@ -224,7 +224,7 @@ def test_downlink_conditional_mse_matches_trace(defaults):
     # Conditioned on hu_hat: true h_u = hu_hat + independent error, and the
     # whole round trip re-randomizes everything else.
     eps2 = tx_error_var_uplink(defaults, alloc.e_2)
-    rng = make_rng(32)
+    rng = np.random.default_rng(32)
     trials = TRIALS
     h_u = hu_hat + complex_gaussian(rng, (trials, *hu_hat.shape), eps2)
     h_d = complex_gaussian(rng, (trials, defaults.n_t, defaults.n_l),
@@ -252,7 +252,7 @@ def test_fixed_probe_reproduces_haar_probe(defaults):
     of W, both probes give the same joint law of channels and estimates."""
     alloc = nonreciprocal_allocation(3.0, 5.0, 2.0, 6.0, var_a=0.4)
     p, trials = defaults, 64
-    rng = make_rng(51)
+    rng = np.random.default_rng(51)
     h_d, h_u, _ = sample_channels(p, NON_RECIPROCAL, rng, trials)
     _, y_t = reverse_training(p, alloc, h_u, rng)
     hu_hat = tx_estimate_uplink(y_t, p, alloc.e_2)
@@ -329,7 +329,7 @@ def test_lmmse_beats_alternative_linear_filters():
     w_lmmse = (np.sqrt(energy / n) / (energy / n + var_n / var_h)) * c.conj().T
     w_ls = np.linalg.pinv(x)
 
-    rng = make_rng(17)
+    rng = np.random.default_rng(17)
     trials = 10000
     h = complex_gaussian(rng, (trials, 1, 1), var_h)
     noise = complex_gaussian(rng, (trials, tau, 1), var_n)
@@ -349,11 +349,11 @@ def test_lmmse_beats_alternative_linear_filters():
 def test_error_estimate_orthogonality(defaults):
     """|corr(estimate, error)| <= 0.03 at 1e4 trials for each estimator."""
     alloc = reciprocal_allocation(2.0, 4.0, var_a=1.0)
-    rng = make_rng(23)
+    rng = np.random.default_rng(23)
     h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, TRIALS)
     _, y_t = reverse_training(defaults, alloc, h_u, rng)
     tx = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
-    _, y_l, y_u, _ = forward_training(defaults, alloc, tx, h_d, g, rng)
+    y_l, y_u, _ = forward_training(defaults, alloc, tx, h_d, g, rng)
     lr = lr_estimate_reciprocal(y_l, defaults, alloc)
     ur = ur_estimate(y_u, defaults, alloc)
     pairs = {"tx": (tx, h_d), "lr": (lr, h_d), "ur": (ur, g)}
@@ -366,7 +366,7 @@ def test_error_estimate_orthogonality(defaults):
 
 def test_analytic_error_monotone_in_energy(defaults):
     """More training energy never hurts, across 1000 random operating points."""
-    rng = make_rng(29)
+    rng = np.random.default_rng(29)
     for _ in range(1000):
         e = float(rng.uniform(0.0, 50.0))
         bump = float(rng.uniform(0.01, 10.0))
@@ -385,7 +385,7 @@ def test_downlink_matches_svd_reference(defaults, alloc):
     with trace/beta >= 1e15, every estimate is within 1e-13 relative of
     gain X_t0^H Y_t1 V diag(s/(s^2 + beta)) U^H, Hu_hat = U diag(s) V^H,
     and none is zeroed; X_t0 is one random probe the whole stack shares."""
-    rng = make_rng(41)
+    rng = np.random.default_rng(41)
     beta = downlink_beta(defaults, alloc)
     hu = complex_gaussian(rng, (400, 2, 4)) * 10.0 ** rng.uniform(0, 10, (400, 1, 1))
     far = complex_gaussian(rng, (1, 2, 4))

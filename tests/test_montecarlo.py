@@ -85,7 +85,7 @@ def test_degenerate_trials_are_redrawn(defaults, monkeypatch):
         _, h_u, _ = training.sample_channels(defaults, RECIPROCAL, rng, n)
         _, y_t = training.reverse_training(defaults, alloc, h_u, rng)
         _, full_rank = training.null_space_basis(
-            tx_estimate_reciprocal(y_t, defaults, alloc.e_r))
+            tx_estimate_reciprocal(y_t, defaults, alloc.e_r), np.eye(defaults.n_t))
         expected += int(np.count_nonzero(~full_rank))
     a = run_nmse_experiment(defaults, alloc, trials=trials, seed=5)
     b = run_nmse_experiment(defaults, alloc, trials=trials, seed=5)

@@ -17,7 +17,7 @@ from dce.ostbc import (
     encode_block,
     qam_constellation,
 )
-from dce.rng import complex_gaussian, make_rng
+from dce.rng import complex_gaussian
 
 
 def test_codeword_shape_and_rate():
@@ -179,7 +179,7 @@ def _reference_decode(y, h, scale, constellation):
 def test_batched_decoder_matches_dispersion_map_reference(order):
     """On a noisy stack decoded with imperfect channel estimates, the closed
     form returns the same indices as the dispersion-map matched filter."""
-    rng = make_rng(order)
+    rng = np.random.default_rng(order)
     pts = qam_constellation(order)
     scale = block_scale(4.0)
     n = 2000
@@ -219,7 +219,7 @@ def _argmin_indices(symbols, constellation):
 
 @pytest.mark.parametrize("order", SUPPORTED_QAM)
 def test_slicer_matches_argmin_on_random_points(order):
-    rng = make_rng(100 + order)
+    rng = np.random.default_rng(100 + order)
     pts = qam_constellation(order)
     # spread wider than the grid so the clip at the outer levels is exercised
     symbols = complex_gaussian(rng, 100_000, 1.5)

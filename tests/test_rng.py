@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from dce.rng import complex_gaussian, make_rng, trial_rng
+from dce.rng import complex_gaussian, trial_rng
 
 
 def test_same_seed_same_draws():
-    a = complex_gaussian(make_rng(0), (8, 8))
-    b = complex_gaussian(make_rng(0), (8, 8))
+    a = complex_gaussian(np.random.default_rng(0), (8, 8))
+    b = complex_gaussian(np.random.default_rng(0), (8, 8))
     np.testing.assert_array_equal(a, b)
 
 
 def test_different_seeds_differ():
-    a = complex_gaussian(make_rng(0), (4,))
-    b = complex_gaussian(make_rng(1), (4,))
+    a = complex_gaussian(np.random.default_rng(0), (4,))
+    b = complex_gaussian(np.random.default_rng(1), (4,))
     assert not np.allclose(a, b)
 
 
@@ -36,7 +36,7 @@ def test_resample_streams_differ_from_primary():
 
 def test_complex_gaussian_moments():
     """seed=42, 1e5 draws: mean within 0.02 of 0, variance within 0.02 of 1."""
-    z = complex_gaussian(make_rng(42), (100000,))
+    z = complex_gaussian(np.random.default_rng(42), (100000,))
     assert abs(z.mean()) < 0.02
     assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
     # circular symmetry: the pseudo-variance E[z^2] also vanishes
@@ -44,5 +44,22 @@ def test_complex_gaussian_moments():
 
 
 def test_complex_gaussian_scales_variance():
-    z = complex_gaussian(make_rng(3), (200000,), var=2.5)
+    z = complex_gaussian(np.random.default_rng(3), (200000,), var=2.5)
     assert np.mean(np.abs(z) ** 2) == pytest.approx(2.5, rel=0.02)
+
+
+@pytest.mark.parametrize("var", [1e-9, 0.37, 1.0, 55.0])
+@pytest.mark.parametrize("shape", [(800,), (3, 4, 5), 7, ()],
+                         ids=["flat", "stack", "int", "scalar"])
+def test_complex_gaussian_bit_identical_to_two_call_formula(var, shape):
+    """Scaling each draw into its view of one complex array gives the bytes
+    of (re + 1j*im) * sqrt(var/2) with re and im drawn in that order, and
+    leaves the stream where the two calls leave it."""
+    rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+    got = complex_gaussian(rng, shape, var)
+    re = replay.standard_normal(shape)
+    im = replay.standard_normal(shape)
+    want = (re + 1j * im) * np.sqrt(var / 2.0)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == replay.random()
