@@ -34,7 +34,7 @@ from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams,
                      nonreciprocal_allocation, reciprocal_allocation,
                      with_fixed_energy_budgets)
 from .rng import complex_gaussian, trial_rng
-from .tables import ResultTable, strip_footer
+from .tables import ResultTable
 from .training import (forward_training, null_space_basis, pilot_matrix,
                        reverse_training, round_trip_training, sample_channels)
 

@@ -17,11 +17,13 @@ Each outer iteration replaces denom by its best monomial under-estimator at
 the current point (weights = log-gradient exponents, an AM-GM bound, hence
 global under-estimation and tangency), leaving an ordinary GP that a
 primal-dual interior-point routine solves to high accuracy, holding every
-log-sum-exp constraint row as one stacked term matrix; from the second
-round on, the previous round's KKT point, polished on the new GP, usually
-passes the same certificate without the interior-point solve.  Because the
-monomial never exceeds the true denominator, every inner-feasible point is
-feasible for the original problem, and the objective improves monotonically.
+log-sum-exp constraint row as one stacked term matrix.  The matrix is
+stacked once per solve: a round rewrites only the condensed ratio row's
+terms, in place.  From the second round on, the previous round's KKT point,
+polished on the new GP, usually passes the same certificate without the
+interior-point solve.  Because the monomial never exceeds the true
+denominator, every inner-feasible point is feasible for the original
+problem, and the objective improves monotonically.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ class Posynomial:
     expo: np.ndarray
 
     def value(self, x: np.ndarray) -> float:
-        return float(self.coeffs @ np.prod(x[None, :] ** self.expo, axis=1))
+        return float(self.coeffs
+                     @ np.multiply.reduce(x[None, :] ** self.expo, axis=1))
 
     def log_data(self) -> Tuple[np.ndarray, np.ndarray]:
         return np.log(self.coeffs), self.expo
@@ -175,8 +178,8 @@ def quality_score(params: SystemParams, t0: float, t1: float, t2: float,
     p = params
     num_c, num_e, den_c, den_e = _quality_terms(params)
     x3 = np.array([t0, t1, t2])
-    f_num = float(num_c @ np.prod(x3[None, :] ** num_e, axis=1))
-    f_den = float(den_c @ np.prod(x3[None, :] ** den_e, axis=1))
+    f_num = float(num_c @ np.multiply.reduce(x3[None, :] ** num_e, axis=1))
+    f_den = float(den_c @ np.multiply.reduce(x3[None, :] ** den_e, axis=1))
     lever = p.var_hd / p.var_g
     return t3 * f_num / (lever * (t4 - p.var_v) * f_den + f_num)
 
@@ -226,7 +229,7 @@ def denominator_exponents(denom: Posynomial, x_bar: np.ndarray) -> np.ndarray:
     denominator every component lies in [0, 1], because each variable
     enters every term with exponent 0 or 1.
     """
-    terms = denom.coeffs * np.prod(x_bar[None, :] ** denom.expo, axis=1)
+    terms = denom.coeffs * np.multiply.reduce(x_bar[None, :] ** denom.expo, axis=1)
     total = terms.sum()
     if not (total > 0):
         raise ValueError("expansion point gives a vanishing denominator")
@@ -238,7 +241,7 @@ def condensed_ratio(numer: Posynomial, denom: Posynomial, x_bar: np.ndarray,
     """Posynomial form of numer(x)/denom_hat(x) <= 1, denom_hat being the
     monomial with exponents ``a`` that touches denom at x_bar."""
     d_bar = denom.value(x_bar)
-    scale = d_bar * float(np.prod(x_bar ** (-a)))
+    scale = d_bar * float(np.multiply.reduce(x_bar ** (-a)))
     return Posynomial(numer.coeffs / scale, numer.expo - a[None, :])
 
 
@@ -364,11 +367,11 @@ def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, parts,
     lam = -1.0 / f
     rows, watched = watch if watch is not None else (None, None)
     for _ in range(PD_MAX_ITER):
-        if rows is not None and watched[0].max() < PHASE1_SLACK:
+        if rows is not None and np.maximum.reduce(watched[0]) < PHASE1_SLACK:
             break
         gap = -float(f @ lam)
         r_dual = c_lin + g.T @ lam
-        if gap <= PD_GAP_TOL and np.abs(r_dual).max() <= PD_FEAS_TOL:
+        if gap <= PD_GAP_TOL and np.maximum.reduce(np.abs(r_dual)) <= PD_FEAS_TOL:
             break
         inv_t = gap / (PD_MU * terms.m)
         r_cent = -lam * f - inv_t
@@ -381,11 +384,12 @@ def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, parts,
             dy = np.linalg.lstsq(hess + 1e-9 * np.eye(y.size), rhs, rcond=None)[0]
         dlam = (r_cent - lam * (g @ dy)) / f
         shrink = dlam < 0.0
-        step = 0.99 * float(np.min(-lam[shrink] / dlam[shrink], initial=1.0))
+        step = 0.99 * float(np.minimum.reduce(-lam[shrink] / dlam[shrink],
+                                              initial=1.0))
         for _ in range(60):
             y_new = y + step * dy
             log_sum = terms._log_sum(y_new)
-            if log_sum[0].max() < 0.0:
+            if np.maximum.reduce(log_sum[0]) < 0.0:
                 break
             step *= 0.5
         else:
@@ -445,7 +449,7 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
     """
     n = y0.size
     m = terms.m
-    lam_scale = max(float(np.max(lam0)), 1.0)
+    lam_scale = max(float(np.maximum.reduce(lam0)), 1.0)
     act = np.flatnonzero((parts0[0] >= -1e-5) | (lam0 >= 1e-6 * lam_scale))
     for _ in range(m + 1):
         if not act.size:
@@ -458,7 +462,7 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
         system = _stationarity_system(c_lin, terms, act, parts, lam_a)
         for it in range(60):
             big_f, grads, h_sum = system
-            norm_f = float(np.abs(big_f).max())
+            norm_f = float(np.maximum.reduce(np.abs(big_f)))
             if norm_f <= 1e-12:
                 converged = True
                 break
@@ -470,7 +474,7 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
             kkt_mat[n:, :n] = grads
             try:
                 d = np.linalg.solve(kkt_mat, -big_f)
-                if not np.all(np.isfinite(d)):
+                if not np.logical_and.reduce(np.isfinite(d)):
                     raise np.linalg.LinAlgError
             except np.linalg.LinAlgError:
                 d = np.linalg.lstsq(kkt_mat, -big_f, rcond=None)[0]
@@ -480,7 +484,7 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
                 lam_try = lam_a + step * d[n:]
                 parts_try = terms.parts(y_try)
                 trial = _stationarity_system(c_lin, terms, act, parts_try, lam_try)
-                if float(np.abs(trial[0]).max()) < norm_f:
+                if float(np.maximum.reduce(np.abs(trial[0]))) < norm_f:
                     break
                 step *= 0.5
             else:
@@ -488,12 +492,12 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
             y, lam_a, parts, system = y_try, lam_try, parts_try, trial
         if not converged:
             break
-        if float(lam_a.min()) < -1e-11:
+        if float(np.minimum.reduce(lam_a)) < -1e-11:
             act = np.delete(act, np.argmin(lam_a))
             continue
         f_out = parts[0].copy()
         f_out[act] = -np.inf
-        if f_out.max() > 0.0:
+        if np.maximum.reduce(f_out) > 0.0:
             # a dropped (or never admitted) row is now violated: put the worst back
             act = np.sort(np.append(act, np.argmax(f_out)))
             continue
@@ -508,10 +512,11 @@ def _kkt_certificate(c_lin: np.ndarray, parts, lam: np.ndarray):
     ``terms.parts`` are ``parts``, plus its log-constraint values."""
     f, g, _, _ = parts
     residual = c_lin + g.T @ lam
-    comp = float(np.abs(lam * f).max())
-    primal = float(f.max())
-    dual = max(0.0, -float(lam.min()))
-    kkt = max(float(np.abs(residual).max()), comp, max(primal, 0.0), dual)
+    comp = float(np.maximum.reduce(np.abs(lam * f)))
+    primal = float(np.maximum.reduce(f))
+    dual = max(0.0, -float(np.minimum.reduce(lam)))
+    kkt = max(float(np.maximum.reduce(np.abs(residual))), comp,
+              max(primal, 0.0), dual)
     return kkt, comp, f
 
 
@@ -532,20 +537,22 @@ def _certified(c_lin: np.ndarray, terms: _Terms, n_posy: int, y: np.ndarray,
     info = {
         "kkt_residual": kkt,
         "duality_gap": comp,
-        "objective": float(np.prod(x_opt ** c_lin)),
+        "objective": float(np.multiply.reduce(x_opt ** c_lin)),
         "constraint_values": np.exp(f_all[:n_posy]),
         "y": y,
         "lam": lam,
     }
-    if kkt > KKT_TOL or np.any(info["constraint_values"] > 1 + 1e-8):
+    if kkt > KKT_TOL or np.logical_or.reduce(info["constraint_values"] > 1 + 1e-8):
         raise NotConverged(f"inner solve stopped with KKT residual {kkt:.3e} "
                            f"(tolerance {KKT_TOL:.1e})", best=(x_opt, info))
     return x_opt, info
 
 
-def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float],
+def solve_inner_gp(terms: _Terms, objective: Sequence[float],
                    start: Sequence[float]) -> Tuple[np.ndarray, Dict[str, object]]:
-    """Solve min prod x**objective s.t. each posynomial <= 1, x > 0.
+    """Solve min prod x**objective s.t. each posynomial <= 1, x > 0, the
+    posynomials' rows and the cage rows being ``terms``
+    (``_Terms.stack(constraints, n)``).
 
     Primal-dual interior point in log space: with y = log x every
     constraint becomes a log-sum-exp function and the monomial objective
@@ -560,16 +567,16 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
     test and phase 2, and phase 2's last step score's to the polish.
     """
     x0 = np.asarray(start, dtype=float)
-    if np.any(x0 <= 0) or not np.all(np.isfinite(x0)):
+    if (np.logical_or.reduce(x0 <= 0)
+            or not np.logical_and.reduce(np.isfinite(x0))):
         raise ValueError("start must be strictly positive and finite")
     n = x0.size
     c_lin = np.asarray(objective, dtype=float)
     if c_lin.size != n:
         raise ValueError("objective exponent vector length must match start")
-    terms = _Terms.stack(constraints, n)
     y = np.log(x0)
     log_sum = terms._log_sum(y)
-    start_slack = float(log_sum[0].max())
+    start_slack = float(np.maximum.reduce(log_sum[0]))
 
     if start_slack > -1e-9:
         # phase 1: min s subject to f_j(y) <= s, over (y, s)
@@ -579,7 +586,7 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
         c_s[-1] = 1.0
         z, _, _, log_sum = _primal_dual(c_s, lifted, z, lifted.parts(z),
                                         watch=(terms, log_sum))
-        slack = float(log_sum[0].max())
+        slack = float(np.maximum.reduce(log_sum[0]))
         if slack >= -1e-9:
             raise Infeasible(
                 "no strictly feasible point exists for the inner geometric "
@@ -587,19 +594,18 @@ def solve_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float]
         y = z[:n]
 
     y, lam, parts, _ = _primal_dual(c_lin, terms, y, terms.parts_from(log_sum))
-    return _certified(c_lin, terms, len(constraints), y, lam, parts)
+    return _certified(c_lin, terms, terms.m - 2 * n, y, lam, parts)
 
 
-def _warm_inner_gp(constraints: Sequence[Posynomial], objective: Sequence[float],
+def _warm_inner_gp(terms: _Terms, objective: Sequence[float],
                    prev: Dict[str, object]) -> Optional[Tuple[np.ndarray, Dict[str, object]]]:
-    """The inner GP solved from the previous round's certified KKT point
-    ``prev["y"], prev["lam"]`` by the active-set polish alone; None when
-    the result fails the certificate a cold solve must pass."""
+    """The inner GP of ``terms`` solved from the previous round's certified
+    KKT point ``prev["y"], prev["lam"]`` by the active-set polish alone;
+    None when the result fails the certificate a cold solve must pass."""
     c_lin = np.asarray(objective, dtype=float)
-    terms = _Terms.stack(constraints, c_lin.size)
     try:
-        return _certified(c_lin, terms, len(constraints), prev["y"], prev["lam"],
-                          terms.parts(prev["y"]))
+        return _certified(c_lin, terms, terms.m - 2 * c_lin.size, prev["y"],
+                          prev["lam"], terms.parts(prev["y"]))
     except NotConverged:
         return None
 
@@ -638,14 +644,16 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
 
     Each round linearizes only the denominator of the quality-ratio
     constraint (in log space), solves the resulting GP, and re-expands at
-    the optimum.  From round 2 on the GP is first solved warm, by the KKT
-    polish started at the previous round's certified (y, lambda); a warm
-    result that fails the certificate falls back to the cold interior-point
-    solve from x_bar.  The monomial under-estimates the true denominator
-    everywhere, so iterates stay feasible for the original problem and the
-    score increases monotonically; a decrease raises Stalled, as does a
-    final point that violates the original ratio.  The objective is the
-    sigma-squared Jensen surrogate of the LR NMSE, i.e.
+    the optimum.  The GP's rows are stacked once per call, the quality
+    ratio's row first: each round rewrites only that row's eight terms in
+    place, so the row layout never changes.  From round 2 on the GP is first
+    solved warm, by the KKT polish started at the previous round's certified
+    (y, lambda); a warm result that fails the certificate falls back to the
+    cold interior-point solve from x_bar.  The monomial under-estimates the
+    true denominator everywhere, so iterates stay feasible for the original
+    problem and the score increases monotonically; a decrease raises
+    Stalled, as does a final point that violates the original ratio.  The
+    objective is the sigma-squared Jensen surrogate of the LR NMSE, i.e.
     ``nmse_l_nonreciprocal_approx(params, alloc, "sigma-squared")`` of the
     returned allocation up to the inner solver's tolerance.
     """
@@ -657,20 +665,25 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
     numer, denom = ratio_parts(params)
     objective = np.array([-1.0, 0, 0, 0, 0, 0])
 
+    # the ratio row's terms (numer's, until the first round rewrites them)
+    ratio_row = slice(0, numer.coeffs.size)
+    terms = _Terms.stack([numer] + fixed, 6)
+
     trace = CondensationTrace(steps=[])
     nmse_prev = None
     info = None
     for _ in range(CONDENSE_MAX_ROUNDS):
         a = denominator_exponents(denom, x_bar)
-        constraints = [condensed_ratio(numer, denom, x_bar, a)] + fixed
-        warm = None if info is None else _warm_inner_gp(constraints, objective, info)
+        terms.b[ratio_row], terms.a[ratio_row] = (
+            condensed_ratio(numer, denom, x_bar, a).log_data())
+        warm = None if info is None else _warm_inner_gp(terms, objective, info)
         x_opt, info = (warm if warm is not None
-                       else solve_inner_gp(constraints, objective, x_bar))
+                       else solve_inner_gp(terms, objective, x_bar))
         nmse = lmmse_error_var(params.var_hd, x_opt[0], 1, params.var_w)
         trace.steps.append(CondensationStep(
-            expansion=tuple(float(v) for v in x_bar),
-            thetas=dict(zip(X_NAMES, (float(v) for v in a))),
-            optimum=tuple(float(v) for v in x_opt),
+            expansion=tuple(x_bar.tolist()),
+            thetas=dict(zip(X_NAMES, a.tolist())),
+            optimum=tuple(x_opt.tolist()),
             objective=nmse,
         ))
         if nmse_prev is not None:

@@ -89,12 +89,6 @@ class ResultTable:
         return body + footer_line() + "\n"
 
 
-def strip_footer(text: str) -> str:
-    """Drop footer/comment lines; used when comparing renders for equality."""
-    kept = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    return "\n".join(kept)
-
-
 def check_writable(out: str) -> None:
     """Raise, before any work, the ConfigError ``write_table`` would raise
     for ``out`` when the path is empty or a directory, lies in a missing

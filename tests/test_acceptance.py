@@ -38,7 +38,7 @@ from dce.params import (
     reciprocal_allocation,
     with_fixed_energy_budgets,
 )
-from dce.tables import strip_footer
+from helpers import strip_footer
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:

@@ -13,7 +13,7 @@ import pytest
 import dce
 import dce.cli as cli
 from dce.config import KEYS
-from dce.tables import strip_footer
+from helpers import strip_footer
 
 GOLDEN = Path(__file__).parent / "golden"
 # each golden table and the `dce alloc` arguments that print it

@@ -175,30 +175,31 @@ def test_condensed_ratio_gradient_tangency(defaults, rng):
 # ---------------------------------------------------------------------------
 
 def test_inner_solver_scalar_toy():
-    x, info = solve_inner_gp([monomial(0.5, [-1.0])], [1.0], [3.0])
+    x, info = solve_inner_gp(_Terms.stack([monomial(0.5, [-1.0])], 1), [1.0], [3.0])
     assert x[0] == pytest.approx(0.5, abs=1e-6)
     assert info["kkt_residual"] <= 1e-8
     # min 1/x subject to 2x <= 1, from the other side of the optimum
-    x, info = solve_inner_gp([monomial(2.0, [1.0])], [-1.0], [0.1])
+    x, info = solve_inner_gp(_Terms.stack([monomial(2.0, [1.0])], 1), [-1.0], [0.1])
     assert x[0] == pytest.approx(0.5, abs=1e-6)
     assert info["kkt_residual"] <= 1e-8
 
 
 def test_inner_solver_two_variable_toy():
     cons = [monomial(0.5, [-1.0, 0.0]), monomial(0.5, [0.0, -1.0])]
-    x, _ = solve_inner_gp(cons, [1.0, 1.0], [2.0, 7.0])
+    x, _ = solve_inner_gp(_Terms.stack(cons, 2), [1.0, 1.0], [2.0, 7.0])
     np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-5)
     # min 1/(xy) subject to x + y <= 1: one row with two terms
     cons = [Posynomial(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))]
-    x, _ = solve_inner_gp(cons, [-1.0, -1.0], [0.2, 0.6])
+    x, _ = solve_inner_gp(_Terms.stack(cons, 2), [-1.0, -1.0], [0.2, 0.6])
     np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-5)
 
 
 def test_inner_solver_input_validation():
+    terms = _Terms.stack([monomial(0.5, [-1.0])], 1)
     with pytest.raises(ValueError):
-        solve_inner_gp([monomial(0.5, [-1.0])], [1.0], [-1.0])
+        solve_inner_gp(terms, [1.0], [-1.0])
     with pytest.raises(ValueError):
-        solve_inner_gp([monomial(0.5, [-1.0])], [1.0, 2.0], [1.0])
+        solve_inner_gp(terms, [1.0, 2.0], [1.0])
 
 
 def test_inner_solver_against_scipy_reference(defaults):
@@ -209,7 +210,8 @@ def test_inner_solver_against_scipy_reference(defaults):
     constraints = ([_condensed_at(defaults, start.x())]
                    + budget_posynomials(defaults, gamma))
     objective = np.array([-1.0, 0, 0, 0, 0, 0])
-    x_mine, info = solve_inner_gp(constraints, objective, start.x())
+    x_mine, info = solve_inner_gp(_Terms.stack(constraints, 6), objective,
+                                  start.x())
 
     logs = [c.log_data() for c in constraints]
 
@@ -403,7 +405,8 @@ def test_inner_solver_flags_unreachable_tolerance(defaults, monkeypatch):
                    + budget_posynomials(defaults, gamma))
     monkeypatch.setattr(gp, "KKT_TOL", 1e-300)
     with pytest.raises(NotConverged) as err:
-        solve_inner_gp(constraints, [-1.0, 0, 0, 0, 0, 0], start.x())
+        solve_inner_gp(_Terms.stack(constraints, 6), [-1.0, 0, 0, 0, 0, 0],
+                       start.x())
     x_best, info = err.value.best
     assert np.all(x_best > 0) and np.isfinite(info["kkt_residual"])
     _assert_fresh_certificate([-1.0, 0, 0, 0, 0, 0], _Terms.stack(constraints, 6),
@@ -414,20 +417,20 @@ def test_inner_solver_raises_infeasible():
     """2/x <= 1 and x <= 1 have no common point: phase 1 ends with its
     slack above zero (min s is log(2)/2) and the solve raises Infeasible."""
     with pytest.raises(Infeasible):
-        solve_inner_gp([monomial(2.0, [-1.0]), monomial(1.0, [1.0])], [1.0], [1.0])
+        solve_inner_gp(_Terms.stack([monomial(2.0, [-1.0]), monomial(1.0, [1.0])], 1),
+                       [1.0], [1.0])
 
 
 def test_boundary_and_interior_starts_agree(defaults):
     """Round 1 starts on its ratio row, so phase 1 runs first; a strictly
     interior start skips it.  Both reach the same certified point to 1e-12
     relative."""
-    constraints, terms, y_inside = _interior_point(defaults, 0.1)
+    _, terms, y_inside = _interior_point(defaults, 0.1)
     x_edge = initial_feasible_state(defaults, 0.1).x()
     assert terms._log_sum(np.log(x_edge))[0].max() > -1e-9
     objective = [-1.0, 0, 0, 0, 0, 0]
-    from_edge, info_edge = solve_inner_gp(constraints, objective, x_edge)
-    from_inside, info_inside = solve_inner_gp(constraints, objective,
-                                              np.exp(y_inside))
+    from_edge, info_edge = solve_inner_gp(terms, objective, x_edge)
+    from_inside, info_inside = solve_inner_gp(terms, objective, np.exp(y_inside))
     np.testing.assert_allclose(from_edge, from_inside, rtol=1e-12, atol=0)
     assert info_edge["objective"] == pytest.approx(info_inside["objective"],
                                                    rel=1e-12, abs=0)
@@ -511,6 +514,8 @@ POOL_CASES = [
     (10.940409690522175, 0.02900053463877861),
     (2.559675406933809, 0.13815674316058327),
 ]
+WORKSPACE_CASES = ([(c["p_ave_db"], c["gamma"]) for c in GOLDEN_PANEL]
+                   + POOL_CASES)
 EQUIVALENCE_CASES = ([(c["p_ave_db"], c["gamma"]) for c in GOLDEN_PANEL]
                      + [(p, 0.1) for p in (10.0, 15.0, 20.0, 25.0, 30.0)]
                      + POOL_CASES)
@@ -561,6 +566,49 @@ def test_warm_result_failing_certificate_falls_back_to_cold(defaults, monkeypatc
     assert rejected == [True] * (len(cold.trace.steps) - 1)
     assert fallback.trace.steps == cold.trace.steps
     assert fallback.state == cold.state
+
+
+@pytest.mark.parametrize("p_ave_db, gamma", WORKSPACE_CASES,
+                         ids=[f"{p:.1f}dB-{g:.3g}" for p, g in WORKSPACE_CASES])
+def test_condense_rewrites_only_the_ratio_row(monkeypatch, p_ave_db, gamma):
+    """One ``condense`` stacks its rows once.  Every inner solve, cold or
+    warm, gets that workspace, and at each call its ``b`` and ``a`` equal
+    those of a fresh stack of the round's GP: the ratio row is rewritten in
+    place and nothing else moves.  The round's expansion point is the cold
+    solve's start, or the previous optimum exp(y) a warm solve starts from,
+    and it must be the one the trace records: a round's warm call comes
+    first, so the warm calls so far number the round."""
+    params = default_params(p_ave_db=p_ave_db)
+    fixed = budget_posynomials(params, gamma)
+    stack, stacked, expansions = gp._Terms.stack, [], []
+
+    def counted(constraints, n):
+        stacked.append(stack(constraints, n))
+        return stacked[-1]
+
+    def checked(name):
+        inner = getattr(gp, name)
+
+        def call(terms, objective, start):
+            assert terms is stacked[-1]
+            x_bar = start if name == "solve_inner_gp" else np.exp(start["y"])
+            fresh = stack([_condensed_at(params, x_bar)] + fixed, 6)
+            assert np.array_equal(terms.b, fresh.b)
+            assert np.array_equal(terms.a, fresh.a)
+            expansions.append((name, x_bar))
+            return inner(terms, objective, start)
+        return call
+
+    monkeypatch.setattr(gp._Terms, "stack", staticmethod(counted))
+    for name in ("solve_inner_gp", "_warm_inner_gp"):
+        monkeypatch.setattr(gp, name, checked(name))
+    sol = condense(params, gamma)
+    assert len(stacked) == 1
+    rounds = 0
+    for name, x_bar in expansions:
+        rounds += name == "_warm_inner_gp"
+        assert np.array_equal(x_bar, sol.trace.steps[rounds].expansion)
+    assert rounds == len(sol.trace.steps) - 1
 
 
 def test_degenerate_active_set_instance_converges(monkeypatch):

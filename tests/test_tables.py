@@ -9,13 +9,8 @@ import math
 import pytest
 
 from dce.config import FORMATS
-from dce.tables import (
-    ResultTable,
-    footer_line,
-    format_number,
-    strip_footer,
-    write_table,
-)
+from dce.tables import ResultTable, footer_line, format_number, write_table
+from helpers import strip_footer
 
 
 def _sample_table():
