@@ -6,13 +6,13 @@ in the estimated null space of the legitimate channel, degrades any
 unauthorized receiver's channel estimate while barely touching the
 legitimate one.  The package provides the training simulation, closed-form
 NMSE predictions, the two power-allocation solvers (a reduced line search
-for reciprocal channels, successive GP condensation otherwise), brute-force
-lattice oracles for both, and Monte-Carlo verification including data-phase
-symbol error rates with a four-antenna orthogonal block code.
+for reciprocal channels, successive GP condensation otherwise) and
+Monte-Carlo verification including data-phase symbol error rates with a
+four-antenna orthogonal block code.  The brute-force lattice oracles that
+check both solvers live in the test suite (``tests/oracles.py``).
 """
 
-from .alloc_reciprocal import (ReciprocalSolution, grid_oracle_reciprocal,
-                               solve_reciprocal)
+from .alloc_reciprocal import ReciprocalSolution, solve_reciprocal
 from .config import ExperimentConfig
 from .errors import (ConfigError, DceError, Infeasible, InfeasibleGamma,
                      NoFeasiblePoint, NotConverged, RankDeficient,
@@ -21,8 +21,8 @@ from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          tx_estimate_downlink, tx_estimate_reciprocal,
                          tx_estimate_uplink, ur_estimate)
 from .gp import (CondensationTrace, GpState, NonReciprocalSolution, condense,
-                 from_gp_variables, grid_oracle_nonreciprocal,
-                 initial_feasible_state, solve_inner_gp, to_gp_variables)
+                 from_gp_variables, initial_feasible_state, solve_inner_gp,
+                 to_gp_variables)
 from .montecarlo import (NmseReport, SerReport, jensen_oracle,
                          run_nmse_experiment, run_ser_experiment,
                          solve_allocation)

@@ -1,4 +1,4 @@
-r"""Reciprocal-scheme power allocation: reduced line search plus grid oracle.
+r"""Reciprocal-scheme power allocation: reduced line search plus closed form.
 
 The three-variable problem (reverse energy, forward energy, AN variance)
 collapses to one dimension: for a fixed reverse energy e_r the optimal
@@ -17,8 +17,8 @@ a = (n_t - n_l) * var_a for the AN energy per slot:
   and e_f = gt*(var_g*a/var_v + 1), which spends exactly R.
 
 The solver scans this one-variable objective on a dense grid and refines
-with golden section; a brute-force lattice oracle provides the independent
-check.
+with golden section; the independent check, a brute-force lattice oracle,
+lives in the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import NoFeasiblePoint
 from .nmse import (check_gamma, forward_budget, gamma_tilde, mu_threshold,
                    nmse_l_reciprocal, nmse_u_reciprocal, tx_error_var_reciprocal)
 from .params import RECIPROCAL, PowerAllocation, SystemParams, reciprocal_allocation
@@ -166,59 +165,5 @@ def solve_reciprocal(params: SystemParams, gamma: float) -> ReciprocalSolution:
         alloc=alloc,
         objective=best_val,
         branch="line-search",
-        active_constraints=_active_constraints(p, gamma, alloc),
-    )
-
-
-def grid_oracle_reciprocal(params: SystemParams, gamma: float,
-                           resolution: int) -> ReciprocalSolution:
-    """Exhaustive lattice search over (e_r, e_f, var_a); independent oracle.
-
-    ``resolution`` points per axis over the constraint box.  Slower but
-    assumption-free; the solver must win or tie on every instance.
-    """
-    if resolution < 50:
-        raise ValueError("resolution < 50 is too coarse to be a useful oracle")
-    p = params
-    s, b_t, b_l = _budgets(p)
-    s_eff = min(s, b_l + b_t)
-    n_an = p.n_t - p.n_l
-
-    er_axis = np.linspace(0.0, min(b_l, s_eff), resolution)
-    ef_axis = np.linspace(0.0, min(b_t, s), resolution)
-    an_energy_axis = np.linspace(0.0, min(b_t, s), resolution)  # (n_t-n_l)*var_a*tau_f
-    var_a_axis = an_energy_axis / (n_an * p.tau_f)
-
-    # UR-side quantities do not depend on e_r; precompute the plane.
-    ur_noise = p.var_g * n_an * var_a_axis + p.var_v
-    nmse_u = 1.0 / (1.0 / p.var_g + (ef_axis[:, None] / p.n_t) / ur_noise[None, :])
-    floor_ok = nmse_u >= gamma * (1 - ACTIVE_RTOL)
-    tx_ok = ef_axis[:, None] + an_energy_axis[None, :] <= b_t * (1 + ACTIVE_RTOL)
-
-    best_val = np.inf
-    best = None
-    for e_r in er_axis:
-        if e_r > b_l * (1 + ACTIVE_RTOL):
-            break
-        errv = 1.0 / (1.0 / p.var_h + e_r / (p.n_l * p.var_wt))
-        r_eff = n_an * var_a_axis * errv + p.var_w
-        nmse_l = 1.0 / (1.0 / p.var_h + (ef_axis[:, None] / p.n_t) / r_eff[None, :])
-        avg_ok = (e_r + ef_axis[:, None] + an_energy_axis[None, :]
-                  <= s * (1 + ACTIVE_RTOL))
-        mask = floor_ok & tx_ok & avg_ok
-        if not mask.any():
-            continue
-        masked = np.where(mask, nmse_l, np.inf)
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        if masked[i, j] < best_val:
-            best_val = float(masked[i, j])
-            best = (float(e_r), float(ef_axis[i]), float(var_a_axis[j]))
-    if best is None:
-        raise NoFeasiblePoint(
-            "no lattice point satisfies the budgets and the UR floor; "
-            "check gamma or refine the grid")
-    alloc = reciprocal_allocation(*best)
-    return ReciprocalSolution(
-        alloc=alloc, objective=best_val, branch="grid",
         active_constraints=_active_constraints(p, gamma, alloc),
     )

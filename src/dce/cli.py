@@ -33,15 +33,14 @@ import dataclasses
 import sys
 from typing import List, Optional, Sequence
 
-from .config import (JENSEN_VARIANTS, KEY_BY_NAME, KEYS, ExperimentConfig,
-                     read_config_file)
-from .errors import (ConfigError, Infeasible, InfeasibleGamma,
-                     NoFeasiblePoint, NotConverged, RankDeficient,
-                     SingularRegressor, Stalled, UnsupportedGeometry)
+from .config import KEY_BY_NAME, KEYS, ExperimentConfig, read_config_file
+from .errors import (ConfigError, Infeasible, InfeasibleGamma, NotConverged,
+                     RankDeficient, SingularRegressor, Stalled,
+                     UnsupportedGeometry)
 from .montecarlo import (DESK_SER_TRIALS, MIN_NMSE_TRIALS, MIN_ORACLE_SAMPLES,
                          jensen_oracle, run_nmse_experiment,
                          run_ser_experiment, solve_allocation)
-from .nmse import check_gamma, nmse_lower_bound
+from .nmse import JENSEN_VARIANTS, check_gamma, nmse_lower_bound
 from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, linear_to_db,
                      with_fixed_energy_budgets)
 from .tables import ResultTable, check_writable, write_table
@@ -69,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("alloc", cmd_alloc, "solve the power allocation"),
             ("nmse", cmd_nmse, "analytic vs empirical estimation error"),
             ("ser", cmd_ser, "data-phase symbol error rates"),
-            ("verify", cmd_verify, "run the self-check oracle suite")):
+            ("verify", cmd_verify,
+             "check the echo scheme's spectral factor at one point")):
         sp = sub.add_parser(name, help=extra)
         sp.add_argument("--config", help="key=value config file; flags override it")
         for key in KEYS:
@@ -229,7 +229,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleGamma, Infeasible, NoFeasiblePoint) as exc:
+    except (InfeasibleGamma, Infeasible) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except UnsupportedGeometry as exc:

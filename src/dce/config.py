@@ -26,11 +26,14 @@ from typing import (Callable, Dict, Iterator, NamedTuple, Optional, Tuple,
                     Union)
 
 from .errors import ConfigError
-from .params import (NON_RECIPROCAL, RECIPROCAL, SystemParams, db_to_linear,
-                     default_params)
+from .nmse import JENSEN_VARIANTS
+from .ostbc import SUPPORTED_QAM
+from .params import (NON_RECIPROCAL, RECIPROCAL, SCHEMES, SystemParams,
+                     db_to_linear, default_params)
 
 FORMATS = ("csv", "json")
-JENSEN_VARIANTS = ("printed", "sigma-squared")
+_QAM_ORDERS = (", ".join(map(str, SUPPORTED_QAM[:-1]))
+               + f" or {SUPPORTED_QAM[-1]}")
 # Longest training phase accepted, in slots, and most antennas at any
 # terminal: Monte-Carlo blocks hold (trials, tau, n) and (trials, n_t, n_t)
 # arrays.  Every training length is a given tau_f or tau_r, or a default
@@ -74,7 +77,7 @@ class ExperimentConfig:
         self.pave_db = _as_sweep(self.pave_db)
 
     def validate(self) -> "ExperimentConfig":
-        if self.scheme not in (RECIPROCAL, NON_RECIPROCAL):
+        if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be '{RECIPROCAL}' or '{NON_RECIPROCAL}'")
         if not self.gamma or any(g <= 0 for g in self.gamma):
             raise ConfigError("gamma must be one or more positive values")
@@ -97,8 +100,8 @@ class ExperimentConfig:
             if self.scheme == RECIPROCAL:
                 raise ConfigError("jensen_variant does not apply to the reciprocal "
                                   "scheme, whose closed forms have no Jensen surrogate")
-        if self.modulation not in (4, 16, 64):
-            raise ConfigError("modulation must be 4, 16 or 64")
+        if self.modulation not in SUPPORTED_QAM:
+            raise ConfigError(f"modulation must be {_QAM_ORDERS}")
         for name in ("n_t", "n_l", "n_u"):
             v = getattr(self, name)
             if v < 1:
@@ -202,7 +205,7 @@ KEYS = (
     Key("seed", _scalar(int), _SAMPLING, "nonnegative RNG seed"),
     Key("jensen_variant", _scalar(str), _PROTOCOL,
         f"echo-scheme NMSE surrogate: {' or '.join(JENSEN_VARIANTS)}"),
-    Key("modulation", _scalar(int), ("ser",), "QAM order: 4, 16 or 64"),
+    Key("modulation", _scalar(int), ("ser",), f"QAM order: {_QAM_ORDERS}"),
     Key("format", _scalar(str), COMMANDS, f"table format: {' or '.join(FORMATS)}"),
     Key("out", _scalar(str), COMMANDS, "output path (default: stdout)"),
 )

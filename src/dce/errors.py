@@ -24,7 +24,12 @@ class InfeasibleGamma(DceError):
 
 
 class NoFeasiblePoint(DceError):
-    """A brute-force lattice contains no point satisfying all constraints."""
+    """A brute-force lattice contains no point satisfying all constraints.
+
+    No library code raises it.  Its users are the test suite's lattice
+    oracles (``tests/oracles.py``) and the benchmark harness's own test,
+    which raises ``dce.NoFeasiblePoint`` as a sample operation failure.
+    """
 
 
 class Infeasible(DceError):

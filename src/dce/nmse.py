@@ -21,6 +21,8 @@ from .errors import InfeasibleGamma
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .training import echo_gain
 
+JENSEN_VARIANTS = ("printed", "sigma-squared")   # the first is the default
+
 
 def lmmse_error_var(prior, energy, n, noise):
     """Per-entry LMMSE error variance when pilot energy ``energy`` is spread
@@ -80,7 +82,7 @@ def downlink_beta(params: SystemParams, alloc: PowerAllocation) -> float:
 def _jensen_terms(params: SystemParams, alloc: PowerAllocation,
                   variant: str) -> Tuple[float, float]:
     """(beta, s) of the spectral surrogate n_t*s/(beta + n_t*s)."""
-    if variant not in ("printed", "sigma-squared"):
+    if variant not in JENSEN_VARIANTS:
         raise ValueError(f"unknown jensen variant {variant!r}")
     sigma2 = sigma_sq_uplink(params, alloc.e_2)
     return downlink_beta(params, alloc), (np.sqrt(sigma2) if variant == "printed" else sigma2)

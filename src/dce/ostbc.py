@@ -11,7 +11,8 @@ triple (s1, s2, s3) is::
 
 Columns are mutually orthogonal with squared norm |s1|^2+|s2|^2+|s3|^2, so
 after stacking real and imaginary parts the map from the six real symbol
-coordinates to the received block is a scaled isometry (``dispersion_map``).
+coordinates to the received block is a scaled isometry (the dispersion map;
+the test suite builds it explicitly, in ``tests/test_ostbc.py``).
 Matched filtering through that map is therefore exact ML and reduces
 detection to independent nearest-neighbor decisions.  The decoder evaluates
 the matched filter in closed form for whole stacks of blocks, each with the
@@ -77,34 +78,11 @@ def code_matrix(symbols: np.ndarray) -> np.ndarray:
     return ext[..., _CODE_INDEX] * _CODE_SIGN
 
 
-def _real_basis() -> np.ndarray:
-    """The six real coordinates (Re s1, Im s1, ..., Im s3) as symbol triples."""
-    out = np.zeros((6, CODE_SYMBOLS), dtype=complex)
-    for k in range(CODE_SYMBOLS):
-        out[2 * k, k] = 1.0
-        out[2 * k + 1, k] = 1j
-    return out
-
-
 def _require_code_antennas(h: np.ndarray) -> None:
     if h.shape[-2] != CODE_ANTENNAS:
         raise UnsupportedGeometry(
             f"the block code drives {CODE_ANTENNAS} transmit antennas, "
             f"got a channel with {h.shape[-2]} rows")
-
-
-def dispersion_map(h: np.ndarray, scale: float) -> np.ndarray:
-    """Real linear map from symbol coordinates to the received block.
-
-    Column j stacks Re/Im of scale * code_matrix(basis_j) @ h.  Orthogonality
-    of the code makes m.T @ m == scale**2 * ||h||_F**2 * I exactly.
-    """
-    _require_code_antennas(h)
-    cols = []
-    for basis in _real_basis():
-        block = scale * code_matrix(basis) @ h
-        cols.append(np.concatenate([block.real.ravel(), block.imag.ravel()]))
-    return np.stack(cols, axis=1)
 
 
 def encode_block(symbols: np.ndarray, scale: float) -> np.ndarray:
@@ -136,12 +114,13 @@ def decode_block(y: np.ndarray, h_hat: np.ndarray, scale: float,
     (..., 4, M), each decoded with the channel (..., 4, M) the receiver
     believes in.
 
-    The matched filter m.T y / (scale^2 ||h||^2) of ``dispersion_map``,
-    written out per symbol: each symbol collects the four slots it occupies,
-    conjugated where the codeword carries its conjugate.  ``constellation``
-    must be ``qam_constellation(constellation.size)``, the only grid the
-    slicer is exact for; anything else, and a non-finite block or estimate,
-    raises ValueError.
+    The matched filter m.T y / (scale^2 ||h||^2) of the dispersion map m
+    (built explicitly in ``tests/test_ostbc.py``), written out per symbol:
+    each symbol collects the four slots it occupies, conjugated where the
+    codeword carries its conjugate.  ``constellation`` must be
+    ``qam_constellation(constellation.size)``, the only grid the slicer is
+    exact for; anything else, and a non-finite block or estimate, raises
+    ValueError.
     """
     _require_code_antennas(h_hat)
     constellation = np.asarray(constellation)

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 import dce.cli as cli
-from dce.alloc_reciprocal import grid_oracle_reciprocal, solve_reciprocal
+from dce.alloc_reciprocal import solve_reciprocal
 from dce.gp import (
     condense,
     condensed_ratio,
     denominator_exponents,
-    grid_oracle_nonreciprocal,
     ratio_parts,
 )
 from dce.montecarlo import (
@@ -39,6 +38,7 @@ from dce.params import (
     with_fixed_energy_budgets,
 )
 from helpers import strip_footer
+from oracles import grid_oracle_nonreciprocal, grid_oracle_reciprocal
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:

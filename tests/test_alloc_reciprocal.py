@@ -9,12 +9,12 @@ import pytest
 
 from dce.alloc_reciprocal import (
     _inner_solution,
-    grid_oracle_reciprocal,
     solve_reciprocal,
 )
 from dce.errors import InfeasibleGamma
 from dce.nmse import gamma_bounds, gamma_tilde, nmse_u_reciprocal
 from dce.params import RECIPROCAL, default_params
+from oracles import grid_oracle_reciprocal
 
 
 GAMMA = 0.1

@@ -26,7 +26,6 @@ from dce.gp import (
     condensed_ratio,
     denominator_exponents,
     from_gp_variables,
-    grid_oracle_nonreciprocal,
     initial_feasible_state,
     monomial,
     quality_score,
@@ -37,6 +36,7 @@ from dce.gp import (
 from dce.nmse import (gamma_tilde, nmse_l_nonreciprocal_approx,
                       nmse_u_nonreciprocal)
 from dce.params import default_params, nonreciprocal_allocation
+from oracles import grid_oracle_nonreciprocal
 
 GOLDEN_PANEL = json.loads(
     (Path(__file__).parent / "golden" / "condense_panel.json").read_text())

@@ -18,6 +18,7 @@ from dce.montecarlo import (
     run_ser_experiment,
     solve_allocation,
 )
+from dce.nmse import JENSEN_VARIANTS
 from dce.ostbc import (CODE_SLOTS, CODE_SYMBOLS, block_scale, decode_block,
                        encode_block, qam_constellation)
 from dce.params import (
@@ -28,8 +29,6 @@ from dce.params import (
     reciprocal_allocation,
 )
 from dce.rng import complex_gaussian, trial_rng
-
-JENSEN_VARIANTS = ("printed", "sigma-squared")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from dce.ostbc import (
     block_scale,
     code_matrix,
     decode_block,
-    dispersion_map,
     encode_block,
     qam_constellation,
 )
@@ -108,11 +107,12 @@ def test_dispersion_map_is_scaled_isometry(rng):
     np.testing.assert_allclose(m.T @ m, expected, atol=1e-10)
 
 
-def test_dispersion_map_antenna_guard(rng):
-    with pytest.raises(UnsupportedGeometry):
-        dispersion_map(complex_gaussian(rng, (6, 2)), 1.0)
-    with pytest.raises(UnsupportedGeometry):
-        dispersion_map(complex_gaussian(rng, (2, 2)), 1.0)
+def test_decode_block_antenna_guard(rng):
+    pts = qam_constellation(4)
+    for shape in ((6, 2), (2, 2)):
+        with pytest.raises(UnsupportedGeometry):
+            decode_block(complex_gaussian(rng, (4, 2)),
+                         complex_gaussian(rng, shape), 1.0, pts)
 
 
 def test_decode_inverts_encode_noiselessly(rng):
@@ -163,6 +163,28 @@ def test_decode_degrades_gracefully_with_bad_csi(rng):
         good += int(np.sum(decode_block(y, h, scale, pts) != idx))
         bad += int(np.sum(decode_block(y, h_bad, scale, pts) != idx))
     assert bad > good
+
+
+def _real_basis() -> np.ndarray:
+    """The six real coordinates (Re s1, Im s1, ..., Im s3) as symbol triples."""
+    out = np.zeros((6, CODE_SYMBOLS), dtype=complex)
+    for k in range(CODE_SYMBOLS):
+        out[2 * k, k] = 1.0
+        out[2 * k + 1, k] = 1j
+    return out
+
+
+def dispersion_map(h: np.ndarray, scale: float) -> np.ndarray:
+    """Real linear map from symbol coordinates to the received block.
+
+    Column j stacks Re/Im of scale * code_matrix(basis_j) @ h.  Orthogonality
+    of the code makes m.T @ m == scale**2 * ||h||_F**2 * I exactly.
+    """
+    cols = []
+    for basis in _real_basis():
+        block = scale * code_matrix(basis) @ h
+        cols.append(np.concatenate([block.real.ravel(), block.imag.ravel()]))
+    return np.stack(cols, axis=1)
 
 
 def _reference_decode(y, h, scale, constellation):
