@@ -40,7 +40,7 @@ from .errors import (ConfigError, Infeasible, InfeasibleGamma, NotConverged,
 from .montecarlo import (DESK_SER_TRIALS, MIN_NMSE_TRIALS, MIN_ORACLE_SAMPLES,
                          jensen_oracle, run_nmse_experiment,
                          run_ser_experiment, solve_allocation)
-from .nmse import JENSEN_VARIANTS, check_gamma, nmse_lower_bound
+from .nmse import JENSEN_VARIANTS, nmse_lower_bound
 from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, linear_to_db,
                      with_fixed_energy_budgets)
 from .tables import ResultTable, check_writable, write_table
@@ -182,7 +182,7 @@ def _require(ok, message: str) -> None:
 
 def _check_jensen_adjudication(params, alloc, trials: int, seed: int):
     report = jensen_oracle(params, alloc, trials=trials, seed=seed)
-    if report["printed"] == report["sigma-squared"] == 0.0:
+    if all(report[v] == 0.0 for v in JENSEN_VARIANTS):
         _require(report["empirical"] == 0.0, "factor must vanish without a round trip")
     else:
         _require(0.0 < report["empirical"] < 1.0, "spectral factor out of range")
@@ -199,9 +199,9 @@ def cmd_verify(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
         raise ConfigError(f"verify needs at least {MIN_ORACLE_SAMPLES} trials, "
                           f"got {trials}")
     params = cfg.to_params(cfg.pave_db[0])
-    # an infeasible point or a solver failure is not a failed check: both
-    # exit before the table, as in every other command
-    check_gamma(params, cfg.gamma[0], NON_RECIPROCAL)
+    # an infeasible point (condense checks the floor first) or a solver
+    # failure is not a failed check: both exit before the table, as in
+    # every other command
     alloc, _, _ = solve_allocation(params, cfg.gamma[0], NON_RECIPROCAL)
     table = ResultTable(["check", "status", "deviation", "detail"])
     try:

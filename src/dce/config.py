@@ -67,7 +67,7 @@ class ExperimentConfig:
     tau_f: Optional[int] = None
     trials: Optional[int] = None
     seed: int = 0
-    jensen_variant: Optional[str] = None   # None: the echo scheme's "printed"
+    jensen_variant: Optional[str] = None   # None: JENSEN_VARIANTS[0]
     modulation: int = 64
     format: str = "csv"
     out: Optional[str] = None
@@ -129,7 +129,7 @@ class ExperimentConfig:
         return self
 
     def jensen(self) -> str:
-        """The Jensen variant in force: the given one, else "printed"."""
+        """The Jensen variant in force: the given one, else the default."""
         return self.jensen_variant or JENSEN_VARIANTS[0]
 
     def to_params(self, pave_db: float) -> SystemParams:

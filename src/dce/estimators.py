@@ -66,17 +66,17 @@ def tx_estimate_uplink(y_t2: np.ndarray, params: SystemParams,
     return shared_matmul(w, y_t2)
 
 
-def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
-                         h_u_hat: np.ndarray, params: SystemParams,
+def tx_estimate_downlink(y_t1: np.ndarray, h_u_hat: np.ndarray,
+                         params: SystemParams,
                          alloc: PowerAllocation) -> np.ndarray:
     r"""Downlink estimates from the echoed blocks, conditioned on the uplink
     estimates.
 
     Each trial's estimate is
-    var_hd/(alpha t0) X_t0^H Y_t1 (Hu_hat^H Hu_hat + beta I)^{-1} Hu_hat^H,
-    with ``x_t0`` the (n_t, n_t) probe every trial shares, so X_t0^H Y_t1
-    is one GEMM over the stack.  The formula holds for any probe with
-    X_t0^H X_t0 = (e_0/n_t) I; ``training.round_trip_training`` fixes it,
+    var_hd/(alpha t0) X_t0^H Y_t1 (Hu_hat^H Hu_hat + beta I)^{-1} Hu_hat^H
+    for the probe X_t0 = sqrt(e_0/n_t) I that ``training.round_trip_training``
+    sends, so X_t0^H Y_t1 is Y_t1 times that scalar.  The formula holds for
+    any probe with X_t0^H X_t0 = (e_0/n_t) I; the simulator fixes it,
     because the probe is the transmitter's own and the UR never observes
     the round trip.
     Given Hu_hat, its error covariance is
@@ -100,7 +100,7 @@ def tx_estimate_downlink(y_t1: np.ndarray, x_t0: np.ndarray,
     if not np.all(np.isfinite(gram)):
         raise SingularRegressor("regularized uplink Gram matrix is not finite")
     gain = params.var_hd / (alpha * t0_round_trip(params, alloc.e_0))
-    return gain * (shared_matmul(x_t0.conj().T, y_t1)
+    return gain * ((np.sqrt(alloc.e_0 / params.n_t) * y_t1)
                    @ np.conj(np.swapaxes(np.linalg.solve(gram, h_u_hat), -1, -2)))
 
 
@@ -118,7 +118,7 @@ def lr_estimate_reciprocal(y_l: np.ndarray, params: SystemParams,
 
 def lr_estimate_nonreciprocal(y_l3: np.ndarray, params: SystemParams,
                               alloc: PowerAllocation,
-                              jensen_variant: str = "printed") -> np.ndarray:
+                              jensen_variant: str) -> np.ndarray:
     """LR's forward-phase estimates under the approximated disturbance covariance."""
     r_eff = lr_effective_noise_nonreciprocal(params, alloc, jensen_variant)
     w = _pilot_filter(params.var_hd, r_eff, alloc.e_3, params.n_t, params.n_t)

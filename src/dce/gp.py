@@ -91,9 +91,6 @@ class CondensationTrace:
     converged: bool = False
     ratio_activity: float = float("nan")
 
-    def objectives(self) -> List[float]:
-        return [s.objective for s in self.steps]
-
 
 @dataclass(frozen=True)
 class NonReciprocalSolution:

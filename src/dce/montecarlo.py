@@ -24,9 +24,9 @@ from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          tx_estimate_downlink, tx_estimate_reciprocal,
                          tx_estimate_uplink, ur_estimate)
 from .gp import condense
-from .nmse import (downlink_beta, jensen_factor, nmse_l_nonreciprocal_approx,
-                   nmse_l_reciprocal, nmse_u_nonreciprocal, nmse_u_reciprocal,
-                   sigma_sq_uplink)
+from .nmse import (JENSEN_VARIANTS, downlink_beta, jensen_factor,
+                   nmse_l_nonreciprocal_approx, nmse_l_reciprocal,
+                   nmse_u_nonreciprocal, nmse_u_reciprocal, sigma_sq_uplink)
 from .ostbc import (CODE_SLOTS, CODE_SYMBOLS, SUPPORTED_QAM, block_scale,
                     decode_block, encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
@@ -83,16 +83,16 @@ def _transmitter_side_estimate(params: SystemParams, alloc: PowerAllocation,
     """The (T, n_t, n_l) matrices whose left null spaces carry the AN.
 
     These are the transmitter's downlink estimates, except when it holds no
-    downlink information (reciprocal e_r = 0; echo e_1 = 0 or e_2 = 0).
+    downlink information (reciprocal e_r = 0; echo e_0, e_1 or e_2 = 0).
     Its estimate is then identically zero and has no null space, so AN goes
     into the null space of an independent CN(0, 1) draw instead: a
     Haar-random subspace, which is the model the closed forms assume.  The
     branch is decided from the allocation alone, and without AN the draws
     are those of the plain path.
     """
-    _, y_t = reverse_training(params, alloc, h_u, rng)
+    y_t = reverse_training(params, alloc, h_u, rng)
     informed = (alloc.e_r > 0 if alloc.scheme == RECIPROCAL
-                else alloc.e_1 > 0 and alloc.e_2 > 0)
+                else alloc.e_0 > 0 and alloc.e_1 > 0 and alloc.e_2 > 0)
     if alloc.var_a > 0 and not informed:
         return complex_gaussian(rng, (h_d.shape[0], params.n_t, params.n_l), 1.0)
     if alloc.scheme == RECIPROCAL:
@@ -101,8 +101,8 @@ def _transmitter_side_estimate(params: SystemParams, alloc: PowerAllocation,
     if alloc.e_1 <= 0:
         # no echo energy: the transmitter has no downlink information at all
         return np.zeros((h_d.shape[0], params.n_t, params.n_l), dtype=complex)
-    x_t0, _, y_t1 = round_trip_training(params, alloc, h_d, h_u, rng)
-    return tx_estimate_downlink(y_t1, x_t0, hu_hat, params, alloc)
+    y_t1 = round_trip_training(params, alloc, h_d, h_u, rng)
+    return tx_estimate_downlink(y_t1, hu_hat, params, alloc)
 
 
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
@@ -150,7 +150,7 @@ def _run_blocks(block_fn: Callable, trials: int, seed: int) -> Tuple[np.ndarray,
 
 def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
                         trials: int = 1000, seed: int = 0,
-                        jensen_variant: str = "printed") -> NmseReport:
+                        jensen_variant: str = JENSEN_VARIANTS[0]) -> NmseReport:
     """Empirical channel-estimation NMSE at both receivers.
 
     The LR and UR run their production filters against freshly drawn
@@ -190,7 +190,7 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
 
 
 def solve_allocation(params: SystemParams, gamma: float, scheme: str,
-                     jensen_variant: str = "printed",
+                     jensen_variant: str = JENSEN_VARIANTS[0],
                      ) -> Tuple[PowerAllocation, float, float]:
     """Solve the scheme's allocation problem; returns (alloc, nmse_l, nmse_u).
 
@@ -216,7 +216,7 @@ def solve_allocation(params: SystemParams, gamma: float, scheme: str,
 def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
                        trials: int = DESK_SER_TRIALS, seed: int = 0,
                        scheme: str = RECIPROCAL,
-                       jensen_variant: str = "printed") -> SerReport:
+                       jensen_variant: str = JENSEN_VARIANTS[0]) -> SerReport:
     """Data-phase symbol error rates when both receivers decode one block of
     the four-antenna rate-3/4 orthogonal code using their own channel
     estimates as if they were the truth.  An allocation that meets the
@@ -229,7 +229,7 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
     if params.n_t != 4:
         raise UnsupportedGeometry(
             f"the block code needs exactly 4 transmit antennas, got {params.n_t}")
-    alloc, _, _ = solve_allocation(params, gamma, scheme, jensen_variant)
+    alloc, _, _ = solve_allocation(params, gamma, scheme)
     if (alloc.e_f if scheme == RECIPROCAL else alloc.e_3) == 0.0:
         raise InfeasibleGamma(
             f"gamma={gamma} is met with no forward pilots, so neither receiver "
@@ -247,7 +247,7 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
             rng, (n, CODE_SLOTS, params.n_l), params.var_w)
         y_ur = received[..., params.n_l:] + complex_gaussian(
             rng, (n, CODE_SLOTS, params.n_u), params.var_v)
-        errors = [np.count_nonzero(decode_block(y, est, scale, constellation) != sent,
+        errors = [np.count_nonzero(decode_block(y, est, scale, modulation) != sent,
                                    axis=1)
                   for y, est in ((y_lr, lr_est), (y_ur, ur_est))]
         return np.stack(errors, axis=1), bad
@@ -266,11 +266,13 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
 def jensen_oracle(params: SystemParams, alloc: PowerAllocation,
                   trials: int = MIN_ORACLE_SAMPLES,
                   seed: int = 0) -> Dict[str, object]:
-    """Adjudicate the two closed-form spectral surrogates empirically.
+    """Adjudicate the closed-form spectral surrogates empirically.
 
     Samples the eigenvalues lambda of Hu_hat Hu_hat^H (entries i.i.d.
     complex Gaussian with the uplink-estimate variance) and averages
-    lambda/(lambda+beta), then reports which closed form lands closer.
+    lambda/(lambda+beta).  Returns that ``empirical`` average, each
+    variant of ``nmse.JENSEN_VARIANTS`` keyed by name, and the ``closer``
+    one (the first, on a tie).
     The eigenvalue average converges slowly, so fewer than
     MIN_ORACLE_SAMPLES samples would adjudicate on noise; such calls are
     rejected outright.  Samples are drawn and reduced ORACLE_CHUNK at a
@@ -293,16 +295,7 @@ def jensen_oracle(params: SystemParams, alloc: PowerAllocation,
             lam = np.linalg.eigvalsh(hu @ np.conj(np.swapaxes(hu, 1, 2)))
             total += float(np.sum(lam / (lam + beta)))
         empirical = total / (trials * params.n_l)
-    printed = jensen_factor(params, alloc, "printed")
-    sigma_squared = jensen_factor(params, alloc, "sigma-squared")
-    closer = ("printed" if abs(empirical - printed) <= abs(empirical - sigma_squared)
-              else "sigma-squared")
-    return {
-        "empirical": empirical,
-        "printed": printed,
-        "sigma-squared": sigma_squared,
-        "closer": closer,
-        "beta": beta,
-        "sigma_sq": sigma2,
-        "trials": trials,
-    }
+    report = {"empirical": empirical,
+              **{v: jensen_factor(params, alloc, v) for v in JENSEN_VARIANTS}}
+    report["closer"] = min(JENSEN_VARIANTS, key=lambda v: abs(empirical - report[v]))
+    return report

@@ -89,7 +89,7 @@ def _jensen_terms(params: SystemParams, alloc: PowerAllocation,
 
 
 def jensen_factor(params: SystemParams, alloc: PowerAllocation,
-                  variant: str = "printed") -> float:
+                  variant: str) -> float:
     r"""Surrogate for E{1/(beta/lambda + 1)} over the uplink-estimate spectrum.
 
     ``printed`` uses n_t*sigma/(beta + n_t*sigma) with sigma the square
@@ -136,7 +136,7 @@ def lr_effective_noise_reciprocal(params: SystemParams, e_r: float,
 
 
 def lr_effective_noise_nonreciprocal(params: SystemParams, alloc: PowerAllocation,
-                                     jensen_variant: str = "printed") -> float:
+                                     jensen_variant: str) -> float:
     """AN leakage through the echo-based downlink estimate, plus LR noise."""
     residual = float(leakage_residual(
         params, alloc.e_0, *_jensen_terms(params, alloc, jensen_variant)))
@@ -170,7 +170,7 @@ def nmse_u_reciprocal(params: SystemParams, e_f: float, var_a: float) -> float:
 
 
 def nmse_l_nonreciprocal_approx(params: SystemParams, alloc: PowerAllocation,
-                                jensen_variant: str = "printed") -> float:
+                                jensen_variant: str) -> float:
     """Approximate LR NMSE for the echo-based scheme (Jensen surrogate)."""
     r_eff = lr_effective_noise_nonreciprocal(params, alloc, jensen_variant)
     return lmmse_error_var(params.var_hd, alloc.e_3, params.n_t, r_eff)

@@ -46,8 +46,8 @@ SUPPORTED_QAM = (4, 16, 64)
 def qam_constellation(order: int) -> np.ndarray:
     """Square QAM points with unit average energy, index = (row-major grid).
 
-    Cached (and marked read-only) because ``decode_block`` checks every
-    constellation it is given against this grid.
+    Cached (and marked read-only) because every Monte Carlo block maps its
+    symbols through it and ``decode_block`` slices it.
     """
     if order not in SUPPORTED_QAM:
         raise ValueError(f"modulation order must be one of {SUPPORTED_QAM}")
@@ -109,25 +109,19 @@ def _slice_square_qam(symbols: np.ndarray, constellation: np.ndarray) -> np.ndar
 
 
 def decode_block(y: np.ndarray, h_hat: np.ndarray, scale: float,
-                 constellation: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor symbol indices (..., 3) for received blocks
-    (..., 4, M), each decoded with the channel (..., 4, M) the receiver
-    believes in.
+                 order: int) -> np.ndarray:
+    """Nearest-neighbor indices into ``qam_constellation(order)`` (..., 3)
+    for received blocks (..., 4, M), each decoded with the channel
+    (..., 4, M) the receiver believes in.
 
     The matched filter m.T y / (scale^2 ||h||^2) of the dispersion map m
     (built explicitly in ``tests/test_ostbc.py``), written out per symbol:
     each symbol collects the four slots it occupies, conjugated where the
-    codeword carries its conjugate.  ``constellation`` must be
-    ``qam_constellation(constellation.size)``, the only grid the slicer is
-    exact for; anything else, and a non-finite block or estimate, raises
-    ValueError.
+    codeword carries its conjugate.  An order outside SUPPORTED_QAM, and a
+    non-finite block or estimate, raises ValueError.
     """
     _require_code_antennas(h_hat)
-    constellation = np.asarray(constellation)
-    if (constellation.size not in SUPPORTED_QAM or not np.array_equal(
-            constellation, qam_constellation(constellation.size))):
-        raise ValueError("decode_block slices only the square grids of "
-                         "qam_constellation")
+    constellation = qam_constellation(order)
     if not (np.isfinite(y).all() and np.isfinite(h_hat).all()):
         # the slicer would turn a NaN into an index outside the constellation
         raise ValueError("received block or channel estimate is not finite")

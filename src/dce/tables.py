@@ -26,8 +26,6 @@ _QUOTE_TRIGGERS = (",", '"', "\r", "\n")
 
 
 def format_number(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -108,16 +106,15 @@ def check_writable(out: str) -> None:
         raise ConfigError(f"cannot write {out}: {exc}")
 
 
-def write_table(table: ResultTable, fmt: str, out: Optional[str]) -> str:
+def write_table(table: ResultTable, fmt: str, out: Optional[str]) -> None:
     """Print the rendered table, or write it to ``out``; a file that cannot
     be written is a ConfigError."""
     text = table.render(fmt)
     if out is None:
         print(text, end="")
-        return text
+        return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc}") from exc
-    return text

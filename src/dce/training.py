@@ -6,14 +6,15 @@ block is (T, tau, M).  Pilot blocks are deterministic truncated-DFT
 matrices shared by all trials: the tau x n block made of the first n
 columns of the unitary tau-point DFT satisfies C^H C = I_n exactly, which
 is the only property the estimators rely on.  The round-trip probe is a
-deterministic scaled identity shared by all trials too: it is private to
-the transmitter and the UR never observes the round trip, so any scaled
-unitary probe gives the same joint law of channels and estimates
-(``round_trip_training``).
+scaled identity, so it is a scalar: it is private to the transmitter and
+the UR never observes the round trip, so any scaled unitary probe gives the
+same joint law of channels and estimates (``round_trip_training``).
 
 A matrix shared by a whole stack (a pilot block, an estimator's filter)
 multiplies it through ``shared_matmul``: one GEMM over all trials rather
-than the one tiny GEMM per trial a stacked ``@`` makes.
+than the one tiny GEMM per trial a stacked ``@`` makes.  A training phase
+returns what is received, not the pilot sent, which is ``pilot_matrix``
+scaled.
 
 The forward phase builds neither the AN basis nor the transmit block.
 ``null_space_basis`` applies the Householder reflectors of each estimate's
@@ -148,9 +149,8 @@ def null_space_basis(h_hat: np.ndarray,
 
 
 def reverse_training(params: SystemParams, alloc: PowerAllocation,
-                     h_u: np.ndarray,
-                     rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    r"""LR-to-transmitter pilot phase; returns ``(x_l, y_t)``.
+                     h_u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    r"""LR-to-transmitter pilot phase; returns the received stack ``y_t``.
 
     Reciprocal: X_L = sqrt(E_R/n_l) C_L (tau_r x n_l, shared by every
     trial), received Y_t = X_L H^T + noise (T, tau_r, n_t).  Non-reciprocal:
@@ -163,7 +163,7 @@ def reverse_training(params: SystemParams, alloc: PowerAllocation,
         energy, tau = alloc.e_2, params.n_l
     x_l = np.sqrt(energy / params.n_l) * pilot_matrix(tau, params.n_l)
     noise = complex_gaussian(rng, (h_u.shape[0], tau, params.n_t), params.var_wt)
-    return x_l, shared_matmul(x_l, h_u) + noise
+    return shared_matmul(x_l, h_u) + noise
 
 
 def echo_gain(params: SystemParams, e_0: float, e_1: float) -> float:
@@ -173,17 +173,16 @@ def echo_gain(params: SystemParams, e_0: float, e_1: float) -> float:
 
 
 def round_trip_training(params: SystemParams, alloc: PowerAllocation,
-                        h_d: np.ndarray, h_u: np.ndarray, rng: np.random.Generator,
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        h_d: np.ndarray, h_u: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
     r"""Transmitter probe + LR echo (non-reciprocal scheme only); returns
-    ``(x_t0, y_l0, y_t1)``: the (n_t, n_t) probe every trial shares and the
-    two received stacks.
+    the (T, n_t, n_t) stack ``y_t1`` the transmitter receives.
 
     The probe is X_t0 = sqrt(e_0/n_t) I, so trace(X_t0^H X_t0) = e_0 as
-    required.  The LR receives Y_L0 = X_t0 H_d + W_0, applies the gain
-    alpha (``echo_gain``), and the transmitter observes
-    Y_t1 = alpha X_t0 H_d H_u + alpha W_0 H_u + W_1.  The gain normalizes
-    the mean echo energy to exactly e_1.
+    required, and it enters as that scalar.  The LR receives
+    Y_L0 = X_t0 H_d + W_0, applies the gain alpha (``echo_gain``), and the
+    transmitter observes Y_t1 = alpha X_t0 H_d H_u + alpha W_0 H_u + W_1.
+    The gain normalizes the mean echo energy to exactly e_1.
 
     The simulator may fix the probe because it is private to the
     transmitter and the UR never observes the round trip: only
@@ -196,13 +195,12 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
     if alloc.scheme != NON_RECIPROCAL:
         raise ValueError("round-trip training exists only in the non-reciprocal scheme")
     n_t, trials = params.n_t, h_d.shape[0]
-    # the round trip takes n_t slots, so the probe is square
-    x_t0 = np.sqrt(alloc.e_0 / n_t) * np.eye(n_t)
+    # the probe is square, so the round trip takes n_t slots
     w_0 = complex_gaussian(rng, (trials, n_t, params.n_l), params.var_w)
-    y_l0 = shared_matmul(x_t0, h_d) + w_0
+    y_l0 = np.sqrt(alloc.e_0 / n_t) * h_d + w_0
     alpha = echo_gain(params, alloc.e_0, alloc.e_1)
     w_1 = complex_gaussian(rng, (trials, n_t, n_t), params.var_wt)
-    return x_t0, y_l0, alpha * (y_l0 @ h_u) + w_1
+    return alpha * (y_l0 @ h_u) + w_1
 
 
 def forward_training(params: SystemParams, alloc: PowerAllocation,

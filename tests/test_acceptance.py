@@ -171,7 +171,7 @@ def test_accept_05_condensation_solves_the_echo_problem():
         for pave in (15.0, 20.0, 25.0):
             p = default_params(p_ave_db=pave)
             sol = condense(p, gamma)
-            objs = sol.trace.objectives()
+            objs = [step.objective for step in sol.trace.steps]
             assert len(objs) <= 50, f"{len(objs)} rounds at {pave}/{gamma}"
             assert sol.trace.converged
             assert all(b <= a * (1 + 1e-9) for a, b in zip(objs, objs[1:])), \

@@ -445,7 +445,7 @@ def test_condense_production_point():
     sol = condense(params, 0.1)
     assert sol.trace.converged
     assert len(sol.trace.steps) <= 50
-    objs = sol.trace.objectives()
+    objs = [step.objective for step in sol.trace.steps]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(objs, objs[1:]))
     assert abs(sol.trace.ratio_activity - 1.0) <= 1e-6
     assert sol.objective == pytest.approx(objs[-1])
@@ -477,7 +477,7 @@ def test_condense_monotone_on_random_instances():
             sol = condense(params, gamma)
         except Infeasible:
             continue
-        objs = sol.trace.objectives()
+        objs = [step.objective for step in sol.trace.steps]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(objs, objs[1:]))
         assert np.isfinite(sol.objective) and sol.objective > 0
         done += 1

@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dce import montecarlo, training
 from dce.alloc_reciprocal import solve_reciprocal
-from dce.errors import InfeasibleGamma, RankDeficient, UnsupportedGeometry
+from dce.errors import (InfeasibleGamma, NotConverged, RankDeficient,
+                        UnsupportedGeometry)
 from dce.estimators import tx_estimate_reciprocal
 from dce.montecarlo import (
     BLOCK_TRIALS,
@@ -18,12 +21,13 @@ from dce.montecarlo import (
     run_ser_experiment,
     solve_allocation,
 )
-from dce.nmse import JENSEN_VARIANTS
+from dce.nmse import JENSEN_VARIANTS, gamma_bounds
 from dce.ostbc import (CODE_SLOTS, CODE_SYMBOLS, block_scale, decode_block,
                        encode_block, qam_constellation)
 from dce.params import (
     NON_RECIPROCAL,
     RECIPROCAL,
+    SCHEMES,
     default_params,
     nonreciprocal_allocation,
     reciprocal_allocation,
@@ -82,7 +86,7 @@ def test_degenerate_trials_are_redrawn(defaults, monkeypatch):
         rng = trial_rng(5, block)
         n = min(BLOCK_TRIALS, trials - start)
         _, h_u, _ = training.sample_channels(defaults, RECIPROCAL, rng, n)
-        _, y_t = training.reverse_training(defaults, alloc, h_u, rng)
+        y_t = training.reverse_training(defaults, alloc, h_u, rng)
         _, full_rank = training.null_space_basis(
             tx_estimate_reciprocal(y_t, defaults, alloc.e_r), np.eye(defaults.n_t))
         expected += int(np.count_nonzero(~full_rank))
@@ -122,19 +126,27 @@ def _solved_blind_reciprocal():
     return params, solve_reciprocal(params, 0.5).alloc
 
 
+def _solved_unprobed_echo():
+    params = default_params(p_ave_db=0, n_t=2, n_l=1, n_u=1)
+    return params, solve_allocation(params, float(np.exp(-1.5)), NON_RECIPROCAL)[0]
+
+
 @pytest.mark.parametrize("instance", [
     _solved_blind_reciprocal,
     lambda: (default_params(), nonreciprocal_allocation(4.0, 0.0, 2.0, 4.0, var_a=1.0)),
     lambda: (default_params(), nonreciprocal_allocation(4.0, 2.0, 0.0, 4.0, var_a=1.0)),
-], ids=["reciprocal-e_r-0", "echo-e_1-0", "echo-e_2-0"])
+    _solved_unprobed_echo,
+], ids=["reciprocal-e_r-0", "echo-e_1-0", "echo-e_2-0", "echo-e_0-0"])
 def test_an_without_transmitter_estimate(instance):
     """A transmitter with no downlink information that sends AN puts it in
     a Haar-random subspace: no trial is redrawn, and both NMSEs land within
     6 standard errors of the closed forms, which assume that subspace.  The
     reciprocal instance is what ``solve_reciprocal`` returns at 0 dB, an
-    allocation with e_r = 0 and AN."""
+    allocation with e_r = 0 and AN; the e_0 = 0 one is what condensation
+    returns for a 2x1x1 geometry at 0 dB, whose echo carries no probe."""
     params, alloc = instance()
-    assert alloc.var_a > 0 and (alloc.e_r == 0 or alloc.e_1 * alloc.e_2 == 0)
+    assert alloc.var_a > 0 and (alloc.e_r == 0
+                                or alloc.e_0 * alloc.e_1 * alloc.e_2 == 0)
     report = run_nmse_experiment(params, alloc, trials=20000, seed=4)
     assert report.resampled_trials == 0
     se = 1.0 / 1.959963984540054
@@ -214,6 +226,31 @@ def test_solve_allocation_schemes(defaults):
         solve_allocation(defaults, 2.0, RECIPROCAL, "printed")
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(scheme=st.sampled_from(SCHEMES), p_ave_db=st.floats(0.0, 40.0),
+       n_t=st.integers(2, 6), data=st.data())
+def test_every_solved_allocation_runs_clean(scheme, p_ave_db, n_t, data):
+    """Whatever allocation either solver returns, at any geometry and any
+    log-uniform floor inside ``gamma_bounds``, runs through the Monte-Carlo
+    trial path without a redraw, its LR error lies in (0, prior] and its
+    UR error meets the floor.  Only an infeasible floor and an unconverged
+    condensation may stop a solve."""
+    params = default_params(p_ave_db=p_ave_db, n_t=n_t,
+                            n_l=data.draw(st.integers(1, n_t - 1), label="n_l"),
+                            n_u=data.draw(st.integers(1, 4), label="n_u"))
+    lo, hi = gamma_bounds(params, scheme)
+    gamma = float(np.exp(data.draw(st.floats(np.log(lo), np.log(hi)), label="ln gamma")))
+    try:
+        alloc, nmse_l, nmse_u = solve_allocation(params, gamma, scheme)
+    except (InfeasibleGamma, NotConverged):
+        assume(False)
+    report = run_nmse_experiment(params, alloc, trials=300)
+    prior = params.var_h if scheme == RECIPROCAL else params.var_hd
+    assert report.resampled_trials == 0
+    assert 0.0 < nmse_l <= prior
+    assert nmse_u >= gamma * (1 - 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # symbol-error experiments
 # ---------------------------------------------------------------------------
@@ -255,7 +292,7 @@ def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
         replay, (40, CODE_SLOTS, defaults.n_l), defaults.var_w)
     y_ur = blocks @ g + complex_gaussian(
         replay, (40, CODE_SLOTS, defaults.n_u), defaults.var_v)
-    want = [np.count_nonzero(decode_block(y, est, scale, pts) != sent, axis=1)
+    want = [np.count_nonzero(decode_block(y, est, scale, 64) != sent, axis=1)
             for y, est in ((y_lr, lr_est), (y_ur, ur_est))]
     np.testing.assert_array_equal(errors, np.stack(want, axis=1))
     np.testing.assert_array_equal(bad, replay_bad)

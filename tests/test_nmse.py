@@ -83,7 +83,7 @@ def test_lr_nonreciprocal_no_an_reduces_to_plain_lmmse(defaults):
     alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 8.0, var_a=0.0)
     plain = 1.0 / (1.0 / defaults.var_hd
                    + (8.0 / defaults.n_t) / defaults.var_w)
-    assert nmse_l_nonreciprocal_approx(defaults, alloc) == pytest.approx(plain)
+    assert nmse_l_nonreciprocal_approx(defaults, alloc, "printed") == pytest.approx(plain)
 
 
 def test_lr_nonreciprocal_no_probe_worst_case_leakage(defaults):
@@ -92,7 +92,7 @@ def test_lr_nonreciprocal_no_probe_worst_case_leakage(defaults):
     r_eff = ((defaults.n_t - defaults.n_l) * 2.0 * defaults.var_hd
              + defaults.var_w)
     expected = 1.0 / (1.0 / defaults.var_hd + (8.0 / defaults.n_t) / r_eff)
-    assert nmse_l_nonreciprocal_approx(defaults, alloc) == pytest.approx(expected)
+    assert nmse_l_nonreciprocal_approx(defaults, alloc, "printed") == pytest.approx(expected)
 
 
 def test_ur_nonreciprocal_matches_reciprocal_form(defaults):

@@ -108,11 +108,10 @@ def test_dispersion_map_is_scaled_isometry(rng):
 
 
 def test_decode_block_antenna_guard(rng):
-    pts = qam_constellation(4)
     for shape in ((6, 2), (2, 2)):
         with pytest.raises(UnsupportedGeometry):
             decode_block(complex_gaussian(rng, (4, 2)),
-                         complex_gaussian(rng, shape), 1.0, pts)
+                         complex_gaussian(rng, shape), 1.0, 4)
 
 
 def test_decode_inverts_encode_noiselessly(rng):
@@ -125,7 +124,7 @@ def test_decode_inverts_encode_noiselessly(rng):
             idx = rng.integers(0, order, size=CODE_SYMBOLS)
             y = encode_block(pts[idx], scale) @ h
             np.testing.assert_array_equal(
-                decode_block(y, h, scale, pts), idx)
+                decode_block(y, h, scale, order), idx)
 
 
 def test_decode_high_power_low_noise_ser(rng):
@@ -137,15 +136,14 @@ def test_decode_high_power_low_noise_ser(rng):
         h = complex_gaussian(rng, (4, 2))
         idx = rng.integers(0, 64, size=CODE_SYMBOLS)
         y = encode_block(pts[idx], scale) @ h + complex_gaussian(rng, (4, 2))
-        errors += int(np.sum(decode_block(y, h, scale, pts) != idx))
+        errors += int(np.sum(decode_block(y, h, scale, 64) != idx))
     assert errors == 0
 
 
 def test_decode_rejects_zero_estimate(rng):
-    pts = qam_constellation(4)
     with pytest.raises(UnsupportedGeometry):
         decode_block(complex_gaussian(rng, (4, 2)),
-                     np.zeros((4, 2), dtype=complex), 1.0, pts)
+                     np.zeros((4, 2), dtype=complex), 1.0, 4)
 
 
 def test_decode_degrades_gracefully_with_bad_csi(rng):
@@ -160,8 +158,8 @@ def test_decode_degrades_gracefully_with_bad_csi(rng):
         h_bad = 0.3 * h + complex_gaussian(rng, (4, 2), 0.91)
         idx = rng.integers(0, 16, size=CODE_SYMBOLS)
         y = encode_block(pts[idx], scale) @ h + complex_gaussian(rng, (4, 2))
-        good += int(np.sum(decode_block(y, h, scale, pts) != idx))
-        bad += int(np.sum(decode_block(y, h_bad, scale, pts) != idx))
+        good += int(np.sum(decode_block(y, h, scale, 16) != idx))
+        bad += int(np.sum(decode_block(y, h_bad, scale, 16) != idx))
     assert bad > good
 
 
@@ -212,7 +210,7 @@ def test_batched_decoder_matches_dispersion_map_reference(order):
     for k in range(0, n, 97):
         np.testing.assert_array_equal(blocks[k], encode_block(pts[idx[k]], scale))
     y = blocks @ h + complex_gaussian(rng, (n, 4, 2), 0.5)
-    decoded = decode_block(y, h_hat, scale, pts)
+    decoded = decode_block(y, h_hat, scale, order)
     assert decoded.shape == (n, CODE_SYMBOLS)
     reference = np.array([_reference_decode(y[k], h_hat[k], scale, pts)
                           for k in range(n)])
@@ -221,11 +219,10 @@ def test_batched_decoder_matches_dispersion_map_reference(order):
 
 
 def test_batched_decoder_rejects_a_zero_row(rng):
-    pts = qam_constellation(4)
     h = complex_gaussian(rng, (3, 4, 2))
     h[1] = 0.0
     with pytest.raises(UnsupportedGeometry):
-        decode_block(complex_gaussian(rng, (3, 4, 2)), h, 1.0, pts)
+        decode_block(complex_gaussian(rng, (3, 4, 2)), h, 1.0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +268,18 @@ def test_slicer_at_decision_boundaries(order):
     assert np.all((sliced >= 0) & (sliced < order))
 
 
-@pytest.mark.parametrize("constellation", [
-    qam_constellation(16) * np.exp(0.1j),               # rotated grid
-    np.exp(2j * np.pi * np.arange(8) / 8),               # 8-PSK
-    qam_constellation(16)[::-1],                         # reindexed grid
-], ids=["rotated-16qam", "8-point", "reversed-16qam"])
-def test_decoder_rejects_other_constellations(constellation, rng):
+@pytest.mark.parametrize("order", [8], ids=["8-point"])
+def test_decoder_rejects_other_constellations(order, rng):
+    """An order with no square grid in SUPPORTED_QAM has nothing to slice."""
     h = complex_gaussian(rng, (2, 4, 2))
-    with pytest.raises(ValueError):
-        decode_block(complex_gaussian(rng, (2, 4, 2)), h, 1.0, constellation)
+    with pytest.raises(ValueError, match="modulation order must be one of"):
+        decode_block(complex_gaussian(rng, (2, 4, 2)), h, 1.0, order)
 
 
 @pytest.mark.parametrize("where", ["block", "estimate"])
 def test_decoder_rejects_non_finite_input(where, rng):
-    pts = qam_constellation(16)
     h = complex_gaussian(rng, (2, 4, 2))
     y = complex_gaussian(rng, (2, 4, 2))
     (y if where == "block" else h)[1, 2, 0] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        decode_block(y, h, 1.0, pts)
+        decode_block(y, h, 1.0, 16)

@@ -68,27 +68,33 @@ def _loaded_names(tree: ast.AST) -> set:
     return names
 
 
-def _public_definitions(tree: ast.Module) -> set:
-    """The public names a module binds at its top level."""
-    names = set()
+def _public_definitions(tree: ast.Module) -> dict:
+    """The public names a module binds at its top level, and the public
+    methods of its classes as ``Class.method``, each mapped to the name a
+    use of it reads."""
+    names = {}
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.update((f"{node.name}.{item.name}", item.name) for item in node.body
+                         if isinstance(item, ast.FunctionDef))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
+            names[node.name] = node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if not name.startswith("_")}
+            names.update((t.id, t.id) for t in targets if isinstance(t, ast.Name))
+    return {qual: name for qual, name in names.items() if not name.startswith("_")}
 
 
 def test_library_defines_no_name_only_tests_use():
-    """Each public top-level name of a ``dce`` module is read somewhere in
-    the library (``__init__``'s re-exports do not count as a use), and the
-    tests' lattice oracles reach no solver: they score points with the
-    closed forms alone, so they stay an independent check on the solvers."""
+    """Each public top-level name of a ``dce`` module, and each public method
+    of its classes, is read somewhere in the library (``__init__``'s
+    re-exports do not count as a use), and the tests' lattice oracles reach
+    no solver: they score points with the closed forms alone, so they stay
+    an independent check on the solvers."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(LIBRARY.glob("*.py")) if path.stem != "__init__"}
     loaded = set().union(*map(_loaded_names, trees.values()))
-    unused = {f"{module}.{name}" for module, tree in trees.items()
-              for name in _public_definitions(tree) - loaded}
+    unused = {f"{module}.{qual}" for module, tree in trees.items()
+              for qual, name in _public_definitions(tree).items() if name not in loaded}
     assert unused == UNUSED_BY_DESIGN
     assert not _loaded_names(ast.parse(ORACLES.read_text())) & SOLVERS

