@@ -23,12 +23,12 @@ from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
 from .gp import (CondensationTrace, GpState, NonReciprocalSolution, condense,
                  from_gp_variables, initial_feasible_state, solve_inner_gp,
                  to_gp_variables)
-from .montecarlo import (NmseReport, SerReport, jensen_oracle,
-                         run_nmse_experiment, run_ser_experiment,
-                         solve_allocation)
+from .montecarlo import (NmseReport, SerReport, run_nmse_experiment,
+                         run_ser_experiment, solve_allocation)
 from .nmse import (check_gamma, gamma_bounds, gamma_tilde, jensen_factor,
                    mu_threshold, nmse_l_nonreciprocal_approx, nmse_l_reciprocal,
-                   nmse_lower_bound, nmse_u_nonreciprocal, nmse_u_reciprocal)
+                   nmse_lower_bound, nmse_u_nonreciprocal, nmse_u_reciprocal,
+                   spectral_factor)
 from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams,
                      db_to_linear, default_params, linear_to_db,
                      nonreciprocal_allocation, reciprocal_allocation,

@@ -9,10 +9,10 @@ Subcommands:
   ``ser`` reject a list).
 * ``ser``    — data-phase symbol error rates with estimated channels.
 * ``verify`` — at one (gamma, p_ave) point, solves the echo scheme's
-  allocation, samples its spectral factor (at least ``MIN_ORACLE_SAMPLES``
-  draws; it must lie in (0, 1), or be 0 without a round trip) and reports
-  which closed-form surrogate it favours.  The other self-checks live in
-  the test suite.
+  allocation, computes its exact spectral factor (it and its miss must
+  be positive, or the factor 0 without a round trip; no sampling) and
+  reports which closed-form surrogate it favours.  The other self-checks
+  live in the test suite.
 
 Each subcommand declares only the flags it reads: ``--config`` and the
 flag of each ``config.KEYS`` entry that names the command and has a help.
@@ -37,10 +37,11 @@ from .config import KEY_BY_NAME, KEYS, ExperimentConfig, read_config_file
 from .errors import (ConfigError, Infeasible, InfeasibleGamma, NotConverged,
                      RankDeficient, SingularRegressor, Stalled,
                      UnsupportedGeometry)
-from .montecarlo import (DESK_SER_TRIALS, MIN_NMSE_TRIALS, MIN_ORACLE_SAMPLES,
-                         jensen_oracle, run_nmse_experiment,
-                         run_ser_experiment, solve_allocation)
-from .nmse import JENSEN_VARIANTS, nmse_lower_bound
+from .montecarlo import (DESK_NMSE_TRIALS, DESK_SER_TRIALS, MIN_NMSE_TRIALS,
+                         run_nmse_experiment, run_ser_experiment,
+                         solve_allocation)
+from .nmse import (JENSEN_VARIANTS, jensen_factor, jensen_miss,
+                   nmse_lower_bound, spectral_factor)
 from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, linear_to_db,
                      with_fixed_energy_budgets)
 from .tables import ResultTable, check_writable, write_table
@@ -131,7 +132,7 @@ def cmd_alloc(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
 
 
 def cmd_nmse(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
-    trials = cfg.trials if cfg.trials is not None else 1000
+    trials = cfg.trials if cfg.trials is not None else DESK_NMSE_TRIALS
     if trials < MIN_NMSE_TRIALS:
         raise ConfigError(f"nmse needs at least {MIN_NMSE_TRIALS} trials, "
                           f"got {trials}")
@@ -180,24 +181,23 @@ def _require(ok, message: str) -> None:
         raise AssertionError(message)
 
 
-def _check_jensen_adjudication(params, alloc, trials: int, seed: int):
-    report = jensen_oracle(params, alloc, trials=trials, seed=seed)
-    if all(report[v] == 0.0 for v in JENSEN_VARIANTS):
-        _require(report["empirical"] == 0.0, "factor must vanish without a round trip")
+def _check_jensen_adjudication(params, alloc):
+    """F in (0, 1), or 0 where both surrogates are; F and the surrogates
+    are compared by their misses 1 - F, exact where F rounds to 1."""
+    factor, miss = spectral_factor(params, alloc)
+    if all(jensen_factor(params, alloc, v) == 0.0 for v in JENSEN_VARIANTS):
+        _require(factor == 0.0, "factor must vanish without a round trip")
     else:
-        _require(0.0 < report["empirical"] < 1.0, "spectral factor out of range")
-    gaps = {v: abs(report["empirical"] - report[v]) for v in JENSEN_VARIANTS}
-    detail = (f"empirical {report['empirical']:.4f}; "
+        _require(factor > 0.0 and miss > 0.0, "spectral factor out of range")
+    gaps = {v: abs(miss - jensen_miss(params, alloc, v)) for v in JENSEN_VARIANTS}
+    closer = min(JENSEN_VARIANTS, key=gaps.__getitem__)
+    detail = (f"exact {factor:.4f}; "
               + "; ".join(f"{v} off by {gaps[v]:.4f}" for v in JENSEN_VARIANTS)
-              + f"; closer: {report['closer']}")
-    return gaps[report["closer"]], detail
+              + f"; closer: {closer}")
+    return gaps[closer], detail
 
 
 def cmd_verify(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
-    trials = cfg.trials if cfg.trials is not None else MIN_ORACLE_SAMPLES
-    if trials < MIN_ORACLE_SAMPLES:
-        raise ConfigError(f"verify needs at least {MIN_ORACLE_SAMPLES} trials, "
-                          f"got {trials}")
     params = cfg.to_params(cfg.pave_db[0])
     # an infeasible point (condense checks the floor first) or a solver
     # failure is not a failed check: both exit before the table, as in
@@ -205,7 +205,7 @@ def cmd_verify(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
     alloc, _, _ = solve_allocation(params, cfg.gamma[0], NON_RECIPROCAL)
     table = ResultTable(["check", "status", "deviation", "detail"])
     try:
-        deviation, detail = _check_jensen_adjudication(params, alloc, trials, cfg.seed)
+        deviation, detail = _check_jensen_adjudication(params, alloc)
     except AssertionError as exc:
         table.add_row("jensen-adjudication", "fail", float("nan"), str(exc))
         code = EXIT_VERIFY

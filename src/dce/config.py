@@ -181,7 +181,7 @@ class Key(NamedTuple):
 
 COMMANDS = ("alloc", "nmse", "ser", "verify")
 _PROTOCOL = ("alloc", "nmse", "ser")
-_SAMPLING = ("nmse", "ser", "verify")
+_SAMPLING = ("nmse", "ser")
 
 # The geometry reaches alloc and verify's echo solve through to_params, n_u
 # only the Monte-Carlo draws, and tau_r only the reciprocal protocol.
@@ -197,7 +197,7 @@ KEYS = (
         "legitimate-receiver power cap in dB"),
     Key("n_t", _scalar(int), COMMANDS, None),
     Key("n_l", _scalar(int), COMMANDS, None),
-    Key("n_u", _scalar(int), ("nmse", "ser"), None),
+    Key("n_u", _scalar(int), _SAMPLING, None),
     Key("tau_r", _scalar(int), _PROTOCOL, None),
     Key("tau_f", functools.partial(parse_float_list, kind=int), _PROTOCOL,
         "forward training length; a comma list sweeps it (nmse)"),

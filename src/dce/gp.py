@@ -77,17 +77,9 @@ class GpState:
         return np.array([self.t, self.t0, self.t1, self.t2, self.t3, self.t4])
 
 
-@dataclass(frozen=True)
-class CondensationStep:
-    expansion: Tuple[float, ...]
-    thetas: Dict[str, float]
-    optimum: Tuple[float, ...]
-    objective: float
-
-
 @dataclass
 class CondensationTrace:
-    steps: List[CondensationStep]
+    steps: List[float]   # each round's objective
     converged: bool = False
     ratio_activity: float = float("nan")
 
@@ -676,12 +668,7 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
         x_opt, info = (warm if warm is not None
                        else solve_inner_gp(terms, objective, x_bar))
         nmse = lmmse_error_var(params.var_hd, x_opt[0], 1, params.var_w)
-        trace.steps.append(CondensationStep(
-            expansion=tuple(x_bar.tolist()),
-            thetas=dict(zip(X_NAMES, a.tolist())),
-            optimum=tuple(x_opt.tolist()),
-            objective=nmse,
-        ))
+        trace.steps.append(nmse)
         if nmse_prev is not None:
             if nmse > nmse_prev * (1 + 1e-9):
                 raise Stalled(
@@ -705,7 +692,7 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
     alloc = from_gp_variables(params, state)
     return NonReciprocalSolution(
         alloc=alloc,
-        objective=trace.steps[-1].objective,
+        objective=trace.steps[-1],
         state=state,
         trace=trace,
     )

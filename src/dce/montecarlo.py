@@ -1,5 +1,4 @@
-r"""Monte-Carlo experiments: empirical NMSE/SER and the spectral-surrogate
-oracle.
+r"""Monte-Carlo experiments: empirical NMSE and SER.
 
 Trials run in blocks of BLOCK_TRIALS stacked (trials, rows, cols) arrays,
 and every block draws from its own substream ``trial_rng(seed, block)``, so
@@ -13,7 +12,7 @@ times, and counted in ``resampled_trials``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -24,9 +23,8 @@ from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          tx_estimate_downlink, tx_estimate_reciprocal,
                          tx_estimate_uplink, ur_estimate)
 from .gp import condense
-from .nmse import (JENSEN_VARIANTS, downlink_beta, jensen_factor,
-                   nmse_l_nonreciprocal_approx, nmse_l_reciprocal,
-                   nmse_u_nonreciprocal, nmse_u_reciprocal, sigma_sq_uplink)
+from .nmse import (JENSEN_VARIANTS, nmse_l_nonreciprocal_approx,
+                   nmse_l_reciprocal, nmse_u_nonreciprocal, nmse_u_reciprocal)
 from .ostbc import (CODE_SLOTS, CODE_SYMBOLS, SUPPORTED_QAM, block_scale,
                     decode_block, encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
@@ -36,7 +34,7 @@ from .training import (forward_training, reverse_training, round_trip_training,
 
 MAX_RESAMPLES = 8
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
-MIN_ORACLE_SAMPLES = 10000  # fewer adjudicates the spectral factor on noise
+DESK_NMSE_TRIALS = 1000
 DESK_SER_TRIALS = 5000
 # Trials per block: large enough that numpy's per-call overhead is spread
 # thin, small enough that a block's arrays stay within a few hundred kB.
@@ -45,9 +43,6 @@ DESK_SER_TRIALS = 5000
 # 5.7-6.2 at 512-2048, inside the quartile spread).  Each block draws from
 # its own substream, so changing this changes every stochastic result.
 BLOCK_TRIALS = 256
-# Uplink samples the spectral-factor oracle draws and reduces at a time, so
-# its memory stays flat in the sample count.
-ORACLE_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,7 @@ def _run_blocks(block_fn: Callable, trials: int, seed: int) -> Tuple[np.ndarray,
 
 
 def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
-                        trials: int = 1000, seed: int = 0,
+                        trials: int = DESK_NMSE_TRIALS, seed: int = 0,
                         jensen_variant: str = JENSEN_VARIANTS[0]) -> NmseReport:
     """Empirical channel-estimation NMSE at both receivers.
 
@@ -261,41 +256,3 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
         trials=trials,
         resampled_trials=resampled,
     )
-
-
-def jensen_oracle(params: SystemParams, alloc: PowerAllocation,
-                  trials: int = MIN_ORACLE_SAMPLES,
-                  seed: int = 0) -> Dict[str, object]:
-    """Adjudicate the closed-form spectral surrogates empirically.
-
-    Samples the eigenvalues lambda of Hu_hat Hu_hat^H (entries i.i.d.
-    complex Gaussian with the uplink-estimate variance) and averages
-    lambda/(lambda+beta).  Returns that ``empirical`` average, each
-    variant of ``nmse.JENSEN_VARIANTS`` keyed by name, and the ``closer``
-    one (the first, on a tie).
-    The eigenvalue average converges slowly, so fewer than
-    MIN_ORACLE_SAMPLES samples would adjudicate on noise; such calls are
-    rejected outright.  Samples are drawn and reduced ORACLE_CHUNK at a
-    time from one stream.
-    """
-    if trials < MIN_ORACLE_SAMPLES:
-        raise ValueError(f"adjudication needs at least {MIN_ORACLE_SAMPLES} samples")
-    sigma2 = sigma_sq_uplink(params, alloc.e_2)
-    beta = downlink_beta(params, alloc)
-    if not np.isfinite(beta) or sigma2 == 0.0:
-        empirical = 0.0
-    elif beta == 0.0:
-        empirical = 1.0
-    else:
-        rng = trial_rng(seed, 0)
-        total = 0.0
-        for start in range(0, trials, ORACLE_CHUNK):
-            n = min(ORACLE_CHUNK, trials - start)
-            hu = complex_gaussian(rng, (n, params.n_l, params.n_t), sigma2)
-            lam = np.linalg.eigvalsh(hu @ np.conj(np.swapaxes(hu, 1, 2)))
-            total += float(np.sum(lam / (lam + beta)))
-        empirical = total / (trials * params.n_l)
-    report = {"empirical": empirical,
-              **{v: jensen_factor(params, alloc, v) for v in JENSEN_VARIANTS}}
-    report["closer"] = min(JENSEN_VARIANTS, key=lambda v: abs(empirical - report[v]))
-    return report

@@ -288,7 +288,7 @@ def test_exit_config_non_finite_input(capsys):
 def test_exit_config_negative_seed(tmp_path, capsys):
     """A negative seed is a configuration error before anything runs, not
     a traceback from the RNG or a failed verify self-check."""
-    for command in ("nmse", "ser", "verify"):
+    for command in ("nmse", "ser"):
         assert cli.main([command, "--seed", "-1"]) == EXIT_CONFIG
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
     cfg = tmp_path / "seed.cfg"
@@ -301,15 +301,23 @@ def test_exit_config_too_few_nmse_trials(capsys):
     assert "at least 100 trials" in capsys.readouterr().err
 
 
-def test_exit_config_too_few_verify_samples(capsys):
-    """Fewer samples than the oracle's floor is the input's fault: verify
-    rejects them, as nmse rejects too few trials, instead of drawing more."""
-    assert cli.main(["verify", "--trials", "500"]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("configuration error:")
-    assert captured.err.count("\n") == 1
-    assert "at least 10000 trials, got 500" in captured.err
+def test_verify_reads_no_sampling_key(tmp_path, capsys):
+    """verify computes its factor and draws nothing: a --trials or --seed
+    flag is a usage error, and a trials= or seed= config key one
+    configuration error line, before anything runs."""
+    for key, value in (("trials", "500"), ("seed", "3")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", f"--{key}", value])
+        assert exc.value.code == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert cli.main(["verify", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:")
+        assert captured.err.count("\n") == 1
+        assert f"verify does not read the config key(s) {key}" in captured.err
 
 
 def test_exit_config_tau_sweep_wrong_command():
@@ -371,7 +379,7 @@ README_FLAGS = {
     "nmse": {"--scheme", "--tau-f", "--jensen-variant", "--trials", "--seed"},
     "ser": {"--scheme", "--tau-f", "--jensen-variant", "--trials", "--seed",
             "--modulation"},
-    "verify": {"--trials", "--seed"},
+    "verify": set(),
 }
 COMMON_FLAGS = {"--config", "--gamma", "--pave-db", "--pbar-t-db",
                 "--pbar-l-db", "--out", "--format"}
@@ -637,7 +645,7 @@ def test_exit_verify_failure(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("deliberately broken for the exit-code test")
 
-    monkeypatch.setattr(cli, "jensen_oracle", boom)
+    monkeypatch.setattr(cli, "spectral_factor", boom)
     out = tmp_path / "verify.csv"
     assert cli.main(["verify", "--out", str(out)]) == EXIT_VERIFY
     header, rows = _read_csv(out)
@@ -666,8 +674,7 @@ def test_verify_failure_survives_optimize_flag(tmp_path):
         "import dce.cli as cli\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(99)\n"
-        "oracle = cli.jensen_oracle\n"
-        "cli.jensen_oracle = lambda *a, **k: dict(oracle(*a, **k), empirical=2.0)\n"
+        "cli.spectral_factor = lambda *a, **k: (2.0, 1.0 - 2.0)\n"
         "sys.exit(cli.main(['verify', '--out', sys.argv[1]]))\n")
     out = tmp_path / "verify.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(dce.__file__).parents[1]))
@@ -690,6 +697,19 @@ def test_verify_all_pass(tmp_path):
     assert header == ["check", "status", "deviation", "detail"]
     assert [r[0] for r in rows] == ["jensen-adjudication"]
     assert all(r[1] == "pass" for r in rows)
+    assert rows[0][3].startswith("exact ")
+
+
+def test_verify_passes_at_extreme_power(tmp_path):
+    """At 200 dB b = beta/sigma^2 is about 5e-20: the exact factor and both
+    surrogates round to 1, yet their misses 1 - F stay positive and the
+    check passes, as nmse and ser do at the same point."""
+    code, out = _run(tmp_path, "verify", "--gamma", "0.5", "--pave-db", "200",
+                     "--pbar-l-db", "200", "--pbar-t-db", "210")
+    assert code == EXIT_OK
+    _, rows = _read_csv(out)
+    assert [r[:2] for r in rows] == [["jensen-adjudication", "pass"]]
+    assert 0.0 < float(rows[0][2]) < 1e-15
 
 
 DEAD_ECHO = dce.nonreciprocal_allocation(10.0, 0.0, 10.0, 10.0, 0.5)
@@ -701,14 +721,13 @@ DEAD_ECHO = dce.nonreciprocal_allocation(10.0, 0.0, 10.0, 10.0, 0.5)
     (DEAD_ECHO, 0.5, "factor must vanish without a round trip"),
 ], ids=["above-one", "zero-with-round-trip", "nonzero-without-round-trip"])
 def test_verify_factor_range(tmp_path, monkeypatch, alloc, factor, message):
-    """The adjudication row checks its own sampled factor: in (0, 1) when
-    the closed forms see a round trip, exactly 0 when they are 0."""
+    """The adjudication row checks the exact factor: in (0, 1) when the
+    closed forms see a round trip, exactly 0 when they are 0."""
     if alloc is not None:
         monkeypatch.setattr(cli, "solve_allocation",
                             lambda *a, **k: (alloc, 0.0, 0.0))
-    oracle = cli.jensen_oracle
-    monkeypatch.setattr(cli, "jensen_oracle",
-                        lambda *a, **k: dict(oracle(*a, **k), empirical=factor))
+    monkeypatch.setattr(cli, "spectral_factor",
+                        lambda *a, **k: (factor, 1.0 - factor))
     code, out = _run(tmp_path, "verify")
     assert code == EXIT_VERIFY
     _, rows = _read_csv(out)
@@ -716,7 +735,7 @@ def test_verify_factor_range(tmp_path, monkeypatch, alloc, factor, message):
 
 
 def test_verify_passes_without_round_trip(tmp_path, monkeypatch):
-    """With no echo the sampled factor and both closed forms are 0."""
+    """With no echo the exact factor and both closed forms are 0."""
     monkeypatch.setattr(cli, "solve_allocation",
                         lambda *a, **k: (DEAD_ECHO, 0.0, 0.0))
     code, out = _run(tmp_path, "verify")

@@ -445,7 +445,7 @@ def test_condense_production_point():
     sol = condense(params, 0.1)
     assert sol.trace.converged
     assert len(sol.trace.steps) <= 50
-    objs = [step.objective for step in sol.trace.steps]
+    objs = sol.trace.steps
     assert all(b <= a * (1 + 1e-9) for a, b in zip(objs, objs[1:]))
     assert abs(sol.trace.ratio_activity - 1.0) <= 1e-6
     assert sol.objective == pytest.approx(objs[-1])
@@ -477,7 +477,7 @@ def test_condense_monotone_on_random_instances():
             sol = condense(params, gamma)
         except Infeasible:
             continue
-        objs = [step.objective for step in sol.trace.steps]
+        objs = sol.trace.steps
         assert all(b <= a * (1 + 1e-9) for a, b in zip(objs, objs[1:]))
         assert np.isfinite(sol.objective) and sol.objective > 0
         done += 1
@@ -548,8 +548,19 @@ def test_warm_start_matches_cold_rounds(monkeypatch, p_ave_db, gamma):
 
 def test_warm_result_failing_certificate_falls_back_to_cold(defaults, monkeypatch):
     """A warm result is judged by the cold solve's certificate: when it
-    cannot pass, every later round is exactly the cold solve."""
+    cannot pass, every later round is exactly the cold solve: the same
+    optimum, so the same objective and the same next expansion point."""
+    solve, optima = gp.solve_inner_gp, {"cold": [], "fallback": []}
+
+    def recorded(run):
+        def call(*args):
+            x, info = solve(*args)
+            optima[run].append(x)
+            return x, info
+        return call
+
     monkeypatch.setattr(gp, "_warm_inner_gp", lambda *args: None)
+    monkeypatch.setattr(gp, "solve_inner_gp", recorded("cold"))
     cold = condense(defaults, 0.1)
     monkeypatch.undo()
     warm_inner_gp, rejected = gp._warm_inner_gp, []
@@ -562,8 +573,12 @@ def test_warm_result_failing_certificate_falls_back_to_cold(defaults, monkeypatc
         return result
 
     monkeypatch.setattr(gp, "_warm_inner_gp", unreachable_tolerance)
+    monkeypatch.setattr(gp, "solve_inner_gp", recorded("fallback"))
     fallback = condense(defaults, 0.1)
     assert rejected == [True] * (len(cold.trace.steps) - 1)
+    assert len(optima["fallback"]) == len(optima["cold"]) == len(cold.trace.steps)
+    for x_fallback, x_cold in zip(optima["fallback"], optima["cold"]):
+        assert np.array_equal(x_fallback, x_cold)
     assert fallback.trace.steps == cold.trace.steps
     assert fallback.state == cold.state
 
@@ -576,8 +591,9 @@ def test_condense_rewrites_only_the_ratio_row(monkeypatch, p_ave_db, gamma):
     those of a fresh stack of the round's GP: the ratio row is rewritten in
     place and nothing else moves.  The round's expansion point is the cold
     solve's start, or the previous optimum exp(y) a warm solve starts from,
-    and it must be the one the trace records: a round's warm call comes
-    first, so the warm calls so far number the round."""
+    and it must be the initial state in the first round and the previous
+    round's optimum after: a round's warm call comes first, so the warm
+    calls so far number the round."""
     params = default_params(p_ave_db=p_ave_db)
     fixed = budget_posynomials(params, gamma)
     stack, stacked, expansions = gp._Terms.stack, [], []
@@ -595,8 +611,9 @@ def test_condense_rewrites_only_the_ratio_row(monkeypatch, p_ave_db, gamma):
             fresh = stack([_condensed_at(params, x_bar)] + fixed, 6)
             assert np.array_equal(terms.b, fresh.b)
             assert np.array_equal(terms.a, fresh.a)
-            expansions.append((name, x_bar))
-            return inner(terms, objective, start)
+            result = inner(terms, objective, start)
+            expansions.append((name, x_bar, result))
+            return result
         return call
 
     monkeypatch.setattr(gp._Terms, "stack", staticmethod(counted))
@@ -604,10 +621,13 @@ def test_condense_rewrites_only_the_ratio_row(monkeypatch, p_ave_db, gamma):
         monkeypatch.setattr(gp, name, checked(name))
     sol = condense(params, gamma)
     assert len(stacked) == 1
-    rounds = 0
-    for name, x_bar in expansions:
-        rounds += name == "_warm_inner_gp"
-        assert np.array_equal(x_bar, sol.trace.steps[rounds].expansion)
+    rounds, x_round, optimum = 0, initial_feasible_state(params, gamma).x(), None
+    for name, x_bar, result in expansions:
+        if name == "_warm_inner_gp":
+            rounds, x_round = rounds + 1, optimum
+        assert np.array_equal(x_bar, x_round)
+        if result is not None:
+            optimum = result[0]
     assert rounds == len(sol.trace.steps) - 1
 
 

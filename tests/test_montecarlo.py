@@ -1,7 +1,5 @@
-"""Monte-Carlo layer: empirical NMSE vs closed forms, the spectral-factor
-oracle, the allocation dispatcher, symbol-error experiments."""
-
-import tracemalloc
+"""Monte-Carlo layer: empirical NMSE vs closed forms, the allocation
+dispatcher, symbol-error experiments."""
 
 import numpy as np
 import pytest
@@ -15,13 +13,11 @@ from dce.errors import (InfeasibleGamma, NotConverged, RankDeficient,
 from dce.estimators import tx_estimate_reciprocal
 from dce.montecarlo import (
     BLOCK_TRIALS,
-    ORACLE_CHUNK,
-    jensen_oracle,
     run_nmse_experiment,
     run_ser_experiment,
     solve_allocation,
 )
-from dce.nmse import JENSEN_VARIANTS, gamma_bounds
+from dce.nmse import gamma_bounds
 from dce.ostbc import (CODE_SLOTS, CODE_SYMBOLS, block_scale, decode_block,
                        encode_block, qam_constellation)
 from dce.params import (
@@ -162,49 +158,6 @@ def test_nonreciprocal_empirical_tracks_surrogate(defaults):
     report = run_nmse_experiment(defaults, alloc, trials=10000)
     assert report.analytic_lr == pytest.approx(nmse_l)
     assert report.empirical_lr == pytest.approx(report.analytic_lr, rel=0.15)
-
-
-# ---------------------------------------------------------------------------
-# spectral-factor oracle
-# ---------------------------------------------------------------------------
-
-def test_jensen_oracle_sample_floor(defaults):
-    alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0, 0.5)
-    with pytest.raises(ValueError):
-        jensen_oracle(defaults, alloc, trials=9999)
-
-
-def test_jensen_oracle_report(defaults):
-    alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0, 0.5)
-    report = jensen_oracle(defaults, alloc, trials=10000, seed=3)
-    assert 0.0 < report["empirical"] < 1.0
-    assert 0.0 < report["sigma-squared"] < report["printed"] < 1.0
-    assert report["closer"] in JENSEN_VARIANTS
-    gaps = {v: abs(report["empirical"] - report[v]) for v in JENSEN_VARIANTS}
-    assert report["closer"] == min(gaps, key=gaps.get)
-
-
-def test_jensen_oracle_degenerate_cases(defaults):
-    dead_echo = nonreciprocal_allocation(10.0, 0.0, 10.0, 10.0, 0.5)
-    assert jensen_oracle(defaults, dead_echo, trials=10000)["empirical"] == 0.0
-    blind_uplink = nonreciprocal_allocation(10.0, 10.0, 0.0, 10.0, 0.5)
-    assert jensen_oracle(defaults, blind_uplink,
-                         trials=10000)["empirical"] == 0.0
-
-
-def test_jensen_oracle_memory_flat_in_trials(defaults):
-    """Samples are drawn and reduced ORACLE_CHUNK at a time, so a call over
-    six chunks peaks no higher than a call over two."""
-    alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0, 0.5)
-    peaks = []
-    for chunks in (2, 6):
-        tracemalloc.start()
-        try:
-            jensen_oracle(defaults, alloc, trials=chunks * ORACLE_CHUNK)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,26 @@
 """Scalar closed forms: the LMMSE kernel, NMSE evaluators, feasibility
-interval, derived constants."""
+interval, derived constants, the exact spectral factor."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from dce import cli, nmse
 from dce.errors import InfeasibleGamma
+from dce.montecarlo import solve_allocation
 from dce.nmse import (
+    JENSEN_VARIANTS,
     check_gamma,
     downlink_beta,
     gamma_bounds,
     gamma_tilde,
+    jensen_factor,
+    jensen_miss,
     leakage_residual,
     lmmse_error_var,
     lr_effective_noise_nonreciprocal,
@@ -22,6 +31,7 @@ from dce.nmse import (
     nmse_u_nonreciprocal,
     nmse_u_reciprocal,
     sigma_sq_uplink,
+    spectral_factor,
 )
 from dce.params import (
     NON_RECIPROCAL,
@@ -29,6 +39,7 @@ from dce.params import (
     default_params,
     nonreciprocal_allocation,
 )
+from dce.rng import complex_gaussian, trial_rng
 
 
 # ---------------------------------------------------------------------------
@@ -282,3 +293,132 @@ def test_lr_effective_noise_nonreciprocal_exact_at_high_power(variant):
         assert abs(Fraction(float(got)) / resid - 1) <= 1e-13, db
         got = lr_effective_noise_nonreciprocal(p, alloc, variant)
         assert abs(Fraction(got) / r_eff - 1) <= 1e-13, db
+
+
+# ---------------------------------------------------------------------------
+# the exact spectral factor
+# ---------------------------------------------------------------------------
+
+GEOMETRIES = [(1, 2), (2, 4), (3, 4), (8, 16), (16, 32), (31, 32), (1, 32)]
+QUAD_BS = [1e-6, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e3]
+
+
+def _telatar_parts(n_l, n_t, b):
+    """(F, 1 - F) by scipy quad over Telatar's unordered-eigenvalue density
+    of an n_l x n_l complex Wishart matrix with n_t degrees of freedom,
+    (1/n_l) sum_k p_k(x)^2 x^alpha e^-x with p_k the orthonormal Laguerre
+    polynomials of alpha = n_t - n_l, evaluated by their recurrence."""
+    alpha = n_t - n_l
+    log_norm = -0.5 * math.lgamma(alpha + 1)
+
+    def density(x):
+        prev, cur, total = 0.0, 1.0, 1.0
+        for k in range(n_l - 1):
+            prev, cur = cur, (((x - 2 * k - alpha - 1) * cur
+                               - math.sqrt(k * (k + alpha)) * prev)
+                              / math.sqrt((k + 1) * (k + 1 + alpha)))
+            total += cur * cur
+        return total * math.exp(2 * log_norm + alpha * math.log(x) - x) / n_l
+
+    def integral(f):
+        kinks = sorted({min(b, 1.0), min(10 * b, 1.0), 1.0, 10.0, 100.0})
+        inner = quad(f, 0.0, 400.0, points=kinks, limit=500, epsabs=0.0,
+                     epsrel=1e-13)[0]
+        return inner + quad(f, 400.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+
+    return (integral(lambda x: density(x) * x / (x + b)),
+            b * integral(lambda x: density(x) / (x + b)))
+
+
+@pytest.mark.parametrize("n_l, n_t", GEOMETRIES,
+                         ids=[f"{n_l}x{n_t}" for n_l, n_t in GEOMETRIES])
+def test_spectral_factor_matches_telatar_quad(n_l, n_t):
+    """The continued fraction matches a quadrature of Telatar's density:
+    the factor and its miss within 1e-12 relative for b in [1e-3, 1e3],
+    and within 1e-9 absolute below, down to b = 1e-6."""
+    for b in QUAD_BS:
+        got, want = nmse._laguerre_parts(n_l, n_t, b), _telatar_parts(n_l, n_t, b)
+        for g, w in zip(got, want):
+            if b >= 1e-3:
+                assert abs(g / w - 1.0) <= 1e-12, (b, got, want)
+            else:
+                assert abs(g - w) <= 1e-9, (b, got, want)
+
+
+def _sampled_factor(params, alloc, samples, seed):
+    """Mean of lambda/(lambda + beta) over the eigenvalues of ``samples``
+    drawn Hu_hat Hu_hat^H, and its standard error over the draws."""
+    sigma2 = sigma_sq_uplink(params, alloc.e_2)
+    beta = downlink_beta(params, alloc)
+    hu = complex_gaussian(trial_rng(seed, 0), (samples, params.n_l, params.n_t),
+                          sigma2)
+    lam = np.linalg.eigvalsh(hu @ np.conj(np.swapaxes(hu, 1, 2)))
+    per_draw = np.mean(lam / (lam + beta), axis=1)
+    return float(per_draw.mean()), float(per_draw.std(ddof=1) / np.sqrt(samples))
+
+
+def test_spectral_factor_matches_sampled_eigenvalues():
+    """At two of accept-07's solved echo allocations (gamma = 0.1) a
+    1e5-draw eigenvalue average lies within 6 standard errors of the exact
+    factor."""
+    for pave in (15.0, 25.0):
+        p = default_params(p_ave_db=pave)
+        alloc, _, _ = solve_allocation(p, 0.1, NON_RECIPROCAL)
+        factor, _ = spectral_factor(p, alloc)
+        mean, se = _sampled_factor(p, alloc, 100_000, seed=7)
+        assert abs(mean - factor) <= 6 * se, (pave, mean, factor, se)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(n_t=st.integers(2, 32), data=st.data(),
+       log_b=st.floats(-6.0, 6.0))
+def test_spectral_factor_below_jensen_bound(n_t, data, log_b):
+    """lambda/(lambda + beta) is concave and E lambda = n_t sigma^2, so the
+    factor never exceeds the sigma-squared surrogate n_t/(b + n_t)."""
+    n_l = data.draw(st.integers(1, n_t - 1))
+    b = 10.0 ** log_b
+    factor, miss = nmse._laguerre_parts(n_l, n_t, b)
+    assert 0.0 < factor <= n_t / (b + n_t)
+    assert miss >= b / (b + n_t)
+
+
+@pytest.mark.parametrize("n_l, n_t", GEOMETRIES,
+                         ids=[f"{n_l}x{n_t}" for n_l, n_t in GEOMETRIES])
+def test_spectral_factor_asymptotes(n_l, n_t):
+    """As b -> 0 the miss tends to b E[1/x] = b/(n_t - n_l); as b -> inf the
+    factor tends to E[x]/b = n_t/b.  The b -> 0 limit keeps the truncated
+    fraction's 2e-4 relative error at n_t - n_l = 1."""
+    alpha = n_t - n_l
+    for b in (1e-20, 1e-12, 1e-9):
+        _, miss = nmse._laguerre_parts(n_l, n_t, b)
+        assert miss == pytest.approx(b / alpha, rel=2e-4 if alpha == 1 else 1e-8)
+    for b in (1e12, 1e20):
+        factor, _ = nmse._laguerre_parts(n_l, n_t, b)
+        assert factor == pytest.approx(n_t / b, rel=1e-10)
+
+
+def test_spectral_factor_report(defaults):
+    """At a plain echo allocation the exact factor lies in (0, 1), as do
+    both surrogates, with sigma-squared below printed; verify's adjudication
+    names the surrogate whose miss is nearer, and that gap."""
+    alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0, 0.5)
+    factor, miss = spectral_factor(defaults, alloc)
+    assert 0.0 < factor < 1.0
+    assert factor + miss == pytest.approx(1.0, abs=1e-15)
+    assert (0.0 < jensen_factor(defaults, alloc, "sigma-squared")
+            < jensen_factor(defaults, alloc, "printed") < 1.0)
+    deviation, detail = cli._check_jensen_adjudication(defaults, alloc)
+    closer = detail.rsplit("closer: ", 1)[1]
+    assert closer in JENSEN_VARIANTS
+    gaps = {v: abs(miss - jensen_miss(defaults, alloc, v)) for v in JENSEN_VARIANTS}
+    assert closer == min(gaps, key=gaps.get)
+    assert deviation == gaps[closer]
+
+
+def test_spectral_factor_degenerate_cases(defaults):
+    """Without an echo or without uplink pilots there is no round trip:
+    the factor is exactly 0 and its miss exactly 1."""
+    dead_echo = nonreciprocal_allocation(10.0, 0.0, 10.0, 10.0, 0.5)
+    assert spectral_factor(defaults, dead_echo) == (0.0, 1.0)
+    blind_uplink = nonreciprocal_allocation(10.0, 10.0, 0.0, 10.0, 0.5)
+    assert spectral_factor(defaults, blind_uplink) == (0.0, 1.0)
