@@ -27,16 +27,15 @@ from .montecarlo import (NmseReport, SerReport, run_nmse_experiment,
                          run_ser_experiment, solve_allocation)
 from .nmse import (check_gamma, gamma_bounds, gamma_tilde, jensen_factor,
                    mu_threshold, nmse_l_nonreciprocal_approx, nmse_l_reciprocal,
-                   nmse_lower_bound, nmse_u_nonreciprocal, nmse_u_reciprocal,
-                   spectral_factor)
+                   nmse_lower_bound, nmse_u, spectral_factor)
 from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams,
                      db_to_linear, default_params, linear_to_db,
                      nonreciprocal_allocation, reciprocal_allocation,
                      with_fixed_energy_budgets)
 from .rng import complex_gaussian, trial_rng
 from .tables import ResultTable
-from .training import (forward_training, null_space_basis, pilot_matrix,
-                       reverse_training, round_trip_training, sample_channels)
+from .training import (forward_training, null_space_basis, reverse_training,
+                       round_trip_training, sample_channels)
 
 __version__ = "1.0.0"
 

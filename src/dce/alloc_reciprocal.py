@@ -29,7 +29,7 @@ from typing import Tuple
 import numpy as np
 
 from .nmse import (check_gamma, forward_budget, gamma_tilde, mu_threshold,
-                   nmse_l_reciprocal, nmse_u_reciprocal, tx_error_var_reciprocal)
+                   nmse_l_reciprocal, nmse_u, tx_error_var_reciprocal)
 from .params import RECIPROCAL, PowerAllocation, SystemParams, reciprocal_allocation
 
 SCAN_POINTS = 512
@@ -80,7 +80,7 @@ def _active_constraints(p: SystemParams, gamma: float,
         out.append("tx-power")
     if alloc.e_r >= b_l * (1 - ACTIVE_RTOL):
         out.append("lr-power")
-    nu = nmse_u_reciprocal(p, alloc.e_f, alloc.var_a)
+    nu = nmse_u(p, alloc.e_f, alloc.var_a)
     if abs(nu - gamma) <= ACTIVE_RTOL * gamma:
         out.append("ur-nmse")
     return tuple(out)

@@ -35,12 +35,13 @@ FORMATS = ("csv", "json")
 _QAM_ORDERS = (", ".join(map(str, SUPPORTED_QAM[:-1]))
                + f" or {SUPPORTED_QAM[-1]}")
 # Longest training phase accepted, in slots, and most antennas at any
-# terminal: Monte-Carlo blocks hold (trials, tau, n) and (trials, n_t, n_t)
-# arrays.  Every training length is a given tau_f or tau_r, or a default
-# n_t or n_l (the echo scheme's phases too) that the antenna cap keeps below
-# the slot cap.  At the largest geometry admitted, n_t = n_u = 32 and
-# tau_f = tau_r = 1024, ``dce nmse --trials 100`` peaks at 298 MB RSS, at
-# n_l >= 16 (2-core Xeon VM).
+# terminal.  Monte-Carlo arrays have no pilot-length axis, as each phase
+# draws only what its receivers' filters read, so blocks hold at most
+# (trials, n_t, n_t) arrays.  Every training length is a given tau_f or
+# tau_r, or a default n_t or n_l (the echo scheme's phases too) that the
+# antenna cap keeps below the slot cap.  At the largest geometry admitted,
+# n_t = n_u = 32, n_l = 31 and tau_f = tau_r = 1024, ``dce nmse --trials
+# 100`` peaks at 58 MB RSS, and at 92 MB with 1,000 trials (2-core VM).
 MAX_TRAINING_SLOTS = 1024
 MAX_ANTENNAS = 32
 

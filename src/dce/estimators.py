@@ -1,12 +1,11 @@
 r"""LMMSE estimators for every terminal and both training schemes.
 
-All estimators are linear in the received block and work on stacks of
-trials: a received stack (T, tau, M) gives an estimate stack (T, n, M).
-Pilot-based estimators apply a closed-form filter built from second-order
-statistics only (``dce.nmse``).  Every trial shares it, so a whole stack
-costs one GEMM (``training.shared_matmul``); the echo-based downlink
-estimate solves one regularized n_l x n_l system per trial, never worse
-conditioned than the uplink estimate's Gram matrix.
+All estimators are linear and work on stacks of trials.  A pilot-based
+estimator multiplies its phase's statistic (``dce.training``: C^H Y, the
+part of the received block its filter reads) by one scalar LMMSE gain
+built from second-order statistics only (``dce.nmse``).  The echo-based
+downlink estimate solves one regularized n_l x n_l system per trial, never
+worse conditioned than the uplink estimate's Gram matrix.
 
 Receivers know all second-order statistics (noise variances, AN variance,
 the transmitter-side estimation error variance) but no realizations.
@@ -21,22 +20,21 @@ from .nmse import (downlink_beta, lr_effective_noise_nonreciprocal,
                    lr_effective_noise_reciprocal, t0_round_trip,
                    ur_effective_noise)
 from .params import RECIPROCAL, PowerAllocation, SystemParams
-from .training import echo_gain, pilot_matrix, shared_matmul
+from .training import echo_gain
+
 
 def _pilot_filter(prior_var: float, noise_var: float, energy: float,
-                  tau: int, n_cols: int) -> np.ndarray:
-    r"""LMMSE filter for Y = s C Z + W with s = sqrt(energy/n_cols).
+                  n_cols: int) -> float:
+    r"""LMMSE gain on the statistic C^H Y = s Z + C^H W, s = sqrt(energy/n_cols).
 
-    C is the tau x n_cols semi-unitary pilot; Z has i.i.d. prior variance
-    ``prior_var`` and W white noise ``noise_var``.  Returns the n_cols x tau
-    matrix mapping a received column to the estimate column.  As C^H C = I,
-    prior s C^H (prior s^2 C C^H + noise I)^{-1} = prior s / (prior s^2 +
-    noise) C^H (Biguesh & Gershman, IEEE TSP 2006), whose per-entry error
-    is ``dce.nmse.lmmse_error_var``.
+    C is a semi-unitary pilot; Z has i.i.d. prior variance ``prior_var`` and
+    W white noise ``noise_var``.  As C^H C = I, the LMMSE filter
+    prior s C^H (prior s^2 C C^H + noise I)^{-1} equals this gain times C^H
+    (Biguesh & Gershman, IEEE TSP 2006), and its per-entry error is
+    ``dce.nmse.lmmse_error_var``.
     """
     s = np.sqrt(energy / n_cols)
-    gain = prior_var * s / (prior_var * s * s + noise_var)
-    return gain * pilot_matrix(tau, n_cols).conj().T
+    return prior_var * s / (prior_var * s * s + noise_var)
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +43,16 @@ def _pilot_filter(prior_var: float, noise_var: float, energy: float,
 
 def tx_estimate_reciprocal(y_t: np.ndarray, params: SystemParams,
                            e_r: float) -> np.ndarray:
-    r"""Estimate the symmetric channel from Y_t = X_L H^T + noise.
+    r"""Estimate the symmetric channel from the reverse statistic
+    sqrt(e_r/n_l) H^T + noise.
 
     Returns the (..., n_t, n_l) downlink-oriented stack (transpose of the
     directly estimated H^T).
     """
     if e_r < 0:
         raise ValueError("e_r must be non-negative")
-    w = _pilot_filter(params.var_h, params.var_wt, e_r, params.tau_r, params.n_l)
-    return np.swapaxes(shared_matmul(w, y_t), -1, -2)
+    gain = _pilot_filter(params.var_h, params.var_wt, e_r, params.n_l)
+    return np.swapaxes(gain * y_t, -1, -2)
 
 
 def tx_estimate_uplink(y_t2: np.ndarray, params: SystemParams,
@@ -62,8 +61,7 @@ def tx_estimate_uplink(y_t2: np.ndarray, params: SystemParams,
     (..., n_l, n_t)."""
     if e_2 < 0:
         raise ValueError("e_2 must be non-negative")
-    w = _pilot_filter(params.var_hu, params.var_wt, e_2, params.n_l, params.n_l)
-    return shared_matmul(w, y_t2)
+    return _pilot_filter(params.var_hu, params.var_wt, e_2, params.n_l) * y_t2
 
 
 def tx_estimate_downlink(y_t1: np.ndarray, h_u_hat: np.ndarray,
@@ -112,8 +110,7 @@ def lr_estimate_reciprocal(y_l: np.ndarray, params: SystemParams,
                            alloc: PowerAllocation) -> np.ndarray:
     """LR's LMMSE estimates of the n_t x n_l downlink under AN disturbance."""
     r_eff = lr_effective_noise_reciprocal(params, alloc.e_r, alloc.var_a)
-    w = _pilot_filter(params.var_h, r_eff, alloc.e_f, params.tau_f, params.n_t)
-    return shared_matmul(w, y_l)
+    return _pilot_filter(params.var_h, r_eff, alloc.e_f, params.n_t) * y_l
 
 
 def lr_estimate_nonreciprocal(y_l3: np.ndarray, params: SystemParams,
@@ -121,17 +118,12 @@ def lr_estimate_nonreciprocal(y_l3: np.ndarray, params: SystemParams,
                               jensen_variant: str) -> np.ndarray:
     """LR's forward-phase estimates under the approximated disturbance covariance."""
     r_eff = lr_effective_noise_nonreciprocal(params, alloc, jensen_variant)
-    w = _pilot_filter(params.var_hd, r_eff, alloc.e_3, params.n_t, params.n_t)
-    return shared_matmul(w, y_l3)
+    return _pilot_filter(params.var_hd, r_eff, alloc.e_3, params.n_t) * y_l3
 
 
 def ur_estimate(y_u: np.ndarray, params: SystemParams,
                 alloc: PowerAllocation) -> np.ndarray:
     """UR's LMMSE estimates of its own n_t x n_u channel."""
-    if alloc.scheme == RECIPROCAL:
-        energy, tau = alloc.e_f, params.tau_f
-    else:
-        energy, tau = alloc.e_3, params.n_t
-    w = _pilot_filter(params.var_g, ur_effective_noise(params, alloc.var_a),
-                      energy, tau, params.n_t)
-    return shared_matmul(w, y_u)
+    energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
+    return _pilot_filter(params.var_g, ur_effective_noise(params, alloc.var_a),
+                         energy, params.n_t) * y_u

@@ -12,7 +12,7 @@ times, and counted in ``resampled_trials``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          tx_estimate_uplink, ur_estimate)
 from .gp import condense
 from .nmse import (JENSEN_VARIANTS, nmse_l_nonreciprocal_approx,
-                   nmse_l_reciprocal, nmse_u_nonreciprocal, nmse_u_reciprocal)
+                   nmse_l_reciprocal, nmse_u)
 from .ostbc import (CODE_SLOTS, CODE_SYMBOLS, SUPPORTED_QAM, block_scale,
                     decode_block, encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
@@ -38,10 +38,10 @@ DESK_NMSE_TRIALS = 1000
 DESK_SER_TRIALS = 5000
 # Trials per block: large enough that numpy's per-call overhead is spread
 # thin, small enough that a block's arrays stay within a few hundred kB.
-# With one GEMM per shared pilot/filter product, larger blocks buy no clear
-# speed (default reciprocal point, 2-core x86_64 VM: 6.0 us/trial at 256,
-# 5.7-6.2 at 512-2048, inside the quartile spread).  Each block draws from
-# its own substream, so changing this changes every stochastic result.
+# Larger blocks buy no clear speed (solved default reciprocal point, 2-core
+# x86_64 VM, best of five: 5.3-5.5 us/trial at 256, 4.9-5.6 at 512-2048,
+# inside the run-to-run spread).  Each block draws from its own substream,
+# so changing this changes every stochastic result.
 BLOCK_TRIALS = 256
 
 
@@ -74,28 +74,27 @@ def _per_entry_sq_err(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def _transmitter_side_estimate(params: SystemParams, alloc: PowerAllocation,
-                               h_d, h_u, rng) -> np.ndarray:
-    """The (T, n_t, n_l) matrices whose left null spaces carry the AN.
+                               h_d, h_u, rng) -> Optional[np.ndarray]:
+    """The (T, n_t, n_l) matrices whose left null spaces carry the AN, or
+    None without AN, when the forward phase reads none.
 
     These are the transmitter's downlink estimates, except when it holds no
     downlink information (reciprocal e_r = 0; echo e_0, e_1 or e_2 = 0).
     Its estimate is then identically zero and has no null space, so AN goes
     into the null space of an independent CN(0, 1) draw instead: a
     Haar-random subspace, which is the model the closed forms assume.  The
-    branch is decided from the allocation alone, and without AN the draws
-    are those of the plain path.
+    branch is decided from the allocation alone.
     """
-    y_t = reverse_training(params, alloc, h_u, rng)
+    if alloc.var_a == 0:
+        return None
     informed = (alloc.e_r > 0 if alloc.scheme == RECIPROCAL
                 else alloc.e_0 > 0 and alloc.e_1 > 0 and alloc.e_2 > 0)
-    if alloc.var_a > 0 and not informed:
+    if not informed:
         return complex_gaussian(rng, (h_d.shape[0], params.n_t, params.n_l), 1.0)
+    y_t = reverse_training(params, alloc, h_u, rng)
     if alloc.scheme == RECIPROCAL:
         return tx_estimate_reciprocal(y_t, params, alloc.e_r)
     hu_hat = tx_estimate_uplink(y_t, params, alloc.e_2)
-    if alloc.e_1 <= 0:
-        # no echo energy: the transmitter has no downlink information at all
-        return np.zeros((h_d.shape[0], params.n_t, params.n_l), dtype=complex)
     y_t1 = round_trip_training(params, alloc, h_d, h_u, rng)
     return tx_estimate_downlink(y_t1, hu_hat, params, alloc)
 
@@ -157,10 +156,10 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
                          "meaningless confidence bounds")
     if alloc.scheme == RECIPROCAL:
         analytic_lr = nmse_l_reciprocal(params, alloc.e_r, alloc.e_f, alloc.var_a)
-        analytic_ur = nmse_u_reciprocal(params, alloc.e_f, alloc.var_a)
+        analytic_ur = nmse_u(params, alloc.e_f, alloc.var_a)
     else:
         analytic_lr = nmse_l_nonreciprocal_approx(params, alloc, jensen_variant)
-        analytic_ur = nmse_u_nonreciprocal(params, alloc.e_3, alloc.var_a)
+        analytic_ur = nmse_u(params, alloc.e_3, alloc.var_a)
 
     def one_block(rng, n):
         h_d, g, lr_est, ur_est, bad = _estimation_round(params, alloc, rng, n,
@@ -195,7 +194,7 @@ def solve_allocation(params: SystemParams, gamma: float, scheme: str,
     if scheme == RECIPROCAL:
         sol = solve_reciprocal(params, gamma)
         return (sol.alloc, sol.objective,
-                nmse_u_reciprocal(params, sol.alloc.e_f, sol.alloc.var_a))
+                nmse_u(params, sol.alloc.e_f, sol.alloc.var_a))
     if scheme == NON_RECIPROCAL:
         sol = condense(params, gamma)
         if not sol.trace.converged:
@@ -204,7 +203,7 @@ def solve_allocation(params: SystemParams, gamma: float, scheme: str,
                 "without converging")
         return (sol.alloc,
                 nmse_l_nonreciprocal_approx(params, sol.alloc, jensen_variant),
-                nmse_u_nonreciprocal(params, sol.alloc.e_3, sol.alloc.var_a))
+                nmse_u(params, sol.alloc.e_3, sol.alloc.var_a))
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

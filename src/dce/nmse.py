@@ -215,11 +215,12 @@ def nmse_l_reciprocal(params: SystemParams, e_r: float, e_f: float,
     return lmmse_error_var(params.var_h, e_f, params.n_t, r_eff)
 
 
-def nmse_u_reciprocal(params: SystemParams, e_f: float, var_a: float) -> float:
-    """UR channel-estimation NMSE in the reciprocal scheme; in (0, var_g]."""
-    if min(e_f, var_a) < 0:
+def nmse_u(params: SystemParams, e_fwd: float, var_a: float) -> float:
+    """UR channel-estimation NMSE, exact in both schemes, for forward pilot
+    energy ``e_fwd`` (e_f or e_3); in (0, var_g]."""
+    if min(e_fwd, var_a) < 0:
         raise ValueError("allocation entries must be non-negative")
-    return lmmse_error_var(params.var_g, e_f, params.n_t,
+    return lmmse_error_var(params.var_g, e_fwd, params.n_t,
                            ur_effective_noise(params, var_a))
 
 
@@ -228,14 +229,6 @@ def nmse_l_nonreciprocal_approx(params: SystemParams, alloc: PowerAllocation,
     """Approximate LR NMSE for the echo-based scheme (Jensen surrogate)."""
     r_eff = lr_effective_noise_nonreciprocal(params, alloc, jensen_variant)
     return lmmse_error_var(params.var_hd, alloc.e_3, params.n_t, r_eff)
-
-
-def nmse_u_nonreciprocal(params: SystemParams, e_3: float, var_a: float) -> float:
-    """UR NMSE in the non-reciprocal scheme (exact, not approximated)."""
-    if min(e_3, var_a) < 0:
-        raise ValueError("allocation entries must be non-negative")
-    return lmmse_error_var(params.var_g, e_3, params.n_t,
-                           ur_effective_noise(params, var_a))
 
 
 # ---------------------------------------------------------------------------

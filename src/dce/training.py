@@ -1,32 +1,27 @@
-r"""Channel sampling, pilot construction and the training-phase signals.
+r"""Channel sampling and the training-phase statistics.
 
-Every function works on stacks of trials: channels and received blocks
-carry a leading trial axis, e.g. ``h_d`` is (T, n_t, n_l) and a received
-block is (T, tau, M).  Pilot blocks are deterministic truncated-DFT
-matrices shared by all trials: the tau x n block made of the first n
-columns of the unitary tau-point DFT satisfies C^H C = I_n exactly, which
-is the only property the estimators rely on.  The round-trip probe is a
-scaled identity, so it is a scalar: it is private to the transmitter and
-the UR never observes the round trip, so any scaled unitary probe gives the
-same joint law of channels and estimates (``round_trip_training``).
+Every function works on stacks of trials with a leading trial axis, e.g.
+``h_d`` is (T, n_t, n_l).  Each pilot phase returns what its receiver's
+filter reads, not the tau-slot block it receives.  A pilot phase sends
+X = sqrt(E/n) C for a tau x n pilot with C^H C = I_n, and a receiver's
+LMMSE filter reads its block Y = X Z + A N^H Z' + W only through
+C^H Y = sqrt(E/n) Z + (C^H A) N^H Z' + C^H W.  C^H has orthonormal rows, so
+C^H W and C^H A are white with the variances of W and A (Biguesh &
+Gershman, IEEE TSP 2006).  The phases draw them as such, so the pilot
+length enters only the energy budgets and the AN energy, as in the closed
+forms.  The round-trip probe is a scaled identity, so it is a scalar: it is
+private to the transmitter and the UR never observes the round trip, so any
+scaled unitary probe gives the same joint law of channels and estimates
+(``round_trip_training``).
 
-A matrix shared by a whole stack (a pilot block, an estimator's filter)
-multiplies it through ``shared_matmul``: one GEMM over all trials rather
-than the one tiny GEMM per trial a stacked ``@`` makes.  A training phase
-returns what is received, not the pilot sent, which is ``pilot_matrix``
-scaled.
-
-The forward phase builds neither the AN basis nor the transmit block.
-``null_space_basis`` applies the Householder reflectors of each estimate's
-QR factorization straight to the receivers' channels, and
-``forward_training`` adds the AN seen through them to the shared pilot
-product.
+The forward phase never builds the AN basis: ``null_space_basis`` applies
+the Householder reflectors of each estimate's QR factorization straight to
+the receivers' channels.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,34 +31,6 @@ from .rng import complex_gaussian
 # Rank tolerance for null-space extraction, relative to the largest
 # singular value of the estimate.
 RANK_RTOL = 1e-10
-
-
-def shared_matmul(m: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``m @ stack`` for a 2-D ``m`` shared by every matrix of a (..., k, M)
-    stack, computed as one (r x k) @ (k x ...M) GEMM.
-
-    Swapping the k axis to the front and back again folds the leading axes
-    into the column axis and restores them, so any leading shape (none
-    included) and any strides are accepted.
-    """
-    front = stack.swapaxes(0, -2)
-    product = m @ front.reshape(front.shape[0], -1)
-    return product.reshape((m.shape[0],) + front.shape[1:]).swapaxes(0, -2)
-
-
-@functools.lru_cache(maxsize=64)
-def pilot_matrix(tau: int, n: int) -> np.ndarray:
-    """First ``n`` columns of the unitary ``tau``-point DFT (tau x n).
-
-    Cached (and marked read-only) because Monte Carlo blocks request the
-    same pilot again and again.
-    """
-    if n > tau:
-        raise ValueError("semi-unitary pilot needs tau >= n")
-    j, k = np.meshgrid(np.arange(tau), np.arange(n), indexing="ij")
-    block = np.exp(-2j * np.pi * j * k / tau) / np.sqrt(tau)
-    block.flags.writeable = False
-    return block
 
 
 def sample_channels(params: SystemParams, mode: str, rng: np.random.Generator,
@@ -150,20 +117,15 @@ def null_space_basis(h_hat: np.ndarray,
 
 def reverse_training(params: SystemParams, alloc: PowerAllocation,
                      h_u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    r"""LR-to-transmitter pilot phase; returns the received stack ``y_t``.
+    r"""LR-to-transmitter pilot phase; returns the transmitter's statistic
+    ``y_t`` = sqrt(e/n_l) H_u + CN(0, var_wt), (T, n_l, n_t).
 
-    Reciprocal: X_L = sqrt(E_R/n_l) C_L (tau_r x n_l, shared by every
-    trial), received Y_t = X_L H^T + noise (T, tau_r, n_t).  Non-reciprocal:
-    the same structure with energy e_2 over n_l slots and the uplink
-    channel.  Noise variance at the transmitter is var_wt in both cases.
+    The uplink H_u is H^T in the reciprocal scheme, whose energy e is e_r;
+    the echo scheme sends e_2 over its own uplink.
     """
-    if alloc.scheme == RECIPROCAL:
-        energy, tau = alloc.e_r, params.tau_r
-    else:
-        energy, tau = alloc.e_2, params.n_l
-    x_l = np.sqrt(energy / params.n_l) * pilot_matrix(tau, params.n_l)
-    noise = complex_gaussian(rng, (h_u.shape[0], tau, params.n_t), params.var_wt)
-    return shared_matmul(x_l, h_u) + noise
+    energy = alloc.e_r if alloc.scheme == RECIPROCAL else alloc.e_2
+    noise = complex_gaussian(rng, h_u.shape, params.var_wt)
+    return np.sqrt(energy / params.n_l) * h_u + noise
 
 
 def echo_gain(params: SystemParams, e_0: float, e_1: float) -> float:
@@ -204,38 +166,33 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
 
 
 def forward_training(params: SystemParams, alloc: PowerAllocation,
-                     h_d_hat: np.ndarray, h_d: np.ndarray, g: np.ndarray,
-                     rng: np.random.Generator,
+                     h_d_hat: Optional[np.ndarray], h_d: np.ndarray,
+                     g: np.ndarray, rng: np.random.Generator,
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     r"""Transmitter-to-receivers phase with AN in the estimated null space.
 
-    The transmitter sends X_t = sqrt(E/n_t) C_t + A N^H, where N is the
-    null-space basis of each trial's estimate ``h_d_hat`` and A is
-    tau_f x (n_t - n_l) with per-entry variance var_a.  Both receivers
-    observe their channel through X_t plus their own noise.  Returns
-    ``(y_l, y_u, full_rank)``: the two received stacks and the mask of
-    trials whose estimate had full rank (all True without AN).
-
-    X_t itself is never formed.  With both receivers' channels side by side
-    as H = [H_d, G], X_t H = sqrt(E/n_t) C_t H + A (N^H H): the pilot part
-    is one GEMM shared by the whole stack, and ``null_space_basis`` hands
-    back N^H H directly.
+    The transmitter sends sqrt(E/n_t) C_t + A N^H, where N is the null-space
+    basis of each trial's estimate ``h_d_hat`` (None without AN) and the
+    n_t x (n_t - n_l) statistic C_t^H A is drawn as A, per-entry variance
+    var_a.  With both receivers' channels side by side as H = [H_d, G], they
+    read sqrt(E/n_t) H + A (N^H H) plus their own noise, and
+    ``null_space_basis`` hands back N^H H directly.  Returns
+    ``(y_l, y_u, full_rank)``: the (T, n_t, n_l) and (T, n_t, n_u)
+    statistics and the mask of trials whose estimate had full rank (all
+    True without AN).
     """
     energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
-    tau_f = params.tau_f if alloc.scheme == RECIPROCAL else params.n_t
-    trials = h_d.shape[0]
-    pilot = np.sqrt(energy / params.n_t) * pilot_matrix(tau_f, params.n_t)
+    n_t, n_l, trials = params.n_t, params.n_l, h_d.shape[0]
     channels = np.concatenate([h_d, g], axis=-1)
-    received = shared_matmul(pilot, channels)
+    received = np.sqrt(energy / n_t) * channels
     if alloc.var_a > 0:
         seen, full_rank = null_space_basis(h_d_hat, channels)
-        a = complex_gaussian(rng, (trials, tau_f, params.n_t - params.n_l),
-                             alloc.var_a)
+        a = complex_gaussian(rng, (trials, n_t, n_t - n_l), alloc.var_a)
         received += a @ seen
     else:
         full_rank = np.ones(trials, dtype=bool)
-    w = complex_gaussian(rng, (trials, tau_f, params.n_l), params.var_w)
-    w += received[..., :params.n_l]
-    v = complex_gaussian(rng, (trials, tau_f, params.n_u), params.var_v)
-    v += received[..., params.n_l:]
+    w = complex_gaussian(rng, (trials, n_t, n_l), params.var_w)
+    w += received[..., :n_l]
+    v = complex_gaussian(rng, (trials, n_t, params.n_u), params.var_v)
+    v += received[..., n_l:]
     return w, v, full_rank

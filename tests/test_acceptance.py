@@ -29,7 +29,7 @@ from dce.nmse import (
     gamma_bounds,
     jensen_miss,
     nmse_l_nonreciprocal_approx,
-    nmse_u_reciprocal,
+    nmse_u,
     spectral_factor,
 )
 from dce.params import (
@@ -107,7 +107,7 @@ def test_accept_02_reciprocal_solver_beats_dense_oracle():
         gap = sol.objective - oracle.objective
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-3, f"solver lost to the lattice by {gap:.2e}"
-        nu = nmse_u_reciprocal(p, sol.alloc.e_f, sol.alloc.var_a)
+        nu = nmse_u(p, sol.alloc.e_f, sol.alloc.var_a)
         act = abs(nu / gamma - 1.0)
         worst_act = max(worst_act, act)
         assert act <= 1e-9, f"UR floor inactive: rel dev {act:.2e}"

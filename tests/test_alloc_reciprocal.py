@@ -12,7 +12,7 @@ from dce.alloc_reciprocal import (
     solve_reciprocal,
 )
 from dce.errors import InfeasibleGamma
-from dce.nmse import gamma_bounds, gamma_tilde, nmse_u_reciprocal
+from dce.nmse import gamma_bounds, gamma_tilde, nmse_u
 from dce.params import RECIPROCAL, default_params
 from oracles import grid_oracle_reciprocal
 
@@ -68,7 +68,7 @@ def test_inner_split_keeps_floor_exactly_active(params):
     p = params
     for e_r in [0.0, 50.0, 213.7]:
         a, e_f = _split(p, e_r)
-        nu = nmse_u_reciprocal(p, e_f, a / (p.n_t - p.n_l))
+        nu = nmse_u(p, e_f, a / (p.n_t - p.n_l))
         assert nu == pytest.approx(GAMMA, rel=1e-12)
 
 
@@ -87,7 +87,7 @@ def test_line_search_branch_on_defaults(params):
     total = (sol.alloc.e_r + sol.alloc.e_f
              + (p.n_t - p.n_l) * sol.alloc.var_a * p.tau_f)
     np.testing.assert_allclose(total, p.budget_average_reciprocal(), rtol=1e-9)
-    nu = nmse_u_reciprocal(p, sol.alloc.e_f, sol.alloc.var_a)
+    nu = nmse_u(p, sol.alloc.e_f, sol.alloc.var_a)
     np.testing.assert_allclose(nu, GAMMA, rtol=1e-9)
 
 
@@ -207,5 +207,5 @@ def test_golden_section_stops_at_float_spacing(pave_db, gamma, pbar_t_db, pbar_l
     assert a.e_r + a.e_f + an_energy <= p.budget_average_reciprocal() * tol
     assert a.e_f + an_energy <= p.budget_tx_reciprocal() * tol
     assert a.e_r <= p.budget_lr_reciprocal() * tol
-    assert nmse_u_reciprocal(p, a.e_f, a.var_a) >= gamma * (1 - 1e-9)
+    assert nmse_u(p, a.e_f, a.var_a) >= gamma * (1 - 1e-9)
     assert sol.objective <= grid_oracle_reciprocal(p, gamma, 60).objective

@@ -38,11 +38,11 @@ from dce.rng import complex_gaussian
 from dce.training import (
     echo_gain,
     forward_training,
-    pilot_matrix,
     reverse_training,
     round_trip_training,
     sample_channels,
 )
+from helpers import dft_pilot
 
 TRIALS = 10000
 
@@ -322,9 +322,7 @@ def test_lmmse_beats_alternative_linear_filters():
     """2x1 toy: scalar LMMSE beats least squares and 100 perturbed filters."""
     var_h, var_n, energy = 1.0, 1.0, 3.0
     tau, n = 2, 1
-    from dce.training import pilot_matrix
-
-    c = pilot_matrix(tau, n)
+    c = dft_pilot(tau, n)
     x = np.sqrt(energy / n) * c
     w_lmmse = (np.sqrt(energy / n) / (energy / n + var_n / var_h)) * c.conj().T
     w_ls = np.linalg.pinv(x)
@@ -411,16 +409,17 @@ def _pilot_filter_reference(prior_var, noise_var, energy, tau, n_cols):
     """prior (prior X^H X + noise I)^{-1} X^H with X = sqrt(energy/n_cols) C:
     the LMMSE filter through its n_cols x n_cols system, whose matrix is a
     multiple of the identity up to rounding."""
-    x = np.sqrt(energy / n_cols) * pilot_matrix(tau, n_cols)
+    x = np.sqrt(energy / n_cols) * dft_pilot(tau, n_cols)
     gram = prior_var * (x.conj().T @ x) + noise_var * np.eye(n_cols)
     return prior_var * np.linalg.solve(gram, x.conj().T)
 
 
 def test_pilot_filters_match_lmmse_reference(defaults):
-    """Every filter the estimators build at the default parameters, for a
-    reciprocal and an echo allocation, and filters with tau in {n, 2n, 4n}
-    whose tau x tau Gram matrix prior X X^H + noise I has condition number
-    1e2 to 1e13: within 1e-13 relative of the reference filter."""
+    """Every gain the estimators apply at the default parameters, for a
+    reciprocal and an echo allocation, and gains for pilots with tau in
+    {n, 2n, 4n} whose tau x tau Gram matrix prior X X^H + noise I has
+    condition number 1e2 to 1e13: the gain times C^H is within 1e-13
+    relative of the reference filter."""
     p = defaults
     rec = reciprocal_allocation(2.0, 4.0, var_a=0.5)
     echo = nonreciprocal_allocation(3.0, 5.0, 2.0, 6.0, var_a=0.4)
@@ -438,7 +437,9 @@ def test_pilot_filters_match_lmmse_reference(defaults):
             # prior energy/n + noise = cond * noise
             cases.append((2.5, 2.5 * (energy / n) / (cond - 1), energy, tau, n))
     for args in cases:
-        np.testing.assert_allclose(_pilot_filter(*args), _pilot_filter_reference(*args),
+        gain = _pilot_filter(*args[:3], args[4])  # (prior, noise, energy, n_cols)
+        np.testing.assert_allclose(gain * dft_pilot(*args[3:]).conj().T,
+                                   _pilot_filter_reference(*args),
                                    rtol=1e-13, atol=0, err_msg=str(args))
 
 

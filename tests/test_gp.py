@@ -33,8 +33,7 @@ from dce.gp import (
     solve_inner_gp,
     to_gp_variables,
 )
-from dce.nmse import (gamma_tilde, nmse_l_nonreciprocal_approx,
-                      nmse_u_nonreciprocal)
+from dce.nmse import gamma_tilde, nmse_l_nonreciprocal_approx, nmse_u
 from dce.params import default_params, nonreciprocal_allocation
 from oracles import grid_oracle_nonreciprocal
 
@@ -826,7 +825,7 @@ def test_oracle_matches_scalar_scan(kwargs, gamma, resolution):
             <= p.budget_average_nonreciprocal() * tol)
     assert alloc.e_0 + alloc.e_3 + an <= p.budget_tx_nonreciprocal() * tol
     assert alloc.e_1 + alloc.e_2 <= p.budget_lr_nonreciprocal() * tol
-    assert nmse_u_nonreciprocal(p, alloc.e_3, alloc.var_a) >= gamma * (1 - 1e-9)
+    assert nmse_u(p, alloc.e_3, alloc.var_a) >= gamma * (1 - 1e-9)
 
 
 @pytest.mark.parametrize("kwargs,gamma", [

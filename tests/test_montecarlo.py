@@ -150,6 +150,19 @@ def test_an_without_transmitter_estimate(instance):
     assert abs(report.empirical_ur - report.analytic_ur) <= 6 * se * report.half_width_95_ur
 
 
+def test_reciprocal_long_pilots_match_closed_forms():
+    """Pilots longer than the antenna counts (8x4(+4), tau_f = 24,
+    tau_r = 12) at the solved 20 dB, gamma 0.1 allocation, which sends AN:
+    4,096 trials land within 6 standard errors of both closed forms."""
+    params = default_params(n_t=8, n_l=4, n_u=4, tau_f=24, tau_r=12)
+    alloc = solve_reciprocal(params, 0.1).alloc
+    assert alloc.var_a > 0 and alloc.e_r > 0
+    report = run_nmse_experiment(params, alloc, trials=4096, seed=0)
+    se = 1.0 / 1.959963984540054
+    assert abs(report.empirical_lr - report.analytic_lr) <= 6 * se * report.half_width_95_lr
+    assert abs(report.empirical_ur - report.analytic_ur) <= 6 * se * report.half_width_95_ur
+
+
 def test_nonreciprocal_empirical_tracks_surrogate(defaults):
     """Solved echo-scheme allocation: Monte Carlo within 15% of the
     approximation (it is a surrogate, not an exact moment)."""

@@ -28,8 +28,7 @@ from dce.nmse import (
     nmse_l_nonreciprocal_approx,
     nmse_l_reciprocal,
     nmse_lower_bound,
-    nmse_u_nonreciprocal,
-    nmse_u_reciprocal,
+    nmse_u,
     sigma_sq_uplink,
     spectral_factor,
 )
@@ -70,14 +69,14 @@ def test_lr_reciprocal_formula_points(defaults):
 
 
 def test_ur_reciprocal_formula_points(defaults):
-    assert nmse_u_reciprocal(defaults, 0.0, 3.0) == pytest.approx(defaults.var_g)
-    assert nmse_u_reciprocal(defaults, 4.0, 0.0) == pytest.approx(0.5)
+    assert nmse_u(defaults, 0.0, 3.0) == pytest.approx(defaults.var_g)
+    assert nmse_u(defaults, 4.0, 0.0) == pytest.approx(0.5)
     # AN floor (4-2)*1*1 + 1 = 3: (1 + (4/4)/3)^{-1}
-    assert nmse_u_reciprocal(defaults, 4.0, 1.0) == pytest.approx(0.75)
+    assert nmse_u(defaults, 4.0, 1.0) == pytest.approx(0.75)
 
 
 def test_ur_saturates_at_prior_under_heavy_an(defaults):
-    assert nmse_u_reciprocal(defaults, 4.0, 1e12) == pytest.approx(
+    assert nmse_u(defaults, 4.0, 1e12) == pytest.approx(
         defaults.var_g, rel=1e-9)
 
 
@@ -85,9 +84,9 @@ def test_negative_allocation_rejected(defaults):
     with pytest.raises(ValueError):
         nmse_l_reciprocal(defaults, -1.0, 4.0, 0.0)
     with pytest.raises(ValueError):
-        nmse_u_reciprocal(defaults, 4.0, -0.5)
+        nmse_u(defaults, 4.0, -0.5)
     with pytest.raises(ValueError):
-        nmse_u_nonreciprocal(defaults, -4.0, 0.0)
+        nmse_u(defaults, -4.0, 0.0)
 
 
 def test_lr_nonreciprocal_no_an_reduces_to_plain_lmmse(defaults):
@@ -107,10 +106,12 @@ def test_lr_nonreciprocal_no_probe_worst_case_leakage(defaults):
 
 
 def test_ur_nonreciprocal_matches_reciprocal_form(defaults):
-    # UR sees the same forward phase in both schemes
+    # UR sees the same forward phase in both schemes, so one kernel serves
+    # both: the reciprocal form with e_3 in place of e_f
     for e, a in [(4.0, 0.0), (4.0, 1.0), (17.0, 2.5)]:
-        assert nmse_u_nonreciprocal(defaults, e, a) == pytest.approx(
-            nmse_u_reciprocal(defaults, e, a))
+        r_eff = (defaults.n_t - defaults.n_l) * a * defaults.var_g + defaults.var_v
+        assert nmse_u(defaults, e, a) == pytest.approx(
+            1.0 / (1.0 / defaults.var_g + (e / defaults.n_t) / r_eff))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ def test_gamma_tilde_is_exactly_the_ur_floor_boundary(defaults):
         gt = gt_cache.setdefault(gamma, gamma_tilde(defaults, gamma))
         r_eff = ((defaults.n_t - defaults.n_l) * var_a * defaults.var_g
                  + defaults.var_v)
-        lhs = nmse_u_reciprocal(defaults, e_f, var_a) >= gamma
+        lhs = nmse_u(defaults, e_f, var_a) >= gamma
         rhs = e_f * defaults.var_v / r_eff <= gt
         assert lhs == rhs
 
@@ -233,9 +234,9 @@ def test_directional_monotonicity(defaults):
         assert nmse_l_reciprocal(defaults, e_r + d, e_f, var_a) <= base_l + 1e-15
         # more AN never helps the LR, never hurts (raises) the UR error
         assert nmse_l_reciprocal(defaults, e_r, e_f, var_a + d) >= base_l - 1e-15
-        base_u = nmse_u_reciprocal(defaults, e_f, var_a)
-        assert nmse_u_reciprocal(defaults, e_f, var_a + d) >= base_u - 1e-15
-        assert nmse_u_reciprocal(defaults, e_f + d, var_a) <= base_u + 1e-15
+        base_u = nmse_u(defaults, e_f, var_a)
+        assert nmse_u(defaults, e_f, var_a + d) >= base_u - 1e-15
+        assert nmse_u(defaults, e_f + d, var_a) <= base_u + 1e-15
 
 
 def test_values_stay_in_range(defaults):
@@ -245,7 +246,7 @@ def test_values_stay_in_range(defaults):
         e_f = float(rng.uniform(0.0, 500.0))
         var_a = float(rng.uniform(0.0, 50.0))
         v_l = nmse_l_reciprocal(defaults, e_r, e_f, var_a)
-        v_u = nmse_u_reciprocal(defaults, e_f, var_a)
+        v_u = nmse_u(defaults, e_f, var_a)
         assert 0.0 < v_l <= defaults.var_h + 1e-15
         assert 0.0 < v_u <= defaults.var_g + 1e-15
 

@@ -17,12 +17,11 @@ from dce.training import (
     echo_gain,
     forward_training,
     null_space_basis,
-    pilot_matrix,
     reverse_training,
     round_trip_training,
     sample_channels,
-    shared_matmul,
 )
+from helpers import dft_pilot
 
 
 def _hermitian(x):
@@ -72,11 +71,12 @@ def test_unknown_mode_rejected(defaults, rng):
 # ---------------------------------------------------------------------------
 
 def test_pilot_matrix_semi_unitary():
+    """The explicit pilot of the reference models below is semi-unitary."""
     for tau, n in ((2, 2), (4, 4), (8, 4), (6, 2)):
-        c = pilot_matrix(tau, n)
+        c = dft_pilot(tau, n)
         np.testing.assert_allclose(c.conj().T @ c, np.eye(n), atol=1e-12)
     with pytest.raises(ValueError):
-        pilot_matrix(2, 4)
+        dft_pilot(2, 4)
 
 
 def test_null_space_canonical():
@@ -188,54 +188,79 @@ def test_null_space_rank_mask_other_geometries(rng, n_t, n_l):
 
 
 # ---------------------------------------------------------------------------
-# forward phase
+# explicit-pilot reference
 # ---------------------------------------------------------------------------
 
-def _reference_forward(params, alloc, h_d_hat, h_d, g, replay):
-    """The forward phase built the direct way: the transmit block
-    X_t = sqrt(E/n_t) C_t + A N^H, with N from a complete QR of each estimate
-    and A, W, V replayed from the phase's stream.  Returns
-    (x_t, y_l, y_u)."""
-    trials = h_d.shape[0]
-    if alloc.scheme == RECIPROCAL:
-        energy, tau_f = alloc.e_f, params.tau_f
-    else:
-        energy, tau_f = alloc.e_3, params.n_t
-    x_t = np.broadcast_to(np.sqrt(energy / params.n_t)
-                          * pilot_matrix(tau_f, params.n_t),
-                          (trials, tau_f, params.n_t))
-    if alloc.var_a > 0:
-        q, _ = np.linalg.qr(h_d_hat, mode="complete")
-        a = complex_gaussian(replay, (trials, tau_f, params.n_t - params.n_l),
-                             alloc.var_a)
-        x_t = x_t + a @ _hermitian(q[..., params.n_l:])
-    w = complex_gaussian(replay, (trials, tau_f, params.n_l), params.var_w)
-    v = complex_gaussian(replay, (trials, tau_f, params.n_u), params.var_v)
-    return x_t, x_t @ h_d + w, x_t @ g + v
+def _fed_draws(monkeypatch, draws):
+    """Make the training module's draws return ``draws``, a list of (value,
+    variance) pairs, in order, checking each requested shape and variance.
+    Returns the queue, which is empty once the phase drew all of them."""
+    queue = list(draws)
+
+    def draw(rng, shape, var=1.0):
+        value, want_var = queue.pop(0)
+        assert value.shape == tuple(shape) and var == want_var
+        return value.copy()
+
+    monkeypatch.setattr(training, "complex_gaussian", draw)
+    return queue
 
 
 def _assert_close(got, want, rel):
     np.testing.assert_allclose(got, want, rtol=rel, atol=rel * np.abs(want).max())
 
 
-def _forward_with_reference(params, alloc, h_d_hat, h_d, g, rng):
-    """Production outputs and the reference built from a replay of ``rng``;
-    asserts both draw exactly the same."""
-    replay = np.random.default_rng()
-    replay.bit_generator.state = rng.bit_generator.state
-    y_l, y_u, full_rank = forward_training(params, alloc, h_d_hat, h_d, g, rng)
-    reference = _reference_forward(params, alloc, h_d_hat, h_d, g, replay)
-    assert rng.random() == replay.random()
-    return (y_l, y_u, full_rank), reference
+# ---------------------------------------------------------------------------
+# forward phase
+# ---------------------------------------------------------------------------
+
+def _reference_forward(params, alloc, h_d_hat, h_d, g, rng, tau):
+    """The forward phase over an explicit tau-slot pilot C: the transmit
+    block X_t = sqrt(E/n_t) C + A N^H, with N from a complete QR of each
+    estimate and full-size draws A, W, V.  Returns (x_t, C^H (X_t H_d + W),
+    C^H (X_t G + V)) and the draws the phase makes in their place,
+    C^H A, C^H W and C^H V with their variances."""
+    trials, n_t, n_l = h_d.shape
+    energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
+    c = dft_pilot(tau, n_t)
+    x_t = np.broadcast_to(np.sqrt(energy / n_t) * c, (trials, tau, n_t))
+    draws = []
+    if alloc.var_a > 0:
+        q, _ = np.linalg.qr(h_d_hat, mode="complete")
+        a = complex_gaussian(rng, (trials, tau, n_t - n_l), alloc.var_a)
+        x_t = x_t + a @ _hermitian(q[..., n_l:])
+        draws.append((c.conj().T @ a, alloc.var_a))
+    w = complex_gaussian(rng, (trials, tau, n_l), params.var_w)
+    v = complex_gaussian(rng, (trials, tau, params.n_u), params.var_v)
+    draws += [(c.conj().T @ w, params.var_w), (c.conj().T @ v, params.var_v)]
+    return (x_t, c.conj().T @ (x_t @ h_d + w), c.conj().T @ (x_t @ g + v)), draws
+
+
+def _forward_with_reference(params, alloc, h_d_hat, h_d, g, monkeypatch, tau,
+                            seed=0):
+    """Production outputs, with the phase's draws replaced by the reference's
+    C^H A, C^H W and C^H V, and the explicit reference (x_t, ref_l, ref_u);
+    asserts the phase draws exactly those, in that order."""
+    reference, draws = _reference_forward(params, alloc, h_d_hat, h_d, g,
+                                          np.random.default_rng(seed), tau)
+    with monkeypatch.context() as patch:
+        queue = _fed_draws(patch, draws)
+        out = forward_training(params, alloc, h_d_hat, h_d, g, None)
+    assert queue == []
+    return out, reference
 
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL],
                          ids=["recip", "echo"])
 @pytest.mark.parametrize("n_t,n_l,n_u", [(4, 2, 2), (6, 1, 2), (6, 3, 3),
                                          (16, 8, 8)])
-def test_forward_matches_transmit_block_reference(scheme, n_t, n_l, n_u):
-    """AN sent through the estimate's QR reflectors reaches both receivers
-    as A N^H with N taken from the complete QR, within 1e-13 relative."""
+def test_forward_matches_transmit_block_reference(monkeypatch, scheme, n_t, n_l, n_u):
+    """Trial by trial, at tau = n_t and tau > n_t: the explicit transmit
+    block with AN through N from the complete QR, read through C^H, equals
+    the phase's statistic drawn as C^H A, C^H W and C^H V, within 1e-12
+    relative.  As C^H has orthonormal rows, C^H W has the law of the
+    phase's own draw, so both give the same joint law of channels and
+    statistics."""
     params = default_params(n_t=n_t, n_l=n_l, n_u=n_u, tau_f=n_t + 2)
     if scheme == RECIPROCAL:
         alloc = reciprocal_allocation(2.0, 4.0, var_a=0.8)
@@ -244,74 +269,82 @@ def test_forward_matches_transmit_block_reference(scheme, n_t, n_l, n_u):
     trials = 33
     h_d, _, g = sample_channels(params, scheme, np.random.default_rng(40), trials)
     h_d_hat = h_d + complex_gaussian(np.random.default_rng(41), h_d.shape, 0.1)
-    (y_l, y_u, full_rank), (_, ref_l, ref_u) = _forward_with_reference(
-        params, alloc, h_d_hat, h_d, g, np.random.default_rng(42))
-    assert full_rank.all()
-    _assert_close(y_l, ref_l, 1e-13)
-    _assert_close(y_u, ref_u, 1e-13)
+    for tau in (n_t, 2 * n_t + 1):
+        (y_l, y_u, full_rank), (_, ref_l, ref_u) = _forward_with_reference(
+            params, alloc, h_d_hat, h_d, g, monkeypatch, tau, seed=42)
+        assert full_rank.all()
+        _assert_close(y_l, ref_l, 1e-12)
+        _assert_close(y_u, ref_u, 1e-12)
 
 
-def test_forward_no_an_is_pure_pilot(defaults, rng):
+def test_forward_no_an_is_pure_pilot(defaults, rng, monkeypatch):
+    """Without AN the phase needs no estimate: both receivers read the
+    scaled channels plus their own noise, bit for bit, and the explicit
+    transmit block is the pure pilot."""
     h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 5)
     alloc = reciprocal_allocation(0.0, 4.0, var_a=0.0)
+    (y_l, y_u, _), (x_t, ref_l, ref_u) = _forward_with_reference(
+        defaults, alloc, None, h_d, g, monkeypatch, defaults.tau_f)
+    expected = np.sqrt(4.0 / 4) * dft_pilot(defaults.tau_f, defaults.n_t)
+    np.testing.assert_array_equal(x_t, np.broadcast_to(expected, (5, 4, 4)))
+    _assert_close(y_l, ref_l, 1e-12)
+    _assert_close(y_u, ref_u, 1e-12)
     replay = np.random.default_rng()
     replay.bit_generator.state = rng.bit_generator.state
-    (y_l, y_u, full_rank), (x_t, _, _) = _forward_with_reference(
-        defaults, alloc, h_d, h_d, g, rng)
-    expected = np.sqrt(4.0 / 4) * pilot_matrix(defaults.tau_f, defaults.n_t)
-    np.testing.assert_array_equal(x_t, np.broadcast_to(expected, (5, 4, 4)))
+    y_l, y_u, full_rank = forward_training(defaults, alloc, None, h_d, g, rng)
     assert full_rank.all()
-    # both receivers see the shared pilot GEMM plus their noise, bit for bit
-    w = complex_gaussian(replay, (5, defaults.tau_f, defaults.n_l), defaults.var_w)
-    v = complex_gaussian(replay, (5, defaults.tau_f, defaults.n_u), defaults.var_v)
-    received = shared_matmul(expected, np.concatenate([h_d, g], axis=-1))
-    np.testing.assert_array_equal(y_l, received[..., :defaults.n_l] + w)
-    np.testing.assert_array_equal(y_u, received[..., defaults.n_l:] + v)
+    w = complex_gaussian(replay, (5, defaults.n_t, defaults.n_l), defaults.var_w)
+    v = complex_gaussian(replay, (5, defaults.n_t, defaults.n_u), defaults.var_v)
+    np.testing.assert_array_equal(y_l, np.sqrt(4.0 / 4) * h_d + w)
+    np.testing.assert_array_equal(y_u, np.sqrt(4.0 / 4) * g + v)
+    assert rng.random() == replay.random()
 
 
-def test_forward_an_invisible_at_perfect_csi(defaults, rng):
+def test_forward_an_invisible_at_perfect_csi(defaults, rng, monkeypatch):
     """With h_d_hat = h_d the AN lands exactly in the LR's blind spot."""
     h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 20)
     alloc = reciprocal_allocation(0.0, 4.0, var_a=3.0)
+    tau = defaults.tau_f
     (y_l, y_u, full_rank), (x_t, ref_l, ref_u) = _forward_with_reference(
-        defaults, alloc, h_d, h_d, g, rng)
+        defaults, alloc, h_d, h_d, g, monkeypatch, tau)
     assert full_rank.all()
-    _assert_close(y_l, ref_l, 1e-13)
-    _assert_close(y_u, ref_u, 1e-13)
-    pilot_part = np.sqrt(alloc.e_f / defaults.n_t) * pilot_matrix(
-        defaults.tau_f, defaults.n_t)
+    _assert_close(y_l, ref_l, 1e-12)
+    _assert_close(y_u, ref_u, 1e-12)
+    c = dft_pilot(tau, defaults.n_t)
+    pilot_part = np.sqrt(alloc.e_f / defaults.n_t) * c
     an_part = x_t - pilot_part
     bound = 1e-10 * np.linalg.norm(h_d, axis=(1, 2))
     assert np.all(np.linalg.norm(an_part @ h_d, axis=(1, 2)) <= bound)
-    # the production LR block holds the pilot and the noise and no AN
-    w = ref_l - x_t @ h_d
-    leak = y_l - pilot_part @ h_d - w
+    # the production LR statistic holds the pilot and the noise and no AN
+    w = ref_l - c.conj().T @ (x_t @ h_d)
+    leak = y_l - np.sqrt(alloc.e_f / defaults.n_t) * h_d - w
     assert np.all(np.linalg.norm(leak, axis=(1, 2)) <= bound)
     # the AN itself is not degenerate
     assert np.all(np.linalg.norm(an_part, axis=(1, 2)) > 0.1)
 
 
-def test_forward_pilot_row_power(defaults, rng):
+def test_forward_pilot_row_power(defaults, rng, monkeypatch):
     h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 3)
     (y_l, y_u, _), (x_t, ref_l, ref_u) = _forward_with_reference(
-        defaults, reciprocal_allocation(0.0, 4.0), h_d, h_d, g, rng)
-    _assert_close(y_l, ref_l, 1e-13)
-    _assert_close(y_u, ref_u, 1e-13)
+        defaults, reciprocal_allocation(0.0, 4.0), h_d, h_d, g, monkeypatch,
+        defaults.tau_f)
+    _assert_close(y_l, ref_l, 1e-12)
+    _assert_close(y_u, ref_u, 1e-12)
     row_power = np.sum(np.abs(x_t) ** 2, axis=-1)
     np.testing.assert_allclose(row_power, 1.0, atol=1e-12)
 
 
-def test_forward_energy_accounting(defaults):
+def test_forward_energy_accounting(defaults, monkeypatch):
     """Mean transmit energy = pilot energy + (n_t-n_l)*var_a*tau_f, within 3%."""
     alloc = reciprocal_allocation(0.0, 6.0, var_a=0.8)
     expected = 6.0 + 2 * 0.8 * defaults.tau_f
-    rng = np.random.default_rng(11)
     trials = 10000
-    h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, trials)
+    h_d, _, g = sample_channels(defaults, RECIPROCAL, np.random.default_rng(11),
+                                trials)
     (y_l, y_u, _), (x_t, ref_l, ref_u) = _forward_with_reference(
-        defaults, alloc, h_d, h_d, g, rng)
-    _assert_close(y_l, ref_l, 1e-13)
-    _assert_close(y_u, ref_u, 1e-13)
+        defaults, alloc, h_d, h_d, g, monkeypatch, defaults.tau_f, seed=11)
+    _assert_close(y_l, ref_l, 1e-12)
+    _assert_close(y_u, ref_u, 1e-12)
     total = np.sum(np.abs(x_t) ** 2)
     assert total / trials == pytest.approx(expected, rel=0.03)
 
@@ -320,75 +353,65 @@ def test_forward_energy_accounting(defaults):
     (RECIPROCAL, 0.0), (RECIPROCAL, 0.8), (NON_RECIPROCAL, 0.0),
     (NON_RECIPROCAL, 0.8)], ids=["recip-pilots", "recip-an", "echo-pilots", "echo-an"])
 def test_forward_fused_product_matches_separate_products(defaults, scheme, var_a):
-    """One product against [h_d, g] gives both receivers what two separate
-    products with the transmit block give, and draws exactly what the phase
-    always drew."""
+    """One pass over [h_d, g] gives both receivers what two separate passes
+    give, sqrt(E/n_t) H + A (N^H H) + noise for H = h_d and H = g, and
+    draws exactly A, W and V.  Without AN the phase takes no estimate."""
     if scheme == RECIPROCAL:
         alloc = reciprocal_allocation(2.0, 4.0, var_a=var_a)
-        tau_f = defaults.tau_f
+        energy = alloc.e_f
     else:
         alloc = nonreciprocal_allocation(2.0, 1.0, 2.0, 4.0, var_a=var_a)
-        tau_f = defaults.n_t
-    trials = 9
+        energy = alloc.e_3
+    trials, n_t, n_l = 9, defaults.n_t, defaults.n_l
     h_d, _, g = sample_channels(defaults, scheme, np.random.default_rng(20), trials)
-    h_d_hat = h_d + complex_gaussian(np.random.default_rng(21), h_d.shape, 0.1)
+    h_d_hat = (h_d + complex_gaussian(np.random.default_rng(21), h_d.shape, 0.1)
+               if var_a > 0 else None)
     rng, replay = np.random.default_rng(22), np.random.default_rng(22)
     y_l, y_u, _ = forward_training(defaults, alloc, h_d_hat, h_d, g, rng)
-    x_t, _, _ = _reference_forward(defaults, alloc, h_d_hat, h_d, g,
-                                   np.random.default_rng(22))
+    want_l, want_u = np.sqrt(energy / n_t) * h_d, np.sqrt(energy / n_t) * g
     if var_a > 0:
-        complex_gaussian(replay, (trials, tau_f, defaults.n_t - defaults.n_l), var_a)
-    w = complex_gaussian(replay, (trials, tau_f, defaults.n_l), defaults.var_w)
-    v = complex_gaussian(replay, (trials, tau_f, defaults.n_u), defaults.var_v)
-    for got, want in ((y_l, x_t @ h_d + w), (y_u, x_t @ g + v)):
+        a = complex_gaussian(replay, (trials, n_t, n_t - n_l), var_a)
+        want_l = want_l + a @ null_space_basis(h_d_hat, h_d)[0]
+        want_u = want_u + a @ null_space_basis(h_d_hat, g)[0]
+    want_l = want_l + complex_gaussian(replay, (trials, n_t, n_l), defaults.var_w)
+    want_u = want_u + complex_gaussian(replay, (trials, n_t, defaults.n_u),
+                                       defaults.var_v)
+    for got, want in ((y_l, want_l), (y_u, want_u)):
         np.testing.assert_allclose(got, want, rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
-    assert x_t.shape == (trials, tau_f, defaults.n_t)
-    assert y_l.shape == (trials, tau_f, defaults.n_l)
-    assert y_u.shape == (trials, tau_f, defaults.n_u)
-    assert rng.random() == replay.random()
-
-
-# ---------------------------------------------------------------------------
-# shared-matrix products
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("lead", [(), (1,), (256,)], ids=["none", "one", "block"])
-@pytest.mark.parametrize("m_shape", [(1, 6), (4, 6), (32, 1024)],
-                         ids=["row", "small", "wide"])
-@pytest.mark.parametrize("layout", ["contiguous", "swapaxes"])
-def test_shared_matmul_equals_stacked_matmul(lead, m_shape, layout):
-    rng = np.random.default_rng(30)
-    r, k = m_shape
-    cols = 3
-    m = complex_gaussian(rng, m_shape)
-    if layout == "contiguous":
-        stack = complex_gaussian(rng, lead + (k, cols))
-    else:
-        stack = np.swapaxes(complex_gaussian(rng, lead + (cols, k)), -1, -2)
-    got = shared_matmul(m, stack)
-    want = m @ stack
-    assert got.shape == want.shape == lead + (r, cols)
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
-
-
-def test_reverse_training_pilot_product(defaults):
-    """The reciprocal uplink is a swapaxes view of the downlink; the shared
-    product through it equals the stacked one."""
-    rng, replay = np.random.default_rng(31), np.random.default_rng(31)
-    h_d, h_u, _ = sample_channels(defaults, RECIPROCAL, np.random.default_rng(32), 7)
-    alloc = reciprocal_allocation(3.0, 4.0)
-    y_t = reverse_training(defaults, alloc, h_u, rng)
-    x_l = np.sqrt(3.0 / defaults.n_l) * pilot_matrix(defaults.tau_r, defaults.n_l)
-    noise = complex_gaussian(replay, (7, defaults.tau_r, defaults.n_t), defaults.var_wt)
-    want = x_l @ h_u + noise
-    np.testing.assert_allclose(y_t, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+    assert y_l.shape == (trials, n_t, n_l)
+    assert y_u.shape == (trials, n_t, defaults.n_u)
     assert rng.random() == replay.random()
 
 
 # ---------------------------------------------------------------------------
 # reverse phase
 # ---------------------------------------------------------------------------
+
+def test_reverse_training_pilot_product(monkeypatch):
+    """Trial by trial, for both schemes at tau = n_l and tau > n_l: the
+    explicit reverse block sqrt(e/n_l) C H_u + W, with a full-size draw W,
+    read through C^H equals the phase's statistic drawn as C^H W, within
+    1e-12 relative.  The reciprocal uplink is a swapaxes view of the
+    downlink."""
+    params = default_params()
+    n_t, n_l = params.n_t, params.n_l
+    for scheme, alloc in (
+            (RECIPROCAL, reciprocal_allocation(3.0, 4.0)),
+            (NON_RECIPROCAL, nonreciprocal_allocation(1.0, 1.0, 3.0, 4.0))):
+        h_d, h_u, _ = sample_channels(params, scheme, np.random.default_rng(32), 7)
+        assert (h_u.base is h_d) == (scheme == RECIPROCAL)
+        for tau in (n_l, 3 * n_l + 1):
+            c = dft_pilot(tau, n_l)
+            w = complex_gaussian(np.random.default_rng(31), (7, tau, n_t),
+                                 params.var_wt)
+            want = c.conj().T @ (np.sqrt(3.0 / n_l) * c @ h_u + w)
+            with monkeypatch.context() as patch:
+                queue = _fed_draws(patch, [(c.conj().T @ w, params.var_wt)])
+                y_t = reverse_training(params, alloc, h_u, None)
+            assert queue == []
+            _assert_close(y_t, want, 1e-12)
+
 
 def test_reverse_zero_energy_is_noise(defaults):
     rng = np.random.default_rng(12)
@@ -399,8 +422,8 @@ def test_reverse_zero_energy_is_noise(defaults):
 
 
 def test_reverse_pilot_energy(defaults, rng):
-    """The pilot the phase sends, read off the received block with its
-    noise replayed and the full-row-rank uplink inverted, carries e_r."""
+    """The pilot the statistic carries, read off it with its noise replayed
+    and the full-row-rank uplink inverted, holds e_r."""
     _, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, 2)
     state = rng.bit_generator.state
     y_t = reverse_training(defaults, reciprocal_allocation(2.0, 4.0), h_u, rng)
@@ -412,11 +435,12 @@ def test_reverse_pilot_energy(defaults, rng):
 
 
 def test_reverse_noiseless_identifiability(rng):
-    """With the noise turned off, least squares recovers H^T exactly."""
+    """With the noise turned off, least squares recovers H^T exactly from
+    the statistic sqrt(e_r/n_l) H^T."""
     quiet = default_params(var_wt=1e-30)
     _, h_u, _ = sample_channels(quiet, RECIPROCAL, rng, 3)
     y_t = reverse_training(quiet, reciprocal_allocation(5.0, 4.0), h_u, rng)
-    x_l = np.sqrt(5.0 / quiet.n_l) * pilot_matrix(quiet.tau_r, quiet.n_l)
+    x_l = np.sqrt(5.0 / quiet.n_l) * np.eye(quiet.n_l)
     for k in range(3):
         h_t, *_ = np.linalg.lstsq(x_l, y_t[k], rcond=None)
         np.testing.assert_allclose(h_t, h_u[k], atol=1e-10)
