@@ -16,14 +16,17 @@ single non-posynomial piece is the ratio constraint numer(x)/denom(x) <= 1.
 Each outer iteration replaces denom by its best monomial under-estimator at
 the current point (weights = log-gradient exponents, an AM-GM bound, hence
 global under-estimation and tangency), leaving an ordinary GP that a
-primal-dual interior-point routine solves to high accuracy, holding every
-log-sum-exp constraint row as one stacked term matrix.  The matrix is
-stacked once per solve: a round rewrites only the condensed ratio row's
-terms, in place.  From the second round on, the previous round's KKT point,
-polished on the new GP, usually passes the same certificate without the
-interior-point solve.  Because the monomial never exceeds the true
-denominator, every inner-feasible point is feasible for the original
-problem, and the objective improves monotonically.
+primal-dual interior-point routine solves, holding every log-sum-exp
+constraint row as one stacked term matrix.  The interior point follows the
+central path only until its multipliers mark the active set (duality gap
+PD_HANDOFF_GAP), and an active-set Newton polish takes it to a KKT point
+that one certificate checks.  The matrix is stacked once per solve: a
+round rewrites only the condensed ratio row's terms, in place.  From the
+second round on, the previous round's KKT point, polished on the new GP,
+usually passes the same certificate without the interior-point solve.
+Because the monomial never exceeds the true denominator, every
+inner-feasible point is feasible for the original problem, and the
+objective improves monotonically.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ PD_MU = 10.0              # primal-dual: t = PD_MU * m / (surrogate gap)
 PD_ALPHA = 0.01           # primal-dual: residual decrease per unit step
 PD_GAP_TOL = 1e-10        # primal-dual stop: surrogate duality gap ...
 PD_FEAS_TOL = 1e-10       # ... and dual residual (max norm)
+PD_HANDOFF_GAP = 1e-2     # cold phase 2 hands its active set to the polish here
 PD_MAX_ITER = 100
 PHASE1_SLACK = -1e-3      # phase 1 stops once every row is this far inside
 
@@ -329,21 +333,25 @@ class _Terms:
 
 
 def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, parts,
-                 watch: Optional[Tuple[_Terms, tuple]] = None):
+                 watch: Optional[Tuple[_Terms, tuple]] = None,
+                 lam: Optional[np.ndarray] = None, gap_tol: float = PD_GAP_TOL):
     """Feasible-start primal-dual path following for min c.y s.t. f(y) <= 0
     (Boyd & Vandenberghe, *Convex Optimization*, 2004, section 11.7).
 
     From a strictly feasible ``y``, whose ``terms.parts`` are ``parts``,
-    with lambda = -1/f, each iteration sets
-    t = PD_MU * m / eta, eta = -f.lambda the surrogate duality gap, and
+    with lambda = -1/f unless a positive ``lam`` is given, each iteration
+    sets t = PD_MU * m / eta, eta = -f.lambda the surrogate duality gap, and
     takes one Newton step on the modified KKT residuals r_dual = c + G^T
     lambda and r_cent = -lambda*f - 1/t, the multipliers eliminated into one
     n x n system.  The step is 0.99 of the largest keeping lambda > 0,
     halved until every row is strictly feasible (value-only) and then until
     the residual norm falls by the factor 1 - PD_ALPHA * step.  Stops once
-    eta <= PD_GAP_TOL and |r_dual| <= PD_FEAS_TOL, after PD_MAX_ITER
-    iterations, or when the step vanishes.  The residual test reuses the
-    feasibility test's log-sum.
+    eta <= ``gap_tol`` and |r_dual| <= max(``gap_tol``, PD_FEAS_TOL), after
+    PD_MAX_ITER iterations, or when the step vanishes.  The residual test
+    reuses the feasibility test's log-sum.  An iteration reads nothing but
+    (y, lambda) and the rows at y, so a path stopped at a loose ``gap_tol``
+    and resumed from its returned (y, lambda, parts) with ``lam`` takes the
+    steps an unstopped path takes.
 
     Phase 1 passes ``watch`` = (the original rows, their ``_log_sum`` at
     y without its slack coordinate).  Those rows are then evaluated once at
@@ -352,14 +360,16 @@ def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, parts,
     rows' log-sum at y or None), so that no caller evaluates y again.
     """
     f, g, p, d = parts
-    lam = -1.0 / f
+    if lam is None:
+        lam = -1.0 / f
+    feas_tol = max(gap_tol, PD_FEAS_TOL)
     rows, watched = watch if watch is not None else (None, None)
     for _ in range(PD_MAX_ITER):
         if rows is not None and np.maximum.reduce(watched[0]) < PHASE1_SLACK:
             break
         gap = -float(f @ lam)
         r_dual = c_lin + g.T @ lam
-        if gap <= PD_GAP_TOL and np.maximum.reduce(np.abs(r_dual)) <= PD_FEAS_TOL:
+        if gap <= gap_tol and np.maximum.reduce(np.abs(r_dual)) <= feas_tol:
             break
         inv_t = gap / (PD_MU * terms.m)
         r_cent = -lam * f - inv_t
@@ -421,24 +431,29 @@ def _stationarity_system(c_lin: np.ndarray, terms: _Terms, act: np.ndarray,
 
 def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarray,
                 parts0):
-    """Refine an interior-point end point, or the previous round's KKT
+    """Refine an interior-point hand-off point, or the previous round's KKT
     point, to a true KKT point of this GP.
 
-    An interior point keeps every active row a small slack away from zero
-    and every inactive multiplier a little above it.  Here Newton's method
-    is applied to the active-set KKT system (stationarity + active
-    constraints at equality), dropping any constraint whose multiplier
-    converges negative and adding back the most violated row outside the
-    set, one change per re-solve.  Each point's ``terms.parts`` is computed
-    once and handed on: ``parts0`` are y0's, and an accepted trial's system
-    is the next iteration's.  Returns (y, full multiplier vector,
+    An interior point keeps every active row a small slack s_j = -f_j away
+    from zero and every inactive multiplier a little above it.  The
+    starting set is read by the primal-dual indicator lambda_j / s_j
+    (El-Bakry, Tapia & Zhang, *SIAM Review* 36(1), 1994): along the central
+    path it grows without bound on the active rows and falls to zero on the
+    others, so a row is taken as active when lambda_j >= s_j, or when it is
+    within 1e-5 of its bound.  A certified warm start has lambda exactly 0
+    off its set, so it reads that set from its own multipliers.  Newton's
+    method is then applied to the active-set KKT system (stationarity +
+    active constraints at equality), dropping any constraint whose
+    multiplier converges negative and adding back the most violated row
+    outside the set, one change per re-solve.  Each point's ``terms.parts``
+    is computed once and handed on: ``parts0`` are y0's, and an accepted
+    trial's system is the next iteration's.  Returns (y, full multiplier vector,
     ``terms.parts(y)``), or (y0, lam0, parts0) as given when refinement
     fails.
     """
     n = y0.size
     m = terms.m
-    lam_scale = max(float(np.maximum.reduce(lam0)), 1.0)
-    act = np.flatnonzero((parts0[0] >= -1e-5) | (lam0 >= 1e-6 * lam_scale))
+    act = np.flatnonzero((parts0[0] >= -1e-5) | (lam0 >= -parts0[0]))
     for _ in range(m + 1):
         if not act.size:
             break
@@ -516,9 +531,8 @@ def _certified(c_lin: np.ndarray, terms: _Terms, n_posy: int, y: np.ndarray,
     ``terms.parts(y)``.  ``info`` keeps the log-point ``y`` and the full
     multiplier vector ``lam``.  The certificate reads the row values and
     gradients the polish last computed at ``y``."""
-    # Cold end points certify unpolished too, with the same pool outcomes,
-    # but the polish stays: without it the edge and interior starts differ
-    # by 3.6e-12 and the pinned condense panel moves (1.6 dB t1 by 2.0e-13).
+    # A cold hand-off point is only near-optimal (surrogate gap about
+    # PD_HANDOFF_GAP): the polish is what makes it pass the certificate.
     y, lam, parts = _kkt_polish(c_lin, terms, y, lam, parts)
     kkt, comp, f_all = _kkt_certificate(c_lin, parts, lam)
     x_opt = np.exp(y)
@@ -548,11 +562,15 @@ def solve_inner_gp(terms: _Terms, objective: Sequence[float],
     1e-9 inside some row first runs phase 1, ``_primal_dual`` on the lifted
     rows f_j(y) - s <= 0 minimizing s, until every row is PHASE1_SLACK
     inside; Infeasible when the slack stays >= -1e-9.  ``_primal_dual``
-    then follows the central path from there, and its end point and
-    multipliers are polished and certified by ``_certified``.  Each point's
-    rows are evaluated once and handed on: the start's to phase 1's first
-    stop test (or to phase 2), phase 1's last stop test's to the slack
-    test and phase 2, and phase 2's last step score's to the polish.
+    then follows the central path from there only until the surrogate gap
+    is PD_HANDOFF_GAP: by then the multipliers mark the active set, and
+    ``_certified`` polishes that (y, lambda) to a KKT point and certifies
+    it.  Should that certificate fail, phase 2 resumes from the same
+    (y, lambda) down to PD_GAP_TOL, taking the steps of a path run straight
+    there, and its end point is polished and certified in turn.  Each
+    point's rows are evaluated once and handed on: the start's to phase 1's first stop test (or to phase 2), phase 1's
+    last stop test's to the slack test and phase 2, and phase 2's last step
+    score's to the polish (and to a resumed phase 2).
     """
     x0 = np.asarray(start, dtype=float)
     if (np.logical_or.reduce(x0 <= 0)
@@ -581,8 +599,14 @@ def solve_inner_gp(terms: _Terms, objective: Sequence[float],
                 f"program (best constraint slack {slack:.3e})")
         y = z[:n]
 
-    y, lam, parts, _ = _primal_dual(c_lin, terms, y, terms.parts_from(log_sum))
-    return _certified(c_lin, terms, terms.m - 2 * n, y, lam, parts)
+    n_posy = terms.m - 2 * n
+    y, lam, parts, _ = _primal_dual(c_lin, terms, y, terms.parts_from(log_sum),
+                                    gap_tol=PD_HANDOFF_GAP)
+    try:
+        return _certified(c_lin, terms, n_posy, y, lam, parts)
+    except NotConverged:
+        y, lam, parts, _ = _primal_dual(c_lin, terms, y, parts, lam=lam)
+        return _certified(c_lin, terms, n_posy, y, lam, parts)
 
 
 def _warm_inner_gp(terms: _Terms, objective: Sequence[float],

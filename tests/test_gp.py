@@ -495,7 +495,7 @@ def test_condense_detects_sabotaged_weights(defaults, monkeypatch):
 def test_condense_matches_golden_panel(case):
     """Bit pin of successive condensation over 0-45 dB: objective, final
     state, round count and convergence flag equal the committed reprs.  The
-    21.9 dB instance stops unconverged at CONDENSE_MAX_ROUNDS (ROADMAP item 3)."""
+    21.9 dB instance stops unconverged at CONDENSE_MAX_ROUNDS (ROADMAP item 4)."""
     sol = condense(default_params(p_ave_db=case["p_ave_db"]), case["gamma"])
     assert repr(float(sol.objective)) == case["objective"]
     assert repr(sol.state) == case["state"]
@@ -580,6 +580,117 @@ def test_warm_result_failing_certificate_falls_back_to_cold(defaults, monkeypatc
         assert np.array_equal(x_fallback, x_cold)
     assert fallback.trace.steps == cold.trace.steps
     assert fallback.state == cold.state
+
+
+# (default_params overrides, gamma, resumed cold solves): the panel, the
+# pool, and the three seeded random instances where a hand-off at a surrogate
+# gap of 1e-6 failed the certificate while the polish still picked its set by
+# lambda >= 1e-6 * max lambda (KKT residual 1.4e-8 to 3.6e-8).  In the last
+# two the indicator also marks the transmitter budget active at the
+# hand-off, though its slack at the optimum is 3.8e-4 and 3.6e-3; the
+# polish's Newton steps blow up on that set, and phase 2 resumes.
+HANDOFF_CASES = ([({"p_ave_db": p}, g, 0) for p, g in WORKSPACE_CASES]
+                 + [({"n_t": 8, "n_l": 4, "n_u": 4, "p_ave_db": 27.801880748517302},
+                     0.03600544658977729, 0),
+                    ({"n_t": 6, "n_l": 2, "n_u": 3, "p_ave_db": 28.06024719652498},
+                     0.4658265213691244, 1),
+                    ({"n_t": 6, "n_l": 2, "n_u": 3, "p_ave_db": 28.047011862959756},
+                     0.02880465483469404, 1)])
+
+
+def _count_resumes(monkeypatch):
+    """Wrap ``gp._primal_dual``; the list returned gains one entry per call,
+    True when the call resumes a stopped path from its multipliers."""
+    primal_dual, resumed = gp._primal_dual, []
+
+    def counted(*args, **kwargs):
+        resumed.append(kwargs.get("lam") is not None)
+        return primal_dual(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "_primal_dual", counted)
+    return resumed
+
+
+def _solution(overrides, gamma):
+    """One ``condense`` result, or the type it raised."""
+    try:
+        return condense(default_params(**overrides), gamma)
+    except Exception as exc:  # noqa: BLE001 - the raise is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("overrides, gamma, resumes", HANDOFF_CASES,
+                         ids=[f"{o.get('n_t', 4)}x{o.get('n_l', 2)}-"
+                              f"{o['p_ave_db']:.1f}dB-{g:.3g}"
+                              for o, g, _ in HANDOFF_CASES])
+def test_early_handoff_matches_full_path(monkeypatch, overrides, gamma, resumes):
+    """Handing the cold interior point to the polish at PD_HANDOFF_GAP
+    instead of at PD_GAP_TOL leaves every round count, convergence flag and
+    raised type as it was; objective and final state agree to 1e-12.  The
+    indicator finds the active set at the hand-off: no cold solve of the
+    panel or the pool resumes its interior point, and each case resumes as
+    many as ``HANDOFF_CASES`` lists."""
+    resumed = _count_resumes(monkeypatch)
+    early = _solution(overrides, gamma)
+    assert sum(resumed) == resumes
+    monkeypatch.setattr(gp, "PD_HANDOFF_GAP", gp.PD_GAP_TOL)
+    full = _solution(overrides, gamma)
+    if isinstance(full, type) or isinstance(early, type):
+        assert early is full
+        return
+    assert len(early.trace.steps) == len(full.trace.steps)
+    assert early.trace.converged == full.trace.converged
+    assert early.objective == pytest.approx(full.objective, rel=1e-12, abs=0)
+    np.testing.assert_allclose(early.state.x(), full.state.x(), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("p_ave_db, gamma", [(20.0, 0.1), POOL_CASES[-1]],
+                         ids=["20.0dB-0.1", "2.6dB-0.138"])
+def test_failed_handoff_resumes_the_full_path(monkeypatch, p_ave_db, gamma):
+    """When the polished hand-off point fails the certificate, phase 2
+    resumes from the hand-off (y, lambda) and takes the steps a path run
+    straight to PD_GAP_TOL takes: every round's optimum, the objectives and
+    the state equal, bit for bit, those of a run whose hand-off gap is
+    PD_GAP_TOL."""
+    params = default_params(p_ave_db=p_ave_db)
+    solve, optima = gp.solve_inner_gp, {"full": [], "resumed": []}
+
+    def recorded(run):
+        def call(*args):
+            x, info = solve(*args)
+            optima[run].append(x)
+            return x, info
+        return call
+
+    monkeypatch.setattr(gp, "PD_HANDOFF_GAP", gp.PD_GAP_TOL)
+    monkeypatch.setattr(gp, "solve_inner_gp", recorded("full"))
+    full = condense(params, gamma)
+    monkeypatch.undo()
+    certify, handoff = gp._certified, [False]
+
+    def failing_once(*args):
+        if handoff[0]:
+            handoff[0] = False
+            with monkeypatch.context() as m:
+                m.setattr(gp, "KKT_TOL", 1e-300)
+                return certify(*args)
+        return certify(*args)
+
+    def cold(*args):
+        handoff[0] = True
+        return recorded("resumed")(*args)
+
+    monkeypatch.setattr(gp, "_certified", failing_once)
+    monkeypatch.setattr(gp, "solve_inner_gp", cold)
+    resumed = _count_resumes(monkeypatch)
+    again = condense(params, gamma)
+    assert sum(resumed) == len(optima["resumed"]) >= 1
+    assert len(optima["resumed"]) == len(optima["full"])
+    for x_resumed, x_full in zip(optima["resumed"], optima["full"]):
+        assert np.array_equal(x_resumed, x_full)
+    assert again.trace.steps == full.trace.steps
+    assert again.trace.converged == full.trace.converged
+    assert again.state == full.state
 
 
 @pytest.mark.parametrize("p_ave_db, gamma", WORKSPACE_CASES,

@@ -11,6 +11,7 @@ from dce.alloc_reciprocal import solve_reciprocal
 from dce.errors import (InfeasibleGamma, NotConverged, RankDeficient,
                         UnsupportedGeometry)
 from dce.estimators import tx_estimate_reciprocal
+from dce.gp import budget_posynomials, to_gp_variables
 from dce.montecarlo import (
     BLOCK_TRIALS,
     run_nmse_experiment,
@@ -198,9 +199,11 @@ def test_solve_allocation_schemes(defaults):
 def test_every_solved_allocation_runs_clean(scheme, p_ave_db, n_t, data):
     """Whatever allocation either solver returns, at any geometry and any
     log-uniform floor inside ``gamma_bounds``, runs through the Monte-Carlo
-    trial path without a redraw, its LR error lies in (0, prior] and its
-    UR error meets the floor.  Only an infeasible floor and an unconverged
-    condensation may stop a solve."""
+    trial path without a redraw, its LR error lies in (0, prior], its UR
+    error meets the floor and it meets the average, transmitter and LR
+    budgets (1e-8 relative for the echo scheme, 1e-9 for the reciprocal
+    one).  Only an infeasible floor and an unconverged condensation may
+    stop a solve."""
     params = default_params(p_ave_db=p_ave_db, n_t=n_t,
                             n_l=data.draw(st.integers(1, n_t - 1), label="n_l"),
                             n_u=data.draw(st.integers(1, 4), label="n_u"))
@@ -215,6 +218,22 @@ def test_every_solved_allocation_runs_clean(scheme, p_ave_db, n_t, data):
     assert report.resampled_trials == 0
     assert 0.0 < nmse_l <= prior
     assert nmse_u >= gamma * (1 - 1e-9)
+    for used, budget in _budgets_used(params, gamma, alloc):
+        assert used <= budget * (1 + (1e-9 if scheme == RECIPROCAL else 1e-8))
+
+
+def _budgets_used(params, gamma, alloc):
+    """(energy used, budget) of the average, transmitter and LR budgets, as
+    the reciprocal budgets and the echo scheme's ``budget_posynomials``
+    (each posynomial against 1) state them."""
+    p = params
+    if alloc.scheme == NON_RECIPROCAL:
+        x = to_gp_variables(p, alloc).x()
+        return [(posy.value(x), 1.0) for posy in budget_posynomials(p, gamma)[3:]]
+    an = (p.n_t - p.n_l) * alloc.var_a * p.tau_f
+    return [(alloc.e_r + alloc.e_f + an, p.budget_average_reciprocal()),
+            (alloc.e_f + an, p.budget_tx_reciprocal()),
+            (alloc.e_r, p.budget_lr_reciprocal())]
 
 
 # ---------------------------------------------------------------------------
