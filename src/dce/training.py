@@ -14,8 +14,9 @@ private to the transmitter and the UR never observes the round trip, so any
 scaled unitary probe gives the same joint law of channels and estimates
 (``round_trip_training``).
 
-The forward phase never builds the AN basis: ``null_space_basis`` applies
-the Householder reflectors of each estimate's QR factorization straight to
+The forward phase never builds the AN basis: ``null_space_basis`` computes
+the Householder reflectors of each estimate's QR factorization itself, on
+the trial axis with no per-matrix LAPACK call, and applies them straight to
 the receivers' channels.
 """
 
@@ -55,6 +56,44 @@ def sample_channels(params: SystemParams, mode: str, rng: np.random.Generator,
     return h_d, h_u, g
 
 
+def _householder(a: np.ndarray, n_l: int) -> np.ndarray:
+    """Reduce the first n_l columns of ``a`` (n_t, n_l + M, T), a stack of
+    T matrices with the trial axis last, to R in place, applying each
+    reflector H_k^H to every column to its right as soon as it is formed.
+    Returns |r_kk|, (n_l, T).
+
+    Afterwards ``a[:n_l, :n_l]`` holds R (its diagonal the real beta_k),
+    column k below the diagonal the tail of v_k (whose head is 1), and
+    ``a[:, n_l:]`` the last M columns times Q^H.  Every step works on whole
+    rows of the stack: a temporary the size of all of ``a`` would leave the
+    cache at large n_t.
+    """
+    r_kk = np.empty((n_l, a.shape[-1]))
+    for k in range(n_l):
+        col = a[k:, k]
+        alpha, x = col[0], col[1:]
+        # zlarfg: H_k^H [alpha; x] = [beta; 0] with beta = -sign(Re alpha)
+        # ||[alpha; x]||, tau_k = (beta - alpha)/beta, v_k = [1; x/(alpha -
+        # beta)]; a column already of that form (zero tail, real alpha,
+        # a zero column too) keeps H_k = I, tau_k = 0 and beta = alpha
+        keep = ~x.any(axis=0) & (alpha.imag == 0)
+        r_kk[k] = np.sqrt(np.sum(np.abs(col) ** 2, axis=0))
+        beta = np.where(keep, alpha.real, np.copysign(r_kk[k], -alpha.real))
+        conj_tau = (beta - alpha.conj()) / np.where(keep, 1.0, beta)  # beta is real
+        x /= alpha - beta + keep  # x is zero where keep
+        a[k, k] = beta
+        # H_k^H rest = rest - conj(tau_k) v_k w with w = v_k^H rest
+        rest, x_conj = a[k:, k + 1:], x.conj()
+        w = rest[0].copy()
+        for row, v_i in zip(rest[1:], x_conj):
+            w += v_i * row
+        w *= conj_tau
+        rest[0] -= w
+        for row, v_i in zip(rest[1:], x):
+            row -= v_i * w
+    return r_kk
+
+
 def null_space_basis(h_hat: np.ndarray,
                      m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(N^H m, full_rank)``: the stack ``m`` (..., n_t, M) seen through the
@@ -69,11 +108,20 @@ def null_space_basis(h_hat: np.ndarray,
     estimate, so the caller must redraw that row.
 
     N is the trailing n_t-n_l columns of Q in the complete QR h_hat = Q R,
-    with Q = H_1 ... H_{n_l} the product of the n_l Householder reflectors
-    H_k = I - tau_k v_k v_k^H that LAPACK's geqrf leaves behind.  Q is never
-    formed: Q^H m is m with H_1^H, ..., H_{n_l}^H applied in turn, and N^H m
-    is its trailing n_t-n_l rows.  Forming Q (ungqr) builds it from the same
-    reflectors, so this is the same basis N, up to rounding.
+    with Q = H_1 ... H_{n_l} the product of n_l Householder reflectors
+    H_k = I - tau_k v_k v_k^H.  ``_householder`` computes them column by
+    column on [h_hat, m] with the trial axis last, in the convention of
+    LAPACK's zlarfg (the routine geqrf calls per column), and applies each
+    H_k^H to the columns to its right.  Q is never formed: N^H m is the
+    trailing n_t-n_l rows of Q^H m.  ungqr would build Q from the same
+    reflectors, so this is its N up to rounding.  zlarfg's one branch,
+    tau_k = 0 where v_k's tail and Im alpha vanish, cannot move N either:
+    a zero-tail reflector touches only coordinate k < n_l, a row of the
+    range of h_hat, and the later reflectors leave that row of
+    [0; I_{n_t-n_l}] zero, so N is the same whatever tau_k it takes.
+    Unlike LAPACK's norms, the column norms square entries unscaled, so
+    entries beyond about 1e150 in magnitude overflow (with a numpy
+    RuntimeWarning); the estimates here are of the order of the channels.
 
     The n_l x n_l triangle R has the singular values of h_hat, and
     s_max <= ||R||_F while s_min s_max^(n_l-1) >= |det R| = prod |r_kk|, so
@@ -82,36 +130,25 @@ def null_space_basis(h_hat: np.ndarray,
     values computed and the exact test.
     """
     n_t, n_l = h_hat.shape[-2:]
-    lead = h_hat.shape[:-2]
+    lead, cols = h_hat.shape[:-2], m.shape[-1]
     stack = h_hat.reshape((-1, n_t, n_l))
-    h, tau = np.linalg.qr(stack, mode="raw")
-    # geqrf's (n_t, n_l) array per trial, with the trial axis last so that
-    # every elementwise loop below runs over the whole stack: its upper
-    # triangle is R, and column k below the diagonal is the tail of v_k
-    # (whose leading entry is 1).  raw mode hands it over transposed.
-    a = np.transpose(h, (2, 1, 0)).copy()
-    det, frob_sq = 1.0, 0.0
-    for k in range(n_l):
-        col = a[:k + 1, k]  # R's column k
-        det = det * np.abs(col[k])
-        frob_sq = frob_sq + np.sum(col.real ** 2 + col.imag ** 2, axis=0)
-    full_rank = det > 2 * RANK_RTOL * np.sqrt(frob_sq) ** n_l
-    unsure = ~full_rank
-    if unsure.any():
+    a = np.empty((n_t, n_l + cols, len(stack)), dtype=complex)
+    a_trials = a.transpose(2, 0, 1)  # the same block, trial axis first
+    a_trials[..., :n_l] = stack
+    a_trials[..., n_l:] = m.reshape((-1, n_t, cols))
+    # ||R||_F = ||h_hat||_F, as Q is unitary: the root of the sum of the
+    # squares of each row's real and imaginary parts
+    parts = np.ascontiguousarray(stack).reshape((len(stack), -1)).view(float)
+    frob = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    r_kk = _householder(a, n_l)
+    # prod |r_kk| / ||R||_F^n_l one factor at a time, so no scale overflows
+    ratios = r_kk / np.where(frob > 0, frob, 1.0)
+    full_rank = np.prod(ratios, axis=0) > 2 * RANK_RTOL
+    if not full_rank.all():
+        unsure = ~full_rank
         s = np.linalg.svd(stack[unsure], compute_uv=False)
         full_rank[unsure] = np.all(s > RANK_RTOL * s[..., :1], axis=-1)
-    m_stack = np.broadcast_to(m, lead + m.shape[-2:]).reshape((-1,) + m.shape[-2:])
-    out = np.transpose(m_stack, (1, 2, 0)).astype(complex, order="C")
-    conj_tau = np.conj(tau.T)
-    for k in range(n_l):
-        v = a[k + 1:, k, None]
-        tail = out[k + 1:]
-        # H_k^H out = out - conj(tau_k) v_k (v_k^H out), row k taking v_k's 1
-        w = out[k] + np.sum(np.conj(v) * tail, axis=0)
-        w *= conj_tau[k]
-        out[k] -= w
-        tail -= v * w
-    seen = np.moveaxis(out[n_l:], -1, 0).reshape(lead + (n_t - n_l, m.shape[-1]))
+    seen = a[n_l:, n_l:].transpose(2, 0, 1).reshape(lead + (n_t - n_l, cols))
     return seen, full_rank.reshape(lead)
 
 

@@ -13,7 +13,7 @@ import pytest
 import dce
 import dce.cli as cli
 from dce.config import KEYS
-from helpers import strip_footer
+from helpers import MC_TABLES, changed_cells, run_mc_table, strip_footer
 
 GOLDEN = Path(__file__).parent / "golden"
 # each golden table and the `dce alloc` arguments that print it
@@ -148,6 +148,30 @@ def test_alloc_golden_rows_match_single_point_runs(tmp_path, golden, argv):
                          "--pave-db", pave, "--gamma", gamma)
         assert code == EXIT_OK
         assert out.read_bytes().splitlines(keepends=True)[1] == row
+
+
+@pytest.mark.parametrize("name", MC_TABLES)
+def test_monte_carlo_table_matches_golden(tmp_path, name):
+    """Each table CI's thread-``cmp`` step prints matches ``mc_<name>.csv``
+    cell by cell: integer cells exactly, float cells within rounding.  A
+    changed draw moves a cell by about its half-width, far beyond that, so
+    it must be re-pinned with ``tests/golden/repin_mc.py --write``."""
+    table = run_mc_table(name, tmp_path).decode()
+    golden = (GOLDEN / f"mc_{name}.csv").read_text()
+    assert [c for c in changed_cells(golden, table) if c[-1]] == []
+
+
+def test_changed_cells_forgive_only_rounding():
+    """A float cell may move by 1e-12 relative; an integer or text cell, a
+    larger move or a changed shape is marked moved."""
+    golden = "scheme,nmse,trials\nreciprocal,0.5,100\n"
+    assert changed_cells(golden, "scheme,nmse,trials\nreciprocal,0.50000000000001,100\n") == [
+        (1, "nmse", "0.5", "0.50000000000001", False)]
+    assert changed_cells(golden, "scheme,nmse,trials\nreciprocal,0.5000000001,101\n") == [
+        (1, "nmse", "0.5", "0.5000000001", True), (1, "trials", "100", "101", True)]
+    assert changed_cells(golden, "scheme,nmse,trials\necho,0.5,100\n") == [
+        (1, "scheme", "reciprocal", "echo", True)]
+    assert changed_cells(golden, golden + "echo,0.5,100\n")[0][0] is None
 
 
 def test_nmse_sweep_rows_match_single_point_runs(tmp_path):

@@ -187,6 +187,79 @@ def test_null_space_rank_mask_other_geometries(rng, n_t, n_l):
     np.testing.assert_array_equal(full_rank, [n_l == 1, True, True, False])
 
 
+LAPACK_GEOMETRIES = [(4, 2), (6, 1), (6, 3), (8, 4), (16, 8), (32, 16)]
+
+
+def _lapack_rows(rng, n_t, n_l):
+    """Random rows at three scales, and rows whose every reflector has a zero
+    tail: e_1, ..., e_{n_l} (H_k = I), the same times 1j (H_k scales
+    coordinate k) and random upper-trapezoidal rows."""
+    h = complex_gaussian(rng, (8, n_t, n_l))
+    eye = np.eye(n_t, n_l, dtype=complex)
+    return np.concatenate([h, 1e-100 * h, 1e100 * h,
+                           np.stack([eye, 1j * eye]), np.triu(h[:2])])
+
+
+@pytest.mark.parametrize("n_t,n_l", LAPACK_GEOMETRIES)
+def test_null_space_matches_lapack(rng, n_t, n_l):
+    """N is the trailing n_t-n_l columns of LAPACK's complete Q (geqrf's
+    reflectors, formed by ungqr) within 1e-13 on every row, and so is it
+    for rank-one rows [c, 0, ..., 0], whose later columns reduce exactly
+    to zero; those rows are flagged."""
+    h = _lapack_rows(rng, n_t, n_l)
+    n, full_rank = _basis(h)
+    assert full_rank.all()
+    q = np.linalg.qr(h, mode="complete")[0]
+    assert np.max(np.abs(n - q[..., n_l:])) <= 1e-13
+    if n_l > 1:
+        rank_one = np.zeros((4, n_t, n_l), dtype=complex)
+        rank_one[..., 0] = complex_gaussian(rng, (4, n_t))
+        n, full_rank = _basis(rank_one)
+        assert not full_rank.any()
+        q = np.linalg.qr(rank_one, mode="complete")[0]
+        assert np.max(np.abs(n - q[..., n_l:])) <= 1e-13
+
+
+@pytest.mark.parametrize("n_t,n_l", LAPACK_GEOMETRIES)
+def test_householder_r_matches_geqrf(rng, n_t, n_l):
+    """The reflectors reduce each row to geqrf's R, diagonal signs included,
+    within 1e-13 of ||R||_F."""
+    h = _lapack_rows(rng, n_t, n_l)
+    a = np.transpose(h, (1, 2, 0)).copy()
+    training._householder(a, n_l)
+    r = np.triu(np.moveaxis(a[:n_l], -1, 0))
+    want = np.linalg.qr(h, mode="r")
+    scale = np.linalg.norm(want, axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(r - want) / scale) <= 1e-13
+
+
+@pytest.mark.parametrize("n_t,n_l", [(4, 2), (8, 4), (32, 16)])
+def test_null_space_random_rank_one_rows(rng, n_t, n_l):
+    """A rank-one row c d^T is flagged, and its basis is orthonormal and
+    nulls it.  Its null space has more than n_t-n_l dimensions, so which N
+    is taken rests on rounding after the first reflector, and no LAPACK
+    basis is compared."""
+    h = complex_gaussian(rng, (10, n_t, 1)) @ complex_gaussian(rng, (10, 1, n_l))
+    n, full_rank = _basis(h)
+    assert not full_rank.any()
+    resid = np.linalg.norm(_hermitian(n) @ h, axis=(1, 2))
+    assert np.all(resid <= 1e-13 * np.linalg.norm(h, axis=(1, 2)))
+    assert np.max(np.abs(_hermitian(n) @ n - np.eye(n_t - n_l))) <= 1e-13
+
+
+def test_null_space_zero_row(recwarn):
+    """An all-zero estimate is flagged, its outputs are finite and nothing
+    warns: every reflector is the identity, so N^H m is m's last rows."""
+    h = np.zeros((3, 4, 2), dtype=complex)
+    h[1] = np.eye(4, 2)
+    m = np.arange(12.0).reshape(4, 3)
+    seen, full_rank = null_space_basis(h, m)
+    np.testing.assert_array_equal(full_rank, [False, True, False])
+    assert np.all(np.isfinite(seen))
+    np.testing.assert_array_equal(seen[0], m[2:])
+    assert len(recwarn) == 0
+
+
 # ---------------------------------------------------------------------------
 # explicit-pilot reference
 # ---------------------------------------------------------------------------
