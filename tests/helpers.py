@@ -19,10 +19,11 @@ def dft_pilot(tau: int, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * j * k / tau) / np.sqrt(tau)
 
 
-# The 4x2 and 16x8 Monte-Carlo tables CI's thread-`cmp` step prints, pinned
+# The 4x2, 16x8 and 32x16 Monte-Carlo tables CI's thread-`cmp` step prints, pinned
 # as golden/mc_<name>.csv: each name's `dce` command line and the geometry
 # config it reads (geometry keys have no flags), or None.
 _NMSE = ["nmse", "--trials", "2000", "--seed", "4"]
+_NMSE32 = ["nmse", "--trials", "300", "--seed", "4"]
 _SER = ["ser", "--trials", "1000", "--seed", "4"]
 _POINT = ["--gamma", "0.1", "--pave-db", "20"]
 _ECHO = ["--scheme", "non-reciprocal"]
@@ -35,6 +36,8 @@ MC_TABLES = {
     "serrecip": (_SER + ["--gamma", "0.1", "--pave-db", "10,20,30"], None),
     "wide": (_NMSE, "n_t=16\nn_l=8\nn_u=8\ntau_f=64\ntau_r=16\n"),
     "wide_echo": (_NMSE + _ECHO, "n_t=16\nn_l=8\nn_u=8\n"),
+    "wide32": (_NMSE32, "n_t=32\nn_l=16\nn_u=16\n"),
+    "wide32_echo": (_NMSE32 + _ECHO, "n_t=32\nn_l=16\nn_u=16\n"),
 }
 # A float cell may move by this much relative (another CPU's BLAS kernels
 # round differently); a changed draw moves a cell by about its half-width.
