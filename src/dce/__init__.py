@@ -15,11 +15,10 @@ check both solvers live in the test suite (``tests/oracles.py``).
 from .alloc_reciprocal import ReciprocalSolution, solve_reciprocal
 from .config import ExperimentConfig
 from .errors import (ConfigError, DceError, Infeasible, InfeasibleGamma,
-                     NoFeasiblePoint, NotConverged, RankDeficient,
-                     SingularRegressor, Stalled, UnsupportedGeometry)
+                     NoFeasiblePoint, NotConverged, RankDeficient, Stalled,
+                     UnsupportedGeometry)
 from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
-                         tx_estimate_downlink, tx_estimate_reciprocal,
-                         tx_estimate_uplink, ur_estimate)
+                         ur_estimate)
 from .gp import (CondensationTrace, GpState, NonReciprocalSolution, condense,
                  from_gp_variables, initial_feasible_state, solve_inner_gp,
                  to_gp_variables)

@@ -23,7 +23,7 @@ interval, or a ser point whose floor is met with no forward pilots),
 4 unsupported geometry (a transmit antenna count the block code cannot
 drive), 5 a failed verify check,
 6 degenerate Monte-Carlo draws (trials still rank-deficient after every
-redraw, or a non-finite regressor in the echo-based estimate).
+redraw).
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from typing import List, Optional, Sequence
 
 from .config import KEY_BY_NAME, KEYS, ExperimentConfig, read_config_file
 from .errors import (ConfigError, Infeasible, InfeasibleGamma, NotConverged,
-                     RankDeficient, SingularRegressor, Stalled,
-                     UnsupportedGeometry)
+                     RankDeficient, Stalled, UnsupportedGeometry)
 from .montecarlo import (DESK_NMSE_TRIALS, DESK_SER_TRIALS, MIN_NMSE_TRIALS,
                          run_nmse_experiment, run_ser_experiment,
                          solve_allocation)
@@ -238,7 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (Stalled, NotConverged) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    except (RankDeficient, SingularRegressor) as exc:
+    except RankDeficient as exc:
         print(f"degenerate draws: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 

@@ -10,13 +10,9 @@ class DceError(Exception):
 
 
 class RankDeficient(DceError):
-    """Monte-Carlo trials stayed degenerate through every redraw: a channel
-    estimate without full column rank, so no AN null space exists."""
-
-
-class SingularRegressor(DceError):
-    """The echo-based downlink estimate's regularized Gram matrix is not
-    finite (corrupt input)."""
+    """Monte-Carlo trials stayed degenerate through every redraw: the span
+    of the transmitter's channel estimate lost column rank, so no AN null
+    space exists."""
 
 
 class InfeasibleGamma(DceError):

@@ -3,10 +3,12 @@ r"""Monte-Carlo experiments: empirical NMSE and SER.
 Trials run in blocks of BLOCK_TRIALS stacked (trials, rows, cols) arrays,
 and every block draws from its own substream ``trial_rng(seed, block)``, so
 results are bit-identical for a given (seed, trials) however the blocks are
-spread over workers.  Trials whose draw is numerically degenerate (the
-transmitter's downlink estimate loses rank, so AN has no null space) are
-redrawn together from the block's next substream, up to MAX_RESAMPLES
-times, and counted in ``resampled_trials``.
+spread over workers.  The transmitter's downlink estimate is never
+formed: the AN needs only its column space, which a matrix built from what
+the transmitter received spans exactly (``_estimate_span``).  Trials whose
+draw is numerically degenerate (that span loses rank, so AN has no null
+space) are redrawn together from the block's next substream, up to
+MAX_RESAMPLES times, and counted in ``resampled_trials``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .alloc_reciprocal import solve_reciprocal
 from .errors import (InfeasibleGamma, NotConverged, RankDeficient,
                      UnsupportedGeometry)
 from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
-                         tx_estimate_downlink, tx_estimate_reciprocal,
-                         tx_estimate_uplink, ur_estimate)
+                         ur_estimate)
 from .gp import condense
 from .nmse import (JENSEN_VARIANTS, nmse_l_nonreciprocal_approx,
                    nmse_l_reciprocal, nmse_u)
@@ -73,17 +74,28 @@ def _per_entry_sq_err(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", parts, parts) / d.shape[1]
 
 
-def _transmitter_side_estimate(params: SystemParams, alloc: PowerAllocation,
-                               h_d, h_u, rng) -> Optional[np.ndarray]:
-    """The (T, n_t, n_l) matrices whose left null spaces carry the AN, or
-    None without AN, when the forward phase reads none.
+def _estimate_span(params: SystemParams, alloc: PowerAllocation,
+                   h_d, h_u, rng) -> Optional[np.ndarray]:
+    """(T, n_t, n_l) matrices whose left null spaces carry the AN, or None
+    without AN, when the forward phase reads none.
 
-    These are the transmitter's downlink estimates, except when it holds no
-    downlink information (reciprocal e_r = 0; echo e_0, e_1 or e_2 = 0).
-    Its estimate is then identically zero and has no null space, so AN goes
-    into the null space of an independent CN(0, 1) draw instead: a
-    Haar-random subspace, which is the model the closed forms assume.  The
-    branch is decided from the allocation alone.
+    AN goes into the left null space of the transmitter's downlink
+    estimate, and a null space depends only on the column space, so each
+    matrix spans what the estimate spans without being the estimate:
+    - reciprocal: y_t^T, of which the estimate is a positive multiple;
+    - echo: y_t1 y_t^H.  The LMMSE estimate is k y_t1 y_t^H G^{-1} with
+      k > 0 and G = Hu_hat Hu_hat^H + beta I positive definite, so it
+      has the same column space.
+    The basis ``null_space_basis`` takes from the span is then N U for a
+    unitary U fixed by the draws made so far, and the AN A it multiplies is
+    drawn afterwards, i.i.d. CN(0, var_a), so A U^H has the law of A:
+    every output keeps its joint law with the channels.
+
+    A transmitter that holds no downlink information (reciprocal e_r = 0;
+    echo e_0, e_1 or e_2 = 0) has an estimate that is identically zero,
+    with no null space, so AN goes into the null space of an independent
+    CN(0, 1) draw instead: a Haar-random subspace, which is the model the
+    closed forms assume.  The branch is decided from the allocation alone.
     """
     if alloc.var_a == 0:
         return None
@@ -93,20 +105,19 @@ def _transmitter_side_estimate(params: SystemParams, alloc: PowerAllocation,
         return complex_gaussian(rng, (h_d.shape[0], params.n_t, params.n_l), 1.0)
     y_t = reverse_training(params, alloc, h_u, rng)
     if alloc.scheme == RECIPROCAL:
-        return tx_estimate_reciprocal(y_t, params, alloc.e_r)
-    hu_hat = tx_estimate_uplink(y_t, params, alloc.e_2)
+        return np.swapaxes(y_t, -1, -2)
     y_t1 = round_trip_training(params, alloc, h_d, h_u, rng)
-    return tx_estimate_downlink(y_t1, hu_hat, params, alloc)
+    return y_t1 @ np.conj(np.swapaxes(y_t, -1, -2))
 
 
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
                       trials: int, jensen_variant: str):
     """One full training round for a stack of trials; returns
     (h_d, g, lr_estimate, ur_estimate, degenerate), where the degenerate
-    trials are those whose downlink estimate has no full-rank null space."""
+    trials are those whose estimate span has no full-rank null space."""
     h_d, h_u, g = sample_channels(params, alloc.scheme, rng, trials)
-    tx_est = _transmitter_side_estimate(params, alloc, h_d, h_u, rng)
-    y_l, y_u, full_rank = forward_training(params, alloc, tx_est, h_d, g, rng)
+    span = _estimate_span(params, alloc, h_d, h_u, rng)
+    y_l, y_u, full_rank = forward_training(params, alloc, span, h_d, g, rng)
     if alloc.scheme == RECIPROCAL:
         lr = lr_estimate_reciprocal(y_l, params, alloc)
     else:

@@ -94,6 +94,22 @@ def _householder(a: np.ndarray, n_l: int) -> np.ndarray:
     return r_kk
 
 
+def _rank_bound(r_kk: np.ndarray, frob: np.ndarray) -> np.ndarray:
+    """A lower bound on s_min/s_max for each of T triangles R with
+    diagonal magnitudes ``r_kk`` (n_l, T) and Frobenius norms ``frob``.
+
+    s_max <= ||R||_F, and the other n_l-1 singular values, whose squares
+    sum to at most ||R||_F^2, have a product of at most
+    (||R||_F^2/(n_l-1))^((n_l-1)/2) by the AM-GM inequality, so
+    s_min/s_max >= |det R| (n_l-1)^((n_l-1)/2) / ||R||_F^n_l with
+    |det R| = prod |r_kk|.  The product is formed one factor
+    |r_kk|/||R||_F <= 1 at a time, so no scale of R overflows.
+    """
+    n_l = len(r_kk)
+    ratios = r_kk / np.where(frob > 0, frob, 1.0)
+    return np.prod(ratios, axis=0) * (n_l - 1) ** ((n_l - 1) / 2)
+
+
 def null_space_basis(h_hat: np.ndarray,
                      m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(N^H m, full_rank)``: the stack ``m`` (..., n_t, M) seen through the
@@ -123,11 +139,10 @@ def null_space_basis(h_hat: np.ndarray,
     entries beyond about 1e150 in magnitude overflow (with a numpy
     RuntimeWarning); the estimates here are of the order of the channels.
 
-    The n_l x n_l triangle R has the singular values of h_hat, and
-    s_max <= ||R||_F while s_min s_max^(n_l-1) >= |det R| = prod |r_kk|, so
-    a row with prod |r_kk| > 2 RANK_RTOL ||R||_F^n_l certainly passes the
-    rank test.  Only the rows this bound does not clear get their singular
-    values computed and the exact test.
+    The n_l x n_l triangle R has the singular values of h_hat, so a row
+    whose ``_rank_bound`` on s_min/s_max exceeds 2 RANK_RTOL certainly
+    passes the rank test.  Only the rows this bound does not clear get
+    their singular values computed and the exact test.
     """
     n_t, n_l = h_hat.shape[-2:]
     lead, cols = h_hat.shape[:-2], m.shape[-1]
@@ -140,10 +155,7 @@ def null_space_basis(h_hat: np.ndarray,
     # squares of each row's real and imaginary parts
     parts = np.ascontiguousarray(stack).reshape((len(stack), -1)).view(float)
     frob = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    r_kk = _householder(a, n_l)
-    # prod |r_kk| / ||R||_F^n_l one factor at a time, so no scale overflows
-    ratios = r_kk / np.where(frob > 0, frob, 1.0)
-    full_rank = np.prod(ratios, axis=0) > 2 * RANK_RTOL
+    full_rank = _rank_bound(_householder(a, n_l), frob) > 2 * RANK_RTOL
     if not full_rank.all():
         unsure = ~full_rank
         s = np.linalg.svd(stack[unsure], compute_uv=False)
@@ -203,27 +215,28 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
 
 
 def forward_training(params: SystemParams, alloc: PowerAllocation,
-                     h_d_hat: Optional[np.ndarray], h_d: np.ndarray,
+                     span: Optional[np.ndarray], h_d: np.ndarray,
                      g: np.ndarray, rng: np.random.Generator,
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     r"""Transmitter-to-receivers phase with AN in the estimated null space.
 
     The transmitter sends sqrt(E/n_t) C_t + A N^H, where N is the null-space
-    basis of each trial's estimate ``h_d_hat`` (None without AN) and the
-    n_t x (n_t - n_l) statistic C_t^H A is drawn as A, per-entry variance
-    var_a.  With both receivers' channels side by side as H = [H_d, G], they
+    basis of each trial's ``span`` (None without AN), any (T, n_t, n_l)
+    stack with the column space of the transmitter's downlink estimate, the
+    estimate itself included, and the n_t x (n_t - n_l) statistic C_t^H A
+    is drawn as A, per-entry variance var_a.  With both receivers' channels side by side as H = [H_d, G], they
     read sqrt(E/n_t) H + A (N^H H) plus their own noise, and
     ``null_space_basis`` hands back N^H H directly.  Returns
     ``(y_l, y_u, full_rank)``: the (T, n_t, n_l) and (T, n_t, n_u)
-    statistics and the mask of trials whose estimate had full rank (all
-    True without AN).
+    statistics and the mask of trials whose span had full rank (all True
+    without AN).
     """
     energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
     n_t, n_l, trials = params.n_t, params.n_l, h_d.shape[0]
     channels = np.concatenate([h_d, g], axis=-1)
     received = np.sqrt(energy / n_t) * channels
     if alloc.var_a > 0:
-        seen, full_rank = null_space_basis(h_d_hat, channels)
+        seen, full_rank = null_space_basis(span, channels)
         a = complex_gaussian(rng, (trials, n_t, n_t - n_l), alloc.var_a)
         received += a @ seen
     else:

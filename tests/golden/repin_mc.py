@@ -3,7 +3,7 @@
     python3 tests/golden/repin_mc.py           # report, write nothing
     python3 tests/golden/repin_mc.py --write   # re-pin the tables that moved
 
-Runs the eight ``dce nmse``/``dce ser`` tables of ``helpers.MC_TABLES`` in
+Runs the ten ``dce nmse``/``dce ser`` tables of ``helpers.MC_TABLES`` in
 process and prints every cell whose text changed, with its relative change
 and |delta| / hw95.  An NMSE cell's hw95 is its row's printed half-width;
 a SER cell's is the binomial half-width over the row's symbols.  A cell

@@ -624,17 +624,6 @@ def test_exit_degenerate_redraws_exhausted(monkeypatch, capsys):
     assert err.startswith("degenerate draws:") and err.count("\n") == 1
 
 
-def test_exit_degenerate_singular_regressor(monkeypatch, capsys):
-    """A non-finite regularizer makes the echo-based estimate's regressor
-    non-finite."""
-    monkeypatch.setattr(dce.estimators, "downlink_beta",
-                        lambda params, alloc: float("nan"))
-    assert cli.main(["nmse", "--scheme", "non-reciprocal", "--gamma", "0.1",
-                     "--pave-db", "20", "--trials", "100"]) == EXIT_DEGENERATE
-    err = capsys.readouterr().err
-    assert err.startswith("degenerate draws:") and "not finite" in err
-
-
 def test_ser_table_reports_resampled_trials(tmp_path):
     code, out = _run(tmp_path, "ser", "--gamma", "0.1", "--pave-db", "20",
                      "--modulation", "16", "--trials", "200")
@@ -647,8 +636,7 @@ def test_ser_table_reports_resampled_trials(tmp_path):
 
 @pytest.mark.parametrize("command,trials", [("nmse", "2000"), ("ser", "1000")])
 def test_echo_scheme_at_extreme_power(tmp_path, command, trials):
-    """At 140 and 200 dB the echo regressor's beta is tiny next to the
-    uplink estimate, yet no draw is degenerate, and the analytic LR NMSE
+    """At 140 and 200 dB no draw is degenerate, and the analytic LR NMSE
     stays within accept-07's 15% of Monte Carlo."""
     code, out = _run(tmp_path, command, "--trials", trials,
                      "--scheme", "non-reciprocal", "--gamma", "0.5",

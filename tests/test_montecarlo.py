@@ -10,7 +10,6 @@ from dce import montecarlo, training
 from dce.alloc_reciprocal import solve_reciprocal
 from dce.errors import (InfeasibleGamma, NotConverged, RankDeficient,
                         UnsupportedGeometry)
-from dce.estimators import tx_estimate_reciprocal
 from dce.gp import budget_posynomials, to_gp_variables
 from dce.montecarlo import (
     BLOCK_TRIALS,
@@ -30,6 +29,9 @@ from dce.params import (
     reciprocal_allocation,
 )
 from dce.rng import complex_gaussian, trial_rng
+from dce.training import forward_training, null_space_basis
+from reference_estimators import (tx_estimate_downlink, tx_estimate_reciprocal,
+                                  tx_estimate_uplink)
 
 
 # ---------------------------------------------------------------------------
@@ -71,22 +73,35 @@ def test_resample_counter_present(defaults):
     assert report.trials == 200
 
 
+def _first_draw_degenerate(params, alloc, trials, seed):
+    """How many trials the first draw of each block leaves degenerate: those
+    whose span of the transmitter's estimate, y_t^T (reciprocal) or
+    y_t1 y_t^H (echo), rebuilt here from the block's stream, fails the rank
+    test."""
+    count = 0
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        rng = trial_rng(seed, block)
+        n = min(BLOCK_TRIALS, trials - start)
+        h_d, h_u, _ = training.sample_channels(params, alloc.scheme, rng, n)
+        y_t = training.reverse_training(params, alloc, h_u, rng)
+        if alloc.scheme == RECIPROCAL:
+            span = np.swapaxes(y_t, 1, 2)
+        else:
+            y_t1 = training.round_trip_training(params, alloc, h_d, h_u, rng)
+            span = y_t1 @ np.conj(np.swapaxes(y_t, 1, 2))
+        _, full_rank = training.null_space_basis(span, np.eye(params.n_t))
+        count += int(np.count_nonzero(~full_rank))
+    return count
+
+
 def test_degenerate_trials_are_redrawn(defaults, monkeypatch):
-    """With the rank tolerance raised, the trials whose transmitter estimate
-    falls below it in each block's first draw are exactly the ones counted
-    as resampled; the redrawn run is finite and repeats bit for bit."""
+    """With the rank tolerance raised, the trials whose estimate span falls
+    below it in each block's first draw are exactly the ones counted as
+    resampled; the redrawn run is finite and repeats bit for bit."""
     monkeypatch.setattr(training, "RANK_RTOL", 0.3)
     alloc = reciprocal_allocation(2.0, 4.0, var_a=1.0)
     trials = 2 * BLOCK_TRIALS + 88   # the last block is partial
-    expected = 0
-    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        rng = trial_rng(5, block)
-        n = min(BLOCK_TRIALS, trials - start)
-        _, h_u, _ = training.sample_channels(defaults, RECIPROCAL, rng, n)
-        y_t = training.reverse_training(defaults, alloc, h_u, rng)
-        _, full_rank = training.null_space_basis(
-            tx_estimate_reciprocal(y_t, defaults, alloc.e_r), np.eye(defaults.n_t))
-        expected += int(np.count_nonzero(~full_rank))
+    expected = _first_draw_degenerate(defaults, alloc, trials, seed=5)
     a = run_nmse_experiment(defaults, alloc, trials=trials, seed=5)
     b = run_nmse_experiment(defaults, alloc, trials=trials, seed=5)
     assert a == b
@@ -96,13 +111,19 @@ def test_degenerate_trials_are_redrawn(defaults, monkeypatch):
 
 
 def test_ser_degenerate_trials_are_redrawn(defaults, monkeypatch):
-    monkeypatch.setattr(training, "RANK_RTOL", 0.3)
+    """The same for the echo scheme's SER.  Its span y_t1 y_t^H is worse
+    conditioned than the estimate (which regularizes it), so a lower
+    tolerance than the reciprocal test's already redraws some trials and
+    leaves none degenerate after the redraws."""
+    monkeypatch.setattr(training, "RANK_RTOL", 0.1)
     a = run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=3,
                            scheme=NON_RECIPROCAL)
     b = run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=3,
                            scheme=NON_RECIPROCAL)
+    alloc, _, _ = solve_allocation(defaults, 0.1, NON_RECIPROCAL)
+    expected = _first_draw_degenerate(defaults, alloc, 600, seed=3)
     assert a == b
-    assert a.resampled_trials > 0
+    assert 0 < a.resampled_trials == expected < 600
     assert 0.0 <= a.ser_lr <= 1.0 and 0.0 <= a.ser_ur <= 1.0
 
 
@@ -116,6 +137,103 @@ def test_redraws_exhausted_raise(defaults, alloc, monkeypatch):
     monkeypatch.setattr(training, "RANK_RTOL", 1.0)
     with pytest.raises(RankDeficient, match="redraws"):
         run_nmse_experiment(defaults, alloc, trials=200, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the AN's null space from the span of the transmitter's estimate
+# ---------------------------------------------------------------------------
+
+def _hermitian(x):
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def _informed_allocation(scheme):
+    """An allocation with AN and every pilot the transmitter's estimate
+    needs."""
+    if scheme == RECIPROCAL:
+        return reciprocal_allocation(3.0, 6.0, var_a=0.8)
+    return nonreciprocal_allocation(3.0, 2.0, 3.0, 6.0, var_a=0.8)
+
+
+def _span_and_estimate(params, alloc, trials, seed):
+    """Channels, the span ``_estimate_span`` hands the forward phase and the
+    transmitter's LMMSE estimate (the reference estimators) from the same
+    draws, which the span must make exactly."""
+    rng = np.random.default_rng(seed)
+    h_d, h_u, g = training.sample_channels(params, alloc.scheme, rng, trials)
+    replay = np.random.default_rng()
+    replay.bit_generator.state = rng.bit_generator.state
+    span = montecarlo._estimate_span(params, alloc, h_d, h_u, rng)
+    y_t = training.reverse_training(params, alloc, h_u, replay)
+    if alloc.scheme == RECIPROCAL:
+        estimate = tx_estimate_reciprocal(y_t, params, alloc.e_r)
+    else:
+        y_t1 = training.round_trip_training(params, alloc, h_d, h_u, replay)
+        estimate = tx_estimate_downlink(
+            y_t1, tx_estimate_uplink(y_t, params, alloc.e_2), params, alloc)
+    assert rng.random() == replay.random()
+    return h_d, g, span, estimate
+
+
+@pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
+@pytest.mark.parametrize("n_t,n_l", [(4, 2), (8, 4), (16, 8)])
+def test_span_gives_the_estimates_an(scheme, n_t, n_l, monkeypatch):
+    """The span has the estimate's left null space: the AN bases N_span and
+    N_est of each trial differ by a unitary U = N_span^H N_est (singular
+    values 1 within 1e-12).  So A N_span^H = (A U) N_est^H, and the forward
+    statistics from the span equal, trial by trial within 1e-12 relative,
+    those from the estimate with its AN draw A replaced by A U.  U is fixed
+    before A is drawn, so A U has the law of A."""
+    params = default_params(n_t=n_t, n_l=n_l, n_u=n_l)
+    alloc = _informed_allocation(scheme)
+    trials = 64
+    h_d, g, span, estimate = _span_and_estimate(params, alloc, trials, seed=n_t)
+    eye = np.eye(n_t)
+    u = (null_space_basis(span, eye)[0]
+         @ _hermitian(null_space_basis(estimate, eye)[0]))
+    np.testing.assert_allclose(np.linalg.svd(u, compute_uv=False), 1.0,
+                               rtol=0, atol=1e-12)
+
+    from_span = forward_training(params, alloc, span, h_d, g,
+                                 np.random.default_rng(7))
+    draw, shapes = training.complex_gaussian, []
+
+    def rotated(rng, shape, var=1.0):   # the phase's first draw is its AN
+        shapes.append(shape)
+        x = draw(rng, shape, var)
+        return x @ u if len(shapes) == 1 else x
+
+    monkeypatch.setattr(training, "complex_gaussian", rotated)
+    from_estimate = forward_training(params, alloc, estimate, h_d, g,
+                                     np.random.default_rng(7))
+    assert shapes[0] == (trials, n_t, n_t - n_l)
+    assert from_span[2].all() and from_estimate[2].all()
+    for got, want in zip(from_span[:2], from_estimate[:2]):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_rank_test_decomposes_nothing_at_32x16(monkeypatch):
+    """At 32x16 the QR bound clears every row of i.i.d. Gaussian estimates
+    and of the echo spans the Monte Carlo draws at CI's point (gamma 0.1,
+    20 dB): no singular value is computed."""
+    params = default_params(n_t=32, n_l=16, n_u=16)
+    alloc, _, _ = solve_allocation(params, 0.1, NON_RECIPROCAL)
+    rng = np.random.default_rng(9)
+    h_d, h_u, _ = training.sample_channels(params, NON_RECIPROCAL, rng, BLOCK_TRIALS)
+    stacks = [complex_gaussian(rng, h_d.shape),
+              montecarlo._estimate_span(params, alloc, h_d, h_u, rng)]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for stack in stacks:
+        assert null_space_basis(stack, np.eye(32))[1].all()
+    assert calls == []
 
 
 def _solved_blind_reciprocal():

@@ -16,7 +16,8 @@ PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 LIBRARY = Path(dce.__file__).parent
 ORACLES = Path(__file__).parent / "oracles.py"
 
-TEST_ONLY = ("scipy", "pytest", "hypothesis", "oracles", "helpers")
+TEST_ONLY = ("scipy", "pytest", "hypothesis", "oracles", "helpers",
+             "reference_estimators")
 # Public names the library defines but never uses, each with the reason.
 UNUSED_BY_DESIGN = {
     # raised by the tests' lattice oracles and by perfbench/test_harness.py,

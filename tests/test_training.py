@@ -247,6 +247,26 @@ def test_null_space_random_rank_one_rows(rng, n_t, n_l):
     assert np.max(np.abs(_hermitian(n) @ n - np.eye(n_t - n_l))) <= 1e-13
 
 
+@pytest.mark.parametrize("n_t,n_l", [(4, 2), (6, 3), (8, 4), (16, 8), (32, 16),
+                                     (32, 31)])
+def test_rank_bound_never_exceeds_exact_ratio(rng, n_t, n_l):
+    """The AM-GM bound the QR clears rows with never exceeds the exact
+    s_min/s_max, on random rows, the same scaled by 1e-100 and 1e100, and
+    rank-one rows, up to rounding: 1e-12 relative plus 1e-14 absolute,
+    both far below the factor 2 by which the bound must beat RANK_RTOL."""
+    h = complex_gaussian(rng, (64, n_t, n_l))
+    rank_one = complex_gaussian(rng, (16, n_t, 1)) @ complex_gaussian(rng, (16, 1, n_l))
+    h = np.concatenate([h, 1e-100 * h, 1e100 * h, rank_one])
+    a = np.transpose(h, (1, 2, 0)).copy()
+    bound = training._rank_bound(training._householder(a, n_l),
+                                 np.linalg.norm(h, axis=(1, 2)))
+    s = np.linalg.svd(h, compute_uv=False)
+    exact = s[:, -1] / s[:, 0]
+    assert np.all(bound <= exact * (1 + 1e-12) + 1e-14)
+    # the bound is no trivial zero: it clears every random row
+    assert np.all(bound[:3 * 64] > 2 * training.RANK_RTOL)
+
+
 def test_null_space_zero_row(recwarn):
     """An all-zero estimate is flagged, its outputs are finite and nothing
     warns: every reflector is the identity, so N^H m is m's last rows."""
