@@ -444,10 +444,12 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
     off its set, so it reads that set from its own multipliers.  Newton's
     method is then applied to the active-set KKT system (stationarity +
     active constraints at equality), dropping any constraint whose
-    multiplier converges negative and adding back the most violated row
-    outside the set, one change per re-solve.  Each point's ``terms.parts``
-    is computed once and handed on: ``parts0`` are y0's, and an accepted
-    trial's system is the next iteration's.  Returns (y, full multiplier vector,
+    multiplier converges negative, adding back the most violated row
+    outside the set, and, when Newton stalls on a set, dropping the member
+    whose indicator lambda_j / s_j at the starting point is smallest, one
+    change per re-solve.  Each point's ``terms.parts`` is computed once and
+    handed on: ``parts0`` are y0's, and an accepted trial's system is the
+    next iteration's.  Returns (y, full multiplier vector,
     ``terms.parts(y)``), or (y0, lam0, parts0) as given when refinement
     fails.
     """
@@ -494,7 +496,14 @@ def _kkt_polish(c_lin: np.ndarray, terms: _Terms, y0: np.ndarray, lam0: np.ndarr
                 break
             y, lam_a, parts, system = y_try, lam_try, parts_try, trial
         if not converged:
-            break
+            # a stall: the set holds a row the optimum leaves slack.  Drop
+            # the member the starting indicator ranks lowest; rows at or
+            # past their bound rank last.
+            slack = -parts0[0][act]
+            indicator = np.divide(lam0[act], slack, out=np.full(act.size, np.inf),
+                                  where=slack > 0)
+            act = np.delete(act, np.argmin(indicator))
+            continue
         if float(np.minimum.reduce(lam_a)) < -1e-11:
             act = np.delete(act, np.argmin(lam_a))
             continue

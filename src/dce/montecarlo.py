@@ -9,6 +9,12 @@ the transmitter received spans exactly (``_estimate_span``).  Trials whose
 draw is numerically degenerate (that span loses rank, so AN has no null
 space) are redrawn together from the block's next substream, up to
 MAX_RESAMPLES times, and counted in ``resampled_trials``.
+
+The SER data phase draws what the decoder reads.  The block code is
+orthogonal, so its matched filter's real map F for an estimate h_hat has
+F F^T = ||h_hat||_F^2 I_6: white slot noise reaches the filter as three
+i.i.d. CN(0, var ||h_hat||_F^2) symbols, and each receiver draws those
+(3 per trial) instead of 4 M slot values (``ostbc.decode_block``).
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
 from .gp import condense
 from .nmse import (JENSEN_VARIANTS, nmse_l_nonreciprocal_approx,
                    nmse_l_reciprocal, nmse_u)
-from .ostbc import (CODE_SLOTS, CODE_SYMBOLS, SUPPORTED_QAM, block_scale,
-                    decode_block, encode_block, qam_constellation)
+from .ostbc import (CODE_SYMBOLS, SUPPORTED_QAM, block_scale, decode_block,
+                    encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .rng import complex_gaussian, trial_rng
 from .training import (forward_training, reverse_training, round_trip_training,
@@ -245,16 +251,17 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
     def one_block(rng, n):
         h_d, g, lr_est, ur_est, bad = _estimation_round(params, alloc, rng, n,
                                                         jensen_variant)
-        sent = rng.integers(0, modulation, size=(n, CODE_SYMBOLS))
-        blocks = encode_block(constellation[sent], scale)
-        received = blocks @ np.concatenate([h_d, g], axis=-1)
-        y_lr = received[..., :params.n_l] + complex_gaussian(
-            rng, (n, CODE_SLOTS, params.n_l), params.var_w)
-        y_ur = received[..., params.n_l:] + complex_gaussian(
-            rng, (n, CODE_SLOTS, params.n_u), params.var_v)
-        errors = [np.count_nonzero(decode_block(y, est, scale, modulation) != sent,
-                                   axis=1)
-                  for y, est in ((y_lr, lr_est), (y_ur, ur_est))]
+        sent = rng.integers(0, modulation, size=(CODE_SYMBOLS, n))
+        # one encode against [h_d, g] side by side, rows (antenna, M, trial)
+        received = encode_block(constellation[sent], np.concatenate(
+            [h_d, g], axis=-1).transpose(1, 2, 0), scale)
+        noise_lr = complex_gaussian(rng, (CODE_SYMBOLS, n), params.var_w)
+        noise_ur = complex_gaussian(rng, (CODE_SYMBOLS, n), params.var_v)
+        errors = [np.count_nonzero(
+            decode_block(received[:, cols], est.transpose(1, 2, 0), scale,
+                         modulation, noise) != sent, axis=0)
+            for cols, est, noise in ((slice(None, params.n_l), lr_est, noise_lr),
+                                     (slice(params.n_l, None), ur_est, noise_ur))]
         return np.stack(errors, axis=1), bad
 
     errors, resampled = _run_blocks(one_block, trials, seed)

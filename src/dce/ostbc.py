@@ -9,18 +9,27 @@ triple (s1, s2, s3) is::
     [ -s3*   0     s1*   s2 ]
     [  0     s3*  -s2*   s1 ]
 
-Columns are mutually orthogonal with squared norm |s1|^2+|s2|^2+|s3|^2, so
-after stacking real and imaginary parts the map from the six real symbol
-coordinates to the received block is a scaled isometry (the dispersion map;
-the test suite builds it explicitly, in ``tests/test_ostbc.py``).
-Matched filtering through that map is therefore exact ML and reduces
-detection to independent nearest-neighbor decisions.  The decoder evaluates
-the matched filter in closed form for whole stacks of blocks, each with the
-channel matrix its receiver believes in (its own estimate, used as if it
-were the truth).
+Columns are mutually orthogonal with squared norm |s1|^2+|s2|^2+|s3|^2
+(Tarokh, Jafarkhani & Calderbank, IEEE Trans. IT 1999), so after stacking
+real and imaginary parts the map from the six real symbol coordinates to
+the received block is a scaled isometry (the dispersion map; the test
+suite builds it explicitly, in ``tests/reference_ostbc.py``).  Matched
+filtering through that map is therefore exact ML and reduces detection to
+independent nearest-neighbor decisions.  The same orthogonality makes the
+filter's real 6 x 8M map F satisfy F F^T = ||h||_F^2 I_6, so white slot
+noise reaches the filter output as three i.i.d. CN(0, var ||h||_F^2)
+symbols, and the decoder takes exactly that in place of per-slot noise.
+
+Both halves work on stacks with the trial axes last, as (slot or antenna,
+M, trial) rows: ``encode_block`` forms the noiseless received blocks
+scale X(s) H from the codeword's twelve signed symbol taps, and
+``decode_block`` evaluates the filter's twelve products h_a^H y_t on them,
+each with the channel matrix its receiver believes in (its own estimate,
+used as if it were the truth).  The code fixes four transmit antennas, so
+the same products serve every receiver width M.
 
 On the square QAM grid the nearest point is the nearest level on each real
-axis separately, so the decoder slices instead of searching all M points:
+axis separately, so the decoder slices instead of searching every point:
 each coordinate is scaled onto the level indices, rounded with ``rint`` and
 clipped to the grid.  Within 1e-9 level spacings of a midpoint, where the
 rounded coordinate may land one level off, the two neighboring levels are
@@ -59,35 +68,48 @@ def qam_constellation(order: int) -> np.ndarray:
     return points
 
 
-# The codeword as a gather from (s1, s2, s3, s1*, s2*, s3*, 0) with signs.
-_CODE_INDEX = np.array([[0, 1, 2, 6],
-                        [4, 3, 6, 2],
-                        [5, 6, 3, 1],
-                        [6, 5, 4, 0]])
-_CODE_SIGN = np.array([[1, 1, 1, 1],
-                       [-1, 1, 1, -1],
-                       [-1, 1, 1, 1],
-                       [1, 1, -1, 1]])
-
-
-def code_matrix(symbols: np.ndarray) -> np.ndarray:
-    """Codewords for symbol triples (..., 3); shape (..., CODE_SLOTS,
-    CODE_ANTENNAS)."""
-    s = np.asarray(symbols)
-    ext = np.concatenate([s, np.conj(s), np.zeros_like(s[..., :1])], axis=-1)
-    return ext[..., _CODE_INDEX] * _CODE_SIGN
+# The codeword's twelve nonzero entries, slot by slot (three per slot): entry
+# j sits in slot j // 3 and antenna column _TAP_ANTENNA[j], and holds
+# _TAP_SIGN[j] times symbol _TAP_SYMBOL[j] % 3, conjugated where
+# _TAP_SYMBOL[j] >= 3 (an index into (s1, s2, s3, s1*, s2*, s3*)).
+_TAP_ANTENNA = np.array([0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3])
+_TAP_SYMBOL = np.array([0, 1, 2, 4, 3, 2, 5, 3, 1, 5, 4, 0])
+_TAP_SIGN = np.array([1, 1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1], dtype=float)
+# The matched filter reads tap j as sign_j h_a^H y_t where the tap carries a
+# symbol and as its conjugate where it carries a conjugate.  Its taps are
+# listed symbol by symbol, four each (one per slot, in slot order), with
+# each tap's antenna and the signs of (Re, Im) that apply both.
+_FILTER_TAP = np.array([0, 4, 7, 11, 1, 3, 8, 10, 2, 5, 6, 9])
+_FILTER_ANTENNA = _TAP_ANTENNA[_FILTER_TAP]
+_FILTER_SIGN = np.array([(sign, -sign if symbol >= CODE_SYMBOLS else sign)
+                         for sign, symbol in zip(_TAP_SIGN[_FILTER_TAP],
+                                                 _TAP_SYMBOL[_FILTER_TAP])])
 
 
 def _require_code_antennas(h: np.ndarray) -> None:
-    if h.shape[-2] != CODE_ANTENNAS:
+    if h.shape[0] != CODE_ANTENNAS:
         raise UnsupportedGeometry(
             f"the block code drives {CODE_ANTENNAS} transmit antennas, "
-            f"got a channel with {h.shape[-2]} rows")
+            f"got a channel with {h.shape[0]} rows")
 
 
-def encode_block(symbols: np.ndarray, scale: float) -> np.ndarray:
-    """Transmitted blocks for symbol triples (..., 3)."""
-    return scale * code_matrix(symbols)
+def encode_block(symbols: np.ndarray, channels: np.ndarray,
+                 scale: float) -> np.ndarray:
+    """The noiseless received blocks scale X(s) H, (CODE_SLOTS, M, ...),
+    for symbol triples (3, ...) sent through channels H (4, M, ...), the
+    trial axes last.
+
+    Slot t receives the sum of its three taps, each a signed symbol (or
+    its conjugate) times one antenna's row of H.
+    """
+    _require_code_antennas(channels)
+    s = np.asarray(symbols)
+    lead = (-1,) + (1,) * (s.ndim - 1)
+    taps = np.concatenate([s, np.conj(s)])[_TAP_SYMBOL]
+    taps *= (scale * _TAP_SIGN).reshape(lead)
+    rows = np.take(np.asarray(channels, dtype=complex), _TAP_ANTENNA, axis=0)
+    rows *= taps[:, None]
+    return rows.reshape((CODE_SLOTS, CODE_SYMBOLS) + rows.shape[1:]).sum(axis=1)
 
 
 def _slice_square_qam(symbols: np.ndarray, constellation: np.ndarray) -> np.ndarray:
@@ -108,34 +130,48 @@ def _slice_square_qam(symbols: np.ndarray, constellation: np.ndarray) -> np.ndar
     return k[0] * side + k[1]
 
 
-def decode_block(y: np.ndarray, h_hat: np.ndarray, scale: float,
-                 order: int) -> np.ndarray:
-    """Nearest-neighbor indices into ``qam_constellation(order)`` (..., 3)
-    for received blocks (..., 4, M), each decoded with the channel
-    (..., 4, M) the receiver believes in.
+def _matched_filter(received: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
+    """The matched filter's output (3, ...) for blocks (CODE_SLOTS, M, ...)
+    and the channels (4, M, ...) it is matched to, before its division by
+    scale ||h_hat||_F^2: for each symbol, the sum over the four slots it
+    occupies of sign_j h_a^H y_t, conjugated where the codeword carries the
+    symbol's conjugate."""
+    h_taps = np.take(np.asarray(h_hat, dtype=complex), _FILTER_ANTENNA, axis=0)
+    np.conjugate(h_taps, out=h_taps)
+    by_slot = h_taps.reshape((CODE_SYMBOLS, CODE_SLOTS) + h_taps.shape[1:])
+    by_slot *= received                        # each symbol's taps, slot by slot
+    taps = h_taps.sum(axis=1)                  # h_a^H y_t, (12, ...)
+    parts = taps.view(np.float64).reshape(taps.shape + (2,))
+    parts *= _FILTER_SIGN.reshape((-1,) + (1,) * (taps.ndim - 1) + (2,))
+    summed = parts.reshape((CODE_SYMBOLS, CODE_SLOTS) + parts.shape[1:]).sum(axis=1)
+    return summed.view(complex)[..., 0]
 
-    The matched filter m.T y / (scale^2 ||h||^2) of the dispersion map m
-    (built explicitly in ``tests/test_ostbc.py``), written out per symbol:
-    each symbol collects the four slots it occupies, conjugated where the
-    codeword carries its conjugate.  An order outside SUPPORTED_QAM, and a
-    non-finite block or estimate, raises ValueError.
+
+def decode_block(received: np.ndarray, h_hat: np.ndarray, scale: float,
+                 order: int, noise: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor indices into ``qam_constellation(order)`` (3, ...)
+    for noiseless received blocks (CODE_SLOTS, M, ...), each decoded with
+    the channel (4, M, ...) the receiver believes in, the trial axes last.
+
+    ``noise`` holds (3, ...) CN(0, var) draws for slot noise of variance
+    var: the decoder adds ``noise * ||h_hat||_F`` to the matched filter's
+    output, which has the law of the filter's output of that slot noise
+    (F F^T = ||h_hat||_F^2 I_6, see the module docstring).  An order
+    outside SUPPORTED_QAM, and a non-finite block, estimate or noise,
+    raises ValueError.
     """
     _require_code_antennas(h_hat)
     constellation = qam_constellation(order)
-    if not (np.isfinite(y).all() and np.isfinite(h_hat).all()):
+    if not (np.isfinite(received).all() and np.isfinite(h_hat).all()
+            and np.isfinite(noise).all()):
         # the slicer would turn a NaN into an index outside the constellation
-        raise ValueError("received block or channel estimate is not finite")
-    gain = scale * np.sum(np.abs(h_hat) ** 2, axis=(-2, -1))
-    if np.any(gain <= 0):
+        raise ValueError("received block, channel estimate or noise is not finite")
+    energy = np.einsum("am...,am...->...", h_hat, np.conj(h_hat)).real
+    if np.any(energy <= 0):
         raise UnsupportedGeometry("channel estimate is identically zero")
-    h0, h1, h2, h3 = np.moveaxis(h_hat, -2, 0)
-    y0, y1, y2, y3 = np.moveaxis(y, -2, 0)
-    c = np.conj
-    symbols = np.stack([
-        c(h0) * y0 + h1 * c(y1) + h2 * c(y2) + c(h3) * y3,
-        c(h1) * y0 - h0 * c(y1) + c(h3) * y2 - h2 * c(y3),
-        c(h2) * y0 - c(h3) * y1 - h0 * c(y2) + h1 * c(y3),
-    ], axis=-2).sum(axis=-1) / gain[..., None]
+    symbols = _matched_filter(received, h_hat)
+    symbols += noise * np.sqrt(energy)
+    symbols /= scale * energy
     return _slice_square_qam(symbols, constellation)
 
 

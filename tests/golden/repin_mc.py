@@ -3,12 +3,13 @@
     python3 tests/golden/repin_mc.py           # report, write nothing
     python3 tests/golden/repin_mc.py --write   # re-pin the tables that moved
 
-Runs the ten ``dce nmse``/``dce ser`` tables of ``helpers.MC_TABLES`` in
+Runs the eleven ``dce nmse``/``dce ser`` tables of ``helpers.MC_TABLES`` in
 process and prints every cell whose text changed, with its relative change
 and |delta| / hw95.  An NMSE cell's hw95 is its row's printed half-width;
-a SER cell's is the binomial half-width over the row's symbols.  A cell
-that moved beyond rounding (``helpers.changed_cells``) is marked ``MOVED``,
-and the script exits 1 if any did.
+a SER cell's is the binomial half-width over the row's symbols, at the
+larger of its old and new rates.  A cell that moved beyond rounding
+(``helpers.changed_cells``) is marked ``MOVED``, and the script exits 1 if
+any did.
 
 ``--write`` rewrites only the tables with a ``MOVED`` cell (and any golden
 that does not exist yet).  A table that moved only within rounding keeps its
@@ -35,11 +36,12 @@ from helpers import MC_TABLES, changed_cells, run_mc_table  # noqa: E402
 HALF_WIDTH = {"nmse_l_empirical": "hw95_lr", "nmse_u_empirical": "hw95_ur"}
 
 
-def _half_width(header: list, row: list, col: str) -> float:
+def _half_width(header: list, row: list, col: str, new: str) -> float:
     if col in HALF_WIDTH:
         return float(row[header.index(HALF_WIDTH[col])])
     if col.startswith("ser_"):
-        p = float(row[header.index(col)])
+        # at the larger of the two rates, so a cell pinned at 0 gets one too
+        p = max(float(row[header.index(col)]), float(new))
         symbols = int(row[header.index("trials")]) * CODE_SYMBOLS
         return 1.96 * math.sqrt(p * (1 - p) / symbols)
     return math.nan
@@ -56,7 +58,7 @@ def report(name: str, golden: str, table: str) -> bool:
         try:
             delta = abs(float(new) - float(old))
             line += f" rel {delta / abs(float(old)) if float(old) else math.inf:.1e}"
-            hw = _half_width(rows[0], rows[i], col)
+            hw = _half_width(rows[0], rows[i], col, new)
             line += "" if math.isnan(hw) else f"  |d|/hw95 {delta / hw:.2g}"
         except (TypeError, ValueError):  # a text cell, or the table's shape
             pass

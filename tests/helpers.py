@@ -19,9 +19,9 @@ def dft_pilot(tau: int, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * j * k / tau) / np.sqrt(tau)
 
 
-# The 4x2, 16x8 and 32x16 Monte-Carlo tables CI's thread-`cmp` step prints, pinned
-# as golden/mc_<name>.csv: each name's `dce` command line and the geometry
-# config it reads (geometry keys have no flags), or None.
+# The 4x2, 4x3(+5), 16x8 and 32x16 Monte-Carlo tables CI's thread-`cmp` step
+# prints, pinned as golden/mc_<name>.csv: each name's `dce` command line and
+# the geometry config it reads (geometry keys have no flags), or None.
 _NMSE = ["nmse", "--trials", "2000", "--seed", "4"]
 _NMSE32 = ["nmse", "--trials", "300", "--seed", "4"]
 _SER = ["ser", "--trials", "1000", "--seed", "4"]
@@ -34,6 +34,7 @@ MC_TABLES = {
     "ser": (_SER + _ECHO + _POINT, None),
     "ser16": (_SER + _ECHO + _POINT + ["--modulation", "16"], None),
     "serrecip": (_SER + ["--gamma", "0.1", "--pave-db", "10,20,30"], None),
+    "ser_wide": (_SER + _ECHO + _POINT, "n_l=3\nn_u=5\n"),
     "wide": (_NMSE, "n_t=16\nn_l=8\nn_u=8\ntau_f=64\ntau_r=16\n"),
     "wide_echo": (_NMSE + _ECHO, "n_t=16\nn_l=8\nn_u=8\n"),
     "wide32": (_NMSE32, "n_t=32\nn_l=16\nn_u=16\n"),

@@ -588,14 +588,17 @@ def test_warm_result_failing_certificate_falls_back_to_cold(defaults, monkeypatc
 # lambda >= 1e-6 * max lambda (KKT residual 1.4e-8 to 3.6e-8).  In the last
 # two the indicator also marks the transmitter budget active at the
 # hand-off, though its slack at the optimum is 3.8e-4 and 3.6e-3; the
-# polish's Newton steps blow up on that set, and phase 2 resumes.
+# polish's Newton steps stall on that set.  It drops the member with the
+# smallest indicator (that budget in the first case, the LR budget at
+# 20 against its 30 in the second) and re-solves, one change at a time,
+# until the set certifies, so phase 2 no longer resumes.
 HANDOFF_CASES = ([({"p_ave_db": p}, g, 0) for p, g in WORKSPACE_CASES]
                  + [({"n_t": 8, "n_l": 4, "n_u": 4, "p_ave_db": 27.801880748517302},
                      0.03600544658977729, 0),
                     ({"n_t": 6, "n_l": 2, "n_u": 3, "p_ave_db": 28.06024719652498},
-                     0.4658265213691244, 1),
+                     0.4658265213691244, 0),
                     ({"n_t": 6, "n_l": 2, "n_u": 3, "p_ave_db": 28.047011862959756},
-                     0.02880465483469404, 1)])
+                     0.02880465483469404, 0)])
 
 
 def _count_resumes(monkeypatch):

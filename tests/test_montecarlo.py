@@ -18,8 +18,8 @@ from dce.montecarlo import (
     solve_allocation,
 )
 from dce.nmse import gamma_bounds
-from dce.ostbc import (CODE_SLOTS, CODE_SYMBOLS, block_scale, decode_block,
-                       encode_block, qam_constellation)
+from dce.ostbc import (CODE_SYMBOLS, block_scale, decode_block, encode_block,
+                       qam_constellation)
 from dce.params import (
     NON_RECIPROCAL,
     RECIPROCAL,
@@ -32,6 +32,7 @@ from dce.rng import complex_gaussian, trial_rng
 from dce.training import forward_training, null_space_basis
 from reference_estimators import (tx_estimate_downlink, tx_estimate_reciprocal,
                                   tx_estimate_uplink)
+from reference_ostbc import block_domain_errors
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +371,10 @@ def test_ser_input_validation(defaults):
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
 def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
-    """A block's data phase, one product against [h_d, g], decodes exactly
-    what two separate products decode and leaves the block's stream where
-    the separate products left it."""
+    """A block's data phase, one encode against [h_d, g], decodes exactly
+    what two separate encodes decode, with each receiver's three noise
+    symbols per trial drawn after the filter, LR first, and leaves the
+    block's stream where the replay left it."""
     captured = {}
 
     def capture(block_fn, trials, seed):
@@ -389,18 +391,47 @@ def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
         defaults, alloc, replay, 40, "printed")
     pts = qam_constellation(64)
     scale = block_scale(defaults.p_ave)
-    sent = replay.integers(0, 64, size=(40, CODE_SYMBOLS))
-    blocks = encode_block(pts[sent], scale)
-    y_lr = blocks @ h_d + complex_gaussian(
-        replay, (40, CODE_SLOTS, defaults.n_l), defaults.var_w)
-    y_ur = blocks @ g + complex_gaussian(
-        replay, (40, CODE_SLOTS, defaults.n_u), defaults.var_v)
-    want = [np.count_nonzero(decode_block(y, est, scale, 64) != sent, axis=1)
-            for y, est in ((y_lr, lr_est), (y_ur, ur_est))]
+    sent = replay.integers(0, 64, size=(CODE_SYMBOLS, 40))
+    noise = [complex_gaussian(replay, (CODE_SYMBOLS, 40), var)
+             for var in (defaults.var_w, defaults.var_v)]
+    want = [np.count_nonzero(decode_block(
+        encode_block(pts[sent], np.moveaxis(h, 0, -1), scale),
+        np.moveaxis(est, 0, -1), scale, 64, w) != sent, axis=0)
+        for h, est, w in ((h_d, lr_est, noise[0]), (g, ur_est, noise[1]))]
     np.testing.assert_array_equal(errors, np.stack(want, axis=1))
     np.testing.assert_array_equal(bad, replay_bad)
     assert errors[:, 1].sum() > 0   # the comparison sees decoding errors
     assert rng.random() == replay.random()
+
+
+@pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
+def test_ser_matches_block_domain_reference(defaults, scheme):
+    """The filter-domain noise draw against the block-domain data phase
+    (per-slot noise on every slot and antenna, the dispersion-map matched
+    filter, an exhaustive nearest-point search) on the same channels and
+    estimates: each receiver's SER agrees within 4 binomial standard errors
+    of the difference."""
+    trials, seed = 3000, 21
+    report = run_ser_experiment(defaults, 0.1, modulation=64, trials=trials,
+                                seed=seed, scheme=scheme)
+    alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
+    scale = block_scale(defaults.p_ave)
+
+    def reference_block(rng, n):
+        h_d, g, lr_est, ur_est, bad = montecarlo._estimation_round(
+            defaults, alloc, rng, n, "printed")
+        return block_domain_errors(rng, defaults, 64, scale, h_d, g,
+                                   lr_est, ur_est), bad
+
+    errors, resampled = montecarlo._run_blocks(reference_block, trials, seed)
+    assert resampled == report.resampled_trials == 0
+    symbols = CODE_SYMBOLS * trials
+    for got, ref_errors in ((report.ser_lr, errors[:, 0]),
+                            (report.ser_ur, errors[:, 1])):
+        ref = ref_errors.sum() / symbols
+        se = np.sqrt((got * (1 - got) + ref * (1 - ref)) / symbols)
+        assert 0 < ref < 1
+        assert abs(got - ref) <= 4 * se, (scheme, got, ref, se)
 
 
 def test_ser_report_fields_and_determinism(defaults):

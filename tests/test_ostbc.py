@@ -1,4 +1,5 @@
-"""Rate-3/4 four-antenna block code: orthogonality, QAM mapping, decoding."""
+"""Rate-3/4 four-antenna block code: orthogonality, QAM mapping, the
+filter-domain noise law, and decoding against the block-domain reference."""
 
 import numpy as np
 import pytest
@@ -11,12 +12,19 @@ from dce.ostbc import (
     CODE_SYMBOLS,
     SUPPORTED_QAM,
     block_scale,
-    code_matrix,
     decode_block,
     encode_block,
     qam_constellation,
 )
 from dce.rng import complex_gaussian
+from reference_ostbc import code_matrix, dispersion_map, matched_filter_decode
+
+WIDTHS = (1, 2, 3, 4, 5)   # receiver columns M
+
+
+def _trial_last(x):
+    """A (T, 4, M) stack as (4, M, T) rows."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
 
 def test_codeword_shape_and_rate():
@@ -39,6 +47,21 @@ def test_codeword_layout_and_stacking():
     assert stack.shape == (2, 4, 4)
     np.testing.assert_array_equal(stack[0], expected)
     np.testing.assert_array_equal(stack[1], code_matrix(np.array([s3, s1, s2])))
+    # through the identity channel the taps lay out the same codeword
+    np.testing.assert_array_equal(
+        encode_block(np.array([s1, s2, s3]), np.eye(4), 2.0), 2.0 * expected)
+
+
+@pytest.mark.parametrize("m", WIDTHS)
+def test_encode_matches_codeword_product(m, rng):
+    """The twelve taps, on trial-last rows, give scale X(s) H block by block."""
+    n = 300
+    s = complex_gaussian(rng, (n, CODE_SYMBOLS))
+    h = complex_gaussian(rng, (n, 4, m))
+    got = encode_block(s.T, _trial_last(h), 0.7)
+    assert got.shape == (CODE_SLOTS, m, n)
+    np.testing.assert_allclose(got, _trial_last(0.7 * code_matrix(s) @ h),
+                               rtol=0, atol=1e-13)
 
 
 def test_column_orthogonality(rng):
@@ -90,13 +113,13 @@ def test_block_scale_power_accounting(rng):
     scale = block_scale(power)
     order = 16
     pts = qam_constellation(order)
-    row_power = np.zeros(CODE_SLOTS)
     rounds = 20000
-    for _ in range(rounds):
-        s = pts[rng.integers(0, order, size=CODE_SYMBOLS)]
-        block = encode_block(s, scale)
-        row_power += np.sum(np.abs(block) ** 2, axis=1)
-    np.testing.assert_allclose(row_power / rounds, power, rtol=0.03)
+    s = pts[rng.integers(0, order, size=(CODE_SYMBOLS, rounds))]
+    identity = np.broadcast_to(np.eye(CODE_ANTENNAS)[..., None],
+                               (CODE_ANTENNAS, CODE_ANTENNAS, rounds))
+    blocks = encode_block(s, identity, scale)    # the codewords, (slot, antenna, round)
+    row_power = np.sum(np.abs(blocks) ** 2, axis=1).mean(axis=-1)
+    np.testing.assert_allclose(row_power, power, rtol=0.03)
 
 
 def test_dispersion_map_is_scaled_isometry(rng):
@@ -107,43 +130,79 @@ def test_dispersion_map_is_scaled_isometry(rng):
     np.testing.assert_allclose(m.T @ m, expected, atol=1e-10)
 
 
-def test_decode_block_antenna_guard(rng):
-    for shape in ((6, 2), (2, 2)):
-        with pytest.raises(UnsupportedGeometry):
-            decode_block(complex_gaussian(rng, (4, 2)),
-                         complex_gaussian(rng, shape), 1.0, 4)
+def _filter_map(h: np.ndarray) -> np.ndarray:
+    """The matched filter's real 6 x 8M map for one channel h (4, M), built
+    by filtering the 8M unit blocks (a 1 or a 1j in one slot and column)."""
+    cols = h.shape[1]
+    k = CODE_SLOTS * cols
+    units = np.concatenate([np.eye(k), 1j * np.eye(k)], axis=1)
+    units = units.reshape(CODE_SLOTS, cols, 2 * k)
+    stack = np.broadcast_to(h[..., None], h.shape + (2 * k,))
+    out = ostbc._matched_filter(units, stack)              # (3, 8M)
+    return np.stack([out.real, out.imag], axis=1).reshape(6, 2 * k)
+
+
+@pytest.mark.parametrize("m", WIDTHS)
+def test_filter_noise_law_is_exact(m, rng):
+    """The whole case for drawing noise after the filter: its real map F
+    satisfies F F^T = ||h||_F^2 I_6 exactly, so white CN(0, var) slot noise
+    leaves it as three i.i.d. CN(0, var ||h||_F^2) symbols.  F is real
+    linear: it reproduces the filter on a random block."""
+    for _ in range(5):
+        h = complex_gaussian(rng, (4, m))
+        f = _filter_map(h)
+        energy = float(np.sum(np.abs(h) ** 2))
+        np.testing.assert_allclose(f @ f.T, energy * np.eye(6), rtol=0, atol=1e-12)
+        y = complex_gaussian(rng, (CODE_SLOTS, m))
+        direct = ostbc._matched_filter(y, h)
+        via_map = f @ np.concatenate([y.real.ravel(), y.imag.ravel()])
+        np.testing.assert_allclose(via_map[0::2] + 1j * via_map[1::2], direct,
+                                   rtol=0, atol=1e-12)
 
 
 def test_decode_inverts_encode_noiselessly(rng):
-    """Perfect CSI, no noise: every symbol triple decodes exactly."""
+    """Perfect CSI, no noise: every symbol triple decodes exactly, for every
+    QAM order and receiver width."""
+    scale = block_scale(5.0)
+    n = 400
     for order in SUPPORTED_QAM:
         pts = qam_constellation(order)
-        scale = block_scale(5.0)
-        for _ in range(50):
-            h = complex_gaussian(rng, (4, 2))
-            idx = rng.integers(0, order, size=CODE_SYMBOLS)
-            y = encode_block(pts[idx], scale) @ h
+        for m in WIDTHS:
+            h = complex_gaussian(rng, (4, m, n))
+            idx = rng.integers(0, order, size=(CODE_SYMBOLS, n))
+            y = encode_block(pts[idx], h, scale)
             np.testing.assert_array_equal(
-                decode_block(y, h, scale, order), idx)
+                decode_block(y, h, scale, order, np.zeros((CODE_SYMBOLS, n))), idx)
+
+
+def test_decode_block_antenna_guard(rng):
+    """Both halves of the code refuse a channel without four antenna rows."""
+    for shape in ((6, 2), (2, 2)):
+        h = complex_gaussian(rng, shape)
+        with pytest.raises(UnsupportedGeometry):
+            decode_block(complex_gaussian(rng, (4, 2)), h, 1.0, 4,
+                         np.zeros(CODE_SYMBOLS))
+        with pytest.raises(UnsupportedGeometry):
+            encode_block(np.ones(CODE_SYMBOLS), h, 1.0)
 
 
 def test_decode_high_power_low_noise_ser(rng):
     """64-QAM at overwhelming SNR with perfect CSI: zero errors in 500 blocks."""
     pts = qam_constellation(64)
     scale = block_scale(1e6)
-    errors = 0
-    for _ in range(500):
-        h = complex_gaussian(rng, (4, 2))
-        idx = rng.integers(0, 64, size=CODE_SYMBOLS)
-        y = encode_block(pts[idx], scale) @ h + complex_gaussian(rng, (4, 2))
-        errors += int(np.sum(decode_block(y, h, scale, 64) != idx))
-    assert errors == 0
+    n = 500
+    h = complex_gaussian(rng, (4, 2, n))
+    idx = rng.integers(0, 64, size=(CODE_SYMBOLS, n))
+    y = encode_block(pts[idx], h, scale)
+    noise = complex_gaussian(rng, (CODE_SYMBOLS, n))
+    assert np.count_nonzero(decode_block(y, h, scale, 64, noise) != idx) == 0
 
 
 def test_decode_rejects_zero_estimate(rng):
     with pytest.raises(UnsupportedGeometry):
         decode_block(complex_gaussian(rng, (4, 2)),
-                     np.zeros((4, 2), dtype=complex), 1.0, 4)
+                     np.zeros((4, 2), dtype=complex), 1.0, 4,
+                     np.zeros(CODE_SYMBOLS))
 
 
 def test_decode_degrades_gracefully_with_bad_csi(rng):
@@ -151,54 +210,23 @@ def test_decode_degrades_gracefully_with_bad_csi(rng):
     worse than the true channel does; sanity check, not a rate claim."""
     pts = qam_constellation(16)
     scale = block_scale(20.0)
-    good, bad = 0, 0
-    rounds = 400
-    for _ in range(rounds):
-        h = complex_gaussian(rng, (4, 2))
-        h_bad = 0.3 * h + complex_gaussian(rng, (4, 2), 0.91)
-        idx = rng.integers(0, 16, size=CODE_SYMBOLS)
-        y = encode_block(pts[idx], scale) @ h + complex_gaussian(rng, (4, 2))
-        good += int(np.sum(decode_block(y, h, scale, 16) != idx))
-        bad += int(np.sum(decode_block(y, h_bad, scale, 16) != idx))
+    n = 400
+    h = complex_gaussian(rng, (4, 2, n))
+    h_bad = 0.3 * h + complex_gaussian(rng, (4, 2, n), 0.91)
+    idx = rng.integers(0, 16, size=(CODE_SYMBOLS, n))
+    y = encode_block(pts[idx], h, scale)
+    noise = complex_gaussian(rng, (CODE_SYMBOLS, n))
+    good = np.count_nonzero(decode_block(y, h, scale, 16, noise) != idx)
+    bad = np.count_nonzero(decode_block(y, h_bad, scale, 16, noise) != idx)
     assert bad > good
-
-
-def _real_basis() -> np.ndarray:
-    """The six real coordinates (Re s1, Im s1, ..., Im s3) as symbol triples."""
-    out = np.zeros((6, CODE_SYMBOLS), dtype=complex)
-    for k in range(CODE_SYMBOLS):
-        out[2 * k, k] = 1.0
-        out[2 * k + 1, k] = 1j
-    return out
-
-
-def dispersion_map(h: np.ndarray, scale: float) -> np.ndarray:
-    """Real linear map from symbol coordinates to the received block.
-
-    Column j stacks Re/Im of scale * code_matrix(basis_j) @ h.  Orthogonality
-    of the code makes m.T @ m == scale**2 * ||h||_F**2 * I exactly.
-    """
-    cols = []
-    for basis in _real_basis():
-        block = scale * code_matrix(basis) @ h
-        cols.append(np.concatenate([block.real.ravel(), block.imag.ravel()]))
-    return np.stack(cols, axis=1)
-
-
-def _reference_decode(y, h, scale, constellation):
-    """The real-isometry matched filter through ``dispersion_map``, one block
-    at a time."""
-    m = dispersion_map(h, scale)
-    gain = scale ** 2 * float(np.sum(np.abs(h) ** 2))
-    coords = (m.T @ np.concatenate([y.real.ravel(), y.imag.ravel()])) / gain
-    symbols = coords[0::2] + 1j * coords[1::2]
-    return np.argmin(np.abs(symbols[:, None] - constellation[None, :]), axis=1)
 
 
 @pytest.mark.parametrize("order", SUPPORTED_QAM)
 def test_batched_decoder_matches_dispersion_map_reference(order):
-    """On a noisy stack decoded with imperfect channel estimates, the closed
-    form returns the same indices as the dispersion-map matched filter."""
+    """Per-slot noise W decoded through the dispersion map, with imperfect
+    channel estimates, gives the indices the decoder gives from the
+    noiseless block plus W's share after the filter, F w / ||h_hat||_F:
+    the filter-domain draw is that share, drawn directly."""
     rng = np.random.default_rng(order)
     pts = qam_constellation(order)
     scale = block_scale(4.0)
@@ -206,23 +234,24 @@ def test_batched_decoder_matches_dispersion_map_reference(order):
     h = complex_gaussian(rng, (n, 4, 2))
     h_hat = 0.8 * h + complex_gaussian(rng, (n, 4, 2), 0.36)
     idx = rng.integers(0, order, size=(n, CODE_SYMBOLS))
-    blocks = encode_block(pts[idx], scale)
-    for k in range(0, n, 97):
-        np.testing.assert_array_equal(blocks[k], encode_block(pts[idx[k]], scale))
-    y = blocks @ h + complex_gaussian(rng, (n, 4, 2), 0.5)
-    decoded = decode_block(y, h_hat, scale, order)
-    assert decoded.shape == (n, CODE_SYMBOLS)
-    reference = np.array([_reference_decode(y[k], h_hat[k], scale, pts)
-                          for k in range(n)])
-    np.testing.assert_array_equal(decoded, reference)
-    assert np.any(decoded != idx)   # the noise does cause errors
+    w = complex_gaussian(rng, (n, 4, 2), 0.5)
+    blocks = encode_block(pts[idx].T, _trial_last(h), scale)
+    share = (ostbc._matched_filter(_trial_last(w), _trial_last(h_hat))
+             / np.sqrt(np.sum(np.abs(h_hat) ** 2, axis=(1, 2))))
+    decoded = decode_block(blocks, _trial_last(h_hat), scale, order, share)
+    assert decoded.shape == (CODE_SYMBOLS, n)
+    reference = matched_filter_decode(np.moveaxis(blocks, -1, 0) + w, h_hat,
+                                      scale, pts)
+    np.testing.assert_array_equal(decoded.T, reference)
+    assert np.any(decoded.T != idx)   # the noise does cause errors
 
 
 def test_batched_decoder_rejects_a_zero_row(rng):
-    h = complex_gaussian(rng, (3, 4, 2))
-    h[1] = 0.0
+    h = complex_gaussian(rng, (4, 2, 3))
+    h[..., 1] = 0.0
     with pytest.raises(UnsupportedGeometry):
-        decode_block(complex_gaussian(rng, (3, 4, 2)), h, 1.0, 4)
+        decode_block(complex_gaussian(rng, (4, 2, 3)), h, 1.0, 4,
+                     np.zeros((CODE_SYMBOLS, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +300,17 @@ def test_slicer_at_decision_boundaries(order):
 @pytest.mark.parametrize("order", [8], ids=["8-point"])
 def test_decoder_rejects_other_constellations(order, rng):
     """An order with no square grid in SUPPORTED_QAM has nothing to slice."""
-    h = complex_gaussian(rng, (2, 4, 2))
+    h = complex_gaussian(rng, (4, 2, 2))
     with pytest.raises(ValueError, match="modulation order must be one of"):
-        decode_block(complex_gaussian(rng, (2, 4, 2)), h, 1.0, order)
+        decode_block(complex_gaussian(rng, (4, 2, 2)), h, 1.0, order,
+                     np.zeros((CODE_SYMBOLS, 2)))
 
 
-@pytest.mark.parametrize("where", ["block", "estimate"])
+@pytest.mark.parametrize("where", ["block", "estimate", "noise"])
 def test_decoder_rejects_non_finite_input(where, rng):
-    h = complex_gaussian(rng, (2, 4, 2))
-    y = complex_gaussian(rng, (2, 4, 2))
-    (y if where == "block" else h)[1, 2, 0] = np.nan
+    h = complex_gaussian(rng, (4, 2, 2))
+    y = complex_gaussian(rng, (4, 2, 2))
+    noise = complex_gaussian(rng, (CODE_SYMBOLS, 2))
+    {"block": y, "estimate": h, "noise": noise}[where].flat[-1] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        decode_block(y, h, 1.0, 16)
+        decode_block(y, h, 1.0, 16, noise)

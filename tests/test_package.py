@@ -17,7 +17,7 @@ LIBRARY = Path(dce.__file__).parent
 ORACLES = Path(__file__).parent / "oracles.py"
 
 TEST_ONLY = ("scipy", "pytest", "hypothesis", "oracles", "helpers",
-             "reference_estimators")
+             "reference_estimators", "reference_ostbc")
 # Public names the library defines but never uses, each with the reason.
 UNUSED_BY_DESIGN = {
     # raised by the tests' lattice oracles and by perfbench/test_harness.py,
