@@ -45,10 +45,10 @@ DESK_NMSE_TRIALS = 1000
 DESK_SER_TRIALS = 5000
 # Trials per block: large enough that numpy's per-call overhead is spread
 # thin, small enough that a block's arrays stay within a few hundred kB.
-# Larger blocks buy no clear speed (solved default reciprocal point, 2-core
-# x86_64 VM, best of five: 5.3-5.5 us/trial at 256, 4.9-5.6 at 512-2048,
-# inside the run-to-run spread).  Each block draws from its own substream,
-# so changing this changes every stochastic result.
+# A 2,000-trial operation at the solved default reciprocal point (2-core
+# x86_64 VM, best of 12, 6 processes) takes 6.6-10.9 ms at 256, 5.6-9.2 at
+# 512 (0.81-0.91x of 256 paired in one process), 6.7-10.5 at 1024-2000.
+# Each block has its own substream; changing it moves every stochastic result.
 BLOCK_TRIALS = 256
 
 

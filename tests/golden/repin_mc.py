@@ -9,7 +9,8 @@ and |delta| / hw95.  An NMSE cell's hw95 is its row's printed half-width;
 a SER cell's is the binomial half-width over the row's symbols, at the
 larger of its old and new rates.  A cell that moved beyond rounding
 (``helpers.changed_cells``) is marked ``MOVED``, and the script exits 1 if
-any did.
+any did.  The report ends with one line: the number of ``MOVED`` cells and
+the largest |delta| / hw95, with its table, row and column.
 
 ``--write`` rewrites only the tables with a ``MOVED`` cell (and any golden
 that does not exist yet).  A table that moved only within rounding keeps its
@@ -47,23 +48,25 @@ def _half_width(header: list, row: list, col: str, new: str) -> float:
     return math.nan
 
 
-def report(name: str, golden: str, table: str) -> bool:
-    """Print each changed cell of one table; True if any moved beyond
-    rounding."""
+def report(name: str, golden: str, table: str) -> list:
+    """Print each changed cell of one table; returns the cells that moved
+    beyond rounding, each as (|delta| / hw95 or nan, where)."""
     rows = [r.split(",") for r in golden.splitlines()]
-    any_moved = False
+    moved_cells = []
     for i, col, old, new, moved in changed_cells(golden, table):
-        any_moved |= moved
-        line = f"mc_{name}.csv row {i} {col:17s} {old:>24} {new:>24}"
+        where = f"mc_{name}.csv row {i} {col}"
+        line, ratio = f"mc_{name}.csv row {i} {col:17s} {old:>24} {new:>24}", math.nan
         try:
             delta = abs(float(new) - float(old))
             line += f" rel {delta / abs(float(old)) if float(old) else math.inf:.1e}"
-            hw = _half_width(rows[0], rows[i], col, new)
-            line += "" if math.isnan(hw) else f"  |d|/hw95 {delta / hw:.2g}"
+            ratio = delta / _half_width(rows[0], rows[i], col, new)
+            line += "" if math.isnan(ratio) else f"  |d|/hw95 {ratio:.2g}"
         except (TypeError, ValueError):  # a text cell, or the table's shape
             pass
+        if moved:
+            moved_cells.append((ratio, where))
         print(line + ("  MOVED" if moved else ""))
-    return any_moved
+    return moved_cells
 
 
 def main(argv: list) -> int:
@@ -71,7 +74,7 @@ def main(argv: list) -> int:
     if argv and not write:
         print(__doc__, file=sys.stderr)
         return 2
-    any_moved = False
+    any_moved, moved_cells = False, []
     with tempfile.TemporaryDirectory() as tmp:
         for name in MC_TABLES:
             path = HERE / f"mc_{name}.csv"
@@ -80,14 +83,28 @@ def main(argv: list) -> int:
                 print(f"mc_{name}.csv: no golden yet")
                 moved = True
             else:
-                moved = report(name, path.read_text(), table)
+                cells = report(name, path.read_text(), table)
+                moved_cells += cells
+                moved = bool(cells)
             any_moved |= moved
             if write and moved:
                 path.write_text(table)
                 print(f"wrote mc_{name}.csv")
     if not any_moved:
         print("every Monte-Carlo golden holds")
+    print(summary(moved_cells))
     return int(any_moved and not write)
+
+
+def summary(moved_cells: list) -> str:
+    """One line: how many cells moved, and the largest |delta| / hw95.  Two
+    independent estimates differ by about sqrt(2) sigma, so over some 30
+    cells a largest value well above 2.5 points to a defect, not to noise."""
+    ratios = [c for c in moved_cells if not math.isnan(c[0])]
+    if not ratios:
+        return f"{len(moved_cells)} MOVED cells"
+    ratio, where = max(ratios)
+    return f"{len(moved_cells)} MOVED cells, largest |d|/hw95 {ratio:.2g} at {where}"
 
 
 if __name__ == "__main__":

@@ -128,6 +128,30 @@ def test_ser_degenerate_trials_are_redrawn(defaults, monkeypatch):
     assert 0.0 <= a.ser_lr <= 1.0 and 0.0 <= a.ser_ur <= 1.0
 
 
+@pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
+def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme):
+    """Sharding: over 600 trials (a partial last block) ``_run_blocks``
+    returns, row for row, what each block gives run alone from
+    ``trial_rng(seed, block)``, here in reverse block order."""
+    alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
+    assert alloc.var_a > 0
+
+    def one_block(rng, n):
+        h_d, g, lr, ur, bad = montecarlo._estimation_round(
+            defaults, alloc, rng, n, "printed")
+        return np.concatenate([lr, ur, h_d, g], axis=-1).reshape(n, -1), bad
+
+    trials, seed = 600, 11
+    joint, resampled = montecarlo._run_blocks(one_block, trials, seed)
+    assert resampled == 0 and joint.shape[0] == trials
+    starts = list(enumerate(range(0, trials, BLOCK_TRIALS)))
+    for block, start in reversed(starts):
+        n = min(BLOCK_TRIALS, trials - start)
+        alone, bad = one_block(trial_rng(seed, block), n)
+        assert not bad.any()
+        np.testing.assert_array_equal(joint[start:start + n], alone)
+
+
 @pytest.mark.parametrize("alloc", [
     reciprocal_allocation(0.0, 4.0, var_a=1.0),              # no reverse pilots
     nonreciprocal_allocation(4.0, 0.0, 2.0, 4.0, var_a=1.0),  # no echo
@@ -281,6 +305,22 @@ def test_reciprocal_long_pilots_match_closed_forms():
     se = 1.0 / 1.959963984540054
     assert abs(report.empirical_lr - report.analytic_lr) <= 6 * se * report.half_width_95_lr
     assert abs(report.empirical_ur - report.analytic_ur) <= 6 * se * report.half_width_95_ur
+
+
+def test_reciprocal_half_widths_cover_closed_forms(defaults):
+    """The printed 95% intervals are honest: at the solved 20 dB, gamma 0.1
+    reciprocal allocation, over 400 seeds of 500 trials, the closed form
+    lies inside the interval for 0.915-0.985 of the seeds (0.95 within 3.2
+    binomial standard deviations), for the LR and for the UR.  The echo
+    LR is left out: its closed form is a surrogate."""
+    alloc, _, _ = solve_allocation(defaults, 0.1, RECIPROCAL)
+    assert alloc.var_a > 0
+    covered = np.zeros(2)
+    for seed in range(400):
+        r = run_nmse_experiment(defaults, alloc, trials=500, seed=seed)
+        covered += [abs(r.empirical_lr - r.analytic_lr) <= r.half_width_95_lr,
+                    abs(r.empirical_ur - r.analytic_ur) <= r.half_width_95_ur]
+    assert np.all((0.915 <= covered / 400) & (covered / 400 <= 0.985)), covered / 400
 
 
 def test_nonreciprocal_empirical_tracks_surrogate(defaults):
