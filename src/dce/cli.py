@@ -21,9 +21,8 @@ Exit codes: 0 success, 1 solver breakdown, 2 configuration problem,
 3 infeasible problem (also a verify point outside the echo scheme's floor
 interval, or a ser point whose floor is met with no forward pilots),
 4 unsupported geometry (a transmit antenna count the block code cannot
-drive), 5 a failed verify check,
-6 degenerate Monte-Carlo draws (trials still rank-deficient after every
-redraw).
+drive), 5 a failed verify check, 6 a degenerate Monte-Carlo draw (a trial
+whose transmitter estimate lost rank, so AN has no null space).
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ def cmd_nmse(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
     table = ResultTable(["scheme", "gamma", "p_ave_db", "tau_f",
                          "nmse_l_analytic", "nmse_l_empirical", "hw95_lr",
                          "nmse_u_analytic", "nmse_u_empirical", "hw95_ur",
-                         "nmse_lower_bound", "trials", "resampled_trials"])
+                         "nmse_lower_bound", "trials"])
     for gamma, pave_db, params in cfg.points():
         for tau_f in taus or [params.tau_f]:
             p = (with_fixed_energy_budgets(params, tau_f)
@@ -150,22 +149,19 @@ def cmd_nmse(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
             table.add_row(cfg.scheme, gamma, pave_db, tau_f,
                           nmse_l, rep.empirical_lr, rep.half_width_95_lr,
                           nmse_u, rep.empirical_ur, rep.half_width_95_ur,
-                          nmse_lower_bound(p, cfg.scheme), rep.trials,
-                          rep.resampled_trials)
+                          nmse_lower_bound(p, cfg.scheme), rep.trials)
     write_table(table, cfg.format, cfg.out)
     return EXIT_OK
 
 
 def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
     trials = cfg.trials if cfg.trials is not None else DESK_SER_TRIALS
-    table = ResultTable(["p_ave_db", "gamma", "ser_lr", "ser_ur", "trials",
-                         "resampled_trials"])
+    table = ResultTable(["p_ave_db", "gamma", "ser_lr", "ser_ur", "trials"])
     for gamma, pave_db, params in cfg.points():
         rep = run_ser_experiment(params, gamma, cfg.modulation, trials=trials,
                                  seed=cfg.seed, scheme=cfg.scheme,
                                  jensen_variant=cfg.jensen())
-        table.add_row(pave_db, gamma, rep.ser_lr, rep.ser_ur, rep.trials,
-                      rep.resampled_trials)
+        table.add_row(pave_db, gamma, rep.ser_lr, rep.ser_ur, rep.trials)
     write_table(table, cfg.format, cfg.out)
     return EXIT_OK
 

@@ -10,9 +10,12 @@ class DceError(Exception):
 
 
 class RankDeficient(DceError):
-    """Monte-Carlo trials stayed degenerate through every redraw: the span
-    of the transmitter's channel estimate lost column rank, so no AN null
-    space exists."""
+    """A Monte-Carlo trial's transmitter estimate lost column rank, so no AN
+    null space exists; ``trial`` is its index in its stack or run."""
+
+    def __init__(self, message, trial=None):
+        super().__init__(message)
+        self.trial = trial
 
 
 class InfeasibleGamma(DceError):

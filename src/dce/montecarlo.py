@@ -5,10 +5,10 @@ and every block draws from its own substream ``trial_rng(seed, block)``, so
 results are bit-identical for a given (seed, trials) however the blocks are
 spread over workers.  The transmitter's downlink estimate is never
 formed: the AN needs only its column space, which a matrix built from what
-the transmitter received spans exactly (``_estimate_span``).  Trials whose
-draw is numerically degenerate (that span loses rank, so AN has no null
-space) are redrawn together from the block's next substream, up to
-MAX_RESAMPLES times, and counted in ``resampled_trials``.
+the transmitter received spans exactly (``_estimate_span``).  That span
+loses rank with probability about 1e-40 per trial (Edelman 1988); a loss
+that does occur (an underflow, a corrupt input) would recur on a redraw, so
+it raises RankDeficient at once.
 
 The SER data phase draws what the decoder reads.  The block code is
 orthogonal, so its matched filter's real map F for an estimate h_hat has
@@ -39,7 +39,6 @@ from .rng import complex_gaussian, trial_rng
 from .training import (forward_training, reverse_training, round_trip_training,
                        sample_channels)
 
-MAX_RESAMPLES = 8
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
 DESK_NMSE_TRIALS = 1000
 DESK_SER_TRIALS = 5000
@@ -61,7 +60,7 @@ class NmseReport:
     half_width_95_lr: float
     half_width_95_ur: float
     trials: int
-    resampled_trials: int
+    resampled_trials: int = 0  # no trial is redrawn; perfbench's nmse-recip reads it
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class SerReport:
     ser_lr: float
     ser_ur: float
     trials: int
-    resampled_trials: int
 
 
 def _per_entry_sq_err(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -118,45 +116,30 @@ def _estimate_span(params: SystemParams, alloc: PowerAllocation,
 
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
                       trials: int, jensen_variant: str):
-    """One full training round for a stack of trials; returns
-    (h_d, g, lr_estimate, ur_estimate, degenerate), where the degenerate
-    trials are those whose estimate span has no full-rank null space."""
+    """One full training round for a stack of trials: (h_d, g, lr, ur)."""
     h_d, h_u, g = sample_channels(params, alloc.scheme, rng, trials)
     span = _estimate_span(params, alloc, h_d, h_u, rng)
-    y_l, y_u, full_rank = forward_training(params, alloc, span, h_d, g, rng)
+    y_l, y_u = forward_training(params, alloc, span, h_d, g, rng)
     if alloc.scheme == RECIPROCAL:
         lr = lr_estimate_reciprocal(y_l, params, alloc)
     else:
         lr = lr_estimate_nonreciprocal(y_l, params, alloc, jensen_variant)
     ur = ur_estimate(y_u, params, alloc)
-    return h_d, g, lr, ur, ~full_rank
+    return h_d, g, lr, ur
 
 
-def _run_blocks(block_fn: Callable, trials: int, seed: int) -> Tuple[np.ndarray, int]:
-    """Per-trial outcomes of ``block_fn`` over ``trials`` trials.
-
-    ``block_fn(rng, n)`` runs n trials and returns their (n, k) outcomes and
-    the mask of degenerate ones.  Each block's degenerate trials are run
-    again, all together, from the block's next substream until none is
-    left; RankDeficient is raised when some remain after MAX_RESAMPLES
-    redraws.  Returns the (trials, k) outcomes and the number of trials
-    that needed a redraw.
-    """
-    outcomes, resampled = [], 0
+def _run_blocks(block_fn: Callable, trials: int, seed: int) -> np.ndarray:
+    """The (trials, k) outcomes of ``block_fn(rng, n)``, which runs n trials,
+    over ``trials`` trials; a RankDeficient names its block and run index."""
+    outcomes = []
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        vals, bad = block_fn(trial_rng(seed, block), min(BLOCK_TRIALS, trials - start))
-        resampled += int(np.count_nonzero(bad))
-        for stream in range(1, MAX_RESAMPLES + 1):
-            if not bad.any():
-                break
-            rows = np.flatnonzero(bad)
-            vals[rows], bad[rows] = block_fn(trial_rng(seed, block, stream), rows.size)
-        if bad.any():
-            raise RankDeficient(
-                f"{int(np.count_nonzero(bad))} trials of block {block} stayed "
-                f"degenerate after {MAX_RESAMPLES} redraws")
-        outcomes.append(vals)
-    return np.concatenate(outcomes), resampled
+        try:
+            outcomes.append(block_fn(trial_rng(seed, block),
+                                     min(BLOCK_TRIALS, trials - start)))
+        except RankDeficient as exc:
+            trial = start + exc.trial
+            raise RankDeficient(f"trial {trial} (block {block}): {exc}", trial) from exc
+    return np.concatenate(outcomes)
 
 
 def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
@@ -179,12 +162,12 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
         analytic_ur = nmse_u(params, alloc.e_3, alloc.var_a)
 
     def one_block(rng, n):
-        h_d, g, lr_est, ur_est, bad = _estimation_round(params, alloc, rng, n,
-                                                        jensen_variant)
+        h_d, g, lr_est, ur_est = _estimation_round(params, alloc, rng, n,
+                                                   jensen_variant)
         return np.stack([_per_entry_sq_err(lr_est, h_d),
-                         _per_entry_sq_err(ur_est, g)], axis=1), bad
+                         _per_entry_sq_err(ur_est, g)], axis=1)
 
-    sq, resampled = _run_blocks(one_block, trials, seed)
+    sq = _run_blocks(one_block, trials, seed)
     sq_l, sq_u = sq[:, 0], sq[:, 1]
 
     z95 = 1.959963984540054
@@ -196,7 +179,6 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
         half_width_95_lr=float(z95 * sq_l.std(ddof=1) / np.sqrt(trials)),
         half_width_95_ur=float(z95 * sq_u.std(ddof=1) / np.sqrt(trials)),
         trials=trials,
-        resampled_trials=resampled,
     )
 
 
@@ -249,8 +231,8 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
     scale = block_scale(params.p_ave)
 
     def one_block(rng, n):
-        h_d, g, lr_est, ur_est, bad = _estimation_round(params, alloc, rng, n,
-                                                        jensen_variant)
+        h_d, g, lr_est, ur_est = _estimation_round(params, alloc, rng, n,
+                                                   jensen_variant)
         sent = rng.integers(0, modulation, size=(CODE_SYMBOLS, n))
         # one encode against [h_d, g] side by side, rows (antenna, M, trial)
         received = encode_block(constellation[sent], np.concatenate(
@@ -262,14 +244,13 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
                          modulation, noise) != sent, axis=0)
             for cols, est, noise in ((slice(None, params.n_l), lr_est, noise_lr),
                                      (slice(params.n_l, None), ur_est, noise_ur))]
-        return np.stack(errors, axis=1), bad
+        return np.stack(errors, axis=1)
 
-    errors, resampled = _run_blocks(one_block, trials, seed)
+    errors = _run_blocks(one_block, trials, seed)
     err_lr, err_ur = (int(x) for x in errors.sum(axis=0))
     n_symbols = CODE_SYMBOLS * trials
     return SerReport(
         ser_lr=err_lr / n_symbols,
         ser_ur=err_ur / n_symbols,
         trials=trials,
-        resampled_trials=resampled,
     )

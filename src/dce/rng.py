@@ -17,16 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def trial_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
+def trial_rng(seed: int, block: int) -> np.random.Generator:
     """Independent substream for one block of Monte-Carlo trials.
 
     Built from ``SeedSequence(seed, spawn_key=(block,))`` so the stream
     depends only on (seed, block), not on which worker runs the block.
-    A nonzero ``stream`` derives a fresh substream for the same block,
-    used to redraw the trials whose draw was degenerate.
+    A block draws from it once: no trial is ever redrawn.
     """
-    key = (block,) if stream == 0 else (block, stream)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.Generator(np.random.SFC64(ss))
 
 

@@ -26,6 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .errors import RankDeficient
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .rng import complex_gaussian
 
@@ -121,7 +122,7 @@ def null_space_basis(h_hat: np.ndarray,
     For every full-rank row N^H h_hat = 0 and N^H N = I.  A row is
     rank-deficient when a singular value is at most RANK_RTOL times its
     largest one; its basis is still orthonormal but does not null the
-    estimate, so the caller must redraw that row.
+    estimate, so the caller must not use it (``forward_training`` raises).
 
     N is the trailing n_t-n_l columns of Q in the complete QR h_hat = Q R,
     with Q = H_1 ... H_{n_l} the product of n_l Householder reflectors
@@ -217,7 +218,7 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
 def forward_training(params: SystemParams, alloc: PowerAllocation,
                      span: Optional[np.ndarray], h_d: np.ndarray,
                      g: np.ndarray, rng: np.random.Generator,
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> Tuple[np.ndarray, np.ndarray]:
     r"""Transmitter-to-receivers phase with AN in the estimated null space.
 
     The transmitter sends sqrt(E/n_t) C_t + A N^H, where N is the null-space
@@ -227,9 +228,9 @@ def forward_training(params: SystemParams, alloc: PowerAllocation,
     is drawn as A, per-entry variance var_a.  With both receivers' channels side by side as H = [H_d, G], they
     read sqrt(E/n_t) H + A (N^H H) plus their own noise, and
     ``null_space_basis`` hands back N^H H directly.  Returns
-    ``(y_l, y_u, full_rank)``: the (T, n_t, n_l) and (T, n_t, n_u)
-    statistics and the mask of trials whose span had full rank (all True
-    without AN).
+    ``(y_l, y_u)``, the (T, n_t, n_l) and (T, n_t, n_u) statistics.  A
+    trial whose span lost rank leaves AN no null space: RankDeficient is
+    raised before the AN is drawn, naming the first such trial.
     """
     energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
     n_t, n_l, trials = params.n_t, params.n_l, h_d.shape[0]
@@ -237,12 +238,13 @@ def forward_training(params: SystemParams, alloc: PowerAllocation,
     received = np.sqrt(energy / n_t) * channels
     if alloc.var_a > 0:
         seen, full_rank = null_space_basis(span, channels)
+        if not full_rank.all():
+            raise RankDeficient("the transmitter's estimate lost rank, so AN "
+                                "has no null space", int(np.argmin(full_rank)))
         a = complex_gaussian(rng, (trials, n_t, n_t - n_l), alloc.var_a)
         received += a @ seen
-    else:
-        full_rank = np.ones(trials, dtype=bool)
     w = complex_gaussian(rng, (trials, n_t, n_l), params.var_w)
     w += received[..., :n_l]
     v = complex_gaussian(rng, (trials, n_t, params.n_u), params.var_v)
     v += received[..., n_l:]
-    return w, v, full_rank
+    return w, v

@@ -4,10 +4,11 @@
     python3 tests/golden/repin_mc.py --write   # re-pin the tables that moved
 
 Runs the eleven ``dce nmse``/``dce ser`` tables of ``helpers.MC_TABLES`` in
-process and prints every cell whose text changed, with its relative change
-and |delta| / hw95.  An NMSE cell's hw95 is its row's printed half-width;
-a SER cell's is the binomial half-width over the row's symbols, at the
-larger of its old and new rates.  A cell that moved beyond rounding
+process and prints every cell whose text changed, matched by column name,
+with its relative change and |delta| / hw95; a dropped, added or reordered
+column is one ``header`` line.  An NMSE cell's hw95 is its row's printed
+half-width; a SER cell's is the binomial half-width over the row's symbols,
+at the larger of its old and new rates.  A cell that moved beyond rounding
 (``helpers.changed_cells``) is marked ``MOVED``, and the script exits 1 if
 any did.  The report ends with one line: the number of ``MOVED`` cells and
 the largest |delta| / hw95, with its table, row and column.
@@ -54,14 +55,15 @@ def report(name: str, golden: str, table: str) -> list:
     rows = [r.split(",") for r in golden.splitlines()]
     moved_cells = []
     for i, col, old, new, moved in changed_cells(golden, table):
-        where = f"mc_{name}.csv row {i} {col}"
-        line, ratio = f"mc_{name}.csv row {i} {col:17s} {old:>24} {new:>24}", math.nan
+        at = "header" if i is None else f"row {i}"
+        where = f"mc_{name}.csv {at} {col}"
+        line, ratio = f"mc_{name}.csv {at} {col:17s} {old:>24} {new:>24}", math.nan
         try:
             delta = abs(float(new) - float(old))
             line += f" rel {delta / abs(float(old)) if float(old) else math.inf:.1e}"
             ratio = delta / _half_width(rows[0], rows[i], col, new)
             line += "" if math.isnan(ratio) else f"  |d|/hw95 {ratio:.2g}"
-        except (TypeError, ValueError):  # a text cell, or the table's shape
+        except (TypeError, ValueError):  # a text cell, or the table's header or shape
             pass
         if moved:
             moved_cells.append((ratio, where))

@@ -66,16 +66,26 @@ def changed_cells(golden: str, table: str):
     """Each cell whose text differs between ``golden`` and ``table``, as
     (row, column, old, new, moved).  ``moved`` marks a change beyond
     rounding: an integer or text cell must match exactly, a float cell
-    within MC_RTOL relative.  A changed header or row count is the one
-    entry (None, "shape", old, new, True)."""
+    within MC_RTOL relative.  Cells are matched by column name, so a header
+    change still shows every shared cell: a column only one header has is
+    the entry (None, column, "column", "dropped" or "added", True), shared
+    columns in another order the entry (None, "order", old, new, True), and
+    a changed row count the one entry (None, "shape", old, new, True)."""
     old = [r.split(",") for r in golden.splitlines()]
     new = [r.split(",") for r in table.splitlines()]
-    if old[0] != new[0] or len(old) != len(new):
-        return [(None, "shape", f"{len(old)} rows {old[0]}",
-                 f"{len(new)} rows {new[0]}", True)]
-    return [(i, col, a, b, not _close(a, b))
-            for i, (a_row, b_row) in enumerate(zip(old[1:], new[1:]), start=1)
-            for col, a, b in zip(old[0], a_row, b_row) if a != b]
+    if len(old) != len(new):
+        return [(None, "shape", f"{len(old)} rows", f"{len(new)} rows", True)]
+    shared = [c for c in old[0] if c in new[0]]
+    cells = [(None, c, "column", "dropped", True) for c in old[0] if c not in new[0]]
+    cells += [(None, c, "column", "added", True) for c in new[0] if c not in old[0]]
+    if shared != [c for c in new[0] if c in old[0]]:
+        cells.append((None, "order", " ".join(shared),
+                      " ".join(c for c in new[0] if c in old[0]), True))
+    pairs = [(dict(zip(old[0], a)), dict(zip(new[0], b)))
+             for a, b in zip(old[1:], new[1:])]
+    return cells + [(i, col, a[col], b[col], not _close(a[col], b[col]))
+                    for i, (a, b) in enumerate(pairs, start=1)
+                    for col in shared if a[col] != b[col]]
 
 
 def _close(a: str, b: str) -> bool:

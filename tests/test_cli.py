@@ -163,7 +163,8 @@ def test_monte_carlo_table_matches_golden(tmp_path, name):
 
 def test_changed_cells_forgive_only_rounding():
     """A float cell may move by 1e-12 relative; an integer or text cell, a
-    larger move or a changed shape is marked moved."""
+    larger move, a dropped, added or reordered column or a changed row
+    count is marked moved."""
     golden = "scheme,nmse,trials\nreciprocal,0.5,100\n"
     assert changed_cells(golden, "scheme,nmse,trials\nreciprocal,0.50000000000001,100\n") == [
         (1, "nmse", "0.5", "0.50000000000001", False)]
@@ -172,6 +173,15 @@ def test_changed_cells_forgive_only_rounding():
     assert changed_cells(golden, "scheme,nmse,trials\necho,0.5,100\n") == [
         (1, "scheme", "reciprocal", "echo", True)]
     assert changed_cells(golden, golden + "echo,0.5,100\n")[0][0] is None
+    # a changed header still compares every shared cell, by column name
+    assert changed_cells(golden, "nmse,scheme,hw95\n0.5,echo,0.01\n") == [
+        (None, "trials", "column", "dropped", True),
+        (None, "hw95", "column", "added", True),
+        (None, "order", "scheme nmse", "nmse scheme", True),
+        (1, "scheme", "reciprocal", "echo", True)]
+    assert changed_cells(golden, "scheme,nmse\nreciprocal,0.50000000000001\n") == [
+        (None, "trials", "column", "dropped", True),
+        (1, "nmse", "0.5", "0.50000000000001", False)]
 
 
 def test_nmse_sweep_rows_match_single_point_runs(tmp_path):
@@ -572,15 +582,13 @@ def test_reciprocal_floor_at_prior_row(tmp_path):
 def test_no_an_where_it_buys_nothing(argv, tmp_path):
     """At e_r == mu (e_r = 0 at unit variances) AN leaves the objective
     unchanged but costs energy: the solver spends none, and the Monte-Carlo
-    run at that allocation draws no degenerate trial."""
+    run at that allocation draws no degenerate trial (which would exit 6)."""
     code, out = _run(tmp_path, "alloc", *argv)
     assert code == EXIT_OK
     header, rows = _read_csv(out)
     assert rows[0][header.index("an_db")] == "-inf"
-    code, out = _run(tmp_path, "nmse", *argv, "--trials", "100")
+    code, _ = _run(tmp_path, "nmse", *argv, "--trials", "100")
     assert code == EXIT_OK
-    header, rows = _read_csv(out)
-    assert rows[0][header.index("resampled_trials")] == "0"
 
 
 @pytest.mark.parametrize("argv", [["--gamma", "1"],
@@ -611,9 +619,10 @@ def test_exit_geometry(tmp_path, capsys):
     assert "unsupported geometry" in capsys.readouterr().err
 
 
-def test_exit_degenerate_redraws_exhausted(monkeypatch, capsys):
-    """AN under a rank tolerance no matrix meets (s_min > s_max): every draw
-    leaves the transmitter without a null space, so the redraws run out."""
+def test_exit_degenerate_draw(monkeypatch, capsys):
+    """AN under a rank tolerance no matrix meets (s_min > s_max): the first
+    draw leaves the transmitter without a null space, and the run stops
+    there, naming the trial and its block."""
     monkeypatch.setattr(dce.training, "RANK_RTOL", 1.0)
     starved = dce.reciprocal_allocation(0.0, 4.0, var_a=1.0)
     monkeypatch.setattr(cli, "solve_allocation",
@@ -621,23 +630,23 @@ def test_exit_degenerate_redraws_exhausted(monkeypatch, capsys):
     assert cli.main(["nmse", "--gamma", "0.1", "--pave-db", "20",
                      "--trials", "100"]) == EXIT_DEGENERATE
     err = capsys.readouterr().err
-    assert err.startswith("degenerate draws:") and err.count("\n") == 1
+    assert err.startswith("degenerate draws: trial 0 (block 0): ")
+    assert err.count("\n") == 1
 
 
-def test_ser_table_reports_resampled_trials(tmp_path):
+def test_ser_table_header(tmp_path):
     code, out = _run(tmp_path, "ser", "--gamma", "0.1", "--pave-db", "20",
                      "--modulation", "16", "--trials", "200")
     assert code == EXIT_OK
     header, rows = _read_csv(out)
-    assert header == ["p_ave_db", "gamma", "ser_lr", "ser_ur", "trials",
-                      "resampled_trials"]
-    assert [r[header.index("resampled_trials")] for r in rows] == ["0"]
+    assert header == ["p_ave_db", "gamma", "ser_lr", "ser_ur", "trials"]
+    assert [r[header.index("trials")] for r in rows] == ["200"]
 
 
 @pytest.mark.parametrize("command,trials", [("nmse", "2000"), ("ser", "1000")])
 def test_echo_scheme_at_extreme_power(tmp_path, command, trials):
-    """At 140 and 200 dB no draw is degenerate, and the analytic LR NMSE
-    stays within accept-07's 15% of Monte Carlo."""
+    """At 140 and 200 dB no draw is degenerate (which would exit 6), and the
+    analytic LR NMSE stays within accept-07's 15% of Monte Carlo."""
     code, out = _run(tmp_path, command, "--trials", trials,
                      "--scheme", "non-reciprocal", "--gamma", "0.5",
                      "--pave-db", "140,200", "--pbar-l-db", "200",
@@ -645,7 +654,6 @@ def test_echo_scheme_at_extreme_power(tmp_path, command, trials):
     assert code == EXIT_OK
     header, rows = _read_csv(out)
     assert len(rows) == 2
-    assert [r[header.index("resampled_trials")] for r in rows] == ["0", "0"]
     if command == "nmse":
         for r in rows:
             analytic = float(r[header.index("nmse_l_analytic")])

@@ -103,7 +103,7 @@ def test_lr_reciprocal_no_an_agreement(defaults):
 
     def stack(rng, n):
         h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, n)
-        y_l, _, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
+        y_l, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
         return lr_estimate_reciprocal(y_l, defaults, alloc), h_d
 
     mse = _empirical_mse(stack)
@@ -119,7 +119,7 @@ def test_lr_reciprocal_with_an_agreement(defaults):
         h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, n)
         y_t = reverse_training(defaults, alloc, h_u, rng)
         h_hat = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
-        y_l, _, _ = forward_training(defaults, alloc, h_hat, h_d, g, rng)
+        y_l, _ = forward_training(defaults, alloc, h_hat, h_d, g, rng)
         return lr_estimate_reciprocal(y_l, defaults, alloc), h_d
 
     assert _empirical_mse(stack) == pytest.approx(analytic, rel=0.02)
@@ -148,7 +148,7 @@ def test_ur_empirical_agreement(defaults):
         h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, n)
         y_t = reverse_training(defaults, alloc, h_u, rng)
         h_hat = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
-        _, y_u, _ = forward_training(defaults, alloc, h_hat, h_d, g, rng)
+        _, y_u = forward_training(defaults, alloc, h_hat, h_d, g, rng)
         return ur_estimate(y_u, defaults, alloc), g
 
     assert _empirical_mse(stack) == pytest.approx(0.75, rel=0.02)
@@ -347,7 +347,7 @@ def test_error_estimate_orthogonality(defaults):
     h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, TRIALS)
     y_t = reverse_training(defaults, alloc, h_u, rng)
     tx = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
-    y_l, y_u, _ = forward_training(defaults, alloc, tx, h_d, g, rng)
+    y_l, y_u = forward_training(defaults, alloc, tx, h_d, g, rng)
     lr = lr_estimate_reciprocal(y_l, defaults, alloc)
     ur = ur_estimate(y_u, defaults, alloc)
     pairs = {"tx": (tx, h_d), "lr": (lr, h_d), "ur": (ur, g)}

@@ -67,65 +67,37 @@ def test_report_is_deterministic(defaults):
     assert c != a
 
 
-def test_resample_counter_present(defaults):
-    report = run_nmse_experiment(defaults, reciprocal_allocation(1.0, 3.0),
-                                 trials=200)
-    assert report.resampled_trials >= 0
-    assert report.trials == 200
+@pytest.mark.parametrize("experiment", ["nmse", "ser"])
+def test_degenerate_trial_raises_on_first_draw(defaults, experiment, monkeypatch):
+    """One trial of block 1 of a 600-trial run made degenerate (its span's
+    rank mask cleared) raises RankDeficient on that block's first draw,
+    naming block 1 and the trial's index in the run; no block draws from a
+    second substream, so nothing is redrawn."""
+    basis, calls, keys = training.null_space_basis, [], []
 
+    def one_degenerate(span, m):
+        seen, full_rank = basis(span, m)
+        calls.append(span.shape[0])
+        if len(calls) == 2:   # block 1's draw
+            full_rank[44] = False
+        return seen, full_rank
 
-def _first_draw_degenerate(params, alloc, trials, seed):
-    """How many trials the first draw of each block leaves degenerate: those
-    whose span of the transmitter's estimate, y_t^T (reciprocal) or
-    y_t1 y_t^H (echo), rebuilt here from the block's stream, fails the rank
-    test."""
-    count = 0
-    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        rng = trial_rng(seed, block)
-        n = min(BLOCK_TRIALS, trials - start)
-        h_d, h_u, _ = training.sample_channels(params, alloc.scheme, rng, n)
-        y_t = training.reverse_training(params, alloc, h_u, rng)
-        if alloc.scheme == RECIPROCAL:
-            span = np.swapaxes(y_t, 1, 2)
+    def spy(*key):
+        keys.append(key)
+        return trial_rng(*key)
+
+    monkeypatch.setattr(training, "null_space_basis", one_degenerate)
+    monkeypatch.setattr(montecarlo, "trial_rng", spy)
+    with pytest.raises(RankDeficient, match=r"^trial 300 \(block 1\): ") as raised:
+        if experiment == "nmse":
+            run_nmse_experiment(defaults, reciprocal_allocation(2.0, 4.0, var_a=1.0),
+                                trials=600, seed=5)
         else:
-            y_t1 = training.round_trip_training(params, alloc, h_d, h_u, rng)
-            span = y_t1 @ np.conj(np.swapaxes(y_t, 1, 2))
-        _, full_rank = training.null_space_basis(span, np.eye(params.n_t))
-        count += int(np.count_nonzero(~full_rank))
-    return count
-
-
-def test_degenerate_trials_are_redrawn(defaults, monkeypatch):
-    """With the rank tolerance raised, the trials whose estimate span falls
-    below it in each block's first draw are exactly the ones counted as
-    resampled; the redrawn run is finite and repeats bit for bit."""
-    monkeypatch.setattr(training, "RANK_RTOL", 0.3)
-    alloc = reciprocal_allocation(2.0, 4.0, var_a=1.0)
-    trials = 2 * BLOCK_TRIALS + 88   # the last block is partial
-    expected = _first_draw_degenerate(defaults, alloc, trials, seed=5)
-    a = run_nmse_experiment(defaults, alloc, trials=trials, seed=5)
-    b = run_nmse_experiment(defaults, alloc, trials=trials, seed=5)
-    assert a == b
-    assert 0 < a.resampled_trials == expected < trials
-    assert all(np.isfinite(x) and x > 0 for x in (
-        a.empirical_lr, a.empirical_ur, a.half_width_95_lr, a.half_width_95_ur))
-
-
-def test_ser_degenerate_trials_are_redrawn(defaults, monkeypatch):
-    """The same for the echo scheme's SER.  Its span y_t1 y_t^H is worse
-    conditioned than the estimate (which regularizes it), so a lower
-    tolerance than the reciprocal test's already redraws some trials and
-    leaves none degenerate after the redraws."""
-    monkeypatch.setattr(training, "RANK_RTOL", 0.1)
-    a = run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=3,
-                           scheme=NON_RECIPROCAL)
-    b = run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=3,
-                           scheme=NON_RECIPROCAL)
-    alloc, _, _ = solve_allocation(defaults, 0.1, NON_RECIPROCAL)
-    expected = _first_draw_degenerate(defaults, alloc, 600, seed=3)
-    assert a == b
-    assert 0 < a.resampled_trials == expected < 600
-    assert 0.0 <= a.ser_lr <= 1.0 and 0.0 <= a.ser_ur <= 1.0
+            run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=5,
+                               scheme=NON_RECIPROCAL)
+    assert raised.value.trial == BLOCK_TRIALS + 44
+    assert calls == [BLOCK_TRIALS, BLOCK_TRIALS]
+    assert keys == [(5, 0), (5, 1)]
 
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
@@ -137,31 +109,18 @@ def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme):
     assert alloc.var_a > 0
 
     def one_block(rng, n):
-        h_d, g, lr, ur, bad = montecarlo._estimation_round(
+        h_d, g, lr, ur = montecarlo._estimation_round(
             defaults, alloc, rng, n, "printed")
-        return np.concatenate([lr, ur, h_d, g], axis=-1).reshape(n, -1), bad
+        return np.concatenate([lr, ur, h_d, g], axis=-1).reshape(n, -1)
 
     trials, seed = 600, 11
-    joint, resampled = montecarlo._run_blocks(one_block, trials, seed)
-    assert resampled == 0 and joint.shape[0] == trials
+    joint = montecarlo._run_blocks(one_block, trials, seed)
+    assert joint.shape[0] == trials
     starts = list(enumerate(range(0, trials, BLOCK_TRIALS)))
     for block, start in reversed(starts):
         n = min(BLOCK_TRIALS, trials - start)
-        alone, bad = one_block(trial_rng(seed, block), n)
-        assert not bad.any()
+        alone = one_block(trial_rng(seed, block), n)
         np.testing.assert_array_equal(joint[start:start + n], alone)
-
-
-@pytest.mark.parametrize("alloc", [
-    reciprocal_allocation(0.0, 4.0, var_a=1.0),              # no reverse pilots
-    nonreciprocal_allocation(4.0, 0.0, 2.0, 4.0, var_a=1.0),  # no echo
-], ids=["reciprocal-e_r-0", "echo-e_1-0"])
-def test_redraws_exhausted_raise(defaults, alloc, monkeypatch):
-    """With a rank tolerance no matrix meets (s_min > s_max), every draw is
-    degenerate, so AN has no null space and the redraws run out."""
-    monkeypatch.setattr(training, "RANK_RTOL", 1.0)
-    with pytest.raises(RankDeficient, match="redraws"):
-        run_nmse_experiment(defaults, alloc, trials=200, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +191,7 @@ def test_span_gives_the_estimates_an(scheme, n_t, n_l, monkeypatch):
     from_estimate = forward_training(params, alloc, estimate, h_d, g,
                                      np.random.default_rng(7))
     assert shapes[0] == (trials, n_t, n_t - n_l)
-    assert from_span[2].all() and from_estimate[2].all()
-    for got, want in zip(from_span[:2], from_estimate[:2]):
+    for got, want in zip(from_span, from_estimate):
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
@@ -279,7 +237,7 @@ def _solved_unprobed_echo():
 ], ids=["reciprocal-e_r-0", "echo-e_1-0", "echo-e_2-0", "echo-e_0-0"])
 def test_an_without_transmitter_estimate(instance):
     """A transmitter with no downlink information that sends AN puts it in
-    a Haar-random subspace: no trial is redrawn, and both NMSEs land within
+    a Haar-random subspace: no trial raises, and both NMSEs land within
     6 standard errors of the closed forms, which assume that subspace.  The
     reciprocal instance is what ``solve_reciprocal`` returns at 0 dB, an
     allocation with e_r = 0 and AN; the e_0 = 0 one is what condensation
@@ -288,7 +246,6 @@ def test_an_without_transmitter_estimate(instance):
     assert alloc.var_a > 0 and (alloc.e_r == 0
                                 or alloc.e_0 * alloc.e_1 * alloc.e_2 == 0)
     report = run_nmse_experiment(params, alloc, trials=20000, seed=4)
-    assert report.resampled_trials == 0
     se = 1.0 / 1.959963984540054
     assert abs(report.empirical_lr - report.analytic_lr) <= 6 * se * report.half_width_95_lr
     assert abs(report.empirical_ur - report.analytic_ur) <= 6 * se * report.half_width_95_ur
@@ -358,7 +315,7 @@ def test_solve_allocation_schemes(defaults):
 def test_every_solved_allocation_runs_clean(scheme, p_ave_db, n_t, data):
     """Whatever allocation either solver returns, at any geometry and any
     log-uniform floor inside ``gamma_bounds``, runs through the Monte-Carlo
-    trial path without a redraw, its LR error lies in (0, prior], its UR
+    trial path without a RankDeficient, its LR error lies in (0, prior], its UR
     error meets the floor and it meets the average, transmitter and LR
     budgets (1e-8 relative for the echo scheme, 1e-9 for the reciprocal
     one).  Only an infeasible floor and an unconverged condensation may
@@ -374,7 +331,6 @@ def test_every_solved_allocation_runs_clean(scheme, p_ave_db, n_t, data):
         assume(False)
     report = run_nmse_experiment(params, alloc, trials=300)
     prior = params.var_h if scheme == RECIPROCAL else params.var_hd
-    assert report.resampled_trials == 0
     assert 0.0 < nmse_l <= prior
     assert nmse_u >= gamma * (1 - 1e-9)
     for used, budget in _budgets_used(params, gamma, alloc):
@@ -419,15 +375,15 @@ def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
 
     def capture(block_fn, trials, seed):
         captured["block_fn"] = block_fn
-        return np.zeros((trials, 2), dtype=int), 0
+        return np.zeros((trials, 2), dtype=int)
 
     monkeypatch.setattr(montecarlo, "_run_blocks", capture)
     run_ser_experiment(defaults, 0.1, modulation=64, trials=40, scheme=scheme)
     rng, replay = trial_rng(8, 0), trial_rng(8, 0)
-    errors, bad = captured["block_fn"](rng, 40)
+    errors = captured["block_fn"](rng, 40)
 
     alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
-    h_d, g, lr_est, ur_est, replay_bad = montecarlo._estimation_round(
+    h_d, g, lr_est, ur_est = montecarlo._estimation_round(
         defaults, alloc, replay, 40, "printed")
     pts = qam_constellation(64)
     scale = block_scale(defaults.p_ave)
@@ -439,7 +395,6 @@ def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
         np.moveaxis(est, 0, -1), scale, 64, w) != sent, axis=0)
         for h, est, w in ((h_d, lr_est, noise[0]), (g, ur_est, noise[1]))]
     np.testing.assert_array_equal(errors, np.stack(want, axis=1))
-    np.testing.assert_array_equal(bad, replay_bad)
     assert errors[:, 1].sum() > 0   # the comparison sees decoding errors
     assert rng.random() == replay.random()
 
@@ -458,13 +413,12 @@ def test_ser_matches_block_domain_reference(defaults, scheme):
     scale = block_scale(defaults.p_ave)
 
     def reference_block(rng, n):
-        h_d, g, lr_est, ur_est, bad = montecarlo._estimation_round(
+        h_d, g, lr_est, ur_est = montecarlo._estimation_round(
             defaults, alloc, rng, n, "printed")
         return block_domain_errors(rng, defaults, 64, scale, h_d, g,
-                                   lr_est, ur_est), bad
+                                   lr_est, ur_est)
 
-    errors, resampled = montecarlo._run_blocks(reference_block, trials, seed)
-    assert resampled == report.resampled_trials == 0
+    errors = montecarlo._run_blocks(reference_block, trials, seed)
     symbols = CODE_SYMBOLS * trials
     for got, ref_errors in ((report.ser_lr, errors[:, 0]),
                             (report.ser_ur, errors[:, 1])):
@@ -479,7 +433,6 @@ def test_ser_report_fields_and_determinism(defaults):
     b = run_ser_experiment(defaults, 0.1, modulation=16, trials=300, seed=5)
     assert a == b
     assert a.trials == 300
-    assert a.resampled_trials == 0
     assert 0.0 <= a.ser_lr <= 1.0 and 0.0 <= a.ser_ur <= 1.0
 
 

@@ -28,17 +28,11 @@ def test_trial_substreams_are_independent_of_order():
     np.testing.assert_array_equal(direct, again)
 
 
-def test_resample_streams_differ_from_primary():
-    a = complex_gaussian(trial_rng(7, 3, stream=0), (5,))
-    b = complex_gaussian(trial_rng(7, 3, stream=1), (5,))
-    assert not np.allclose(a, b)
-
-
 def test_complex_gaussian_moments():
-    """1e5 draws from seed 42 and from the engine's own block and redraw
-    substreams: mean within 0.02 of 0, variance within 0.02 of 1."""
+    """1e5 draws from seed 42 and from the engine's own block substreams:
+    mean within 0.02 of 0, variance within 0.02 of 1."""
     for rng in (np.random.default_rng(42), trial_rng(42, 0), trial_rng(42, 7),
-                trial_rng(42, 7, 1), trial_rng(5, 0, 3)):
+                trial_rng(42, 8), trial_rng(5, 3)):
         z = complex_gaussian(rng, (100000,))
         assert abs(z.mean()) < 0.02
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
@@ -53,14 +47,14 @@ def test_complex_gaussian_scales_variance():
 
 def test_trial_streams_run_sfc64():
     assert isinstance(trial_rng(3, 0).bit_generator, np.random.SFC64)
-    assert isinstance(trial_rng(3, 5, 1).bit_generator, np.random.SFC64)
+    assert isinstance(trial_rng(3, 5).bit_generator, np.random.SFC64)
 
 
 def test_trial_streams_are_uncorrelated():
-    """Distinct (seed, block, stream) keys, as a campaign's blocks and
-    redraws use them side by side: over the n real and imaginary parts,
-    every pair's sample correlation is below 4/sqrt(n)."""
-    keys = [(9, 0), (9, 1), (9, 0, 1), (9, 1, 1), (9, 0, 2), (10, 0)]
+    """Distinct (seed, block) keys, as a campaign's blocks use them side by
+    side: over the n real and imaginary parts, every pair's sample
+    correlation is below 4/sqrt(n)."""
+    keys = [(9, 0), (9, 1), (9, 2), (9, 3), (9, 4), (10, 0)]
     x = np.stack([complex_gaussian(trial_rng(*k), 50000).view(np.float64)
                   for k in keys])
     corr = np.corrcoef(x)[~np.eye(len(keys), dtype=bool)]

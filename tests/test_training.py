@@ -363,9 +363,8 @@ def test_forward_matches_transmit_block_reference(monkeypatch, scheme, n_t, n_l,
     h_d, _, g = sample_channels(params, scheme, np.random.default_rng(40), trials)
     h_d_hat = h_d + complex_gaussian(np.random.default_rng(41), h_d.shape, 0.1)
     for tau in (n_t, 2 * n_t + 1):
-        (y_l, y_u, full_rank), (_, ref_l, ref_u) = _forward_with_reference(
+        (y_l, y_u), (_, ref_l, ref_u) = _forward_with_reference(
             params, alloc, h_d_hat, h_d, g, monkeypatch, tau, seed=42)
-        assert full_rank.all()
         _assert_close(y_l, ref_l, 1e-12)
         _assert_close(y_u, ref_u, 1e-12)
 
@@ -376,7 +375,7 @@ def test_forward_no_an_is_pure_pilot(defaults, rng, monkeypatch):
     transmit block is the pure pilot."""
     h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 5)
     alloc = reciprocal_allocation(0.0, 4.0, var_a=0.0)
-    (y_l, y_u, _), (x_t, ref_l, ref_u) = _forward_with_reference(
+    (y_l, y_u), (x_t, ref_l, ref_u) = _forward_with_reference(
         defaults, alloc, None, h_d, g, monkeypatch, defaults.tau_f)
     expected = np.sqrt(4.0 / 4) * dft_pilot(defaults.tau_f, defaults.n_t)
     np.testing.assert_array_equal(x_t, np.broadcast_to(expected, (5, 4, 4)))
@@ -384,8 +383,7 @@ def test_forward_no_an_is_pure_pilot(defaults, rng, monkeypatch):
     _assert_close(y_u, ref_u, 1e-12)
     replay = np.random.default_rng()
     replay.bit_generator.state = rng.bit_generator.state
-    y_l, y_u, full_rank = forward_training(defaults, alloc, None, h_d, g, rng)
-    assert full_rank.all()
+    y_l, y_u = forward_training(defaults, alloc, None, h_d, g, rng)
     w = complex_gaussian(replay, (5, defaults.n_t, defaults.n_l), defaults.var_w)
     v = complex_gaussian(replay, (5, defaults.n_t, defaults.n_u), defaults.var_v)
     np.testing.assert_array_equal(y_l, np.sqrt(4.0 / 4) * h_d + w)
@@ -398,9 +396,8 @@ def test_forward_an_invisible_at_perfect_csi(defaults, rng, monkeypatch):
     h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 20)
     alloc = reciprocal_allocation(0.0, 4.0, var_a=3.0)
     tau = defaults.tau_f
-    (y_l, y_u, full_rank), (x_t, ref_l, ref_u) = _forward_with_reference(
+    (y_l, y_u), (x_t, ref_l, ref_u) = _forward_with_reference(
         defaults, alloc, h_d, h_d, g, monkeypatch, tau)
-    assert full_rank.all()
     _assert_close(y_l, ref_l, 1e-12)
     _assert_close(y_u, ref_u, 1e-12)
     c = dft_pilot(tau, defaults.n_t)
@@ -418,7 +415,7 @@ def test_forward_an_invisible_at_perfect_csi(defaults, rng, monkeypatch):
 
 def test_forward_pilot_row_power(defaults, rng, monkeypatch):
     h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 3)
-    (y_l, y_u, _), (x_t, ref_l, ref_u) = _forward_with_reference(
+    (y_l, y_u), (x_t, ref_l, ref_u) = _forward_with_reference(
         defaults, reciprocal_allocation(0.0, 4.0), h_d, h_d, g, monkeypatch,
         defaults.tau_f)
     _assert_close(y_l, ref_l, 1e-12)
@@ -434,7 +431,7 @@ def test_forward_energy_accounting(defaults, monkeypatch):
     trials = 10000
     h_d, _, g = sample_channels(defaults, RECIPROCAL, np.random.default_rng(11),
                                 trials)
-    (y_l, y_u, _), (x_t, ref_l, ref_u) = _forward_with_reference(
+    (y_l, y_u), (x_t, ref_l, ref_u) = _forward_with_reference(
         defaults, alloc, h_d, h_d, g, monkeypatch, defaults.tau_f, seed=11)
     _assert_close(y_l, ref_l, 1e-12)
     _assert_close(y_u, ref_u, 1e-12)
@@ -460,7 +457,7 @@ def test_forward_fused_product_matches_separate_products(defaults, scheme, var_a
     h_d_hat = (h_d + complex_gaussian(np.random.default_rng(21), h_d.shape, 0.1)
                if var_a > 0 else None)
     rng, replay = np.random.default_rng(22), np.random.default_rng(22)
-    y_l, y_u, _ = forward_training(defaults, alloc, h_d_hat, h_d, g, rng)
+    y_l, y_u = forward_training(defaults, alloc, h_d_hat, h_d, g, rng)
     want_l, want_u = np.sqrt(energy / n_t) * h_d, np.sqrt(energy / n_t) * g
     if var_a > 0:
         a = complex_gaussian(replay, (trials, n_t, n_t - n_l), var_a)
@@ -613,7 +610,7 @@ def test_whole_pipeline_deterministic(defaults):
         rng = np.random.default_rng(99)
         h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, 16)
         y_t = reverse_training(defaults, alloc, h_u, rng)
-        y_l, y_u, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
+        y_l, y_u = forward_training(defaults, alloc, h_d, h_d, g, rng)
         return y_t, y_l, y_u
 
     for a, b in zip(run(), run()):
