@@ -15,7 +15,7 @@ check both solvers live in the test suite (``tests/oracles.py``).
 from .alloc_reciprocal import ReciprocalSolution, solve_reciprocal
 from .config import ExperimentConfig
 from .errors import (ConfigError, DceError, Infeasible, InfeasibleGamma,
-                     NoFeasiblePoint, NotConverged, RankDeficient, Stalled,
+                     NoFeasiblePoint, NonFiniteOutcome, NotConverged, Stalled,
                      UnsupportedGeometry)
 from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          ur_estimate)

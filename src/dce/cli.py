@@ -21,8 +21,8 @@ Exit codes: 0 success, 1 solver breakdown, 2 configuration problem,
 3 infeasible problem (also a verify point outside the echo scheme's floor
 interval, or a ser point whose floor is met with no forward pilots),
 4 unsupported geometry (a transmit antenna count the block code cannot
-drive), 5 a failed verify check, 6 a degenerate Monte-Carlo draw (a trial
-whose transmitter estimate lost rank, so AN has no null space).
+drive), 5 a failed verify check, 6 a non-finite Monte-Carlo outcome (a
+trial whose squared error is NaN or infinite, as after an overflow).
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ import sys
 from typing import List, Optional, Sequence
 
 from .config import KEY_BY_NAME, KEYS, ExperimentConfig, read_config_file
-from .errors import (ConfigError, Infeasible, InfeasibleGamma, NotConverged,
-                     RankDeficient, Stalled, UnsupportedGeometry)
+from .errors import (ConfigError, Infeasible, InfeasibleGamma,
+                     NonFiniteOutcome, NotConverged, Stalled,
+                     UnsupportedGeometry)
 from .montecarlo import (DESK_NMSE_TRIALS, DESK_SER_TRIALS, MIN_NMSE_TRIALS,
                          run_nmse_experiment, run_ser_experiment,
                          solve_allocation)
@@ -233,8 +234,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (Stalled, NotConverged) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    except RankDeficient as exc:
-        print(f"degenerate draws: {exc}", file=sys.stderr)
+    except NonFiniteOutcome as exc:
+        print(f"non-finite outcome: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
 

@@ -9,9 +9,9 @@ class DceError(Exception):
     """Base class for all library-specific errors."""
 
 
-class RankDeficient(DceError):
-    """A Monte-Carlo trial's transmitter estimate lost column rank, so no AN
-    null space exists; ``trial`` is its index in its stack or run."""
+class NonFiniteOutcome(DceError):
+    """A Monte-Carlo trial's outcome is NaN or infinite, as after an
+    overflow; ``trial`` is its index in the run."""
 
     def __init__(self, message, trial=None):
         super().__init__(message)

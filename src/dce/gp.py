@@ -49,8 +49,7 @@ CONDENSE_MAX_ROUNDS = 50
 KKT_TOL = 1e-8            # worst KKT violation an inner solve may return
 PD_MU = 10.0              # primal-dual: t = PD_MU * m / (surrogate gap)
 PD_ALPHA = 0.01           # primal-dual: residual decrease per unit step
-PD_GAP_TOL = 1e-10        # primal-dual stop: surrogate duality gap ...
-PD_FEAS_TOL = 1e-10       # ... and dual residual (max norm)
+PD_GAP_TOL = 1e-10        # primal-dual stop: surrogate gap and max |r_dual|
 PD_HANDOFF_GAP = 1e-2     # cold phase 2 hands its active set to the polish here
 PD_MAX_ITER = 100
 PHASE1_SLACK = -1e-3      # phase 1 stops once every row is this far inside
@@ -346,7 +345,7 @@ def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, parts,
     n x n system.  The step is 0.99 of the largest keeping lambda > 0,
     halved until every row is strictly feasible (value-only) and then until
     the residual norm falls by the factor 1 - PD_ALPHA * step.  Stops once
-    eta <= ``gap_tol`` and |r_dual| <= max(``gap_tol``, PD_FEAS_TOL), after
+    eta <= ``gap_tol`` and max |r_dual| <= ``gap_tol``, after
     PD_MAX_ITER iterations, or when the step vanishes.  The residual test
     reuses the feasibility test's log-sum.  An iteration reads nothing but
     (y, lambda) and the rows at y, so a path stopped at a loose ``gap_tol``
@@ -362,14 +361,13 @@ def _primal_dual(c_lin: np.ndarray, terms: _Terms, y: np.ndarray, parts,
     f, g, p, d = parts
     if lam is None:
         lam = -1.0 / f
-    feas_tol = max(gap_tol, PD_FEAS_TOL)
     rows, watched = watch if watch is not None else (None, None)
     for _ in range(PD_MAX_ITER):
         if rows is not None and np.maximum.reduce(watched[0]) < PHASE1_SLACK:
             break
         gap = -float(f @ lam)
         r_dual = c_lin + g.T @ lam
-        if gap <= gap_tol and np.maximum.reduce(np.abs(r_dual)) <= feas_tol:
+        if gap <= gap_tol and np.maximum.reduce(np.abs(r_dual)) <= gap_tol:
             break
         inv_t = gap / (PD_MU * terms.m)
         r_cent = -lam * f - inv_t

@@ -5,10 +5,11 @@ and every block draws from its own substream ``trial_rng(seed, block)``, so
 results are bit-identical for a given (seed, trials) however the blocks are
 spread over workers.  The transmitter's downlink estimate is never
 formed: the AN needs only its column space, which a matrix built from what
-the transmitter received spans exactly (``_estimate_span``).  That span
-loses rank with probability about 1e-40 per trial (Edelman 1988); a loss
-that does occur (an underflow, a corrupt input) would recur on a redraw, so
-it raises RankDeficient at once.
+the transmitter received spans exactly (``_estimate_span``).  The AN basis
+nulls that span whatever its rank, so no trial is checked for rank.  What
+can fail is the arithmetic (an overflow at absurd energies, a corrupt
+input), and that would recur on a redraw, so the first non-finite outcome
+stops the run with NonFiniteOutcome (``_run_blocks``).
 
 The SER data phase draws what the decoder reads.  The block code is
 orthogonal, so its matched filter's real map F for an estimate h_hat has
@@ -25,7 +26,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .alloc_reciprocal import solve_reciprocal
-from .errors import (InfeasibleGamma, NotConverged, RankDeficient,
+from .errors import (InfeasibleGamma, NonFiniteOutcome, NotConverged,
                      UnsupportedGeometry)
 from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
                          ur_estimate)
@@ -97,9 +98,10 @@ def _estimate_span(params: SystemParams, alloc: PowerAllocation,
 
     A transmitter that holds no downlink information (reciprocal e_r = 0;
     echo e_0, e_1 or e_2 = 0) has an estimate that is identically zero,
-    with no null space, so AN goes into the null space of an independent
-    CN(0, 1) draw instead: a Haar-random subspace, which is the model the
-    closed forms assume.  The branch is decided from the allocation alone.
+    whose null space is all of C^n_t and picks no subspace.  The closed
+    forms model that transmitter's AN subspace as Haar-random, independent
+    of the channels, so AN goes into the null space of an independent
+    CN(0, 1) draw.  The branch is decided from the allocation alone.
     """
     if alloc.var_a == 0:
         return None
@@ -130,15 +132,18 @@ def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
 
 def _run_blocks(block_fn: Callable, trials: int, seed: int) -> np.ndarray:
     """The (trials, k) outcomes of ``block_fn(rng, n)``, which runs n trials,
-    over ``trials`` trials; a RankDeficient names its block and run index."""
+    over ``trials`` trials.  A block with a non-finite outcome raises
+    NonFiniteOutcome naming its first such trial, by run index, and the
+    block, before any later block is drawn."""
     outcomes = []
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        try:
-            outcomes.append(block_fn(trial_rng(seed, block),
-                                     min(BLOCK_TRIALS, trials - start)))
-        except RankDeficient as exc:
-            trial = start + exc.trial
-            raise RankDeficient(f"trial {trial} (block {block}): {exc}", trial) from exc
+        out = block_fn(trial_rng(seed, block), min(BLOCK_TRIALS, trials - start))
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise NonFiniteOutcome(f"trial {start + row} (block {block}) gave "
+                                   f"{out[row].tolist()}", start + row)
+        outcomes.append(out)
     return np.concatenate(outcomes)
 
 

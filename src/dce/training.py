@@ -17,7 +17,8 @@ scaled unitary probe gives the same joint law of channels and estimates
 The forward phase never builds the AN basis: ``null_space_basis`` computes
 the Householder reflectors of each estimate's QR factorization itself, on
 the trial axis with no per-matrix LAPACK call, and applies them straight to
-the receivers' channels.
+the receivers' channels.  n_t > n_l, so every estimate has a left null
+space, and the basis nulls it whatever its rank: nothing is rank-tested.
 """
 
 from __future__ import annotations
@@ -26,13 +27,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import RankDeficient
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .rng import complex_gaussian
-
-# Rank tolerance for null-space extraction, relative to the largest
-# singular value of the estimate.
-RANK_RTOL = 1e-10
 
 
 def sample_channels(params: SystemParams, mode: str, rng: np.random.Generator,
@@ -57,11 +53,10 @@ def sample_channels(params: SystemParams, mode: str, rng: np.random.Generator,
     return h_d, h_u, g
 
 
-def _householder(a: np.ndarray, n_l: int) -> np.ndarray:
+def _householder(a: np.ndarray, n_l: int) -> None:
     """Reduce the first n_l columns of ``a`` (n_t, n_l + M, T), a stack of
     T matrices with the trial axis last, to R in place, applying each
     reflector H_k^H to every column to its right as soon as it is formed.
-    Returns |r_kk|, (n_l, T).
 
     Afterwards ``a[:n_l, :n_l]`` holds R (its diagonal the real beta_k),
     column k below the diagonal the tail of v_k (whose head is 1), and
@@ -69,7 +64,6 @@ def _householder(a: np.ndarray, n_l: int) -> np.ndarray:
     rows of the stack: a temporary the size of all of ``a`` would leave the
     cache at large n_t.
     """
-    r_kk = np.empty((n_l, a.shape[-1]))
     for k in range(n_l):
         col = a[k:, k]
         alpha, x = col[0], col[1:]
@@ -78,8 +72,8 @@ def _householder(a: np.ndarray, n_l: int) -> np.ndarray:
         # beta)]; a column already of that form (zero tail, real alpha,
         # a zero column too) keeps H_k = I, tau_k = 0 and beta = alpha
         keep = ~x.any(axis=0) & (alpha.imag == 0)
-        r_kk[k] = np.sqrt(np.sum(np.abs(col) ** 2, axis=0))
-        beta = np.where(keep, alpha.real, np.copysign(r_kk[k], -alpha.real))
+        norm = np.sqrt(np.sum(np.abs(col) ** 2, axis=0))
+        beta = np.where(keep, alpha.real, np.copysign(norm, -alpha.real))
         conj_tau = (beta - alpha.conj()) / np.where(keep, 1.0, beta)  # beta is real
         x /= alpha - beta + keep  # x is zero where keep
         a[k, k] = beta
@@ -92,37 +86,20 @@ def _householder(a: np.ndarray, n_l: int) -> np.ndarray:
         rest[0] -= w
         for row, v_i in zip(rest[1:], x):
             row -= v_i * w
-    return r_kk
 
 
-def _rank_bound(r_kk: np.ndarray, frob: np.ndarray) -> np.ndarray:
-    """A lower bound on s_min/s_max for each of T triangles R with
-    diagonal magnitudes ``r_kk`` (n_l, T) and Frobenius norms ``frob``.
+def null_space_basis(h_hat: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """N^H m: the stack ``m`` (..., n_t, M) seen through orthonormal bases
+    N (..., n_t, n_t-n_l) of the left null spaces of a stack of estimates
+    (..., n_t, n_l).  ``m`` may also be one (n_t, M) matrix for the whole
+    stack; with the identity it gives N^H itself.
 
-    s_max <= ||R||_F, and the other n_l-1 singular values, whose squares
-    sum to at most ||R||_F^2, have a product of at most
-    (||R||_F^2/(n_l-1))^((n_l-1)/2) by the AM-GM inequality, so
-    s_min/s_max >= |det R| (n_l-1)^((n_l-1)/2) / ||R||_F^n_l with
-    |det R| = prod |r_kk|.  The product is formed one factor
-    |r_kk|/||R||_F <= 1 at a time, so no scale of R overflows.
-    """
-    n_l = len(r_kk)
-    ratios = r_kk / np.where(frob > 0, frob, 1.0)
-    return np.prod(ratios, axis=0) * (n_l - 1) ** ((n_l - 1) / 2)
-
-
-def null_space_basis(h_hat: np.ndarray,
-                     m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(N^H m, full_rank)``: the stack ``m`` (..., n_t, M) seen through the
-    orthonormal bases N (..., n_t, n_t-n_l) of the left null spaces of a
-    stack of estimates (..., n_t, n_l), and the mask of full-rank rows.
-    ``m`` may also be one (n_t, M) matrix for the whole stack; with the
-    identity it gives N^H itself.
-
-    For every full-rank row N^H h_hat = 0 and N^H N = I.  A row is
-    rank-deficient when a singular value is at most RANK_RTOL times its
-    largest one; its basis is still orthonormal but does not null the
-    estimate, so the caller must not use it (``forward_training`` raises).
+    N^H h_hat = 0 and N^H N = I to rounding on every row, whatever its
+    rank.  n_t > n_l, so the left null space has at least n_t-n_l
+    dimensions, and a rank loss only enlarges it: then N is one
+    orthonormal (n_t-n_l)-frame inside it, chosen by rounding.  A zero
+    estimate's null space is all of C^n_t, and every reflector is the
+    identity, so N^H m is m's last n_t-n_l rows.
 
     N is the trailing n_t-n_l columns of Q in the complete QR h_hat = Q R,
     with Q = H_1 ... H_{n_l} the product of n_l Householder reflectors
@@ -138,12 +115,9 @@ def null_space_basis(h_hat: np.ndarray,
     [0; I_{n_t-n_l}] zero, so N is the same whatever tau_k it takes.
     Unlike LAPACK's norms, the column norms square entries unscaled, so
     entries beyond about 1e150 in magnitude overflow (with a numpy
-    RuntimeWarning); the estimates here are of the order of the channels.
-
-    The n_l x n_l triangle R has the singular values of h_hat, so a row
-    whose ``_rank_bound`` on s_min/s_max exceeds 2 RANK_RTOL certainly
-    passes the rank test.  Only the rows this bound does not clear get
-    their singular values computed and the exact test.
+    RuntimeWarning) and give non-finite rows, which the Monte Carlo
+    rejects (``montecarlo._run_blocks``); the estimates here are of the
+    order of the channels.
     """
     n_t, n_l = h_hat.shape[-2:]
     lead, cols = h_hat.shape[:-2], m.shape[-1]
@@ -152,17 +126,8 @@ def null_space_basis(h_hat: np.ndarray,
     a_trials = a.transpose(2, 0, 1)  # the same block, trial axis first
     a_trials[..., :n_l] = stack
     a_trials[..., n_l:] = m.reshape((-1, n_t, cols))
-    # ||R||_F = ||h_hat||_F, as Q is unitary: the root of the sum of the
-    # squares of each row's real and imaginary parts
-    parts = np.ascontiguousarray(stack).reshape((len(stack), -1)).view(float)
-    frob = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    full_rank = _rank_bound(_householder(a, n_l), frob) > 2 * RANK_RTOL
-    if not full_rank.all():
-        unsure = ~full_rank
-        s = np.linalg.svd(stack[unsure], compute_uv=False)
-        full_rank[unsure] = np.all(s > RANK_RTOL * s[..., :1], axis=-1)
-    seen = a[n_l:, n_l:].transpose(2, 0, 1).reshape(lead + (n_t - n_l, cols))
-    return seen, full_rank.reshape(lead)
+    _householder(a, n_l)
+    return a[n_l:, n_l:].transpose(2, 0, 1).reshape(lead + (n_t - n_l, cols))
 
 
 def reverse_training(params: SystemParams, alloc: PowerAllocation,
@@ -228,21 +193,15 @@ def forward_training(params: SystemParams, alloc: PowerAllocation,
     is drawn as A, per-entry variance var_a.  With both receivers' channels side by side as H = [H_d, G], they
     read sqrt(E/n_t) H + A (N^H H) plus their own noise, and
     ``null_space_basis`` hands back N^H H directly.  Returns
-    ``(y_l, y_u)``, the (T, n_t, n_l) and (T, n_t, n_u) statistics.  A
-    trial whose span lost rank leaves AN no null space: RankDeficient is
-    raised before the AN is drawn, naming the first such trial.
+    ``(y_l, y_u)``, the (T, n_t, n_l) and (T, n_t, n_u) statistics.
     """
     energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
     n_t, n_l, trials = params.n_t, params.n_l, h_d.shape[0]
     channels = np.concatenate([h_d, g], axis=-1)
     received = np.sqrt(energy / n_t) * channels
     if alloc.var_a > 0:
-        seen, full_rank = null_space_basis(span, channels)
-        if not full_rank.all():
-            raise RankDeficient("the transmitter's estimate lost rank, so AN "
-                                "has no null space", int(np.argmin(full_rank)))
         a = complex_gaussian(rng, (trials, n_t, n_t - n_l), alloc.var_a)
-        received += a @ seen
+        received += a @ null_space_basis(span, channels)
     w = complex_gaussian(rng, (trials, n_t, n_l), params.var_w)
     w += received[..., :n_l]
     v = complex_gaussian(rng, (trials, n_t, params.n_u), params.var_v)

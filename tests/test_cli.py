@@ -620,18 +620,21 @@ def test_exit_geometry(tmp_path, capsys):
 
 
 def test_exit_degenerate_draw(monkeypatch, capsys):
-    """AN under a rank tolerance no matrix meets (s_min > s_max): the first
-    draw leaves the transmitter without a null space, and the run stops
-    there, naming the trial and its block."""
-    monkeypatch.setattr(dce.training, "RANK_RTOL", 1.0)
-    starved = dce.reciprocal_allocation(0.0, 4.0, var_a=1.0)
+    """Echo energies of 1e200 overflow the AN basis's Householder norms:
+    the first block's outcomes are NaN, and the run stops there with exit 6
+    and one stderr line naming the trial and its block."""
+    huge = dce.nonreciprocal_allocation(1e200, 1e200, 1e200, 10.0, 1.0)
     monkeypatch.setattr(cli, "solve_allocation",
-                        lambda params, gamma, scheme, variant: (starved, 0.5, 0.5))
-    assert cli.main(["nmse", "--gamma", "0.1", "--pave-db", "20",
-                     "--trials", "100"]) == EXIT_DEGENERATE
-    err = capsys.readouterr().err
-    assert err.startswith("degenerate draws: trial 0 (block 0): ")
-    assert err.count("\n") == 1
+                        lambda params, gamma, scheme, variant: (huge, 0.5, 0.5))
+    with pytest.warns(RuntimeWarning) as warned:
+        code = cli.main(["nmse", "--scheme", "non-reciprocal", "--gamma", "0.1",
+                         "--pave-db", "20", "--trials", "100"])
+    assert code == EXIT_DEGENERATE
+    assert any("overflow" in str(w.message) for w in warned)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("non-finite outcome: trial 0 (block 0) ")
+    assert captured.err.count("\n") == 1
 
 
 def test_ser_table_header(tmp_path):

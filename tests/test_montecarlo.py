@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dce import montecarlo, training
 from dce.alloc_reciprocal import solve_reciprocal
-from dce.errors import (InfeasibleGamma, NotConverged, RankDeficient,
+from dce.errors import (InfeasibleGamma, NonFiniteOutcome, NotConverged,
                         UnsupportedGeometry)
 from dce.gp import budget_posynomials, to_gp_variables
 from dce.montecarlo import (
@@ -69,18 +69,19 @@ def test_report_is_deterministic(defaults):
 
 @pytest.mark.parametrize("experiment", ["nmse", "ser"])
 def test_degenerate_trial_raises_on_first_draw(defaults, experiment, monkeypatch):
-    """One trial of block 1 of a 600-trial run made degenerate (its span's
-    rank mask cleared) raises RankDeficient on that block's first draw,
-    naming block 1 and the trial's index in the run; no block draws from a
-    second substream, so nothing is redrawn."""
+    """One trial of block 1 of a 600-trial run made non-finite (its AN
+    basis set to NaN) stops the run on that block's first draw; no block
+    draws from a second substream, so nothing is redrawn.  The NMSE run
+    raises NonFiniteOutcome naming block 1 and the trial's index in the
+    run; the SER decoder refuses the NaN estimate with its ValueError."""
     basis, calls, keys = training.null_space_basis, [], []
 
     def one_degenerate(span, m):
-        seen, full_rank = basis(span, m)
+        seen = basis(span, m)
         calls.append(span.shape[0])
         if len(calls) == 2:   # block 1's draw
-            full_rank[44] = False
-        return seen, full_rank
+            seen[44] = np.nan
+        return seen
 
     def spy(*key):
         keys.append(key)
@@ -88,16 +89,29 @@ def test_degenerate_trial_raises_on_first_draw(defaults, experiment, monkeypatch
 
     monkeypatch.setattr(training, "null_space_basis", one_degenerate)
     monkeypatch.setattr(montecarlo, "trial_rng", spy)
-    with pytest.raises(RankDeficient, match=r"^trial 300 \(block 1\): ") as raised:
-        if experiment == "nmse":
+    if experiment == "nmse":
+        with pytest.raises(NonFiniteOutcome, match=r"^trial 300 \(block 1\) ") as raised:
             run_nmse_experiment(defaults, reciprocal_allocation(2.0, 4.0, var_a=1.0),
                                 trials=600, seed=5)
-        else:
+        assert raised.value.trial == BLOCK_TRIALS + 44
+    else:
+        with pytest.raises(ValueError, match="not finite"):
             run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=5,
                                scheme=NON_RECIPROCAL)
-    assert raised.value.trial == BLOCK_TRIALS + 44
     assert calls == [BLOCK_TRIALS, BLOCK_TRIALS]
     assert keys == [(5, 0), (5, 1)]
+
+
+def test_overflow_raises_instead_of_returning_nan(defaults):
+    """Echo energies of 1e200 overflow the AN basis's Householder norms, so
+    every squared error is NaN: the run raises NonFiniteOutcome naming
+    trial 0 (block 0) instead of reporting NaN NMSEs and half-widths."""
+    huge = nonreciprocal_allocation(1e200, 1e200, 1e200, 10.0, 1.0)
+    with pytest.warns(RuntimeWarning) as warned, pytest.raises(
+            NonFiniteOutcome, match=r"^trial 0 \(block 0\) ") as raised:
+        run_nmse_experiment(defaults, huge, trials=600, seed=1)
+    assert raised.value.trial == 0
+    assert any("overflow" in str(w.message) for w in warned)
 
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
@@ -173,8 +187,7 @@ def test_span_gives_the_estimates_an(scheme, n_t, n_l, monkeypatch):
     trials = 64
     h_d, g, span, estimate = _span_and_estimate(params, alloc, trials, seed=n_t)
     eye = np.eye(n_t)
-    u = (null_space_basis(span, eye)[0]
-         @ _hermitian(null_space_basis(estimate, eye)[0]))
+    u = null_space_basis(span, eye) @ _hermitian(null_space_basis(estimate, eye))
     np.testing.assert_allclose(np.linalg.svd(u, compute_uv=False), 1.0,
                                rtol=0, atol=1e-12)
 
@@ -194,29 +207,6 @@ def test_span_gives_the_estimates_an(scheme, n_t, n_l, monkeypatch):
     for got, want in zip(from_span, from_estimate):
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
-
-
-def test_rank_test_decomposes_nothing_at_32x16(monkeypatch):
-    """At 32x16 the QR bound clears every row of i.i.d. Gaussian estimates
-    and of the echo spans the Monte Carlo draws at CI's point (gamma 0.1,
-    20 dB): no singular value is computed."""
-    params = default_params(n_t=32, n_l=16, n_u=16)
-    alloc, _, _ = solve_allocation(params, 0.1, NON_RECIPROCAL)
-    rng = np.random.default_rng(9)
-    h_d, h_u, _ = training.sample_channels(params, NON_RECIPROCAL, rng, BLOCK_TRIALS)
-    stacks = [complex_gaussian(rng, h_d.shape),
-              montecarlo._estimate_span(params, alloc, h_d, h_u, rng)]
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(a, *args, **kwargs):
-        calls.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for stack in stacks:
-        assert null_space_basis(stack, np.eye(32))[1].all()
-    assert calls == []
 
 
 def _solved_blind_reciprocal():
@@ -315,7 +305,7 @@ def test_solve_allocation_schemes(defaults):
 def test_every_solved_allocation_runs_clean(scheme, p_ave_db, n_t, data):
     """Whatever allocation either solver returns, at any geometry and any
     log-uniform floor inside ``gamma_bounds``, runs through the Monte-Carlo
-    trial path without a RankDeficient, its LR error lies in (0, prior], its UR
+    trial path without a NonFiniteOutcome, its LR error lies in (0, prior], its UR
     error meets the floor and it meets the average, transmitter and LR
     budgets (1e-8 relative for the echo scheme, 1e-9 for the reciprocal
     one).  Only an infeasible floor and an unconverged condensation may

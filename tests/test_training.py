@@ -29,10 +29,20 @@ def _hermitian(x):
 
 
 def _basis(h):
-    """The AN basis N of each estimate and the rank mask: the production
-    kernel returns N^H m, so N is (N^H I)^H."""
-    seen, full_rank = null_space_basis(h, np.eye(h.shape[-2]))
-    return _hermitian(seen), full_rank
+    """The AN basis N of each estimate: the production kernel returns
+    N^H m, so N is (N^H I)^H."""
+    return _hermitian(null_space_basis(h, np.eye(h.shape[-2])))
+
+
+def _assert_nulls(h):
+    """On every row, whatever its rank: N^H N = I within 1e-13 and
+    ||N^H h|| <= 1e-13 ||h|| (so exactly 0 for a zero row)."""
+    n = _basis(h)
+    n_t, n_l = h.shape[-2:]
+    assert n.shape == h.shape[:-2] + (n_t, n_t - n_l)
+    assert np.max(np.abs(_hermitian(n) @ n - np.eye(n_t - n_l))) <= 1e-13
+    resid = np.linalg.norm(_hermitian(n) @ h, axis=(-2, -1))
+    assert np.all(resid <= 1e-13 * np.linalg.norm(h, axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +92,7 @@ def test_pilot_matrix_semi_unitary():
 def test_null_space_canonical():
     h = np.zeros((4, 2), dtype=complex)
     h[0, 0] = h[1, 1] = 1.0  # first two standard basis vectors
-    n, full_rank = _basis(h)
-    assert full_rank
+    n = _basis(h)
     assert n.shape == (4, 2)
     np.testing.assert_allclose(n.conj().T @ h, 0.0, atol=1e-14)
     # basis spans exactly {e3, e4}: the top 2x2 block must vanish
@@ -93,8 +102,8 @@ def test_null_space_canonical():
 def test_null_space_random_matrices(rng):
     """Per row of a stack: N^H h = 0 and N^H N = I."""
     h = complex_gaussian(rng, (50, 4, 2))
-    n, full_rank = _basis(h)
-    assert n.shape == (50, 4, 2) and full_rank.all()
+    n = _basis(h)
+    assert n.shape == (50, 4, 2)
     resid = np.linalg.norm(_hermitian(n) @ h, axis=(1, 2))
     assert np.all(resid <= 1e-10 * np.linalg.norm(h, axis=(1, 2)))
     ortho = np.linalg.norm(_hermitian(n) @ n - np.eye(2), axis=(1, 2))
@@ -102,17 +111,10 @@ def test_null_space_random_matrices(rng):
 
 
 def test_null_space_rank_deficient():
-    """A rank-one row is flagged; its full-rank neighbour is not."""
+    """A rank-one row and its full-rank neighbour are both nulled by an
+    orthonormal basis."""
     col = np.ones((4, 1), dtype=complex)
-    h = np.stack([np.hstack([col, col]), np.eye(4, 2, dtype=complex)])
-    _, full_rank = _basis(h)
-    np.testing.assert_array_equal(full_rank, [False, True])
-
-
-def _svd_full_rank(h):
-    """The exact rank criterion, from the singular values."""
-    s = np.linalg.svd(h, compute_uv=False)
-    return np.all(s > training.RANK_RTOL * s[..., :1], axis=-1)
+    _assert_nulls(np.stack([np.hstack([col, col]), np.eye(4, 2, dtype=complex)]))
 
 
 def _with_singular_values(rng, n_t, sv):
@@ -125,42 +127,19 @@ def _with_singular_values(rng, n_t, sv):
 
 
 def test_null_space_rank_mask_matches_svd_criterion(rng):
-    """s_min/s_max of 0, 1e-11 (below RANK_RTOL), 1e-9 (above it) and 1, each
-    at three scales: the mask equals the exact singular-value test row by
-    row."""
+    """s_min/s_max of 0, 1e-11, 1e-9 and 1, each at three scales: every
+    row is nulled by an orthonormal basis, whatever its conditioning."""
     ratios = [0.0, 1e-11, 1e-9, 1.0]
     sv = [[scale, scale * r] for r in ratios for scale in (1e-8, 1.0, 1e8)]
-    h = _with_singular_values(rng, 4, sv)
-    _, full_rank = _basis(h)
-    np.testing.assert_array_equal(full_rank, _svd_full_rank(h))
-    np.testing.assert_array_equal(full_rank, np.repeat([False, False, True, True], 3))
-
-
-def test_null_space_exact_test_only_for_uncleared_rows(rng, monkeypatch):
-    """Well-conditioned rows are decided by the QR bound alone; the singular
-    values are computed only for the rows it cannot clear."""
-    sizes = []
-    svd = np.linalg.svd
-
-    def counting_svd(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    h = complex_gaussian(rng, (64, 4, 2))
-    assert _basis(h)[1].all() and sizes == []
-    h[5, :, 1] = 2.0 * h[5, :, 0]
-    np.testing.assert_array_equal(_basis(h)[1], np.arange(64) != 5)
-    assert sizes == [1]
+    _assert_nulls(_with_singular_values(rng, 4, sv))
 
 
 def test_null_space_unbatched_rank_deficient():
-    """A single (n_t, n_l) estimate, with no trial axis, is flagged too."""
+    """A single rank-one (n_t, n_l) estimate, with no trial axis, is nulled
+    too, and so is a full-rank one."""
     col = np.ones((4, 1), dtype=complex)
-    n, full_rank = _basis(np.hstack([col, 2.0 * col]))
-    assert n.shape == (4, 2) and np.shape(full_rank) == ()
-    assert not full_rank
-    assert _basis(np.eye(4, 2, dtype=complex))[1]
+    _assert_nulls(np.hstack([col, 2.0 * col]))
+    _assert_nulls(np.eye(4, 2, dtype=complex))
 
 
 @pytest.mark.parametrize("n_t,n_l", [(6, 1), (6, 3), (4, 2)])
@@ -168,8 +147,8 @@ def test_null_space_projector(rng, n_t, n_l):
     """Per row, N N^H is the projector I - h (h^H h)^{-1} h^H onto the left
     null space, and N^H N = I."""
     h = complex_gaussian(rng, (40, n_t, n_l))
-    n, full_rank = _basis(h)
-    assert n.shape == (40, n_t, n_t - n_l) and full_rank.all()
+    n = _basis(h)
+    assert n.shape == (40, n_t, n_t - n_l)
     proj = np.eye(n_t) - h @ np.linalg.solve(_hermitian(h) @ h, _hermitian(h))
     assert np.max(np.abs(n @ _hermitian(n) - proj)) <= 1e-12
     assert np.max(np.abs(_hermitian(n) @ n - np.eye(n_t - n_l))) <= 1e-12
@@ -177,14 +156,11 @@ def test_null_space_projector(rng, n_t, n_l):
 
 @pytest.mark.parametrize("n_t,n_l", [(6, 1), (6, 3)])
 def test_null_space_rank_mask_other_geometries(rng, n_t, n_l):
-    """The mask equals the exact criterion for one and three columns."""
+    """Rows with s_min/s_max of 1e-11, 1e-9, 0.5 and 0 (for one column, a
+    zero row) are nulled by orthonormal bases for one and three columns."""
     sv = [np.geomspace(1.0, r, n_l) if r else np.r_[np.ones(n_l - 1), 0.0]
           for r in (1e-11, 1e-9, 0.5, 0.0)]
-    h = _with_singular_values(rng, n_t, sv)
-    _, full_rank = _basis(h)
-    np.testing.assert_array_equal(full_rank, _svd_full_rank(h))
-    # one column has a single singular value, so only the zero row is flagged
-    np.testing.assert_array_equal(full_rank, [n_l == 1, True, True, False])
+    _assert_nulls(_with_singular_values(rng, n_t, sv))
 
 
 LAPACK_GEOMETRIES = [(4, 2), (6, 1), (6, 3), (8, 4), (16, 8), (32, 16)]
@@ -205,17 +181,15 @@ def test_null_space_matches_lapack(rng, n_t, n_l):
     """N is the trailing n_t-n_l columns of LAPACK's complete Q (geqrf's
     reflectors, formed by ungqr) within 1e-13 on every row, and so is it
     for rank-one rows [c, 0, ..., 0], whose later columns reduce exactly
-    to zero; those rows are flagged."""
+    to zero."""
     h = _lapack_rows(rng, n_t, n_l)
-    n, full_rank = _basis(h)
-    assert full_rank.all()
+    n = _basis(h)
     q = np.linalg.qr(h, mode="complete")[0]
     assert np.max(np.abs(n - q[..., n_l:])) <= 1e-13
     if n_l > 1:
         rank_one = np.zeros((4, n_t, n_l), dtype=complex)
         rank_one[..., 0] = complex_gaussian(rng, (4, n_t))
-        n, full_rank = _basis(rank_one)
-        assert not full_rank.any()
+        n = _basis(rank_one)
         q = np.linalg.qr(rank_one, mode="complete")[0]
         assert np.max(np.abs(n - q[..., n_l:])) <= 1e-13
 
@@ -233,48 +207,31 @@ def test_householder_r_matches_geqrf(rng, n_t, n_l):
     assert np.max(np.abs(r - want) / scale) <= 1e-13
 
 
-@pytest.mark.parametrize("n_t,n_l", [(4, 2), (8, 4), (32, 16)])
+@pytest.mark.parametrize("n_t,n_l", LAPACK_GEOMETRIES + [(32, 31)])
 def test_null_space_random_rank_one_rows(rng, n_t, n_l):
-    """A rank-one row c d^T is flagged, and its basis is orthonormal and
-    nulls it.  Its null space has more than n_t-n_l dimensions, so which N
-    is taken rests on rounding after the first reflector, and no LAPACK
-    basis is compared."""
-    h = complex_gaussian(rng, (10, n_t, 1)) @ complex_gaussian(rng, (10, 1, n_l))
-    n, full_rank = _basis(h)
-    assert not full_rank.any()
-    resid = np.linalg.norm(_hermitian(n) @ h, axis=(1, 2))
-    assert np.all(resid <= 1e-13 * np.linalg.norm(h, axis=(1, 2)))
-    assert np.max(np.abs(_hermitian(n) @ n - np.eye(n_t - n_l))) <= 1e-13
-
-
-@pytest.mark.parametrize("n_t,n_l", [(4, 2), (6, 3), (8, 4), (16, 8), (32, 16),
-                                     (32, 31)])
-def test_rank_bound_never_exceeds_exact_ratio(rng, n_t, n_l):
-    """The AM-GM bound the QR clears rows with never exceeds the exact
-    s_min/s_max, on random rows, the same scaled by 1e-100 and 1e100, and
-    rank-one rows, up to rounding: 1e-12 relative plus 1e-14 absolute,
-    both far below the factor 2 by which the bound must beat RANK_RTOL."""
-    h = complex_gaussian(rng, (64, n_t, n_l))
-    rank_one = complex_gaussian(rng, (16, n_t, 1)) @ complex_gaussian(rng, (16, 1, n_l))
-    h = np.concatenate([h, 1e-100 * h, 1e100 * h, rank_one])
-    a = np.transpose(h, (1, 2, 0)).copy()
-    bound = training._rank_bound(training._householder(a, n_l),
-                                 np.linalg.norm(h, axis=(1, 2)))
-    s = np.linalg.svd(h, compute_uv=False)
-    exact = s[:, -1] / s[:, 0]
-    assert np.all(bound <= exact * (1 + 1e-12) + 1e-14)
-    # the bound is no trivial zero: it clears every random row
-    assert np.all(bound[:3 * 64] > 2 * training.RANK_RTOL)
+    """Rows that lost rank are nulled by an orthonormal basis: rank-one rows
+    c d^T, zero rows, rows with a duplicated column and rows whose last
+    column is a near-duplicate (s_min/s_max about 1e-12; with one column
+    the last two are random rows).  Their null space has more than n_t-n_l
+    dimensions, so which N is taken rests on rounding, and no LAPACK basis
+    is compared."""
+    rank_one = complex_gaussian(rng, (10, n_t, 1)) @ complex_gaussian(rng, (10, 1, n_l))
+    h = complex_gaussian(rng, (10, n_t, n_l))
+    duplicate, near = h.copy(), h.copy()
+    duplicate[..., -1] = duplicate[..., 0]
+    near[..., -1] = near[..., 0] + 1e-12 * complex_gaussian(rng, (10, n_t))
+    _assert_nulls(np.concatenate([rank_one, np.zeros_like(h), duplicate, near]))
 
 
 def test_null_space_zero_row(recwarn):
-    """An all-zero estimate is flagged, its outputs are finite and nothing
-    warns: every reflector is the identity, so N^H m is m's last rows."""
+    """An all-zero estimate is nulled by an orthonormal basis, its outputs
+    are finite and nothing warns: every reflector is the identity, so N^H m
+    is m's last rows."""
     h = np.zeros((3, 4, 2), dtype=complex)
     h[1] = np.eye(4, 2)
+    _assert_nulls(h)
     m = np.arange(12.0).reshape(4, 3)
-    seen, full_rank = null_space_basis(h, m)
-    np.testing.assert_array_equal(full_rank, [False, True, False])
+    seen = null_space_basis(h, m)
     assert np.all(np.isfinite(seen))
     np.testing.assert_array_equal(seen[0], m[2:])
     assert len(recwarn) == 0
@@ -461,8 +418,8 @@ def test_forward_fused_product_matches_separate_products(defaults, scheme, var_a
     want_l, want_u = np.sqrt(energy / n_t) * h_d, np.sqrt(energy / n_t) * g
     if var_a > 0:
         a = complex_gaussian(replay, (trials, n_t, n_t - n_l), var_a)
-        want_l = want_l + a @ null_space_basis(h_d_hat, h_d)[0]
-        want_u = want_u + a @ null_space_basis(h_d_hat, g)[0]
+        want_l = want_l + a @ null_space_basis(h_d_hat, h_d)
+        want_u = want_u + a @ null_space_basis(h_d_hat, g)
     want_l = want_l + complex_gaussian(replay, (trials, n_t, n_l), defaults.var_w)
     want_u = want_u + complex_gaussian(replay, (trials, n_t, defaults.n_u),
                                        defaults.var_v)
