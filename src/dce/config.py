@@ -10,11 +10,11 @@ ConfigError.  ``gamma`` and ``pave_db`` accept comma-separated sweep lists
 (a single value is the one-point sweep) and ``points()`` walks that grid
 gamma-outer; ``tau_f`` parses to a list too, which the CLI takes as a plain
 override when it holds one value and as the nmse forward-length sweep
-otherwise.  Antenna counts are capped at MAX_ANTENNAS and training lengths
-at MAX_TRAINING_SLOTS; ``tau_f`` and ``tau_r`` are rejected under the echo
-scheme, whose forward phase is pinned to ``n_t`` slots and its uplink phase
-to ``n_l``, and ``jensen_variant`` under the reciprocal scheme, whose
-closed forms have no Jensen surrogate.
+otherwise.  Antenna counts are capped at MAX_ANTENNAS, training lengths
+at MAX_TRAINING_SLOTS and powers at MAX_POWER_DB; ``tau_f`` and ``tau_r``
+are rejected under the echo scheme, whose forward phase is pinned to
+``n_t`` slots and its uplink phase to ``n_l``, and ``jensen_variant`` under
+the reciprocal scheme, whose closed forms have no Jensen surrogate.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import ConfigError
 from .nmse import JENSEN_VARIANTS
 from .ostbc import SUPPORTED_QAM
 from .params import (NON_RECIPROCAL, RECIPROCAL, SCHEMES, SystemParams,
-                     db_to_linear, default_params)
+                     default_params)
 
 FORMATS = ("csv", "json")
 _QAM_ORDERS = (", ".join(map(str, SUPPORTED_QAM[:-1]))
@@ -44,6 +44,13 @@ _QAM_ORDERS = (", ".join(map(str, SUPPORTED_QAM[:-1]))
 # 100`` peaks at 58 MB RSS, and at 92 MB with 1,000 trials (2-core VM).
 MAX_TRAINING_SLOTS = 1024
 MAX_ANTENNAS = 32
+# Highest power accepted, in dB, for pave_db, pbar_t_db and pbar_l_db.  The
+# AN basis nulls the estimate's span only to rounding, and past this power
+# that leak, not estimation error, sets the empirical NMSE: with all three
+# keys equal (default geometry, 2,000 trials) the LR reads within 1.9 sigma
+# of its closed form at 250 dB, 6.1 sigma off (echo) at 280 dB and 670x off
+# (reciprocal) at 350 dB.
+MAX_POWER_DB = 250.0
 
 FloatSweep = Tuple[float, ...]
 
@@ -88,11 +95,10 @@ class ExperimentConfig:
             if not all(map(math.isfinite, _as_sweep(getattr(self, name)))):
                 raise ConfigError(f"{name} must be finite")
         for name in ("pave_db", "pbar_t_db", "pbar_l_db"):
-            try:
-                for value in _as_sweep(getattr(self, name)):
-                    db_to_linear(value)
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+            v = max(_as_sweep(getattr(self, name)))
+            if v > MAX_POWER_DB:
+                raise ConfigError(
+                    f"{name} must be at most {MAX_POWER_DB:g} dB, got {v:g}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
         if self.jensen_variant is not None:

@@ -9,7 +9,7 @@ Each substream runs numpy's SFC64, the Small Fast Chaotic generator, which
 passes PractRand and BigCrush and costs a few ns less per normal than PCG64,
 and each complex array comes from one interleaved ``standard_normal`` call.
 Changing either moves every stochastic output, so every Monte-Carlo golden
-is re-pinned through ``tests/golden/repin_mc.py --write``.
+is re-pinned through ``tests/golden/repin.py --write``.
 """
 
 from __future__ import annotations

@@ -13,18 +13,8 @@ import pytest
 import dce
 import dce.cli as cli
 from dce.config import KEYS
-from helpers import MC_TABLES, changed_cells, run_mc_table, strip_footer
-
-GOLDEN = Path(__file__).parent / "golden"
-# each golden table and the `dce alloc` arguments that print it
-ALLOC_GOLDENS = [
-    ("alloc_reciprocal.csv",
-     ["--scheme", "reciprocal", "--pave-db", "0,5,10,15,20,25,30,35,40,45",
-      "--gamma", "0.5,0.1,0.03,0.01"]),
-    ("alloc_non_reciprocal.csv",
-     ["--scheme", "non-reciprocal", "--pave-db", "10,15,20,25,30",
-      "--gamma", "0.5,0.2,0.1"]),
-]
+from helpers import (GOLDEN_DIR, GOLDENS, changed_cells, moved, produce,
+                     strip_footer)
 
 EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_GEOMETRY, EXIT_VERIFY = 0, 2, 3, 4, 5
 EXIT_DEGENERATE = 6
@@ -123,23 +113,13 @@ def test_forward_length_sweep_monotone(tmp_path):
     assert all(b >= a * (1 - 1e-12) for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("golden, argv", ALLOC_GOLDENS)
-def test_alloc_matches_golden_bytes(tmp_path, golden, argv):
-    """``dce alloc`` draws no random numbers: its table, footer aside, is
-    byte-identical to the committed golden."""
-    code, out = _run(tmp_path, "alloc", *argv)
-    assert code == EXIT_OK
-    rows = out.read_bytes().splitlines(keepends=True)
-    table = b"".join(r for r in rows if not r.startswith(b"#"))
-    assert table == (GOLDEN / golden).read_bytes()
-
-
-@pytest.mark.parametrize("golden, argv", ALLOC_GOLDENS)
+@pytest.mark.parametrize("golden, argv", [
+    (g.file, g.argv) for g in GOLDENS.values() if g.argv and g.argv[0] == "alloc"])
 def test_alloc_golden_rows_match_single_point_runs(tmp_path, golden, argv):
     """A sweep row does not depend on its sweep: each golden row is the row
     printed when its (gamma, p_ave) point is solved alone."""
-    opts = dict(zip(argv[::2], argv[1::2]))
-    rows = (GOLDEN / golden).read_bytes().splitlines(keepends=True)
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    rows = (GOLDEN_DIR / golden).read_bytes().splitlines(keepends=True)
     points = [(gamma, pave) for gamma in opts["--gamma"].split(",")
               for pave in opts["--pave-db"].split(",")]
     assert len(rows) == 1 + len(points)
@@ -150,15 +130,14 @@ def test_alloc_golden_rows_match_single_point_runs(tmp_path, golden, argv):
         assert out.read_bytes().splitlines(keepends=True)[1] == row
 
 
-@pytest.mark.parametrize("name", MC_TABLES)
+@pytest.mark.parametrize("name", GOLDENS)
 def test_monte_carlo_table_matches_golden(tmp_path, name):
-    """Each table CI's thread-``cmp`` step prints matches ``mc_<name>.csv``
-    cell by cell: integer cells exactly, float cells within rounding.  A
-    changed draw moves a cell by about its half-width, far beyond that, so
-    it must be re-pinned with ``tests/golden/repin_mc.py --write``."""
-    table = run_mc_table(name, tmp_path).decode()
-    golden = (GOLDEN / f"mc_{name}.csv").read_text()
-    assert [c for c in changed_cells(golden, table) if c[-1]] == []
+    """Each golden of ``helpers.GOLDENS`` holds against a fresh run: a
+    deterministic one byte for byte, a Monte-Carlo table within rounding
+    (``helpers.moved``).  ``tests/golden/repin.py --write`` re-pins."""
+    golden = GOLDENS[name]
+    pinned = (GOLDEN_DIR / golden.file).read_bytes().decode()
+    assert moved(golden, pinned, produce(name, tmp_path)) == []
 
 
 def test_changed_cells_forgive_only_rounding():

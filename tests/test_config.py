@@ -1,13 +1,16 @@
 """Key=value experiment configs: parsing, validation, sweep grid."""
 
 import dataclasses
+import math
 
 import pytest
 
+from dce import cli
 from dce.config import (
     COMMANDS,
     KEYS,
     MAX_ANTENNAS,
+    MAX_POWER_DB,
     MAX_TRAINING_SLOTS,
     ExperimentConfig,
     parse_float_list,
@@ -181,6 +184,21 @@ def test_validate_caps_training_lengths():
                                n_l=MAX_ANTENNAS - 1, n_u=MAX_ANTENNAS).validate()
         p = cfg.to_params(20.0)
         assert max(p.tau_f, p.tau_r, p.n_t, p.n_l) <= MAX_TRAINING_SLOTS
+
+
+def test_validate_caps_powers(capsys):
+    """Each power key takes MAX_POWER_DB and refuses the next float above
+    it, as a value or in a sweep; the CLI exits 2 with one line."""
+    above = math.nextafter(MAX_POWER_DB, math.inf)
+    for name in ("pave_db", "pbar_t_db", "pbar_l_db"):
+        ExperimentConfig(**{name: MAX_POWER_DB}).validate()
+        with pytest.raises(ConfigError, match=f"{name} must be at most"):
+            ExperimentConfig(**{name: above}).validate()
+    with pytest.raises(ConfigError, match="pave_db must be at most"):
+        _validated(f"pave_db=20,{above!r}\n")
+    assert cli.main(["ser", "--pbar-l-db", repr(above)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 def test_to_params_wraps_geometry_errors():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dce import montecarlo, training
 from dce.alloc_reciprocal import solve_reciprocal
+from dce.config import MAX_POWER_DB
 from dce.errors import (InfeasibleGamma, NonFiniteOutcome, NotConverged,
                         UnsupportedGeometry)
 from dce.gp import budget_posynomials, to_gp_variables
@@ -268,6 +269,16 @@ def test_reciprocal_half_widths_cover_closed_forms(defaults):
         covered += [abs(r.empirical_lr - r.analytic_lr) <= r.half_width_95_lr,
                     abs(r.empirical_ur - r.analytic_ur) <= r.half_width_95_ur]
     assert np.all((0.915 <= covered / 400) & (covered / 400 <= 0.985)), covered / 400
+
+
+def test_reciprocal_lr_reads_its_closed_form_at_the_power_ceiling():
+    """At MAX_POWER_DB on all three power keys the reciprocal LR's empirical
+    NMSE lies within 4 half-widths of its closed form (2,000 trials): up to
+    the ceiling, the AN basis's rounding leak is not what the run measures."""
+    params = default_params(MAX_POWER_DB, MAX_POWER_DB, MAX_POWER_DB)
+    alloc, _, _ = solve_allocation(params, 0.1, RECIPROCAL)
+    r = run_nmse_experiment(params, alloc, trials=2000, seed=3)
+    assert abs(r.empirical_lr - r.analytic_lr) <= 4 * r.half_width_95_lr
 
 
 def test_nonreciprocal_empirical_tracks_surrogate(defaults):

@@ -220,35 +220,60 @@ def test_lower_bound_unknown_scheme(defaults):
 # monotonicity / range over random operating points
 # ---------------------------------------------------------------------------
 
-def test_directional_monotonicity(defaults):
+VARIANCES = ("var_h", "var_hd", "var_hu", "var_g", "var_w", "var_wt", "var_v")
+
+
+def _random_params(rng):
+    """n_t from 2 to 8, n_l below it, every variance from 0.1 to 10."""
+    n_t = int(rng.integers(2, 9))
+    return default_params(n_t=n_t, n_l=int(rng.integers(1, n_t)),
+                          **{v: float(rng.uniform(0.1, 10.0)) for v in VARIANCES})
+
+
+def test_directional_monotonicity():
     rng = np.random.default_rng(11)
     for _ in range(1000):
+        p = _random_params(rng)
         e_r = float(rng.uniform(0.0, 60.0))
         e_f = float(rng.uniform(0.1, 120.0))
         var_a = float(rng.uniform(0.0, 12.0))
         d = float(rng.uniform(0.01, 5.0))
-        base_l = nmse_l_reciprocal(defaults, e_r, e_f, var_a)
+        base_l = nmse_l_reciprocal(p, e_r, e_f, var_a)
         # more forward pilot energy always helps LR, hurts UR floor-wise
-        assert nmse_l_reciprocal(defaults, e_r, e_f + d, var_a) <= base_l + 1e-15
+        assert nmse_l_reciprocal(p, e_r, e_f + d, var_a) <= base_l + 1e-15
         # more reverse energy never hurts (sharper null of the AN)
-        assert nmse_l_reciprocal(defaults, e_r + d, e_f, var_a) <= base_l + 1e-15
+        assert nmse_l_reciprocal(p, e_r + d, e_f, var_a) <= base_l + 1e-15
         # more AN never helps the LR, never hurts (raises) the UR error
-        assert nmse_l_reciprocal(defaults, e_r, e_f, var_a + d) >= base_l - 1e-15
-        base_u = nmse_u(defaults, e_f, var_a)
-        assert nmse_u(defaults, e_f, var_a + d) >= base_u - 1e-15
-        assert nmse_u(defaults, e_f + d, var_a) <= base_u + 1e-15
+        assert nmse_l_reciprocal(p, e_r, e_f, var_a + d) >= base_l - 1e-15
+        base_u = nmse_u(p, e_f, var_a)
+        assert nmse_u(p, e_f, var_a + d) >= base_u - 1e-15
+        assert nmse_u(p, e_f + d, var_a) <= base_u + 1e-15
+        # the echo scheme's LR: more forward energy helps, more AN hurts
+        echo = [float(e) for e in rng.uniform(0.0, 60.0, 3)]
+        for variant in JENSEN_VARIANTS:
+            base, more_e3, more_an = (
+                nmse_l_nonreciprocal_approx(
+                    p, nonreciprocal_allocation(*echo, e_3, a), variant)
+                for e_3, a in ((e_f, var_a), (e_f + d, var_a), (e_f, var_a + d)))
+            assert more_e3 <= base + 1e-15
+            assert more_an >= base - 1e-15
 
 
-def test_values_stay_in_range(defaults):
+def test_values_stay_in_range():
     rng = np.random.default_rng(13)
     for _ in range(1000):
+        p = _random_params(rng)
         e_r = float(rng.uniform(0.0, 500.0))
         e_f = float(rng.uniform(0.0, 500.0))
         var_a = float(rng.uniform(0.0, 50.0))
-        v_l = nmse_l_reciprocal(defaults, e_r, e_f, var_a)
-        v_u = nmse_u(defaults, e_f, var_a)
-        assert 0.0 < v_l <= defaults.var_h + 1e-15
-        assert 0.0 < v_u <= defaults.var_g + 1e-15
+        v_l = nmse_l_reciprocal(p, e_r, e_f, var_a)
+        v_u = nmse_u(p, e_f, var_a)
+        assert 0.0 < v_l <= p.var_h + 1e-15
+        assert 0.0 < v_u <= p.var_g + 1e-15
+        alloc = nonreciprocal_allocation(*[float(e) for e in rng.uniform(0.0, 500.0, 3)],
+                                         e_f, var_a)
+        for variant in JENSEN_VARIANTS:
+            assert 0.0 < nmse_l_nonreciprocal_approx(p, alloc, variant) <= p.var_hd + 1e-15
 
 
 # ---------------------------------------------------------------------------
