@@ -17,8 +17,6 @@ from .config import ExperimentConfig
 from .errors import (ConfigError, DceError, Infeasible, InfeasibleGamma,
                      NoFeasiblePoint, NonFiniteOutcome, NotConverged, Stalled,
                      UnsupportedGeometry)
-from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
-                         ur_estimate)
 from .gp import (CondensationTrace, GpState, NonReciprocalSolution, condense,
                  from_gp_variables, initial_feasible_state, solve_inner_gp,
                  to_gp_variables)

@@ -657,9 +657,9 @@ def initial_feasible_state(params: SystemParams, gamma: float) -> GpState:
     return to_gp_variables(params, alloc)
 
 
-def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None,
-             ) -> NonReciprocalSolution:
-    """Successive condensation until the objective stops improving.
+def condense(params: SystemParams, gamma: float) -> NonReciprocalSolution:
+    """Successive condensation from ``initial_feasible_state`` until the
+    objective stops improving.
 
     Each round linearizes only the denominator of the quality-ratio
     constraint (in log space), solves the resulting GP, and re-expands at
@@ -677,9 +677,7 @@ def condense(params: SystemParams, gamma: float, start: Optional[GpState] = None
     returned allocation up to the inner solver's tolerance.
     """
     check_gamma(params, gamma, NON_RECIPROCAL)
-    if start is None:
-        start = initial_feasible_state(params, gamma)
-    x_bar = start.x()
+    x_bar = initial_feasible_state(params, gamma).x()
     fixed = budget_posynomials(params, gamma)
     numer, denom = ratio_parts(params)
     objective = np.array([-1.0, 0, 0, 0, 0, 0])

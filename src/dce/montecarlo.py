@@ -28,11 +28,9 @@ import numpy as np
 from .alloc_reciprocal import solve_reciprocal
 from .errors import (InfeasibleGamma, NonFiniteOutcome, NotConverged,
                      UnsupportedGeometry)
-from .estimators import (lr_estimate_nonreciprocal, lr_estimate_reciprocal,
-                         ur_estimate)
 from .gp import condense
-from .nmse import (JENSEN_VARIANTS, nmse_l_nonreciprocal_approx,
-                   nmse_l_reciprocal, nmse_u)
+from .nmse import (JENSEN_VARIANTS, forward_filters, nmse_l_nonreciprocal_approx,
+                   nmse_u)
 from .ostbc import (CODE_SYMBOLS, SUPPORTED_QAM, block_scale, decode_block,
                     encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
@@ -117,17 +115,13 @@ def _estimate_span(params: SystemParams, alloc: PowerAllocation,
 
 
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
-                      trials: int, jensen_variant: str):
-    """One full training round for a stack of trials: (h_d, g, lr, ur)."""
+                      trials: int, gain_l: float, gain_u: float):
+    """One full training round for a stack of trials: (h_d, g, lr, ur), each
+    estimate its forward statistic times that receiver's ``forward_filters`` gain."""
     h_d, h_u, g = sample_channels(params, alloc.scheme, rng, trials)
     span = _estimate_span(params, alloc, h_d, h_u, rng)
     y_l, y_u = forward_training(params, alloc, span, h_d, g, rng)
-    if alloc.scheme == RECIPROCAL:
-        lr = lr_estimate_reciprocal(y_l, params, alloc)
-    else:
-        lr = lr_estimate_nonreciprocal(y_l, params, alloc, jensen_variant)
-    ur = ur_estimate(y_u, params, alloc)
-    return h_d, g, lr, ur
+    return h_d, g, gain_l * y_l, gain_u * y_u
 
 
 def _run_blocks(block_fn: Callable, trials: int, seed: int) -> np.ndarray:
@@ -152,23 +146,21 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
                         jensen_variant: str = JENSEN_VARIANTS[0]) -> NmseReport:
     """Empirical channel-estimation NMSE at both receivers.
 
-    The LR and UR run their production filters against freshly drawn
-    channels, noise, and AN; squared errors are averaged per entry.  The
-    95% half-widths use the per-trial sample standard deviation.
+    The LR and UR apply the gains of ``forward_filters`` against freshly
+    drawn channels, noise, and AN; squared errors are averaged per entry.
+    The analytic columns are the errors of those same filters (the echo
+    LR's under ``jensen_variant``).  The 95% half-widths use the per-trial
+    sample standard deviation.
     """
     if trials < MIN_NMSE_TRIALS:
         raise ValueError(f"fewer than {MIN_NMSE_TRIALS} trials gives "
                          "meaningless confidence bounds")
-    if alloc.scheme == RECIPROCAL:
-        analytic_lr = nmse_l_reciprocal(params, alloc.e_r, alloc.e_f, alloc.var_a)
-        analytic_ur = nmse_u(params, alloc.e_f, alloc.var_a)
-    else:
-        analytic_lr = nmse_l_nonreciprocal_approx(params, alloc, jensen_variant)
-        analytic_ur = nmse_u(params, alloc.e_3, alloc.var_a)
+    (gain_l, analytic_lr), (gain_u, analytic_ur) = forward_filters(
+        params, alloc, jensen_variant)
 
     def one_block(rng, n):
         h_d, g, lr_est, ur_est = _estimation_round(params, alloc, rng, n,
-                                                   jensen_variant)
+                                                   gain_l, gain_u)
         return np.stack([_per_entry_sq_err(lr_est, h_d),
                          _per_entry_sq_err(ur_est, g)], axis=1)
 
@@ -217,7 +209,8 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
                        jensen_variant: str = JENSEN_VARIANTS[0]) -> SerReport:
     """Data-phase symbol error rates when both receivers decode one block of
     the four-antenna rate-3/4 orthogonal code using their own channel
-    estimates as if they were the truth.  An allocation that meets the
+    estimates as if they were the truth, the gains of ``forward_filters``
+    (the echo LR's under ``jensen_variant``).  An allocation that meets the
     floor with no forward pilot energy leaves nothing to decode with and
     raises InfeasibleGamma before any trial."""
     if modulation not in SUPPORTED_QAM:
@@ -228,16 +221,17 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
         raise UnsupportedGeometry(
             f"the block code needs exactly 4 transmit antennas, got {params.n_t}")
     alloc, _, _ = solve_allocation(params, gamma, scheme)
-    if (alloc.e_f if scheme == RECIPROCAL else alloc.e_3) == 0.0:
+    if alloc.forward == 0.0:
         raise InfeasibleGamma(
             f"gamma={gamma} is met with no forward pilots, so neither receiver "
             "has a channel estimate to decode with")
+    (gain_l, _), (gain_u, _) = forward_filters(params, alloc, jensen_variant)
     constellation = qam_constellation(modulation)
     scale = block_scale(params.p_ave)
 
     def one_block(rng, n):
         h_d, g, lr_est, ur_est = _estimation_round(params, alloc, rng, n,
-                                                   jensen_variant)
+                                                   gain_l, gain_u)
         sent = rng.integers(0, modulation, size=(CODE_SYMBOLS, n))
         # one encode against [h_d, g] side by side, rows (antenna, M, trial)
         received = encode_block(constellation[sent], np.concatenate(

@@ -6,9 +6,10 @@ a Gaussian prior observed through orthogonal pilots in white noise,
 ``lmmse_error_var``; the functions here supply its prior and effective
 noise for the transmitter, the legitimate receiver (LR) and the
 unauthorized receiver (UR).  Everything is a pure scalar function of the
-system parameters and allocation entries; the estimators build their
-filters from these statistics, the Monte-Carlo module checks them
-empirically and the allocators optimize them.
+system parameters and allocation entries.  ``forward_filters`` pairs each
+receiver's filter gain (``lmmse_gain``) with that filter's error: the
+Monte-Carlo module applies the one and reports the other, and the
+allocators optimize the errors.
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ def lmmse_error_var(prior, energy, n, noise):
     Broadcasts over NumPy arrays.
     """
     return 1.0 / (1.0 / prior + (energy / n) / noise)
+
+
+def lmmse_gain(prior, energy, n, noise):
+    r"""LMMSE gain on C^H Y = s Z + C^H W, s = sqrt(energy/n), whose per-entry
+    error is ``lmmse_error_var`` of the same arguments.  C is a semi-unitary
+    pilot, Z has i.i.d. prior variance ``prior`` and W white noise ``noise``.
+    As C^H C = I, the LMMSE filter prior s C^H (prior s^2 C C^H + noise I)^{-1}
+    equals this gain times C^H (Biguesh & Gershman, IEEE TSP 2006).
+    """
+    s = np.sqrt(energy / n)
+    return prior * s / (prior * s * s + noise)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +212,24 @@ def lr_effective_noise_nonreciprocal(params: SystemParams, alloc: PowerAllocatio
 def ur_effective_noise(params: SystemParams, var_a: float) -> float:
     """AN hits the UR at full strength: (n_t - n_l)*var_a*var_g + var_v."""
     return (params.n_t - params.n_l) * var_a * params.var_g + params.var_v
+
+
+def forward_filters(params: SystemParams, alloc: PowerAllocation,
+                    jensen_variant: str) -> Tuple[Tuple[float, float], ...]:
+    """``((gain_l, nmse_l), (gain_u, nmse_u))``: each receiver's forward-phase
+    LMMSE gain and its error, from one (prior, ``alloc.forward``, effective
+    noise) triple.  The echo scheme's LR error is the Jensen surrogate
+    ``jensen_variant`` picks."""
+    if alloc.scheme == RECIPROCAL:
+        lr = (params.var_h,
+              lr_effective_noise_reciprocal(params, alloc.e_r, alloc.var_a))
+    else:
+        lr = (params.var_hd,
+              lr_effective_noise_nonreciprocal(params, alloc, jensen_variant))
+    ur = params.var_g, ur_effective_noise(params, alloc.var_a)
+    return tuple((lmmse_gain(prior, alloc.forward, params.n_t, noise),
+                  lmmse_error_var(prior, alloc.forward, params.n_t, noise))
+                 for prior, noise in (lr, ur))
 
 
 # ---------------------------------------------------------------------------

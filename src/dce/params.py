@@ -176,6 +176,11 @@ class PowerAllocation:
             if not 0 <= v < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {v!r}")
 
+    @property
+    def forward(self) -> float:
+        """Forward pilot energy: e_f (reciprocal scheme) or e_3 (echo scheme)."""
+        return self.e_f if self.scheme == RECIPROCAL else self.e_3
+
     def energies(self) -> Dict[str, float]:
         if self.scheme == RECIPROCAL:
             return {"e_r": self.e_r, "e_f": self.e_f, "var_a": self.var_a}

@@ -195,10 +195,9 @@ def forward_training(params: SystemParams, alloc: PowerAllocation,
     ``null_space_basis`` hands back N^H H directly.  Returns
     ``(y_l, y_u)``, the (T, n_t, n_l) and (T, n_t, n_u) statistics.
     """
-    energy = alloc.e_f if alloc.scheme == RECIPROCAL else alloc.e_3
     n_t, n_l, trials = params.n_t, params.n_l, h_d.shape[0]
     channels = np.concatenate([h_d, g], axis=-1)
-    received = np.sqrt(energy / n_t) * channels
+    received = np.sqrt(alloc.forward / n_t) * channels
     if alloc.var_a > 0:
         a = complex_gaussian(rng, (trials, n_t, n_t - n_l), alloc.var_a)
         received += a @ null_space_basis(span, channels)

@@ -4,7 +4,7 @@ The library never forms these estimates: the AN reads only their column
 spaces (``dce.montecarlo._estimate_span``).  They stay here as the check on
 ``dce.nmse``'s closed forms for their errors (``test_estimators.py``) and
 as the estimate the span is compared against (``test_montecarlo.py``).
-Each works on stacks of trials, like the library's estimators, and takes
+Each works on stacks of trials, like the receivers' filters, and takes
 the statistics ``dce.training``'s phases return.
 
 The echo-based downlink estimate uses the push-through identity
@@ -18,8 +18,7 @@ eigenvalues at exactly beta.
 
 import numpy as np
 
-from dce.estimators import _pilot_filter
-from dce.nmse import downlink_beta, t0_round_trip
+from dce.nmse import downlink_beta, lmmse_gain, t0_round_trip
 from dce.params import PowerAllocation, SystemParams
 from dce.training import echo_gain
 
@@ -34,7 +33,7 @@ def tx_estimate_reciprocal(y_t: np.ndarray, params: SystemParams,
     """
     if e_r < 0:
         raise ValueError("e_r must be non-negative")
-    gain = _pilot_filter(params.var_h, params.var_wt, e_r, params.n_l)
+    gain = lmmse_gain(params.var_h, e_r, params.n_l, params.var_wt)
     return np.swapaxes(gain * y_t, -1, -2)
 
 
@@ -44,7 +43,7 @@ def tx_estimate_uplink(y_t2: np.ndarray, params: SystemParams,
     (..., n_l, n_t)."""
     if e_2 < 0:
         raise ValueError("e_2 must be non-negative")
-    return _pilot_filter(params.var_hu, params.var_wt, e_2, params.n_l) * y_t2
+    return lmmse_gain(params.var_hu, e_2, params.n_l, params.var_wt) * y_t2
 
 
 def tx_estimate_downlink(y_t1: np.ndarray, h_u_hat: np.ndarray,

@@ -1,17 +1,19 @@
 """LMMSE estimators on stacks of trials: closed-form error variances,
 empirical agreement, optimality against alternative linear filters,
-orthogonality of errors.  The transmitter's estimators are the suite's
+orthogonality of errors.  The receivers apply the gains of
+``dce.nmse.forward_filters``; the transmitter's estimators are the suite's
 references (``reference_estimators.py``), checked here against the closed
 forms for their errors."""
 
 import numpy as np
 import pytest
 
-from dce.estimators import _pilot_filter, lr_estimate_reciprocal, ur_estimate
 from dce.nmse import (
     downlink_beta,
+    forward_filters,
     jensen_factor,
     lmmse_error_var,
+    lmmse_gain,
     lr_effective_noise_nonreciprocal,
     lr_effective_noise_reciprocal,
     nmse_l_nonreciprocal_approx,
@@ -41,6 +43,12 @@ from reference_estimators import (tx_estimate_downlink, tx_estimate_reciprocal,
                                   tx_estimate_uplink)
 
 TRIALS = 10000
+
+
+def _gains(params, alloc):
+    """The LR's and the UR's forward-phase gains."""
+    (gain_l, _), (gain_u, _) = forward_filters(params, alloc, "printed")
+    return gain_l, gain_u
 
 
 def _empirical_mse(run_stack, trials=TRIALS, seed=0):
@@ -104,7 +112,7 @@ def test_lr_reciprocal_no_an_agreement(defaults):
     def stack(rng, n):
         h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, n)
         y_l, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
-        return lr_estimate_reciprocal(y_l, defaults, alloc), h_d
+        return _gains(defaults, alloc)[0] * y_l, h_d
 
     mse = _empirical_mse(stack)
     assert mse == pytest.approx(0.5, rel=0.02)  # (1/1 + 4/4)^{-1}
@@ -120,7 +128,7 @@ def test_lr_reciprocal_with_an_agreement(defaults):
         y_t = reverse_training(defaults, alloc, h_u, rng)
         h_hat = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
         y_l, _ = forward_training(defaults, alloc, h_hat, h_d, g, rng)
-        return lr_estimate_reciprocal(y_l, defaults, alloc), h_d
+        return _gains(defaults, alloc)[0] * y_l, h_d
 
     assert _empirical_mse(stack) == pytest.approx(analytic, rel=0.02)
 
@@ -149,7 +157,7 @@ def test_ur_empirical_agreement(defaults):
         y_t = reverse_training(defaults, alloc, h_u, rng)
         h_hat = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
         _, y_u = forward_training(defaults, alloc, h_hat, h_d, g, rng)
-        return ur_estimate(y_u, defaults, alloc), g
+        return _gains(defaults, alloc)[1] * y_u, g
 
     assert _empirical_mse(stack) == pytest.approx(0.75, rel=0.02)
 
@@ -348,8 +356,8 @@ def test_error_estimate_orthogonality(defaults):
     y_t = reverse_training(defaults, alloc, h_u, rng)
     tx = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
     y_l, y_u = forward_training(defaults, alloc, tx, h_d, g, rng)
-    lr = lr_estimate_reciprocal(y_l, defaults, alloc)
-    ur = ur_estimate(y_u, defaults, alloc)
+    gain_l, gain_u = _gains(defaults, alloc)
+    lr, ur = gain_l * y_l, gain_u * y_u
     pairs = {"tx": (tx, h_d), "lr": (lr, h_d), "ur": (ur, g)}
     for name, (stack, truth) in pairs.items():
         est, err = stack[:, 0, 0], stack[:, 0, 0] - truth[:, 0, 0]
@@ -411,30 +419,36 @@ def _pilot_filter_reference(prior_var, noise_var, energy, tau, n_cols):
 
 
 def test_pilot_filters_match_lmmse_reference(defaults):
-    """Every gain the estimators apply at the default parameters, for a
-    reciprocal and an echo allocation, and gains for pilots with tau in
-    {n, 2n, 4n} whose tau x tau Gram matrix prior X X^H + noise I has
-    condition number 1e2 to 1e13: the gain times C^H is within 1e-13
-    relative of the reference filter."""
+    """Every gain applied at the default parameters, for a reciprocal and an
+    echo allocation (the four forward-phase gains from ``forward_filters``),
+    and gains for pilots with tau in {n, 2n, 4n} whose tau x tau Gram matrix
+    prior X X^H + noise I has condition number 1e2 to 1e13: the gain times
+    C^H is within 1e-13 relative of the reference filter."""
     p = defaults
     rec = reciprocal_allocation(2.0, 4.0, var_a=0.5)
     echo = nonreciprocal_allocation(3.0, 5.0, 2.0, 6.0, var_a=0.4)
-    cases = [
-        (p.var_h, p.var_wt, rec.e_r, p.tau_r, p.n_l),
-        (p.var_h, lr_effective_noise_reciprocal(p, rec.e_r, rec.var_a), rec.e_f, p.tau_f, p.n_t),
-        (p.var_g, ur_effective_noise(p, rec.var_a), rec.e_f, p.tau_f, p.n_t),
-        (p.var_hu, p.var_wt, echo.e_2, p.n_l, p.n_l),
-        (p.var_hd, lr_effective_noise_nonreciprocal(p, echo, "printed"), echo.e_3, p.n_t, p.n_t),
-        (p.var_g, ur_effective_noise(p, echo.var_a), echo.e_3, p.n_t, p.n_t),
+    (rec_l, _), (rec_u, _) = forward_filters(p, rec, "printed")
+    (echo_l, _), (echo_u, _) = forward_filters(p, echo, "printed")
+    cases = [  # (gain, reference's prior, noise, energy, tau, n_cols)
+        (lmmse_gain(p.var_h, rec.e_r, p.n_l, p.var_wt),
+         p.var_h, p.var_wt, rec.e_r, p.tau_r, p.n_l),
+        (rec_l, p.var_h, lr_effective_noise_reciprocal(p, rec.e_r, rec.var_a),
+         rec.e_f, p.tau_f, p.n_t),
+        (rec_u, p.var_g, ur_effective_noise(p, rec.var_a), rec.e_f, p.tau_f, p.n_t),
+        (lmmse_gain(p.var_hu, echo.e_2, p.n_l, p.var_wt),
+         p.var_hu, p.var_wt, echo.e_2, p.n_l, p.n_l),
+        (echo_l, p.var_hd, lr_effective_noise_nonreciprocal(p, echo, "printed"),
+         echo.e_3, p.n_t, p.n_t),
+        (echo_u, p.var_g, ur_effective_noise(p, echo.var_a), echo.e_3, p.n_t, p.n_t),
     ]
     n, energy = 4, 4.0
     for tau in (n, 2 * n, 4 * n):
         for cond in (1e2, 1e4, 1e7, 1e11, 1e13):
             # prior energy/n + noise = cond * noise
-            cases.append((2.5, 2.5 * (energy / n) / (cond - 1), energy, tau, n))
-    for args in cases:
-        gain = _pilot_filter(*args[:3], args[4])  # (prior, noise, energy, n_cols)
-        np.testing.assert_allclose(gain * dft_pilot(*args[3:]).conj().T,
-                                   _pilot_filter_reference(*args),
-                                   rtol=1e-13, atol=0, err_msg=str(args))
+            noise = 2.5 * (energy / n) / (cond - 1)
+            cases.append((lmmse_gain(2.5, energy, n, noise), 2.5, noise, energy, tau, n))
+    for gain, *ref in cases:
+        np.testing.assert_allclose(gain * dft_pilot(*ref[3:]).conj().T,
+                                   _pilot_filter_reference(*ref),
+                                   rtol=1e-13, atol=0, err_msg=str(ref))
 

@@ -458,10 +458,11 @@ def test_condense_beats_lattice():
             <= _sigma_squared(params, oracle_alloc))
 
 
-def test_condense_fixed_point(defaults):
+def test_condense_fixed_point(defaults, monkeypatch):
     """Restarting from the solved state terminates in at most two rounds."""
     sol = condense(defaults, 0.1)
-    again = condense(defaults, 0.1, start=sol.state)
+    monkeypatch.setattr(gp, "initial_feasible_state", lambda params, gamma: sol.state)
+    again = condense(defaults, 0.1)
     assert len(again.trace.steps) <= 2
     assert again.objective == pytest.approx(sol.objective, rel=1e-6)
 

@@ -18,7 +18,7 @@ from dce.montecarlo import (
     run_ser_experiment,
     solve_allocation,
 )
-from dce.nmse import gamma_bounds
+from dce.nmse import forward_filters, gamma_bounds
 from dce.ostbc import (CODE_SYMBOLS, block_scale, decode_block, encode_block,
                        qam_constellation)
 from dce.params import (
@@ -122,10 +122,11 @@ def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme):
     ``trial_rng(seed, block)``, here in reverse block order."""
     alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
     assert alloc.var_a > 0
+    (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc, "printed")
 
     def one_block(rng, n):
         h_d, g, lr, ur = montecarlo._estimation_round(
-            defaults, alloc, rng, n, "printed")
+            defaults, alloc, rng, n, gain_l, gain_u)
         return np.concatenate([lr, ur, h_d, g], axis=-1).reshape(n, -1)
 
     trials, seed = 600, 11
@@ -319,8 +320,9 @@ def test_every_solved_allocation_runs_clean(scheme, p_ave_db, n_t, data):
     trial path without a NonFiniteOutcome, its LR error lies in (0, prior], its UR
     error meets the floor and it meets the average, transmitter and LR
     budgets (1e-8 relative for the echo scheme, 1e-9 for the reciprocal
-    one).  Only an infeasible floor and an unconverged condensation may
-    stop a solve."""
+    one).  The Monte Carlo reports exactly the errors the solve printed, so
+    it scores the filters whose errors the allocator optimized.  Only an
+    infeasible floor and an unconverged condensation may stop a solve."""
     params = default_params(p_ave_db=p_ave_db, n_t=n_t,
                             n_l=data.draw(st.integers(1, n_t - 1), label="n_l"),
                             n_u=data.draw(st.integers(1, 4), label="n_u"))
@@ -331,6 +333,7 @@ def test_every_solved_allocation_runs_clean(scheme, p_ave_db, n_t, data):
     except (InfeasibleGamma, NotConverged):
         assume(False)
     report = run_nmse_experiment(params, alloc, trials=300)
+    assert report.analytic_lr == nmse_l and report.analytic_ur == nmse_u
     prior = params.var_h if scheme == RECIPROCAL else params.var_hd
     assert 0.0 < nmse_l <= prior
     assert nmse_u >= gamma * (1 - 1e-9)
@@ -384,8 +387,9 @@ def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
     errors = captured["block_fn"](rng, 40)
 
     alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
+    (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc, "printed")
     h_d, g, lr_est, ur_est = montecarlo._estimation_round(
-        defaults, alloc, replay, 40, "printed")
+        defaults, alloc, replay, 40, gain_l, gain_u)
     pts = qam_constellation(64)
     scale = block_scale(defaults.p_ave)
     sent = replay.integers(0, 64, size=(CODE_SYMBOLS, 40))
@@ -411,11 +415,12 @@ def test_ser_matches_block_domain_reference(defaults, scheme):
     report = run_ser_experiment(defaults, 0.1, modulation=64, trials=trials,
                                 seed=seed, scheme=scheme)
     alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
+    (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc, "printed")
     scale = block_scale(defaults.p_ave)
 
     def reference_block(rng, n):
         h_d, g, lr_est, ur_est = montecarlo._estimation_round(
-            defaults, alloc, rng, n, "printed")
+            defaults, alloc, rng, n, gain_l, gain_u)
         return block_domain_errors(rng, defaults, 64, scale, h_d, g,
                                    lr_est, ur_est)
 
