@@ -1,11 +1,12 @@
 r"""Monte-Carlo experiments: empirical NMSE and SER.
 
-Trials run in blocks of BLOCK_TRIALS stacked (trials, rows, cols) arrays,
-and every block draws from its own substream ``trial_rng(seed, block)``, so
-results are bit-identical for a given (seed, trials) however the blocks are
-spread over workers.  The transmitter's downlink estimate is never
-formed: the AN needs only its column space, which a matrix built from what
-the transmitter received spans exactly (``_estimate_span``).  The AN basis
+Trials run in blocks of BLOCK_TRIALS, (rows, cols, trials) stacks from the
+draw to the scoring, as in ``dce.training`` and ``dce.ostbc``.  Every block
+draws from its own substream ``trial_rng(seed, block)``, so results are
+bit-identical for a given (seed, trials) however the blocks are spread
+over workers.  The transmitter's downlink estimate is never formed: the
+AN needs only its column space, which a matrix built from what the
+transmitter received spans exactly (``_estimate_span``).  The AN basis
 nulls that span whatever its rank, so no trial is checked for rank.  What
 can fail is the arithmetic (an overflow at absurd energies, a corrupt
 input), and that would recur on a redraw, so the first non-finite outcome
@@ -35,18 +36,18 @@ from .ostbc import (CODE_SYMBOLS, SUPPORTED_QAM, block_scale, decode_block,
                     encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .rng import complex_gaussian, trial_rng
-from .training import (forward_training, reverse_training, round_trip_training,
-                       sample_channels)
+from .training import (_add_product, forward_training, reverse_training,
+                       round_trip_training, sample_channels)
 
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
 DESK_NMSE_TRIALS = 1000
 DESK_SER_TRIALS = 5000
 # Trials per block: large enough that numpy's per-call overhead is spread
-# thin, small enough that a block's arrays stay within a few hundred kB.
-# A 2,000-trial operation at the solved default reciprocal point (2-core
-# x86_64 VM, best of 12, 6 processes) takes 6.6-10.9 ms at 256, 5.6-9.2 at
-# 512 (0.81-0.91x of 256 paired in one process), 6.7-10.5 at 1024-2000.
-# Each block has its own substream; changing it moves every stochastic result.
+# thin, small enough that a block's rows stay in cache.  512 against 256,
+# paired in one process at the solved gamma 0.1 reciprocal point (2-core
+# x86_64 VM, median of 5-9 rounds): 0.83x the time at 4x2, 1.14x at 8x4,
+# 1.10x at 16x8, 1.06x at 32x16.  Each block has its own substream;
+# changing it moves every stochastic result.
 BLOCK_TRIALS = 256
 
 
@@ -69,26 +70,32 @@ class SerReport:
     trials: int
 
 
-def _per_entry_sq_err(estimate: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Mean squared entry error of each trial of a stack: each trial's
-    error, read as one row of real and imaginary parts, dotted with itself."""
-    d = np.subtract(estimate, truth, order="C").reshape(estimate.shape[0], -1)
-    parts = d.view(np.float64)
-    return np.einsum("ij,ij->i", parts, parts) / d.shape[1]
+def _per_entry_sq_err(params: SystemParams, channels: np.ndarray,
+                      estimates: np.ndarray) -> np.ndarray:
+    """Each receiver's mean squared entry error per trial, (2, T), of the
+    estimates (n_t, n_l + n_u, T) of [H_d, G], overwritten by the error,
+    whose real and imaginary parts (interleaved on the trial axis) are
+    squared and summed over the rows, then over the receiver's columns."""
+    parts = np.subtract(estimates, channels, out=estimates).view(np.float64)
+    np.multiply(parts, parts, out=parts)
+    by_col, n_l = np.add.reduce(parts, axis=0), params.n_l
+    sq = np.stack([np.add.reduce(by_col[:n_l]), np.add.reduce(by_col[n_l:])])
+    entries = params.n_t * np.array([[n_l], [params.n_u]])
+    return (sq[:, 0::2] + sq[:, 1::2]) / entries
 
 
 def _estimate_span(params: SystemParams, alloc: PowerAllocation,
                    h_d, h_u, rng) -> Optional[np.ndarray]:
-    """(T, n_t, n_l) matrices whose left null spaces carry the AN, or None
+    """(n_t, n_l, T) matrices whose left null spaces carry the AN, or None
     without AN, when the forward phase reads none.
 
     AN goes into the left null space of the transmitter's downlink
     estimate, and a null space depends only on the column space, so each
     matrix spans what the estimate spans without being the estimate:
     - reciprocal: y_t^T, of which the estimate is a positive multiple;
-    - echo: y_t1 y_t^H.  The LMMSE estimate is k y_t1 y_t^H G^{-1} with
-      k > 0 and G = Hu_hat Hu_hat^H + beta I positive definite, so it
-      has the same column space.
+    - echo: y_t1 y_t^H (``_add_product``).  The LMMSE estimate is
+      k y_t1 y_t^H G^{-1} with k > 0 and G = Hu_hat Hu_hat^H + beta I
+      positive definite, so it has the same column space.
     The basis ``null_space_basis`` takes from the span is then N U for a
     unitary U fixed by the draws made so far, and the AN A it multiplies is
     drawn afterwards, i.i.d. CN(0, var_a), so A U^H has the law of A:
@@ -106,39 +113,45 @@ def _estimate_span(params: SystemParams, alloc: PowerAllocation,
     informed = (alloc.e_r > 0 if alloc.scheme == RECIPROCAL
                 else alloc.e_0 > 0 and alloc.e_1 > 0 and alloc.e_2 > 0)
     if not informed:
-        return complex_gaussian(rng, (h_d.shape[0], params.n_t, params.n_l), 1.0)
+        return complex_gaussian(rng, h_d.shape, 1.0)
     y_t = reverse_training(params, alloc, h_u, rng)
     if alloc.scheme == RECIPROCAL:
-        return np.swapaxes(y_t, -1, -2)
+        return y_t.swapaxes(0, 1)
     y_t1 = round_trip_training(params, alloc, h_d, h_u, rng)
-    return y_t1 @ np.conj(np.swapaxes(y_t, -1, -2))
+    y_t_conj = np.conj(y_t)
+    return _add_product(np.zeros(h_d.shape, dtype=complex), y_t1,
+                        [y_t_conj[:, j] for j in range(params.n_t)])
 
 
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
                       trials: int, gain_l: float, gain_u: float):
-    """One full training round for a stack of trials: (h_d, g, lr, ur), each
-    estimate its forward statistic times that receiver's ``forward_filters`` gain."""
-    h_d, h_u, g = sample_channels(params, alloc.scheme, rng, trials)
-    span = _estimate_span(params, alloc, h_d, h_u, rng)
-    y_l, y_u = forward_training(params, alloc, span, h_d, g, rng)
-    return h_d, g, gain_l * y_l, gain_u * y_u
+    """One full training round for a stack of trials: (channels, estimates),
+    both (n_t, n_l + n_u, T) with the LR's columns first, each estimate its
+    forward statistic times that receiver's ``forward_filters`` gain."""
+    n_l = params.n_l
+    channels, h_u = sample_channels(params, alloc.scheme, rng, trials)
+    span = _estimate_span(params, alloc, channels[:, :n_l], h_u, rng)
+    estimates = forward_training(params, alloc, span, channels, rng)
+    estimates[:, :n_l] *= gain_l
+    estimates[:, n_l:] *= gain_u
+    return channels, estimates
 
 
 def _run_blocks(block_fn: Callable, trials: int, seed: int) -> np.ndarray:
-    """The (trials, k) outcomes of ``block_fn(rng, n)``, which runs n trials,
-    over ``trials`` trials.  A block with a non-finite outcome raises
-    NonFiniteOutcome naming its first such trial, by run index, and the
-    block, before any later block is drawn."""
+    """The (k, trials) outcomes of ``block_fn(rng, n)``, which runs n trials
+    and returns their (k, n) outcomes, over ``trials`` trials.  A block with
+    a non-finite outcome raises NonFiniteOutcome naming its first such
+    trial, by run index, and the block, before any later block is drawn."""
     outcomes = []
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
         out = block_fn(trial_rng(seed, block), min(BLOCK_TRIALS, trials - start))
-        finite = np.isfinite(out).all(axis=1)
+        finite = np.isfinite(out).all(axis=0)
         if not finite.all():
-            row = int(np.argmin(finite))
-            raise NonFiniteOutcome(f"trial {start + row} (block {block}) gave "
-                                   f"{out[row].tolist()}", start + row)
+            trial = int(np.argmin(finite))
+            raise NonFiniteOutcome(f"trial {start + trial} (block {block}) gave "
+                                   f"{out[:, trial].tolist()}", start + trial)
         outcomes.append(out)
-    return np.concatenate(outcomes)
+    return np.concatenate(outcomes, axis=1)
 
 
 def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
@@ -159,13 +172,10 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
         params, alloc, jensen_variant)
 
     def one_block(rng, n):
-        h_d, g, lr_est, ur_est = _estimation_round(params, alloc, rng, n,
-                                                   gain_l, gain_u)
-        return np.stack([_per_entry_sq_err(lr_est, h_d),
-                         _per_entry_sq_err(ur_est, g)], axis=1)
+        return _per_entry_sq_err(params, *_estimation_round(
+            params, alloc, rng, n, gain_l, gain_u))
 
-    sq = _run_blocks(one_block, trials, seed)
-    sq_l, sq_u = sq[:, 0], sq[:, 1]
+    sq_l, sq_u = _run_blocks(one_block, trials, seed)
 
     z95 = 1.959963984540054
     return NmseReport(
@@ -227,26 +237,23 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
             "has a channel estimate to decode with")
     (gain_l, _), (gain_u, _) = forward_filters(params, alloc, jensen_variant)
     constellation = qam_constellation(modulation)
-    scale = block_scale(params.p_ave)
+    scale, n_l = block_scale(params.p_ave), params.n_l
 
     def one_block(rng, n):
-        h_d, g, lr_est, ur_est = _estimation_round(params, alloc, rng, n,
-                                                   gain_l, gain_u)
+        channels, estimates = _estimation_round(params, alloc, rng, n,
+                                                gain_l, gain_u)
         sent = rng.integers(0, modulation, size=(CODE_SYMBOLS, n))
-        # one encode against [h_d, g] side by side, rows (antenna, M, trial)
-        received = encode_block(constellation[sent], np.concatenate(
-            [h_d, g], axis=-1).transpose(1, 2, 0), scale)
-        noise_lr = complex_gaussian(rng, (CODE_SYMBOLS, n), params.var_w)
-        noise_ur = complex_gaussian(rng, (CODE_SYMBOLS, n), params.var_v)
-        errors = [np.count_nonzero(
-            decode_block(received[:, cols], est.transpose(1, 2, 0), scale,
-                         modulation, noise) != sent, axis=0)
-            for cols, est, noise in ((slice(None, params.n_l), lr_est, noise_lr),
-                                     (slice(params.n_l, None), ur_est, noise_ur))]
-        return np.stack(errors, axis=1)
+        # one encode against [h_d, g] side by side
+        received = encode_block(constellation[sent], channels, scale)
+        noise = [complex_gaussian(rng, (CODE_SYMBOLS, n), var)
+                 for var in (params.var_w, params.var_v)]
+        return np.stack([np.count_nonzero(
+            decode_block(received[:, cols], estimates[:, cols], scale,
+                         modulation, w) != sent, axis=0)
+            for cols, w in zip((slice(n_l), slice(n_l, None)), noise)])
 
     errors = _run_blocks(one_block, trials, seed)
-    err_lr, err_ur = (int(x) for x in errors.sum(axis=0))
+    err_lr, err_ur = (int(x) for x in errors.sum(axis=1))
     n_symbols = CODE_SYMBOLS * trials
     return SerReport(
         ser_lr=err_lr / n_symbols,

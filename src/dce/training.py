@@ -1,8 +1,10 @@
 r"""Channel sampling and the training-phase statistics.
 
-Every function works on stacks of trials with a leading trial axis, e.g.
-``h_d`` is (T, n_t, n_l).  Each pilot phase returns what its receiver's
-filter reads, not the tau-slot block it receives.  A pilot phase sends
+Every function works on (rows, cols, T) stacks, the trial axis last and
+never moved: the downlinks [H_d, G] are one (n_t, n_l + n_u, T) array and
+H_u is (n_l, n_t, T); a product of two stacks is a loop of broadcast
+multiply-adds (``_add_product``).  Each pilot phase returns what its
+receiver's filter reads, not the tau-slot block it receives.  A pilot phase sends
 X = sqrt(E/n) C for a tau x n pilot with C^H C = I_n, and a receiver's
 LMMSE filter reads its block Y = X Z + A N^H Z' + W only through
 C^H Y = sqrt(E/n) Z + (C^H A) N^H Z' + C^H W.  C^H has orthonormal rows, so
@@ -16,8 +18,8 @@ scaled unitary probe gives the same joint law of channels and estimates
 
 The forward phase never builds the AN basis: ``null_space_basis`` computes
 the Householder reflectors of each estimate's QR factorization itself, on
-the trial axis with no per-matrix LAPACK call, and applies them straight to
-the receivers' channels.  n_t > n_l, so every estimate has a left null
+the whole stack with no per-matrix LAPACK call, and applies them straight
+to the receivers' channels.  n_t > n_l, so every estimate has a left null
 space, and the basis nulls it whatever its rank: nothing is rank-tested.
 """
 
@@ -32,25 +34,38 @@ from .rng import complex_gaussian
 
 
 def sample_channels(params: SystemParams, mode: str, rng: np.random.Generator,
-                    trials: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    trials: int) -> Tuple[np.ndarray, np.ndarray]:
     """Draw ``trials`` i.i.d. complex-Gaussian channel realizations.
 
-    Returns ``(h_d, h_u, g)``: the (T, n_t, n_l) downlink to the LR, the
-    (T, n_l, n_t) uplink and the (T, n_t, n_u) downlink to the UR.
-    Reciprocal mode sets the uplink to the plain transpose of the downlink;
-    non-reciprocal mode draws independent downlink and uplink matrices with
-    their own variances.
+    Returns ``(channels, h_u)``: the downlinks [H_d, G] to the LR and the
+    UR side by side, (n_t, n_l + n_u, T) from one draw, and the (n_l, n_t,
+    T) uplink.  Reciprocal mode sets the uplink to the plain transpose of
+    H_d, a view; non-reciprocal mode draws it independently, with its own
+    variance, after the downlinks.
     """
-    if mode == RECIPROCAL:
-        h_d = complex_gaussian(rng, (trials, params.n_t, params.n_l), params.var_h)
-        h_u = np.swapaxes(h_d, -1, -2)
-    elif mode == NON_RECIPROCAL:
-        h_d = complex_gaussian(rng, (trials, params.n_t, params.n_l), params.var_hd)
-        h_u = complex_gaussian(rng, (trials, params.n_l, params.n_t), params.var_hu)
-    else:
+    if mode not in (RECIPROCAL, NON_RECIPROCAL):
         raise ValueError(f"unknown mode {mode!r}")
-    g = complex_gaussian(rng, (trials, params.n_t, params.n_u), params.var_g)
-    return h_d, h_u, g
+    n_t, n_l = params.n_t, params.n_l
+    var_d = params.var_h if mode == RECIPROCAL else params.var_hd
+    channels = complex_gaussian(rng, (n_t, n_l + params.n_u, trials))
+    channels[:, :n_l] *= np.sqrt(var_d)
+    channels[:, n_l:] *= np.sqrt(params.var_g)
+    if mode == RECIPROCAL:
+        return channels, channels[:, :n_l].swapaxes(0, 1)
+    return channels, complex_gaussian(rng, (n_l, n_t, trials), params.var_hu)
+
+
+def _add_product(out: np.ndarray, a: np.ndarray, b) -> np.ndarray:
+    """``out`` += a b for trial-last stacks a (n, k, T), b (k, m, T) (or
+    the list of its k rows) and ``out`` (n, m, T): per row of ``out``, k
+    broadcast multiply-adds of an entry of a (T) times a row of b (m, T),
+    which stay in cache.  A stacked ``@`` runs one tiny GEMM per trial."""
+    term = np.empty_like(out[0])
+    for a_i, out_i in zip(a, out):
+        for a_ik, b_k in zip(a_i, b):
+            np.multiply(a_ik, b_k, out=term)
+            out_i += term
+    return out
 
 
 def _householder(a: np.ndarray, n_l: int) -> None:
@@ -89,12 +104,12 @@ def _householder(a: np.ndarray, n_l: int) -> None:
 
 
 def null_space_basis(h_hat: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """N^H m: the stack ``m`` (..., n_t, M) seen through orthonormal bases
-    N (..., n_t, n_t-n_l) of the left null spaces of a stack of estimates
-    (..., n_t, n_l).  ``m`` may also be one (n_t, M) matrix for the whole
-    stack; with the identity it gives N^H itself.
+    """N^H m (n_t-n_l, M, ...): the stack ``m`` (n_t, M, ...) seen through
+    orthonormal bases N (n_t, n_t-n_l, ...) of the left null spaces of a
+    stack of estimates (n_t, n_l, ...), the trial axes last.  ``m`` may be
+    one (n_t, M) matrix for the whole stack; the identity gives N^H itself.
 
-    N^H h_hat = 0 and N^H N = I to rounding on every row, whatever its
+    N^H h_hat = 0 and N^H N = I to rounding for every trial, whatever its
     rank.  n_t > n_l, so the left null space has at least n_t-n_l
     dimensions, and a rank loss only enlarges it: then N is one
     orthonormal (n_t-n_l)-frame inside it, chosen by rounding.  A zero
@@ -104,36 +119,33 @@ def null_space_basis(h_hat: np.ndarray, m: np.ndarray) -> np.ndarray:
     N is the trailing n_t-n_l columns of Q in the complete QR h_hat = Q R,
     with Q = H_1 ... H_{n_l} the product of n_l Householder reflectors
     H_k = I - tau_k v_k v_k^H.  ``_householder`` computes them column by
-    column on [h_hat, m] with the trial axis last, in the convention of
-    LAPACK's zlarfg (the routine geqrf calls per column), and applies each
-    H_k^H to the columns to its right.  Q is never formed: N^H m is the
-    trailing n_t-n_l rows of Q^H m.  ungqr would build Q from the same
-    reflectors, so this is its N up to rounding.  zlarfg's one branch,
-    tau_k = 0 where v_k's tail and Im alpha vanish, cannot move N either:
-    a zero-tail reflector touches only coordinate k < n_l, a row of the
-    range of h_hat, and the later reflectors leave that row of
-    [0; I_{n_t-n_l}] zero, so N is the same whatever tau_k it takes.
-    Unlike LAPACK's norms, the column norms square entries unscaled, so
-    entries beyond about 1e150 in magnitude overflow (with a numpy
-    RuntimeWarning) and give non-finite rows, which the Monte Carlo
-    rejects (``montecarlo._run_blocks``); the estimates here are of the
-    order of the channels.
+    column on [h_hat, m], in the convention of LAPACK's zlarfg (the routine
+    geqrf calls per column), and applies each H_k^H to the columns to its
+    right.  Q is never formed: N^H m is the trailing n_t-n_l rows of Q^H m.
+    ungqr would build Q from the same reflectors, so this is its N up to
+    rounding.  zlarfg's one branch, tau_k = 0 where v_k's tail and Im alpha
+    vanish, cannot move N either: a zero-tail reflector touches only
+    coordinate k < n_l, a row of the range of h_hat, and the later
+    reflectors leave that row of [0; I_{n_t-n_l}] zero, so N is the same
+    whatever tau_k it takes.  Unlike LAPACK's norms, the column norms
+    square entries unscaled, so entries beyond about 1e150 in magnitude
+    overflow (with a numpy RuntimeWarning) and give non-finite trials,
+    which the Monte Carlo rejects (``montecarlo._run_blocks``); the
+    estimates here are of the order of the channels.
     """
-    n_t, n_l = h_hat.shape[-2:]
-    lead, cols = h_hat.shape[:-2], m.shape[-1]
-    stack = h_hat.reshape((-1, n_t, n_l))
-    a = np.empty((n_t, n_l + cols, len(stack)), dtype=complex)
-    a_trials = a.transpose(2, 0, 1)  # the same block, trial axis first
-    a_trials[..., :n_l] = stack
-    a_trials[..., n_l:] = m.reshape((-1, n_t, cols))
+    n_t, n_l = h_hat.shape[:2]
+    stack, cols = h_hat.reshape((n_t, n_l, -1)), m.shape[1]
+    a = np.empty((n_t, n_l + cols, stack.shape[2]), dtype=complex)
+    a[:, :n_l] = stack
+    a[:, n_l:] = m.reshape((n_t, cols, -1))
     _householder(a, n_l)
-    return a[n_l:, n_l:].transpose(2, 0, 1).reshape(lead + (n_t - n_l, cols))
+    return a[n_l:, n_l:].reshape((n_t - n_l, cols) + h_hat.shape[2:])
 
 
 def reverse_training(params: SystemParams, alloc: PowerAllocation,
                      h_u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     r"""LR-to-transmitter pilot phase; returns the transmitter's statistic
-    ``y_t`` = sqrt(e/n_l) H_u + CN(0, var_wt), (T, n_l, n_t).
+    ``y_t`` = sqrt(e/n_l) H_u + CN(0, var_wt), (n_l, n_t, T).
 
     The uplink H_u is H^T in the reciprocal scheme, whose energy e is e_r;
     the echo scheme sends e_2 over its own uplink.
@@ -153,7 +165,8 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
                         h_d: np.ndarray, h_u: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
     r"""Transmitter probe + LR echo (non-reciprocal scheme only); returns
-    the (T, n_t, n_t) stack ``y_t1`` the transmitter receives.
+    the (n_t, n_t, T) stack ``y_t1`` the transmitter receives, for the LR's
+    downlink ``h_d`` (n_t, n_l, T) and uplink ``h_u`` (n_l, n_t, T).
 
     The probe is X_t0 = sqrt(e_0/n_t) I, so trace(X_t0^H X_t0) = e_0 as
     required, and it enters as that scalar.  The LR receives
@@ -171,38 +184,36 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
     """
     if alloc.scheme != NON_RECIPROCAL:
         raise ValueError("round-trip training exists only in the non-reciprocal scheme")
-    n_t, trials = params.n_t, h_d.shape[0]
-    # the probe is square, so the round trip takes n_t slots
-    w_0 = complex_gaussian(rng, (trials, n_t, params.n_l), params.var_w)
-    y_l0 = np.sqrt(alloc.e_0 / n_t) * h_d + w_0
-    alpha = echo_gain(params, alloc.e_0, alloc.e_1)
-    w_1 = complex_gaussian(rng, (trials, n_t, n_t), params.var_wt)
-    return alpha * (y_l0 @ h_u) + w_1
+    n_t, trials = params.n_t, h_d.shape[-1]
+    # alpha Y_L0; the probe is square, so the round trip takes n_t slots
+    y_l0 = complex_gaussian(rng, (n_t, params.n_l, trials), params.var_w)
+    y_l0 += np.sqrt(alloc.e_0 / n_t) * h_d
+    y_l0 *= echo_gain(params, alloc.e_0, alloc.e_1)
+    y_t1 = complex_gaussian(rng, (n_t, n_t, trials), params.var_wt)
+    return _add_product(y_t1, y_l0, h_u)
 
 
 def forward_training(params: SystemParams, alloc: PowerAllocation,
-                     span: Optional[np.ndarray], h_d: np.ndarray,
-                     g: np.ndarray, rng: np.random.Generator,
-                     ) -> Tuple[np.ndarray, np.ndarray]:
+                     span: Optional[np.ndarray], channels: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
     r"""Transmitter-to-receivers phase with AN in the estimated null space.
 
     The transmitter sends sqrt(E/n_t) C_t + A N^H, where N is the null-space
-    basis of each trial's ``span`` (None without AN), any (T, n_t, n_l)
+    basis of each trial's ``span`` (None without AN), any (n_t, n_l, T)
     stack with the column space of the transmitter's downlink estimate, the
     estimate itself included, and the n_t x (n_t - n_l) statistic C_t^H A
-    is drawn as A, per-entry variance var_a.  With both receivers' channels side by side as H = [H_d, G], they
-    read sqrt(E/n_t) H + A (N^H H) plus their own noise, and
-    ``null_space_basis`` hands back N^H H directly.  Returns
-    ``(y_l, y_u)``, the (T, n_t, n_l) and (T, n_t, n_u) statistics.
+    is drawn as A, per-entry variance var_a.  The receivers' channels
+    H = [H_d, G] come side by side, as ``sample_channels`` draws them, so
+    they read sqrt(E/n_t) H + A (N^H H) plus their own noise, and
+    ``null_space_basis`` hands back N^H H directly.  Returns their
+    statistics side by side, (n_t, n_l + n_u, T), the LR's first.
     """
-    n_t, n_l, trials = params.n_t, params.n_l, h_d.shape[0]
-    channels = np.concatenate([h_d, g], axis=-1)
+    n_t, n_l, trials = params.n_t, params.n_l, channels.shape[-1]
     received = np.sqrt(alloc.forward / n_t) * channels
     if alloc.var_a > 0:
-        a = complex_gaussian(rng, (trials, n_t, n_t - n_l), alloc.var_a)
-        received += a @ null_space_basis(span, channels)
-    w = complex_gaussian(rng, (trials, n_t, n_l), params.var_w)
-    w += received[..., :n_l]
-    v = complex_gaussian(rng, (trials, n_t, params.n_u), params.var_v)
-    v += received[..., n_l:]
-    return w, v
+        a = complex_gaussian(rng, (n_t, n_t - n_l, trials), alloc.var_a)
+        _add_product(received, a, null_space_basis(span, channels))
+    received[:, :n_l] += complex_gaussian(rng, (n_t, n_l, trials), params.var_w)
+    received[:, n_l:] += complex_gaussian(rng, (n_t, params.n_u, trials),
+                                          params.var_v)
+    return received

@@ -65,7 +65,10 @@ def judge(golden, old: str, new: str) -> tuple:
     for i, col, a, b, is_moved in cells:
         where = f"{golden.file} {'header' if i is None else f'row {i}'} {col}"
         line, ratio = f"{where:40s} {a:>24} {b:>24}", math.nan
-        if i is not None and float_cell(a) and float_cell(b):
+        # a SER rate pinned at 0 prints as "0", which float_cell reads as an
+        # integer; it still gets its binomial half-width
+        if i is not None and (float_cell(a) and float_cell(b) or
+                              golden.rule == DRAWS and col.startswith("ser_")):
             rel = abs(float(b) - float(a)) / abs(float(a)) if float(a) else math.inf
             line += f" rel {rel:.1e}"
             if golden.rule == DRAWS:

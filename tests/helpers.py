@@ -24,6 +24,17 @@ def dft_pilot(tau: int, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * j * k / tau) / np.sqrt(tau)
 
 
+def trials_first(x: np.ndarray) -> np.ndarray:
+    """A trial-last (rows, cols, T) stack as the (T, rows, cols) view that
+    per-trial references written with ``@`` and ``np.linalg`` work on."""
+    return np.moveaxis(x, -1, 0)
+
+
+def trials_last(x: np.ndarray) -> np.ndarray:
+    """A (T, rows, cols) stack as the trial-last view ``dce`` works on."""
+    return np.moveaxis(x, 0, -1)
+
+
 # Every golden under golden/: its file, its rule (tests/golden/repin.py
 # applies them), and the `dce` command line that prints it with the
 # geometry config that command reads, or None for the condensation panel.

@@ -38,7 +38,7 @@ from dce.training import (
     round_trip_training,
     sample_channels,
 )
-from helpers import dft_pilot
+from helpers import dft_pilot, trials_first, trials_last
 from reference_estimators import (tx_estimate_downlink, tx_estimate_reciprocal,
                                   tx_estimate_uplink)
 
@@ -49,6 +49,13 @@ def _gains(params, alloc):
     """The LR's and the UR's forward-phase gains."""
     (gain_l, _), (gain_u, _) = forward_filters(params, alloc, "printed")
     return gain_l, gain_u
+
+
+def _split(params, channels, y):
+    """(h_d, g, y_l, y_u): the receivers' column blocks of the channels
+    [h_d, g] and of the forward statistics."""
+    n_l = params.n_l
+    return channels[:, :n_l], channels[:, n_l:], y[:, :n_l], y[:, n_l:]
 
 
 def _empirical_mse(run_stack, trials=TRIALS, seed=0):
@@ -62,10 +69,10 @@ def _empirical_mse(run_stack, trials=TRIALS, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_tx_reciprocal_zero_energy(defaults, rng):
-    _, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, 3)
+    _, h_u = sample_channels(defaults, RECIPROCAL, rng, 3)
     y_t = reverse_training(defaults, reciprocal_allocation(0.0, 1.0), h_u, rng)
     out = tx_estimate_reciprocal(y_t, defaults, 0.0)
-    assert out.shape == (3, 4, 2)
+    assert out.shape == (4, 2, 3)
     np.testing.assert_array_equal(out, 0.0)  # prior mean
     assert tx_error_var_reciprocal(defaults, 0.0) == pytest.approx(defaults.var_h)
 
@@ -79,9 +86,10 @@ def test_tx_reciprocal_empirical_agreement(defaults):
     alloc = reciprocal_allocation(2.0, 4.0)
 
     def stack(rng, n):
-        h_d, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, n)
+        channels, h_u = sample_channels(defaults, RECIPROCAL, rng, n)
         y_t = reverse_training(defaults, alloc, h_u, rng)
-        return tx_estimate_reciprocal(y_t, defaults, alloc.e_r), h_d
+        return (tx_estimate_reciprocal(y_t, defaults, alloc.e_r),
+                channels[:, :defaults.n_l])
 
     assert _empirical_mse(stack) == pytest.approx(0.5, rel=0.02)
 
@@ -110,8 +118,9 @@ def test_lr_reciprocal_no_an_agreement(defaults):
     alloc = reciprocal_allocation(0.0, 4.0, var_a=0.0)
 
     def stack(rng, n):
-        h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, n)
-        y_l, _ = forward_training(defaults, alloc, h_d, h_d, g, rng)
+        channels, _ = sample_channels(defaults, RECIPROCAL, rng, n)
+        h_d, _, y_l, _ = _split(defaults, channels, forward_training(
+            defaults, alloc, channels[:, :defaults.n_l], channels, rng))
         return _gains(defaults, alloc)[0] * y_l, h_d
 
     mse = _empirical_mse(stack)
@@ -124,10 +133,11 @@ def test_lr_reciprocal_with_an_agreement(defaults):
     analytic = 1.0 / (1.0 / 1.0 + (4.0 / 4.0) / 2.0)  # 2/3
 
     def stack(rng, n):
-        h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, n)
+        channels, h_u = sample_channels(defaults, RECIPROCAL, rng, n)
         y_t = reverse_training(defaults, alloc, h_u, rng)
         h_hat = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
-        y_l, _ = forward_training(defaults, alloc, h_hat, h_d, g, rng)
+        h_d, _, y_l, _ = _split(defaults, channels, forward_training(
+            defaults, alloc, h_hat, channels, rng))
         return _gains(defaults, alloc)[0] * y_l, h_d
 
     assert _empirical_mse(stack) == pytest.approx(analytic, rel=0.02)
@@ -153,10 +163,11 @@ def test_ur_empirical_agreement(defaults):
     alloc = reciprocal_allocation(2.0, 4.0, var_a=1.0)
 
     def stack(rng, n):
-        h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, n)
+        channels, h_u = sample_channels(defaults, RECIPROCAL, rng, n)
         y_t = reverse_training(defaults, alloc, h_u, rng)
         h_hat = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
-        _, y_u = forward_training(defaults, alloc, h_hat, h_d, g, rng)
+        _, g, _, y_u = _split(defaults, channels, forward_training(
+            defaults, alloc, h_hat, channels, rng))
         return _gains(defaults, alloc)[1] * y_u, g
 
     assert _empirical_mse(stack) == pytest.approx(0.75, rel=0.02)
@@ -179,7 +190,7 @@ def test_tx_uplink_empirical_agreement(defaults):
     alloc = nonreciprocal_allocation(0.0, 0.0, 2.0, 0.0)
 
     def stack(rng, n):
-        _, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, n)
+        _, h_u = sample_channels(defaults, NON_RECIPROCAL, rng, n)
         y_t = reverse_training(defaults, alloc, h_u, rng)
         return tx_estimate_uplink(y_t, defaults, alloc.e_2), h_u
 
@@ -200,7 +211,8 @@ def test_downlink_noiseless_consistency():
     quiet = default_params(var_w=1e-12, var_wt=1e-12)
     alloc = nonreciprocal_allocation(1e6, 1e6, 1e6, 1.0)
     rng = np.random.default_rng(21)
-    h_d, h_u, _ = sample_channels(quiet, NON_RECIPROCAL, rng, 4)
+    channels, h_u = sample_channels(quiet, NON_RECIPROCAL, rng, 4)
+    h_d = channels[:, :quiet.n_l]
     y_t = reverse_training(quiet, alloc, h_u, rng)
     hu_hat = tx_estimate_uplink(y_t, quiet, alloc.e_2)
     y_t1 = round_trip_training(quiet, alloc, h_d, h_u, rng)
@@ -215,9 +227,9 @@ def test_downlink_conditional_mse_matches_trace(defaults):
     at 1e4 trials."""
     alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0)
     setup_rng = np.random.default_rng(31)
-    _, h_u0, _ = sample_channels(defaults, NON_RECIPROCAL, setup_rng, 1)
+    _, h_u0 = sample_channels(defaults, NON_RECIPROCAL, setup_rng, 1)
     y_t = reverse_training(defaults, alloc, h_u0, setup_rng)
-    hu_hat = tx_estimate_uplink(y_t, defaults, alloc.e_2)[0]
+    hu_hat = tx_estimate_uplink(y_t, defaults, alloc.e_2)[..., 0]
     n_l = defaults.n_l
     m = hu_hat.conj() @ hu_hat.T
     shrink = m @ np.linalg.inv(m + downlink_beta(defaults, alloc) * np.eye(n_l))
@@ -230,13 +242,13 @@ def test_downlink_conditional_mse_matches_trace(defaults):
     eps2 = tx_error_var_uplink(defaults, alloc.e_2)
     rng = np.random.default_rng(32)
     trials = TRIALS
-    h_u = hu_hat + complex_gaussian(rng, (trials, *hu_hat.shape), eps2)
-    h_d = complex_gaussian(rng, (trials, defaults.n_t, defaults.n_l),
+    h_u = hu_hat[..., None] + complex_gaussian(rng, (*hu_hat.shape, trials), eps2)
+    h_d = complex_gaussian(rng, (defaults.n_t, defaults.n_l, trials),
                            defaults.var_hd)
     y_t1 = round_trip_training(defaults, alloc, h_d, h_u, rng)
     out = tx_estimate_downlink(
-        y_t1, np.broadcast_to(hu_hat, h_u.shape), defaults, alloc)
-    acc = np.sum(np.mean(np.abs(out - h_d) ** 2, axis=(1, 2)))
+        y_t1, np.broadcast_to(hu_hat[..., None], h_u.shape), defaults, alloc)
+    acc = np.sum(np.mean(np.abs(out - h_d) ** 2, axis=(0, 1)))
     assert acc / trials == pytest.approx(conditional_nmse, rel=0.03)
 
 
@@ -259,7 +271,8 @@ def test_fixed_probe_reproduces_haar_probe(defaults):
     alloc = nonreciprocal_allocation(3.0, 5.0, 2.0, 6.0, var_a=0.4)
     p, trials = defaults, 64
     rng = np.random.default_rng(51)
-    h_d, h_u, _ = sample_channels(p, NON_RECIPROCAL, rng, trials)
+    channels, h_u = sample_channels(p, NON_RECIPROCAL, rng, trials)
+    h_d = channels[:, :p.n_l]
     y_t = reverse_training(p, alloc, h_u, rng)
     hu_hat = tx_estimate_uplink(y_t, p, alloc.e_2)
     q = _haar_unitaries(rng, trials, p.n_t)
@@ -268,15 +281,16 @@ def test_fixed_probe_reproduces_haar_probe(defaults):
     fixed = tx_estimate_downlink(y_t1, hu_hat, p, alloc)
 
     rng.bit_generator.state = state
-    w_0 = complex_gaussian(rng, (trials, p.n_t, p.n_l), p.var_w)
-    w_1 = complex_gaussian(rng, (trials, p.n_t, p.n_t), p.var_wt)
+    w_0 = trials_first(complex_gaussian(rng, (p.n_t, p.n_l, trials), p.var_w))
+    w_1 = trials_first(complex_gaussian(rng, (p.n_t, p.n_t, trials), p.var_wt))
     x_haar = np.sqrt(alloc.e_0 / p.n_t) * q
     alpha = echo_gain(p, alloc.e_0, alloc.e_1)
-    y_haar = alpha * (x_haar @ h_d + q @ w_0) @ h_u + q @ w_1
-    haar = tx_estimate_downlink(np.conj(np.swapaxes(q, 1, 2)) @ y_haar, hu_hat,
-                                p, alloc)
-    rel = (np.linalg.norm(fixed - haar, axis=(1, 2))
-           / np.linalg.norm(haar, axis=(1, 2)))
+    y_haar = (alpha * (x_haar @ trials_first(h_d) + q @ w_0) @ trials_first(h_u)
+              + q @ w_1)
+    haar = tx_estimate_downlink(trials_last(np.conj(np.swapaxes(q, 1, 2)) @ y_haar),
+                                hu_hat, p, alloc)
+    rel = (np.linalg.norm(fixed - haar, axis=(0, 1))
+           / np.linalg.norm(haar, axis=(0, 1)))
     assert rel.max() <= 1e-13
 
 
@@ -352,15 +366,16 @@ def test_error_estimate_orthogonality(defaults):
     """|corr(estimate, error)| <= 0.03 at 1e4 trials for each estimator."""
     alloc = reciprocal_allocation(2.0, 4.0, var_a=1.0)
     rng = np.random.default_rng(23)
-    h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, TRIALS)
+    channels, h_u = sample_channels(defaults, RECIPROCAL, rng, TRIALS)
     y_t = reverse_training(defaults, alloc, h_u, rng)
     tx = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
-    y_l, y_u = forward_training(defaults, alloc, tx, h_d, g, rng)
+    h_d, g, y_l, y_u = _split(defaults, channels,
+                              forward_training(defaults, alloc, tx, channels, rng))
     gain_l, gain_u = _gains(defaults, alloc)
     lr, ur = gain_l * y_l, gain_u * y_u
     pairs = {"tx": (tx, h_d), "lr": (lr, h_d), "ur": (ur, g)}
     for name, (stack, truth) in pairs.items():
-        est, err = stack[:, 0, 0], stack[:, 0, 0] - truth[:, 0, 0]
+        est, err = stack[0, 0], stack[0, 0] - truth[0, 0]
         rho = np.mean(est * np.conj(err)) / np.sqrt(
             np.mean(np.abs(est) ** 2) * np.mean(np.abs(err) ** 2))
         assert abs(rho) <= 0.03, f"{name} estimator violates orthogonality: {rho}"
@@ -395,7 +410,8 @@ def test_downlink_matches_svd_reference(defaults, alloc):
     far *= np.sqrt(1e15 * beta / np.sum(np.abs(far) ** 2))
     hu = np.concatenate([hu, far])
     y_t1 = complex_gaussian(rng, (401, 4, 4))
-    est = tx_estimate_downlink(y_t1, hu, defaults, alloc)
+    est = trials_first(tx_estimate_downlink(trials_last(y_t1), trials_last(hu),
+                                            defaults, alloc))
 
     u, s, vh = np.linalg.svd(hu, full_matrices=False)
     gain = defaults.var_hd / (echo_gain(defaults, alloc.e_0, alloc.e_1)

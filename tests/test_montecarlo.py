@@ -33,6 +33,7 @@ from dce.rng import complex_gaussian, trial_rng
 from dce.training import forward_training, null_space_basis
 from reference_estimators import (tx_estimate_downlink, tx_estimate_reciprocal,
                                   tx_estimate_uplink)
+from helpers import trials_first, trials_last
 from reference_ostbc import block_domain_errors
 
 
@@ -79,9 +80,9 @@ def test_degenerate_trial_raises_on_first_draw(defaults, experiment, monkeypatch
 
     def one_degenerate(span, m):
         seen = basis(span, m)
-        calls.append(span.shape[0])
+        calls.append(span.shape[-1])
         if len(calls) == 2:   # block 1's draw
-            seen[44] = np.nan
+            seen[..., 44] = np.nan
         return seen
 
     def spy(*key):
@@ -125,18 +126,47 @@ def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme):
     (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc, "printed")
 
     def one_block(rng, n):
-        h_d, g, lr, ur = montecarlo._estimation_round(
+        channels, estimates = montecarlo._estimation_round(
             defaults, alloc, rng, n, gain_l, gain_u)
-        return np.concatenate([lr, ur, h_d, g], axis=-1).reshape(n, -1)
+        return np.concatenate([estimates, channels], axis=1).reshape(-1, n)
 
     trials, seed = 600, 11
     joint = montecarlo._run_blocks(one_block, trials, seed)
-    assert joint.shape[0] == trials
+    assert joint.shape[1] == trials
     starts = list(enumerate(range(0, trials, BLOCK_TRIALS)))
     for block, start in reversed(starts):
         n = min(BLOCK_TRIALS, trials - start)
         alone = one_block(trial_rng(seed, block), n)
-        np.testing.assert_array_equal(joint[start:start + n], alone)
+        np.testing.assert_array_equal(joint[:, start:start + n], alone)
+
+
+@pytest.mark.parametrize("scheme,per_trial", [(RECIPROCAL, 48), (NON_RECIPROCAL, 80)],
+                         ids=["recip", "echo"])
+def test_each_trial_draws_a_fixed_number_of_normals(defaults, scheme, per_trial,
+                                                    monkeypatch):
+    """Every block of a 600-trial NMSE run draws per_trial complex normals
+    per trial from its substream, and nothing else.  At 4x2x2 with every
+    pilot and AN that is 48 for the reciprocal scheme (H_d and G 16, the
+    reverse noise 8, A, W and V 8 each) and 80 for the echo scheme (H_u
+    8 and the round trip's W_0 8 and W_1 16 besides).  A change that
+    quietly draws more, or draws another way, fails here."""
+    counts = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size):
+            counts[-1] += int(np.prod(size))
+            return self.rng.standard_normal(size)
+
+    def counting(seed, block):
+        counts.append(0)
+        return Counting(trial_rng(seed, block))
+
+    monkeypatch.setattr(montecarlo, "trial_rng", counting)
+    run_nmse_experiment(defaults, _informed_allocation(scheme), trials=600, seed=3)
+    assert counts == [2 * per_trial * n for n in (256, 256, 88)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +190,8 @@ def _span_and_estimate(params, alloc, trials, seed):
     transmitter's LMMSE estimate (the reference estimators) from the same
     draws, which the span must make exactly."""
     rng = np.random.default_rng(seed)
-    h_d, h_u, g = training.sample_channels(params, alloc.scheme, rng, trials)
+    channels, h_u = training.sample_channels(params, alloc.scheme, rng, trials)
+    h_d = channels[:, :params.n_l]
     replay = np.random.default_rng()
     replay.bit_generator.state = rng.bit_generator.state
     span = montecarlo._estimate_span(params, alloc, h_d, h_u, rng)
@@ -172,7 +203,7 @@ def _span_and_estimate(params, alloc, trials, seed):
         estimate = tx_estimate_downlink(
             y_t1, tx_estimate_uplink(y_t, params, alloc.e_2), params, alloc)
     assert rng.random() == replay.random()
-    return h_d, g, span, estimate
+    return channels, span, estimate
 
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
@@ -187,25 +218,26 @@ def test_span_gives_the_estimates_an(scheme, n_t, n_l, monkeypatch):
     params = default_params(n_t=n_t, n_l=n_l, n_u=n_l)
     alloc = _informed_allocation(scheme)
     trials = 64
-    h_d, g, span, estimate = _span_and_estimate(params, alloc, trials, seed=n_t)
+    channels, span, estimate = _span_and_estimate(params, alloc, trials, seed=n_t)
     eye = np.eye(n_t)
-    u = null_space_basis(span, eye) @ _hermitian(null_space_basis(estimate, eye))
+    u = (trials_first(null_space_basis(span, eye))
+         @ _hermitian(trials_first(null_space_basis(estimate, eye))))
     np.testing.assert_allclose(np.linalg.svd(u, compute_uv=False), 1.0,
                                rtol=0, atol=1e-12)
 
-    from_span = forward_training(params, alloc, span, h_d, g,
+    from_span = forward_training(params, alloc, span, channels,
                                  np.random.default_rng(7))
     draw, shapes = training.complex_gaussian, []
 
     def rotated(rng, shape, var=1.0):   # the phase's first draw is its AN
         shapes.append(shape)
         x = draw(rng, shape, var)
-        return x @ u if len(shapes) == 1 else x
+        return trials_last(trials_first(x) @ u) if len(shapes) == 1 else x
 
     monkeypatch.setattr(training, "complex_gaussian", rotated)
-    from_estimate = forward_training(params, alloc, estimate, h_d, g,
+    from_estimate = forward_training(params, alloc, estimate, channels,
                                      np.random.default_rng(7))
-    assert shapes[0] == (trials, n_t, n_t - n_l)
+    assert shapes[0] == (n_t, n_t - n_l, trials)
     for got, want in zip(from_span, from_estimate):
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
@@ -379,7 +411,7 @@ def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
 
     def capture(block_fn, trials, seed):
         captured["block_fn"] = block_fn
-        return np.zeros((trials, 2), dtype=int)
+        return np.zeros((2, trials), dtype=int)
 
     monkeypatch.setattr(montecarlo, "_run_blocks", capture)
     run_ser_experiment(defaults, 0.1, modulation=64, trials=40, scheme=scheme)
@@ -388,19 +420,20 @@ def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
 
     alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
     (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc, "printed")
-    h_d, g, lr_est, ur_est = montecarlo._estimation_round(
+    channels, estimates = montecarlo._estimation_round(
         defaults, alloc, replay, 40, gain_l, gain_u)
     pts = qam_constellation(64)
     scale = block_scale(defaults.p_ave)
     sent = replay.integers(0, 64, size=(CODE_SYMBOLS, 40))
     noise = [complex_gaussian(replay, (CODE_SYMBOLS, 40), var)
              for var in (defaults.var_w, defaults.var_v)]
+    n_l = defaults.n_l
     want = [np.count_nonzero(decode_block(
-        encode_block(pts[sent], np.moveaxis(h, 0, -1), scale),
-        np.moveaxis(est, 0, -1), scale, 64, w) != sent, axis=0)
-        for h, est, w in ((h_d, lr_est, noise[0]), (g, ur_est, noise[1]))]
-    np.testing.assert_array_equal(errors, np.stack(want, axis=1))
-    assert errors[:, 1].sum() > 0   # the comparison sees decoding errors
+        encode_block(pts[sent], channels[:, cols], scale),
+        estimates[:, cols], scale, 64, w) != sent, axis=0)
+        for cols, w in ((slice(None, n_l), noise[0]), (slice(n_l, None), noise[1]))]
+    np.testing.assert_array_equal(errors, np.stack(want))
+    assert errors[1].sum() > 0   # the comparison sees decoding errors
     assert rng.random() == replay.random()
 
 
@@ -419,15 +452,18 @@ def test_ser_matches_block_domain_reference(defaults, scheme):
     scale = block_scale(defaults.p_ave)
 
     def reference_block(rng, n):
-        h_d, g, lr_est, ur_est = montecarlo._estimation_round(
+        channels, estimates = montecarlo._estimation_round(
             defaults, alloc, rng, n, gain_l, gain_u)
-        return block_domain_errors(rng, defaults, 64, scale, h_d, g,
-                                   lr_est, ur_est)
+        n_l = defaults.n_l
+        return block_domain_errors(
+            rng, defaults, 64, scale, trials_first(channels[:, :n_l]),
+            trials_first(channels[:, n_l:]), trials_first(estimates[:, :n_l]),
+            trials_first(estimates[:, n_l:])).T
 
     errors = montecarlo._run_blocks(reference_block, trials, seed)
     symbols = CODE_SYMBOLS * trials
-    for got, ref_errors in ((report.ser_lr, errors[:, 0]),
-                            (report.ser_ur, errors[:, 1])):
+    for got, ref_errors in ((report.ser_lr, errors[0]),
+                            (report.ser_ur, errors[1])):
         ref = ref_errors.sum() / symbols
         se = np.sqrt((got * (1 - got) + ref * (1 - ref)) / symbols)
         assert 0 < ref < 1

@@ -28,6 +28,9 @@ def _panel(objective, rounds, t="1.5"):
 CASES = {
     "draws-cell-moves": (DRAWS, "mc.csv", "ser_lr,trials\r\n0.1,1000\r\n",
                          "ser_lr,trials\r\n0.12,1000\r\n", True, "|d|/hw95 1.7  MOVED"),
+    "draws-ser-cell-leaves-zero": (DRAWS, "mc.csv", "ser_lr,trials\n0,1000\n",
+                                   "ser_lr,trials\n0.006,1000\n", True,
+                                   "rel inf  |d|/hw95 2.2  MOVED"),
     "draws-column-added": (DRAWS, "mc.csv", "scheme,nmse\nreciprocal,0.5\n",
                            "scheme,nmse,hw95\nreciprocal,0.50000000000001,0.01\n",
                            True, "rel 2.0e-14\n"),

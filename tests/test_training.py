@@ -1,5 +1,6 @@
 """Channel sampling, null-space computation, and the three training phases,
-all on stacks of trials."""
+all on trial-last stacks of trials.  The per-trial references are written
+with ``@`` on trial-first views (``helpers.trials_first``)."""
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from dce.training import (
     round_trip_training,
     sample_channels,
 )
-from helpers import dft_pilot
+from helpers import dft_pilot, trials_first, trials_last
 
 
 def _hermitian(x):
@@ -29,9 +30,30 @@ def _hermitian(x):
 
 
 def _basis(h):
-    """The AN basis N of each estimate: the production kernel returns
+    """The AN basis N of each estimate of a trial-first stack, or of one
+    estimate: the production kernel takes trial-last stacks and returns
     N^H m, so N is (N^H I)^H."""
-    return _hermitian(null_space_basis(h, np.eye(h.shape[-2])))
+    eye = np.eye(h.shape[-2])
+    if h.ndim == 2:
+        return _hermitian(null_space_basis(h, eye))
+    return _hermitian(trials_first(null_space_basis(trials_last(h), eye)))
+
+
+def _channels(params, mode, rng, trials):
+    """``sample_channels``' draw as trial-first (h_d, h_u, g) views."""
+    channels, h_u = sample_channels(params, mode, rng, trials)
+    n_l = params.n_l
+    return (trials_first(channels[:, :n_l]), trials_first(h_u),
+            trials_first(channels[:, n_l:]))
+
+
+def _forward(params, alloc, h_d_hat, h_d, g, rng):
+    """``forward_training`` on trial-first stacks: its (y_l, y_u) as
+    trial-first views of the side-by-side statistics it returns."""
+    span = None if h_d_hat is None else trials_last(h_d_hat)
+    y = forward_training(params, alloc, span,
+                         trials_last(np.concatenate([h_d, g], axis=-1)), rng)
+    return trials_first(y[:, :params.n_l]), trials_first(y[:, params.n_l:])
 
 
 def _assert_nulls(h):
@@ -50,23 +72,35 @@ def _assert_nulls(h):
 # ---------------------------------------------------------------------------
 
 def test_reciprocal_shapes_and_transpose(defaults, rng):
-    h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, 3)
-    assert h_d.shape == (3, 4, 2)
-    assert h_u.shape == (3, 2, 4)
-    # plain transpose, no conjugate
-    np.testing.assert_array_equal(h_u, np.swapaxes(h_d, 1, 2))
-    assert g.shape == (3, 4, 2)
+    channels, h_u = sample_channels(defaults, RECIPROCAL, rng, 3)
+    assert channels.shape == (4, 4, 3)   # [h_d, g] side by side
+    assert h_u.shape == (2, 4, 3)
+    # plain transpose, no conjugate, and a view
+    np.testing.assert_array_equal(h_u, np.swapaxes(channels[:, :2], 0, 1))
+    assert np.shares_memory(h_u, channels)
 
 
 def test_channel_entry_variance(defaults):
-    h_d, _, _ = sample_channels(defaults, RECIPROCAL, np.random.default_rng(5), 10000)
+    h_d, _, _ = _channels(defaults, RECIPROCAL, np.random.default_rng(5), 10000)
     sq = np.mean(np.abs(h_d) ** 2, axis=(1, 2))
     assert 0.97 < np.mean(sq) < 1.03
 
 
+@pytest.mark.parametrize("mode", [RECIPROCAL, NON_RECIPROCAL])
+def test_channel_blocks_take_their_own_variances(mode):
+    """One draw holds [h_d, g]: each column block, and the echo scheme's
+    uplink, has its own entry variance within 3% at 10,000 trials."""
+    params = default_params(var_h=0.5, var_hd=0.25, var_hu=4.0, var_g=2.0)
+    h_d, h_u, g = _channels(params, mode, np.random.default_rng(7), 10000)
+    var_d = params.var_h if mode == RECIPROCAL else params.var_hd
+    var_u = params.var_h if mode == RECIPROCAL else params.var_hu
+    for block, var in ((h_d, var_d), (h_u, var_u), (g, params.var_g)):
+        assert np.mean(np.abs(block) ** 2) == pytest.approx(var, rel=0.03)
+
+
 def test_nonreciprocal_links_independent(defaults):
     """Sample cross-correlation between h_d and h_u entries stays near zero."""
-    h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, np.random.default_rng(6), 10000)
+    h_d, h_u, _ = _channels(defaults, NON_RECIPROCAL, np.random.default_rng(6), 10000)
     prods = h_d[:, 0, 0] * np.conj(h_u[:, 0, 0])
     assert abs(np.mean(prods)) < 0.03
 
@@ -231,7 +265,7 @@ def test_null_space_zero_row(recwarn):
     h[1] = np.eye(4, 2)
     _assert_nulls(h)
     m = np.arange(12.0).reshape(4, 3)
-    seen = null_space_basis(h, m)
+    seen = trials_first(null_space_basis(trials_last(h), m))
     assert np.all(np.isfinite(seen))
     np.testing.assert_array_equal(seen[0], m[2:])
     assert len(recwarn) == 0
@@ -242,13 +276,15 @@ def test_null_space_zero_row(recwarn):
 # ---------------------------------------------------------------------------
 
 def _fed_draws(monkeypatch, draws):
-    """Make the training module's draws return ``draws``, a list of (value,
-    variance) pairs, in order, checking each requested shape and variance.
-    Returns the queue, which is empty once the phase drew all of them."""
+    """Make the training module's draws return ``draws``, a list of
+    (trial-first value, variance) pairs, in order and trial-last, checking
+    each requested shape and variance.  Returns the queue, which is empty
+    once the phase drew all of them."""
     queue = list(draws)
 
     def draw(rng, shape, var=1.0):
         value, want_var = queue.pop(0)
+        value = trials_last(value)
         assert value.shape == tuple(shape) and var == want_var
         return value.copy()
 
@@ -295,7 +331,7 @@ def _forward_with_reference(params, alloc, h_d_hat, h_d, g, monkeypatch, tau,
                                           np.random.default_rng(seed), tau)
     with monkeypatch.context() as patch:
         queue = _fed_draws(patch, draws)
-        out = forward_training(params, alloc, h_d_hat, h_d, g, None)
+        out = _forward(params, alloc, h_d_hat, h_d, g, None)
     assert queue == []
     return out, reference
 
@@ -317,7 +353,7 @@ def test_forward_matches_transmit_block_reference(monkeypatch, scheme, n_t, n_l,
     else:
         alloc = nonreciprocal_allocation(2.0, 1.0, 2.0, 4.0, var_a=0.8)
     trials = 33
-    h_d, _, g = sample_channels(params, scheme, np.random.default_rng(40), trials)
+    h_d, _, g = _channels(params, scheme, np.random.default_rng(40), trials)
     h_d_hat = h_d + complex_gaussian(np.random.default_rng(41), h_d.shape, 0.1)
     for tau in (n_t, 2 * n_t + 1):
         (y_l, y_u), (_, ref_l, ref_u) = _forward_with_reference(
@@ -330,7 +366,7 @@ def test_forward_no_an_is_pure_pilot(defaults, rng, monkeypatch):
     """Without AN the phase needs no estimate: both receivers read the
     scaled channels plus their own noise, bit for bit, and the explicit
     transmit block is the pure pilot."""
-    h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 5)
+    h_d, _, g = _channels(defaults, RECIPROCAL, rng, 5)
     alloc = reciprocal_allocation(0.0, 4.0, var_a=0.0)
     (y_l, y_u), (x_t, ref_l, ref_u) = _forward_with_reference(
         defaults, alloc, None, h_d, g, monkeypatch, defaults.tau_f)
@@ -340,9 +376,11 @@ def test_forward_no_an_is_pure_pilot(defaults, rng, monkeypatch):
     _assert_close(y_u, ref_u, 1e-12)
     replay = np.random.default_rng()
     replay.bit_generator.state = rng.bit_generator.state
-    y_l, y_u = forward_training(defaults, alloc, None, h_d, g, rng)
-    w = complex_gaussian(replay, (5, defaults.n_t, defaults.n_l), defaults.var_w)
-    v = complex_gaussian(replay, (5, defaults.n_t, defaults.n_u), defaults.var_v)
+    y_l, y_u = _forward(defaults, alloc, None, h_d, g, rng)
+    w = trials_first(complex_gaussian(replay, (defaults.n_t, defaults.n_l, 5),
+                                      defaults.var_w))
+    v = trials_first(complex_gaussian(replay, (defaults.n_t, defaults.n_u, 5),
+                                      defaults.var_v))
     np.testing.assert_array_equal(y_l, np.sqrt(4.0 / 4) * h_d + w)
     np.testing.assert_array_equal(y_u, np.sqrt(4.0 / 4) * g + v)
     assert rng.random() == replay.random()
@@ -350,7 +388,7 @@ def test_forward_no_an_is_pure_pilot(defaults, rng, monkeypatch):
 
 def test_forward_an_invisible_at_perfect_csi(defaults, rng, monkeypatch):
     """With h_d_hat = h_d the AN lands exactly in the LR's blind spot."""
-    h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 20)
+    h_d, _, g = _channels(defaults, RECIPROCAL, rng, 20)
     alloc = reciprocal_allocation(0.0, 4.0, var_a=3.0)
     tau = defaults.tau_f
     (y_l, y_u), (x_t, ref_l, ref_u) = _forward_with_reference(
@@ -371,7 +409,7 @@ def test_forward_an_invisible_at_perfect_csi(defaults, rng, monkeypatch):
 
 
 def test_forward_pilot_row_power(defaults, rng, monkeypatch):
-    h_d, _, g = sample_channels(defaults, RECIPROCAL, rng, 3)
+    h_d, _, g = _channels(defaults, RECIPROCAL, rng, 3)
     (y_l, y_u), (x_t, ref_l, ref_u) = _forward_with_reference(
         defaults, reciprocal_allocation(0.0, 4.0), h_d, h_d, g, monkeypatch,
         defaults.tau_f)
@@ -386,8 +424,7 @@ def test_forward_energy_accounting(defaults, monkeypatch):
     alloc = reciprocal_allocation(0.0, 6.0, var_a=0.8)
     expected = 6.0 + 2 * 0.8 * defaults.tau_f
     trials = 10000
-    h_d, _, g = sample_channels(defaults, RECIPROCAL, np.random.default_rng(11),
-                                trials)
+    h_d, _, g = _channels(defaults, RECIPROCAL, np.random.default_rng(11), trials)
     (y_l, y_u), (x_t, ref_l, ref_u) = _forward_with_reference(
         defaults, alloc, h_d, h_d, g, monkeypatch, defaults.tau_f, seed=11)
     _assert_close(y_l, ref_l, 1e-12)
@@ -396,38 +433,52 @@ def test_forward_energy_accounting(defaults, monkeypatch):
     assert total / trials == pytest.approx(expected, rel=0.03)
 
 
-@pytest.mark.parametrize("scheme,var_a", [
-    (RECIPROCAL, 0.0), (RECIPROCAL, 0.8), (NON_RECIPROCAL, 0.0),
-    (NON_RECIPROCAL, 0.8)], ids=["recip-pilots", "recip-an", "echo-pilots", "echo-an"])
-def test_forward_fused_product_matches_separate_products(defaults, scheme, var_a):
+def _geometry_cases(cases):
+    """``cases`` (id, values) at 4x2(+2), under their own ids, and at 8x4(+4)
+    and 32x16(+16), with the geometry appended to the id."""
+    return [pytest.param(*values, geometry,
+                         id=case_id + ("" if geometry == (4, 2) else
+                                       "-{}x{}".format(*geometry)))
+            for geometry in ((4, 2), (8, 4), (32, 16)) for case_id, values in cases]
+
+
+@pytest.mark.parametrize("scheme,var_a,geometry", _geometry_cases([
+    ("recip-pilots", (RECIPROCAL, 0.0)), ("recip-an", (RECIPROCAL, 0.8)),
+    ("echo-pilots", (NON_RECIPROCAL, 0.0)), ("echo-an", (NON_RECIPROCAL, 0.8))]))
+def test_forward_fused_product_matches_separate_products(scheme, var_a, geometry):
     """One pass over [h_d, g] gives both receivers what two separate passes
-    give, sqrt(E/n_t) H + A (N^H H) + noise for H = h_d and H = g, and
-    draws exactly A, W and V.  Without AN the phase takes no estimate."""
+    give, sqrt(E/n_t) H + A (N^H H) + noise for H = h_d and H = g, with
+    A (N^H H) as a per-trial ``@``, and draws exactly A, W and V.  Without
+    AN the phase takes no estimate."""
+    n_t, n_l = geometry
+    params = default_params(n_t=n_t, n_l=n_l, n_u=n_l)
     if scheme == RECIPROCAL:
         alloc = reciprocal_allocation(2.0, 4.0, var_a=var_a)
         energy = alloc.e_f
     else:
         alloc = nonreciprocal_allocation(2.0, 1.0, 2.0, 4.0, var_a=var_a)
         energy = alloc.e_3
-    trials, n_t, n_l = 9, defaults.n_t, defaults.n_l
-    h_d, _, g = sample_channels(defaults, scheme, np.random.default_rng(20), trials)
+    trials = 9
+    h_d, _, g = _channels(params, scheme, np.random.default_rng(20), trials)
     h_d_hat = (h_d + complex_gaussian(np.random.default_rng(21), h_d.shape, 0.1)
                if var_a > 0 else None)
     rng, replay = np.random.default_rng(22), np.random.default_rng(22)
-    y_l, y_u = forward_training(defaults, alloc, h_d_hat, h_d, g, rng)
+    y_l, y_u = _forward(params, alloc, h_d_hat, h_d, g, rng)
     want_l, want_u = np.sqrt(energy / n_t) * h_d, np.sqrt(energy / n_t) * g
     if var_a > 0:
-        a = complex_gaussian(replay, (trials, n_t, n_t - n_l), var_a)
-        want_l = want_l + a @ null_space_basis(h_d_hat, h_d)
-        want_u = want_u + a @ null_space_basis(h_d_hat, g)
-    want_l = want_l + complex_gaussian(replay, (trials, n_t, n_l), defaults.var_w)
-    want_u = want_u + complex_gaussian(replay, (trials, n_t, defaults.n_u),
-                                       defaults.var_v)
+        a = trials_first(complex_gaussian(replay, (n_t, n_t - n_l, trials), var_a))
+        span = trials_last(h_d_hat)
+        want_l = want_l + a @ trials_first(null_space_basis(span, trials_last(h_d)))
+        want_u = want_u + a @ trials_first(null_space_basis(span, trials_last(g)))
+    want_l = want_l + trials_first(complex_gaussian(replay, (n_t, n_l, trials),
+                                                    params.var_w))
+    want_u = want_u + trials_first(complex_gaussian(replay, (n_t, params.n_u, trials),
+                                                    params.var_v))
     for got, want in ((y_l, want_l), (y_u, want_u)):
         np.testing.assert_allclose(got, want, rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
     assert y_l.shape == (trials, n_t, n_l)
-    assert y_u.shape == (trials, n_t, defaults.n_u)
+    assert y_u.shape == (trials, n_t, params.n_u)
     assert rng.random() == replay.random()
 
 
@@ -446,24 +497,24 @@ def test_reverse_training_pilot_product(monkeypatch):
     for scheme, alloc in (
             (RECIPROCAL, reciprocal_allocation(3.0, 4.0)),
             (NON_RECIPROCAL, nonreciprocal_allocation(1.0, 1.0, 3.0, 4.0))):
-        h_d, h_u, _ = sample_channels(params, scheme, np.random.default_rng(32), 7)
-        assert np.shares_memory(h_u, h_d) == (scheme == RECIPROCAL)
+        channels, h_u = sample_channels(params, scheme, np.random.default_rng(32), 7)
+        assert np.shares_memory(h_u, channels) == (scheme == RECIPROCAL)
         for tau in (n_l, 3 * n_l + 1):
             c = dft_pilot(tau, n_l)
             w = complex_gaussian(np.random.default_rng(31), (7, tau, n_t),
                                  params.var_wt)
-            want = c.conj().T @ (np.sqrt(3.0 / n_l) * c @ h_u + w)
+            want = c.conj().T @ (np.sqrt(3.0 / n_l) * c @ trials_first(h_u) + w)
             with monkeypatch.context() as patch:
                 queue = _fed_draws(patch, [(c.conj().T @ w, params.var_wt)])
                 y_t = reverse_training(params, alloc, h_u, None)
             assert queue == []
-            _assert_close(y_t, want, 1e-12)
+            _assert_close(trials_first(y_t), want, 1e-12)
 
 
 def test_reverse_zero_energy_is_noise(defaults):
     rng = np.random.default_rng(12)
     alloc = reciprocal_allocation(0.0, 4.0)
-    _, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, 10000)
+    _, h_u = sample_channels(defaults, RECIPROCAL, rng, 10000)
     y = reverse_training(defaults, alloc, h_u, rng)
     assert np.mean(np.abs(y) ** 2) == pytest.approx(defaults.var_wt, rel=0.03)
 
@@ -471,12 +522,12 @@ def test_reverse_zero_energy_is_noise(defaults):
 def test_reverse_pilot_energy(defaults, rng):
     """The pilot the statistic carries, read off it with its noise replayed
     and the full-row-rank uplink inverted, holds e_r."""
-    _, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, 2)
+    _, h_u = sample_channels(defaults, RECIPROCAL, rng, 2)
     state = rng.bit_generator.state
     y_t = reverse_training(defaults, reciprocal_allocation(2.0, 4.0), h_u, rng)
     rng.bit_generator.state = state
     noise = complex_gaussian(rng, y_t.shape, defaults.var_wt)
-    x_l = (y_t - noise) @ np.linalg.pinv(h_u)
+    x_l = trials_first(y_t - noise) @ np.linalg.pinv(trials_first(h_u))
     for k in range(2):
         assert np.linalg.norm(x_l[k]) ** 2 == pytest.approx(2.0, abs=1e-12)
 
@@ -485,12 +536,12 @@ def test_reverse_noiseless_identifiability(rng):
     """With the noise turned off, least squares recovers H^T exactly from
     the statistic sqrt(e_r/n_l) H^T."""
     quiet = default_params(var_wt=1e-30)
-    _, h_u, _ = sample_channels(quiet, RECIPROCAL, rng, 3)
+    _, h_u = sample_channels(quiet, RECIPROCAL, rng, 3)
     y_t = reverse_training(quiet, reciprocal_allocation(5.0, 4.0), h_u, rng)
     x_l = np.sqrt(5.0 / quiet.n_l) * np.eye(quiet.n_l)
     for k in range(3):
-        h_t, *_ = np.linalg.lstsq(x_l, y_t[k], rcond=None)
-        np.testing.assert_allclose(h_t, h_u[k], atol=1e-10)
+        h_t, *_ = np.linalg.lstsq(x_l, y_t[..., k], rcond=None)
+        np.testing.assert_allclose(h_t, h_u[..., k], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +549,10 @@ def test_reverse_noiseless_identifiability(rng):
 # ---------------------------------------------------------------------------
 
 def test_round_trip_rejected_for_reciprocal(defaults, rng):
-    h_d, h_u, _ = sample_channels(defaults, RECIPROCAL, rng, 1)
+    channels, h_u = sample_channels(defaults, RECIPROCAL, rng, 1)
     with pytest.raises(ValueError):
-        round_trip_training(defaults, reciprocal_allocation(1.0, 1.0), h_d, h_u, rng)
+        round_trip_training(defaults, reciprocal_allocation(1.0, 1.0),
+                            channels[:, :defaults.n_l], h_u, rng)
 
 
 def test_echo_gain_values(defaults):
@@ -510,35 +562,40 @@ def test_echo_gain_values(defaults):
 
 
 def test_round_trip_zero_echo_power(defaults, rng):
-    h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, 1)
+    channels, h_u = sample_channels(defaults, NON_RECIPROCAL, rng, 1)
     alloc = nonreciprocal_allocation(4.0, 0.0, 1.0, 1.0)
-    y_t1 = round_trip_training(defaults, alloc, h_d, h_u, rng)
+    y_t1 = round_trip_training(defaults, alloc, channels[:, :defaults.n_l], h_u, rng)
     assert echo_gain(defaults, alloc.e_0, alloc.e_1) == 0.0
     # Y_t1 is then pure transmitter-side noise
     assert np.mean(np.abs(y_t1) ** 2) < 10 * defaults.var_wt
 
 
-def test_round_trip_replays_its_draws(defaults):
+@pytest.mark.parametrize("n_t,n_l", [(4, 2), (8, 4), (32, 16)],
+                         ids=["4x2", "8x4", "32x16"])
+def test_round_trip_replays_its_draws(n_t, n_l):
     """Y_t1 = alpha (c H_d + W_0) H_u + W_1 with c = sqrt(e_0/n_t), W_0 and
-    W_1 replayed from the same stream: the round trip draws nothing else,
-    and its probe c I carries trace(X^H X) = e_0."""
+    W_1 replayed from the same stream, against a per-trial ``@``: the round
+    trip draws nothing else, and its probe c I carries trace(X^H X) = e_0."""
+    params = default_params(n_t=n_t, n_l=n_l, n_u=n_l)
     alloc = nonreciprocal_allocation(3.0, 5.0, 1.0, 1.0)
     rng = np.random.default_rng(17)
-    h_d, h_u, _ = sample_channels(defaults, NON_RECIPROCAL, rng, 9)
+    channels, h_u = sample_channels(params, NON_RECIPROCAL, rng, 9)
+    h_d = channels[:, :n_l]
     state = rng.bit_generator.state
-    y_t1 = round_trip_training(defaults, alloc, h_d, h_u, rng)
+    y_t1 = round_trip_training(params, alloc, h_d, h_u, rng)
     after = rng.bit_generator.state
     rng.bit_generator.state = state
-    w_0 = complex_gaussian(rng, (9, defaults.n_t, defaults.n_l), defaults.var_w)
-    w_1 = complex_gaussian(rng, (9, defaults.n_t, defaults.n_t), defaults.var_wt)
+    w_0 = complex_gaussian(rng, (n_t, n_l, 9), params.var_w)
+    w_1 = complex_gaussian(rng, (n_t, n_t, 9), params.var_wt)
     assert rng.bit_generator.state == after
-    c = np.sqrt(alloc.e_0 / defaults.n_t)
-    alpha = echo_gain(defaults, alloc.e_0, alloc.e_1)
-    probe = c * np.eye(defaults.n_t)
+    c = np.sqrt(alloc.e_0 / n_t)
+    alpha = echo_gain(params, alloc.e_0, alloc.e_1)
+    probe = c * np.eye(n_t)
     np.testing.assert_allclose(np.trace(_hermitian(probe) @ probe).real,
                                alloc.e_0, rtol=1e-12)
-    np.testing.assert_allclose(y_t1, alpha * (c * h_d + w_0) @ h_u + w_1,
-                               rtol=1e-13, atol=1e-13)
+    want = (alpha * trials_first(c * h_d + w_0) @ trials_first(h_u)
+            + trials_first(w_1))
+    np.testing.assert_allclose(trials_first(y_t1), want, rtol=1e-13, atol=1e-13)
 
 
 def test_round_trip_echo_energy_normalization(defaults):
@@ -551,10 +608,11 @@ def test_round_trip_echo_energy_normalization(defaults):
     rng = np.random.default_rng(13)
     alpha = echo_gain(defaults, alloc.e_0, alloc.e_1)
     trials = 10000
-    h_d, _, _ = sample_channels(defaults, NON_RECIPROCAL, rng, trials)
+    channels, _ = sample_channels(defaults, NON_RECIPROCAL, rng, trials)
+    h_d = channels[:, :defaults.n_l]
     # the LR's block as the round trip forms it (see the replay test), from
     # the round trip's own first draw
-    w_0 = complex_gaussian(rng, (trials, defaults.n_t, defaults.n_l), defaults.var_w)
+    w_0 = complex_gaussian(rng, (defaults.n_t, defaults.n_l, trials), defaults.var_w)
     y_l0 = np.sqrt(alloc.e_0 / defaults.n_t) * h_d + w_0
     acc = alpha ** 2 * np.sum(np.abs(y_l0) ** 2)
     assert acc / trials == pytest.approx(alloc.e_1, rel=0.03)
@@ -565,10 +623,11 @@ def test_whole_pipeline_deterministic(defaults):
 
     def run():
         rng = np.random.default_rng(99)
-        h_d, h_u, g = sample_channels(defaults, RECIPROCAL, rng, 16)
+        channels, h_u = sample_channels(defaults, RECIPROCAL, rng, 16)
         y_t = reverse_training(defaults, alloc, h_u, rng)
-        y_l, y_u = forward_training(defaults, alloc, h_d, h_d, g, rng)
-        return y_t, y_l, y_u
+        y = forward_training(defaults, alloc, channels[:, :defaults.n_l],
+                             channels, rng)
+        return y_t, y
 
     for a, b in zip(run(), run()):
         np.testing.assert_array_equal(a, b)
