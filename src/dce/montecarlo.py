@@ -36,7 +36,7 @@ from .ostbc import (CODE_SYMBOLS, SUPPORTED_QAM, block_scale, decode_block,
                     encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .rng import complex_gaussian, trial_rng
-from .training import (_add_product, forward_training, reverse_training,
+from .training import (_product, forward_training, reverse_training,
                        round_trip_training, sample_channels)
 
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
@@ -45,8 +45,8 @@ DESK_SER_TRIALS = 5000
 # Trials per block: large enough that numpy's per-call overhead is spread
 # thin, small enough that a block's rows stay in cache.  512 against 256,
 # paired in one process at the solved gamma 0.1 reciprocal point (2-core
-# x86_64 VM, median of 5-9 rounds): 0.83x the time at 4x2, 1.14x at 8x4,
-# 1.10x at 16x8, 1.06x at 32x16.  Each block has its own substream;
+# x86_64 VM, median of 7-9 rounds): 0.85x the time at 4x2, 1.13x at 8x4,
+# 1.18x at 16x8, 1.06x at 32x16.  Each block has its own substream;
 # changing it moves every stochastic result.
 BLOCK_TRIALS = 256
 
@@ -93,7 +93,7 @@ def _estimate_span(params: SystemParams, alloc: PowerAllocation,
     estimate, and a null space depends only on the column space, so each
     matrix spans what the estimate spans without being the estimate:
     - reciprocal: y_t^T, of which the estimate is a positive multiple;
-    - echo: y_t1 y_t^H (``_add_product``).  The LMMSE estimate is
+    - echo: y_t1 y_t^H (``training._product``).  The LMMSE estimate is
       k y_t1 y_t^H G^{-1} with k > 0 and G = Hu_hat Hu_hat^H + beta I
       positive definite, so it has the same column space.
     The basis ``null_space_basis`` takes from the span is then N U for a
@@ -118,9 +118,7 @@ def _estimate_span(params: SystemParams, alloc: PowerAllocation,
     if alloc.scheme == RECIPROCAL:
         return y_t.swapaxes(0, 1)
     y_t1 = round_trip_training(params, alloc, h_d, h_u, rng)
-    y_t_conj = np.conj(y_t)
-    return _add_product(np.zeros(h_d.shape, dtype=complex), y_t1,
-                        [y_t_conj[:, j] for j in range(params.n_t)])
+    return _product(y_t1, np.conj(y_t).swapaxes(0, 1))
 
 
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,

@@ -2,19 +2,16 @@ r"""Channel sampling and the training-phase statistics.
 
 Every function works on (rows, cols, T) stacks, the trial axis last and
 never moved: the downlinks [H_d, G] are one (n_t, n_l + n_u, T) array and
-H_u is (n_l, n_t, T); a product of two stacks is a loop of broadcast
-multiply-adds (``_add_product``).  Each pilot phase returns what its
-receiver's filter reads, not the tau-slot block it receives.  A pilot phase sends
+H_u is (n_l, n_t, T); a product of two stacks is formed on those axes
+(``_product``).  Each pilot phase returns what its receiver's filter
+reads, not the tau-slot block it receives.  A pilot phase sends
 X = sqrt(E/n) C for a tau x n pilot with C^H C = I_n, and a receiver's
 LMMSE filter reads its block Y = X Z + A N^H Z' + W only through
 C^H Y = sqrt(E/n) Z + (C^H A) N^H Z' + C^H W.  C^H has orthonormal rows, so
 C^H W and C^H A are white with the variances of W and A (Biguesh &
 Gershman, IEEE TSP 2006).  The phases draw them as such, so the pilot
 length enters only the energy budgets and the AN energy, as in the closed
-forms.  The round-trip probe is a scaled identity, so it is a scalar: it is
-private to the transmitter and the UR never observes the round trip, so any
-scaled unitary probe gives the same joint law of channels and estimates
-(``round_trip_training``).
+forms.  The round-trip probe is a scaled identity (``round_trip_training``).
 
 The forward phase never builds the AN basis: ``null_space_basis`` computes
 the Householder reflectors of each estimate's QR factorization itself, on
@@ -55,11 +52,18 @@ def sample_channels(params: SystemParams, mode: str, rng: np.random.Generator,
     return channels, complex_gaussian(rng, (n_l, n_t, trials), params.var_hu)
 
 
-def _add_product(out: np.ndarray, a: np.ndarray, b) -> np.ndarray:
-    """``out`` += a b for trial-last stacks a (n, k, T), b (k, m, T) (or
-    the list of its k rows) and ``out`` (n, m, T): per row of ``out``, k
-    broadcast multiply-adds of an entry of a (T) times a row of b (m, T),
-    which stay in cache.  A stacked ``@`` runs one tiny GEMM per trial."""
+def _product(a: np.ndarray, b: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a b for trial-last stacks a (n, k, T) and b (k, m, T), added to
+    ``out`` (n, m, T) when given.  Up to four inner terms, each row of the
+    result takes k broadcast multiply-adds, an entry of a (T) times a row of
+    b (m, T), in cache.  Beyond four, numpy's matmul on the trial-last axes
+    costs less; it returns each trial's product trial-major."""
+    if len(b) > 4:
+        product = np.matmul(a, b, axes=[(0, 1), (0, 1), (0, 1)])
+        return product if out is None else np.add(out, product, out=out)
+    if out is None:
+        out = np.zeros((len(a), b.shape[1], a.shape[2]), dtype=complex)
     term = np.empty_like(out[0])
     for a_i, out_i in zip(a, out):
         for a_ik, b_k in zip(a_i, b):
@@ -174,13 +178,11 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
     transmitter observes Y_t1 = alpha X_t0 H_d H_u + alpha W_0 H_u + W_1.
     The gain normalizes the mean echo energy to exactly e_1.
 
-    The simulator may fix the probe because it is private to the
-    transmitter and the UR never observes the round trip: only
-    X_t0^H Y_t1 reaches any estimate.  For a probe c Q with Q unitary,
-    Q^H Y_t1 = alpha c H_d H_u + alpha (Q^H W_0) H_u + Q^H W_1, and Q^H W
-    has the law of W for white Gaussian W.  So every scaled unitary probe,
-    a Haar-random one included, gives the same joint law of the channels
-    and the estimates as Q = I, which needs no draw and no QR.
+    The probe is private to the transmitter and the UR never observes the
+    round trip, so only X_t0^H Y_t1 reaches any estimate.  For a probe c Q,
+    Q unitary, Q^H Y_t1 = alpha c H_d H_u + alpha (Q^H W_0) H_u + Q^H W_1
+    and Q^H W has the law of W: every scaled unitary probe, Haar-random
+    included, gives the joint law that Q = I gives with no draw and no QR.
     """
     if alloc.scheme != NON_RECIPROCAL:
         raise ValueError("round-trip training exists only in the non-reciprocal scheme")
@@ -190,7 +192,7 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
     y_l0 += np.sqrt(alloc.e_0 / n_t) * h_d
     y_l0 *= echo_gain(params, alloc.e_0, alloc.e_1)
     y_t1 = complex_gaussian(rng, (n_t, n_t, trials), params.var_wt)
-    return _add_product(y_t1, y_l0, h_u)
+    return _product(y_l0, h_u, y_t1)
 
 
 def forward_training(params: SystemParams, alloc: PowerAllocation,
@@ -212,7 +214,7 @@ def forward_training(params: SystemParams, alloc: PowerAllocation,
     received = np.sqrt(alloc.forward / n_t) * channels
     if alloc.var_a > 0:
         a = complex_gaussian(rng, (n_t, n_t - n_l, trials), alloc.var_a)
-        _add_product(received, a, null_space_basis(span, channels))
+        _product(a, null_space_basis(span, channels), received)
     received[:, :n_l] += complex_gaussian(rng, (n_t, n_l, trials), params.var_w)
     received[:, n_l:] += complex_gaussian(rng, (n_t, params.n_u, trials),
                                           params.var_v)

@@ -442,6 +442,24 @@ def _geometry_cases(cases):
             for geometry in ((4, 2), (8, 4), (32, 16)) for case_id, values in cases]
 
 
+@pytest.mark.parametrize("k", [1, 4, 5, 32])
+def test_product_kernels_match_per_trial_matmul(k):
+    """Both kernels of the trial-last product, the broadcast multiply-adds
+    (k <= 4) and numpy's matmul (k > 4), equal a per-trial ``@`` within
+    1e-13, on a transposed view as the right factor, into a fresh result
+    and added to a given one."""
+    rng = np.random.default_rng(k)
+    a = complex_gaussian(rng, (6, k, 11))
+    b = complex_gaussian(rng, (3, k, 11)).swapaxes(0, 1)
+    base = complex_gaussian(rng, (6, 3, 11))
+    want = trials_first(a) @ trials_first(b)
+    for got, ref in ((training._product(a, b), want),
+                     (training._product(a, b, base.copy()), want + trials_first(base))):
+        assert got.shape == (6, 3, 11)
+        np.testing.assert_allclose(trials_first(got), ref, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("scheme,var_a,geometry", _geometry_cases([
     ("recip-pilots", (RECIPROCAL, 0.0)), ("recip-an", (RECIPROCAL, 0.8)),
     ("echo-pilots", (NON_RECIPROCAL, 0.0)), ("echo-an", (NON_RECIPROCAL, 0.8))]))
