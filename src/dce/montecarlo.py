@@ -1,16 +1,23 @@
 r"""Monte-Carlo experiments: empirical NMSE and SER.
 
-Trials run in blocks of BLOCK_TRIALS, (rows, cols, trials) stacks from the
-draw to the scoring, as in ``dce.training`` and ``dce.ostbc``.  Every block
+A block of BLOCK_TRIALS trials is what is drawn and sharded: every block
 draws from its own substream ``trial_rng(seed, block)``, so results are
 bit-identical for a given (seed, trials) however the blocks are spread
-over workers.  The transmitter's downlink estimate is never formed: the
-AN needs only its column space, which a matrix built from what the
-transmitter received spans exactly (``_estimate_span``).  The AN basis
-nulls that span whatever its rank, so no trial is checked for rank.  What
-can fail is the arithmetic (an overflow at absurd energies, a corrupt
-input), and that would recur on a redraw, so the first non-finite outcome
-stops the run with NonFiniteOutcome (``_run_blocks``).
+over workers.  A stack, ``stack_blocks`` consecutive whole blocks side by
+side on the trial axis, is what is computed: each phase runs once per stack
+on (rows, cols, trials) arrays from the draw to the scoring, as in
+``dce.training`` and ``dce.ostbc``, and each draw fills each block's slice
+of the trial axis from that block's substream (``rng.BlockStreams``).  A
+trial's outcome is computed from its own draws alone, so a stack's outcomes
+are its blocks' run one by one, byte for byte.
+
+The transmitter's downlink estimate is never formed: the AN needs only its
+column space, which a matrix built from what the transmitter received spans
+exactly (``_estimate_span``).  The AN basis nulls that span whatever its
+rank, so no trial is checked for rank.  What can fail is the arithmetic (an
+overflow at absurd energies, a corrupt input), and that would recur on a
+redraw, so the first non-finite outcome stops the run with
+NonFiniteOutcome, before any later stack is drawn (``_run_blocks``).
 
 The SER data phase draws what the decoder reads.  The block code is
 orthogonal, so its matched filter's real map F for an estimate h_hat has
@@ -35,20 +42,26 @@ from .nmse import (JENSEN_VARIANTS, forward_filters, nmse_l_nonreciprocal_approx
 from .ostbc import (CODE_SYMBOLS, SUPPORTED_QAM, block_scale, decode_block,
                     encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
-from .rng import complex_gaussian, trial_rng
+from .rng import BlockStreams, complex_gaussian, integers, trial_rng
 from .training import (_product, forward_training, reverse_training,
                        round_trip_training, sample_channels)
 
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
 DESK_NMSE_TRIALS = 1000
 DESK_SER_TRIALS = 5000
-# Trials per block: large enough that numpy's per-call overhead is spread
-# thin, small enough that a block's rows stay in cache.  512 against 256,
-# paired in one process at the solved gamma 0.1 reciprocal point (2-core
-# x86_64 VM, median of 7-9 rounds): 0.85x the time at 4x2, 1.13x at 8x4,
-# 1.18x at 16x8, 1.06x at 32x16.  Each block has its own substream;
-# changing it moves every stochastic result.
+# Trials per block, the unit of drawing: each block has its own substream,
+# so changing it moves every stochastic result.  512 against 256, paired in
+# one process at the solved gamma 0.1 reciprocal point (2-core x86_64 VM,
+# median of 7-9 rounds): 0.85x the time at 4x2, 1.13x at 8x4, 1.18x at
+# 16x8, 1.06x at 32x16.  Stacks take the 4x2 gain without moving a draw.
 BLOCK_TRIALS = 256
+# A stack, the unit of computing, holds as many whole blocks as keep its
+# [H_d, G] array within STACK_ENTRIES complex entries (128 KiB), at least
+# one: 2 at 4x2x2, 1 from 4x2x8 and 8x4x4 up.  At 4x2x2, against one block
+# (perfbench work_per_s, 2-core x86_64 VM, three rounds): 2 blocks give
+# 1.14-1.19x on nmse-recip and 1.10-1.15x on ser-echo; 3, 4 or 8 blocks
+# give 0.96-1.08x.
+STACK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -135,19 +148,34 @@ def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
     return channels, estimates
 
 
-def _run_blocks(block_fn: Callable, trials: int, seed: int) -> np.ndarray:
-    """The (k, trials) outcomes of ``block_fn(rng, n)``, which runs n trials
-    and returns their (k, n) outcomes, over ``trials`` trials.  A block with
-    a non-finite outcome raises NonFiniteOutcome naming its first such
-    trial, by run index, and the block, before any later block is drawn."""
-    outcomes = []
-    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        out = block_fn(trial_rng(seed, block), min(BLOCK_TRIALS, trials - start))
+def stack_blocks(params: SystemParams) -> int:
+    """Blocks per stack: as many whole blocks as keep a stack's [H_d, G]
+    within STACK_ENTRIES entries, at least one."""
+    per_block = BLOCK_TRIALS * params.n_t * (params.n_l + params.n_u)
+    return max(1, STACK_ENTRIES // per_block)
+
+
+def _run_blocks(stack_fn: Callable, trials: int, seed: int,
+                blocks_per_stack: int) -> np.ndarray:
+    """The (k, trials) outcomes of ``stack_fn(streams, n)``, which runs the
+    n trials of a stack drawn from ``streams`` (``rng.BlockStreams``) and
+    returns their (k, n) outcomes, over ``trials`` trials in stacks of
+    ``blocks_per_stack`` blocks.  The first non-finite outcome raises
+    NonFiniteOutcome naming its trial, by run index, and its block, before
+    any later stack is drawn."""
+    outcomes, blocks = [], -(-trials // BLOCK_TRIALS)
+    for first in range(0, blocks, blocks_per_stack):
+        stack = range(first, min(first + blocks_per_stack, blocks))
+        sizes = tuple(min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS) for b in stack)
+        streams = BlockStreams(tuple(trial_rng(seed, b) for b in stack), sizes)
+        out = stack_fn(streams, sum(sizes))
         finite = np.isfinite(out).all(axis=0)
         if not finite.all():
             trial = int(np.argmin(finite))
-            raise NonFiniteOutcome(f"trial {start + trial} (block {block}) gave "
-                                   f"{out[:, trial].tolist()}", start + trial)
+            run_trial = first * BLOCK_TRIALS + trial
+            raise NonFiniteOutcome(
+                f"trial {run_trial} (block {run_trial // BLOCK_TRIALS}) gave "
+                f"{out[:, trial].tolist()}", run_trial)
         outcomes.append(out)
     return np.concatenate(outcomes, axis=1)
 
@@ -169,11 +197,11 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
     (gain_l, analytic_lr), (gain_u, analytic_ur) = forward_filters(
         params, alloc, jensen_variant)
 
-    def one_block(rng, n):
+    def one_stack(streams, n):
         return _per_entry_sq_err(params, *_estimation_round(
-            params, alloc, rng, n, gain_l, gain_u))
+            params, alloc, streams, n, gain_l, gain_u))
 
-    sq_l, sq_u = _run_blocks(one_block, trials, seed)
+    sq_l, sq_u = _run_blocks(one_stack, trials, seed, stack_blocks(params))
 
     z95 = 1.959963984540054
     return NmseReport(
@@ -237,20 +265,20 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
     constellation = qam_constellation(modulation)
     scale, n_l = block_scale(params.p_ave), params.n_l
 
-    def one_block(rng, n):
-        channels, estimates = _estimation_round(params, alloc, rng, n,
+    def one_stack(streams, n):
+        channels, estimates = _estimation_round(params, alloc, streams, n,
                                                 gain_l, gain_u)
-        sent = rng.integers(0, modulation, size=(CODE_SYMBOLS, n))
+        sent = integers(streams, modulation, (CODE_SYMBOLS, n))
         # one encode against [h_d, g] side by side
         received = encode_block(constellation[sent], channels, scale)
-        noise = [complex_gaussian(rng, (CODE_SYMBOLS, n), var)
+        noise = [complex_gaussian(streams, (CODE_SYMBOLS, n), var)
                  for var in (params.var_w, params.var_v)]
         return np.stack([np.count_nonzero(
             decode_block(received[:, cols], estimates[:, cols], scale,
                          modulation, w) != sent, axis=0)
             for cols, w in zip((slice(n_l), slice(n_l, None)), noise)])
 
-    errors = _run_blocks(one_block, trials, seed)
+    errors = _run_blocks(one_stack, trials, seed, stack_blocks(params))
     err_lr, err_ur = (int(x) for x in errors.sum(axis=1))
     n_symbols = CODE_SYMBOLS * trials
     return SerReport(

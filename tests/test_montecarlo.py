@@ -29,7 +29,7 @@ from dce.params import (
     nonreciprocal_allocation,
     reciprocal_allocation,
 )
-from dce.rng import complex_gaussian, trial_rng
+from dce.rng import BlockStreams, complex_gaussian, trial_rng
 from dce.training import forward_training, null_space_basis
 from reference_estimators import (tx_estimate_downlink, tx_estimate_reciprocal,
                                   tx_estimate_uplink)
@@ -72,17 +72,19 @@ def test_report_is_deterministic(defaults):
 @pytest.mark.parametrize("experiment", ["nmse", "ser"])
 def test_degenerate_trial_raises_on_first_draw(defaults, experiment, monkeypatch):
     """One trial of block 1 of a 600-trial run made non-finite (its AN
-    basis set to NaN) stops the run on that block's first draw; no block
-    draws from a second substream, so nothing is redrawn.  The NMSE run
-    raises NonFiniteOutcome naming block 1 and the trial's index in the
-    run; the SER decoder refuses the NaN estimate with its ValueError."""
+    basis set to NaN) stops the run in the first stack, blocks 0 and 1 at
+    4x2x2: each of their substreams is created once, and block 2's, the
+    next stack's, never, so nothing is redrawn or drawn past the fault.
+    The NMSE run raises NonFiniteOutcome naming block 1 and the trial's
+    index in the run; the SER decoder refuses the NaN estimate with its
+    ValueError."""
     basis, calls, keys = training.null_space_basis, [], []
 
     def one_degenerate(span, m):
         seen = basis(span, m)
         calls.append(span.shape[-1])
-        if len(calls) == 2:   # block 1's draw
-            seen[..., 44] = np.nan
+        if len(calls) == 1:   # the first stack's draw
+            seen[..., BLOCK_TRIALS + 44] = np.nan
         return seen
 
     def spy(*key):
@@ -100,8 +102,33 @@ def test_degenerate_trial_raises_on_first_draw(defaults, experiment, monkeypatch
         with pytest.raises(ValueError, match="not finite"):
             run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=5,
                                scheme=NON_RECIPROCAL)
-    assert calls == [BLOCK_TRIALS, BLOCK_TRIALS]
+    assert calls == [2 * BLOCK_TRIALS]
     assert keys == [(5, 0), (5, 1)]
+
+
+def test_non_finite_outcome_in_a_later_stack(monkeypatch):
+    """A non-finite outcome in the second stack of a 1,300-trial run in
+    stacks of two blocks (its blocks 2 and 3) is named by its index in the
+    run and its block, and the third stack's substreams are never made."""
+    keys, stacks = [], []
+
+    def spy(*key):
+        keys.append(key)
+        return trial_rng(*key)
+
+    def stack_fn(streams, n):
+        stacks.append(streams.trials)
+        out = np.zeros((2, n))
+        if len(stacks) == 2:
+            out[1, BLOCK_TRIALS + 44] = np.inf
+        return out
+
+    monkeypatch.setattr(montecarlo, "trial_rng", spy)
+    with pytest.raises(NonFiniteOutcome, match=r"^trial 812 \(block 3\) ") as raised:
+        montecarlo._run_blocks(stack_fn, 1300, 2, 2)
+    assert raised.value.trial == 3 * BLOCK_TRIALS + 44
+    assert stacks == [(BLOCK_TRIALS, BLOCK_TRIALS)] * 2
+    assert keys == [(2, 0), (2, 1), (2, 2), (2, 3)]
 
 
 def test_overflow_raises_instead_of_returning_nan(defaults):
@@ -117,27 +144,37 @@ def test_overflow_raises_instead_of_returning_nan(defaults):
 
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
-def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme):
-    """Sharding: over 600 trials (a partial last block) ``_run_blocks``
-    returns, row for row, what each block gives run alone from
-    ``trial_rng(seed, block)``, here in reverse block order."""
+def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme, monkeypatch):
+    """Sharding and stacking: at 4x2x2, where a stack is two blocks,
+    ``_run_blocks`` returns, byte for byte and row for row, what each block
+    gives run alone as a one-block stack from ``trial_rng(seed, block)``,
+    here in reverse block order.  Both outcomes are checked, the NMSE run's
+    per-trial squared errors and the SER run's per-trial error counts, over
+    1, 256, 257, 512, 600 and 1000 trials: a lone trial, whole blocks and
+    stacks, a partial last block and a one-block last stack."""
+    run_blocks, stack_fns = montecarlo._run_blocks, []
+
+    def capture(stack_fn, trials, seed, blocks_per_stack):
+        stack_fns.append(stack_fn)
+        return run_blocks(stack_fn, trials, seed, blocks_per_stack)
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", capture)
     alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
     assert alloc.var_a > 0
-    (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc, "printed")
+    run_nmse_experiment(defaults, alloc, trials=100)
+    run_ser_experiment(defaults, 0.1, modulation=64, trials=1, scheme=scheme)
+    assert montecarlo.stack_blocks(defaults) == 2
 
-    def one_block(rng, n):
-        channels, estimates = montecarlo._estimation_round(
-            defaults, alloc, rng, n, gain_l, gain_u)
-        return np.concatenate([estimates, channels], axis=1).reshape(-1, n)
-
-    trials, seed = 600, 11
-    joint = montecarlo._run_blocks(one_block, trials, seed)
-    assert joint.shape[1] == trials
-    starts = list(enumerate(range(0, trials, BLOCK_TRIALS)))
-    for block, start in reversed(starts):
-        n = min(BLOCK_TRIALS, trials - start)
-        alone = one_block(trial_rng(seed, block), n)
-        np.testing.assert_array_equal(joint[:, start:start + n], alone)
+    seed = 11
+    for stack_fn in stack_fns:
+        for trials in (1, 256, 257, 512, 600, 1000):
+            joint = run_blocks(stack_fn, trials, seed, 2)
+            assert joint.shape[1] == trials
+            starts = list(enumerate(range(0, trials, BLOCK_TRIALS)))
+            for block, start in reversed(starts):
+                n = min(BLOCK_TRIALS, trials - start)
+                alone = stack_fn(BlockStreams((trial_rng(seed, block),), (n,)), n)
+                assert joint[:, start:start + n].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("scheme,per_trial", [(RECIPROCAL, 48), (NON_RECIPROCAL, 80)],
@@ -145,28 +182,58 @@ def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme):
 def test_each_trial_draws_a_fixed_number_of_normals(defaults, scheme, per_trial,
                                                     monkeypatch):
     """Every block of a 600-trial NMSE run draws per_trial complex normals
-    per trial from its substream, and nothing else.  At 4x2x2 with every
+    per trial from its own substream, and nothing else, whichever stack
+    computes it.  At 4x2x2 with every
     pilot and AN that is 48 for the reciprocal scheme (H_d and G 16, the
     reverse noise 8, A, W and V 8 each) and 80 for the echo scheme (H_u
     8 and the round trip's W_0 8 and W_1 16 besides).  A change that
     quietly draws more, or draws another way, fails here."""
-    counts = []
+    counts = {}
 
     class Counting:
-        def __init__(self, rng):
-            self.rng = rng
+        def __init__(self, block, rng):
+            self.block, self.rng = block, rng
 
         def standard_normal(self, size):
-            counts[-1] += int(np.prod(size))
+            counts[self.block] += int(np.prod(size))
             return self.rng.standard_normal(size)
 
     def counting(seed, block):
-        counts.append(0)
-        return Counting(trial_rng(seed, block))
+        assert block not in counts   # each substream is created once
+        counts[block] = 0
+        return Counting(block, trial_rng(seed, block))
 
     monkeypatch.setattr(montecarlo, "trial_rng", counting)
     run_nmse_experiment(defaults, _informed_allocation(scheme), trials=600, seed=3)
-    assert counts == [2 * per_trial * n for n in (256, 256, 88)]
+    assert counts == {block: 2 * per_trial * n
+                      for block, n in enumerate((256, 256, 88))}
+
+
+@pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
+def test_stack_rule(scheme, monkeypatch):
+    """A stack is as many whole blocks as keep its [H_d, G] within
+    STACK_ENTRIES entries: 2 at 4x2x2, 1 at 4x2x8, 8x4x4 and 32x16x16.
+    Seen from the channel draws of 600-trial runs, NMSE and (where the
+    block code's four antennas allow it) SER."""
+    draw, seen = montecarlo.sample_channels, []
+
+    def spy(params, mode, rng, trials):
+        seen.append(trials)
+        return draw(params, mode, rng, trials)
+
+    monkeypatch.setattr(montecarlo, "sample_channels", spy)
+    for (n_t, n_l, n_u), blocks in (((4, 2, 2), 2), ((4, 2, 8), 1),
+                                    ((8, 4, 4), 1), ((32, 16, 16), 1)):
+        params = default_params(n_t=n_t, n_l=n_l, n_u=n_u)
+        assert montecarlo.stack_blocks(params) == blocks
+        want = [2 * BLOCK_TRIALS, 88] if blocks == 2 else [BLOCK_TRIALS] * 2 + [88]
+        seen.clear()
+        run_nmse_experiment(params, _informed_allocation(scheme), trials=600, seed=1)
+        assert seen == want, (n_t, n_l, n_u)
+        if n_t == 4:
+            seen.clear()
+            run_ser_experiment(params, 0.1, modulation=16, trials=600, scheme=scheme)
+            assert seen == want, (n_t, n_l, n_u)
 
 
 # ---------------------------------------------------------------------------
@@ -403,38 +470,43 @@ def test_ser_input_validation(defaults):
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
 def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
-    """A block's data phase, one encode against [h_d, g], decodes exactly
-    what two separate encodes decode, with each receiver's three noise
-    symbols per trial drawn after the filter, LR first, and leaves the
-    block's stream where the replay left it."""
+    """A stack's data phase, one encode against [h_d, g], decodes exactly
+    what two separate encodes decode on each of its blocks alone, with each
+    receiver's three noise symbols per trial drawn after the filter, LR
+    first, and leaves each block's stream where its replay left it."""
     captured = {}
 
-    def capture(block_fn, trials, seed):
-        captured["block_fn"] = block_fn
+    def capture(stack_fn, trials, seed, blocks_per_stack):
+        captured["stack_fn"] = stack_fn
         return np.zeros((2, trials), dtype=int)
 
     monkeypatch.setattr(montecarlo, "_run_blocks", capture)
     run_ser_experiment(defaults, 0.1, modulation=64, trials=40, scheme=scheme)
-    rng, replay = trial_rng(8, 0), trial_rng(8, 0)
-    errors = captured["block_fn"](rng, 40)
+    sizes = (BLOCK_TRIALS, 40)
+    streams = BlockStreams((trial_rng(8, 0), trial_rng(8, 1)), sizes)
+    replays = [trial_rng(8, 0), trial_rng(8, 1)]
+    errors = captured["stack_fn"](streams, sum(sizes))
 
     alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
     (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc, "printed")
-    channels, estimates = montecarlo._estimation_round(
-        defaults, alloc, replay, 40, gain_l, gain_u)
     pts = qam_constellation(64)
     scale = block_scale(defaults.p_ave)
-    sent = replay.integers(0, 64, size=(CODE_SYMBOLS, 40))
-    noise = [complex_gaussian(replay, (CODE_SYMBOLS, 40), var)
-             for var in (defaults.var_w, defaults.var_v)]
-    n_l = defaults.n_l
-    want = [np.count_nonzero(decode_block(
-        encode_block(pts[sent], channels[:, cols], scale),
-        estimates[:, cols], scale, 64, w) != sent, axis=0)
-        for cols, w in ((slice(None, n_l), noise[0]), (slice(n_l, None), noise[1]))]
-    np.testing.assert_array_equal(errors, np.stack(want))
+    n_l, want = defaults.n_l, []
+    for replay, n in zip(replays, sizes):
+        channels, estimates = montecarlo._estimation_round(
+            defaults, alloc, replay, n, gain_l, gain_u)
+        sent = replay.integers(0, 64, size=(CODE_SYMBOLS, n))
+        noise = [complex_gaussian(replay, (CODE_SYMBOLS, n), var)
+                 for var in (defaults.var_w, defaults.var_v)]
+        want.append(np.stack([np.count_nonzero(decode_block(
+            encode_block(pts[sent], channels[:, cols], scale),
+            estimates[:, cols], scale, 64, w) != sent, axis=0)
+            for cols, w in ((slice(None, n_l), noise[0]),
+                            (slice(n_l, None), noise[1]))]))
+    np.testing.assert_array_equal(errors, np.concatenate(want, axis=1))
     assert errors[1].sum() > 0   # the comparison sees decoding errors
-    assert rng.random() == replay.random()
+    assert ([rng.random() for rng in streams.generators]
+            == [replay.random() for replay in replays])
 
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
@@ -443,7 +515,8 @@ def test_ser_matches_block_domain_reference(defaults, scheme):
     (per-slot noise on every slot and antenna, the dispersion-map matched
     filter, an exhaustive nearest-point search) on the same channels and
     estimates: each receiver's SER agrees within 4 binomial standard errors
-    of the difference."""
+    of the difference.  The trial-first reference draws from a generator,
+    so it runs one block per stack."""
     trials, seed = 3000, 21
     report = run_ser_experiment(defaults, 0.1, modulation=64, trials=trials,
                                 seed=seed, scheme=scheme)
@@ -451,7 +524,8 @@ def test_ser_matches_block_domain_reference(defaults, scheme):
     (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc, "printed")
     scale = block_scale(defaults.p_ave)
 
-    def reference_block(rng, n):
+    def reference_block(streams, n):
+        rng, = streams.generators
         channels, estimates = montecarlo._estimation_round(
             defaults, alloc, rng, n, gain_l, gain_u)
         n_l = defaults.n_l
@@ -460,7 +534,7 @@ def test_ser_matches_block_domain_reference(defaults, scheme):
             trials_first(channels[:, n_l:]), trials_first(estimates[:, :n_l]),
             trials_first(estimates[:, n_l:])).T
 
-    errors = montecarlo._run_blocks(reference_block, trials, seed)
+    errors = montecarlo._run_blocks(reference_block, trials, seed, 1)
     symbols = CODE_SYMBOLS * trials
     for got, ref_errors in ((report.ser_lr, errors[0]),
                             (report.ser_ur, errors[1])):

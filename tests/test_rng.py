@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dce.rng import complex_gaussian, trial_rng
+from dce.rng import BlockStreams, complex_gaussian, integers, trial_rng
 
 
 def test_same_seed_same_draws():
@@ -76,3 +76,36 @@ def test_complex_gaussian_bit_identical_to_two_call_formula(var, shape):
     assert got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
     assert rng.random() == replay.random()
+
+
+@pytest.mark.parametrize("sizes", [(7,), (256, 256), (256, 256, 37), (1, 2, 3)],
+                         ids=["one", "two", "partial", "tiny"])
+@pytest.mark.parametrize("lead", [(), (3,), (4, 6)], ids=["flat", "row", "stack"])
+def test_stack_streams_fill_each_blocks_slice(lead, sizes):
+    """A stack's streams give, bit for bit, on each block's slice of the
+    trial axis (the last), what that block's generator gives alone for its
+    own length, call by call, complex normals and integers alike, and leave
+    every stream where the block's own calls leave it."""
+    keys = range(len(sizes))
+    stack = BlockStreams(tuple(trial_rng(4, b) for b in keys), sizes)
+    alone = [trial_rng(4, b) for b in keys]
+    shape = lead + (sum(sizes),)
+    got = [complex_gaussian(stack, shape, 0.3), integers(stack, 64, shape),
+           complex_gaussian(stack, shape)]
+    assert all(x.shape == shape and x.flags.c_contiguous for x in got)
+    start = 0
+    for rng, n in zip(alone, sizes):
+        block = lead + (n,)
+        z = rng.standard_normal(block + (2,))
+        want = [(z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.3 / 2.0),
+                rng.integers(0, 64, size=block), complex_gaussian(rng, block)]
+        for g, w in zip(got, want):
+            assert g[..., start:start + n].tobytes() == w.tobytes()
+        start += n
+    assert [g.random() for g in stack.generators] == [g.random() for g in alone]
+
+
+def test_stack_draw_must_span_the_stack():
+    stack = BlockStreams((trial_rng(1, 0), trial_rng(1, 1)), (256, 3))
+    with pytest.raises(ValueError, match="259"):
+        complex_gaussian(stack, (4, 258))
