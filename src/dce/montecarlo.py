@@ -24,6 +24,20 @@ orthogonal, so its matched filter's real map F for an estimate h_hat has
 F F^T = ||h_hat||_F^2 I_6: white slot noise reaches the filter as three
 i.i.d. CN(0, var ||h_hat||_F^2) symbols, and each receiver draws those
 (3 per trial) instead of 4 M slot values (``ostbc.decode_block``).
+
+The NMSE score draws what the squared error reads.  Receiver R's error is
+||X_R + g_R W_R||^2, where X_R = g_R S_R - H_R for its noiseless forward
+statistic S_R (``training._forward_signal``) and its K_R = n_t n_R noise
+entries W_R are i.i.d. CN(0, sigma_R^2), independent of X_R.  For any
+unitary U whose first row is X_R^H / ||X_R||, U W_R has the law of W_R, so
+the error has the law of | ||X_R|| + g_R sigma_R z |^2 + (g_R sigma_R)^2 Y
+with z ~ CN(0, 1) and Y ~ Gamma(K_R - 1, 1), the noncentral chi-square
+split (Johnson, Kotz & Balakrishnan, Continuous Univariate Distributions
+vol. 2, ch. 29): each receiver draws one complex normal and one gamma
+variate per trial instead of K_R complex normals (``_per_entry_sq_err``).
+W_L and W_U are independent, so each trial's pair of errors keeps its
+joint law.  The SER decoders read the noisy statistics, so the SER path
+draws that noise in full (``training.forward_training``).
 """
 
 from __future__ import annotations
@@ -42,9 +56,10 @@ from .nmse import (JENSEN_VARIANTS, forward_filters, nmse_l_nonreciprocal_approx
 from .ostbc import (CODE_SYMBOLS, SUPPORTED_QAM, block_scale, decode_block,
                     encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
-from .rng import BlockStreams, complex_gaussian, integers, trial_rng
-from .training import (_product, forward_training, reverse_training,
-                       round_trip_training, sample_channels)
+from .rng import (BlockStreams, complex_gaussian, integers, standard_gamma,
+                  trial_rng)
+from .training import (_forward_signal, _product, forward_training,
+                       reverse_training, round_trip_training, sample_channels)
 
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
 DESK_NMSE_TRIALS = 1000
@@ -84,17 +99,26 @@ class SerReport:
 
 
 def _per_entry_sq_err(params: SystemParams, channels: np.ndarray,
-                      estimates: np.ndarray) -> np.ndarray:
+                      estimates: np.ndarray, spread: np.ndarray,
+                      rng) -> np.ndarray:
     """Each receiver's mean squared entry error per trial, (2, T), of the
-    estimates (n_t, n_l + n_u, T) of [H_d, G], overwritten by the error,
-    whose real and imaginary parts (interleaved on the trial axis) are
-    squared and summed over the rows, then over the receiver's columns."""
+    noiseless estimates (n_t, n_l + n_u, T) of [H_d, G] once each
+    receiver's filtered noise, i.i.d. CN(0, spread_R^2) entries, is added.
+
+    The noiseless error X_R is overwritten in place, its real and imaginary
+    parts (interleaved on the trial axis) squared and summed over the rows,
+    then over the receiver's columns, into ||X_R||^2; the noise is drawn
+    as its statistic (one CN(0, 1) z_R and one Gamma(K_R - 1) variate per
+    trial and receiver, in that order; see the module docstring).
+    """
     parts = np.subtract(estimates, channels, out=estimates).view(np.float64)
     np.multiply(parts, parts, out=parts)
     by_col, n_l = np.add.reduce(parts, axis=0), params.n_l
     sq = np.stack([np.add.reduce(by_col[:n_l]), np.add.reduce(by_col[n_l:])])
-    entries = params.n_t * np.array([[n_l], [params.n_u]])
-    return (sq[:, 0::2] + sq[:, 1::2]) / entries
+    entries, draws = params.n_t * np.array([[n_l], [params.n_u]]), sq[:, 0::2].shape
+    along = np.sqrt(sq[:, 0::2] + sq[:, 1::2]) + spread * complex_gaussian(rng, draws)
+    across = standard_gamma(rng, entries - 1, draws)
+    return (along.real ** 2 + along.imag ** 2 + spread ** 2 * across) / entries
 
 
 def _estimate_span(params: SystemParams, alloc: PowerAllocation,
@@ -135,14 +159,17 @@ def _estimate_span(params: SystemParams, alloc: PowerAllocation,
 
 
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
-                      trials: int, gain_l: float, gain_u: float):
+                      trials: int, gain_l: float, gain_u: float,
+                      forward: Callable):
     """One full training round for a stack of trials: (channels, estimates),
     both (n_t, n_l + n_u, T) with the LR's columns first, each estimate its
-    forward statistic times that receiver's ``forward_filters`` gain."""
+    ``forward`` statistic times that receiver's ``forward_filters`` gain:
+    the noisy one of ``forward_training``, or without the receivers' noise
+    that of ``training._forward_signal``."""
     n_l = params.n_l
     channels, h_u = sample_channels(params, alloc.scheme, rng, trials)
     span = _estimate_span(params, alloc, channels[:, :n_l], h_u, rng)
-    estimates = forward_training(params, alloc, span, channels, rng)
+    estimates = forward(params, alloc, span, channels, rng)
     estimates[:, :n_l] *= gain_l
     estimates[:, n_l:] *= gain_u
     return channels, estimates
@@ -196,10 +223,13 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
                          "meaningless confidence bounds")
     (gain_l, analytic_lr), (gain_u, analytic_ur) = forward_filters(
         params, alloc, jensen_variant)
+    spread = np.array([[gain_l * np.sqrt(params.var_w)],
+                       [gain_u * np.sqrt(params.var_v)]])
 
     def one_stack(streams, n):
         return _per_entry_sq_err(params, *_estimation_round(
-            params, alloc, streams, n, gain_l, gain_u))
+            params, alloc, streams, n, gain_l, gain_u, _forward_signal),
+            spread, streams)
 
     sq_l, sq_u = _run_blocks(one_stack, trials, seed, stack_blocks(params))
 
@@ -267,7 +297,7 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
 
     def one_stack(streams, n):
         channels, estimates = _estimation_round(params, alloc, streams, n,
-                                                gain_l, gain_u)
+                                                gain_l, gain_u, forward_training)
         sent = integers(streams, modulation, (CODE_SYMBOLS, n))
         # one encode against [h_d, g] side by side
         received = encode_block(constellation[sent], channels, scale)

@@ -89,3 +89,12 @@ def integers(rng: np.random.Generator | BlockStreams, high: int,
     substream's ``integers(0, high, size=...)``."""
     return _by_block(rng, lambda g, d: g.integers(0, high, size=d),
                      tuple(shape), -1)
+
+
+def standard_gamma(rng: np.random.Generator | BlockStreams, shape,
+                   dims) -> np.ndarray:
+    """Gamma(shape, 1) variates of ``dims``, the trial axis last, ``shape``
+    broadcast against them, from a generator or a stack's ``BlockStreams``:
+    each block's are its substream's ``standard_gamma(shape, size=...)``."""
+    return _by_block(rng, lambda g, d: g.standard_gamma(shape, size=d),
+                     tuple(dims), -1)

@@ -195,6 +195,19 @@ def round_trip_training(params: SystemParams, alloc: PowerAllocation,
     return _product(y_l0, h_u, y_t1)
 
 
+def _forward_signal(params: SystemParams, alloc: PowerAllocation,
+                    span: Optional[np.ndarray], channels: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """The receivers' noiseless forward statistics sqrt(E/n_t) H + A (N^H H),
+    (n_t, n_l + n_u, T), the LR's first; draws A (``forward_training``)."""
+    n_t, n_l, trials = params.n_t, params.n_l, channels.shape[-1]
+    received = np.sqrt(alloc.forward / n_t) * channels
+    if alloc.var_a > 0:
+        a = complex_gaussian(rng, (n_t, n_t - n_l, trials), alloc.var_a)
+        _product(a, null_space_basis(span, channels), received)
+    return received
+
+
 def forward_training(params: SystemParams, alloc: PowerAllocation,
                      span: Optional[np.ndarray], channels: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
@@ -206,15 +219,16 @@ def forward_training(params: SystemParams, alloc: PowerAllocation,
     estimate itself included, and the n_t x (n_t - n_l) statistic C_t^H A
     is drawn as A, per-entry variance var_a.  The receivers' channels
     H = [H_d, G] come side by side, as ``sample_channels`` draws them, so
-    they read sqrt(E/n_t) H + A (N^H H) plus their own noise, and
+    they read sqrt(E/n_t) H + A (N^H H) (``_forward_signal``) plus their
+    own noise, W at the LR and V at the UR, drawn after A, and
     ``null_space_basis`` hands back N^H H directly.  Returns their
-    statistics side by side, (n_t, n_l + n_u, T), the LR's first.
+    statistics side by side, (n_t, n_l + n_u, T), the LR's first.  The SER
+    decoders read these noisy statistics; the NMSE score reads the
+    noiseless ones and draws only what the noise adds to each receiver's
+    squared error (``montecarlo``).
     """
     n_t, n_l, trials = params.n_t, params.n_l, channels.shape[-1]
-    received = np.sqrt(alloc.forward / n_t) * channels
-    if alloc.var_a > 0:
-        a = complex_gaussian(rng, (n_t, n_t - n_l, trials), alloc.var_a)
-        _product(a, null_space_basis(span, channels), received)
+    received = _forward_signal(params, alloc, span, channels, rng)
     received[:, :n_l] += complex_gaussian(rng, (n_t, n_l, trials), params.var_w)
     received[:, n_l:] += complex_gaussian(rng, (n_t, params.n_u, trials),
                                           params.var_v)

@@ -13,7 +13,8 @@ deterministic golden and any Monte-Carlo cell beyond ``MC_RTOL``, and exits
 |delta| / hw95: over some 30 cells, a value well above 2.5 points to a
 defect, not to a new stream.  ``--write`` rewrites the goldens that moved,
 and any not pinned yet, only if every golden's rule permits its move;
-otherwise it names each refusal and writes nothing.
+otherwise it names each refusal and writes nothing.  The DRAWS rule refuses
+a cell beyond ``MAX_HW95`` half-widths.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ from helpers import (DRAWS, EXACT, GOLDENS, SOLVER, changed_cells,  # noqa: E402
 
 # a solver golden's float cell may move this much without improving its row
 SOLVER_RTOL = 1e-9
+# a re-drawn Monte-Carlo cell lands farther than this many of its 95%
+# half-widths from its pin with probability about 3e-8 (two independent
+# estimates: |delta| / hw95 ~ |N(0, 2)| / 1.96): beyond it, the move is a
+# defect, not a new stream
+MAX_HW95 = 4.0
 # the half-width column of each empirical NMSE column
 HALF_WIDTH = {"nmse_l_empirical": "hw95_lr", "nmse_u_empirical": "hw95_ur"}
 
@@ -74,6 +80,9 @@ def judge(golden, old: str, new: str) -> tuple:
             if golden.rule == DRAWS:
                 ratio = abs(float(b) - float(a)) / _half_width(old_rows[i - 1], col, b)
                 line += "" if math.isnan(ratio) else f"  |d|/hw95 {ratio:.2g}"
+                if ratio > MAX_HW95:
+                    refused.append(f"{where} moved {ratio:.2g} half-widths, "
+                                   f"beyond {MAX_HW95:g}")
             elif (golden.rule == SOLVER and rel > SOLVER_RTOL and not
                   float(new_rows[i - 1][objective]) < float(old_rows[i - 1][objective])):
                 refused.append(f"{where} moved {rel:.1e} without improving {objective}")

@@ -177,17 +177,23 @@ def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme, monkeypa
                 assert joint[:, start:start + n].tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("scheme,per_trial", [(RECIPROCAL, 48), (NON_RECIPROCAL, 80)],
-                         ids=["recip", "echo"])
-def test_each_trial_draws_a_fixed_number_of_normals(defaults, scheme, per_trial,
-                                                    monkeypatch):
-    """Every block of a 600-trial NMSE run draws per_trial complex normals
-    per trial from its own substream, and nothing else, whichever stack
-    computes it.  At 4x2x2 with every
-    pilot and AN that is 48 for the reciprocal scheme (H_d and G 16, the
-    reverse noise 8, A, W and V 8 each) and 80 for the echo scheme (H_u
-    8 and the round trip's W_0 8 and W_1 16 besides).  A change that
-    quietly draws more, or draws another way, fails here."""
+@pytest.mark.parametrize("experiment,scheme,per_trial", [
+    ("nmse", RECIPROCAL, (34, 2, 0)), ("nmse", NON_RECIPROCAL, (66, 2, 0)),
+    ("ser", RECIPROCAL, (54, 0, 3)), ("ser", NON_RECIPROCAL, (86, 0, 3)),
+], ids=["recip", "echo", "ser-recip", "ser-echo"])
+def test_each_trial_draws_a_fixed_number_of_normals(defaults, experiment, scheme,
+                                                    per_trial, monkeypatch):
+    """Every block of a 600-trial run draws, per trial and from its own
+    substream, per_trial = (complex normals, gamma variates, integers) and
+    nothing else, whichever stack computes it.  At 4x2x2 with every pilot
+    and AN, an NMSE trial draws 34 complex normals in the reciprocal scheme
+    (H_d and G 16, the reverse noise 8, A 8, each receiver's noise
+    statistic 1) and 66 in the echo scheme (H_u 8 and the round trip's W_0
+    8 and W_1 16 besides), and 2 gamma variates, one per receiver.  An SER
+    trial draws the forward noise W and V in full (8 each) and each
+    receiver's 3 filtered data-noise symbols instead, so 54 and 86 complex
+    normals, and its 3 code symbols.  A change that quietly draws more, or
+    draws another way, fails here."""
     counts = {}
 
     class Counting:
@@ -195,18 +201,92 @@ def test_each_trial_draws_a_fixed_number_of_normals(defaults, scheme, per_trial,
             self.block, self.rng = block, rng
 
         def standard_normal(self, size):
-            counts[self.block] += int(np.prod(size))
+            counts[self.block][0] += int(np.prod(size))
             return self.rng.standard_normal(size)
+
+        def standard_gamma(self, shape, size):
+            counts[self.block][1] += int(np.prod(size))
+            return self.rng.standard_gamma(shape, size=size)
+
+        def integers(self, low, high, size):
+            counts[self.block][2] += int(np.prod(size))
+            return self.rng.integers(low, high, size=size)
 
     def counting(seed, block):
         assert block not in counts   # each substream is created once
-        counts[block] = 0
+        counts[block] = [0, 0, 0]
         return Counting(block, trial_rng(seed, block))
 
     monkeypatch.setattr(montecarlo, "trial_rng", counting)
-    run_nmse_experiment(defaults, _informed_allocation(scheme), trials=600, seed=3)
-    assert counts == {block: 2 * per_trial * n
+    if experiment == "nmse":
+        run_nmse_experiment(defaults, _informed_allocation(scheme), trials=600, seed=3)
+    else:
+        run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=3,
+                           scheme=scheme)
+    normals, gammas, symbols = per_trial
+    assert counts == {block: [2 * normals * n, gammas * n, symbols * n]
                       for block, n in enumerate((256, 256, 88))}
+
+
+def _ks_pvalue(a, b):
+    """Two-sample Kolmogorov-Smirnov p-value by Kolmogorov's asymptotic
+    series at sqrt(n m / (n + m)) D, within about 1% of scipy's ks_2samp
+    for samples of 40,000 (whose import would cost a third of a second)."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    d = np.abs(np.searchsorted(a, grid, side="right") / len(a)
+               - np.searchsorted(b, grid, side="right") / len(b)).max()
+    lam = np.sqrt(len(a) * len(b) / (len(a) + len(b))) * d
+    k = np.arange(1, 1001)
+    return min(1.0, 2 * np.sum((-1.0) ** (k - 1) * np.exp(-2 * (k * lam) ** 2)))
+
+
+def _full_noise_sq_err(params, channels, estimates):
+    """Each receiver's mean squared entry error per trial, (2, T), of
+    estimates whose forward noise was drawn entry by entry."""
+    sq, n_l = np.abs(estimates - channels) ** 2, params.n_l
+    return np.stack([sq[:, :n_l].sum(axis=(0, 1)) / (params.n_t * n_l),
+                     sq[:, n_l:].sum(axis=(0, 1)) / (params.n_t * params.n_u)])
+
+
+@pytest.mark.parametrize("geometry,alloc", [
+    ((4, 2, 2), reciprocal_allocation(10.0, 40.0, var_a=0.2)),
+    ((4, 2, 2), nonreciprocal_allocation(10.0, 10.0, 10.0, 40.0, var_a=0.2)),
+    ((8, 4, 4), reciprocal_allocation(20.0, 80.0, var_a=0.2)),
+], ids=["recip-4x2x2", "echo-4x2x2", "recip-8x4x4"])
+def test_noise_statistic_keeps_the_law_of_the_full_noise(geometry, alloc,
+                                                         monkeypatch):
+    """The NMSE score draws each receiver's forward noise as one CN(0, 1)
+    and one Gamma(K_R - 1) variate; scoring ``forward_training``'s noisy
+    statistics, every noise entry drawn, must give the same law.  Over
+    40,000 trials a side (independent seeds), each receiver's per-trial
+    errors agree in mean and second moment within 4 combined standard
+    errors, and a two-sample KS test gives p > 1e-4.  Forward SNR 10 per
+    entry makes the noise most of each error, so a wrong gamma shape, a
+    wrong variance on z or a dropped imaginary part fails here."""
+    params = default_params(n_t=geometry[0], n_l=geometry[1], n_u=geometry[2])
+    trials, run_blocks, captured = 40000, montecarlo._run_blocks, []
+
+    def capture(stack_fn, n, seed, blocks_per_stack):
+        captured.append(run_blocks(stack_fn, n, seed, blocks_per_stack))
+        return captured[-1]
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", capture)
+    report = run_nmse_experiment(params, alloc, trials=trials, seed=1)
+    got, = captured
+    assert report.empirical_lr == got[0].mean()
+    (gain_l, _), (gain_u, _) = forward_filters(params, alloc, "printed")
+
+    def full_noise(streams, n):
+        return _full_noise_sq_err(params, *montecarlo._estimation_round(
+            params, alloc, streams, n, gain_l, gain_u, forward_training))
+
+    want = run_blocks(full_noise, trials, 2, montecarlo.stack_blocks(params))
+    for engine, reference in zip(got, want):
+        for x, y in ((engine, reference), (engine ** 2, reference ** 2)):
+            se = np.sqrt((x.var(ddof=1) + y.var(ddof=1)) / trials)
+            assert abs(x.mean() - y.mean()) <= 4 * se, (x.mean(), y.mean(), se)
+        assert _ks_pvalue(engine, reference) > 1e-4
 
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
@@ -494,7 +574,7 @@ def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
     n_l, want = defaults.n_l, []
     for replay, n in zip(replays, sizes):
         channels, estimates = montecarlo._estimation_round(
-            defaults, alloc, replay, n, gain_l, gain_u)
+            defaults, alloc, replay, n, gain_l, gain_u, forward_training)
         sent = replay.integers(0, 64, size=(CODE_SYMBOLS, n))
         noise = [complex_gaussian(replay, (CODE_SYMBOLS, n), var)
                  for var in (defaults.var_w, defaults.var_v)]
@@ -527,7 +607,7 @@ def test_ser_matches_block_domain_reference(defaults, scheme):
     def reference_block(streams, n):
         rng, = streams.generators
         channels, estimates = montecarlo._estimation_round(
-            defaults, alloc, rng, n, gain_l, gain_u)
+            defaults, alloc, rng, n, gain_l, gain_u, forward_training)
         n_l = defaults.n_l
         return block_domain_errors(
             rng, defaults, 64, scale, trials_first(channels[:, :n_l]),

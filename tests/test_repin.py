@@ -31,6 +31,10 @@ CASES = {
     "draws-ser-cell-leaves-zero": (DRAWS, "mc.csv", "ser_lr,trials\n0,1000\n",
                                    "ser_lr,trials\n0.006,1000\n", True,
                                    "rel inf  |d|/hw95 2.2  MOVED"),
+    "draws-cell-implausible": (DRAWS, "mc.csv",
+                               "nmse_l_empirical,hw95_lr\n0.5,0.01\n",
+                               "nmse_l_empirical,hw95_lr\n0.545,0.0101\n", False,
+                               "mc.csv row 1 nmse_l_empirical moved 4.5 half-widths"),
     "draws-column-added": (DRAWS, "mc.csv", "scheme,nmse\nreciprocal,0.5\n",
                            "scheme,nmse,hw95\nreciprocal,0.50000000000001,0.01\n",
                            True, "rel 2.0e-14\n"),
@@ -60,7 +64,7 @@ def test_repin_applies_each_rule(tmp_path, capsys, rule, file, pinned, fresh,
     goldens = {"case": Golden(file, rule, None),
                "other": Golden("mc_other.csv", DRAWS, None)}
     pinned = {"case": pinned, "other": "ser_lr,trials\n0.1,1000\n"}
-    fresh = {"case": fresh, "other": "ser_lr,trials\n0.2,1000\n"}
+    fresh = {"case": fresh, "other": "ser_lr,trials\n0.11,1000\n"}
     for name, golden in goldens.items():
         (tmp_path / golden.file).write_bytes(pinned[name].encode())
 

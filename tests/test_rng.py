@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dce.rng import BlockStreams, complex_gaussian, integers, trial_rng
+from dce.rng import (BlockStreams, complex_gaussian, integers, standard_gamma,
+                     trial_rng)
 
 
 def test_same_seed_same_draws():
@@ -84,21 +85,24 @@ def test_complex_gaussian_bit_identical_to_two_call_formula(var, shape):
 def test_stack_streams_fill_each_blocks_slice(lead, sizes):
     """A stack's streams give, bit for bit, on each block's slice of the
     trial axis (the last), what that block's generator gives alone for its
-    own length, call by call, complex normals and integers alike, and leave
-    every stream where the block's own calls leave it."""
+    own length, call by call, complex normals, integers and gamma variates
+    alike (a gamma shape broadcast against the draw), and leave every
+    stream where the block's own calls leave it."""
     keys = range(len(sizes))
     stack = BlockStreams(tuple(trial_rng(4, b) for b in keys), sizes)
     alone = [trial_rng(4, b) for b in keys]
     shape = lead + (sum(sizes),)
+    k = np.arange(1.0, 1.0 + lead[-1]).reshape((-1, 1)) if lead else 2.5
     got = [complex_gaussian(stack, shape, 0.3), integers(stack, 64, shape),
-           complex_gaussian(stack, shape)]
+           standard_gamma(stack, k, shape), complex_gaussian(stack, shape)]
     assert all(x.shape == shape and x.flags.c_contiguous for x in got)
     start = 0
     for rng, n in zip(alone, sizes):
         block = lead + (n,)
         z = rng.standard_normal(block + (2,))
         want = [(z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.3 / 2.0),
-                rng.integers(0, 64, size=block), complex_gaussian(rng, block)]
+                rng.integers(0, 64, size=block),
+                rng.standard_gamma(k, size=block), complex_gaussian(rng, block)]
         for g, w in zip(got, want):
             assert g[..., start:start + n].tobytes() == w.tobytes()
         start += n
@@ -109,3 +113,7 @@ def test_stack_draw_must_span_the_stack():
     stack = BlockStreams((trial_rng(1, 0), trial_rng(1, 1)), (256, 3))
     with pytest.raises(ValueError, match="259"):
         complex_gaussian(stack, (4, 258))
+    with pytest.raises(ValueError, match="259"):
+        integers(stack, 64, (4, 258))
+    with pytest.raises(ValueError, match="259"):
+        standard_gamma(stack, 3.0, (2, 260))
