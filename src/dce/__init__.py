@@ -12,22 +12,18 @@ four-antenna orthogonal block code.  The brute-force lattice oracles that
 check both solvers live in the test suite (``tests/oracles.py``).
 """
 
-from .alloc_reciprocal import ReciprocalSolution, solve_reciprocal
+from .alloc_reciprocal import solve_reciprocal
 from .config import ExperimentConfig
 from .errors import (ConfigError, DceError, Infeasible, InfeasibleGamma,
                      NoFeasiblePoint, NonFiniteOutcome, NotConverged, Stalled,
                      UnsupportedGeometry)
-from .gp import (CondensationTrace, GpState, NonReciprocalSolution, condense,
-                 from_gp_variables, initial_feasible_state, solve_inner_gp,
-                 to_gp_variables)
-from .montecarlo import (NmseReport, SerReport, run_nmse_experiment,
-                         run_ser_experiment, solve_allocation)
-from .nmse import (check_gamma, gamma_bounds, gamma_tilde, jensen_factor,
-                   mu_threshold, nmse_l_nonreciprocal_approx, nmse_l_reciprocal,
-                   nmse_lower_bound, nmse_u, spectral_factor)
+from .gp import GpState, condense, initial_feasible_state, solve_inner_gp
+from .montecarlo import (run_nmse_experiment, run_ser_experiment,
+                         solve_allocation)
+from .nmse import (nmse_l_nonreciprocal_approx, nmse_l_reciprocal,
+                   nmse_lower_bound, nmse_u)
 from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams,
-                     db_to_linear, default_params, linear_to_db,
-                     nonreciprocal_allocation, reciprocal_allocation,
+                     default_params, linear_to_db, reciprocal_allocation,
                      with_fixed_energy_budgets)
 from .rng import complex_gaussian, trial_rng
 from .tables import ResultTable

@@ -8,21 +8,16 @@ Subcommands:
   fixed total energy budgets (reciprocal scheme only; ``alloc`` and
   ``ser`` reject a list).
 * ``ser``    — data-phase symbol error rates with estimated channels.
-* ``verify`` — at one (gamma, p_ave) point, solves the echo scheme's
-  allocation, computes its exact spectral factor (it and its miss must
-  be positive, or the factor 0 without a round trip; no sampling) and
-  reports which closed-form surrogate it favours.  The other self-checks
-  live in the test suite.
 
 Each subcommand declares only the flags it reads: ``--config`` and the
 flag of each ``config.KEYS`` entry that names the command and has a help.
 
 Exit codes: 0 success, 1 solver breakdown, 2 configuration problem,
-3 infeasible problem (also a verify point outside the echo scheme's floor
-interval, or a ser point whose floor is met with no forward pilots),
-4 unsupported geometry (a transmit antenna count the block code cannot
-drive), 5 a failed verify check, 6 a non-finite Monte-Carlo outcome (a
-trial whose squared error is NaN or infinite, as after an overflow).
+3 infeasible problem (also a ser point whose floor is met with no forward
+pilots), 4 unsupported geometry (a transmit antenna count the block code
+cannot drive), 6 a non-finite Monte-Carlo outcome (a trial whose squared
+error is NaN or infinite, as after an overflow).  5, once a failed self-check,
+is retired and not reused.
 """
 
 from __future__ import annotations
@@ -39,9 +34,8 @@ from .errors import (ConfigError, Infeasible, InfeasibleGamma,
 from .montecarlo import (DESK_NMSE_TRIALS, DESK_SER_TRIALS, MIN_NMSE_TRIALS,
                          run_nmse_experiment, run_ser_experiment,
                          solve_allocation)
-from .nmse import (JENSEN_VARIANTS, jensen_factor, jensen_miss,
-                   nmse_lower_bound, spectral_factor)
-from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, linear_to_db,
+from .nmse import nmse_lower_bound
+from .params import (RECIPROCAL, PowerAllocation, linear_to_db,
                      with_fixed_energy_budgets)
 from .tables import ResultTable, check_writable, write_table
 
@@ -49,7 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_GEOMETRY = 4
-EXIT_VERIFY = 5
 EXIT_DEGENERATE = 6
 
 
@@ -62,14 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dce",
         description="Discriminatory channel estimation: training simulation, "
-                    "power allocation, and verification tools.")
+                    "power allocation, NMSE and symbol-error-rate experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, extra in (
             ("alloc", cmd_alloc, "solve the power allocation"),
             ("nmse", cmd_nmse, "analytic vs empirical estimation error"),
-            ("ser", cmd_ser, "data-phase symbol error rates"),
-            ("verify", cmd_verify,
-             "check the echo scheme's spectral factor at one point")):
+            ("ser", cmd_ser, "data-phase symbol error rates")):
         sp = sub.add_parser(name, help=extra)
         sp.add_argument("--config", help="key=value config file; flags override it")
         for key in KEYS:
@@ -100,8 +91,6 @@ def effective_config(args: argparse.Namespace):
     if taus is not None and args.command != "nmse":
         raise ConfigError("a tau_f list sweeps the forward length and only "
                           "applies to the nmse command")
-    if args.command == "verify" and (len(cfg.gamma) > 1 or len(cfg.pave_db) > 1):
-        raise ConfigError("verify checks one point: give one gamma and one pave_db")
     for tau_f in taus or ():
         # each sweep value gets the checks a single --tau-f value gets
         dataclasses.replace(cfg, tau_f=tau_f).validate().to_params(cfg.pave_db[0])
@@ -165,51 +154,6 @@ def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
         table.add_row(pave_db, gamma, rep.ser_lr, rep.ser_ur, rep.trials)
     write_table(table, cfg.format, cfg.out)
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# verification suite
-# ---------------------------------------------------------------------------
-
-def _require(ok, message: str) -> None:
-    """Fail the running self-check; unlike ``assert`` it survives ``python -O``."""
-    if not ok:
-        raise AssertionError(message)
-
-
-def _check_jensen_adjudication(params, alloc):
-    """F in (0, 1), or 0 where both surrogates are; F and the surrogates
-    are compared by their misses 1 - F, exact where F rounds to 1."""
-    factor, miss = spectral_factor(params, alloc)
-    if all(jensen_factor(params, alloc, v) == 0.0 for v in JENSEN_VARIANTS):
-        _require(factor == 0.0, "factor must vanish without a round trip")
-    else:
-        _require(factor > 0.0 and miss > 0.0, "spectral factor out of range")
-    gaps = {v: abs(miss - jensen_miss(params, alloc, v)) for v in JENSEN_VARIANTS}
-    closer = min(JENSEN_VARIANTS, key=gaps.__getitem__)
-    detail = (f"exact {factor:.4f}; "
-              + "; ".join(f"{v} off by {gaps[v]:.4f}" for v in JENSEN_VARIANTS)
-              + f"; closer: {closer}")
-    return gaps[closer], detail
-
-
-def cmd_verify(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
-    params = cfg.to_params(cfg.pave_db[0])
-    # an infeasible point (condense checks the floor first) or a solver
-    # failure is not a failed check: both exit before the table, as in
-    # every other command
-    alloc, _, _ = solve_allocation(params, cfg.gamma[0], NON_RECIPROCAL)
-    table = ResultTable(["check", "status", "deviation", "detail"])
-    try:
-        deviation, detail = _check_jensen_adjudication(params, alloc)
-    except AssertionError as exc:
-        table.add_row("jensen-adjudication", "fail", float("nan"), str(exc))
-        code = EXIT_VERIFY
-    else:
-        table.add_row("jensen-adjudication", "pass", deviation, detail)
-        code = EXIT_OK
-    write_table(table, cfg.format, cfg.out)
-    return code
 
 
 # ---------------------------------------------------------------------------

@@ -186,14 +186,13 @@ class Key(NamedTuple):
     help: Optional[str]
 
 
-COMMANDS = ("alloc", "nmse", "ser", "verify")
-_PROTOCOL = ("alloc", "nmse", "ser")
+COMMANDS = ("alloc", "nmse", "ser")
 _SAMPLING = ("nmse", "ser")
 
-# The geometry reaches alloc and verify's echo solve through to_params, n_u
-# only the Monte-Carlo draws, and tau_r only the reciprocal protocol.
+# The geometry reaches every command's solve through to_params, n_u only the
+# Monte-Carlo draws, and tau_r only the reciprocal protocol.
 KEYS = (
-    Key("scheme", _scalar(str), _PROTOCOL,
+    Key("scheme", _scalar(str), COMMANDS,
         f"training protocol: {RECIPROCAL} or {NON_RECIPROCAL}"),
     Key("gamma", parse_float_list, COMMANDS,
         "UR NMSE floor (linear); comma list sweeps"),
@@ -205,12 +204,12 @@ KEYS = (
     Key("n_t", _scalar(int), COMMANDS, None),
     Key("n_l", _scalar(int), COMMANDS, None),
     Key("n_u", _scalar(int), _SAMPLING, None),
-    Key("tau_r", _scalar(int), _PROTOCOL, None),
-    Key("tau_f", functools.partial(parse_float_list, kind=int), _PROTOCOL,
+    Key("tau_r", _scalar(int), COMMANDS, None),
+    Key("tau_f", functools.partial(parse_float_list, kind=int), COMMANDS,
         "forward training length; a comma list sweeps it (nmse)"),
     Key("trials", _scalar(int), _SAMPLING, "Monte-Carlo trials"),
     Key("seed", _scalar(int), _SAMPLING, "nonnegative RNG seed"),
-    Key("jensen_variant", _scalar(str), _PROTOCOL,
+    Key("jensen_variant", _scalar(str), COMMANDS,
         f"echo-scheme NMSE surrogate: {' or '.join(JENSEN_VARIANTS)}"),
     Key("modulation", _scalar(int), ("ser",), f"QAM order: {_QAM_ORDERS}"),
     Key("format", _scalar(str), COMMANDS, f"table format: {' or '.join(FORMATS)}"),

@@ -23,11 +23,6 @@ from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .training import echo_gain
 
 JENSEN_VARIANTS = ("printed", "sigma-squared")   # the first is the default
-# Most rows of the Laguerre Jacobi matrix the spectral factor folds in.  Its
-# truncation error falls like exp(-4*sqrt(b*rows)): 100/b + 64 rows matched
-# 10^6 rows to 2.2e-16 for b in [1e-3, 1e5] from 1x2 to 31x32, and twice that
-# is kept.  At the cap, b < 2e-3, F is off by 1.2e-10 at most down to b = 1e-6.
-MAX_SPECTRAL_ROWS = 100_000
 
 
 def lmmse_error_var(prior, energy, n, noise):
@@ -105,69 +100,11 @@ def _jensen_terms(params: SystemParams, alloc: PowerAllocation,
     return downlink_beta(params, alloc), (np.sqrt(sigma2) if variant == "printed" else sigma2)
 
 
-def jensen_factor(params: SystemParams, alloc: PowerAllocation,
-                  variant: str) -> float:
-    r"""Surrogate for E{1/(beta/lambda + 1)} over the uplink-estimate spectrum.
-
-    ``printed`` uses n_t*sigma/(beta + n_t*sigma) with sigma the square
-    root of the uplink-estimate entry variance sigma^2; ``sigma-squared``
-    uses n_t*sigma^2/(beta + n_t*sigma^2).  Both collapse to 0 when there
-    is no usable round trip (alpha = 0 or e_2 = 0).
-    """
-    beta, s = _jensen_terms(params, alloc, variant)
-    if not np.isfinite(beta) or s == 0.0:
-        return 0.0
-    return float(params.n_t * s / (beta + params.n_t * s))
-
-
 def _surrogate_miss(n_t: int, beta, s):
     """1 - n_t*s/(beta + n_t*s) as beta/(beta + n_t*s), which cancels nothing
     as the factor nears 1; 1 at beta = inf.  Broadcasts over NumPy arrays."""
     with np.errstate(invalid="ignore"):
         return np.where(np.isinf(beta), 1.0, beta / (beta + n_t * s))
-
-
-def jensen_miss(params: SystemParams, alloc: PowerAllocation, variant: str) -> float:
-    """1 - jensen_factor(params, alloc, variant), without cancellation."""
-    return float(_surrogate_miss(params.n_t, *_jensen_terms(params, alloc, variant)))
-
-
-def _laguerre_parts(n_l: int, n_t: int, b: float) -> Tuple[float, float]:
-    """(F, 1 - F) of ``spectral_factor`` at b = beta/sigma^2."""
-    m, alpha = n_l, n_t - n_l
-    rows = MAX_SPECTRAL_ROWS if b * MAX_SPECTRAL_ROWS < 200.0 else int(200.0 / b) + 129
-    k = np.arange(m + rows - 1, m - 1, -1, dtype=float)
-    g = 0.0   # ((J + bI) from row k on)^-1 [0, 0], from the truncated bottom up
-    for diag, off_sq in zip((2 * k + alpha + 1 + b).tolist(),
-                            ((k + 1) * (k + 1 + alpha)).tolist()):
-        g = 1.0 / (diag - off_sq * g)
-    j = np.arange(m, dtype=float)
-    off = np.sqrt(j[1:] * (j[1:] + alpha))
-    s = np.diag(2 * j + alpha + 1) + np.diag(off, 1) + np.diag(off, -1)
-    s[-1, -1] -= m * (m + alpha) * g   # the tail, folded in
-    mu = np.linalg.eigvalsh(s)
-    return float(np.mean(mu / (mu + b))), float(np.mean(b / (mu + b)))
-
-
-def spectral_factor(params: SystemParams, alloc: PowerAllocation) -> Tuple[float, float]:
-    r"""The exact F = E{lambda/(lambda + beta)} the Jensen surrogates stand
-    in for, and its miss 1 - F, each without cancellation.
-
-    lambda is an unordered eigenvalue of Hu_hat Hu_hat^H (n_l x n_t entries
-    i.i.d. CN(0, sigma^2)); lambda/sigma^2 has Telatar's (1999) Laguerre
-    density of alpha = n_t - n_l.  With b = beta/sigma^2 and J the Jacobi
-    matrix of the weight x^alpha e^-x (diagonal 2k + alpha + 1, off-diagonal
-    sqrt(k(k + alpha))), 1 - F = (b/n_l) tr of the leading n_l x n_l block
-    of (J + bI)^-1.  A backward continued fraction folds J's tail into that
-    block, a Schur complement with eigenvalues mu > 0: F = mean(mu/(mu + b))
-    and 1 - F = mean(b/(mu + b)); ``sigma-squared`` puts every mu at n_t.
-    (0.0, 1.0) without a round trip (beta = inf or e_2 = 0).
-    """
-    sigma2 = sigma_sq_uplink(params, alloc.e_2)
-    b = downlink_beta(params, alloc) / sigma2 if sigma2 > 0.0 else float("inf")
-    if not np.isfinite(b):
-        return 0.0, 1.0
-    return _laguerre_parts(params.n_l, params.n_t, b)
 
 
 def leakage_residual(params: SystemParams, e_0, beta, s):

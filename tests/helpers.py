@@ -86,7 +86,6 @@ GOLDENS.update(
         "--gamma", "0.5,0.2,0.1")),
     # eight condense solves over 0-45 dB, at the points the file holds
     condense_panel=Golden("condense_panel.json", SOLVER, None),
-    verify_default=Golden("verify_default.csv", EXACT, ("verify",)),
 )
 # A float cell may move by this much relative (another CPU's BLAS kernels
 # round differently); a changed draw moves a cell by about its half-width.

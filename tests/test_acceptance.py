@@ -27,10 +27,8 @@ from dce.montecarlo import (
 from dce.nmse import (
     JENSEN_VARIANTS,
     gamma_bounds,
-    jensen_miss,
     nmse_l_nonreciprocal_approx,
     nmse_u,
-    spectral_factor,
 )
 from dce.params import (
     NON_RECIPROCAL,
@@ -40,7 +38,8 @@ from dce.params import (
     with_fixed_energy_budgets,
 )
 from helpers import strip_footer
-from oracles import grid_oracle_nonreciprocal, grid_oracle_reciprocal
+from oracles import (grid_oracle_nonreciprocal, grid_oracle_reciprocal,
+                     jensen_miss, spectral_factor)
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -297,15 +296,14 @@ def test_accept_09_ser_discrimination():
 
 
 def test_accept_10_byte_determinism(tmp_path):
-    """Each command run twice with the same seed (verify draws nothing)
-    produces byte-identical tables once the timestamp footer is stripped."""
+    """Each command run twice with the same seed produces byte-identical
+    tables once the timestamp footer is stripped."""
     cases = [
         ("alloc", ["alloc", "--gamma", "0.1,0.03", "--pave-db", "15,20"]),
         ("nmse", ["nmse", "--gamma", "0.1", "--pave-db", "20",
                   "--trials", "300", "--seed", "4"]),
         ("ser", ["ser", "--gamma", "0.1", "--pave-db", "20",
                  "--trials", "300", "--seed", "4"]),
-        ("verify", ["verify"]),
     ]
     for name, argv in cases:
         out_a = tmp_path / f"{name}_a.csv"
@@ -317,5 +315,5 @@ def test_accept_10_byte_determinism(tmp_path):
         assert a == b, f"{name} output not reproducible"
         assert a.strip(), f"{name} produced an empty table"
     _report("accept-10", True,
-            "alloc/nmse/ser/verify each byte-identical across repeat runs "
+            "alloc/nmse/ser each byte-identical across repeat runs "
             "(footer excluded)")

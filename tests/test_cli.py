@@ -3,20 +3,17 @@
 import argparse
 import csv
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import dce
 import dce.cli as cli
 from dce.config import KEYS
+from dce.params import nonreciprocal_allocation
 from helpers import (GOLDEN_DIR, GOLDENS, changed_cells, moved, produce,
                      strip_footer)
 
-EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_GEOMETRY, EXIT_VERIFY = 0, 2, 3, 4, 5
+EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_GEOMETRY = 0, 2, 3, 4
 EXIT_DEGENERATE = 6
 
 
@@ -300,7 +297,7 @@ def test_exit_config_non_finite_input(capsys):
 
 def test_exit_config_negative_seed(tmp_path, capsys):
     """A negative seed is a configuration error before anything runs, not
-    a traceback from the RNG or a failed verify self-check."""
+    a traceback from the RNG."""
     for command in ("nmse", "ser"):
         assert cli.main([command, "--seed", "-1"]) == EXIT_CONFIG
         assert "seed must be a nonnegative integer" in capsys.readouterr().err
@@ -312,25 +309,6 @@ def test_exit_config_negative_seed(tmp_path, capsys):
 def test_exit_config_too_few_nmse_trials(capsys):
     assert cli.main(["nmse", "--trials", "50"]) == EXIT_CONFIG
     assert "at least 100 trials" in capsys.readouterr().err
-
-
-def test_verify_reads_no_sampling_key(tmp_path, capsys):
-    """verify computes its factor and draws nothing: a --trials or --seed
-    flag is a usage error, and a trials= or seed= config key one
-    configuration error line, before anything runs."""
-    for key, value in (("trials", "500"), ("seed", "3")):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", f"--{key}", value])
-        assert exc.value.code == EXIT_CONFIG
-        assert capsys.readouterr().out == ""
-        cfg = tmp_path / f"{key}.cfg"
-        cfg.write_text(f"{key}={value}\n")
-        assert cli.main(["verify", "--config", str(cfg)]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("configuration error:")
-        assert captured.err.count("\n") == 1
-        assert f"verify does not read the config key(s) {key}" in captured.err
 
 
 def test_exit_config_tau_sweep_wrong_command():
@@ -354,14 +332,14 @@ def test_exit_config_tau_sweep_value_invalid(sweep, capsys):
 @pytest.mark.parametrize("argv", [
     ["alloc", "--scheme", "non-reciprocal", "--tau-f", "8"],
     ["nmse", "--scheme", "non-reciprocal", "--tau-f", "8", "--trials", "100"],
-    ["verify", "--gamma", "0.1,0.2"],
-    ["verify", "--pave-db", "10,20"],
+    ["ser", "--scheme", "non-reciprocal", "--tau-f", "8", "--trials", "100"],
+    ["ser", "--tau-f", "4,8", "--trials", "100"],
 ])
 def test_exit_config_tau_f_outside_its_scope(argv, capsys):
-    """The echo scheme pins its forward phase to n_t slots, and verify
-    checks a single (gamma, p_ave) point: a --tau-f there, or a sweep list
-    for verify, is a configuration error, never a table computed without
-    the value."""
+    """The echo scheme pins its forward phase to n_t slots, and only nmse
+    sweeps the forward length: a --tau-f under the echo scheme, or a
+    --tau-f list for another command, is a configuration error, never a
+    table computed without the value."""
     assert cli.main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
@@ -372,10 +350,10 @@ def test_exit_config_tau_f_outside_its_scope(argv, capsys):
     ["alloc", "--seed", "7"],
     ["nmse", "--full-scale"],
     ["ser", "--full-scale"],
-    ["verify", "--scheme", "non-reciprocal"],
-    ["verify", "--tau-f", "8"],
-    ["verify", "--tau-f", "4,8"],
-    ["verify", "--jensen-variant", "sigma-squared"],
+    ["alloc", "--modulation", "16"],
+    ["nmse", "--modulation", "16"],
+    ["ser", "--tau-r", "8"],
+    ["nmse", "--n-u", "3"],
 ])
 def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
     """Each subcommand declares only the flags it reads; any other is a
@@ -386,13 +364,23 @@ def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_retired_verify_command_is_a_usage_error(capsys):
+    """The three subcommands are alloc, nmse and ser: ``dce verify`` is an
+    argparse usage error (exit 2) that prints nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'verify'" in captured.err
+
+
 # the flags of each subcommand, as the README's flag table lists them
 README_FLAGS = {
     "alloc": {"--scheme", "--tau-f", "--jensen-variant"},
     "nmse": {"--scheme", "--tau-f", "--jensen-variant", "--trials", "--seed"},
     "ser": {"--scheme", "--tau-f", "--jensen-variant", "--trials", "--seed",
             "--modulation"},
-    "verify": set(),
 }
 COMMON_FLAGS = {"--config", "--gamma", "--pave-db", "--pbar-t-db",
                 "--pbar-l-db", "--out", "--format"}
@@ -460,7 +448,7 @@ def test_exit_config_db_overflow(tmp_path, capsys):
     cfg = tmp_path / "loud.cfg"
     cfg.write_text("pbar_l_db=4000\n")
     for argv in (["alloc", "--pave-db", "4000"], ["alloc", "--pbar-t-db", "4000"],
-                 ["alloc", "--config", str(cfg)], ["verify", "--pave-db", "0,4000"]):
+                 ["alloc", "--config", str(cfg)], ["nmse", "--pave-db", "0,4000"]):
         assert cli.main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
@@ -482,9 +470,6 @@ def test_exit_config_antenna_count_past_the_cap(tmp_path, capsys, text):
     ("alloc", "trials=5\n"),
     ("alloc", "seed=9\n"),
     ("alloc", "n_u=3\n"),
-    ("verify", "scheme=non-reciprocal\n"),
-    ("verify", "modulation=16\n"),
-    ("verify", "tau_r=8\n"),
     ("nmse", "modulation=16\n"),
 ])
 def test_exit_config_key_the_command_does_not_read(tmp_path, capsys, command, text):
@@ -581,16 +566,6 @@ def test_exit_infeasible_ser_without_forward_pilots(argv, capsys):
     assert captured.err.startswith("infeasible:") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("gamma", ["1", "1e-6"])
-def test_exit_infeasible_verify_point(gamma, capsys):
-    """A verify point outside the echo scheme's floor interval is the
-    input's fault: exit 3 before any check runs, no table."""
-    assert cli.main(["verify", "--gamma", gamma]) == EXIT_INFEASIBLE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("infeasible:") and captured.err.count("\n") == 1
-
-
 def test_exit_geometry(tmp_path, capsys):
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("n_t=6\nn_l=2\ntrials=200\n")
@@ -602,7 +577,7 @@ def test_exit_degenerate_draw(monkeypatch, capsys):
     """Echo energies of 1e200 overflow the AN basis's Householder norms:
     the first block's outcomes are NaN, and the run stops there with exit 6
     and one stderr line naming the trial and its block."""
-    huge = dce.nonreciprocal_allocation(1e200, 1e200, 1e200, 10.0, 1.0)
+    huge = nonreciprocal_allocation(1e200, 1e200, 1e200, 10.0, 1.0)
     monkeypatch.setattr(cli, "solve_allocation",
                         lambda params, gamma, scheme, variant: (huge, 0.5, 0.5))
     with pytest.warns(RuntimeWarning) as warned:
@@ -641,106 +616,3 @@ def test_echo_scheme_at_extreme_power(tmp_path, command, trials):
             analytic = float(r[header.index("nmse_l_analytic")])
             empirical = float(r[header.index("nmse_l_empirical")])
             assert abs(empirical / analytic - 1.0) <= 0.15
-
-
-def test_exit_verify_failure(tmp_path, monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("deliberately broken for the exit-code test")
-
-    monkeypatch.setattr(cli, "spectral_factor", boom)
-    out = tmp_path / "verify.csv"
-    assert cli.main(["verify", "--out", str(out)]) == EXIT_VERIFY
-    header, rows = _read_csv(out)
-    assert header == ["check", "status", "deviation", "detail"]
-    assert rows == [["jensen-adjudication", "fail", "nan",
-                     "deliberately broken for the exit-code test"]]
-
-
-def test_exit_solver_failure_verify(monkeypatch, capsys):
-    """A solver failure at the verify point is not a failed check: exit 1
-    with one line, as every other command, and no table."""
-    def stuck(*args, **kwargs):
-        raise dce.NotConverged("deliberately unconverged")
-
-    monkeypatch.setattr(cli, "solve_allocation", stuck)
-    assert cli.main(["verify"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "solver failure: deliberately unconverged\n"
-
-
-def test_verify_failure_survives_optimize_flag(tmp_path):
-    """Under ``python -O`` a broken self-check still fails the suite."""
-    script = (
-        "import sys\n"
-        "import dce.cli as cli\n"
-        "if not sys.flags.optimize:\n"
-        "    sys.exit(99)\n"
-        "cli.spectral_factor = lambda *a, **k: (2.0, 1.0 - 2.0)\n"
-        "sys.exit(cli.main(['verify', '--out', sys.argv[1]]))\n")
-    out = tmp_path / "verify.csv"
-    env = dict(os.environ, PYTHONPATH=str(Path(dce.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script, str(out)],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == EXIT_VERIFY, proc.stderr
-    _, rows = _read_csv(out)
-    failed = {r[0]: r[3] for r in rows if r[1] == "fail"}
-    assert failed == {"jensen-adjudication": "spectral factor out of range"}
-
-
-# ---------------------------------------------------------------------------
-# self-check suite
-# ---------------------------------------------------------------------------
-
-def test_verify_all_pass(tmp_path):
-    code, out = _run(tmp_path, "verify")
-    assert code == EXIT_OK
-    header, rows = _read_csv(out)
-    assert header == ["check", "status", "deviation", "detail"]
-    assert [r[0] for r in rows] == ["jensen-adjudication"]
-    assert all(r[1] == "pass" for r in rows)
-    assert rows[0][3].startswith("exact ")
-
-
-def test_verify_passes_at_extreme_power(tmp_path):
-    """At 200 dB b = beta/sigma^2 is about 5e-20: the exact factor and both
-    surrogates round to 1, yet their misses 1 - F stay positive and the
-    check passes, as nmse and ser do at the same point."""
-    code, out = _run(tmp_path, "verify", "--gamma", "0.5", "--pave-db", "200",
-                     "--pbar-l-db", "200", "--pbar-t-db", "210")
-    assert code == EXIT_OK
-    _, rows = _read_csv(out)
-    assert [r[:2] for r in rows] == [["jensen-adjudication", "pass"]]
-    assert 0.0 < float(rows[0][2]) < 1e-15
-
-
-DEAD_ECHO = dce.nonreciprocal_allocation(10.0, 0.0, 10.0, 10.0, 0.5)
-
-
-@pytest.mark.parametrize("alloc,factor,message", [
-    (None, 2.0, "spectral factor out of range"),
-    (None, 0.0, "spectral factor out of range"),
-    (DEAD_ECHO, 0.5, "factor must vanish without a round trip"),
-], ids=["above-one", "zero-with-round-trip", "nonzero-without-round-trip"])
-def test_verify_factor_range(tmp_path, monkeypatch, alloc, factor, message):
-    """The adjudication row checks the exact factor: in (0, 1) when the
-    closed forms see a round trip, exactly 0 when they are 0."""
-    if alloc is not None:
-        monkeypatch.setattr(cli, "solve_allocation",
-                            lambda *a, **k: (alloc, 0.0, 0.0))
-    monkeypatch.setattr(cli, "spectral_factor",
-                        lambda *a, **k: (factor, 1.0 - factor))
-    code, out = _run(tmp_path, "verify")
-    assert code == EXIT_VERIFY
-    _, rows = _read_csv(out)
-    assert rows == [["jensen-adjudication", "fail", "nan", message]]
-
-
-def test_verify_passes_without_round_trip(tmp_path, monkeypatch):
-    """With no echo the exact factor and both closed forms are 0."""
-    monkeypatch.setattr(cli, "solve_allocation",
-                        lambda *a, **k: (DEAD_ECHO, 0.0, 0.0))
-    code, out = _run(tmp_path, "verify")
-    assert code == EXIT_OK
-    _, rows = _read_csv(out)
-    assert [r[:3] for r in rows] == [["jensen-adjudication", "pass", "0"]]

@@ -11,7 +11,6 @@ import pytest
 from dce.nmse import (
     downlink_beta,
     forward_filters,
-    jensen_factor,
     lmmse_error_var,
     lmmse_gain,
     lr_effective_noise_nonreciprocal,
@@ -39,6 +38,7 @@ from dce.training import (
     sample_channels,
 )
 from helpers import dft_pilot, trials_first, trials_last
+from oracles import jensen_factor
 from reference_estimators import (tx_estimate_downlink, tx_estimate_reciprocal,
                                   tx_estimate_uplink)
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dce import cli, nmse
 from dce.errors import InfeasibleGamma
 from dce.montecarlo import solve_allocation
 from dce.nmse import (
@@ -19,8 +18,6 @@ from dce.nmse import (
     downlink_beta,
     gamma_bounds,
     gamma_tilde,
-    jensen_factor,
-    jensen_miss,
     leakage_residual,
     lmmse_error_var,
     lr_effective_noise_nonreciprocal,
@@ -30,7 +27,6 @@ from dce.nmse import (
     nmse_lower_bound,
     nmse_u,
     sigma_sq_uplink,
-    spectral_factor,
 )
 from dce.params import (
     NON_RECIPROCAL,
@@ -39,6 +35,7 @@ from dce.params import (
     nonreciprocal_allocation,
 )
 from dce.rng import complex_gaussian, trial_rng
+from oracles import _laguerre_parts, jensen_factor, jensen_miss, spectral_factor
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +360,7 @@ def test_spectral_factor_matches_telatar_quad(n_l, n_t):
     the factor and its miss within 1e-12 relative for b in [1e-3, 1e3],
     and within 1e-9 absolute below, down to b = 1e-6."""
     for b in QUAD_BS:
-        got, want = nmse._laguerre_parts(n_l, n_t, b), _telatar_parts(n_l, n_t, b)
+        got, want = _laguerre_parts(n_l, n_t, b), _telatar_parts(n_l, n_t, b)
         for g, w in zip(got, want):
             if b >= 1e-3:
                 assert abs(g / w - 1.0) <= 1e-12, (b, got, want)
@@ -403,7 +400,7 @@ def test_spectral_factor_below_jensen_bound(n_t, data, log_b):
     factor never exceeds the sigma-squared surrogate n_t/(b + n_t)."""
     n_l = data.draw(st.integers(1, n_t - 1))
     b = 10.0 ** log_b
-    factor, miss = nmse._laguerre_parts(n_l, n_t, b)
+    factor, miss = _laguerre_parts(n_l, n_t, b)
     assert 0.0 < factor <= n_t / (b + n_t)
     assert miss >= b / (b + n_t)
 
@@ -416,29 +413,26 @@ def test_spectral_factor_asymptotes(n_l, n_t):
     fraction's 2e-4 relative error at n_t - n_l = 1."""
     alpha = n_t - n_l
     for b in (1e-20, 1e-12, 1e-9):
-        _, miss = nmse._laguerre_parts(n_l, n_t, b)
+        _, miss = _laguerre_parts(n_l, n_t, b)
         assert miss == pytest.approx(b / alpha, rel=2e-4 if alpha == 1 else 1e-8)
     for b in (1e12, 1e20):
-        factor, _ = nmse._laguerre_parts(n_l, n_t, b)
+        factor, _ = _laguerre_parts(n_l, n_t, b)
         assert factor == pytest.approx(n_t / b, rel=1e-10)
 
 
 def test_spectral_factor_report(defaults):
     """At a plain echo allocation the exact factor lies in (0, 1), as do
-    both surrogates, with sigma-squared below printed; verify's adjudication
-    names the surrogate whose miss is nearer, and that gap."""
+    both surrogates, with sigma-squared below printed, and each surrogate's
+    miss is 1 minus its factor."""
     alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0, 0.5)
     factor, miss = spectral_factor(defaults, alloc)
     assert 0.0 < factor < 1.0
     assert factor + miss == pytest.approx(1.0, abs=1e-15)
     assert (0.0 < jensen_factor(defaults, alloc, "sigma-squared")
             < jensen_factor(defaults, alloc, "printed") < 1.0)
-    deviation, detail = cli._check_jensen_adjudication(defaults, alloc)
-    closer = detail.rsplit("closer: ", 1)[1]
-    assert closer in JENSEN_VARIANTS
-    gaps = {v: abs(miss - jensen_miss(defaults, alloc, v)) for v in JENSEN_VARIANTS}
-    assert closer == min(gaps, key=gaps.get)
-    assert deviation == gaps[closer]
+    for v in JENSEN_VARIANTS:
+        assert jensen_miss(defaults, alloc, v) == pytest.approx(
+            1.0 - jensen_factor(defaults, alloc, v), rel=1e-12)
 
 
 def test_spectral_factor_degenerate_cases(defaults):

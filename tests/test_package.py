@@ -25,6 +25,24 @@ UNUSED_BY_DESIGN = {
     "errors.NoFeasiblePoint",
 }
 SOLVERS = {"solve_reciprocal", "condense", "solve_inner_gp", "solve_allocation"}
+# ``dce.__all__``.  A name with no caller outside the package's modules and
+# the tests is imported from its module instead.
+EXPORTED = {
+    "ConfigError", "DceError", "ExperimentConfig", "GpState", "Infeasible",
+    "InfeasibleGamma", "NON_RECIPROCAL", "NoFeasiblePoint", "NonFiniteOutcome",
+    "NotConverged", "PowerAllocation", "RECIPROCAL", "ResultTable", "Stalled",
+    "SystemParams", "UnsupportedGeometry", "complex_gaussian", "condense",
+    "default_params", "forward_training", "initial_feasible_state",
+    "linear_to_db", "nmse_l_nonreciprocal_approx", "nmse_l_reciprocal",
+    "nmse_lower_bound", "nmse_u", "null_space_basis", "reciprocal_allocation",
+    "reverse_training", "round_trip_training", "run_nmse_experiment",
+    "run_ser_experiment", "sample_channels", "solve_allocation",
+    "solve_inner_gp", "solve_reciprocal", "trial_rng",
+    "with_fixed_energy_budgets",
+    # submodules
+    "alloc_reciprocal", "config", "errors", "gp", "montecarlo", "nmse",
+    "ostbc", "params", "rng", "tables", "training",
+}
 
 
 def test_pyproject_matches_package_version():
@@ -32,6 +50,12 @@ def test_pyproject_matches_package_version():
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     assert project["name"] == "dce"
     assert project["version"] == dce.__version__
+
+
+def test_exported_names_are_pinned():
+    """``dce.__all__`` is every public name ``__init__`` binds, and that set
+    is this list: a name joins or leaves the package surface only here."""
+    assert set(dce.__all__) == EXPORTED
 
 
 def test_runtime_loads_no_test_dependency(tmp_path):
