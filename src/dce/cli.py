@@ -72,22 +72,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def effective_config(args: argparse.Namespace):
-    """The --config file's values overlaid by the flags', validated; a file
-    key the command does not read, or an --out that cannot be written, is a
-    configuration error.  Returns the config and the --tau-f sweep (None
-    unless tau_f lists several values)."""
+    """The --config file's values overlaid by the flags', validated.  A key
+    given in either that the command or the scheme does not read, or an
+    --out that cannot be written, is a configuration error.  Returns the
+    config and the --tau-f sweep (None unless tau_f lists several values)."""
     values = read_config_file(args.config) if args.config else {}
-    unread = sorted(k for k in values if args.command not in KEY_BY_NAME[k].commands)
-    if unread:
-        raise ConfigError(f"{args.command} does not read the config key(s) "
-                          f"{', '.join(unread)}")
     for key, raw in vars(args).items():
         if key in KEY_BY_NAME:
             values[key] = KEY_BY_NAME[key].parse(key, raw)
+    given = sorted(values)   # tau_f too, whose list leaves values next
     taus = values.pop("tau_f", None)
     if taus is not None and len(taus) == 1:
         values["tau_f"], taus = taus[0], None
     cfg = ExperimentConfig(**values).validate()
+    unread = [k for k in given if args.command not in KEY_BY_NAME[k].commands
+              or cfg.scheme not in KEY_BY_NAME[k].schemes]
+    if unread:
+        raise ConfigError(f"{args.command} under the {cfg.scheme} scheme does "
+                          f"not read {', '.join(unread)}")
     if taus is not None and args.command != "nmse":
         raise ConfigError("a tau_f list sweeps the forward length and only "
                           "applies to the nmse command")
@@ -110,7 +112,7 @@ def cmd_alloc(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
                          "an_db", "nmse_l", "nmse_u"])
     for gamma, pave_db, params in cfg.points():
         alloc, nmse_l, nmse_u = solve_allocation(params, gamma, cfg.scheme,
-                                                 cfg.jensen())
+                                                 cfg.jensen_variant)
         energies = alloc.energies()
         an_power = (params.n_t - params.n_l) * alloc.var_a
         table.add_row(pave_db, gamma, *(linear_to_db(energies[k]) for k in names),
@@ -133,9 +135,9 @@ def cmd_nmse(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
             p = (with_fixed_energy_budgets(params, tau_f)
                  if cfg.scheme == RECIPROCAL else params)
             alloc, nmse_l, nmse_u = solve_allocation(
-                p, gamma, cfg.scheme, cfg.jensen())
+                p, gamma, cfg.scheme, cfg.jensen_variant)
             rep = run_nmse_experiment(p, alloc, trials=trials, seed=cfg.seed,
-                                      jensen_variant=cfg.jensen())
+                                      jensen_variant=cfg.jensen_variant)
             table.add_row(cfg.scheme, gamma, pave_db, tau_f,
                           nmse_l, rep.empirical_lr, rep.half_width_95_lr,
                           nmse_u, rep.empirical_ur, rep.half_width_95_ur,
@@ -150,7 +152,7 @@ def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
     for gamma, pave_db, params in cfg.points():
         rep = run_ser_experiment(params, gamma, cfg.modulation, trials=trials,
                                  seed=cfg.seed, scheme=cfg.scheme,
-                                 jensen_variant=cfg.jensen())
+                                 jensen_variant=cfg.jensen_variant)
         table.add_row(pave_db, gamma, rep.ser_lr, rep.ser_ur, rep.trials)
     write_table(table, cfg.format, cfg.out)
     return EXIT_OK

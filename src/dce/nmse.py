@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import InfeasibleGamma
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
-from .training import echo_gain
 
 JENSEN_VARIANTS = ("printed", "sigma-squared")   # the first is the default
 
@@ -63,6 +62,12 @@ def sigma_sq_uplink(params: SystemParams, e_2: float) -> float:
     """Per-entry variance of the uplink channel estimate."""
     return (params.var_hu ** 2 * e_2
             / (params.var_hu * e_2 + params.n_l * params.var_wt))
+
+
+def echo_gain(params: SystemParams, e_0: float, e_1: float) -> float:
+    """Amplifying gain applied by the LR to its received round-trip block."""
+    denom = e_0 * params.n_l * params.var_hd + params.n_t * params.n_l * params.var_w
+    return float(np.sqrt(e_1 / denom))
 
 
 def t0_round_trip(params: SystemParams, e_0: float) -> float:

@@ -26,6 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .nmse import echo_gain
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .rng import complex_gaussian
 
@@ -157,12 +158,6 @@ def reverse_training(params: SystemParams, alloc: PowerAllocation,
     energy = alloc.e_r if alloc.scheme == RECIPROCAL else alloc.e_2
     noise = complex_gaussian(rng, h_u.shape, params.var_wt)
     return np.sqrt(energy / params.n_l) * h_u + noise
-
-
-def echo_gain(params: SystemParams, e_0: float, e_1: float) -> float:
-    """Amplifying gain applied by the LR to its received round-trip block."""
-    denom = e_0 * params.n_l * params.var_hd + params.n_t * params.n_l * params.var_w
-    return float(np.sqrt(e_1 / denom))
 
 
 def round_trip_training(params: SystemParams, alloc: PowerAllocation,

@@ -18,9 +18,8 @@ eigenvalues at exactly beta.
 
 import numpy as np
 
-from dce.nmse import downlink_beta, lmmse_gain, t0_round_trip
+from dce.nmse import downlink_beta, echo_gain, lmmse_gain, t0_round_trip
 from dce.params import PowerAllocation, SystemParams
-from dce.training import echo_gain
 
 
 def tx_estimate_reciprocal(y_t: np.ndarray, params: SystemParams,

@@ -110,6 +110,20 @@ def test_forward_length_sweep_monotone(tmp_path):
     assert all(b >= a * (1 - 1e-12) for a, b in zip(vals, vals[1:]))
 
 
+def test_forward_length_sweep_row_does_not_depend_on_the_list(tmp_path):
+    """A --tau-f list keeps the energy budgets of the default length n_t, so
+    its row 8 is the same bytes in any list; a single --tau-f 8 keeps the
+    power caps instead and prints another row."""
+    rows = {}
+    for sweep in ("4,8", "8,16", "8"):
+        code, out = _run(tmp_path, "nmse", "--tau-f", sweep, "--trials", "100")
+        assert code == EXIT_OK
+        rows[sweep] = [r for r in out.read_bytes().splitlines(keepends=True)
+                       if r.startswith(b"reciprocal,") and b",20,8," in r]
+    assert len(rows["4,8"]) == 1
+    assert rows["4,8"] == rows["8,16"] != rows["8"]
+
+
 @pytest.mark.parametrize("golden, argv", [
     (g.file, g.argv) for g in GOLDENS.values() if g.argv and g.argv[0] == "alloc"])
 def test_alloc_golden_rows_match_single_point_runs(tmp_path, golden, argv):
@@ -345,6 +359,23 @@ def test_exit_config_tau_f_outside_its_scope(argv, capsys):
     assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key, argv", [
+    ("tau_f", ["nmse", "--scheme", "non-reciprocal", "--tau-f", "4,8"]),
+    ("gamma", ["nmse", "--gamma", "0"]),
+    ("modulation", ["ser", "--modulation", "32"]),
+])
+def test_rejection_is_one_line_naming_its_key(capsys, key, argv):
+    """A value a key does not admit, or a key the scheme does not read (a
+    --tau-f list too, which leaves the config before it is built), exits 2
+    with one configuration error line that names the key; a zero gamma is
+    such a value, not an infeasible floor (exit 3)."""
+    assert cli.main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+    assert captured.err.count("\n") == 1 and key in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["alloc", "--trials", "5"],
     ["alloc", "--seed", "7"],
@@ -435,7 +466,7 @@ def test_config_tau_f_list_means_what_the_flag_means(tmp_path, capsys):
     assert len(table.splitlines()) == 3 and table == strip_footer(from_flag.read_text())
     capsys.readouterr()
     for text, message in (("tau_f=4,8\n", "a tau_f list sweeps"),
-                          ("scheme=non-reciprocal\ntau_f=8\n", "tau_f does not apply")):
+                          ("scheme=non-reciprocal\ntau_f=8\n", "does not read tau_f")):
         cfg.write_text(text)
         assert cli.main(["alloc", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err

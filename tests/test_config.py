@@ -25,6 +25,14 @@ def _validated(text):
     return ExperimentConfig(**read_config(text)).validate()
 
 
+def _effective(tmp_path, text, *flags, command="alloc"):
+    """The config ``dce <command> --config <text> <flags>`` runs with."""
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    args = cli.build_parser().parse_args([command, "--config", str(path), *flags])
+    return cli.effective_config(args)[0]
+
+
 def test_every_field_has_exactly_one_key():
     """KEYS declares each ExperimentConfig field once, read by at least one
     known command."""
@@ -32,6 +40,23 @@ def test_every_field_has_exactly_one_key():
     assert names == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
     for key in KEYS:
         assert key.commands and set(key.commands) <= set(COMMANDS), key.name
+
+
+def test_only_training_lengths_and_jensen_variant_narrow_the_scheme():
+    """Every key is read under both schemes but three: tau_f and tau_r only
+    under the reciprocal one, jensen_variant only under the echo one."""
+    narrowed = {key.name: key.schemes for key in KEYS
+                if set(key.schemes) != {RECIPROCAL, NON_RECIPROCAL}}
+    assert narrowed == {"tau_f": (RECIPROCAL,), "tau_r": (RECIPROCAL,),
+                        "jensen_variant": (NON_RECIPROCAL,)}
+
+
+def test_validate_rejects_an_empty_sweep():
+    """A code caller's empty sweep is a configuration error, as an empty
+    list in a config file is."""
+    for name in ("gamma", "pave_db"):
+        with pytest.raises(ConfigError, match=f"{name} needs at least one value"):
+            ExperimentConfig(**{name: ()}).validate()
 
 
 def test_defaults_validate():
@@ -143,29 +168,31 @@ def test_points_walk_gamma_outer():
     assert points[0][2].p_ave == pytest.approx(10.0)
 
 
-def test_validate_rejects_forward_length_under_echo_scheme():
+def test_validate_rejects_forward_length_under_echo_scheme(tmp_path):
     """The echo scheme's forward phase is pinned to n_t slots and its uplink
-    phase to n_l, so a tau_f or tau_r would be ignored; from a config key
-    it is an error like the flag."""
-    with pytest.raises(ConfigError, match="tau_f does not apply"):
-        ExperimentConfig(scheme=NON_RECIPROCAL, tau_f=4).validate()
-    with pytest.raises(ConfigError, match="tau_r does not apply"):
-        _validated("scheme=non-reciprocal\ntau_r=8\n")
-    assert ExperimentConfig(scheme=RECIPROCAL, tau_r=4).validate().tau_r == 4
+    phase to n_l, so a tau_f or tau_r would be ignored; the scope rule that
+    effective_config applies rejects one from a config key like the flag."""
+    with pytest.raises(ConfigError, match="non-reciprocal scheme does not read tau_f"):
+        _effective(tmp_path, "scheme=non-reciprocal\n", "--tau-f", "4")
+    with pytest.raises(ConfigError, match="does not read tau_r"):
+        _effective(tmp_path, "scheme=non-reciprocal\ntau_r=8\n")
+    assert _effective(tmp_path, "scheme=reciprocal\ntau_r=4\n").tau_r == 4
 
 
-def test_jensen_variant_explicit_only_under_echo_scheme():
-    """validate() tells a given Jensen variant from the default: naming one
-    under the reciprocal scheme, whose closed forms never read it, is an
-    error; left unset, the echo scheme uses the printed surrogate."""
-    assert ExperimentConfig().validate().jensen() == "printed"
+def test_jensen_variant_explicit_only_under_echo_scheme(tmp_path):
+    """Only the echo scheme reads the Jensen variant: naming one, even the
+    default, under the reciprocal scheme is an error of the scope rule that
+    effective_config applies; left unset, the echo scheme uses the printed
+    surrogate."""
+    assert ExperimentConfig().validate().jensen_variant == "printed"
     for variant in ("printed", "sigma-squared"):
-        with pytest.raises(ConfigError, match="jensen_variant does not apply"):
-            ExperimentConfig(jensen_variant=variant).validate()
-        cfg = ExperimentConfig(scheme=NON_RECIPROCAL, jensen_variant=variant)
-        assert cfg.validate().jensen() == variant
-    with pytest.raises(ConfigError, match="does not apply"):
-        _validated("jensen_variant=printed\n")
+        with pytest.raises(ConfigError, match="does not read jensen_variant"):
+            _effective(tmp_path, "", "--jensen-variant", variant)
+        cfg = _effective(tmp_path, "scheme=non-reciprocal\n",
+                         "--jensen-variant", variant)
+        assert cfg.jensen_variant == variant
+    with pytest.raises(ConfigError, match="does not read"):
+        _effective(tmp_path, "jensen_variant=printed\n")
 
 
 def test_validate_caps_training_lengths():

@@ -10,6 +10,7 @@ import pytest
 
 from dce.nmse import (
     downlink_beta,
+    echo_gain,
     forward_filters,
     lmmse_error_var,
     lmmse_gain,
@@ -31,7 +32,6 @@ from dce.params import (
 )
 from dce.rng import complex_gaussian
 from dce.training import (
-    echo_gain,
     forward_training,
     reverse_training,
     round_trip_training,

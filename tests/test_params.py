@@ -27,6 +27,13 @@ def test_db_round_trip():
     assert linear_to_db(0.0) == -np.inf
 
 
+def test_db_conversions_reject_what_they_cannot_express():
+    with pytest.raises(ValueError, match="too large for a linear power"):
+        default_params(p_ave_db=4000)
+    with pytest.raises(ValueError, match="negative power"):
+        linear_to_db(-1.0)
+
+
 def test_default_geometry_and_lengths(defaults):
     assert (defaults.n_t, defaults.n_l, defaults.n_u) == (4, 2, 2)
     # minimal training lengths tied to the antenna counts

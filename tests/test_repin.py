@@ -47,8 +47,8 @@ CASES = {
                          _panel("0.49", 3, t="1.7"), True, "row 1 t "),
     "solver-producer-raises": (SOLVER, "alloc.csv", "nmse_l\n0.5\n", None, False,
                                "alloc.csv: RuntimeError: exited 1"),
-    "exact-changes": (EXACT, "verify.csv", "check,deviation\nx,0.25\n",
-                      "check,deviation\nx,0.25000000000000006\n", False,
+    "exact-changes": (EXACT, "alloc.csv", "nmse_l\n0.25\n",
+                      "nmse_l\n0.25000000000000006\n", False,
                       "never re-pinned"),
 }
 

@@ -76,6 +76,12 @@ def test_json_sorted_and_strict():
     assert payload["columns"] == ["name", "value", "flag"]
 
 
+def test_json_spells_nan_as_a_string():
+    t = ResultTable(columns=["nmse", "inf"])
+    t.add_row(math.nan, math.inf)
+    assert json.loads(t.render_json())["rows"] == [["nan", "inf"]]
+
+
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
         _sample_table().render("xml")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dce import training
+from dce.nmse import echo_gain
 from dce.params import (
     NON_RECIPROCAL,
     RECIPROCAL,
@@ -15,7 +16,6 @@ from dce.params import (
 )
 from dce.rng import complex_gaussian
 from dce.training import (
-    echo_gain,
     forward_training,
     null_space_basis,
     reverse_training,
