@@ -35,6 +35,7 @@ from reference_estimators import (tx_estimate_downlink, tx_estimate_reciprocal,
                                   tx_estimate_uplink)
 from helpers import trials_first, trials_last
 from reference_ostbc import block_domain_errors
+from reference_sim import simulate_reciprocal_nmse
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +266,22 @@ def test_noise_statistic_keeps_the_law_of_the_full_noise(geometry, alloc,
     entry makes the noise most of each error, so a wrong gamma shape, a
     wrong variance on z or a dropped imaginary part fails here."""
     params = default_params(n_t=geometry[0], n_l=geometry[1], n_u=geometry[2])
-    trials, run_blocks, captured = 40000, montecarlo._run_blocks, []
+    trials = 40000
+    got = _engine_outcomes(params, alloc, trials, monkeypatch)
+    (gain_l, _), (gain_u, _) = forward_filters(params, alloc, "printed")
+
+    def full_noise(streams, n):
+        return _full_noise_sq_err(params, *montecarlo._estimation_round(
+            params, alloc, streams, n, gain_l, gain_u, forward_training))
+
+    _assert_same_law(got, montecarlo._run_blocks(full_noise, trials, 2,
+                                                 montecarlo.stack_blocks(params)))
+
+
+def _engine_outcomes(params, alloc, trials, monkeypatch):
+    """The per-trial squared errors, (2, trials), of a reciprocal or echo
+    ``run_nmse_experiment`` at seed 1, whose means it reports."""
+    run_blocks, captured = montecarlo._run_blocks, []
 
     def capture(stack_fn, n, seed, blocks_per_stack):
         captured.append(run_blocks(stack_fn, n, seed, blocks_per_stack))
@@ -273,20 +289,50 @@ def test_noise_statistic_keeps_the_law_of_the_full_noise(geometry, alloc,
 
     monkeypatch.setattr(montecarlo, "_run_blocks", capture)
     report = run_nmse_experiment(params, alloc, trials=trials, seed=1)
+    monkeypatch.undo()
     got, = captured
-    assert report.empirical_lr == got[0].mean()
-    (gain_l, _), (gain_u, _) = forward_filters(params, alloc, "printed")
+    assert (report.empirical_lr, report.empirical_ur) == tuple(got.mean(axis=1))
+    return got
 
-    def full_noise(streams, n):
-        return _full_noise_sq_err(params, *montecarlo._estimation_round(
-            params, alloc, streams, n, gain_l, gain_u, forward_training))
 
-    want = run_blocks(full_noise, trials, 2, montecarlo.stack_blocks(params))
+def _assert_same_law(got, want):
+    """Each receiver's per-trial errors in ``got`` and ``want``, (2, T) each
+    from independent draws, agree in mean and second moment within 4
+    combined standard errors, and a two-sample KS test gives p > 1e-4."""
     for engine, reference in zip(got, want):
         for x, y in ((engine, reference), (engine ** 2, reference ** 2)):
-            se = np.sqrt((x.var(ddof=1) + y.var(ddof=1)) / trials)
+            se = np.sqrt((x.var(ddof=1) + y.var(ddof=1)) / len(x))
             assert abs(x.mean() - y.mean()) <= 4 * se, (x.mean(), y.mean(), se)
         assert _ks_pvalue(engine, reference) > 1e-4
+
+
+def _solved_reciprocal(**geometry):
+    params = default_params(**geometry)
+    return params, solve_reciprocal(params, 0.1).alloc
+
+
+@pytest.mark.parametrize("instance", [
+    _solved_reciprocal,
+    lambda: _solved_reciprocal(n_t=8, n_l=4, n_u=3, tau_f=16, tau_r=8),
+    lambda: (default_params(), reciprocal_allocation(30.0, 3.0, var_a=0.3)),
+    lambda: (default_params(), reciprocal_allocation(0.0, 8.0, var_a=0.5)),
+    lambda: (default_params(), reciprocal_allocation(3.0, 6.0)),
+], ids=["solved-4x2x2", "solved-8x4x3-long-pilots", "weak", "uninformed", "no-an"])
+def test_reciprocal_nmse_matches_the_literal_reference(instance, monkeypatch):
+    """The reciprocal Monte Carlo against ``reference_sim``, which runs each
+    training round literally (slot-domain pilots and noise, the
+    transmitter's estimate, its AN basis from a complete QR, the receivers'
+    LMMSE gains on C^H Y) and shares no stream, draw order or kernel with
+    the engine: over 20,000 trials a side, each receiver's errors have the
+    same law (``_assert_same_law``).  The points: solved at gamma 0.1 and
+    20 dB at 4x2x2 and at 8x4x3 with tau_f = 16 and tau_r = 8; the weak
+    allocation (30, 3, 0.3), whose small forward energy leaves most of the
+    transmitter's estimate in each receiver's error; a transmitter with no
+    reverse energy that sends AN; and no AN."""
+    params, alloc = instance()
+    trials = 20000
+    _assert_same_law(_engine_outcomes(params, alloc, trials, monkeypatch),
+                     simulate_reciprocal_nmse(params, alloc, trials, seed=2))
 
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
