@@ -11,13 +11,49 @@ of the trial axis from that block's substream (``rng.BlockStreams``).  A
 trial's outcome is computed from its own draws alone, so a stack's outcomes
 are its blocks' run one by one, byte for byte.
 
-The transmitter's downlink estimate is never formed: the AN needs only its
+In the physical frame, which the echo NMSE and every SER run draw, the
+transmitter's downlink estimate is never formed: the AN needs only its
 column space, which a matrix built from what the transmitter received spans
 exactly (``_estimate_span``).  The AN basis nulls that span whatever its
 rank, so no trial is checked for rank.  What can fail is the arithmetic (an
 overflow at absurd energies, a corrupt input), and that would recur on a
 redraw, so the first non-finite outcome stops the run with
 NonFiniteOutcome, before any later stack is drawn (``_run_blocks``).
+
+A reciprocal NMSE trial is drawn in the frame of the transmitter's
+estimate instead (``_reciprocal_stack``), with the same law:
+- the split: the reverse statistic y_t^T = c H_d + Z', c = sqrt(e_r/n_l),
+  is jointly Gaussian with H_d, so H_d = H_hat + E with H_hat its LMMSE
+  estimate, i.i.d. CN(0, var_h - tx_err) entries, and E i.i.d.
+  CN(0, tx_err), tx_err = var_h var_wt / (c^2 var_h + var_wt), independent
+  of y_t;
+- the rotation: let H_hat = Q [R; 0] be its complete QR, Q = [U, N].  N is
+  the AN basis, so receiver R's noiseless error g_R (s H_R + A N^H H_R) -
+  H_R has the Frobenius norm of -(1 - g_R s) Q^H H_R + g_R B (Q^H H_R)[n_l:]
+  with B = Q^H A, and Q^H H_d = [R; 0] + Q^H E;
+- the law of R: complex Bartlett (Goodman, Ann. Math. Stat. 1963; Edelman
+  & Rao, Acta Numerica 2005), |R_kk|^2 ~ (var_h - tx_err) Gamma(n_t - k)
+  for k = 0 ... n_l - 1 and R_kj ~ CN(0, var_h - tx_err) above the
+  diagonal, all independent;
+- independence: E, G and A are independent of y_t, hence of Q, so Q^H E,
+  Q^H G and B are i.i.d. CN with their variances and independent of R.
+The trial draws R, [Q^H E, Q^H G] and B: at 4x2x2 with AN, 27 complex
+normals (16, 1 above R's diagonal, 8 for B, the two noise statistics' 2)
+and 4 gamma variates (R's diagonal 2, the noise statistics 2), against 34
+and 2 in the physical frame, and no channel, reverse noise or Householder
+pass.  Both receivers read the one B, so their errors keep their joint
+law.  A transmitter with no reverse energy holds no estimate: R is 0,
+tx_err = var_h, and the frame is any one independent of the channels, the
+Haar-random AN subspace the closed forms assume.  The shrink 1 - g_R s is
+taken as error_R / prior_R from ``forward_filters``, never as a difference,
+and each variance enters as a standard deviation times what multiplies
+it, so the error does not round to a floor however large var_h or the
+energies get.  The frame is exact for the squared error only: the block
+code is not rotation invariant, so SER stays in the physical frame.  It
+costs trust: the engine re-derives the closed form's own LMMSE split,
+so it checks the algebra and the code, not the physical model, and
+``tests/reference_sim.py``, which runs each training round literally, is
+the reciprocal scheme's only end-to-end physical check.
 
 The SER data phase draws what the decoder reads.  The block code is
 orthogonal, so its matched filter's real map F for an estimate h_hat has
@@ -52,7 +88,7 @@ from .errors import (InfeasibleGamma, NonFiniteOutcome, NotConverged,
                      UnsupportedGeometry)
 from .gp import condense
 from .nmse import (JENSEN_VARIANTS, forward_filters, nmse_l_nonreciprocal_approx,
-                   nmse_u)
+                   nmse_u, tx_error_var_reciprocal)
 from .ostbc import (CODE_SYMBOLS, SUPPORTED_QAM, block_scale, decode_block,
                     encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
@@ -98,20 +134,20 @@ class SerReport:
     trials: int
 
 
-def _per_entry_sq_err(params: SystemParams, channels: np.ndarray,
-                      estimates: np.ndarray, spread: np.ndarray,
-                      rng) -> np.ndarray:
-    """Each receiver's mean squared entry error per trial, (2, T), of the
-    noiseless estimates (n_t, n_l + n_u, T) of [H_d, G] once each
-    receiver's filtered noise, i.i.d. CN(0, spread_R^2) entries, is added.
+def _per_entry_sq_err(params: SystemParams, errors: np.ndarray,
+                      spread: np.ndarray, rng) -> np.ndarray:
+    """Each receiver's mean squared entry error per trial, (2, T), from its
+    noiseless errors X_R side by side, (n_t, n_l + n_u, T) with the LR's
+    first, once its filtered noise, i.i.d. CN(0, spread_R^2) entries, is
+    added.
 
-    The noiseless error X_R is overwritten in place, its real and imaginary
-    parts (interleaved on the trial axis) squared and summed over the rows,
-    then over the receiver's columns, into ||X_R||^2; the noise is drawn
-    as its statistic (one CN(0, 1) z_R and one Gamma(K_R - 1) variate per
-    trial and receiver, in that order; see the module docstring).
+    ``errors`` is overwritten in place, its real and imaginary parts
+    (interleaved on the trial axis) squared and summed over the rows, then
+    over the receiver's columns, into ||X_R||^2; the noise is drawn as its
+    statistic (one CN(0, 1) z_R and one Gamma(K_R - 1) variate per trial and
+    receiver, in that order; see the module docstring).
     """
-    parts = np.subtract(estimates, channels, out=estimates).view(np.float64)
+    parts = errors.view(np.float64)
     np.multiply(parts, parts, out=parts)
     by_col, n_l = np.add.reduce(parts, axis=0), params.n_l
     sq = np.stack([np.add.reduce(by_col[:n_l]), np.add.reduce(by_col[n_l:])])
@@ -119,6 +155,57 @@ def _per_entry_sq_err(params: SystemParams, channels: np.ndarray,
     along = np.sqrt(sq[:, 0::2] + sq[:, 1::2]) + spread * complex_gaussian(rng, draws)
     across = standard_gamma(rng, entries - 1, draws)
     return (along.real ** 2 + along.imag ** 2 + spread ** 2 * across) / entries
+
+
+def _reciprocal_stack(params: SystemParams, alloc: PowerAllocation,
+                      gains: Tuple[float, float], shrinks: Tuple[float, float],
+                      spread: np.ndarray) -> Callable:
+    """The stack function of a reciprocal NMSE run, which draws each trial
+    in the frame Q of the complete QR of the transmitter's estimate (see
+    the module docstring): each receiver's g_R and shrink 1 - g_R s in
+    ``gains`` and ``shrinks``, the LR's first, give its noiseless error
+    Q^H X_R = -(1 - g_R s) Q^H H_R + g_R B (Q^H H_R)[n_l:], and
+    ``_per_entry_sq_err`` adds its noise.
+
+    One CN(0, 1) draw holds the rotated channels [Q^H H_d, Q^H G], the
+    entries of the estimate's R above its diagonal, row by row, and
+    B = Q^H A; a gamma draw gives R's diagonal.  Every variance enters as a
+    standard deviation times what multiplies it, so no factor as small as
+    the LR's shrink at a huge var_h is squared.
+    """
+    n_t, n_l, cols = params.n_t, params.n_l, params.n_l + params.n_u
+    tx_err = tx_error_var_reciprocal(params, alloc.e_r)
+    std = np.sqrt([tx_err, params.var_g])
+    by_col = np.repeat(np.arange(2), (n_l, params.n_u))[:, None]
+    rot_scale = -(np.multiply(shrinks, std))[by_col]
+    tail_scale = (np.multiply(gains, std) * np.sqrt(alloc.var_a))[by_col]
+    # the std of the estimate's entries, var_h - tx_err written without
+    # that difference's cancellation, times the LR's shrink
+    r_scale = shrinks[0] * np.sqrt(
+        params.var_h * (alloc.e_r / n_l / params.var_wt * tx_err))
+    n_rot = n_t * cols
+    n_above = n_l * (n_l - 1) // 2 if alloc.e_r > 0 else 0
+    n_b = n_t * (n_t - n_l) if alloc.var_a > 0 else 0
+    bartlett = np.arange(n_t, n_t - n_l, -1)[:, None]
+
+    def one_stack(streams, n):
+        draw = complex_gaussian(streams, (n_rot + n_above + n_b, n))
+        rot = draw[:n_rot].reshape(n_t, cols, n)
+        errors = rot * rot_scale
+        if alloc.e_r > 0:
+            above = r_scale * draw[n_rot:n_rot + n_above]
+            diag = r_scale * np.sqrt(standard_gamma(streams, bartlett, (n_l, n)))
+            first = 0
+            for k in range(n_l):
+                errors[k, k] -= diag[k]
+                errors[k, k + 1:n_l] -= above[first:first + n_l - 1 - k]
+                first += n_l - 1 - k
+        if n_b:
+            b = draw[n_rot + n_above:].reshape(n_t, n_t - n_l, n)
+            _product(b, rot[n_l:] * tail_scale, errors)
+        return _per_entry_sq_err(params, errors, spread, streams)
+
+    return one_stack
 
 
 def _estimate_span(params: SystemParams, alloc: PowerAllocation,
@@ -226,10 +313,18 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
     spread = np.array([[gain_l * np.sqrt(params.var_w)],
                        [gain_u * np.sqrt(params.var_v)]])
 
-    def one_stack(streams, n):
-        return _per_entry_sq_err(params, *_estimation_round(
-            params, alloc, streams, n, gain_l, gain_u, _forward_signal),
-            spread, streams)
+    if alloc.scheme == RECIPROCAL:
+        # the shrink 1 - g s as error / prior, which does not cancel as g s
+        # nears 1
+        one_stack = _reciprocal_stack(
+            params, alloc, (gain_l, gain_u),
+            (analytic_lr / params.var_h, analytic_ur / params.var_g), spread)
+    else:
+        def one_stack(streams, n):
+            channels, errors = _estimation_round(params, alloc, streams, n, gain_l,
+                                                 gain_u, _forward_signal)
+            errors -= channels
+            return _per_entry_sq_err(params, errors, spread, streams)
 
     sq_l, sq_u = _run_blocks(one_stack, trials, seed, stack_blocks(params))
 

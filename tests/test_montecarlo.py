@@ -1,6 +1,8 @@
 """Monte-Carlo layer: empirical NMSE vs closed forms, the allocation
 dispatcher, symbol-error experiments."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -72,19 +74,24 @@ def test_report_is_deterministic(defaults):
 
 @pytest.mark.parametrize("experiment", ["nmse", "ser"])
 def test_degenerate_trial_raises_on_first_draw(defaults, experiment, monkeypatch):
-    """One trial of block 1 of a 600-trial run made non-finite (its AN
-    basis set to NaN) stops the run in the first stack, blocks 0 and 1 at
-    4x2x2: each of their substreams is created once, and block 2's, the
-    next stack's, never, so nothing is redrawn or drawn past the fault.
-    The NMSE run raises NonFiniteOutcome naming block 1 and the trial's
-    index in the run; the SER decoder refuses the NaN estimate with its
+    """One trial of block 1 of a 600-trial run made non-finite stops the run
+    in the first stack, blocks 0 and 1 at 4x2x2: each of their substreams is
+    created once, and block 2's, the next stack's, never, so nothing is
+    redrawn or drawn past the fault.  The reciprocal NMSE run's trial gets a
+    NaN in its stack's first complex draw, the rotated channels, and raises
+    NonFiniteOutcome naming block 1 and the trial's index in the run, after
+    its one other complex draw, the noise statistic's; the echo SER run's
+    gets a NaN AN basis, and the decoder refuses the NaN estimate with its
     ValueError."""
-    basis, calls, keys = training.null_space_basis, [], []
+    module, name, stack_calls = ((montecarlo, "complex_gaussian", 2)
+                                 if experiment == "nmse"
+                                 else (training, "null_space_basis", 1))
+    draw, calls, keys = getattr(module, name), [], []
 
-    def one_degenerate(span, m):
-        seen = basis(span, m)
-        calls.append(span.shape[-1])
-        if len(calls) == 1:   # the first stack's draw
+    def one_degenerate(*args):
+        seen = draw(*args)
+        calls.append(seen.shape[-1])
+        if len(calls) == 1:   # the first stack's first draw
             seen[..., BLOCK_TRIALS + 44] = np.nan
         return seen
 
@@ -92,7 +99,7 @@ def test_degenerate_trial_raises_on_first_draw(defaults, experiment, monkeypatch
         keys.append(key)
         return trial_rng(*key)
 
-    monkeypatch.setattr(training, "null_space_basis", one_degenerate)
+    monkeypatch.setattr(module, name, one_degenerate)
     monkeypatch.setattr(montecarlo, "trial_rng", spy)
     if experiment == "nmse":
         with pytest.raises(NonFiniteOutcome, match=r"^trial 300 \(block 1\) ") as raised:
@@ -103,7 +110,7 @@ def test_degenerate_trial_raises_on_first_draw(defaults, experiment, monkeypatch
         with pytest.raises(ValueError, match="not finite"):
             run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=5,
                                scheme=NON_RECIPROCAL)
-    assert calls == [2 * BLOCK_TRIALS]
+    assert calls == [2 * BLOCK_TRIALS] * stack_calls
     assert keys == [(5, 0), (5, 1)]
 
 
@@ -179,7 +186,7 @@ def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme, monkeypa
 
 
 @pytest.mark.parametrize("experiment,scheme,per_trial", [
-    ("nmse", RECIPROCAL, (34, 2, 0)), ("nmse", NON_RECIPROCAL, (66, 2, 0)),
+    ("nmse", RECIPROCAL, (27, 4, 0)), ("nmse", NON_RECIPROCAL, (66, 2, 0)),
     ("ser", RECIPROCAL, (54, 0, 3)), ("ser", NON_RECIPROCAL, (86, 0, 3)),
 ], ids=["recip", "echo", "ser-recip", "ser-echo"])
 def test_each_trial_draws_a_fixed_number_of_normals(defaults, experiment, scheme,
@@ -187,14 +194,18 @@ def test_each_trial_draws_a_fixed_number_of_normals(defaults, experiment, scheme
     """Every block of a 600-trial run draws, per trial and from its own
     substream, per_trial = (complex normals, gamma variates, integers) and
     nothing else, whichever stack computes it.  At 4x2x2 with every pilot
-    and AN, an NMSE trial draws 34 complex normals in the reciprocal scheme
-    (H_d and G 16, the reverse noise 8, A 8, each receiver's noise
-    statistic 1) and 66 in the echo scheme (H_u 8 and the round trip's W_0
-    8 and W_1 16 besides), and 2 gamma variates, one per receiver.  An SER
-    trial draws the forward noise W and V in full (8 each) and each
-    receiver's 3 filtered data-noise symbols instead, so 54 and 86 complex
-    normals, and its 3 code symbols.  A change that quietly draws more, or
-    draws another way, fails here."""
+    and AN, a reciprocal NMSE trial draws 27 complex normals (the rotated
+    H_d and G 16, the entry of the estimate's R above its diagonal 1,
+    B = Q^H A 8, each receiver's noise statistic 1) and 4 gamma variates
+    (R's diagonal 2, one per receiver for its noise); an echo one draws 66
+    complex normals (H_d and G 16, H_u 8, the reverse noise 8, the round
+    trip's W_0 8 and W_1 16, A 8, the noise statistics 2) and 2 gamma
+    variates.  An SER trial draws the channels in the physical frame, the
+    reciprocal one 16 + 8 + 8 for H_d and G, the reverse noise and A, the
+    forward noise W and V in full (8 each) and each receiver's 3 filtered
+    data-noise symbols, so 54 and 86 complex normals, and its 3 code
+    symbols.  A change that quietly draws more, or draws another way,
+    fails here."""
     counts = {}
 
     class Counting:
@@ -254,17 +265,26 @@ def _full_noise_sq_err(params, channels, estimates):
     ((4, 2, 2), reciprocal_allocation(10.0, 40.0, var_a=0.2)),
     ((4, 2, 2), nonreciprocal_allocation(10.0, 10.0, 10.0, 40.0, var_a=0.2)),
     ((8, 4, 4), reciprocal_allocation(20.0, 80.0, var_a=0.2)),
-], ids=["recip-4x2x2", "echo-4x2x2", "recip-8x4x4"])
+    ((4, 2, 2), reciprocal_allocation(30.0, 3.0, var_a=0.3)),
+    ((8, 4, 4), reciprocal_allocation(30.0, 3.0, var_a=0.3)),
+], ids=["recip-4x2x2", "echo-4x2x2", "recip-8x4x4", "recip-weak-4x2x2",
+        "recip-weak-8x4x4"])
 def test_noise_statistic_keeps_the_law_of_the_full_noise(geometry, alloc,
                                                          monkeypatch):
     """The NMSE score draws each receiver's forward noise as one CN(0, 1)
-    and one Gamma(K_R - 1) variate; scoring ``forward_training``'s noisy
-    statistics, every noise entry drawn, must give the same law.  Over
-    40,000 trials a side (independent seeds), each receiver's per-trial
-    errors agree in mean and second moment within 4 combined standard
-    errors, and a two-sample KS test gives p > 1e-4.  Forward SNR 10 per
-    entry makes the noise most of each error, so a wrong gamma shape, a
-    wrong variance on z or a dropped imaginary part fails here."""
+    and one Gamma(K_R - 1) variate, and a reciprocal trial in the frame of
+    the transmitter's estimate; scoring ``forward_training``'s noisy
+    statistics in the physical frame, channels, reverse noise, AN basis
+    and every noise entry drawn, must give the same law.  Over 40,000
+    trials a side (independent seeds), each receiver's per-trial errors
+    agree in mean and second moment within 4 combined standard errors, and
+    a two-sample KS test gives p > 1e-4 (``_assert_same_law``).  Forward
+    SNR 10 per entry makes the noise most of each error, so a wrong gamma
+    shape, a wrong variance on z or a dropped imaginary part fails here.
+    The weak allocation (30, 3, 0.3), whose small shrink leaves most of the
+    estimate's R in the LR's error, is where a wrong law of R shows: its
+    scale off by 10%, its entries above the diagonal dropped or Gamma(n_t)
+    on its whole diagonal each fail here."""
     params = default_params(n_t=geometry[0], n_l=geometry[1], n_u=geometry[2])
     trials = 40000
     got = _engine_outcomes(params, alloc, trials, monkeypatch)
@@ -339,15 +359,19 @@ def test_reciprocal_nmse_matches_the_literal_reference(instance, monkeypatch):
 def test_stack_rule(scheme, monkeypatch):
     """A stack is as many whole blocks as keep its [H_d, G] within
     STACK_ENTRIES entries: 2 at 4x2x2, 1 at 4x2x8, 8x4x4 and 32x16x16.
-    Seen from the channel draws of 600-trial runs, NMSE and (where the
-    block code's four antennas allow it) SER."""
-    draw, seen = montecarlo.sample_channels, []
+    Seen from the stacks of 600-trial runs, NMSE and (where the block
+    code's four antennas allow it) SER: each stack function's trial count
+    and its blocks' sizes."""
+    run_blocks, seen = montecarlo._run_blocks, []
 
-    def spy(params, mode, rng, trials):
-        seen.append(trials)
-        return draw(params, mode, rng, trials)
+    def spy(stack_fn, trials, seed, blocks_per_stack):
+        def counted(streams, n):
+            assert sum(streams.trials) == n
+            seen.append(n)
+            return stack_fn(streams, n)
+        return run_blocks(counted, trials, seed, blocks_per_stack)
 
-    monkeypatch.setattr(montecarlo, "sample_channels", spy)
+    monkeypatch.setattr(montecarlo, "_run_blocks", spy)
     for (n_t, n_l, n_u), blocks in (((4, 2, 2), 2), ((4, 2, 8), 1),
                                     ((8, 4, 4), 1), ((32, 16, 16), 1)):
         params = default_params(n_t=n_t, n_l=n_l, n_u=n_u)
@@ -505,6 +529,34 @@ def test_reciprocal_lr_reads_its_closed_form_at_the_power_ceiling():
     alloc, _, _ = solve_allocation(params, 0.1, RECIPROCAL)
     r = run_nmse_experiment(params, alloc, trials=2000, seed=3)
     assert abs(r.empirical_lr - r.analytic_lr) <= 4 * r.half_width_95_lr
+
+
+def _at_power_db(db):
+    params = default_params(db, db, db)
+    return params, solve_allocation(params, 0.1, RECIPROCAL)[0]
+
+
+@pytest.mark.parametrize("instance,trials", [
+    (lambda: (default_params(var_h=1e300), reciprocal_allocation(10.0, 10.0, 1.0)), 2560),
+    (lambda: (default_params(var_h=1e40), reciprocal_allocation(10.0, 10.0, 1.0)), 2560),
+    (lambda: _at_power_db(350.0), 2048),
+], ids=["var_h-1e300", "var_h-1e40", "power-350dB"])
+def test_reciprocal_nmse_has_no_rounding_floor(instance, trials):
+    """A library caller far beyond the CLI's range reads the closed forms:
+    at var_h = 1e300 and 1e40 with the allocation (10, 10, 1) (2,560
+    trials; closed form 0.56), and with all three power keys at 350 dB,
+    solved at gamma 0.1 (2,048 trials; LR closed form 1.22e-35), both
+    receivers' NMSEs lie within 4 standard errors of their closed forms,
+    and no RuntimeWarning is raised.  No AN basis is computed and the
+    shrink 1 - g s is never formed as a difference, so neither rounds to a
+    floor."""
+    params, alloc = instance()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = run_nmse_experiment(params, alloc, trials=trials, seed=1)
+    se = 1.0 / 1.959963984540054
+    assert abs(r.empirical_lr - r.analytic_lr) <= 4 * se * r.half_width_95_lr, r
+    assert abs(r.empirical_ur - r.analytic_ur) <= 4 * se * r.half_width_95_ur, r
 
 
 def test_nonreciprocal_empirical_tracks_surrogate(defaults):
