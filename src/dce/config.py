@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
@@ -39,21 +40,37 @@ _SAMPLING = ("nmse", "ser")
 MAX_TRAINING_SLOTS = 1024
 MAX_ANTENNAS = 32
 # Highest power accepted, in dB, for pave_db, pbar_t_db and pbar_l_db.  The
-# AN basis nulls the estimate's span only to rounding, and past this power
-# that leak, not estimation error, sets the empirical NMSE: with all three
-# keys equal (default geometry, 2,000 trials) the LR reads within 1.9 sigma
-# of its closed form at 250 dB, 6.1 sigma off (echo) at 280 dB and 670x off
-# (reciprocal) at 350 dB.
+# AN basis of the physical frame (echo NMSE, every SER run) nulls the
+# estimate's span only to rounding, and past this power that leak, not
+# estimation error, sets the empirical NMSE: with all three keys equal
+# (default geometry, 2,000 trials) the LR reads within 1.9 sigma of its
+# closed form at 250 dB and 6.1 sigma off (echo) at 280 dB.  The reciprocal
+# NMSE builds no basis and reads its closed form at 350 dB too.
 MAX_POWER_DB = 250.0
 
 FloatSweep = Tuple[float, ...]
 
 
+# what each declared kind admits from a code caller; a bool is no number
+_ADMITS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+           str: (str, "text")}
+
+
+def _number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_sweep(value) -> FloatSweep:
-    """A number is the one-point sweep."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A number is the one-point sweep, and a sweep's numbers are floats;
+    anything else is left for validate() to name."""
+    if _number(value):
         return (float(value),)
-    return tuple(float(v) for v in value)
+    if isinstance(value, str):
+        return value
+    try:
+        return tuple(float(v) if _number(v) else v for v in value)
+    except TypeError:
+        return value
 
 
 def _either(values) -> str:
@@ -84,10 +101,12 @@ def _scalar(kind: Callable[[str], object]) -> Callable[[str, str], object]:
 
 
 class Key(NamedTuple):
-    """One ExperimentConfig key: the parser of its text, its default (None:
-    unset is admitted), the help of its flag (None: a config-file key only),
-    the commands and schemes that read it, and the values it admits."""
+    """One ExperimentConfig key: the kind of its values and the parser of
+    its text, its default (None: unset is admitted), the help of its flag
+    (None: a config-file key only), the commands and schemes that read it,
+    and the values it admits."""
     name: str
+    kind: type
     parse: Callable[[str, str], object]
     default: object = None
     help: Optional[str] = None
@@ -100,7 +119,10 @@ class Key(NamedTuple):
 
     def check(self, value) -> None:
         """Raise ConfigError unless this key admits ``value``."""
-        if self.choices and value not in self.choices:
+        admits, kind = _ADMITS[self.kind]
+        if isinstance(value, bool) or not isinstance(value, admits):
+            must = kind
+        elif self.choices and value not in self.choices:
             must = _either(self.choices)
         elif isinstance(value, float) and not math.isfinite(value):
             must = "finite"
@@ -113,9 +135,14 @@ class Key(NamedTuple):
         raise ConfigError(f"{self.name} must be {must}, got {value!r}")
 
 
-def _key(default, parse, help=None, **declaration):
-    """A field that declares its key: see Key for the rest of ``declaration``."""
-    return field(default=default, metadata=dict(parse=parse, help=help, **declaration))
+def _key(default, kind, help=None, sweep=False, **declaration):
+    """A field that declares its key, whose text parses to one ``kind`` value
+    or, for a ``sweep``, a comma list of them: see Key for the rest of
+    ``declaration``."""
+    parse = (functools.partial(parse_float_list, kind=kind) if sweep
+             else _scalar(kind))
+    return field(default=default, metadata=dict(
+        kind=kind, parse=parse, help=help, **declaration))
 
 
 _DB = dict(most=MAX_POWER_DB, unit="dB")
@@ -128,36 +155,35 @@ _SLOTS = dict(sign="positive", most=MAX_TRAINING_SLOTS, unit="slots",
 @dataclass
 class ExperimentConfig:
     # n_u reaches only the Monte-Carlo draws, the rest of the geometry every solve
-    scheme: str = _key(RECIPROCAL, _scalar(str),
+    scheme: str = _key(RECIPROCAL, str,
                        f"training protocol: {_either(SCHEMES)}", choices=SCHEMES)
-    gamma: FloatSweep = _key((0.1,), parse_float_list, sign="positive",
+    gamma: FloatSweep = _key((0.1,), float, sweep=True, sign="positive",
                              help="UR NMSE floor (linear); comma list sweeps")
-    pave_db: FloatSweep = _key((20.0,), parse_float_list, **_DB,
+    pave_db: FloatSweep = _key((20.0,), float, sweep=True, **_DB,
                                help="average training power in dB; comma list sweeps")
-    pbar_t_db: float = _key(30.0, _scalar(float), "transmitter power cap in dB", **_DB)
-    pbar_l_db: float = _key(20.0, _scalar(float),
-                            "legitimate-receiver power cap in dB", **_DB)
-    n_t: int = _key(4, _scalar(int), **_ANTENNAS)
-    n_l: int = _key(2, _scalar(int), **_ANTENNAS)
-    n_u: int = _key(2, _scalar(int), commands=_SAMPLING, **_ANTENNAS)
-    tau_r: Optional[int] = _key(None, _scalar(int), **_SLOTS)
+    pbar_t_db: float = _key(30.0, float, "transmitter power cap in dB", **_DB)
+    pbar_l_db: float = _key(20.0, float, "legitimate-receiver power cap in dB", **_DB)
+    n_t: int = _key(4, int, **_ANTENNAS)
+    n_l: int = _key(2, int, **_ANTENNAS)
+    n_u: int = _key(2, int, commands=_SAMPLING, **_ANTENNAS)
+    tau_r: Optional[int] = _key(None, int, **_SLOTS)
     tau_f: Optional[int] = _key(
-        None, functools.partial(parse_float_list, kind=int),
-        "forward training length; a comma list sweeps it (nmse)", **_SLOTS)
-    trials: Optional[int] = _key(None, _scalar(int), "Monte-Carlo trials",
+        None, int, "forward training length; a comma list sweeps it (nmse)",
+        sweep=True, **_SLOTS)
+    trials: Optional[int] = _key(None, int, "Monte-Carlo trials",
                                  commands=_SAMPLING, sign="positive")
-    seed: int = _key(0, _scalar(int), "nonnegative RNG seed",
+    seed: int = _key(0, int, "nonnegative RNG seed",
                      commands=_SAMPLING, sign="nonnegative")
     # only the echo scheme's closed forms have a Jensen surrogate
     jensen_variant: str = _key(
-        JENSEN_VARIANTS[0], _scalar(str),
+        JENSEN_VARIANTS[0], str,
         f"echo-scheme NMSE surrogate: {_either(JENSEN_VARIANTS)}",
         schemes=(NON_RECIPROCAL,), choices=JENSEN_VARIANTS)
-    modulation: int = _key(64, _scalar(int), f"QAM order: {_either(SUPPORTED_QAM)}",
+    modulation: int = _key(64, int, f"QAM order: {_either(SUPPORTED_QAM)}",
                            commands=("ser",), choices=SUPPORTED_QAM)
-    format: str = _key("csv", _scalar(str), f"table format: {_either(FORMATS)}",
+    format: str = _key("csv", str, f"table format: {_either(FORMATS)}",
                        choices=FORMATS)
-    out: Optional[str] = _key(None, _scalar(str), "output path (default: stdout)")
+    out: Optional[str] = _key(None, str, "output path (default: stdout)")
 
     def __post_init__(self):
         self.gamma = _as_sweep(self.gamma)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -146,6 +147,24 @@ def test_validate_rejections():
     for overrides in cases:
         with pytest.raises(ConfigError):
             ExperimentConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(n_t=None), "n_t must be an integer, got None"),
+    (dict(seed="3"), "seed must be an integer, got '3'"),
+    (dict(n_l=True), "n_l must be an integer, got True"),
+    (dict(gamma=(0.1, "0.2")), "gamma must be a number, got '0.2'"),
+    (dict(pave_db=(10.0, False)), "pave_db must be a number, got False"),
+    (dict(tau_f=(4, 8.5)), "tau_f must be an integer, got 8.5"),
+    (dict(scheme=None), "scheme must be text, got None"),
+], ids=["n_t-None", "seed-str", "n_l-bool", "gamma-item-str", "pave_db-item-bool",
+        "tau_f-item-float", "scheme-None"])
+def test_validate_names_a_wrong_type(overrides, message):
+    """A code caller's value of the wrong type, or a sweep item of one, is a
+    configuration error naming the key: a bool is not a number, and every
+    item of a sweep is checked."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**overrides).validate()
 
 
 def test_validate_rejects_negative_seed():
