@@ -200,7 +200,7 @@ def _reciprocal_stack(params: SystemParams, alloc: PowerAllocation,
                 errors[k, k] -= diag[k]
                 errors[k, k + 1:n_l] -= above[first:first + n_l - 1 - k]
                 first += n_l - 1 - k
-        if n_b:
+        if alloc.var_a > 0:
             b = draw[n_rot + n_above:].reshape(n_t, n_t - n_l, n)
             _product(b, rot[n_l:] * tail_scale, errors)
         return _per_entry_sq_err(params, errors, spread, streams)

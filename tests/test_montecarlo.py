@@ -523,8 +523,9 @@ def test_reciprocal_half_widths_cover_closed_forms(defaults):
 
 def test_reciprocal_lr_reads_its_closed_form_at_the_power_ceiling():
     """At MAX_POWER_DB on all three power keys the reciprocal LR's empirical
-    NMSE lies within 4 half-widths of its closed form (2,000 trials): up to
-    the ceiling, the AN basis's rounding leak is not what the run measures."""
+    NMSE lies within 4 half-widths of its closed form (2,000 trials).  The
+    ceiling is set by the echo scheme's AN basis, whose rounding leak the
+    reciprocal NMSE, drawn without a basis, does not have."""
     params = default_params(MAX_POWER_DB, MAX_POWER_DB, MAX_POWER_DB)
     alloc, _, _ = solve_allocation(params, 0.1, RECIPROCAL)
     r = run_nmse_experiment(params, alloc, trials=2000, seed=3)
