@@ -2,8 +2,9 @@ r"""The transmitter's LMMSE estimates of its channels, as references.
 
 The library never forms these estimates: the AN reads only their column
 spaces (``dce.montecarlo._estimate_span``).  They stay here as the check on
-``dce.nmse``'s closed forms for their errors (``test_estimators.py``) and
-as the estimate the span is compared against (``test_montecarlo.py``).
+``dce.nmse``'s closed forms for their errors (``test_estimators.py``), as
+the estimate the span is compared against (``test_montecarlo.py``) and as
+the transmitter's estimate of the literal reference (``reference_sim.py``).
 Each works on trial-last stacks of trials, like the receivers' filters,
 and takes the statistics ``dce.training``'s phases return.
 

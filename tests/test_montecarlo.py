@@ -240,6 +240,23 @@ def test_each_trial_draws_a_fixed_number_of_normals(defaults, experiment, scheme
                       for block, n in enumerate((256, 256, 88))}
 
 
+def test_reciprocal_nmse_draws_no_channels_span_or_basis(defaults, monkeypatch):
+    """A reciprocal NMSE run draws in the frame of the transmitter's
+    estimate: with every pilot and AN it samples no channels, runs no
+    reverse phase, and builds no span and no AN basis."""
+    def refuse(*args):
+        raise AssertionError("the physical frame was drawn")
+
+    for module, name in ((montecarlo, "sample_channels"),
+                         (montecarlo, "reverse_training"),
+                         (montecarlo, "_estimate_span"),
+                         (training, "null_space_basis")):
+        monkeypatch.setattr(module, name, refuse)
+    report = run_nmse_experiment(defaults, _informed_allocation(RECIPROCAL),
+                                 trials=600, seed=1)
+    assert 0 < report.empirical_lr < report.empirical_ur
+
+
 def _ks_pvalue(a, b):
     """Two-sample Kolmogorov-Smirnov p-value by Kolmogorov's asymptotic
     series at sqrt(n m / (n + m)) D, within about 1% of scipy's ks_2samp
