@@ -31,8 +31,9 @@ COMMANDS = ("alloc", "nmse", "ser")
 _SAMPLING = ("nmse", "ser")
 # Longest training phase accepted, in slots, and most antennas at any
 # terminal.  Monte-Carlo arrays have no pilot-length axis, as each phase
-# draws only what its receivers' filters read, so blocks hold at most
-# (trials, n_t, n_t) arrays.  Every training length is a given tau_f or
+# draws only what its receivers' filters read: a stack's arrays are
+# (rows, cols, trials), the trial axis last, neither antenna axis longer
+# than max(n_t, n_l + n_u).  Every training length is a given tau_f or
 # tau_r, or a default n_t or n_l (the echo scheme's phases too) that the
 # antenna cap keeps below the slot cap.  At the largest geometry admitted,
 # n_t = n_u = 32, n_l = 31 and tau_f = tau_r = 1024, ``dce nmse --trials

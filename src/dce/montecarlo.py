@@ -37,21 +37,33 @@ estimate instead (``_reciprocal_stack``), with the same law:
   diagonal, all independent;
 - independence: E, G and A are independent of y_t, hence of Q, so Q^H E,
   Q^H G and B are i.i.d. CN with their variances and independent of R.
-The trial draws R, [Q^H E, Q^H G] and B: at 4x2x2 with AN, 27 complex
-normals (16, 1 above R's diagonal, 8 for B, the two noise statistics' 2)
-and 4 gamma variates (R's diagonal 2, the noise statistics 2), against 34
-and 2 in the physical frame, and no channel, reverse noise or Householder
-pass.  Both receivers read the one B, so their errors keep their joint
-law.  A transmitter with no reverse energy holds no estimate: R is 0,
+So the top n_l rows of Q^H E and Q^H G, inside the estimate's span, are
+i.i.d. Gaussian and independent of everything else the trial reads, and
+through the shrink they only add to the receiver's noise.  Each receiver's
+error is scored as two blocks of rows, each its mean plus i.i.d. Gaussian
+entries (the noise statistic, below), and the blocks are summed:
+- top, the n_l rows in the span: mean -(1 - g_L s) R (LR only) +
+  g_R B[:n_l] P_R, where P_R = (Q^H H_R)[n_l:] are the rows outside it, and
+  Gaussian part CN(0, (1 - g_R s)^2 eps_R + g_R^2 sigma_R^2), eps_L =
+  tx_err and eps_U = var_g;
+- bottom, the n_t - n_l rows outside it: mean (g_R B[n_l:] - (1 - g_R s) I)
+  P_R, and Gaussian part CN(0, g_R^2 sigma_R^2).
+The trial draws R, P = (Q^H [E, G])[n_l:] and B: at 4x2x2 with AN, 21
+complex normals (8 for P, 1 above R's diagonal, 8 for B, one per block 4)
+and 6 gamma variates (R's diagonal 2, one per block 4), against 34 and 2 in
+the physical frame, and no channel, reverse noise or Householder pass.
+Both receivers read the one B, so their errors keep their joint law.  A
+transmitter with no reverse energy holds no estimate: R is 0,
 tx_err = var_h, and the frame is any one independent of the channels, the
 Haar-random AN subspace the closed forms assume.  The shrink 1 - g_R s is
 taken as error_R / prior_R from ``forward_filters``, never as a difference,
-and each variance enters as a standard deviation times what multiplies
-it, so the error does not round to a floor however large var_h or the
-energies get.  The frame is exact for the squared error only: the block
-code is not rotation invariant, so SER stays in the physical frame.  It
-costs trust: the engine re-derives the closed form's own LMMSE split,
-so it checks the algebra and the code, not the physical model, and
+the top block's spread is a hypot of standard deviations, and each
+variance enters as a standard deviation times what multiplies it, so the
+error does not round to a floor however large var_h or the energies get.
+The frame is exact for the squared error only: the block code is not
+rotation invariant, so SER stays in the physical frame.  It costs trust:
+the engine re-derives the closed form's own LMMSE split, so it checks the
+algebra and the code, not the physical model, and
 ``tests/reference_sim.py``, which runs each training round literally, is
 the reciprocal scheme's only end-to-end physical check.
 
@@ -61,19 +73,23 @@ F F^T = ||h_hat||_F^2 I_6: white slot noise reaches the filter as three
 i.i.d. CN(0, var ||h_hat||_F^2) symbols, and each receiver draws those
 (3 per trial) instead of 4 M slot values (``ostbc.decode_block``).
 
-The NMSE score draws what the squared error reads.  Receiver R's error is
-||X_R + g_R W_R||^2, where X_R = g_R S_R - H_R for its noiseless forward
-statistic S_R (``training._forward_signal``) and its K_R = n_t n_R noise
-entries W_R are i.i.d. CN(0, sigma_R^2), independent of X_R.  For any
-unitary U whose first row is X_R^H / ||X_R||, U W_R has the law of W_R, so
-the error has the law of | ||X_R|| + g_R sigma_R z |^2 + (g_R sigma_R)^2 Y
-with z ~ CN(0, 1) and Y ~ Gamma(K_R - 1, 1), the noncentral chi-square
-split (Johnson, Kotz & Balakrishnan, Continuous Univariate Distributions
-vol. 2, ch. 29): each receiver draws one complex normal and one gamma
-variate per trial instead of K_R complex normals (``_per_entry_sq_err``).
-W_L and W_U are independent, so each trial's pair of errors keeps its
-joint law.  The SER decoders read the noisy statistics, so the SER path
-draws that noise in full (``training.forward_training``).
+The NMSE score draws what the squared error reads.  A block of K
+entries of a receiver's error, the whole error X_R + g_R W_R in the echo
+scheme and each of the two blocks above in the reciprocal one, is its mean
+mu, independent of the rest, plus i.i.d. CN(0, sd^2) entries: in the echo
+scheme mu = X_R = g_R S_R - H_R for its noiseless forward statistic S_R
+(``training._forward_signal``), and the entries are g_R W_R, the filtered
+noise, sd = g_R sigma_R.  For any unitary U whose first row is
+mu^H / ||mu||, U times the entries has their law, so the block's squared
+norm has the law of | ||mu|| + sd z |^2 + sd^2 Y with z ~ CN(0, 1) and
+Y ~ Gamma(K - 1, 1), the noncentral chi-square split (Johnson, Kotz &
+Balakrishnan, Continuous Univariate Distributions vol. 2, ch. 29): each
+block draws one complex normal and one gamma variate per trial instead of
+K complex normals (``_per_entry_sq_err``), the echo NMSE one block per
+receiver.  The blocks' Gaussian parts are independent, so each trial's
+pair of errors keeps its joint law.  The SER decoders read the noisy
+statistics, so the SER path draws that noise in full
+(``training.forward_training``).
 """
 
 from __future__ import annotations
@@ -134,27 +150,47 @@ class SerReport:
     trials: int
 
 
-def _per_entry_sq_err(params: SystemParams, errors: np.ndarray,
-                      spread: np.ndarray, rng) -> np.ndarray:
-    """Each receiver's mean squared entry error per trial, (2, T), from its
-    noiseless errors X_R side by side, (n_t, n_l + n_u, T) with the LR's
-    first, once its filtered noise, i.i.d. CN(0, spread_R^2) entries, is
-    added.
+def _block_entries(params: SystemParams, top: int = 0) -> np.ndarray:
+    """K_b, the entries of each block of the receivers' errors, (blocks, 1),
+    in the order of ``_per_entry_sq_err``: each receiver's whole error, or
+    with ``top`` its rows [:top], the LR's then the UR's, then its rows
+    [top:]."""
+    n_cols = np.array([[params.n_l], [params.n_u]])
+    rows = (top, params.n_t - top) if top else (params.n_t,)
+    return np.concatenate([r * n_cols for r in rows])
 
-    ``errors`` is overwritten in place, its real and imaginary parts
-    (interleaved on the trial axis) squared and summed over the rows, then
-    over the receiver's columns, into ||X_R||^2; the noise is drawn as its
-    statistic (one CN(0, 1) z_R and one Gamma(K_R - 1) variate per trial and
-    receiver, in that order; see the module docstring).
+
+def _per_entry_sq_err(params: SystemParams, errors: np.ndarray,
+                      spread: np.ndarray, z: np.ndarray, across: np.ndarray,
+                      top: int = 0) -> np.ndarray:
+    """Each receiver's mean squared entry error per trial, (2, T), from the
+    means mu_b of its error's blocks side by side, (n_t, n_l + n_u, T) with
+    the LR's columns first, once each block's i.i.d. CN(0, spread_b^2)
+    part is added.
+
+    The blocks are those of ``_block_entries``: without ``top`` each
+    receiver's error is one, and with it its rows [:top] and [top:] are
+    two.  ``spread``, (blocks, 1), gives each block's spread, and each
+    block's Gaussian part enters as its statistic (see the module
+    docstring): ``z``, (blocks, T), CN(0, 1), and ``across``, (blocks, T),
+    Gamma(K_b - 1, 1).  ``errors`` is overwritten in place, its real and
+    imaginary parts (interleaved on the trial axis) squared and summed over
+    each block's rows, then over its receiver's columns, into ||mu_b||^2,
+    and a receiver's blocks are summed.
     """
     parts = errors.view(np.float64)
     np.multiply(parts, parts, out=parts)
-    by_col, n_l = np.add.reduce(parts, axis=0), params.n_l
-    sq = np.stack([np.add.reduce(by_col[:n_l]), np.add.reduce(by_col[n_l:])])
-    entries, draws = params.n_t * np.array([[n_l], [params.n_u]]), sq[:, 0::2].shape
-    along = np.sqrt(sq[:, 0::2] + sq[:, 1::2]) + spread * complex_gaussian(rng, draws)
-    across = standard_gamma(rng, entries - 1, draws)
-    return (along.real ** 2 + along.imag ** 2 + spread ** 2 * across) / entries
+    n_l = params.n_l
+    groups = (parts[:top], parts[top:]) if top else (parts,)
+    sq = []
+    for group in groups:
+        by_col = np.add.reduce(group, axis=0)
+        sq += [np.add.reduce(by_col[:n_l]), np.add.reduce(by_col[n_l:])]
+    sq = np.stack(sq)
+    along = np.sqrt(sq[:, 0::2] + sq[:, 1::2]) + spread * z
+    by_block = along.real ** 2 + along.imag ** 2 + spread ** 2 * across
+    per_receiver = np.add.reduce(by_block.reshape((len(groups), 2, -1)))
+    return per_receiver / _block_entries(params)
 
 
 def _reciprocal_stack(params: SystemParams, alloc: PowerAllocation,
@@ -162,48 +198,71 @@ def _reciprocal_stack(params: SystemParams, alloc: PowerAllocation,
                       spread: np.ndarray) -> Callable:
     """The stack function of a reciprocal NMSE run, which draws each trial
     in the frame Q of the complete QR of the transmitter's estimate (see
-    the module docstring): each receiver's g_R and shrink 1 - g_R s in
-    ``gains`` and ``shrinks``, the LR's first, give its noiseless error
-    Q^H X_R = -(1 - g_R s) Q^H H_R + g_R B (Q^H H_R)[n_l:], and
-    ``_per_entry_sq_err`` adds its noise.
+    the module docstring).  Each receiver's g_R, shrink 1 - g_R s and noise
+    spread g_R sigma_R in ``gains``, ``shrinks`` and ``spread``, the LR's
+    first, give the two blocks of its error Q^H X_R + g_R Q^H W_R, which
+    ``_per_entry_sq_err`` scores:
+    - the top n_l rows, inside the estimate's span: mean
+      -(1 - g_L s) R (LR only) + g_R B[:n_l] P_R, and an i.i.d. Gaussian
+      part of spread hypot((1 - g_R s) sqrt(eps_R), g_R sigma_R), where
+      eps_L = tx_err and eps_U = var_g;
+    - the bottom n_t - n_l rows: mean (g_R B[n_l:] - (1 - g_R s) I) P_R,
+      and the spread g_R sigma_R.
 
-    One CN(0, 1) draw holds the rotated channels [Q^H H_d, Q^H G], the
-    entries of the estimate's R above its diagonal, row by row, and
-    B = Q^H A; a gamma draw gives R's diagonal.  Every variance enters as a
-    standard deviation times what multiplies it, so no factor as small as
-    the LR's shrink at a huge var_h is squared.
+    One CN(0, 1) draw holds the out-of-span rows P = (Q^H [E, G])[n_l:],
+    the entries of the estimate's R above its diagonal, row by row,
+    B = Q^H A and each block's z; one gamma draw holds R's diagonal and
+    each block's Gamma(K_b - 1).  Every variance enters as a standard
+    deviation times what multiplies it, and none as a difference, so no
+    factor as small as the LR's shrink at a huge var_h is squared.
     """
     n_t, n_l, cols = params.n_t, params.n_l, params.n_l + params.n_u
     tx_err = tx_error_var_reciprocal(params, alloc.e_r)
     std = np.sqrt([tx_err, params.var_g])
     by_col = np.repeat(np.arange(2), (n_l, params.n_u))[:, None]
-    rot_scale = -(np.multiply(shrinks, std))[by_col]
+    shrunk = np.multiply(shrinks, std)
+    rot_scale = -shrunk[by_col]
     tail_scale = (np.multiply(gains, std) * np.sqrt(alloc.var_a))[by_col]
+    # the top blocks' Gaussian part: Q^H E or Q^H G through the shrink, and
+    # the receiver's noise
+    spreads = np.concatenate([np.hypot(shrunk[:, None], spread), spread])
     # the std of the estimate's entries, var_h - tx_err written without
     # that difference's cancellation, times the LR's shrink
     r_scale = shrinks[0] * np.sqrt(
         params.var_h * (alloc.e_r / n_l / params.var_wt * tx_err))
-    n_rot = n_t * cols
+    n_out = (n_t - n_l) * cols
     n_above = n_l * (n_l - 1) // 2 if alloc.e_r > 0 else 0
     n_b = n_t * (n_t - n_l) if alloc.var_a > 0 else 0
-    bartlett = np.arange(n_t, n_t - n_l, -1)[:, None]
+    n_mean, n_blocks = n_out + n_above + n_b, len(spreads)
+    shapes = _block_entries(params, n_l) - 1
+    if alloc.e_r > 0:
+        shapes = np.concatenate([np.arange(n_t, n_t - n_l, -1)[:, None], shapes])
 
     def one_stack(streams, n):
-        draw = complex_gaussian(streams, (n_rot + n_above + n_b, n))
-        rot = draw[:n_rot].reshape(n_t, cols, n)
-        errors = rot * rot_scale
+        draw = complex_gaussian(streams, (n_mean + n_blocks, n))
+        gammas = standard_gamma(streams, shapes, (len(shapes), n))
+        out = draw[:n_out].reshape(n_t - n_l, cols, n)
+        if alloc.var_a > 0:
+            b = draw[n_out + n_above:n_mean].reshape(n_t, n_t - n_l, n)
+            tail = out * tail_scale
+            # g B P, from its first inner term: no zero-filled accumulator
+            errors = b[:, :1] * tail[0]
+            if n_t - n_l > 1:
+                _product(b[:, 1:], tail[1:], errors)
+            errors[n_l:] += out * rot_scale
+        else:
+            errors = np.zeros((n_t, cols, n), dtype=complex)
+            np.multiply(out, rot_scale, out=errors[n_l:])
         if alloc.e_r > 0:
-            above = r_scale * draw[n_rot:n_rot + n_above]
-            diag = r_scale * np.sqrt(standard_gamma(streams, bartlett, (n_l, n)))
+            above = r_scale * draw[n_out:n_out + n_above]
+            diag = r_scale * np.sqrt(gammas[:n_l])
             first = 0
             for k in range(n_l):
                 errors[k, k] -= diag[k]
                 errors[k, k + 1:n_l] -= above[first:first + n_l - 1 - k]
                 first += n_l - 1 - k
-        if alloc.var_a > 0:
-            b = draw[n_rot + n_above:].reshape(n_t, n_t - n_l, n)
-            _product(b, rot[n_l:] * tail_scale, errors)
-        return _per_entry_sq_err(params, errors, spread, streams)
+        return _per_entry_sq_err(params, errors, spreads, draw[n_mean:],
+                                 gammas[-n_blocks:], top=n_l)
 
     return one_stack
 
@@ -320,11 +379,15 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
             params, alloc, (gain_l, gain_u),
             (analytic_lr / params.var_h, analytic_ur / params.var_g), spread)
     else:
+        shapes = _block_entries(params) - 1
+
         def one_stack(streams, n):
             channels, errors = _estimation_round(params, alloc, streams, n, gain_l,
                                                  gain_u, _forward_signal)
             errors -= channels
-            return _per_entry_sq_err(params, errors, spread, streams)
+            z = complex_gaussian(streams, (2, n))
+            return _per_entry_sq_err(params, errors, spread, z,
+                                     standard_gamma(streams, shapes, (2, n)))
 
     sq_l, sq_u = _run_blocks(one_stack, trials, seed, stack_blocks(params))
 

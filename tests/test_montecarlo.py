@@ -78,12 +78,12 @@ def test_degenerate_trial_raises_on_first_draw(defaults, experiment, monkeypatch
     in the first stack, blocks 0 and 1 at 4x2x2: each of their substreams is
     created once, and block 2's, the next stack's, never, so nothing is
     redrawn or drawn past the fault.  The reciprocal NMSE run's trial gets a
-    NaN in its stack's first complex draw, the rotated channels, and raises
-    NonFiniteOutcome naming block 1 and the trial's index in the run, after
-    its one other complex draw, the noise statistic's; the echo SER run's
-    gets a NaN AN basis, and the decoder refuses the NaN estimate with its
-    ValueError."""
-    module, name, stack_calls = ((montecarlo, "complex_gaussian", 2)
+    NaN in its stack's one complex draw, which holds the rotated channels'
+    rows outside the estimate's span, R, B and the noise statistics' normals,
+    and raises NonFiniteOutcome naming block 1 and the trial's index in the
+    run; the echo SER run's gets a NaN AN basis, and the decoder refuses the
+    NaN estimate with its ValueError."""
+    module, name, stack_calls = ((montecarlo, "complex_gaussian", 1)
                                  if experiment == "nmse"
                                  else (training, "null_space_basis", 1))
     draw, calls, keys = getattr(module, name), [], []
@@ -186,7 +186,7 @@ def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme, monkeypa
 
 
 @pytest.mark.parametrize("experiment,scheme,per_trial", [
-    ("nmse", RECIPROCAL, (27, 4, 0)), ("nmse", NON_RECIPROCAL, (66, 2, 0)),
+    ("nmse", RECIPROCAL, (21, 6, 0)), ("nmse", NON_RECIPROCAL, (66, 2, 0)),
     ("ser", RECIPROCAL, (54, 0, 3)), ("ser", NON_RECIPROCAL, (86, 0, 3)),
 ], ids=["recip", "echo", "ser-recip", "ser-echo"])
 def test_each_trial_draws_a_fixed_number_of_normals(defaults, experiment, scheme,
@@ -194,10 +194,11 @@ def test_each_trial_draws_a_fixed_number_of_normals(defaults, experiment, scheme
     """Every block of a 600-trial run draws, per trial and from its own
     substream, per_trial = (complex normals, gamma variates, integers) and
     nothing else, whichever stack computes it.  At 4x2x2 with every pilot
-    and AN, a reciprocal NMSE trial draws 27 complex normals (the rotated
-    H_d and G 16, the entry of the estimate's R above its diagonal 1,
-    B = Q^H A 8, each receiver's noise statistic 1) and 4 gamma variates
-    (R's diagonal 2, one per receiver for its noise); an echo one draws 66
+    and AN, a reciprocal NMSE trial draws 21 complex normals (the rotated
+    H_d and G's rows outside the estimate's span 8, the entry of the
+    estimate's R above its diagonal 1, B = Q^H A 8, one per block of each
+    receiver's error 4) and 6 gamma variates (R's diagonal 2, one per
+    block 4); an echo one draws 66
     complex normals (H_d and G 16, H_u 8, the reverse noise 8, the round
     trip's W_0 8 and W_1 16, A 8, the noise statistics 2) and 2 gamma
     variates.  An SER trial draws the channels in the physical frame, the
@@ -284,24 +285,30 @@ def _full_noise_sq_err(params, channels, estimates):
     ((8, 4, 4), reciprocal_allocation(20.0, 80.0, var_a=0.2)),
     ((4, 2, 2), reciprocal_allocation(30.0, 3.0, var_a=0.3)),
     ((8, 4, 4), reciprocal_allocation(30.0, 3.0, var_a=0.3)),
+    ((4, 1, 1), reciprocal_allocation(30.0, 3.0, var_a=0.3)),
 ], ids=["recip-4x2x2", "echo-4x2x2", "recip-8x4x4", "recip-weak-4x2x2",
-        "recip-weak-8x4x4"])
+        "recip-weak-8x4x4", "recip-weak-4x1x1"])
 def test_noise_statistic_keeps_the_law_of_the_full_noise(geometry, alloc,
                                                          monkeypatch):
-    """The NMSE score draws each receiver's forward noise as one CN(0, 1)
-    and one Gamma(K_R - 1) variate, and a reciprocal trial in the frame of
-    the transmitter's estimate; scoring ``forward_training``'s noisy
-    statistics in the physical frame, channels, reverse noise, AN basis
-    and every noise entry drawn, must give the same law.  Over 40,000
-    trials a side (independent seeds), each receiver's per-trial errors
-    agree in mean and second moment within 4 combined standard errors, and
-    a two-sample KS test gives p > 1e-4 (``_assert_same_law``).  Forward
-    SNR 10 per entry makes the noise most of each error, so a wrong gamma
-    shape, a wrong variance on z or a dropped imaginary part fails here.
-    The weak allocation (30, 3, 0.3), whose small shrink leaves most of the
-    estimate's R in the LR's error, is where a wrong law of R shows: its
-    scale off by 10%, its entries above the diagonal dropped or Gamma(n_t)
-    on its whole diagonal each fail here."""
+    """The NMSE score draws each block of a receiver's error as its mean
+    plus one CN(0, 1) and one Gamma(K_b - 1) variate, and a reciprocal
+    trial in the frame of the transmitter's estimate, the rows inside its
+    span folded into their block's statistic; scoring
+    ``forward_training``'s noisy statistics in the physical frame,
+    channels, reverse noise, AN basis and every noise entry drawn, must
+    give the same law.  Over 40,000 trials a side (independent seeds), each
+    receiver's per-trial errors agree in mean and second moment within 4
+    combined standard errors, and a two-sample KS test gives p > 1e-4
+    (``_assert_same_law``).  Forward SNR 10 per entry makes the noise most
+    of each error, so a wrong gamma shape, a wrong variance on z or a
+    dropped imaginary part fails here.  The weak allocation (30, 3, 0.3),
+    whose small shrink leaves most of the estimate's R and the rotated
+    channels in the LR's error, is where a wrong law of R or of a block
+    shows: R's scale off by 10%, its entries above the diagonal dropped or
+    Gamma(n_t) on its whole diagonal, the top block's spread without the
+    shrunk channel, Gamma(K_b) for Gamma(K_b - 1) or the bottom block's
+    mean without the shrunk channel each fail here.  At 4x1x1 a top
+    block holds one entry, and its gamma shape is 0."""
     params = default_params(n_t=geometry[0], n_l=geometry[1], n_u=geometry[2])
     trials = 40000
     got = _engine_outcomes(params, alloc, trials, monkeypatch)
@@ -343,6 +350,27 @@ def _assert_same_law(got, want):
         assert _ks_pvalue(engine, reference) > 1e-4
 
 
+def _corr_se(x, y, batches=40):
+    """corr(x, y) and its standard error from the spread of the
+    correlations of ``batches`` equal batches, which needs no normality."""
+    per_batch = [np.corrcoef(a, b)[0, 1] for a, b in
+                 zip(np.split(x, batches), np.split(y, batches))]
+    return np.corrcoef(x, y)[0, 1], np.std(per_batch, ddof=1) / np.sqrt(batches)
+
+
+def _assert_same_coupling(got, want):
+    """The receivers' per-trial errors in ``got`` and ``want``, (2, T) each
+    from independent draws, agree on corr(err_L, err_U) (standard errors
+    from 40 batches) and on P(err_L >= err_U) (binomial, pooled) within 4
+    combined standard errors."""
+    (r_got, se_got), (r_want, se_want) = _corr_se(*got), _corr_se(*want)
+    assert abs(r_got - r_want) <= 4 * np.hypot(se_got, se_want), (r_got, r_want)
+    p_got, p_want = (np.mean(err_l >= err_u) for err_l, err_u in (got, want))
+    pooled = (p_got + p_want) / 2
+    assert abs(p_got - p_want) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / got.shape[1]), (
+        p_got, p_want)
+
+
 def _solved_reciprocal(**geometry):
     params = default_params(**geometry)
     return params, solve_reciprocal(params, 0.1).alloc
@@ -361,15 +389,19 @@ def test_reciprocal_nmse_matches_the_literal_reference(instance, monkeypatch):
     transmitter's estimate, its AN basis from a complete QR, the receivers'
     LMMSE gains on C^H Y) and shares no stream, draw order or kernel with
     the engine: over 20,000 trials a side, each receiver's errors have the
-    same law (``_assert_same_law``).  The points: solved at gamma 0.1 and
+    same law (``_assert_same_law``), and the pair the same coupling, which
+    the one B = Q^H A both receivers read gives it
+    (``_assert_same_coupling``).  The points: solved at gamma 0.1 and
     20 dB at 4x2x2 and at 8x4x3 with tau_f = 16 and tau_r = 8; the weak
     allocation (30, 3, 0.3), whose small forward energy leaves most of the
     transmitter's estimate in each receiver's error; a transmitter with no
     reverse energy that sends AN; and no AN."""
     params, alloc = instance()
     trials = 20000
-    _assert_same_law(_engine_outcomes(params, alloc, trials, monkeypatch),
-                     simulate_reciprocal_nmse(params, alloc, trials, seed=2))
+    got = _engine_outcomes(params, alloc, trials, monkeypatch)
+    want = simulate_reciprocal_nmse(params, alloc, trials, seed=2)
+    _assert_same_law(got, want)
+    _assert_same_coupling(got, want)
 
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])

@@ -117,3 +117,40 @@ def test_stack_draw_must_span_the_stack():
         integers(stack, 64, (4, 258))
     with pytest.raises(ValueError, match="259"):
         standard_gamma(stack, 3.0, (2, 260))
+
+
+@pytest.mark.parametrize("k", [[[3.0], [0.0]], [[1.0], [4.0], [2.5]]],
+                         ids=["two-rows", "three-rows"])
+def test_gamma_rows_equal_the_broadcast_call(k):
+    """A shape per row, (rows, 1), is drawn row by row with scalar shapes,
+    and gives, byte for byte, numpy's broadcast call, from one generator
+    and on each block's slice of a two-block stack, and leaves each stream
+    where that call leaves it."""
+    k = np.array(k)
+    dims = (len(k), 300)
+    got, want = np.random.default_rng(6), np.random.default_rng(6)
+    assert (standard_gamma(got, k, dims).tobytes()
+            == want.standard_gamma(k, size=dims).tobytes())
+    assert got.random() == want.random()
+
+    sizes = (256, 44)
+    stack = BlockStreams(tuple(trial_rng(6, b) for b in range(2)), sizes)
+    drawn, start = standard_gamma(stack, k, dims), 0
+    for b, n in enumerate(sizes):
+        alone = trial_rng(6, b)
+        block = alone.standard_gamma(k, size=(len(k), n))
+        assert drawn[:, start:start + n].tobytes() == block.tobytes()
+        assert stack.generators[b].random() == alone.random()
+        start += n
+
+
+@pytest.mark.parametrize("k,dims", [
+    (np.ones((2, 2)), (2, 10)), (np.ones(2), (2, 10)), (np.ones((3, 1)), (2, 10)),
+    (np.ones((1, 10)), (2, 10)), (np.ones((2, 1)), (10,)),
+], ids=["per-entry", "flat", "too-many-rows", "per-trial", "no-rows"])
+def test_gamma_shape_is_a_scalar_or_one_per_row(k, dims):
+    with pytest.raises(ValueError, match="one value per row"):
+        standard_gamma(np.random.default_rng(0), k, dims)
+    with pytest.raises(ValueError, match="one value per row"):
+        standard_gamma(BlockStreams((trial_rng(0, 0), trial_rng(0, 1)), (4, 6)),
+                       k, dims)
