@@ -242,17 +242,11 @@ def _reciprocal_stack(params: SystemParams, alloc: PowerAllocation,
         draw = complex_gaussian(streams, (n_mean + n_blocks, n))
         gammas = standard_gamma(streams, shapes, (len(shapes), n))
         out = draw[:n_out].reshape(n_t - n_l, cols, n)
+        errors = np.zeros((n_t, cols, n), dtype=complex)
+        np.multiply(out, rot_scale, out=errors[n_l:])
         if alloc.var_a > 0:
             b = draw[n_out + n_above:n_mean].reshape(n_t, n_t - n_l, n)
-            tail = out * tail_scale
-            # g B P, from its first inner term: no zero-filled accumulator
-            errors = b[:, :1] * tail[0]
-            if n_t - n_l > 1:
-                _product(b[:, 1:], tail[1:], errors)
-            errors[n_l:] += out * rot_scale
-        else:
-            errors = np.zeros((n_t, cols, n), dtype=complex)
-            np.multiply(out, rot_scale, out=errors[n_l:])
+            _product(b, out * tail_scale, errors)
         if alloc.e_r > 0:
             above = r_scale * draw[n_out:n_out + n_above]
             diag = r_scale * np.sqrt(gammas[:n_l])
