@@ -31,7 +31,7 @@ COMMANDS = ("alloc", "nmse", "ser")
 _SAMPLING = ("nmse", "ser")
 # Longest training phase accepted, in slots, and most antennas at any
 # terminal.  Monte-Carlo arrays have no pilot-length axis, as each phase
-# draws only what its receivers' filters read: a stack's arrays are
+# draws only what its receivers' filters read: a block's arrays are
 # (rows, cols, trials), the trial axis last, neither antenna axis longer
 # than max(n_t, n_l + n_u).  Every training length is a given tau_f or
 # tau_r, or a default n_t or n_l (the echo scheme's phases too) that the

@@ -1,15 +1,12 @@
 r"""Monte-Carlo experiments: empirical NMSE and SER.
 
-A block of BLOCK_TRIALS trials is what is drawn and sharded: every block
-draws from its own substream ``trial_rng(seed, block)``, so results are
-bit-identical for a given (seed, trials) however the blocks are spread
-over workers.  A stack, ``stack_blocks`` consecutive whole blocks side by
-side on the trial axis, is what is computed: each phase runs once per stack
-on (rows, cols, trials) arrays from the draw to the scoring, as in
-``dce.training`` and ``dce.ostbc``, and each draw fills each block's slice
-of the trial axis from that block's substream (``rng.BlockStreams``).  A
-trial's outcome is computed from its own draws alone, so a stack's outcomes
-are its blocks' run one by one, byte for byte.
+A block of ``block_trials(params)`` trials is the unit of drawing,
+computing and sharding: block b of a run draws from its own substream
+``trial_rng(seed, b)`` alone, so results are bit-identical for a given
+(seed, trials) however the blocks are spread over workers.  Each phase runs
+once per block on (rows, cols, trials) arrays from the draw to the scoring,
+as in ``dce.training`` and ``dce.ostbc``, and a trial's outcome is computed
+from its own draws alone.
 
 In the physical frame, which the echo NMSE and every SER run draw, the
 transmitter's downlink estimate is never formed: the AN needs only its
@@ -18,10 +15,10 @@ exactly (``_estimate_span``).  The AN basis nulls that span whatever its
 rank, so no trial is checked for rank.  What can fail is the arithmetic (an
 overflow at absurd energies, a corrupt input), and that would recur on a
 redraw, so the first non-finite outcome stops the run with
-NonFiniteOutcome, before any later stack is drawn (``_run_blocks``).
+NonFiniteOutcome, before any later block is drawn (``_run_blocks``).
 
 A reciprocal NMSE trial is drawn in the frame of the transmitter's
-estimate instead (``_reciprocal_stack``), with the same law:
+estimate instead (``_reciprocal_block``), with the same law:
 - the split: the reverse statistic y_t^T = c H_d + Z', c = sqrt(e_r/n_l),
   is jointly Gaussian with H_d, so H_d = H_hat + E with H_hat its LMMSE
   estimate, i.i.d. CN(0, var_h - tx_err) entries, and E i.i.d.
@@ -108,27 +105,25 @@ from .nmse import (JENSEN_VARIANTS, forward_filters, nmse_l_nonreciprocal_approx
 from .ostbc import (CODE_SYMBOLS, SUPPORTED_QAM, block_scale, decode_block,
                     encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
-from .rng import (BlockStreams, complex_gaussian, integers, standard_gamma,
-                  trial_rng)
+from .rng import complex_gaussian, standard_gamma, trial_rng
 from .training import (_forward_signal, _product, forward_training,
                        reverse_training, round_trip_training, sample_channels)
 
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
 DESK_NMSE_TRIALS = 1000
 DESK_SER_TRIALS = 5000
-# Trials per block, the unit of drawing: each block has its own substream,
-# so changing it moves every stochastic result.  512 against 256, paired in
-# one process at the solved gamma 0.1 reciprocal point (2-core x86_64 VM,
-# median of 7-9 rounds): 0.85x the time at 4x2, 1.13x at 8x4, 1.18x at
-# 16x8, 1.06x at 32x16.  Stacks take the 4x2 gain without moving a draw.
-BLOCK_TRIALS = 256
-# A stack, the unit of computing, holds as many whole blocks as keep its
-# [H_d, G] array within STACK_ENTRIES complex entries (128 KiB), at least
-# one: 2 at 4x2x2, 1 from 4x2x8 and 8x4x4 up.  At 4x2x2, against one block
-# (perfbench work_per_s, 2-core x86_64 VM, three rounds): 2 blocks give
-# 1.14-1.19x on nmse-recip and 1.10-1.15x on ser-echo; 3, 4 or 8 blocks
-# give 0.96-1.08x.
-STACK_ENTRIES = 8192
+# A block, the unit of drawing and computing, is a multiple of 256 trials:
+# as many as keep its [H_d, G] array within BLOCK_ENTRIES complex entries
+# (128 KiB), at least 256 (``block_trials``).  Larger arrays pay numpy's
+# per-call overhead less often until they leave the cache: at 4x2x2, 512
+# trials computed at once against 256 gave 1.14-1.19x on nmse-recip and
+# 1.10-1.15x on ser-echo, and 768, 1024 or 2048 0.96-1.08x (perfbench
+# work_per_s, 2-core x86_64 VM, BENCH_42.json); 1024-trial blocks read
+# 0.88-0.91x of 512 (BENCH_48.json).  In one process 512 trials took 1.13x
+# the time of 256 at 8x4 and 1.18x at 16x8.  Each block has its own
+# substream, so changing the rule moves every stochastic result at a
+# geometry whose block size it changes.
+BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,7 @@ def _block_entries(params: SystemParams, top: int = 0) -> np.ndarray:
 
 def _per_entry_sq_err(params: SystemParams, errors: np.ndarray,
                       spread: np.ndarray, z: np.ndarray, across: np.ndarray,
-                      top: int = 0) -> np.ndarray:
+                      entries: np.ndarray, top: int = 0) -> np.ndarray:
     """Each receiver's mean squared entry error per trial, (2, T), from the
     means mu_b of its error's blocks side by side, (n_t, n_l + n_u, T) with
     the LR's columns first, once each block's i.i.d. CN(0, spread_b^2)
@@ -176,7 +171,8 @@ def _per_entry_sq_err(params: SystemParams, errors: np.ndarray,
     Gamma(K_b - 1, 1).  ``errors`` is overwritten in place, its real and
     imaginary parts (interleaved on the trial axis) squared and summed over
     each block's rows, then over its receiver's columns, into ||mu_b||^2,
-    and a receiver's blocks are summed.
+    and a receiver's blocks are summed and divided by ``entries``, its
+    entry count ``_block_entries(params)``.
     """
     parts = errors.view(np.float64)
     np.multiply(parts, parts, out=parts)
@@ -190,13 +186,13 @@ def _per_entry_sq_err(params: SystemParams, errors: np.ndarray,
     along = np.sqrt(sq[:, 0::2] + sq[:, 1::2]) + spread * z
     by_block = along.real ** 2 + along.imag ** 2 + spread ** 2 * across
     per_receiver = np.add.reduce(by_block.reshape((len(groups), 2, -1)))
-    return per_receiver / _block_entries(params)
+    return per_receiver / entries
 
 
-def _reciprocal_stack(params: SystemParams, alloc: PowerAllocation,
+def _reciprocal_block(params: SystemParams, alloc: PowerAllocation,
                       gains: Tuple[float, float], shrinks: Tuple[float, float],
                       spread: np.ndarray) -> Callable:
-    """The stack function of a reciprocal NMSE run, which draws each trial
+    """The block function of a reciprocal NMSE run, which draws each trial
     in the frame Q of the complete QR of the transmitter's estimate (see
     the module docstring).  Each receiver's g_R, shrink 1 - g_R s and noise
     spread g_R sigma_R in ``gains``, ``shrinks`` and ``spread``, the LR's
@@ -237,10 +233,11 @@ def _reciprocal_stack(params: SystemParams, alloc: PowerAllocation,
     shapes = _block_entries(params, n_l) - 1
     if alloc.e_r > 0:
         shapes = np.concatenate([np.arange(n_t, n_t - n_l, -1)[:, None], shapes])
+    entries = _block_entries(params)
 
-    def one_stack(streams, n):
-        draw = complex_gaussian(streams, (n_mean + n_blocks, n))
-        gammas = standard_gamma(streams, shapes, (len(shapes), n))
+    def one_block(rng, n):
+        draw = complex_gaussian(rng, (n_mean + n_blocks, n))
+        gammas = standard_gamma(rng, shapes, (len(shapes), n))
         out = draw[:n_out].reshape(n_t - n_l, cols, n)
         errors = np.zeros((n_t, cols, n), dtype=complex)
         np.multiply(out, rot_scale, out=errors[n_l:])
@@ -256,9 +253,9 @@ def _reciprocal_stack(params: SystemParams, alloc: PowerAllocation,
                 errors[k, k + 1:n_l] -= above[first:first + n_l - 1 - k]
                 first += n_l - 1 - k
         return _per_entry_sq_err(params, errors, spreads, draw[n_mean:],
-                                 gammas[-n_blocks:], top=n_l)
+                                 gammas[-n_blocks:], entries, top=n_l)
 
-    return one_stack
+    return one_block
 
 
 def _estimate_span(params: SystemParams, alloc: PowerAllocation,
@@ -301,7 +298,7 @@ def _estimate_span(params: SystemParams, alloc: PowerAllocation,
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
                       trials: int, gain_l: float, gain_u: float,
                       forward: Callable):
-    """One full training round for a stack of trials: (channels, estimates),
+    """One full training round for a block of trials: (channels, estimates),
     both (n_t, n_l + n_u, T) with the LR's columns first, each estimate its
     ``forward`` statistic times that receiver's ``forward_filters`` gain:
     the noisy one of ``forward_training``, or without the receivers' noise
@@ -315,34 +312,30 @@ def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
     return channels, estimates
 
 
-def stack_blocks(params: SystemParams) -> int:
-    """Blocks per stack: as many whole blocks as keep a stack's [H_d, G]
-    within STACK_ENTRIES entries, at least one."""
-    per_block = BLOCK_TRIALS * params.n_t * (params.n_l + params.n_u)
-    return max(1, STACK_ENTRIES // per_block)
+def block_trials(params: SystemParams) -> int:
+    """Trials per block: as many multiples of 256 as keep a block's [H_d, G]
+    within BLOCK_ENTRIES entries, at least 256."""
+    per_256 = 256 * params.n_t * (params.n_l + params.n_u)
+    return 256 * max(1, BLOCK_ENTRIES // per_256)
 
 
-def _run_blocks(stack_fn: Callable, trials: int, seed: int,
-                blocks_per_stack: int) -> np.ndarray:
-    """The (k, trials) outcomes of ``stack_fn(streams, n)``, which runs the
-    n trials of a stack drawn from ``streams`` (``rng.BlockStreams``) and
-    returns their (k, n) outcomes, over ``trials`` trials in stacks of
-    ``blocks_per_stack`` blocks.  The first non-finite outcome raises
+def _run_blocks(block_fn: Callable, trials: int, seed: int,
+                size: int) -> np.ndarray:
+    """The (k, trials) outcomes of ``block_fn(rng, n)``, which runs the n
+    trials of a block drawn from ``rng`` and returns their (k, n) outcomes,
+    over ``trials`` trials in blocks of ``size``, block b drawn from
+    ``trial_rng(seed, b)``.  The first non-finite outcome raises
     NonFiniteOutcome naming its trial, by run index, and its block, before
-    any later stack is drawn."""
-    outcomes, blocks = [], -(-trials // BLOCK_TRIALS)
-    for first in range(0, blocks, blocks_per_stack):
-        stack = range(first, min(first + blocks_per_stack, blocks))
-        sizes = tuple(min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS) for b in stack)
-        streams = BlockStreams(tuple(trial_rng(seed, b) for b in stack), sizes)
-        out = stack_fn(streams, sum(sizes))
+    any later block is drawn."""
+    outcomes = []
+    for block, first in enumerate(range(0, trials, size)):
+        out = block_fn(trial_rng(seed, block), min(size, trials - first))
         finite = np.isfinite(out).all(axis=0)
         if not finite.all():
             trial = int(np.argmin(finite))
-            run_trial = first * BLOCK_TRIALS + trial
             raise NonFiniteOutcome(
-                f"trial {run_trial} (block {run_trial // BLOCK_TRIALS}) gave "
-                f"{out[:, trial].tolist()}", run_trial)
+                f"trial {first + trial} (block {block}) gave "
+                f"{out[:, trial].tolist()}", first + trial)
         outcomes.append(out)
     return np.concatenate(outcomes, axis=1)
 
@@ -369,21 +362,22 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
     if alloc.scheme == RECIPROCAL:
         # the shrink 1 - g s as error / prior, which does not cancel as g s
         # nears 1
-        one_stack = _reciprocal_stack(
+        one_block = _reciprocal_block(
             params, alloc, (gain_l, gain_u),
             (analytic_lr / params.var_h, analytic_ur / params.var_g), spread)
     else:
-        shapes = _block_entries(params) - 1
+        entries = _block_entries(params)
+        shapes = entries - 1
 
-        def one_stack(streams, n):
-            channels, errors = _estimation_round(params, alloc, streams, n, gain_l,
+        def one_block(rng, n):
+            channels, errors = _estimation_round(params, alloc, rng, n, gain_l,
                                                  gain_u, _forward_signal)
             errors -= channels
-            z = complex_gaussian(streams, (2, n))
+            z = complex_gaussian(rng, (2, n))
             return _per_entry_sq_err(params, errors, spread, z,
-                                     standard_gamma(streams, shapes, (2, n)))
+                                     standard_gamma(rng, shapes, (2, n)), entries)
 
-    sq_l, sq_u = _run_blocks(one_stack, trials, seed, stack_blocks(params))
+    sq_l, sq_u = _run_blocks(one_block, trials, seed, block_trials(params))
 
     z95 = 1.959963984540054
     return NmseReport(
@@ -447,20 +441,20 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
     constellation = qam_constellation(modulation)
     scale, n_l = block_scale(params.p_ave), params.n_l
 
-    def one_stack(streams, n):
-        channels, estimates = _estimation_round(params, alloc, streams, n,
+    def one_block(rng, n):
+        channels, estimates = _estimation_round(params, alloc, rng, n,
                                                 gain_l, gain_u, forward_training)
-        sent = integers(streams, modulation, (CODE_SYMBOLS, n))
+        sent = rng.integers(0, modulation, size=(CODE_SYMBOLS, n))
         # one encode against [h_d, g] side by side
         received = encode_block(constellation[sent], channels, scale)
-        noise = [complex_gaussian(streams, (CODE_SYMBOLS, n), var)
+        noise = [complex_gaussian(rng, (CODE_SYMBOLS, n), var)
                  for var in (params.var_w, params.var_v)]
         return np.stack([np.count_nonzero(
             decode_block(received[:, cols], estimates[:, cols], scale,
                          modulation, w) != sent, axis=0)
             for cols, w in zip((slice(n_l), slice(n_l, None)), noise)])
 
-    errors = _run_blocks(one_stack, trials, seed, stack_blocks(params))
+    errors = _run_blocks(one_block, trials, seed, block_trials(params))
     err_lr, err_ur = (int(x) for x in errors.sum(axis=1))
     n_symbols = CODE_SYMBOLS * trials
     return SerReport(

@@ -1,9 +1,10 @@
 r"""Channel sampling and the training-phase statistics.
 
-Every function works on (rows, cols, T) stacks, the trial axis last and
-never moved: the downlinks [H_d, G] are one (n_t, n_l + n_u, T) array and
-H_u is (n_l, n_t, T); a product of two stacks is formed on those axes
-(``_product``).  Each pilot phase returns what its receiver's filter
+Every function works on (rows, cols, T) stacks, one matrix per trial of a
+Monte-Carlo block, the trial axis last and never moved, and draws from
+that block's one generator: the downlinks [H_d, G] are one
+(n_t, n_l + n_u, T) array and H_u is (n_l, n_t, T); a product of two
+stacks is formed on those axes (``_product``).  Each pilot phase returns what its receiver's filter
 reads, not the tau-slot block it receives.  A pilot phase sends
 X = sqrt(E/n) C for a tau x n pilot with C^H C = I_n, and a receiver's
 LMMSE filter reads its block Y = X Z + A N^H Z' + W only through

@@ -149,6 +149,10 @@ def test_validate_rejections():
             ExperimentConfig(**overrides).validate()
 
 
+# a value that is neither a number, text nor iterable
+_OPAQUE = object()
+
+
 @pytest.mark.parametrize("overrides,message", [
     (dict(n_t=None), "n_t must be an integer, got None"),
     (dict(seed="3"), "seed must be an integer, got '3'"),
@@ -157,11 +161,14 @@ def test_validate_rejections():
     (dict(pave_db=(10.0, False)), "pave_db must be a number, got False"),
     (dict(tau_f=(4, 8.5)), "tau_f must be an integer, got 8.5"),
     (dict(scheme=None), "scheme must be text, got None"),
+    (dict(gamma="0.1"), "gamma must be a number, got '0.1'"),
+    (dict(gamma=_OPAQUE), f"gamma must be a number, got {_OPAQUE!r}"),
 ], ids=["n_t-None", "seed-str", "n_l-bool", "gamma-item-str", "pave_db-item-bool",
-        "tau_f-item-float", "scheme-None"])
+        "tau_f-item-float", "scheme-None", "gamma-str", "gamma-object"])
 def test_validate_names_a_wrong_type(overrides, message):
     """A code caller's value of the wrong type, or a sweep item of one, is a
-    configuration error naming the key: a bool is not a number, and every
+    configuration error naming the key: a bool is not a number, text or an
+    object that is neither a number nor iterable is no sweep, and every
     item of a sweep is checked."""
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ExperimentConfig(**overrides).validate()

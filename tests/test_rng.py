@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dce.rng import (BlockStreams, complex_gaussian, integers, standard_gamma,
-                     trial_rng)
+from dce import montecarlo
+from dce.rng import complex_gaussian, standard_gamma, trial_rng
 
 
 def test_same_seed_same_draws():
@@ -79,69 +79,67 @@ def test_complex_gaussian_bit_identical_to_two_call_formula(var, shape):
     assert rng.random() == replay.random()
 
 
-@pytest.mark.parametrize("sizes", [(7,), (256, 256), (256, 256, 37), (1, 2, 3)],
+def _rows(draws, n):
+    """Draws of shapes (..., n) as one (rows, n) float array: each draw's
+    real parts, then its imaginary parts for a complex one."""
+    return np.concatenate([part.reshape(-1, n) for x in draws
+                           for part in ((x.real, x.imag) if np.iscomplexobj(x)
+                                        else (x.astype(np.float64),))])
+
+
+@pytest.mark.parametrize("sizes", [(7,), (256, 256), (256, 256, 37), (2, 2, 1)],
                          ids=["one", "two", "partial", "tiny"])
 @pytest.mark.parametrize("lead", [(), (3,), (4, 6)], ids=["flat", "row", "stack"])
-def test_stack_streams_fill_each_blocks_slice(lead, sizes):
-    """A stack's streams give, bit for bit, on each block's slice of the
-    trial axis (the last), what that block's generator gives alone for its
-    own length, call by call, complex normals, integers and gamma variates
-    alike (a gamma shape broadcast against the draw), and leave every
-    stream where the block's own calls leave it."""
-    keys = range(len(sizes))
-    stack = BlockStreams(tuple(trial_rng(4, b) for b in keys), sizes)
-    alone = [trial_rng(4, b) for b in keys]
-    shape = lead + (sum(sizes),)
+def test_stack_streams_fill_each_blocks_slice(lead, sizes, monkeypatch):
+    """A run's blocks, side by side on its trial axis (the last), hold, bit
+    for bit, on each block's slice what that block's own substream
+    ``trial_rng(seed, block)`` gives for the block's length, call by call,
+    complex normals, integers and gamma variates alike (a gamma shape
+    broadcast against the draw), and ``montecarlo._run_blocks`` leaves
+    every stream where the block's own calls leave it."""
     k = np.arange(1.0, 1.0 + lead[-1]).reshape((-1, 1)) if lead else 2.5
-    got = [complex_gaussian(stack, shape, 0.3), integers(stack, 64, shape),
-           standard_gamma(stack, k, shape), complex_gaussian(stack, shape)]
-    assert all(x.shape == shape and x.flags.c_contiguous for x in got)
-    start = 0
+    streams = []
+
+    def kept(*key):
+        streams.append(trial_rng(*key))
+        return streams[-1]
+
+    def draws(rng, n):
+        shape = lead + (n,)
+        got = [complex_gaussian(rng, shape, 0.3), rng.integers(0, 64, size=shape),
+               standard_gamma(rng, k, shape), complex_gaussian(rng, shape)]
+        assert all(x.shape == shape and x.flags.c_contiguous for x in got)
+        return _rows(got, n)
+
+    monkeypatch.setattr(montecarlo, "trial_rng", kept)
+    got = montecarlo._run_blocks(draws, sum(sizes), 4, sizes[0])
+    alone, start = [trial_rng(4, b) for b in range(len(sizes))], 0
+    assert len(streams) == len(alone)
     for rng, n in zip(alone, sizes):
         block = lead + (n,)
         z = rng.standard_normal(block + (2,))
         want = [(z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.3 / 2.0),
                 rng.integers(0, 64, size=block),
                 rng.standard_gamma(k, size=block), complex_gaussian(rng, block)]
-        for g, w in zip(got, want):
-            assert g[..., start:start + n].tobytes() == w.tobytes()
+        assert got[:, start:start + n].tobytes() == _rows(want, n).tobytes()
         start += n
-    assert [g.random() for g in stack.generators] == [g.random() for g in alone]
-
-
-def test_stack_draw_must_span_the_stack():
-    stack = BlockStreams((trial_rng(1, 0), trial_rng(1, 1)), (256, 3))
-    with pytest.raises(ValueError, match="259"):
-        complex_gaussian(stack, (4, 258))
-    with pytest.raises(ValueError, match="259"):
-        integers(stack, 64, (4, 258))
-    with pytest.raises(ValueError, match="259"):
-        standard_gamma(stack, 3.0, (2, 260))
+    assert [g.random() for g in streams] == [g.random() for g in alone]
 
 
 @pytest.mark.parametrize("k", [[[3.0], [0.0]], [[1.0], [4.0], [2.5]]],
                          ids=["two-rows", "three-rows"])
 def test_gamma_rows_equal_the_broadcast_call(k):
     """A shape per row, (rows, 1), is drawn row by row with scalar shapes,
-    and gives, byte for byte, numpy's broadcast call, from one generator
-    and on each block's slice of a two-block stack, and leaves each stream
-    where that call leaves it."""
+    and gives, byte for byte, numpy's broadcast call, from numpy's default
+    generator and from a block's substream, and leaves each stream where
+    that call leaves it."""
     k = np.array(k)
     dims = (len(k), 300)
-    got, want = np.random.default_rng(6), np.random.default_rng(6)
-    assert (standard_gamma(got, k, dims).tobytes()
-            == want.standard_gamma(k, size=dims).tobytes())
-    assert got.random() == want.random()
-
-    sizes = (256, 44)
-    stack = BlockStreams(tuple(trial_rng(6, b) for b in range(2)), sizes)
-    drawn, start = standard_gamma(stack, k, dims), 0
-    for b, n in enumerate(sizes):
-        alone = trial_rng(6, b)
-        block = alone.standard_gamma(k, size=(len(k), n))
-        assert drawn[:, start:start + n].tobytes() == block.tobytes()
-        assert stack.generators[b].random() == alone.random()
-        start += n
+    for make in (np.random.default_rng, lambda seed: trial_rng(seed, 1)):
+        got, want = make(6), make(6)
+        assert (standard_gamma(got, k, dims).tobytes()
+                == want.standard_gamma(k, size=dims).tobytes())
+        assert got.random() == want.random()
 
 
 @pytest.mark.parametrize("k,dims", [
@@ -151,6 +149,3 @@ def test_gamma_rows_equal_the_broadcast_call(k):
 def test_gamma_shape_is_a_scalar_or_one_per_row(k, dims):
     with pytest.raises(ValueError, match="one value per row"):
         standard_gamma(np.random.default_rng(0), k, dims)
-    with pytest.raises(ValueError, match="one value per row"):
-        standard_gamma(BlockStreams((trial_rng(0, 0), trial_rng(0, 1)), (4, 6)),
-                       k, dims)
