@@ -35,8 +35,7 @@ from .montecarlo import (DESK_NMSE_TRIALS, DESK_SER_TRIALS, MIN_NMSE_TRIALS,
                          run_nmse_experiment, run_ser_experiment,
                          solve_allocation)
 from .nmse import nmse_lower_bound
-from .params import (RECIPROCAL, PowerAllocation, linear_to_db,
-                     with_fixed_energy_budgets)
+from .params import PowerAllocation, linear_to_db, with_fixed_energy_budgets
 from .tables import ResultTable, check_writable, write_table
 
 EXIT_OK = 0
@@ -111,8 +110,7 @@ def cmd_alloc(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
                          *(k.replace("_", "") + "_db" for k in names),
                          "an_db", "nmse_l", "nmse_u"])
     for gamma, pave_db, params in cfg.points():
-        alloc, nmse_l, nmse_u = solve_allocation(params, gamma, cfg.scheme,
-                                                 cfg.jensen_variant)
+        alloc, nmse_l, nmse_u = solve_allocation(params, gamma, cfg.scheme)
         energies = alloc.energies()
         an_power = (params.n_t - params.n_l) * alloc.var_a
         table.add_row(pave_db, gamma, *(linear_to_db(energies[k]) for k in names),
@@ -132,12 +130,10 @@ def cmd_nmse(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
                          "nmse_lower_bound", "trials"])
     for gamma, pave_db, params in cfg.points():
         for tau_f in taus or [params.tau_f]:
-            p = (with_fixed_energy_budgets(params, tau_f)
-                 if cfg.scheme == RECIPROCAL else params)
-            alloc, nmse_l, nmse_u = solve_allocation(
-                p, gamma, cfg.scheme, cfg.jensen_variant)
-            rep = run_nmse_experiment(p, alloc, trials=trials, seed=cfg.seed,
-                                      jensen_variant=cfg.jensen_variant)
+            # the scope rule keeps a tau_f list to the reciprocal scheme
+            p = with_fixed_energy_budgets(params, tau_f) if taus else params
+            alloc, nmse_l, nmse_u = solve_allocation(p, gamma, cfg.scheme)
+            rep = run_nmse_experiment(p, alloc, trials=trials, seed=cfg.seed)
             table.add_row(cfg.scheme, gamma, pave_db, tau_f,
                           nmse_l, rep.empirical_lr, rep.half_width_95_lr,
                           nmse_u, rep.empirical_ur, rep.half_width_95_ur,
@@ -151,8 +147,7 @@ def cmd_ser(cfg: ExperimentConfig, taus: Optional[List[int]]) -> int:
     table = ResultTable(["p_ave_db", "gamma", "ser_lr", "ser_ur", "trials"])
     for gamma, pave_db, params in cfg.points():
         rep = run_ser_experiment(params, gamma, cfg.modulation, trials=trials,
-                                 seed=cfg.seed, scheme=cfg.scheme,
-                                 jensen_variant=cfg.jensen_variant)
+                                 seed=cfg.seed, scheme=cfg.scheme)
         table.add_row(pave_db, gamma, rep.ser_lr, rep.ser_ur, rep.trials)
     write_table(table, cfg.format, cfg.out)
     return EXIT_OK

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import ConfigError
-from .nmse import JENSEN_VARIANTS
 from .ostbc import SUPPORTED_QAM
-from .params import NON_RECIPROCAL, RECIPROCAL, SCHEMES, SystemParams, default_params
+from .params import RECIPROCAL, SCHEMES, SystemParams, default_params
 
 FORMATS = ("csv", "json")
 COMMANDS = ("alloc", "nmse", "ser")
@@ -175,11 +174,6 @@ class ExperimentConfig:
                                  commands=_SAMPLING, sign="positive")
     seed: int = _key(0, int, "nonnegative RNG seed",
                      commands=_SAMPLING, sign="nonnegative")
-    # only the echo scheme's closed forms have a Jensen surrogate
-    jensen_variant: str = _key(
-        JENSEN_VARIANTS[0], str,
-        f"echo-scheme NMSE surrogate: {_either(JENSEN_VARIANTS)}",
-        schemes=(NON_RECIPROCAL,), choices=JENSEN_VARIANTS)
     modulation: int = _key(64, int, f"QAM order: {_either(SUPPORTED_QAM)}",
                            commands=("ser",), choices=SUPPORTED_QAM)
     format: str = _key("csv", str, f"table format: {_either(FORMATS)}",

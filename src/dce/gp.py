@@ -672,9 +672,10 @@ def condense(params: SystemParams, gamma: float) -> NonReciprocalSolution:
     true denominator everywhere, so iterates stay feasible for the original
     problem and the score increases monotonically; a decrease raises
     Stalled, as does a final point that violates the original ratio.  The
-    objective is the sigma-squared Jensen surrogate of the LR NMSE, i.e.
-    ``nmse_l_nonreciprocal_approx(params, alloc, "sigma-squared")`` of the
-    returned allocation up to the inner solver's tolerance.
+    objective is the LR NMSE under the sigma-squared Jensen surrogate,
+    n_t*sigma^2/(beta + n_t*sigma^2), of the returned allocation up to the
+    inner solver's tolerance; ``nmse_l_nonreciprocal_approx`` reports the
+    paper's printed surrogate, which puts sigma in place of sigma^2.
     """
     check_gamma(params, gamma, NON_RECIPROCAL)
     x_bar = initial_feasible_state(params, gamma).x()

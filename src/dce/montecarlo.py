@@ -100,8 +100,8 @@ from .alloc_reciprocal import solve_reciprocal
 from .errors import (InfeasibleGamma, NonFiniteOutcome, NotConverged,
                      UnsupportedGeometry)
 from .gp import condense
-from .nmse import (JENSEN_VARIANTS, forward_filters, nmse_l_nonreciprocal_approx,
-                   nmse_u, tx_error_var_reciprocal)
+from .nmse import (forward_filters, nmse_l_nonreciprocal_approx, nmse_u,
+                   tx_error_var_reciprocal)
 from .ostbc import (CODE_SYMBOLS, SUPPORTED_QAM, block_scale, decode_block,
                     encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
@@ -341,21 +341,19 @@ def _run_blocks(block_fn: Callable, trials: int, seed: int,
 
 
 def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
-                        trials: int = DESK_NMSE_TRIALS, seed: int = 0,
-                        jensen_variant: str = JENSEN_VARIANTS[0]) -> NmseReport:
+                        trials: int = DESK_NMSE_TRIALS, seed: int = 0) -> NmseReport:
     """Empirical channel-estimation NMSE at both receivers.
 
     The LR and UR apply the gains of ``forward_filters`` against freshly
     drawn channels, noise, and AN; squared errors are averaged per entry.
-    The analytic columns are the errors of those same filters (the echo
-    LR's under ``jensen_variant``).  The 95% half-widths use the per-trial
-    sample standard deviation.
+    The analytic columns are the errors of those same filters (for the echo
+    LR, the paper's Jensen surrogate).  The 95% half-widths use the
+    per-trial sample standard deviation.
     """
     if trials < MIN_NMSE_TRIALS:
         raise ValueError(f"fewer than {MIN_NMSE_TRIALS} trials gives "
                          "meaningless confidence bounds")
-    (gain_l, analytic_lr), (gain_u, analytic_ur) = forward_filters(
-        params, alloc, jensen_variant)
+    (gain_l, analytic_lr), (gain_u, analytic_ur) = forward_filters(params, alloc)
     spread = np.array([[gain_l * np.sqrt(params.var_w)],
                        [gain_u * np.sqrt(params.var_v)]])
 
@@ -391,8 +389,7 @@ def run_nmse_experiment(params: SystemParams, alloc: PowerAllocation,
     )
 
 
-def solve_allocation(params: SystemParams, gamma: float, scheme: str,
-                     jensen_variant: str = JENSEN_VARIANTS[0],
+def solve_allocation(params: SystemParams, gamma: float, scheme: str
                      ) -> Tuple[PowerAllocation, float, float]:
     """Solve the scheme's allocation problem; returns (alloc, nmse_l, nmse_u).
 
@@ -410,21 +407,19 @@ def solve_allocation(params: SystemParams, gamma: float, scheme: str,
                 f"condensation stopped after {len(sol.trace.steps)} rounds "
                 "without converging")
         return (sol.alloc,
-                nmse_l_nonreciprocal_approx(params, sol.alloc, jensen_variant),
+                nmse_l_nonreciprocal_approx(params, sol.alloc),
                 nmse_u(params, sol.alloc.e_3, sol.alloc.var_a))
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
                        trials: int = DESK_SER_TRIALS, seed: int = 0,
-                       scheme: str = RECIPROCAL,
-                       jensen_variant: str = JENSEN_VARIANTS[0]) -> SerReport:
+                       scheme: str = RECIPROCAL) -> SerReport:
     """Data-phase symbol error rates when both receivers decode one block of
     the four-antenna rate-3/4 orthogonal code using their own channel
-    estimates as if they were the truth, the gains of ``forward_filters``
-    (the echo LR's under ``jensen_variant``).  An allocation that meets the
-    floor with no forward pilot energy leaves nothing to decode with and
-    raises InfeasibleGamma before any trial."""
+    estimates as if they were the truth, the gains of ``forward_filters``.
+    An allocation that meets the floor with no forward pilot energy leaves
+    nothing to decode with and raises InfeasibleGamma before any trial."""
     if modulation not in SUPPORTED_QAM:
         raise ValueError(f"modulation must be one of {SUPPORTED_QAM}")
     if trials < 1:
@@ -437,7 +432,7 @@ def run_ser_experiment(params: SystemParams, gamma: float, modulation: int,
         raise InfeasibleGamma(
             f"gamma={gamma} is met with no forward pilots, so neither receiver "
             "has a channel estimate to decode with")
-    (gain_l, _), (gain_u, _) = forward_filters(params, alloc, jensen_variant)
+    (gain_l, _), (gain_u, _) = forward_filters(params, alloc)
     constellation = qam_constellation(modulation)
     scale, n_l = block_scale(params.p_ave), params.n_l
 

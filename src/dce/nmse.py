@@ -21,8 +21,6 @@ import numpy as np
 from .errors import InfeasibleGamma
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 
-JENSEN_VARIANTS = ("printed", "sigma-squared")   # the first is the default
-
 
 def lmmse_error_var(prior, energy, n, noise):
     """Per-entry LMMSE error variance when pilot energy ``energy`` is spread
@@ -96,15 +94,6 @@ def downlink_beta(params: SystemParams, alloc: PowerAllocation) -> float:
             + params.var_wt / (alpha ** 2 * t0_round_trip(params, alloc.e_0)))
 
 
-def _jensen_terms(params: SystemParams, alloc: PowerAllocation,
-                  variant: str) -> Tuple[float, float]:
-    """(beta, s) of the spectral surrogate n_t*s/(beta + n_t*s)."""
-    if variant not in JENSEN_VARIANTS:
-        raise ValueError(f"unknown jensen variant {variant!r}")
-    sigma2 = sigma_sq_uplink(params, alloc.e_2)
-    return downlink_beta(params, alloc), (np.sqrt(sigma2) if variant == "printed" else sigma2)
-
-
 def _surrogate_miss(n_t: int, beta, s):
     """1 - n_t*s/(beta + n_t*s) as beta/(beta + n_t*s), which cancels nothing
     as the factor nears 1; 1 at beta = inf.  Broadcasts over NumPy arrays."""
@@ -143,11 +132,15 @@ def lr_effective_noise_reciprocal(params: SystemParams, e_r: float,
     return (params.n_t - params.n_l) * var_a * errv + params.var_w
 
 
-def lr_effective_noise_nonreciprocal(params: SystemParams, alloc: PowerAllocation,
-                                     jensen_variant: str) -> float:
-    """AN leakage through the echo-based downlink estimate, plus LR noise."""
+def lr_effective_noise_nonreciprocal(params: SystemParams,
+                                     alloc: PowerAllocation) -> float:
+    """AN leakage through the echo-based downlink estimate, plus LR noise.
+    The leak takes the paper's Jensen surrogate of the spectral factor,
+    n_t*sigma/(beta + n_t*sigma), sigma^2 the uplink estimate's entry
+    variance."""
     residual = float(leakage_residual(
-        params, alloc.e_0, *_jensen_terms(params, alloc, jensen_variant)))
+        params, alloc.e_0, downlink_beta(params, alloc),
+        np.sqrt(sigma_sq_uplink(params, alloc.e_2))))
     return (params.n_t - params.n_l) * alloc.var_a * residual + params.var_w
 
 
@@ -156,18 +149,18 @@ def ur_effective_noise(params: SystemParams, var_a: float) -> float:
     return (params.n_t - params.n_l) * var_a * params.var_g + params.var_v
 
 
-def forward_filters(params: SystemParams, alloc: PowerAllocation,
-                    jensen_variant: str) -> Tuple[Tuple[float, float], ...]:
+def forward_filters(params: SystemParams, alloc: PowerAllocation
+                    ) -> Tuple[Tuple[float, float], ...]:
     """``((gain_l, nmse_l), (gain_u, nmse_u))``: each receiver's forward-phase
     LMMSE gain and its error, from one (prior, ``alloc.forward``, effective
-    noise) triple.  The echo scheme's LR error is the Jensen surrogate
-    ``jensen_variant`` picks."""
+    noise) triple.  The echo scheme's LR error is the Jensen surrogate of
+    ``lr_effective_noise_nonreciprocal``."""
     if alloc.scheme == RECIPROCAL:
         lr = (params.var_h,
               lr_effective_noise_reciprocal(params, alloc.e_r, alloc.var_a))
     else:
         lr = (params.var_hd,
-              lr_effective_noise_nonreciprocal(params, alloc, jensen_variant))
+              lr_effective_noise_nonreciprocal(params, alloc))
     ur = params.var_g, ur_effective_noise(params, alloc.var_a)
     return tuple((lmmse_gain(prior, alloc.forward, params.n_t, noise),
                   lmmse_error_var(prior, alloc.forward, params.n_t, noise))
@@ -196,10 +189,9 @@ def nmse_u(params: SystemParams, e_fwd: float, var_a: float) -> float:
                            ur_effective_noise(params, var_a))
 
 
-def nmse_l_nonreciprocal_approx(params: SystemParams, alloc: PowerAllocation,
-                                jensen_variant: str) -> float:
+def nmse_l_nonreciprocal_approx(params: SystemParams, alloc: PowerAllocation) -> float:
     """Approximate LR NMSE for the echo-based scheme (Jensen surrogate)."""
-    r_eff = lr_effective_noise_nonreciprocal(params, alloc, jensen_variant)
+    r_eff = lr_effective_noise_nonreciprocal(params, alloc)
     return lmmse_error_var(params.var_hd, alloc.e_3, params.n_t, r_eff)
 
 

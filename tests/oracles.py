@@ -1,7 +1,7 @@
-"""Brute-force lattice oracles for both power allocations, and the exact
-spectral factor the echo scheme's Jensen surrogates stand in for; pytest
-puts this directory on ``sys.path``, so tests import them as
-``from oracles import ...``.
+"""Brute-force lattice oracles for both power allocations, the exact
+spectral factor the echo scheme's Jensen surrogates stand in for, and the
+LR NMSE of the surrogate ``condense`` optimizes; pytest puts this directory
+on ``sys.path``, so tests import them as ``from oracles import ...``.
 
 Each lattice oracle scores a lattice with the closed-form kernels alone and
 calls no solver, so it stays an independent check on ``solve_reciprocal``
@@ -16,9 +16,9 @@ import numpy as np
 from dce.alloc_reciprocal import (ACTIVE_RTOL, ReciprocalSolution,
                                   _active_constraints, _budgets)
 from dce.errors import NoFeasiblePoint
-from dce.nmse import (_jensen_terms, _surrogate_miss, downlink_beta,
-                      gamma_tilde, leakage_residual, lmmse_error_var,
-                      sigma_sq_uplink, tx_error_var_uplink)
+from dce.nmse import (_surrogate_miss, downlink_beta, gamma_tilde,
+                      leakage_residual, lmmse_error_var, sigma_sq_uplink,
+                      tx_error_var_uplink)
 from dce.params import (PowerAllocation, SystemParams,
                         nonreciprocal_allocation, reciprocal_allocation)
 
@@ -139,17 +139,31 @@ def grid_oracle_nonreciprocal(params: SystemParams, gamma: float,
 # 10^6 rows to 2.2e-16 for b in [1e-3, 1e5] from 1x2 to 31x32, and twice that
 # is kept.  At the cap, b < 2e-3, F is off by 1.2e-10 at most down to b = 1e-6.
 MAX_SPECTRAL_ROWS = 100_000
+JENSEN_VARIANTS = ("printed", "sigma-squared")
+
+
+def _jensen_terms(params: SystemParams, alloc: PowerAllocation, variant: str):
+    """(beta, s) of the surrogate n_t*s/(beta + n_t*s): s = sigma in the
+    paper's ``printed`` one (the library's) and sigma^2, the uplink
+    estimate's entry variance, in ``sigma-squared`` (``condense``'s)."""
+    sigma2 = sigma_sq_uplink(params, alloc.e_2)
+    s = (np.sqrt(sigma2), sigma2)[JENSEN_VARIANTS.index(variant)]   # ValueError if unknown
+    return downlink_beta(params, alloc), s
+
+
+def nmse_l_sigma_squared(params: SystemParams, alloc: PowerAllocation) -> float:
+    """``nmse_l_nonreciprocal_approx`` under the sigma-squared surrogate."""
+    beta, s = _jensen_terms(params, alloc, "sigma-squared")
+    resid = float(leakage_residual(params, alloc.e_0, beta, s))
+    r_eff = (params.n_t - params.n_l) * alloc.var_a * resid + params.var_w
+    return lmmse_error_var(params.var_hd, alloc.e_3, params.n_t, r_eff)
 
 
 def jensen_factor(params: SystemParams, alloc: PowerAllocation,
                   variant: str) -> float:
-    r"""Surrogate for E{1/(beta/lambda + 1)} over the uplink-estimate spectrum.
-
-    ``printed`` uses n_t*sigma/(beta + n_t*sigma) with sigma the square
-    root of the uplink-estimate entry variance sigma^2; ``sigma-squared``
-    uses n_t*sigma^2/(beta + n_t*sigma^2).  Both collapse to 0 when there
-    is no usable round trip (alpha = 0 or e_2 = 0).
-    """
+    r"""Surrogate ``variant`` for E{1/(beta/lambda + 1)} over the
+    uplink-estimate spectrum; 0 without a usable round trip (alpha = 0 or
+    e_2 = 0)."""
     beta, s = _jensen_terms(params, alloc, variant)
     if not np.isfinite(beta) or s == 0.0:
         return 0.0

@@ -24,12 +24,7 @@ from dce.montecarlo import (
     run_ser_experiment,
     solve_allocation,
 )
-from dce.nmse import (
-    JENSEN_VARIANTS,
-    gamma_bounds,
-    nmse_l_nonreciprocal_approx,
-    nmse_u,
-)
+from dce.nmse import gamma_bounds, nmse_u
 from dce.params import (
     NON_RECIPROCAL,
     RECIPROCAL,
@@ -38,8 +33,9 @@ from dce.params import (
     with_fixed_energy_budgets,
 )
 from helpers import strip_footer
-from oracles import (grid_oracle_nonreciprocal, grid_oracle_reciprocal,
-                     jensen_miss, spectral_factor)
+from oracles import (JENSEN_VARIANTS, grid_oracle_nonreciprocal,
+                     grid_oracle_reciprocal, jensen_miss, nmse_l_sigma_squared,
+                     spectral_factor)
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -130,7 +126,7 @@ def test_accept_03_forward_length_dilution():
             vals = []
             for tau in (4, 6, 8, 12, 16):
                 p = with_fixed_energy_budgets(default_params(p_ave_db=pave), tau)
-                _, nmse_l, _ = solve_allocation(p, gamma, RECIPROCAL, "printed")
+                _, nmse_l, _ = solve_allocation(p, gamma, RECIPROCAL)
                 vals.append(nmse_l)
             assert all(b >= a * (1 - 1e-12) for a, b in zip(vals, vals[1:])), \
                 f"dilution not monotone at pave={pave}, gamma={gamma}: {vals}"
@@ -148,12 +144,11 @@ def test_accept_04_an_power_ordering_and_starved_zeros():
     with gamma=0.03 the floor is out of reach and reverse/AN are exactly 0."""
     for pave in (15.0, 20.0, 25.0):
         p = default_params(p_ave_db=pave)
-        tight, _, _ = solve_allocation(p, 0.1, RECIPROCAL, "printed")
-        loose, _, _ = solve_allocation(p, 0.03, RECIPROCAL, "printed")
+        tight, _, _ = solve_allocation(p, 0.1, RECIPROCAL)
+        loose, _, _ = solve_allocation(p, 0.03, RECIPROCAL)
         assert tight.var_a > loose.var_a, \
             f"AN not ordered at {pave} dB: {tight.var_a} vs {loose.var_a}"
-    starved, _, _ = solve_allocation(default_params(p_ave_db=10.0), 0.03,
-                                     RECIPROCAL, "printed")
+    starved, _, _ = solve_allocation(default_params(p_ave_db=10.0), 0.03, RECIPROCAL)
     assert starved.var_a == 0.0 and starved.e_r == 0.0, \
         f"starved point should zero AN and reverse energy, got {starved}"
     _report("accept-04", True,
@@ -180,9 +175,8 @@ def test_accept_05_condensation_solves_the_echo_problem():
             assert abs(sol.trace.ratio_activity - 1.0) <= 1e-6, \
                 f"quality ratio inactive: {sol.trace.ratio_activity}"
             oracle_alloc = grid_oracle_nonreciprocal(p, gamma, resolution=40)
-            mine, oracle_obj = (
-                nmse_l_nonreciprocal_approx(p, alloc, "sigma-squared")
-                for alloc in (sol.alloc, oracle_alloc))
+            mine, oracle_obj = (nmse_l_sigma_squared(p, alloc)
+                                for alloc in (sol.alloc, oracle_alloc))
             excess = mine / oracle_obj - 1.0
             worst_excess = max(worst_excess, excess)
             assert mine <= oracle_obj, \
@@ -232,15 +226,14 @@ def test_accept_07_echo_scheme_surrogate_tracks_reality():
     for gamma in (0.1, 0.03):
         for pave in (15.0, 20.0, 25.0):
             p = default_params(p_ave_db=pave)
-            alloc, nmse_l, _ = solve_allocation(p, gamma, NON_RECIPROCAL,
-                                                "printed")
+            alloc, nmse_l, _ = solve_allocation(p, gamma, NON_RECIPROCAL)
             rep = run_nmse_experiment(p, alloc, trials=10000, seed=77)
             dev = abs(rep.empirical_lr / nmse_l - 1.0)
             worst = max(worst, dev)
             assert dev <= 0.15, \
                 f"surrogate off by {dev:.3f} at {pave}/{gamma}"
     p = default_params()
-    alloc, _, _ = solve_allocation(p, 0.1, NON_RECIPROCAL, "printed")
+    alloc, _, _ = solve_allocation(p, 0.1, NON_RECIPROCAL)
     factor, miss = spectral_factor(p, alloc)
     gaps = {v: abs(miss - jensen_miss(p, alloc, v)) for v in JENSEN_VARIANTS}
     _report("accept-07", True,

@@ -12,6 +12,7 @@ from dce.config import KEYS
 from dce.params import nonreciprocal_allocation
 from helpers import (GOLDEN_DIR, GOLDENS, changed_cells, moved, produce,
                      strip_footer)
+from oracles import nmse_l_sigma_squared
 
 EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_GEOMETRY = 0, 2, 3, 4
 EXIT_DEGENERATE = 6
@@ -195,25 +196,19 @@ def test_nmse_sweep_rows_match_single_point_runs(tmp_path):
 def test_condensation_optimizes_the_sigma_squared_surrogate(tmp_path):
     """At the golden grid's gamma = 0.5 points, condensation's objective is
     the sigma-squared Jensen surrogate of its own allocation (to 1e-8), not
-    the printed one (1e-3 away), and --jensen-variant changes only the
-    reported nmse_l column, never the allocation."""
-    argv = ["alloc", "--scheme", "non-reciprocal", "--pave-db", "10,15,20,25,30",
-            "--gamma", "0.5"]
-    tables = {}
-    for variant in ("printed", "sigma-squared"):
-        code, out = _run(tmp_path, *argv, "--jensen-variant", variant)
-        assert code == EXIT_OK
-        tables[variant] = _read_csv(out)
-    header, printed = tables["printed"]
-    _, sigma = tables["sigma-squared"]
+    the printed one ``dce alloc`` reports (1e-3 away)."""
+    code, out = _run(tmp_path, "alloc", "--scheme", "non-reciprocal",
+                     "--pave-db", "10,15,20,25,30", "--gamma", "0.5")
+    assert code == EXIT_OK
+    header, rows = _read_csv(out)
     col = header.index("nmse_l")
-    assert len(printed) == 5
-    for row_p, row_s in zip(printed, sigma):
-        assert row_p[:col] + row_p[col + 1:] == row_s[:col] + row_s[col + 1:]
-        params = dce.default_params(p_ave_db=float(row_p[0]))
-        objective = dce.condense(params, 0.5).objective
-        assert abs(float(row_s[col]) / objective - 1.0) <= 1e-8
-        assert abs(float(row_p[col]) / objective - 1.0) >= 1e-3
+    assert len(rows) == 5
+    for row in rows:
+        params = dce.default_params(p_ave_db=float(row[0]))
+        sol = dce.condense(params, 0.5)
+        sigma = nmse_l_sigma_squared(params, sol.alloc)
+        assert abs(sigma / sol.objective - 1.0) <= 1e-8
+        assert abs(float(row[col]) / sol.objective - 1.0) >= 1e-3
 
 
 def test_single_tau_flag_is_plain_override(tmp_path):
@@ -408,10 +403,9 @@ def test_retired_verify_command_is_a_usage_error(capsys):
 
 # the flags of each subcommand, as the README's flag table lists them
 README_FLAGS = {
-    "alloc": {"--scheme", "--tau-f", "--jensen-variant"},
-    "nmse": {"--scheme", "--tau-f", "--jensen-variant", "--trials", "--seed"},
-    "ser": {"--scheme", "--tau-f", "--jensen-variant", "--trials", "--seed",
-            "--modulation"},
+    "alloc": {"--scheme", "--tau-f"},
+    "nmse": {"--scheme", "--tau-f", "--trials", "--seed"},
+    "ser": {"--scheme", "--tau-f", "--trials", "--seed", "--modulation"},
 }
 COMMON_FLAGS = {"--config", "--gamma", "--pave-db", "--pbar-t-db",
                 "--pbar-l-db", "--out", "--format"}
@@ -440,7 +434,7 @@ def test_parser_declares_exactly_the_table_flags(command):
     ["alloc", "--scheme", "foo"],
     ["alloc", "--format", "xml"],
     ["alloc", "--pbar-t-db", "loud"],
-    ["alloc", "--scheme", "non-reciprocal", "--jensen-variant", "exact"],
+    ["nmse", "--tau-f", "4,x"],
 ])
 def test_bad_flag_value_is_one_configuration_error(argv, capsys):
     """A flag's value goes through the parser and the checks of its config
@@ -514,23 +508,6 @@ def test_exit_config_key_the_command_does_not_read(tmp_path, capsys, command, te
     assert captured.out == ""
     assert captured.err.startswith("configuration error:")
     assert text.split("=")[0] in captured.err
-
-
-def test_exit_config_jensen_variant_under_reciprocal_scheme(tmp_path, capsys):
-    """Only the echo scheme's closed forms read the Jensen variant: naming
-    one, even the default, under the reciprocal scheme is a configuration
-    error; under the echo scheme it is accepted."""
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("jensen_variant=printed\n")
-    for argv in (["alloc", "--jensen-variant", "sigma-squared"],
-                 ["nmse", "--jensen-variant", "printed", "--trials", "100"],
-                 ["alloc", "--config", str(cfg)]):
-        assert cli.main(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "jensen_variant" in err
-    code, _ = _run(tmp_path, "alloc", "--config", str(cfg),
-                   "--scheme", "non-reciprocal")
-    assert code == EXIT_OK
 
 
 def test_exit_solver_failure_unconverged_condensation(tmp_path, capsys):
@@ -610,7 +587,7 @@ def test_exit_degenerate_draw(monkeypatch, capsys):
     and one stderr line naming the trial and its block."""
     huge = nonreciprocal_allocation(1e200, 1e200, 1e200, 10.0, 1.0)
     monkeypatch.setattr(cli, "solve_allocation",
-                        lambda params, gamma, scheme, variant: (huge, 0.5, 0.5))
+                        lambda params, gamma, scheme: (huge, 0.5, 0.5))
     with pytest.warns(RuntimeWarning) as warned:
         code = cli.main(["nmse", "--scheme", "non-reciprocal", "--gamma", "0.1",
                          "--pave-db", "20", "--trials", "100"])

@@ -43,13 +43,12 @@ def test_every_field_has_exactly_one_key():
         assert key.commands and set(key.commands) <= set(COMMANDS), key.name
 
 
-def test_only_training_lengths_and_jensen_variant_narrow_the_scheme():
-    """Every key is read under both schemes but three: tau_f and tau_r only
-    under the reciprocal one, jensen_variant only under the echo one."""
+def test_only_training_lengths_narrow_the_scheme():
+    """Every key is read under both schemes but two: tau_f and tau_r, only
+    under the reciprocal one."""
     narrowed = {key.name: key.schemes for key in KEYS
                 if set(key.schemes) != {RECIPROCAL, NON_RECIPROCAL}}
-    assert narrowed == {"tau_f": (RECIPROCAL,), "tau_r": (RECIPROCAL,),
-                        "jensen_variant": (NON_RECIPROCAL,)}
+    assert narrowed == {"tau_f": (RECIPROCAL,), "tau_r": (RECIPROCAL,)}
 
 
 def test_validate_rejects_an_empty_sweep():
@@ -80,13 +79,12 @@ def test_load_config_full_round_trip():
     its flag does."""
     cfg = _validated("scheme=non-reciprocal\ngamma=0.1,0.03\npave_db=10,20.0,30\n"
                      "pbar_t_db=27.5\npbar_l_db=18\nn_t=4\nn_l=2\nn_u=3\n"
-                     "trials=750\nseed=11\njensen_variant=sigma-squared\n"
-                     "modulation=16\nformat=json\nout=results.csv\n")
+                     "trials=750\nseed=11\nmodulation=16\nformat=json\n"
+                     "out=results.csv\n")
     assert cfg == ExperimentConfig(
         scheme=NON_RECIPROCAL, gamma=(0.1, 0.03), pave_db=(10.0, 20.0, 30.0),
         pbar_t_db=27.5, pbar_l_db=18.0, n_t=4, n_l=2, n_u=3, trials=750,
-        seed=11, jensen_variant="sigma-squared", modulation=16,
-        format="json", out="results.csv")
+        seed=11, modulation=16, format="json", out="results.csv")
     assert read_config("tau_r=3\ntau_f=8\n") == {"tau_r": 3, "tau_f": (8,)}
     assert read_config("tau_f = 4, 8\n") == {"tau_f": (4, 8)}
 
@@ -108,8 +106,9 @@ trials=500
 def test_load_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
         read_config("gama=0.1\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        read_config("full_scale=true\n")
+    for retired in ("full_scale=true", "jensen_variant=printed"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            read_config(retired + "\n")
 
 
 def test_load_config_rejects_duplicate_key():
@@ -138,7 +137,6 @@ def test_validate_rejections():
         dict(scheme="fdd"),
         dict(gamma=(0.1, -0.2)),
         dict(format="yaml"),
-        dict(jensen_variant="exact"),
         dict(modulation=32),
         dict(n_t=0),
         dict(trials=0),
@@ -203,22 +201,6 @@ def test_validate_rejects_forward_length_under_echo_scheme(tmp_path):
     with pytest.raises(ConfigError, match="does not read tau_r"):
         _effective(tmp_path, "scheme=non-reciprocal\ntau_r=8\n")
     assert _effective(tmp_path, "scheme=reciprocal\ntau_r=4\n").tau_r == 4
-
-
-def test_jensen_variant_explicit_only_under_echo_scheme(tmp_path):
-    """Only the echo scheme reads the Jensen variant: naming one, even the
-    default, under the reciprocal scheme is an error of the scope rule that
-    effective_config applies; left unset, the echo scheme uses the printed
-    surrogate."""
-    assert ExperimentConfig().validate().jensen_variant == "printed"
-    for variant in ("printed", "sigma-squared"):
-        with pytest.raises(ConfigError, match="does not read jensen_variant"):
-            _effective(tmp_path, "", "--jensen-variant", variant)
-        cfg = _effective(tmp_path, "scheme=non-reciprocal\n",
-                         "--jensen-variant", variant)
-        assert cfg.jensen_variant == variant
-    with pytest.raises(ConfigError, match="does not read"):
-        _effective(tmp_path, "jensen_variant=printed\n")
 
 
 def test_validate_caps_training_lengths():

@@ -47,7 +47,7 @@ TRIALS = 10000
 
 def _gains(params, alloc):
     """The LR's and the UR's forward-phase gains."""
-    (gain_l, _), (gain_u, _) = forward_filters(params, alloc, "printed")
+    (gain_l, _), (gain_u, _) = forward_filters(params, alloc)
     return gain_l, gain_u
 
 
@@ -309,7 +309,7 @@ def test_lr_nonreciprocal_no_an_reduction(defaults):
     """var_a=0 collapses the approximation to the plain LMMSE variance."""
     alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 8.0, var_a=0.0)
     plain = 1.0 / (1.0 / defaults.var_hd + 8.0 / (defaults.n_t * defaults.var_w))
-    assert nmse_l_nonreciprocal_approx(defaults, alloc, "printed") == pytest.approx(
+    assert nmse_l_nonreciprocal_approx(defaults, alloc) == pytest.approx(
         plain, rel=1e-12)
 
 
@@ -317,7 +317,7 @@ def test_lr_nonreciprocal_perfect_tx_csi_limit(defaults):
     """e_0, e_2 -> inf: AN fully nulled, same reduction as var_a=0."""
     alloc = nonreciprocal_allocation(1e12, 1e12, 1e12, 8.0, var_a=3.0)
     plain = 1.0 / (1.0 / defaults.var_hd + 8.0 / (defaults.n_t * defaults.var_w))
-    assert nmse_l_nonreciprocal_approx(defaults, alloc, "printed") == pytest.approx(
+    assert nmse_l_nonreciprocal_approx(defaults, alloc) == pytest.approx(
         plain, rel=1e-3)
 
 
@@ -443,8 +443,8 @@ def test_pilot_filters_match_lmmse_reference(defaults):
     p = defaults
     rec = reciprocal_allocation(2.0, 4.0, var_a=0.5)
     echo = nonreciprocal_allocation(3.0, 5.0, 2.0, 6.0, var_a=0.4)
-    (rec_l, _), (rec_u, _) = forward_filters(p, rec, "printed")
-    (echo_l, _), (echo_u, _) = forward_filters(p, echo, "printed")
+    (rec_l, _), (rec_u, _) = forward_filters(p, rec)
+    (echo_l, _), (echo_u, _) = forward_filters(p, echo)
     cases = [  # (gain, reference's prior, noise, energy, tau, n_cols)
         (lmmse_gain(p.var_h, rec.e_r, p.n_l, p.var_wt),
          p.var_h, p.var_wt, rec.e_r, p.tau_r, p.n_l),
@@ -453,7 +453,7 @@ def test_pilot_filters_match_lmmse_reference(defaults):
         (rec_u, p.var_g, ur_effective_noise(p, rec.var_a), rec.e_f, p.tau_f, p.n_t),
         (lmmse_gain(p.var_hu, echo.e_2, p.n_l, p.var_wt),
          p.var_hu, p.var_wt, echo.e_2, p.n_l, p.n_l),
-        (echo_l, p.var_hd, lr_effective_noise_nonreciprocal(p, echo, "printed"),
+        (echo_l, p.var_hd, lr_effective_noise_nonreciprocal(p, echo),
          echo.e_3, p.n_t, p.n_t),
         (echo_u, p.var_g, ur_effective_noise(p, echo.var_a), echo.e_3, p.n_t, p.n_t),
     ]

@@ -5,6 +5,7 @@ The scipy reference solves in this file are the independent second route for
 the inner solver; the library itself never imports scipy.
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -33,9 +34,9 @@ from dce.gp import (
     solve_inner_gp,
     to_gp_variables,
 )
-from dce.nmse import gamma_tilde, nmse_l_nonreciprocal_approx, nmse_u
+from dce.nmse import gamma_tilde, nmse_u
 from dce.params import default_params, nonreciprocal_allocation
-from oracles import grid_oracle_nonreciprocal
+from oracles import grid_oracle_nonreciprocal, nmse_l_sigma_squared
 
 GOLDEN_PANEL = json.loads(
     (Path(__file__).parent / "golden" / "condense_panel.json").read_text())
@@ -45,11 +46,6 @@ def _condensed_at(params, x_bar):
     """The production condensation of the quality ratio at ``x_bar``."""
     numer, denom = ratio_parts(params)
     return condensed_ratio(numer, denom, x_bar, denominator_exponents(denom, x_bar))
-
-
-def _sigma_squared(params, alloc):
-    """The LR NMSE surrogate condensation and the lattice oracle minimize."""
-    return nmse_l_nonreciprocal_approx(params, alloc, "sigma-squared")
 
 
 def _random_alloc(rng):
@@ -122,6 +118,8 @@ def test_theta_exponents_frozen_point(defaults):
     a = denominator_exponents(ratio_parts(defaults)[1], np.ones(6))
     assert dict(zip(X_NAMES, a)) == pytest.approx(
         {"t": 0.5, "t0": 0.5, "t1": 0.75, "t2": 0.625, "t3": 0.5, "t4": 0.0})
+    with pytest.raises(ValueError, match="vanishing denominator"):
+        denominator_exponents(monomial(1.0, [1.0]), np.zeros(1))
 
 
 def test_theta_exponents_in_unit_interval(defaults, rng):
@@ -454,8 +452,8 @@ def test_condense_beats_lattice():
     params = default_params(p_ave_db=25.0)
     sol = condense(params, 0.1)
     oracle_alloc = grid_oracle_nonreciprocal(params, 0.1, resolution=20)
-    assert (_sigma_squared(params, sol.alloc)
-            <= _sigma_squared(params, oracle_alloc))
+    assert (nmse_l_sigma_squared(params, sol.alloc)
+            <= nmse_l_sigma_squared(params, oracle_alloc))
 
 
 def test_condense_fixed_point(defaults, monkeypatch):
@@ -484,10 +482,16 @@ def test_condense_monotone_on_random_instances():
 
 
 def test_condense_detects_sabotaged_weights(defaults, monkeypatch):
-    """Deliberately wrong condensation weights must not produce a 'solution'."""
+    """Deliberately wrong condensation weights must not produce a 'solution',
+    and a round whose objective worsens stops condensation."""
     monkeypatch.setattr(gp, "denominator_exponents",
                         lambda denom, x_bar: np.array([1.0, 0, 0, 0, 0, 0]))
     with pytest.raises((Stalled, Infeasible, NotConverged)):
+        condense(defaults, 0.1)
+    monkeypatch.undo()
+    rising = itertools.count(1.0)
+    monkeypatch.setattr(gp, "lmmse_error_var", lambda *args: next(rising))
+    with pytest.raises(Stalled, match="objective worsened from 1 to 2"):
         condense(defaults, 0.1)
 
 
@@ -769,7 +773,7 @@ def test_degenerate_active_set_instance_converges(monkeypatch):
         assert np.all(info["constraint_values"] <= 1 + 1e-8)
     assert sol.trace.ratio_activity <= 1 + 1e-6
     oracle = grid_oracle_nonreciprocal(params, gamma, resolution=40)
-    assert _sigma_squared(params, sol.alloc) <= _sigma_squared(params, oracle)
+    assert nmse_l_sigma_squared(params, sol.alloc) <= nmse_l_sigma_squared(params, oracle)
 
 
 def _condense_golden_panel():
@@ -933,7 +937,7 @@ def test_oracle_matches_scalar_scan(kwargs, gamma, resolution):
             grid_oracle_nonreciprocal(p, gamma, resolution=resolution)
         return
     alloc = grid_oracle_nonreciprocal(p, gamma, resolution=resolution)
-    assert _sigma_squared(p, alloc) <= _sigma_squared(p, scan) * (1 + 1e-12)
+    assert nmse_l_sigma_squared(p, alloc) <= nmse_l_sigma_squared(p, scan) * (1 + 1e-12)
     an = (p.n_t - p.n_l) * alloc.var_a * p.n_t
     tol = 1 + 1e-9
     assert (alloc.e_0 + alloc.e_1 + alloc.e_2 + alloc.e_3 + an
@@ -960,16 +964,16 @@ def test_oracle_forward_split_is_exact(kwargs, gamma):
     for an in np.linspace(0.0, rest, 2001):
         a = an / p.n_t
         e_3 = min(rest - an, cap * (p.var_g * a / p.var_v + 1.0))
-        scan.append(_sigma_squared(p, nonreciprocal_allocation(
+        scan.append(nmse_l_sigma_squared(p, nonreciprocal_allocation(
             alloc.e_0, alloc.e_1, alloc.e_2, e_3, a / (p.n_t - p.n_l))))
-    assert _sigma_squared(p, alloc) <= min(scan) * (1 + 1e-12)
+    assert nmse_l_sigma_squared(p, alloc) <= min(scan) * (1 + 1e-12)
 
 
 def test_oracle_nesting(defaults):
     """Doubling the resolution nests the lattice: the finer search can only
     match or improve the coarse one."""
-    coarse = _sigma_squared(
+    coarse = nmse_l_sigma_squared(
         defaults, grid_oracle_nonreciprocal(defaults, 0.1, resolution=20))
-    fine = _sigma_squared(
+    fine = nmse_l_sigma_squared(
         defaults, grid_oracle_nonreciprocal(defaults, 0.1, resolution=40))
     assert fine <= coarse + 1e-15

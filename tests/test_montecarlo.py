@@ -318,7 +318,7 @@ def test_noise_statistic_keeps_the_law_of_the_full_noise(geometry, alloc,
     params = default_params(n_t=geometry[0], n_l=geometry[1], n_u=geometry[2])
     trials = 40000
     got = _engine_outcomes(params, alloc, trials, monkeypatch)
-    (gain_l, _), (gain_u, _) = forward_filters(params, alloc, "printed")
+    (gain_l, _), (gain_u, _) = forward_filters(params, alloc)
 
     def full_noise(rng, n):
         return _full_noise_sq_err(params, *montecarlo._estimation_round(
@@ -618,8 +618,7 @@ def test_reciprocal_nmse_has_no_rounding_floor(instance, trials):
 def test_nonreciprocal_empirical_tracks_surrogate(defaults):
     """Solved echo-scheme allocation: Monte Carlo within 15% of the
     approximation (it is a surrogate, not an exact moment)."""
-    alloc, nmse_l, _ = solve_allocation(defaults, 0.1, NON_RECIPROCAL,
-                                        "printed")
+    alloc, nmse_l, _ = solve_allocation(defaults, 0.1, NON_RECIPROCAL)
     report = run_nmse_experiment(defaults, alloc, trials=10000)
     assert report.analytic_lr == pytest.approx(nmse_l)
     assert report.empirical_lr == pytest.approx(report.analytic_lr, rel=0.15)
@@ -630,18 +629,17 @@ def test_nonreciprocal_empirical_tracks_surrogate(defaults):
 # ---------------------------------------------------------------------------
 
 def test_solve_allocation_schemes(defaults):
-    alloc_r, l_r, u_r = solve_allocation(defaults, 0.1, RECIPROCAL, "printed")
+    alloc_r, l_r, u_r = solve_allocation(defaults, 0.1, RECIPROCAL)
     assert alloc_r.scheme == RECIPROCAL
     assert u_r == pytest.approx(0.1, rel=1e-9)
-    alloc_n, l_n, u_n = solve_allocation(defaults, 0.1, NON_RECIPROCAL,
-                                         "printed")
+    alloc_n, l_n, u_n = solve_allocation(defaults, 0.1, NON_RECIPROCAL)
     assert alloc_n.scheme == NON_RECIPROCAL
     assert u_n >= 0.1 * (1 - 1e-6)
     assert 0.0 < l_r < 1.0 and 0.0 < l_n < 1.0
     with pytest.raises(ValueError):
-        solve_allocation(defaults, 0.1, "fdd", "printed")
+        solve_allocation(defaults, 0.1, "fdd")
     with pytest.raises(InfeasibleGamma):
-        solve_allocation(defaults, 2.0, RECIPROCAL, "printed")
+        solve_allocation(defaults, 2.0, RECIPROCAL)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -721,7 +719,7 @@ def test_ser_data_phase_fused_product(defaults, scheme, monkeypatch):
     errors = captured["block_fn"](rng, n)
 
     alloc, _, _ = solve_allocation(defaults, 0.1, scheme)
-    (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc, "printed")
+    (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc)
     pts = qam_constellation(64)
     scale = block_scale(defaults.p_ave)
     n_l = defaults.n_l
@@ -757,7 +755,7 @@ def test_ser_matches_block_domain_reference(scheme, p_ave_db, gamma):
                                 seed=seed, scheme=scheme)
     alloc, _, _ = solve_allocation(defaults, gamma, scheme)
     assert (alloc.var_a == 0) == (p_ave_db == 0.0)
-    (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc, "printed")
+    (gain_l, _), (gain_u, _) = forward_filters(defaults, alloc)
     scale = block_scale(defaults.p_ave)
 
     def reference_block(rng, n):

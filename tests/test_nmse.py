@@ -13,7 +13,6 @@ from scipy.integrate import quad
 from dce.errors import InfeasibleGamma
 from dce.montecarlo import solve_allocation
 from dce.nmse import (
-    JENSEN_VARIANTS,
     check_gamma,
     downlink_beta,
     gamma_bounds,
@@ -35,7 +34,8 @@ from dce.params import (
     nonreciprocal_allocation,
 )
 from dce.rng import complex_gaussian, trial_rng
-from oracles import _laguerre_parts, jensen_factor, jensen_miss, spectral_factor
+from oracles import (JENSEN_VARIANTS, _laguerre_parts, jensen_factor, jensen_miss,
+                     nmse_l_sigma_squared, spectral_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_lr_nonreciprocal_no_an_reduces_to_plain_lmmse(defaults):
     alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 8.0, var_a=0.0)
     plain = 1.0 / (1.0 / defaults.var_hd
                    + (8.0 / defaults.n_t) / defaults.var_w)
-    assert nmse_l_nonreciprocal_approx(defaults, alloc, "printed") == pytest.approx(plain)
+    assert nmse_l_nonreciprocal_approx(defaults, alloc) == pytest.approx(plain)
 
 
 def test_lr_nonreciprocal_no_probe_worst_case_leakage(defaults):
@@ -99,7 +99,7 @@ def test_lr_nonreciprocal_no_probe_worst_case_leakage(defaults):
     r_eff = ((defaults.n_t - defaults.n_l) * 2.0 * defaults.var_hd
              + defaults.var_w)
     expected = 1.0 / (1.0 / defaults.var_hd + (8.0 / defaults.n_t) / r_eff)
-    assert nmse_l_nonreciprocal_approx(defaults, alloc, "printed") == pytest.approx(expected)
+    assert nmse_l_nonreciprocal_approx(defaults, alloc) == pytest.approx(expected)
 
 
 def test_ur_nonreciprocal_matches_reciprocal_form(defaults):
@@ -247,10 +247,9 @@ def test_directional_monotonicity():
         assert nmse_u(p, e_f + d, var_a) <= base_u + 1e-15
         # the echo scheme's LR: more forward energy helps, more AN hurts
         echo = [float(e) for e in rng.uniform(0.0, 60.0, 3)]
-        for variant in JENSEN_VARIANTS:
+        for nmse_l in (nmse_l_nonreciprocal_approx, nmse_l_sigma_squared):
             base, more_e3, more_an = (
-                nmse_l_nonreciprocal_approx(
-                    p, nonreciprocal_allocation(*echo, e_3, a), variant)
+                nmse_l(p, nonreciprocal_allocation(*echo, e_3, a))
                 for e_3, a in ((e_f, var_a), (e_f + d, var_a), (e_f, var_a + d)))
             assert more_e3 <= base + 1e-15
             assert more_an >= base - 1e-15
@@ -269,8 +268,8 @@ def test_values_stay_in_range():
         assert 0.0 < v_u <= p.var_g + 1e-15
         alloc = nonreciprocal_allocation(*[float(e) for e in rng.uniform(0.0, 500.0, 3)],
                                          e_f, var_a)
-        for variant in JENSEN_VARIANTS:
-            assert 0.0 < nmse_l_nonreciprocal_approx(p, alloc, variant) <= p.var_hd + 1e-15
+        for nmse_l in (nmse_l_nonreciprocal_approx, nmse_l_sigma_squared):
+            assert 0.0 < nmse_l(p, alloc) <= p.var_hd + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +296,11 @@ def test_derived_constants_bundle(defaults):
 @pytest.mark.parametrize("variant", ["printed", "sigma-squared"])
 def test_lr_effective_noise_nonreciprocal_exact_at_high_power(variant):
     """60-300 dB, every energy 4 P and AN variance P: the echo scheme's AN
-    residual var_hd (1 - rho0 j) and the LR's effective noise stay within
-    1e-13 relative of an exact rational evaluation of the same float
-    inputs, although 1 - rho0 j falls to about 1/P."""
+    residual var_hd (1 - rho0 j), the LR's effective noise (the library's,
+    on the printed surrogate) and the LR NMSE (the library's, or the
+    oracle's on sigma-squared) stay within 1e-13 relative of an exact
+    rational evaluation of the same float inputs, although 1 - rho0 j falls
+    to about 1/P."""
     for db in (60, 100, 140, 200, 250, 300):
         p = default_params(p_ave_db=db, p_bar_t_db=db, p_bar_l_db=db)
         alloc = nonreciprocal_allocation(*[4 * p.p_ave] * 4, var_a=p.p_ave)
@@ -314,8 +315,13 @@ def test_lr_effective_noise_nonreciprocal_exact_at_high_power(variant):
         r_eff = (p.n_t - p.n_l) * Fraction(alloc.var_a) * resid + var_w
         got = leakage_residual(p, alloc.e_0, beta, s)
         assert abs(Fraction(float(got)) / resid - 1) <= 1e-13, db
-        got = lr_effective_noise_nonreciprocal(p, alloc, variant)
-        assert abs(Fraction(got) / r_eff - 1) <= 1e-13, db
+        if variant == "printed":
+            got = lr_effective_noise_nonreciprocal(p, alloc)
+            assert abs(Fraction(got) / r_eff - 1) <= 1e-13, db
+        nmse_l = (nmse_l_nonreciprocal_approx if variant == "printed"
+                  else nmse_l_sigma_squared)
+        nmse = 1 / (1 / var_hd + Fraction(alloc.e_3) / n_t / r_eff)
+        assert abs(Fraction(nmse_l(p, alloc)) / nmse - 1) <= 1e-13, db
 
 
 # ---------------------------------------------------------------------------

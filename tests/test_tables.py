@@ -9,6 +9,7 @@ import math
 import pytest
 
 from dce.config import FORMATS
+from dce.errors import ConfigError
 from dce.tables import ResultTable, footer_line, format_number, write_table
 from helpers import strip_footer
 
@@ -109,3 +110,6 @@ def test_write_table_file_and_stdout(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert captured.startswith(t.render_csv())
     assert strip_footer(captured) == strip_footer(on_disk)
+    # open() fails on a directory (the CLI's check_writable rejects it first)
+    with pytest.raises(ConfigError, match="cannot write"):
+        write_table(t, "csv", str(tmp_path))
