@@ -28,7 +28,7 @@ from .params import (NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams,
 from .rng import complex_gaussian, trial_rng
 from .tables import ResultTable
 from .training import (forward_training, null_space_basis, reverse_training,
-                       round_trip_training, sample_channels)
+                       sample_channels)
 
 __version__ = "1.0.0"
 

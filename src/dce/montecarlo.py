@@ -10,12 +10,30 @@ from its own draws alone.
 
 In the physical frame, which the echo NMSE and every SER run draw, the
 transmitter's downlink estimate is never formed: the AN needs only its
-column space, which a matrix built from what the transmitter received spans
+column space, which a matrix drawn from what the transmitter reads spans
 exactly (``_estimate_span``).  The AN basis nulls that span whatever its
 rank, so no trial is checked for rank.  What can fail is the arithmetic (an
 overflow at absurd energies, a corrupt input), and that would recur on a
 redraw, so the first non-finite outcome stops the run with
 NonFiniteOutcome, before any later block is drawn (``_run_blocks``).
+
+The echo transmitter's span is drawn in the frame of its reverse statistic
+y_t = sqrt(e_2/n_l) H_u + W_r, with the literal round trip's law.  Its
+estimate spans what y_t1 y_t^H spans, y_t1 = alpha Y_L0 H_u + W_1 and
+Y_L0 = sqrt(e_0/n_t) H_d + W_0.  With y_t^H = U C its QR (C's diagonal
+positive, so C is invertible), that is the span of alpha Y_L0 K + W',
+K = H_u U and W' = W_1 U.  The uplink's LMMSE split H_u = a y_t + E (a its
+gain, E i.i.d. CN(0, tx_error_var_uplink) and independent of y_t) gives
+K = a C^H + E U, where a C is complex Bartlett like R below, of variance
+``nmse.sigma_sq_uplink``.  U is Haar and independent of C, so E' = E U and
+W' are i.i.d. CN(0, tx_error_var_uplink) and CN(0, var_wt), independent of
+C and of all else.  Only the transmitter's draws move, so the SER reads
+this span too.  A trial draws W_0, E', C and W' and forms one
+n_t x n_l x n_l product, in place of H_u, the reverse noise, the
+n_t x n_t W_1 and an n_t x n_t x n_l product.  It costs trust: the engine
+runs neither the reverse phase nor the round trip, and its split is the
+closed forms' own, so ``tests/reference_sim.py``, which runs both
+literally, is the echo scheme's only end-to-end check of the physics.
 
 A reciprocal NMSE trial is drawn in the frame of the transmitter's
 estimate instead (``_reciprocal_block``), with the same law:
@@ -100,14 +118,15 @@ from .alloc_reciprocal import solve_reciprocal
 from .errors import (InfeasibleGamma, NonFiniteOutcome, NotConverged,
                      UnsupportedGeometry)
 from .gp import condense
-from .nmse import (forward_filters, nmse_l_nonreciprocal_approx, nmse_u,
-                   tx_error_var_reciprocal)
+from .nmse import (echo_gain, forward_filters, nmse_l_nonreciprocal_approx,
+                   nmse_u, sigma_sq_uplink, tx_error_var_reciprocal,
+                   tx_error_var_uplink)
 from .ostbc import (CODE_SYMBOLS, SUPPORTED_QAM, block_scale, decode_block,
                     encode_block, qam_constellation)
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .rng import complex_gaussian, standard_gamma, trial_rng
 from .training import (_forward_signal, _product, forward_training,
-                       reverse_training, round_trip_training, sample_channels)
+                       reverse_training, sample_channels)
 
 MIN_NMSE_TRIALS = 100  # fewer gives meaningless confidence bounds
 DESK_NMSE_TRIALS = 1000
@@ -259,7 +278,7 @@ def _reciprocal_block(params: SystemParams, alloc: PowerAllocation,
 
 
 def _estimate_span(params: SystemParams, alloc: PowerAllocation,
-                   h_d, h_u, rng) -> Optional[np.ndarray]:
+                   h_d, rng) -> Optional[np.ndarray]:
     """(n_t, n_l, T) matrices whose left null spaces carry the AN, or None
     without AN, when the forward phase reads none.
 
@@ -267,9 +286,9 @@ def _estimate_span(params: SystemParams, alloc: PowerAllocation,
     estimate, and a null space depends only on the column space, so each
     matrix spans what the estimate spans without being the estimate:
     - reciprocal: y_t^T, of which the estimate is a positive multiple;
-    - echo: y_t1 y_t^H (``training._product``).  The LMMSE estimate is
-      k y_t1 y_t^H G^{-1} with k > 0 and G = Hu_hat Hu_hat^H + beta I
-      positive definite, so it has the same column space.
+    - echo: alpha Y_L0 K + W' (see the module docstring), which spans what
+      y_t1 y_t^H spans, and so the LMMSE estimate k y_t1 y_t^H G^{-1} with
+      k > 0 and G = Hu_hat Hu_hat^H + beta I positive definite.
     The basis ``null_space_basis`` takes from the span is then N U for a
     unitary U fixed by the draws made so far, and the AN A it multiplies is
     drawn afterwards, i.i.d. CN(0, var_a), so A U^H has the law of A:
@@ -288,11 +307,24 @@ def _estimate_span(params: SystemParams, alloc: PowerAllocation,
                 else alloc.e_0 > 0 and alloc.e_1 > 0 and alloc.e_2 > 0)
     if not informed:
         return complex_gaussian(rng, h_d.shape, 1.0)
-    y_t = reverse_training(params, alloc, h_u, rng)
     if alloc.scheme == RECIPROCAL:
-        return y_t.swapaxes(0, 1)
-    y_t1 = round_trip_training(params, alloc, h_d, h_u, rng)
-    return _product(y_t1, np.conj(y_t).swapaxes(0, 1))
+        return reverse_training(params, alloc, h_d, rng).swapaxes(0, 1)
+    n_t, n_l, trials = h_d.shape
+    # alpha Y_L0 = alpha (sqrt(e_0/n_t) H_d + W_0), the LR's echo
+    y_l0 = complex_gaussian(rng, h_d.shape, params.var_w)
+    y_l0 += np.sqrt(alloc.e_0 / n_t) * h_d
+    y_l0 *= echo_gain(params, alloc.e_0, alloc.e_1)
+    # K = E' + a C^H, whose entries below the diagonal come row by row
+    k = complex_gaussian(rng, (n_l, n_l, trials),
+                         tx_error_var_uplink(params, alloc.e_2))
+    c_var = sigma_sq_uplink(params, alloc.e_2)
+    below = complex_gaussian(rng, (n_l * (n_l - 1) // 2, trials), c_var)
+    diag = np.sqrt(c_var * standard_gamma(
+        rng, np.arange(n_t, n_t - n_l, -1)[:, None], (n_l, trials)))
+    for row in range(n_l):
+        k[row, :row] += below[row * (row - 1) // 2:row * (row + 1) // 2]
+        k[row, row] += diag[row]
+    return _product(y_l0, k, complex_gaussian(rng, h_d.shape, params.var_wt))
 
 
 def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
@@ -304,8 +336,8 @@ def _estimation_round(params: SystemParams, alloc: PowerAllocation, rng,
     the noisy one of ``forward_training``, or without the receivers' noise
     that of ``training._forward_signal``."""
     n_l = params.n_l
-    channels, h_u = sample_channels(params, alloc.scheme, rng, trials)
-    span = _estimate_span(params, alloc, channels[:, :n_l], h_u, rng)
+    channels = sample_channels(params, alloc.scheme, rng, trials)
+    span = _estimate_span(params, alloc, channels[:, :n_l], rng)
     estimates = forward(params, alloc, span, channels, rng)
     estimates[:, :n_l] *= gain_l
     estimates[:, n_l:] *= gain_u

@@ -3,8 +3,8 @@ r"""Channel sampling and the training-phase statistics.
 Every function works on (rows, cols, T) stacks, one matrix per trial of a
 Monte-Carlo block, the trial axis last and never moved, and draws from
 that block's one generator: the downlinks [H_d, G] are one
-(n_t, n_l + n_u, T) array and H_u is (n_l, n_t, T); a product of two
-stacks is formed on those axes (``_product``).  Each pilot phase returns what its receiver's filter
+(n_t, n_l + n_u, T) array, and a product of two stacks is formed on those
+axes (``_product``).  Each pilot phase returns what its receiver's filter
 reads, not the tau-slot block it receives.  A pilot phase sends
 X = sqrt(E/n) C for a tau x n pilot with C^H C = I_n, and a receiver's
 LMMSE filter reads its block Y = X Z + A N^H Z' + W only through
@@ -12,7 +12,8 @@ C^H Y = sqrt(E/n) Z + (C^H A) N^H Z' + C^H W.  C^H has orthonormal rows, so
 C^H W and C^H A are white with the variances of W and A (Biguesh &
 Gershman, IEEE TSP 2006).  The phases draw them as such, so the pilot
 length enters only the energy budgets and the AN energy, as in the closed
-forms.  The round-trip probe is a scaled identity (``round_trip_training``).
+forms.  The echo scheme's reverse phase and round trip are drawn in the
+frame of its reverse statistic (``montecarlo._estimate_span``).
 
 The forward phase never builds the AN basis: ``null_space_basis`` computes
 the Householder reflectors of each estimate's QR factorization itself, on
@@ -23,35 +24,27 @@ space, and the basis nulls it whatever its rank: nothing is rank-tested.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .nmse import echo_gain
 from .params import NON_RECIPROCAL, RECIPROCAL, PowerAllocation, SystemParams
 from .rng import complex_gaussian
 
 
 def sample_channels(params: SystemParams, mode: str, rng: np.random.Generator,
-                    trials: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw ``trials`` i.i.d. complex-Gaussian channel realizations.
-
-    Returns ``(channels, h_u)``: the downlinks [H_d, G] to the LR and the
-    UR side by side, (n_t, n_l + n_u, T) from one draw, and the (n_l, n_t,
-    T) uplink.  Reciprocal mode sets the uplink to the plain transpose of
-    H_d, a view; non-reciprocal mode draws it independently, with its own
-    variance, after the downlinks.
-    """
+                    trials: int) -> np.ndarray:
+    """Draw ``trials`` i.i.d. complex-Gaussian downlinks [H_d, G] to the LR
+    and the UR side by side, (n_t, n_l + n_u, T) from one draw, H_d of
+    variance var_h (reciprocal) or var_hd (non-reciprocal)."""
     if mode not in (RECIPROCAL, NON_RECIPROCAL):
         raise ValueError(f"unknown mode {mode!r}")
-    n_t, n_l = params.n_t, params.n_l
+    n_l = params.n_l
     var_d = params.var_h if mode == RECIPROCAL else params.var_hd
-    channels = complex_gaussian(rng, (n_t, n_l + params.n_u, trials))
+    channels = complex_gaussian(rng, (params.n_t, n_l + params.n_u, trials))
     channels[:, :n_l] *= np.sqrt(var_d)
     channels[:, n_l:] *= np.sqrt(params.var_g)
-    if mode == RECIPROCAL:
-        return channels, channels[:, :n_l].swapaxes(0, 1)
-    return channels, complex_gaussian(rng, (n_l, n_t, trials), params.var_hu)
+    return channels
 
 
 def _product(a: np.ndarray, b: np.ndarray,
@@ -149,46 +142,18 @@ def null_space_basis(h_hat: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def reverse_training(params: SystemParams, alloc: PowerAllocation,
-                     h_u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    r"""LR-to-transmitter pilot phase; returns the transmitter's statistic
-    ``y_t`` = sqrt(e/n_l) H_u + CN(0, var_wt), (n_l, n_t, T).
-
-    The uplink H_u is H^T in the reciprocal scheme, whose energy e is e_r;
-    the echo scheme sends e_2 over its own uplink.
+                     h_d: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    r"""LR-to-transmitter pilot phase of the reciprocal scheme over the
+    uplink H_d^T, for the downlink ``h_d`` (n_t, n_l, T); returns the
+    transmitter's statistic ``y_t`` = sqrt(e_r/n_l) H_d^T + CN(0, var_wt),
+    (n_l, n_t, T).
     """
-    energy = alloc.e_r if alloc.scheme == RECIPROCAL else alloc.e_2
-    noise = complex_gaussian(rng, h_u.shape, params.var_wt)
-    return np.sqrt(energy / params.n_l) * h_u + noise
-
-
-def round_trip_training(params: SystemParams, alloc: PowerAllocation,
-                        h_d: np.ndarray, h_u: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-    r"""Transmitter probe + LR echo (non-reciprocal scheme only); returns
-    the (n_t, n_t, T) stack ``y_t1`` the transmitter receives, for the LR's
-    downlink ``h_d`` (n_t, n_l, T) and uplink ``h_u`` (n_l, n_t, T).
-
-    The probe is X_t0 = sqrt(e_0/n_t) I, so trace(X_t0^H X_t0) = e_0 as
-    required, and it enters as that scalar.  The LR receives
-    Y_L0 = X_t0 H_d + W_0, applies the gain alpha (``echo_gain``), and the
-    transmitter observes Y_t1 = alpha X_t0 H_d H_u + alpha W_0 H_u + W_1.
-    The gain normalizes the mean echo energy to exactly e_1.
-
-    The probe is private to the transmitter and the UR never observes the
-    round trip, so only X_t0^H Y_t1 reaches any estimate.  For a probe c Q,
-    Q unitary, Q^H Y_t1 = alpha c H_d H_u + alpha (Q^H W_0) H_u + Q^H W_1
-    and Q^H W has the law of W: every scaled unitary probe, Haar-random
-    included, gives the joint law that Q = I gives with no draw and no QR.
-    """
-    if alloc.scheme != NON_RECIPROCAL:
-        raise ValueError("round-trip training exists only in the non-reciprocal scheme")
-    n_t, trials = params.n_t, h_d.shape[-1]
-    # alpha Y_L0; the probe is square, so the round trip takes n_t slots
-    y_l0 = complex_gaussian(rng, (n_t, params.n_l, trials), params.var_w)
-    y_l0 += np.sqrt(alloc.e_0 / n_t) * h_d
-    y_l0 *= echo_gain(params, alloc.e_0, alloc.e_1)
-    y_t1 = complex_gaussian(rng, (n_t, n_t, trials), params.var_wt)
-    return _product(y_l0, h_u, y_t1)
+    if alloc.scheme != RECIPROCAL:
+        raise ValueError("the echo scheme's reverse phase is drawn in the "
+                         "frame of its statistic (montecarlo._estimate_span)")
+    h_t = h_d.swapaxes(0, 1)
+    noise = complex_gaussian(rng, h_t.shape, params.var_wt)
+    return np.sqrt(alloc.e_r / params.n_l) * h_t + noise
 
 
 def _forward_signal(params: SystemParams, alloc: PowerAllocation,

@@ -6,7 +6,9 @@ spaces (``dce.montecarlo._estimate_span``).  They stay here as the check on
 the estimate the span is compared against (``test_montecarlo.py``) and as
 the transmitter's estimate of the literal reference (``reference_sim.py``).
 Each works on trial-last stacks of trials, like the receivers' filters,
-and takes the statistics ``dce.training``'s phases return.
+and takes the statistics of the reverse phases (``dce.training``'s, or
+``reference_sim``'s for the echo scheme) and of ``reference_sim``'s round
+trip.
 
 The echo-based downlink estimate uses the push-through identity
 (Hu_hat^H Hu_hat + beta I)^{-1} Hu_hat^H = Hu_hat^H G^{-1} with
@@ -54,8 +56,9 @@ def tx_estimate_downlink(y_t1: np.ndarray, h_u_hat: np.ndarray,
 
     Each trial's estimate is
     var_hd/(alpha t0) X_t0^H Y_t1 (Hu_hat^H Hu_hat + beta I)^{-1} Hu_hat^H
-    for the probe X_t0 = sqrt(e_0/n_t) I that ``training.round_trip_training``
-    sends, so X_t0^H Y_t1 is Y_t1 times that scalar.  Given Hu_hat, its
+    for the probe X_t0 = sqrt(e_0/n_t) I, so X_t0^H Y_t1 is Y_t1 times that
+    scalar; for the Haar probe c Q of ``reference_sim.round_trip`` the
+    caller hands it Q^H Y_t1.  Given Hu_hat, its
     error covariance is
     [var_hd I - var_hd*rho0*M(M+beta I)^{-1}] kron I_{n_t} with
     M = Hu_hat^* Hu_hat^T and rho0 the probe share of the echoed level

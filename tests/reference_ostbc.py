@@ -50,10 +50,15 @@ def dispersion_map(h: np.ndarray, scale: float) -> np.ndarray:
     blocks, for channels (..., 4, M).
 
     Column j stacks Re/Im of scale * code_matrix(basis_j) @ h.  Orthogonality
-    of the code makes m.T @ m == scale**2 * ||h||_F**2 * I exactly.
+    of the code makes m.T @ m == scale**2 * ||h||_F**2 * I exactly.  The six
+    codewords are stacked as one (6 CODE_SLOTS, 4) matrix, so a stack of
+    channels takes one matrix product, not six per channel.
     """
     h = np.asarray(h)
-    blocks = scale * code_matrix(real_basis()) @ h[..., None, :, :]
+    basis = code_matrix(real_basis()).reshape(6 * CODE_SLOTS, -1)
+    blocks = scale * np.tensordot(basis, h, axes=([1], [-2]))
+    blocks = np.moveaxis(blocks.reshape((6, CODE_SLOTS) + blocks.shape[1:]),
+                         (0, 1), (-3, -2))
     flat = blocks.reshape(blocks.shape[:-2] + (-1,))
     return np.swapaxes(np.concatenate([flat.real, flat.imag], axis=-1), -1, -2)
 

@@ -582,10 +582,10 @@ def test_exit_geometry(tmp_path, capsys):
 
 
 def test_exit_degenerate_draw(monkeypatch, capsys):
-    """Echo energies of 1e200 overflow the AN basis's Householder norms:
-    the first block's outcomes are NaN, and the run stops there with exit 6
-    and one stderr line naming the trial and its block."""
-    huge = nonreciprocal_allocation(1e200, 1e200, 1e200, 10.0, 1.0)
+    """An echo energy e_1 of 1.7e308 overflows the AN basis's Householder
+    norms: the first block's outcomes are NaN, and the run stops there with
+    exit 6 and one stderr line naming the trial and its block."""
+    huge = nonreciprocal_allocation(1e200, 1.7e308, 1e200, 10.0, 1.0)
     monkeypatch.setattr(cli, "solve_allocation",
                         lambda params, gamma, scheme: (huge, 0.5, 0.5))
     with pytest.warns(RuntimeWarning) as warned:

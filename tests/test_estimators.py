@@ -31,16 +31,12 @@ from dce.params import (
     reciprocal_allocation,
 )
 from dce.rng import complex_gaussian
-from dce.training import (
-    forward_training,
-    reverse_training,
-    round_trip_training,
-    sample_channels,
-)
+from dce.training import forward_training, reverse_training, sample_channels
 from helpers import dft_pilot, trials_first, trials_last
 from oracles import jensen_factor
 from reference_estimators import (tx_estimate_downlink, tx_estimate_reciprocal,
                                   tx_estimate_uplink)
+from reference_sim import cn, echo_reverse, haar_unitaries, round_trip
 
 TRIALS = 10000
 
@@ -69,8 +65,9 @@ def _empirical_mse(run_stack, trials=TRIALS, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_tx_reciprocal_zero_energy(defaults, rng):
-    _, h_u = sample_channels(defaults, RECIPROCAL, rng, 3)
-    y_t = reverse_training(defaults, reciprocal_allocation(0.0, 1.0), h_u, rng)
+    channels = sample_channels(defaults, RECIPROCAL, rng, 3)
+    y_t = reverse_training(defaults, reciprocal_allocation(0.0, 1.0),
+                           channels[:, :defaults.n_l], rng)
     out = tx_estimate_reciprocal(y_t, defaults, 0.0)
     assert out.shape == (4, 2, 3)
     np.testing.assert_array_equal(out, 0.0)  # prior mean
@@ -86,8 +83,8 @@ def test_tx_reciprocal_empirical_agreement(defaults):
     alloc = reciprocal_allocation(2.0, 4.0)
 
     def stack(rng, n):
-        channels, h_u = sample_channels(defaults, RECIPROCAL, rng, n)
-        y_t = reverse_training(defaults, alloc, h_u, rng)
+        channels = sample_channels(defaults, RECIPROCAL, rng, n)
+        y_t = reverse_training(defaults, alloc, channels[:, :defaults.n_l], rng)
         return (tx_estimate_reciprocal(y_t, defaults, alloc.e_r),
                 channels[:, :defaults.n_l])
 
@@ -118,7 +115,7 @@ def test_lr_reciprocal_no_an_agreement(defaults):
     alloc = reciprocal_allocation(0.0, 4.0, var_a=0.0)
 
     def stack(rng, n):
-        channels, _ = sample_channels(defaults, RECIPROCAL, rng, n)
+        channels = sample_channels(defaults, RECIPROCAL, rng, n)
         h_d, _, y_l, _ = _split(defaults, channels, forward_training(
             defaults, alloc, channels[:, :defaults.n_l], channels, rng))
         return _gains(defaults, alloc)[0] * y_l, h_d
@@ -133,8 +130,8 @@ def test_lr_reciprocal_with_an_agreement(defaults):
     analytic = 1.0 / (1.0 / 1.0 + (4.0 / 4.0) / 2.0)  # 2/3
 
     def stack(rng, n):
-        channels, h_u = sample_channels(defaults, RECIPROCAL, rng, n)
-        y_t = reverse_training(defaults, alloc, h_u, rng)
+        channels = sample_channels(defaults, RECIPROCAL, rng, n)
+        y_t = reverse_training(defaults, alloc, channels[:, :defaults.n_l], rng)
         h_hat = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
         h_d, _, y_l, _ = _split(defaults, channels, forward_training(
             defaults, alloc, h_hat, channels, rng))
@@ -163,8 +160,8 @@ def test_ur_empirical_agreement(defaults):
     alloc = reciprocal_allocation(2.0, 4.0, var_a=1.0)
 
     def stack(rng, n):
-        channels, h_u = sample_channels(defaults, RECIPROCAL, rng, n)
-        y_t = reverse_training(defaults, alloc, h_u, rng)
+        channels = sample_channels(defaults, RECIPROCAL, rng, n)
+        y_t = reverse_training(defaults, alloc, channels[:, :defaults.n_l], rng)
         h_hat = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
         _, g, _, y_u = _split(defaults, channels, forward_training(
             defaults, alloc, h_hat, channels, rng))
@@ -190,9 +187,10 @@ def test_tx_uplink_empirical_agreement(defaults):
     alloc = nonreciprocal_allocation(0.0, 0.0, 2.0, 0.0)
 
     def stack(rng, n):
-        _, h_u = sample_channels(defaults, NON_RECIPROCAL, rng, n)
-        y_t = reverse_training(defaults, alloc, h_u, rng)
-        return tx_estimate_uplink(y_t, defaults, alloc.e_2), h_u
+        h_u = cn(rng, (n, defaults.n_l, defaults.n_t), defaults.var_hu)
+        y_t = echo_reverse(defaults, alloc, h_u, rng)
+        return (tx_estimate_uplink(trials_last(y_t), defaults, alloc.e_2),
+                trials_last(h_u))
 
     assert _empirical_mse(stack) == pytest.approx(0.5, rel=0.02)
 
@@ -207,16 +205,18 @@ def test_downlink_beta_frozen_value(defaults):
 
 def test_downlink_noiseless_consistency():
     """Huge energies + tiny noise: the echo-based estimate recovers h_d,
-    although the regularizer beta shrinks with the noise."""
+    although the regularizer beta shrinks with the noise.  The reverse
+    phase and the round trip with the fixed probe I are the literal
+    reference's."""
     quiet = default_params(var_w=1e-12, var_wt=1e-12)
     alloc = nonreciprocal_allocation(1e6, 1e6, 1e6, 1.0)
     rng = np.random.default_rng(21)
-    channels, h_u = sample_channels(quiet, NON_RECIPROCAL, rng, 4)
-    h_d = channels[:, :quiet.n_l]
-    y_t = reverse_training(quiet, alloc, h_u, rng)
-    hu_hat = tx_estimate_uplink(y_t, quiet, alloc.e_2)
-    y_t1 = round_trip_training(quiet, alloc, h_d, h_u, rng)
-    out = tx_estimate_downlink(y_t1, hu_hat, quiet, alloc)
+    h_d = sample_channels(quiet, NON_RECIPROCAL, rng, 4)[:, :quiet.n_l]
+    h_u = cn(rng, (4, quiet.n_l, quiet.n_t), quiet.var_hu)
+    y_t = echo_reverse(quiet, alloc, h_u, rng)
+    hu_hat = tx_estimate_uplink(trials_last(y_t), quiet, alloc.e_2)
+    y_t1 = round_trip(quiet, alloc, trials_first(h_d), h_u, np.eye(quiet.n_t), rng)
+    out = tx_estimate_downlink(trials_last(y_t1), hu_hat, quiet, alloc)
     np.testing.assert_allclose(out, h_d, atol=1e-7)
 
 
@@ -227,9 +227,9 @@ def test_downlink_conditional_mse_matches_trace(defaults):
     at 1e4 trials."""
     alloc = nonreciprocal_allocation(10.0, 10.0, 10.0, 10.0)
     setup_rng = np.random.default_rng(31)
-    _, h_u0 = sample_channels(defaults, NON_RECIPROCAL, setup_rng, 1)
-    y_t = reverse_training(defaults, alloc, h_u0, setup_rng)
-    hu_hat = tx_estimate_uplink(y_t, defaults, alloc.e_2)[..., 0]
+    h_u0 = cn(setup_rng, (1, defaults.n_l, defaults.n_t), defaults.var_hu)
+    y_t = echo_reverse(defaults, alloc, h_u0, setup_rng)
+    hu_hat = tx_estimate_uplink(trials_last(y_t), defaults, alloc.e_2)[..., 0]
     n_l = defaults.n_l
     m = hu_hat.conj() @ hu_hat.T
     shrink = m @ np.linalg.inv(m + downlink_beta(defaults, alloc) * np.eye(n_l))
@@ -245,50 +245,43 @@ def test_downlink_conditional_mse_matches_trace(defaults):
     h_u = hu_hat[..., None] + complex_gaussian(rng, (*hu_hat.shape, trials), eps2)
     h_d = complex_gaussian(rng, (defaults.n_t, defaults.n_l, trials),
                            defaults.var_hd)
-    y_t1 = round_trip_training(defaults, alloc, h_d, h_u, rng)
+    y_t1 = round_trip(defaults, alloc, trials_first(h_d), trials_first(h_u),
+                      np.eye(defaults.n_t), rng)
     out = tx_estimate_downlink(
-        y_t1, np.broadcast_to(hu_hat[..., None], h_u.shape), defaults, alloc)
+        trials_last(y_t1), np.broadcast_to(hu_hat[..., None], h_u.shape),
+        defaults, alloc)
     acc = np.sum(np.mean(np.abs(out - h_d) ** 2, axis=(0, 1)))
     assert acc / trials == pytest.approx(conditional_nmse, rel=0.03)
 
 
-def _haar_unitaries(rng, trials, n):
-    """Haar-random n x n unitaries: the QR of a complex-Gaussian stack with
-    R's diagonal phases moved into Q (Mezzadri, Notices AMS 2007)."""
-    q, r = np.linalg.qr(complex_gaussian(rng, (trials, n, n)))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
-
-
 def test_fixed_probe_reproduces_haar_probe(defaults):
-    """The identity behind the fixed probe, trial by trial.  A Haar probe
-    c Q with noises W_0' = Q W_0 and W_1' = Q W_1 gives the same estimate,
-    within 1e-13 relative, as ``round_trip_training``'s probe c I with the
-    noises Q^H W_0' = W_0 and Q^H W_1' = W_1 it drew.  The Haar side hands
-    the estimator Q^H Y_t1', as X^H Y = c Q^H Y for the probe c Q while the
+    """The identity behind ``reference_sim``'s Haar probe, trial by trial.
+    Its round trip with the probe c Q and the noises W_0' and W_1' it draws
+    gives the same estimate, within 1e-13 relative, as the fixed probe c I
+    with the noises Q^H W_0' and Q^H W_1'.  The Haar side hands the
+    estimator Q^H Y_t1', as X^H Y = c Q^H Y for the probe c Q while the
     estimator applies the c itself.  As Q^H W has the law of W, both probes
     give the same joint law of channels and estimates."""
     alloc = nonreciprocal_allocation(3.0, 5.0, 2.0, 6.0, var_a=0.4)
     p, trials = defaults, 64
     rng = np.random.default_rng(51)
-    channels, h_u = sample_channels(p, NON_RECIPROCAL, rng, trials)
-    h_d = channels[:, :p.n_l]
-    y_t = reverse_training(p, alloc, h_u, rng)
-    hu_hat = tx_estimate_uplink(y_t, p, alloc.e_2)
-    q = _haar_unitaries(rng, trials, p.n_t)
+    h_d = trials_first(sample_channels(p, NON_RECIPROCAL, rng, trials)[:, :p.n_l])
+    h_u = cn(rng, (trials, p.n_l, p.n_t), p.var_hu)
+    hu_hat = tx_estimate_uplink(trials_last(echo_reverse(p, alloc, h_u, rng)),
+                                p, alloc.e_2)
+    q = haar_unitaries(rng, trials, p.n_t)
+    q_h = np.conj(np.swapaxes(q, 1, 2))
     state = rng.bit_generator.state
-    y_t1 = round_trip_training(p, alloc, h_d, h_u, rng)
-    fixed = tx_estimate_downlink(y_t1, hu_hat, p, alloc)
+    y_haar = round_trip(p, alloc, h_d, h_u, q, rng)
+    haar = tx_estimate_downlink(trials_last(q_h @ y_haar), hu_hat, p, alloc)
 
     rng.bit_generator.state = state
-    w_0 = trials_first(complex_gaussian(rng, (p.n_t, p.n_l, trials), p.var_w))
-    w_1 = trials_first(complex_gaussian(rng, (p.n_t, p.n_t, trials), p.var_wt))
-    x_haar = np.sqrt(alloc.e_0 / p.n_t) * q
+    w_0 = cn(rng, (trials, p.n_t, p.n_l), p.var_w)
+    w_1 = cn(rng, (trials, p.n_t, p.n_t), p.var_wt)
     alpha = echo_gain(p, alloc.e_0, alloc.e_1)
-    y_haar = (alpha * (x_haar @ trials_first(h_d) + q @ w_0) @ trials_first(h_u)
-              + q @ w_1)
-    haar = tx_estimate_downlink(trials_last(np.conj(np.swapaxes(q, 1, 2)) @ y_haar),
-                                hu_hat, p, alloc)
+    y_fixed = (alpha * (np.sqrt(alloc.e_0 / p.n_t) * h_d + q_h @ w_0) @ h_u
+               + q_h @ w_1)
+    fixed = tx_estimate_downlink(trials_last(y_fixed), hu_hat, p, alloc)
     rel = (np.linalg.norm(fixed - haar, axis=(0, 1))
            / np.linalg.norm(haar, axis=(0, 1)))
     assert rel.max() <= 1e-13
@@ -366,8 +359,8 @@ def test_error_estimate_orthogonality(defaults):
     """|corr(estimate, error)| <= 0.03 at 1e4 trials for each estimator."""
     alloc = reciprocal_allocation(2.0, 4.0, var_a=1.0)
     rng = np.random.default_rng(23)
-    channels, h_u = sample_channels(defaults, RECIPROCAL, rng, TRIALS)
-    y_t = reverse_training(defaults, alloc, h_u, rng)
+    channels = sample_channels(defaults, RECIPROCAL, rng, TRIALS)
+    y_t = reverse_training(defaults, alloc, channels[:, :defaults.n_l], rng)
     tx = tx_estimate_reciprocal(y_t, defaults, alloc.e_r)
     h_d, g, y_l, y_u = _split(defaults, channels,
                               forward_training(defaults, alloc, tx, channels, rng))

@@ -1,6 +1,7 @@
 """Monte-Carlo layer: empirical NMSE vs closed forms, the allocation
 dispatcher, symbol-error experiments."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -20,7 +21,8 @@ from dce.montecarlo import (
     run_ser_experiment,
     solve_allocation,
 )
-from dce.nmse import forward_filters, gamma_bounds
+from dce.nmse import (echo_gain, forward_filters, gamma_bounds, lmmse_gain,
+                      sigma_sq_uplink, tx_error_var_uplink)
 from dce.ostbc import (CODE_SYMBOLS, block_scale, decode_block, encode_block,
                        qam_constellation)
 from dce.params import (
@@ -37,7 +39,7 @@ from reference_estimators import (tx_estimate_downlink, tx_estimate_reciprocal,
                                   tx_estimate_uplink)
 from helpers import trials_first, trials_last
 from reference_ostbc import block_domain_errors
-from reference_sim import simulate_reciprocal_nmse
+from reference_sim import simulate
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +141,11 @@ def test_non_finite_outcome_in_a_later_stack(monkeypatch):
 
 
 def test_overflow_raises_instead_of_returning_nan(defaults):
-    """Echo energies of 1e200 overflow the AN basis's Householder norms, so
-    every squared error is NaN: the run raises NonFiniteOutcome naming
+    """An echo energy e_1 of 1.7e308 makes the span's entries about
+    sqrt(e_1), whose squares overflow the AN basis's Householder norms, so
+    the squared errors are NaN: the run raises NonFiniteOutcome naming
     trial 0 (block 0) instead of reporting NaN NMSEs and half-widths."""
-    huge = nonreciprocal_allocation(1e200, 1e200, 1e200, 10.0, 1.0)
+    huge = nonreciprocal_allocation(1e200, 1.7e308, 1e200, 10.0, 1.0)
     with pytest.warns(RuntimeWarning) as warned, pytest.raises(
             NonFiniteOutcome, match=r"^trial 0 \(block 0\) ") as raised:
         run_nmse_experiment(defaults, huge, trials=600, seed=1)
@@ -189,28 +192,36 @@ def test_block_outcomes_depend_only_on_seed_and_block(defaults, scheme, monkeypa
                 assert joint[:, start:start + n].tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("experiment,scheme,per_trial", [
-    ("nmse", RECIPROCAL, (21, 6, 0)), ("nmse", NON_RECIPROCAL, (66, 2, 0)),
-    ("ser", RECIPROCAL, (54, 0, 3)), ("ser", NON_RECIPROCAL, (86, 0, 3)),
-], ids=["recip", "echo", "ser-recip", "ser-echo"])
-def test_each_trial_draws_a_fixed_number_of_normals(defaults, experiment, scheme,
+@pytest.mark.parametrize("experiment,scheme,geometry,per_trial", [
+    ("nmse", RECIPROCAL, (4, 2, 2), (21, 6, 0)),
+    ("nmse", NON_RECIPROCAL, (4, 2, 2), (47, 4, 0)),
+    ("nmse", NON_RECIPROCAL, (4, 3, 1), (58, 5, 0)),
+    ("ser", RECIPROCAL, (4, 2, 2), (54, 0, 3)),
+    ("ser", NON_RECIPROCAL, (4, 2, 2), (67, 2, 3)),
+], ids=["recip", "echo", "echo-4x3x1", "ser-recip", "ser-echo"])
+def test_each_trial_draws_a_fixed_number_of_normals(experiment, scheme, geometry,
                                                     per_trial, monkeypatch):
-    """Every block of a 600-trial run, 512 and 88 trials at 4x2x2, draws,
-    per trial and from its own substream, per_trial = (complex normals,
-    gamma variates, integers) and nothing else.  At 4x2x2 with every pilot
-    and AN, a reciprocal NMSE trial draws 21 complex normals (the rotated
-    H_d and G's rows outside the estimate's span 8, the entry of the
-    estimate's R above its diagonal 1, B = Q^H A 8, one per block of each
-    receiver's error 4) and 6 gamma variates (R's diagonal 2, one per
-    block 4); an echo one draws 66
-    complex normals (H_d and G 16, H_u 8, the reverse noise 8, the round
-    trip's W_0 8 and W_1 16, A 8, the noise statistics 2) and 2 gamma
+    """Every block of a 600-trial run, 512 and 88 trials at 4x2x2 and
+    4x3x1, draws, per trial and from its own substream, per_trial =
+    (complex normals, gamma variates, integers) and nothing else.  At 4x2x2
+    with every pilot and AN, a reciprocal NMSE trial draws 21 complex
+    normals (the rotated H_d and G's rows outside the estimate's span 8,
+    the entry of the estimate's R above its diagonal 1, B = Q^H A 8, one
+    per block of each receiver's error 4) and 6 gamma variates (R's
+    diagonal 2, one per block 4); an echo one draws 47 complex normals
+    (H_d and G 16, the round trip's W_0 8, the uplink estimate's error E'
+    4, the entry of its Bartlett factor C below the diagonal of C^H 1, the
+    rotated round-trip noise W' 8, A 8, the noise statistics 2) and 4
+    gamma variates (C's diagonal 2, the noise statistics 2).  At 4x3x1,
+    where C^H has entries below its diagonal in two rows, the echo trial
+    draws 58 complex normals (16, 12, 9, 3, 12, 4 and 2) and 5 gamma
     variates.  An SER trial draws the channels in the physical frame, the
     reciprocal one 16 + 8 + 8 for H_d and G, the reverse noise and A, the
-    forward noise W and V in full (8 each) and each receiver's 3 filtered
-    data-noise symbols, so 54 and 86 complex normals, and its 3 code
-    symbols.  A change that quietly draws more, or draws another way,
-    fails here."""
+    echo one the 16 + 21 + 8 of its NMSE trial's channels, span and A and
+    C's 2 gamma variates, the forward noise W and V in full (8 each) and
+    each receiver's 3 filtered data-noise symbols, so 54 and 67 complex
+    normals, and its 3 code symbols.  A change that quietly draws more, or
+    draws another way, fails here."""
     counts = {}
 
     class Counting:
@@ -235,10 +246,11 @@ def test_each_trial_draws_a_fixed_number_of_normals(defaults, experiment, scheme
         return Counting(block, trial_rng(seed, block))
 
     monkeypatch.setattr(montecarlo, "trial_rng", counting)
+    params = default_params(n_t=geometry[0], n_l=geometry[1], n_u=geometry[2])
     if experiment == "nmse":
-        run_nmse_experiment(defaults, _informed_allocation(scheme), trials=600, seed=3)
+        run_nmse_experiment(params, _informed_allocation(scheme), trials=600, seed=3)
     else:
-        run_ser_experiment(defaults, 0.1, modulation=16, trials=600, seed=3,
+        run_ser_experiment(params, 0.1, modulation=16, trials=600, seed=3,
                            scheme=scheme)
     normals, gammas, symbols = per_trial
     assert counts == {block: [2 * normals * n, gammas * n, symbols * n]
@@ -405,9 +417,74 @@ def test_reciprocal_nmse_matches_the_literal_reference(instance, monkeypatch):
     params, alloc = instance()
     trials = 20000
     got = _engine_outcomes(params, alloc, trials, monkeypatch)
-    want = simulate_reciprocal_nmse(params, alloc, trials, seed=2)
+    want = simulate(params, alloc, trials, seed=2)
     _assert_same_law(got, want)
     _assert_same_coupling(got, want)
+
+
+def _solved_echo(p_ave_db=20.0, **geometry):
+    params = default_params(p_ave_db=p_ave_db, **geometry)
+    return params, solve_allocation(params, 0.1, NON_RECIPROCAL)[0]
+
+
+def _weak_uplink():
+    params, alloc = _solved_echo()
+    return params, dataclasses.replace(alloc, e_2=0.5)
+
+
+def _solved_echo_4x3x1():
+    return _solved_echo(30.0, n_l=3, n_u=1)
+
+
+# the points whose SER the reference also checks: the block code needs
+# n_t = 4, and each point costs about 0.5 s of tier-1
+_SER_POINTS = (_solved_echo, _solved_echo_4x3x1)
+
+
+@pytest.mark.parametrize("instance", [
+    _solved_echo,
+    _solved_echo_4x3x1,
+    lambda: _solved_echo(n_t=8, n_l=4, n_u=4),
+    _weak_uplink,
+    lambda: (default_params(), nonreciprocal_allocation(4.0, 0.0, 2.0, 4.0, var_a=1.0)),
+], ids=["solved-4x2x2", "solved-4x3x1-30dB", "solved-8x4x4", "weak-uplink",
+        "uninformed"])
+def test_echo_matches_the_literal_reference(instance, monkeypatch):
+    """The echo Monte Carlo, which draws the transmitter's span in the
+    frame of its reverse statistic (a Bartlett factor, the uplink
+    estimate's error and the rotated round-trip noise), against
+    ``reference_sim``, which runs the reverse phase, a Haar-probed round
+    trip and the transmitter's LMMSE estimates literally and shares no
+    stream, draw order or kernel with the engine.  Over 20,000 trials a
+    side, each receiver's NMSE errors have the same law
+    (``_assert_same_law``) and the pair the same coupling
+    (``_assert_same_coupling``); at the solved 4x2x2 and 4x3x1 points each
+    receiver's 4- and 16-QAM symbol-error rate agrees within 4 binomial
+    standard errors.  The points: solved at
+    gamma 0.1 and 20 dB at 4x2x2 and 8x4x4, and at 30 dB at 4x3x1, where
+    the Bartlett factor has entries below its diagonal in two rows; the
+    4x2x2 allocation with a weak uplink, e_2 = 0.5, whose estimate leaves
+    most of K in its error E'; and a transmitter with AN but no echo
+    energy, whose AN subspace is Haar-random."""
+    params, alloc = instance()
+    assert alloc.var_a > 0
+    trials = 20000
+    modulations = (4, 16) if instance in _SER_POINTS else ()
+    want = simulate(params, alloc, trials, seed=2, modulations=modulations)
+    got = _engine_outcomes(params, alloc, trials, monkeypatch)
+    _assert_same_law(got, want[:2])
+    _assert_same_coupling(got, want[:2])
+
+    monkeypatch.setattr(montecarlo, "solve_allocation",
+                        lambda *args: (alloc, 0.0, 0.0))
+    symbols = CODE_SYMBOLS * trials
+    for modulation, reference in zip(modulations, want[2:].reshape((-1, 2, trials))):
+        report = run_ser_experiment(params, 0.1, modulation, trials=trials,
+                                    seed=3, scheme=NON_RECIPROCAL)
+        for ser, errors in zip((report.ser_lr, report.ser_ur), reference):
+            ref = errors.sum() / symbols
+            se = np.sqrt((ser * (1 - ser) + ref * (1 - ref)) / symbols)
+            assert abs(ser - ref) <= 4 * se, (modulation, ser, ref, se)
 
 
 @pytest.mark.parametrize("scheme", [RECIPROCAL, NON_RECIPROCAL])
@@ -457,24 +534,73 @@ def _informed_allocation(scheme):
     return nonreciprocal_allocation(3.0, 2.0, 3.0, 6.0, var_a=0.8)
 
 
-def _span_and_estimate(params, alloc, trials, seed):
+def _span_and_estimate(params, alloc, trials, seed, monkeypatch):
     """Channels, the span ``_estimate_span`` hands the forward phase and the
     transmitter's LMMSE estimate (the reference estimators) from the same
-    draws, which the span must make exactly."""
+    draws, which the span must make exactly.
+
+    The echo span is drawn in the frame of the reverse statistic y_t, so
+    here it is fed the physical draws that frame stands for: with
+    y_t^H = U C (QR, C's diagonal positive) and the uplink estimate
+    Hu_hat = a y_t, the round trip's W_0, the rotated uplink error
+    E' = (H_u - Hu_hat) U, a C^H's entries below its diagonal,
+    |a C_kk|^2 / sigma_sq_uplink for C's diagonal and W' = W_1 U.  It must
+    then build alpha Y_L0 H_u U + W_1 U = y_t1 U, whose column space is
+    that of y_t1 y_t^H."""
     rng = np.random.default_rng(seed)
-    channels, h_u = training.sample_channels(params, alloc.scheme, rng, trials)
-    h_d = channels[:, :params.n_l]
-    replay = np.random.default_rng()
-    replay.bit_generator.state = rng.bit_generator.state
-    span = montecarlo._estimate_span(params, alloc, h_d, h_u, rng)
-    y_t = training.reverse_training(params, alloc, h_u, replay)
+    channels = training.sample_channels(params, alloc.scheme, rng, trials)
+    n_t, n_l = params.n_t, params.n_l
+    h_d = channels[:, :n_l]
     if alloc.scheme == RECIPROCAL:
-        estimate = tx_estimate_reciprocal(y_t, params, alloc.e_r)
-    else:
-        y_t1 = training.round_trip_training(params, alloc, h_d, h_u, replay)
-        estimate = tx_estimate_downlink(
-            y_t1, tx_estimate_uplink(y_t, params, alloc.e_2), params, alloc)
-    assert rng.random() == replay.random()
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        span = montecarlo._estimate_span(params, alloc, h_d, rng)
+        y_t = training.reverse_training(params, alloc, h_d, replay)
+        assert rng.random() == replay.random()
+        return channels, span, tx_estimate_reciprocal(y_t, params, alloc.e_r)
+
+    h_u = complex_gaussian(rng, (trials, n_l, n_t), params.var_hu)
+    y_t = (np.sqrt(alloc.e_2 / n_l) * h_u
+           + complex_gaussian(rng, h_u.shape, params.var_wt))
+    w_0 = complex_gaussian(rng, (trials, n_t, n_l), params.var_w)
+    w_1 = complex_gaussian(rng, (trials, n_t, n_t), params.var_wt)
+    alpha = echo_gain(params, alloc.e_0, alloc.e_1)
+    y_t1 = (alpha * (np.sqrt(alloc.e_0 / n_t) * trials_first(h_d) + w_0) @ h_u
+            + w_1)
+    hu_hat = tx_estimate_uplink(trials_last(y_t), params, alloc.e_2)
+    estimate = tx_estimate_downlink(trials_last(y_t1), hu_hat, params, alloc)
+
+    q, r = np.linalg.qr(_hermitian(y_t))
+    phase = np.diagonal(r, axis1=1, axis2=2) / np.abs(np.diagonal(r, axis1=1, axis2=2))
+    u, c = q * phase[:, None, :], np.conj(phase)[:, :, None] * r
+    a_c = lmmse_gain(params.var_hu, alloc.e_2, n_l, params.var_wt) * c
+    c_var = sigma_sq_uplink(params, alloc.e_2)
+    below = [np.conj(a_c[:, j, row]) for row in range(n_l) for j in range(row)]
+    normals = [(trials_last(w_0), params.var_w),
+               (trials_last((h_u - trials_first(hu_hat)) @ u),
+                tx_error_var_uplink(params, alloc.e_2)),
+               (np.reshape(below, (-1, trials)), c_var),
+               (trials_last(w_1 @ u), params.var_wt)]
+    gammas = [np.abs(np.diagonal(a_c, axis1=1, axis2=2).T) ** 2 / c_var]
+
+    def fed_normal(rng, shape, var):
+        value, want_var = normals.pop(0)
+        assert value.shape == tuple(shape) and var == want_var
+        return value.copy()
+
+    def fed_gamma(rng, shape, dims):
+        assert np.array_equal(np.ravel(shape), np.arange(n_t, n_t - n_l, -1))
+        value = gammas.pop(0)
+        assert value.shape == tuple(dims)
+        return value.copy()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "complex_gaussian", fed_normal)
+        patch.setattr(montecarlo, "standard_gamma", fed_gamma)
+        span = montecarlo._estimate_span(params, alloc, h_d, None)
+    assert normals == [] and gammas == []
+    np.testing.assert_allclose(trials_first(span), y_t1 @ u, rtol=1e-12,
+                               atol=1e-12 * np.abs(y_t1).max())
     return channels, span, estimate
 
 
@@ -486,11 +612,15 @@ def test_span_gives_the_estimates_an(scheme, n_t, n_l, monkeypatch):
     values 1 within 1e-12).  So A N_span^H = (A U) N_est^H, and the forward
     statistics from the span equal, trial by trial within 1e-12 relative,
     those from the estimate with its AN draw A replaced by A U.  U is fixed
-    before A is drawn, so A U has the law of A."""
+    before A is drawn, so A U has the law of A.  The echo span is fed the
+    physical draws its frame stands for (``_span_and_estimate``), so this
+    checks the frame's algebra trial by trial; ``reference_sim`` checks its
+    law."""
     params = default_params(n_t=n_t, n_l=n_l, n_u=n_l)
     alloc = _informed_allocation(scheme)
     trials = 64
-    channels, span, estimate = _span_and_estimate(params, alloc, trials, seed=n_t)
+    channels, span, estimate = _span_and_estimate(params, alloc, trials, n_t,
+                                                  monkeypatch)
     eye = np.eye(n_t)
     u = (trials_first(null_space_basis(span, eye))
          @ _hermitian(trials_first(null_space_basis(estimate, eye))))

@@ -35,7 +35,7 @@ EXPORTED = {
     "default_params", "forward_training", "initial_feasible_state",
     "linear_to_db", "nmse_l_nonreciprocal_approx", "nmse_l_reciprocal",
     "nmse_lower_bound", "nmse_u", "null_space_basis", "reciprocal_allocation",
-    "reverse_training", "round_trip_training", "run_nmse_experiment",
+    "reverse_training", "run_nmse_experiment",
     "run_ser_experiment", "sample_channels", "solve_allocation",
     "solve_inner_gp", "solve_reciprocal", "trial_rng",
     "with_fixed_energy_budgets",
